@@ -28,7 +28,6 @@ from .geometry import (
     GraphState,
     ambient_contractions,
     compute_extrinsic,
-    gauge_to_radius,
     state_from_radius,
 )
 from .sphere import ScalarField, SphereGrid, build_grid

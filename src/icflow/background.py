@@ -67,7 +67,6 @@ class BackgroundParams:
     m: float
     n: int
     tol_root: float = 1e-13
-    tol_ode: float = 1e-10
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:

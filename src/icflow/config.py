@@ -44,7 +44,7 @@ def _to_int(raw, where):
 
 
 _SCHEMA = {
-    "background": {"m", "n", "tol_root", "tol_ode"},
+    "background": {"m", "n", "tol_root"},
     "grid": {"mode", "n_theta", "n_psi"},
     "initial": {"kind", "r0", "amplitude", "wavenumber", "table_path"},
     "flow": {"f_kind", "t_end", "cfl", "integrator", "output_every",
@@ -111,7 +111,6 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
         m=_to_float(b.get("m", None) or _missing("background", "m"), "[background] m"),
         n=_to_int(b.get("n", "2"), "[background] n"),
         tol_root=_to_float(b.get("tol_root", "1e-13"), "[background] tol_root"),
-        tol_ode=_to_float(b.get("tol_ode", "1e-10"), "[background] tol_ode"),
     )
 
     g = parser["grid"]
@@ -228,7 +227,10 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
         if "f_kind" in sw:
             kinds = sw["f_kind"].split()
             for kname in kinds:
-                cf.from_name(kname, background.n)
+                try:
+                    cf.from_name(kname, background.n)
+                except ValueError as exc:
+                    raise ConfigError(f"[sweep] f_kind: {exc}") from None
             sweep["f_kind"] = kinds
         if "amplitude" in sw:
             sweep["amplitude"] = [_to_float(x, "[sweep] amplitude")

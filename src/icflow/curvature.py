@@ -84,14 +84,14 @@ def elementary_symmetric_deleted(kappa: np.ndarray, e: np.ndarray) -> np.ndarray
     return d
 
 
+def _in_cone(f, e):
+    """Cone membership from the sigma_j values e of elementary_symmetric."""
+    return np.all(e[..., 1:f.cone_order + 1] > 0.0, axis=-1)
+
+
 def cone_contains(f: CurvatureFunction, kappa) -> np.ndarray:
     """Membership in Gamma(F), elementwise over leading axes."""
-    kappa = np.asarray(kappa, dtype=float)
-    e = elementary_symmetric(kappa)
-    ok = np.ones(kappa.shape[:-1], dtype=bool)
-    for j in range(1, f.cone_order + 1):
-        ok &= e[..., j] > 0.0
-    return ok
+    return _in_cone(f, elementary_symmetric(kappa))
 
 
 def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
@@ -102,20 +102,23 @@ def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
 
 
 def _require_admissible(f, kappa):
-    ok = cone_contains(f, kappa)
+    """All sigma_j(kappa), as elementary_symmetric; raises
+    InadmissibleCurvatures when any point lies outside the cone."""
+    e = elementary_symmetric(kappa)
+    ok = _in_cone(f, e)
     if not np.all(ok):
         bad = np.argwhere(~np.atleast_1d(ok))
         raise InadmissibleCurvatures(
             f"principal curvatures outside the admissibility cone of {f.kind} "
             f"(first offender at index {tuple(bad[0])})"
         )
+    return e
 
 
 def f_eval(f: CurvatureFunction, kappa) -> np.ndarray:
     """F(kappa); raises InadmissibleCurvatures outside the cone."""
     kappa = np.asarray(kappa, dtype=float)
-    _require_admissible(f, kappa)
-    e = elementary_symmetric(kappa)
+    e = _require_admissible(f, kappa)
     n = f.n
     if f.kind == "mean":
         return e[..., 1]
@@ -131,8 +134,7 @@ def f_grad(f: CurvatureFunction, kappa) -> np.ndarray:
     """Componentwise derivative dF/dkappa_i; all components positive on the
     cone and Euler's identity sum kappa_i dF/dkappa_i = F holds."""
     kappa = np.asarray(kappa, dtype=float)
-    _require_admissible(f, kappa)
-    e = elementary_symmetric(kappa)
+    e = _require_admissible(f, kappa)
     n = f.n
     if f.kind == "mean":
         return np.ones_like(kappa)

@@ -25,7 +25,7 @@ import numpy as np
 from . import curvature as cf
 from .errors import InsufficientData
 from .geometry import GraphState, compute_extrinsic
-from .sphere import tensor_sup_norm
+from .sphere import grad_norm_sq, hessian_mixed, tensor_sup_norm
 
 FLOOR = 1e-13
 _FLOOR_PASS = 1e-10
@@ -68,7 +68,7 @@ def snapshot(state: GraphState, ext, F: cf.CurvatureFunction,
         t=t,
         sup_kappa_dev=float(np.max(np.abs(ext.kappa - 1.0))),
         sup_grad_phi_sq=float(np.max(ext.grad_phi_sq)),
-        sup_hess_phi=tensor_sup_norm(ext.hess_phi_mixed, state.grid),
+        sup_hess_phi=tensor_sup_norm(hessian_mixed(state.phi), state.grid),
         F_min=float(np.min(f_vals)),
         F_max=float(np.max(f_vals)),
         r_tilde_min=float(np.min(state.r.values)) - t / n,
@@ -101,12 +101,11 @@ class DiagnosticsSeries:
         lam_hi = float(prof.lambda_of_r(np.max(r))) * scale0
         lam = prof.lambda_of_r(r)
         umb = prof.lambda_p_of_lambda(lam) / lam
-        ext0 = compute_extrinsic(state)
         meta = {
             "n": prof.params.n,
             "m": prof.params.m,
             "f_umb0": prof.params.n * float(np.max(umb)),
-            "sup_grad0": float(np.max(ext0.grad_phi_sq)),
+            "sup_grad0": float(np.max(grad_norm_sq(state.phi))),
             "t0": state.t,
             "initial_constant": bool(np.max(r) - np.min(r) < 1e-12),
         }

@@ -38,7 +38,13 @@ from .errors import (
     StepUnderflow,
     TableExtentError,
 )
-from .geometry import GraphState, compute_extrinsic, state_from_gauge, state_from_radius
+from .geometry import (
+    ExtrinsicData,
+    GraphState,
+    compute_extrinsic,
+    state_from_gauge,
+    state_from_radius,
+)
 from .sphere import ScalarField, build_grid
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -105,16 +111,10 @@ class FlowEvent:
     payload: dict = field(default_factory=dict)
 
 
-def rhs(state: GraphState, F: cf.CurvatureFunction) -> ScalarField:
-    """d phi / dt = v / F(lambda h^i_j). Raises InadmissibleState when any
-    node leaves the cone, carrying the worst offender."""
-    out, _ = _rhs(state, F)
-    return out
-
-
-def _rhs(state, F, ext=None):
-    if ext is None:
-        ext = compute_extrinsic(state)
+def rhs(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData) -> ScalarField:
+    """d phi / dt = v / F(lambda h^i_j), with ext = compute_extrinsic(state).
+    Raises InadmissibleState when any node leaves the cone, carrying the
+    worst offender."""
     kappa = ext.kappa
     ok = cf.cone_contains(F, kappa)
     if not np.all(ok):
@@ -137,15 +137,13 @@ def _rhs(state, F, ext=None):
             t=state.t, node=idx, kappa=kappa[idx],
         )
     speed = ext.v / scaled
-    return ScalarField(state.grid, speed, t=state.t), ext
+    return ScalarField(state.grid, speed, t=state.t)
 
 
-def stable_dt(state: GraphState, F: cf.CurvatureFunction, cfl: float,
-              dt_min: float = 0.0, dt_max: float = math.inf,
-              ext=None) -> float:
-    """Parabolic stability bound cfl h_min^2 / max(diffusion scale)."""
-    if ext is None:
-        ext = compute_extrinsic(state)
+def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
+              cfl: float, dt_min: float = 0.0, dt_max: float = math.inf) -> float:
+    """Parabolic stability bound cfl h_min^2 / max(diffusion scale), with
+    ext = compute_extrinsic(state)."""
     fp = cf.f_grad(F, ext.kappa)
     fval = cf.f_eval(F, ext.kappa)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
@@ -157,8 +155,8 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, cfl: float,
     return min(dt, dt_max)
 
 
-def _advance(state, F, dt, integrator):
-    k1, _ = _rhs(state, F)
+def _advance(state, F, dt, ext, integrator):
+    k1 = rhs(state, F, ext)
     if integrator == "euler":
         phi_new = state.phi.values + dt * k1.values
     else:
@@ -167,20 +165,21 @@ def _advance(state, F, dt, integrator):
             state.phi.values + 0.5 * dt * k1.values,
             state.base_radius, t=state.t + 0.5 * dt,
         )
-        k2, _ = _rhs(mid, F)
+        k2 = rhs(mid, F, compute_extrinsic(mid))
         phi_new = state.phi.values + dt * k2.values
     return state_from_gauge(state.grid, state.profile, phi_new,
                             state.base_radius, t=state.t + dt)
 
 
-def step(state: GraphState, F: cf.CurvatureFunction, dt: float,
+def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicData,
          integrator: str = "rk2", events: Optional[list] = None) -> GraphState:
-    """One explicit step; on admissibility failure the step is retried with
-    halved dt, up to eight times."""
+    """One explicit step from state, with ext = compute_extrinsic(state); on
+    admissibility failure the step is retried with halved dt, up to eight
+    times."""
     last = None
     for _ in range(9):
         try:
-            return _advance(state, F, dt, integrator)
+            return _advance(state, F, dt, ext, integrator)
         except InadmissibleState as exc:
             last = exc
             if events is not None:
@@ -230,24 +229,27 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         events.append(FlowEvent("completed", state.t, {"steps": 0}))
         return state, series, events
 
-    def take_snapshot(s):
-        ext = compute_extrinsic(s)
+    def take_snapshot(s, ext):
         rec = dg.snapshot(s, ext, F, pinch_ref=series.pinch_ref)
         series.append(s, rec)
         events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
 
-    take_snapshot(state)
+    # one extrinsic pass per accepted state, shared by the snapshot, the
+    # stability bound and the first stage of the next step
+    ext = compute_extrinsic(state)
+    take_snapshot(state, ext)
     snap_times = _snapshot_times(state.t, config.t_end, config.output_every)
     steps = 0
     try:
         for target in snap_times:
             while state.t < target - 1e-12:
-                dt = stable_dt(state, F, config.cfl,
+                dt = stable_dt(state, F, ext, config.cfl,
                                dt_min=config.dt_min, dt_max=config.dt_max)
                 dt = min(dt, target - state.t)
-                state = step(state, F, dt, config.integrator, events=events)
+                state = step(state, F, dt, ext, config.integrator, events=events)
+                ext = compute_extrinsic(state)
                 steps += 1
-            take_snapshot(state)
+            take_snapshot(state, ext)
     except Exception as exc:
         if isinstance(exc, TableExtentError):
             events.append(FlowEvent("table_extent", state.t, {"error": str(exc)}))
@@ -269,7 +271,6 @@ def save_checkpoint(state: GraphState, path) -> None:
             "m": state.profile.params.m,
             "n": state.profile.params.n,
             "tol_root": state.profile.params.tol_root,
-            "tol_ode": state.profile.params.tol_ode,
         },
         "grid": {
             "mode": grid.mode,

@@ -40,7 +40,6 @@ from .sphere import (
     covariant_hess,
     grad_components,
     grad_norm_sq,
-    hessian_mixed,
 )
 
 
@@ -54,12 +53,6 @@ class GraphState:
     r: ScalarField
     profile: WarpProfile
     base_radius: float
-
-
-def gauge_to_radius(profile: WarpProfile, phi: ScalarField, c: float) -> ScalarField:
-    """Invert the radial gauge nodewise."""
-    r = profile.radius_from_gauge(phi.values, c)
-    return ScalarField(phi.grid, r, t=phi.t)
 
 
 def state_from_radius(grid, profile, r_values, t=0.0, base_radius=None) -> GraphState:
@@ -77,7 +70,7 @@ def state_from_radius(grid, profile, r_values, t=0.0, base_radius=None) -> Graph
 
 def state_from_gauge(grid, profile, phi_values, base_radius, t=0.0) -> GraphState:
     phi = ScalarField(grid, np.asarray(phi_values, dtype=float), t=t)
-    r = gauge_to_radius(profile, phi, base_radius)
+    r = ScalarField(grid, profile.radius_from_gauge(phi.values, base_radius), t=t)
     return GraphState(t=float(t), grid=grid, phi=phi, r=r,
                       profile=profile, base_radius=float(base_radius))
 
@@ -87,19 +80,19 @@ class ExtrinsicData:
     """Per-node extrinsic quantities of a graph state.
 
     All tensors are in (theta, psi) coordinates with trailing axes (2,) or
-    (2, 2); axisymmetric grids simply carry zero psi entries.
+    (2, 2); axisymmetric grids simply carry zero psi entries. flow.run
+    computes one per accepted state and hands it to the snapshot, the
+    stability bound and the first stage of the next step. Only what the
+    stepper and the snapshots read is kept; the identity checks derive the
+    mixed shape operator, raised gradient and gtilde^ij from these fields.
     """
 
     v: np.ndarray
     grad_phi: np.ndarray           # covariant D_i phi, (..., 2)
     grad_phi_sq: np.ndarray        # |D phi|^2
-    hess_phi_mixed: np.ndarray     # (1,1) Hessian of phi, (..., 2, 2)
     sigma: np.ndarray              # round metric components, (..., 2, 2)
     g_cov: np.ndarray              # induced metric, (..., 2, 2)
-    g_inv: np.ndarray
-    g_tilde_up: np.ndarray         # sigma^ij - phi^i phi^j / v^2
     h_cov: np.ndarray              # symmetrized second fundamental form
-    h_mixed: np.ndarray            # g^ik h_kj
     kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
     chi: np.ndarray                # lambda / v
     lam: np.ndarray
@@ -114,6 +107,19 @@ def _inv22(m):
     out[..., 0, 1] = -m[..., 0, 1]
     out[..., 1, 0] = -m[..., 1, 0]
     return out / det[..., None, None]
+
+
+def _h_mixed(ext):
+    """Mixed shape operator h^i_j = g^ik h_kj."""
+    return np.einsum("...ik,...kj->...ij", _inv22(ext.g_cov), ext.h_cov)
+
+
+def _grad_up(ext):
+    """Contravariant gradient phi^i = sigma^ik phi_k."""
+    up = np.empty_like(ext.grad_phi)
+    up[..., 0] = ext.grad_phi[..., 0]
+    up[..., 1] = ext.grad_phi[..., 1] / ext.sigma[..., 1, 1]
+    return up
 
 
 def _pencil_eigenvalues(a, b):
@@ -158,13 +164,6 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     hess_cov = covariant_hess(state.phi)
 
     sig = _sigma_components(grid)
-    s2 = grid.sin_theta ** 2
-
-    # contravariant gradient
-    up = np.empty_like(dphi)
-    up[..., 0] = dphi[..., 0]
-    up[..., 1] = dphi[..., 1] / s2
-
     pp = dphi[..., :, None] * dphi[..., None, :]      # phi_i phi_j
     g_cov = (lam * lam)[..., None, None] * (pp + sig)
 
@@ -172,20 +171,9 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
     kappa = _pencil_eigenvalues(h_cov, g_cov)
 
-    g_inv = _inv22(g_cov)
-    h_mixed = np.einsum("...ik,...kj->...ij", g_inv, h_cov)
-
-    gt = np.empty_like(sig)
-    gt[..., 0, 0] = 1.0 - up[..., 0] * up[..., 0] / (v * v)
-    gt[..., 1, 1] = 1.0 / s2 - up[..., 1] * up[..., 1] / (v * v)
-    gt[..., 0, 1] = -up[..., 0] * up[..., 1] / (v * v)
-    gt[..., 1, 0] = gt[..., 0, 1]
-
     return ExtrinsicData(
-        v=v, grad_phi=dphi, grad_phi_sq=q,
-        hess_phi_mixed=hessian_mixed(state.phi),
-        sigma=sig, g_cov=g_cov, g_inv=g_inv, g_tilde_up=gt,
-        h_cov=h_cov, h_mixed=h_mixed, kappa=kappa,
+        v=v, grad_phi=dphi, grad_phi_sq=q, sigma=sig,
+        g_cov=g_cov, h_cov=h_cov, kappa=kappa,
         chi=lam / v, lam=lam, lam_p=lam_p,
     )
 
@@ -233,12 +221,20 @@ def shape_gradient_tensor(F: cf.CurvatureFunction, ext: ExtrinsicData):
     safe = np.abs(gap) > 1e-9 * (1.0 + np.abs(kt).max(axis=-1))
     beta = np.where(safe, (f[..., 1] - f[..., 0]) / np.where(safe, gap, 1.0), 0.0)
     alpha = f[..., 0] - beta * kt[..., 0]
-    ht_mixed = lam[..., None, None] * ext.h_mixed
+    ht_mixed = lam[..., None, None] * _h_mixed(ext)
     eye = np.zeros_like(ht_mixed)
     eye[..., 0, 0] = 1.0
     eye[..., 1, 1] = 1.0
     f_mixed = alpha[..., None, None] * eye + beta[..., None, None] * ht_mixed
-    return np.einsum("...ik,...jk->...ij", ext.g_tilde_up, f_mixed)
+
+    up = _grad_up(ext)
+    v2 = ext.v * ext.v
+    gt = np.empty_like(ext.sigma)
+    gt[..., 0, 0] = 1.0 - up[..., 0] * up[..., 0] / v2
+    gt[..., 1, 1] = 1.0 / ext.sigma[..., 1, 1] - up[..., 1] * up[..., 1] / v2
+    gt[..., 0, 1] = -up[..., 0] * up[..., 1] / v2
+    gt[..., 1, 0] = gt[..., 0, 1]
+    return np.einsum("...ik,...jk->...ij", gt, f_mixed)
 
 
 def contraction_consistency_residual(state: GraphState, F: cf.CurvatureFunction) -> float:
@@ -268,12 +264,8 @@ def tilt_gradient_residual(state: GraphState) -> float:
     grid = state.grid
     v_field = ScalarField(grid, ext.v, t=state.t)
     lhs = grad_components(v_field)
-    s2 = grid.sin_theta ** 2
-    up = np.empty_like(ext.grad_phi)
-    up[..., 0] = ext.grad_phi[..., 0]
-    up[..., 1] = ext.grad_phi[..., 1] / s2
     hess_cov = covariant_hess(state.phi)
-    rhs = np.einsum("...k,...ki->...i", up, hess_cov) / ext.v[..., None]
+    rhs = np.einsum("...k,...ki->...i", _grad_up(ext), hess_cov) / ext.v[..., None]
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -285,5 +277,5 @@ def tilt_gradient_shape_residual(state: GraphState) -> float:
     lhs = grad_components(v_field)
     r_i = ext.lam[..., None] * ext.grad_phi
     rhs = ((ext.lam_p / ext.lam) * ext.v)[..., None] * r_i \
-        - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", ext.h_mixed, r_i)
+        - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", _h_mixed(ext), r_i)
     return float(np.max(np.abs(lhs - rhs)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionTooSmall
+from .errors import FlowError, ResolutionTooSmall
 
 _MIN_NTHETA = 16
 
@@ -72,7 +72,7 @@ class ScalarField:
                 f"field shape {self.values.shape} does not match grid {self.grid.field_shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("scalar field contains non-finite values")
+            raise FlowError("scalar field contains non-finite values")
 
 
 def build_grid(mode: str, resolution) -> SphereGrid:
@@ -136,15 +136,6 @@ def _d2psi(grid, v):
 
 
 # -- covariant operators ----------------------------------------------------
-
-def covariant_grad(f: ScalarField):
-    """Covariant gradient components. Axisymmetric mode returns the theta
-    component only; lat-long mode returns shape (..., 2) with (theta, psi)."""
-    g = f.grid
-    if g.mode == "axisymmetric1d":
-        return _dtheta(g, f.values)
-    return np.stack([_dtheta(g, f.values), _dpsi(g, f.values)], axis=-1)
-
 
 def grad_components(f: ScalarField):
     """Gradient as a (..., 2) array in both modes (psi component zero when
@@ -224,20 +215,7 @@ def hessian_mixed(f: ScalarField):
     return h
 
 
-def laplacian(f: ScalarField):
-    h = hessian_mixed(f)
-    return h[..., 0, 0] + h[..., 1, 1]
-
-
 # -- reductions --------------------------------------------------------------
-
-def sup_norm(f: ScalarField) -> float:
-    return float(np.max(f.values))
-
-
-def inf(f: ScalarField) -> float:
-    return float(np.min(f.values))
-
 
 def integrate(f: ScalarField) -> float:
     return float(np.sum(f.grid.weights * f.values))

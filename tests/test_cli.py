@@ -185,6 +185,16 @@ class TestSweepCommand:
             assert float(cells[1]) <= -0.85     # umbilicity decay slope
         assert (out / "mean_m0.0").is_dir() and (out / "mean_m1.0").is_dir()
 
+    def test_unknown_sweep_f_kind_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.ini")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nf_kind = mean bogus\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[sweep] f_kind" in err and "bogus" in err
+        assert not out.exists()
+
     def test_jobs_env_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ICFLOW_THREADS", "1")
         assert cli._max_jobs(8) == 1

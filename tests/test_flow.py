@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from icflow import background as bg
 from icflow import curvature as cf
+from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
@@ -39,11 +41,38 @@ def unit_sphere_state(prof_m0, n=48):
     return geo.state_from_radius(grid, prof_m0, np.full(n, 1.0))
 
 
+def rhs(state, f):
+    return flow.rhs(state, f, geo.compute_extrinsic(state))
+
+
+def stable_dt(state, f, **kw):
+    return flow.stable_dt(state, f, geo.compute_extrinsic(state), **kw)
+
+
+def step(state, f, dt, *args, **kw):
+    return flow.step(state, f, dt, geo.compute_extrinsic(state), *args, **kw)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name, wherever a package module holds it."""
+    orig = getattr(module, name)
+    counter = {"n": 0}
+
+    def counted(*args, **kwargs):
+        counter["n"] += 1
+        return orig(*args, **kwargs)
+
+    for mod in (bg, cf, dg, flow, geo, sp):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return counter
+
+
 class TestRhs:
     def test_closed_form_unit_sphere(self, prof_m0):
         # v=1, lambda=sinh1, F=2 coth 1: speed = 1/(2 cosh 1)
         state = unit_sphere_state(prof_m0)
-        speed = flow.rhs(state, cf.from_name("mean", 2))
+        speed = rhs(state, cf.from_name("mean", 2))
         want = 1.0 / (2.0 * math.cosh(1.0))
         assert abs(want - 0.3240271368319427) < 1e-15
         assert np.max(np.abs(speed.values - want)) < 1e-13
@@ -53,7 +82,7 @@ class TestRhs:
         grid = sp.build_grid("axisymmetric1d", 32)
         r0 = float(prof_m2.radius_from_lambda(2.0))
         state = geo.state_from_radius(grid, prof_m2, np.full(32, r0))
-        speed = flow.rhs(state, cf.from_name("mean", 2))
+        speed = rhs(state, cf.from_name("mean", 2))
         lam_p = float(prof_m2.lambda_p_of_lambda(2.0))
         assert np.max(np.abs(speed.values - 1.0 / (2.0 * lam_p))) < 1e-12
 
@@ -66,7 +95,7 @@ class TestRhs:
         ext = geo.compute_extrinsic(state)
         assert np.min(np.sum(ext.kappa, axis=-1)) < 0  # fixture sanity
         with pytest.raises(InadmissibleState) as exc:
-            flow.rhs(state, cf.from_name("mean", 2))
+            rhs(state, cf.from_name("mean", 2))
         assert exc.value.node is not None
         assert exc.value.kappa is not None
 
@@ -75,7 +104,7 @@ class TestStableDt:
     def test_umbilic_scale(self, prof_m0):
         state = unit_sphere_state(prof_m0)
         f = cf.from_name("mean", 2)
-        dt = flow.stable_dt(state, f, cfl=0.2, dt_max=np.inf)
+        dt = stable_dt(state, f, cfl=0.2, dt_max=np.inf)
         lam = math.sinh(1.0)
         fval = 2.0 * math.cosh(1.0) / math.sinh(1.0)
         h = state.grid.d_theta
@@ -88,19 +117,19 @@ class TestStableDt:
         for n in (32, 64):
             grid = sp.build_grid("axisymmetric1d", n)
             state = geo.state_from_radius(grid, prof_m0, np.full(n, 1.0))
-            dts.append(flow.stable_dt(state, f, cfl=0.2, dt_max=np.inf))
+            dts.append(stable_dt(state, f, cfl=0.2, dt_max=np.inf))
         assert abs(dts[0] / dts[1] - 4.0) < 1e-12
 
     def test_underflow(self, prof_m0):
         state = unit_sphere_state(prof_m0)
         with pytest.raises(StepUnderflow):
-            flow.stable_dt(state, cf.from_name("mean", 2), cfl=0.2, dt_min=1.0)
+            stable_dt(state, cf.from_name("mean", 2), cfl=0.2, dt_min=1.0)
 
 
 class TestStep:
     def test_single_euler_step(self, prof_m0):
         state = unit_sphere_state(prof_m0)
-        new = flow.step(state, cf.from_name("mean", 2), 0.01, "euler")
+        new = step(state, cf.from_name("mean", 2), 0.01, "euler")
         dphi = new.phi.values - state.phi.values
         want = 0.01 / (2.0 * math.cosh(1.0))
         assert np.max(np.abs(dphi - want)) < 1e-15
@@ -110,7 +139,7 @@ class TestStep:
         state = unit_sphere_state(prof_m0)
         f = cf.from_name("mean", 2)
         for _ in range(5):
-            state = flow.step(state, f, 0.01, "rk2")
+            state = step(state, f, 0.01, "rk2")
         spread = np.max(state.phi.values) - np.min(state.phi.values)
         assert spread <= 1e-13
 
@@ -123,7 +152,7 @@ class TestStep:
             state = geo.state_from_radius(grid, prof_m0, np.full(16, 1.0))
             steps = round(1.0 / dt)
             for _ in range(steps):
-                state = flow.step(state, f, dt, integrator)
+                state = step(state, f, dt, integrator)
             lam = float(prof_m0.lambda_of_r(state.r.values[0]))
             return abs(lam - math.sinh(1.0) * math.exp(0.5 * state.t))
 
@@ -140,15 +169,15 @@ class TestStep:
         calls = {"n": 0}
         real = flow._advance
 
-        def flaky(s, F, dt, integrator):
+        def flaky(s, F, dt, ext, integrator):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise InadmissibleState("synthetic", t=s.t, node=(0,), kappa=None)
-            return real(s, F, dt, integrator)
+            return real(s, F, dt, ext, integrator)
 
         monkeypatch.setattr(flow, "_advance", flaky)
         events = []
-        new = flow.step(state, f, 0.01, "rk2", events=events)
+        new = step(state, f, 0.01, "rk2", events=events)
         assert calls["n"] == 3
         assert len(events) == 2
         assert all(e.kind == "admissibility_violation" for e in events)
@@ -157,12 +186,12 @@ class TestStep:
     def test_retry_exhaustion(self, prof_m0, monkeypatch):
         state = unit_sphere_state(prof_m0)
 
-        def always_bad(s, F, dt, integrator):
+        def always_bad(s, F, dt, ext, integrator):
             raise InadmissibleState("synthetic", t=s.t, node=(0,), kappa=None)
 
         monkeypatch.setattr(flow, "_advance", always_bad)
         with pytest.raises(InadmissibleState):
-            flow.step(state, cf.from_name("mean", 2), 0.01, "rk2")
+            step(state, cf.from_name("mean", 2), 0.01, "rk2")
 
 
 class TestRun:
@@ -239,6 +268,26 @@ class TestRun:
         g0 = series.meta["sup_grad0"]
         assert all(r.sup_grad_phi_sq <= g0 * (1 + 1e-6) for r in series.records)
 
+    @pytest.mark.parametrize("name", ["mean", "sigma2root"])
+    def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
+        # per rk2 step: the accepted state and the midpoint; the initial
+        # state adds one per run. sigma_j: three per rhs, two in stable_dt
+        cfg = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_resolution=32,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                     amplitude=0.2, wavenumber=1),
+            f=cf.from_name(name, 2),
+            t_end=0.05, output_every=0.01,
+        )
+        n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
+        n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
+        _, series, events = flow.run(cfg)
+        steps = events[-1].payload["steps"]
+        assert steps >= 20
+        assert n_ext["n"] == 2 * steps + 1
+        assert n_sym["n"] <= 8 * steps + len(series.records)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             make_config(cfl=0.9)
@@ -286,6 +335,19 @@ class TestCheckpoint:
             ref = match[0]
             assert abs(rec.r_tilde_max - ref.r_tilde_max) < 1e-9
             assert abs(rec.sup_grad_phi_sq - ref.sup_grad_phi_sq) < 1e-9
+
+    def test_legacy_tol_ode_key_loads(self, tmp_path, prof_m0):
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof_m0, 1.0 + 0.2 * np.cos(grid.theta), t=0.5)
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        assert "tol_ode" not in doc["params"]
+        doc["params"]["tol_ode"] = 1e-10     # written by older versions
+        path.write_text(json.dumps(doc, sort_keys=True))
+        loaded = flow.load_checkpoint(path, make_config(grid_resolution=32, t_end=2.0))
+        assert loaded.t == state.t
+        assert np.array_equal(loaded.phi.values, state.phi.values)
 
     def test_mismatched_config_rejected(self, tmp_path, prof_m0):
         state = unit_sphere_state(prof_m0, 32)

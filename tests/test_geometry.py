@@ -37,9 +37,8 @@ def perturbed_state(profile, grid, r0=1.0, amp=0.1, wavenumber=1):
 class TestGauge:
     def test_constant_gauge_is_base(self, prof_m1):
         grid = sp.build_grid("axisymmetric1d", 32)
-        phi = sp.ScalarField(grid, np.zeros(32))
-        r = geo.gauge_to_radius(prof_m1, phi, 2.0)
-        assert np.max(np.abs(r.values - 2.0)) < 1e-12
+        state = geo.state_from_gauge(grid, prof_m1, np.zeros(32), 2.0)
+        assert np.max(np.abs(state.r.values - 2.0)) < 1e-12
 
     def test_massless_closed_form_roundtrip(self, prof_m0):
         grid = sp.build_grid("axisymmetric1d", 64)
@@ -62,9 +61,8 @@ class TestGauge:
 
     def test_extent_guard(self, prof_m1):
         grid = sp.build_grid("axisymmetric1d", 32)
-        phi = sp.ScalarField(grid, np.full(32, 40.0))
         with pytest.raises(TableExtentError):
-            geo.gauge_to_radius(prof_m1, phi, 1.0)
+            geo.state_from_gauge(grid, prof_m1, np.full(32, 40.0), 1.0)
 
 
 class TestUmbilic:
