@@ -4,7 +4,6 @@ AdS-Schwarzschild background, with built-in convergence diagnostics."""
 from .background import (
     BackgroundParams,
     WarpProfile,
-    ambient_curvature_components,
     ambient_sectional,
     build_warp_profile,
     solve_horizon,

@@ -344,10 +344,3 @@ def ambient_sectional(profile: WarpProfile, r):
     k_tan = (1.0 - lam_p * lam_p) / (lam * lam)
     k_rad = -lam_pp / lam
     return k_tan, k_rad
-
-
-def ambient_curvature_components(profile: WarpProfile, r):
-    """Scalar coefficients (lambda^2 (1 - lambda'^2), -lambda lambda'')
-    generating the ambient curvature tensor in the warped coordinate frame."""
-    lam, lam_p, lam_pp = warp_derivatives(profile, r)
-    return lam * lam * (1.0 - lam_p * lam_p), -lam * lam_pp

@@ -28,7 +28,7 @@ from . import diagnostics as dg
 from . import flow
 from .checks import run_all
 from .config import RunConfig, parse_run_config
-from .errors import IcflowError
+from .errors import ConfigError, IcflowError, InsufficientData
 
 
 def _write_series(path: Path, series: dg.DiagnosticsSeries) -> None:
@@ -57,18 +57,21 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
     initial_state = None
     if resume is not None:
         initial_state = flow.load_checkpoint(resume, cfg.flow)
+        if initial_state.t >= cfg.flow.t_end:
+            raise ConfigError(f"checkpoint time t={initial_state.t} is not before "
+                              f"[flow] t_end = {cfg.flow.t_end}; nothing to run")
     final, series, events = flow.run(cfg.flow, initial_state=initial_state)
-    report = dg.theorem_report(series, cfg.report, config_echo=cfg.echo)
+    try:
+        prof = dg.limit_profile(series)
+    except InsufficientData:
+        prof = None
+    report = dg.theorem_report(series, prof, cfg.report, config_echo=cfg.echo)
 
     if "csv" in cfg.output.formats:
         _write_series(out / "series.csv", series)
-    flow.save_checkpoint(final, out / "checkpoint.json")
-    try:
-        prof = dg.limit_profile(series)
-        if "csv" in cfg.output.formats:
+        if prof is not None:
             _write_profile(out / "limit_profile.csv", prof)
-    except IcflowError:
-        pass
+    flow.save_checkpoint(final, out / "checkpoint.json")
     if "json" in cfg.output.formats:
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=1)

@@ -8,6 +8,7 @@ tolerance cannot silently change what a run certifies.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,12 @@ def _to_bool(raw, where):
 
 def _to_float(raw, where):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _to_int(raw, where):
@@ -149,10 +153,11 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
         table_path = i.get("table_path", None) or _missing("initial", "table_path")
         try:
             data = np.loadtxt(table_path, delimiter=",")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"[initial] table_path: {exc}") from None
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError("[initial] table_path: expected two comma-separated columns")
+        if data.ndim != 2 or data.shape[1] != 2 or not np.all(np.isfinite(data)):
+            raise ConfigError("[initial] table_path: expected two comma-separated "
+                              "columns of finite numbers")
         initial = InitialData(kind=kind, table_theta=tuple(data[:, 0]),
                               table_r=tuple(data[:, 1]))
     else:

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import curvature as cf
 from .errors import InsufficientData
-from .geometry import GraphState, compute_extrinsic
-from .sphere import grad_norm_sq, hessian_mixed, tensor_sup_norm
+from .geometry import GraphState
+from .sphere import SphereGrid, grad_norm_sq, hessian_mixed, tensor_sup_norm
 
 FLOOR = 1e-13
 _FLOOR_PASS = 1e-10
@@ -83,10 +83,13 @@ def snapshot(state: GraphState, ext, F: cf.CurvatureFunction,
 
 @dataclass
 class DiagnosticsSeries:
-    """Snapshot records plus the retained states they were taken from."""
+    """Snapshot records plus, per snapshot, the radius array and induced
+    metric the limit profile reads."""
 
     records: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    radii: list = field(default_factory=list)
+    metrics: list = field(default_factory=list)
+    grid: Optional[SphereGrid] = None
     pinch_ref: tuple = (0.0, 0.0)
     meta: dict = field(default_factory=dict)
 
@@ -109,11 +112,13 @@ class DiagnosticsSeries:
             "t0": state.t,
             "initial_constant": bool(np.max(r) - np.min(r) < 1e-12),
         }
-        return DiagnosticsSeries(pinch_ref=(lam_lo, lam_hi), meta=meta)
+        return DiagnosticsSeries(grid=state.grid, pinch_ref=(lam_lo, lam_hi), meta=meta)
 
-    def append(self, state: GraphState, record: DiagnosticsRecord) -> None:
+    def append(self, state: GraphState, ext, record: DiagnosticsRecord) -> None:
+        """Keep record and, of the state and its ext, only r and g_cov."""
         self.records.append(record)
-        self.states.append(state)
+        self.radii.append(state.r.values)
+        self.metrics.append(ext.g_cov)
 
     @property
     def times(self):
@@ -188,21 +193,22 @@ class LimitProfile:
     f_hat_spread: float
 
 
-def _metric_residual(state: GraphState, f_hat_2d, n: int) -> float:
+def _metric_residual(g_cov, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
     """sup over nodes of || e^(-2t/n) g - (1/4) e^(2 f_hat) sigma ||.
 
     The quarter is the square of lambda e^(-r) -> 1/2; with it the rescaled
     metrics converge to the conformal limit determined by r - t/n.
     """
-    ext = compute_extrinsic(state)
     target = 0.25 * np.exp(2.0 * f_hat_2d)
-    scale = math.exp(-2.0 * state.t / n)
-    diff = scale * ext.g_cov - target[..., None, None] * ext.sigma
-    s = state.grid.sin_theta
-    a = diff[..., 0, 0]
-    b = diff[..., 0, 1] / s
-    d = diff[..., 1, 1] / (s * s)
+    scale = math.exp(-2.0 * t / n)
+    s = grid.sin_theta
+    a = scale * g_cov[..., 0, 0] - target
+    b = scale * g_cov[..., 0, 1] / s
+    d = (scale * g_cov[..., 1, 1] - target * s ** 2) / (s * s)
     return float(np.sqrt(np.max(a * a + 2.0 * b * b + d * d)))
+
+
+_TOO_SHORT = "limit profile requires at least two retained states"
 
 
 def limit_profile(series: DiagnosticsSeries, mid_fraction: float = 0.6) -> LimitProfile:
@@ -213,60 +219,48 @@ def limit_profile(series: DiagnosticsSeries, mid_fraction: float = 0.6) -> Limit
     late pair of snapshots must satisfy
         min (r_tilde(b) - r_tilde(a)) >= -C n (e^(-a/n) - e^(-b/n)).
     """
-    if len(series.states) < 2:
-        raise InsufficientData("limit profile requires at least two retained states")
+    if len(series.radii) < 2:
+        raise InsufficientData(_TOO_SHORT)
     n = series.meta["n"]
-    final = series.states[-1]
-    penult = series.states[-2]
-    f_hat_2d = final.r.values - final.t / n
-    gap = float(np.max(np.abs(f_hat_2d - (penult.r.values - penult.t / n))))
+    grid = series.grid
+    recs = series.records
+    r_tilde = [r - rec.t / n for r, rec in zip(series.radii, recs)]
+    f_hat_2d = r_tilde[-1]
+    gap = float(np.max(np.abs(f_hat_2d - r_tilde[-2])))
 
-    t_final = final.t
-    t_target = mid_fraction * t_final
-    times = series.times
-    mid_idx = int(np.argmin(np.abs(times - t_target)))
-    if mid_idx == len(series.states) - 1 and mid_idx > 0:
+    t_final = recs[-1].t
+    mid_idx = int(np.argmin(np.abs(series.times - mid_fraction * t_final)))
+    if mid_idx == len(recs) - 1 and mid_idx > 0:
         mid_idx -= 1
-    mid_state = series.states[mid_idx]
+    t_mid = recs[mid_idx].t
 
-    res_final = _metric_residual(final, f_hat_2d, n)
-    res_mid = _metric_residual(mid_state, f_hat_2d, n)
+    res_final = _metric_residual(series.metrics[-1], t_final, f_hat_2d, n, grid)
+    res_mid = _metric_residual(series.metrics[mid_idx], t_mid, f_hat_2d, n, grid)
 
     t0 = series.meta.get("t0", 0.0)
     t_half = t0 + 0.5 * (t_final - t0)
-    first = [r for r in series.records if r.t <= t_half]
+    first = [r for r in recs if r.t <= t_half]
     c_drift = 1.1 * max((r.neg_drift_scaled for r in first), default=0.0) + 1e-12
     drift_ok = True
     prev = None
-    for k, rec in enumerate(series.records):
+    for k, rec in enumerate(recs):
         if rec.t < t_half:
             continue
         if prev is not None:
-            a, b = prev, k
-            ta, tb = series.records[a].t, series.records[b].t
-            drop = float(np.min(
-                (series.states[b].r.values - tb / n)
-                - (series.states[a].r.values - ta / n)
-            ))
+            ta, tb = recs[prev].t, rec.t
+            drop = float(np.min(r_tilde[k] - r_tilde[prev]))
             envelope = -c_drift * n * (math.exp(-ta / n) - math.exp(-tb / n)) - 1e-12
             if drop < envelope:
                 drift_ok = False
         prev = k
 
-    if final.grid.mode == "latlong2d":
-        theta = final.grid.theta
-        f_hat = f_hat_2d[:, 0]
-        spread = float(np.max(f_hat_2d) - np.min(f_hat_2d))
-    else:
-        theta = final.grid.theta
-        f_hat = f_hat_2d
-        spread = float(np.max(f_hat) - np.min(f_hat))
+    f_hat = f_hat_2d[:, 0] if grid.mode == "latlong2d" else f_hat_2d
     return LimitProfile(
-        theta=theta, f_hat=f_hat, gap=gap,
+        theta=grid.theta, f_hat=f_hat, gap=gap,
         metric_residual_final=res_final, metric_residual_mid=res_mid,
-        t_final=t_final, t_mid=mid_state.t,
+        t_final=t_final, t_mid=t_mid,
         drift_constant=c_drift, drift_ok=drift_ok,
-        f_hat_spread=spread,
+        f_hat_spread=float(np.max(f_hat_2d) - np.min(f_hat_2d)),
     )
 
 
@@ -287,12 +281,13 @@ class ReportConfig:
     enable_limit_profile: bool = True
 
 
-def theorem_report(series: DiagnosticsSeries, report_cfg: ReportConfig,
-                   config_echo: Optional[dict] = None) -> dict:
+def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
+                   report_cfg: ReportConfig, config_echo: Optional[dict] = None) -> dict:
     """Aggregate pass/fail summary of a completed run.
 
-    Checks with insufficient data are reported as such and do not fail the
-    run; disabled checks are skipped entirely.
+    profile is limit_profile(series), or None when that raised
+    InsufficientData. Checks with insufficient data are reported as such
+    and do not fail the run; disabled checks are skipped entirely.
     """
     n = series.meta["n"]
     t = series.times
@@ -372,36 +367,34 @@ def theorem_report(series: DiagnosticsSeries, report_cfg: ReportConfig,
         else:
             report["insufficient"].append("chi_ratio: run too short")
 
-    if report_cfg.enable_limit_profile:
-        try:
-            prof = limit_profile(series)
-            report["limit_gap"] = prof.gap
-            report["metric_residual_final"] = prof.metric_residual_final
-            report["metric_residual_mid"] = prof.metric_residual_mid
-            report["drift_constant"] = prof.drift_constant
-            add_result("limit_gap_pass", bool(prof.gap <= report_cfg.limit_gap_tol))
-            # tiny slack so exactly self-similar runs, where both residuals
-            # sit at the same floor, do not fail the decrease comparison
-            add_result("metric_residual_pass", bool(
-                prof.metric_residual_final <= report_cfg.metric_residual_tol
-                and prof.metric_residual_final
-                <= prof.metric_residual_mid + 0.01 * report_cfg.metric_residual_tol
-            ))
-            add_result("drift_envelope_pass", prof.drift_ok)
-            # the profile is asserted constant only for umbilic initial data
-            if series.meta.get("initial_constant"):
-                add_result("umbilic_profile_constant_pass",
-                           bool(prof.f_hat_spread <= 1e-8))
-            # r_tilde stays within its initial range plus the drift allowance
-            r0_bound = max(abs(series.records[0].r_tilde_min),
-                           abs(series.records[0].r_tilde_max))
-            rt = max(np.max(np.abs(series.column("r_tilde_min"))),
-                     np.max(np.abs(series.column("r_tilde_max"))))
-            add_result("r_tilde_bounded_pass",
-                       bool(rt <= r0_bound + n * prof.drift_constant + 1e-9))
-        except InsufficientData as exc:
-            report["limit_gap"] = None
-            report["insufficient"].append(f"limit_profile: {exc}")
+    if report_cfg.enable_limit_profile and profile is None:
+        report["limit_gap"] = None
+        report["insufficient"].append(f"limit_profile: {_TOO_SHORT}")
+    elif report_cfg.enable_limit_profile:
+        report["limit_gap"] = profile.gap
+        report["metric_residual_final"] = profile.metric_residual_final
+        report["metric_residual_mid"] = profile.metric_residual_mid
+        report["drift_constant"] = profile.drift_constant
+        add_result("limit_gap_pass", bool(profile.gap <= report_cfg.limit_gap_tol))
+        # tiny slack so exactly self-similar runs, where both residuals
+        # sit at the same floor, do not fail the decrease comparison
+        add_result("metric_residual_pass", bool(
+            profile.metric_residual_final <= report_cfg.metric_residual_tol
+            and profile.metric_residual_final
+            <= profile.metric_residual_mid + 0.01 * report_cfg.metric_residual_tol
+        ))
+        add_result("drift_envelope_pass", profile.drift_ok)
+        # the profile is asserted constant only for umbilic initial data
+        if series.meta.get("initial_constant"):
+            add_result("umbilic_profile_constant_pass",
+                       bool(profile.f_hat_spread <= 1e-8))
+        # r_tilde stays within its initial range plus the drift allowance
+        r0_bound = max(abs(series.records[0].r_tilde_min),
+                       abs(series.records[0].r_tilde_max))
+        rt = max(np.max(np.abs(series.column("r_tilde_min"))),
+                 np.max(np.abs(series.column("r_tilde_max"))))
+        add_result("r_tilde_bounded_pass",
+                   bool(rt <= r0_bound + n * profile.drift_constant + 1e-9))
 
     return report
 

@@ -231,7 +231,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
 
     def take_snapshot(s, ext):
         rec = dg.snapshot(s, ext, F, pinch_ref=series.pinch_ref)
-        series.append(s, rec)
+        series.append(s, ext, rec)
         events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
 
     # one extrinsic pass per accepted state, shared by the snapshot, the

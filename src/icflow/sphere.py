@@ -1,9 +1,8 @@
 """Discrete calculus on the round 2-sphere.
 
 Two grid modes share one cell-centered layout in the polar angle:
-theta_j = (j + 1/2) pi / N excludes the poles, and quadrature weights are
-exact cell areas (they telescope to 4 pi). The axisymmetric mode keeps a
-single meridian; the lat-long mode adds a uniform periodic azimuth.
+theta_j = (j + 1/2) pi / N excludes the poles. The axisymmetric mode keeps
+a single meridian; the lat-long mode adds a uniform periodic azimuth.
 
 Pole closure uses even reflection: an axisymmetric smooth function
 satisfies f(-theta) = f(theta), a general one f(-theta, psi) =
@@ -33,7 +32,6 @@ class SphereGrid:
     psi: np.ndarray                # (n_psi,) or empty
     d_theta: float
     d_psi: float
-    weights: np.ndarray            # field-shaped quadrature weights
     n: int = 2
 
     @property
@@ -84,9 +82,7 @@ def build_grid(mode: str, resolution) -> SphereGrid:
             raise ResolutionTooSmall(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
         h = np.pi / n_theta
         theta = (np.arange(n_theta) + 0.5) * h
-        edges = np.arange(n_theta + 1) * h
-        weights = 2.0 * np.pi * (np.cos(edges[:-1]) - np.cos(edges[1:]))
-        return SphereGrid(mode, n_theta, 1, theta, np.zeros(0), h, 0.0, weights)
+        return SphereGrid(mode, n_theta, 1, theta, np.zeros(0), h, 0.0)
     if mode == "latlong2d":
         n_theta, n_psi = int(resolution[0]), int(resolution[1])
         if n_theta < _MIN_NTHETA:
@@ -99,10 +95,7 @@ def build_grid(mode: str, resolution) -> SphereGrid:
         hp = 2.0 * np.pi / n_psi
         theta = (np.arange(n_theta) + 0.5) * h
         psi = (np.arange(n_psi) + 0.5) * hp
-        edges = np.arange(n_theta + 1) * h
-        wt = (np.cos(edges[:-1]) - np.cos(edges[1:])) * hp
-        weights = np.repeat(wt[:, None], n_psi, axis=1)
-        return SphereGrid(mode, n_theta, n_psi, theta, psi, h, hp, weights)
+        return SphereGrid(mode, n_theta, n_psi, theta, psi, h, hp)
     raise ValueError(f"unknown grid mode {mode!r}")
 
 
@@ -216,10 +209,6 @@ def hessian_mixed(f: ScalarField):
 
 
 # -- reductions --------------------------------------------------------------
-
-def integrate(f: ScalarField) -> float:
-    return float(np.sum(f.grid.weights * f.values))
-
 
 def tensor_sup_norm(t_mixed: np.ndarray, grid: SphereGrid) -> float:
     """Sup over nodes of the frame-invariant Frobenius norm of a (1,1)

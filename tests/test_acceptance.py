@@ -68,9 +68,9 @@ def test_A1_umbilic_exactness():
         final, series, _ = flow.run(umbilic_config(name, r0, t_end=3.0))
         worst_time = max(worst_time, time.time() - t0)
         finals[name] = final
-        for st in series.states:
-            lam = float(np.max(st.profile.lambda_of_r(st.r.values)))
-            worst_defect = max(worst_defect, abs(lam * math.exp(-st.t / 2.0) / 2.0 - 1.0))
+        for t, r in zip(series.times, series.radii):
+            lam = float(np.max(final.profile.lambda_of_r(r)))
+            worst_defect = max(worst_defect, abs(lam * math.exp(-t / 2.0) / 2.0 - 1.0))
     ref = finals["mean"].r.values
     traj_diff = max(
         float(np.max(np.abs(finals[k].r.values - ref)))
@@ -96,10 +96,10 @@ def test_A2_hyperbolic_closed_form():
     _, series, _ = flow.run(cfg)
     elapsed = time.time() - t0
     defect = 0.0
-    for st in series.states:
-        if st.t <= 4.0 + 1e-9:
-            r = float(np.max(st.r.values))
-            want = math.sinh(1.0) * math.exp(st.t / 2.0)
+    for t, r_values in zip(series.times, series.radii):
+        if t <= 4.0 + 1e-9:
+            r = float(np.max(r_values))
+            want = math.sinh(1.0) * math.exp(t / 2.0)
             defect = max(defect, abs(math.sinh(r) / want - 1.0))
     fit = dg.fit_rate(series, "sup_kappa_dev", (4.0, 9.0), 1.0, 0.05)
     ok = defect <= 1e-5 and abs(fit.slope + 1.0) <= 0.05 and elapsed < 10.0
@@ -110,7 +110,8 @@ def test_A2_hyperbolic_closed_form():
 
 def test_A3_perturbed_decay_rates(a3_run):
     _, series, events, elapsed = a3_run
-    rep = dg.theorem_report(series, dg.ReportConfig(window=(4.0, 9.0)))
+    rep = dg.theorem_report(series, dg.limit_profile(series),
+                            dg.ReportConfig(window=(4.0, 9.0)))
     rates = {r["name"]: r for r in rep["rates"]}
     k, g, h = (rates["sup_kappa_dev"], rates["sup_grad_phi_sq"], rates["sup_hess_phi"])
     pinch = all(r.pinch_low_ok and r.pinch_high_ok for r in series.records)
@@ -133,14 +134,19 @@ def test_A3_perturbed_decay_rates(a3_run):
 def test_A4_limit_profile(a3_run):
     _, series, _, _ = a3_run
     n = series.meta["n"]
-    s10 = series.states[-1]
-    s8 = next(s for s in series.states if abs(s.t - 8.0) < 1e-6)
-    gap = float(np.max(np.abs(
-        (s10.r.values - s10.t / n) - (s8.r.values - s8.t / n))))
-    f_hat = s10.r.values - s10.t / n
-    res10 = dg._metric_residual(s10, f_hat, n)
-    s6 = next(s for s in series.states if abs(s.t - 6.0) < 1e-6)
-    res6 = dg._metric_residual(s6, f_hat, n)
+    times = series.times
+
+    def snap(t):
+        k = next(k for k, tk in enumerate(times) if abs(tk - t) < 1e-6)
+        return times[k], series.radii[k], series.metrics[k]
+
+    t10, r10, g10 = snap(10.0)
+    t8, r8, _ = snap(8.0)
+    t6, _, g6 = snap(6.0)
+    gap = float(np.max(np.abs((r10 - t10 / n) - (r8 - t8 / n))))
+    f_hat = r10 - t10 / n
+    res10 = dg._metric_residual(g10, t10, f_hat, n, series.grid)
+    res6 = dg._metric_residual(g6, t6, f_hat, n, series.grid)
     ok = gap <= 0.02 and res10 <= 5e-3 and res10 < res6
     verdict("A4 limit profile", ok,
             f"sup|rt(10)-rt(8)| = {gap:.2e} (<=0.02), metric residual at 10 "

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from icflow import background as bg
 from icflow import cli
 from icflow import config as cfgmod
+from icflow import diagnostics as dg
+from icflow import flow
+from icflow import geometry as geo
 from icflow.errors import ConfigError
 
 BASE = """
@@ -43,6 +47,22 @@ def write_config(path, m=0.0, n_theta=48, kind="constant", initial_extra="r0 = 1
     return path
 
 
+def count_calls(monkeypatch, func):
+    """Count calls of func, wherever a module of the package holds it."""
+    counter = {"n": 0}
+
+    def counted(*args, **kwargs):
+        counter["n"] += 1
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "icflow" or name.startswith("icflow."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counter
+
+
 class TestConfigParsing:
     def test_valid(self, tmp_path):
         p = write_config(tmp_path / "c.ini")
@@ -77,6 +97,23 @@ class TestConfigParsing:
         p.write_text("[background]\nm = 1\n[grid]\nn_theta = 32\n"
                      "[initial]\nkind = constant\nr0 = 1\n[flow]\nf_kind = mean\n")
         with pytest.raises(ConfigError, match="t_end"):
+            cfgmod.parse_run_config(p)
+
+    @pytest.mark.parametrize("old, new", [
+        ("m = 0.0", "m = nan"),
+        ("r0 = 1.0", "r0 = inf"),
+        ("t_end = 1.0", "t_end = nan"),
+        ("t_end = 1.0", "t_end = inf"),
+        ("t_end = 1.0", "t_end = -inf"),
+        ("output_every = 0.1", "output_every = nan"),
+        ("dt_max = 2e-3", "dt_max = inf"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, old, new):
+        p = write_config(tmp_path / "c.ini")
+        text = p.read_text()
+        assert old in text
+        p.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match="finite"):
             cfgmod.parse_run_config(p)
 
     def test_sweep_section_rejected_for_run(self, tmp_path):
@@ -161,6 +198,41 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_mass_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.ini", m="nan")
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "[background] m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_end", [1.0, 0.5])
+    def test_resume_at_or_past_t_end_exit_2(self, tmp_path, capsys, t_end):
+        kw = dict(n_theta=32, report_extra="enable_rates = false\nenable_limit_profile = false")
+        cfg_first = write_config(tmp_path / "first.ini", t_end=1.0, **kw)
+        cfg_again = write_config(tmp_path / "again.ini", t_end=t_end, **kw)
+        first = tmp_path / "first"
+        assert cli.main(["run", "--config", str(cfg_first), "--out", str(first)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(cfg_again), "--out", str(tmp_path / "r"),
+                         "--resume", str(first / "checkpoint.json")]) == 2
+        assert "t_end" in capsys.readouterr().err
+
+    def test_one_limit_profile_per_run(self, tmp_path, monkeypatch):
+        # the report and limit_profile.csv share one profile, which reads the
+        # metrics stored at the snapshots instead of recomputing them
+        cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32,
+                           kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
+        n_profile = count_calls(monkeypatch, dg.limit_profile)
+        n_ext = count_calls(monkeypatch, geo.compute_extrinsic)
+        n_steps = count_calls(monkeypatch, flow.step)
+        out = tmp_path / "out"
+        cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert n_profile["n"] == 1
+        assert n_steps["n"] > 0
+        assert n_ext["n"] == 2 * n_steps["n"] + 1
+        report = json.loads((out / "report.json").read_text())
+        rows = (out / "limit_profile.csv").read_text().splitlines()
+        assert report["limit_gap"] is not None and len(rows) == 33
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):
@@ -230,6 +302,18 @@ class TestCustomTable:
         )
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("text", [
+        "theta,r\n0.0,1.5\n3.2,1.5\n",       # header row
+        "0.0,1.5\n3.2,nan\n",                 # non-finite radius
+    ])
+    def test_malformed_table_rejected(self, tmp_path, text):
+        table = tmp_path / "r0.csv"
+        table.write_text(text)
+        cfg = write_config(tmp_path / "c.ini", kind="custom_table",
+                           initial_extra=f"table_path = {table}")
+        with pytest.raises(ConfigError, match="table_path"):
+            cfgmod.parse_run_config(cfg)
 
     def test_custom_table_forbids_r0(self, tmp_path):
         cfg = write_config(

@@ -141,7 +141,7 @@ class TestLimitProfile:
 class TestTheoremReport:
     def test_umbilic_report_passes(self, umbilic_run):
         _, series, _ = umbilic_run
-        rep = dg.theorem_report(series, dg.ReportConfig())
+        rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig())
         assert rep["overall_pass"], dg.report_lines(rep)
         by_name = {r["name"]: r for r in rep["rates"]}
         # gradient and Hessian collapse to the floor on exact umbilic data
@@ -155,6 +155,14 @@ class TestTheoremReport:
         lines = dg.report_lines(rep)
         assert any(line.startswith("OVERALL: PASS") for line in lines)
 
+    def test_missing_profile_reported_insufficient(self, umbilic_run):
+        _, series, _ = umbilic_run
+        rep = dg.theorem_report(series, None, dg.ReportConfig())
+        assert rep["limit_gap"] is None
+        assert "limit_gap_pass" not in rep
+        assert ("limit_profile: limit profile requires at least two retained states"
+                in rep["insufficient"])
+
     def test_short_run_reports_insufficient(self):
         cfg = flow.FlowConfig(
             background=bg.BackgroundParams(m=0.0, n=2),
@@ -165,7 +173,7 @@ class TestTheoremReport:
             t_end=0.5,
         )
         _, series, _ = flow.run(cfg)
-        rep = dg.theorem_report(series, dg.ReportConfig())
+        rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig())
         statuses = {r["name"]: r["status"] for r in rep["rates"]}
         assert all(s in ("insufficient", "floor") for s in statuses.values())
         assert rep["pinching_pass"]

@@ -209,18 +209,26 @@ class TestRun:
             t_end=3.0,
         )
         final, series, events = flow.run(cfg)
-        for state in series.states:
-            lam = float(np.max(state.profile.lambda_of_r(state.r.values)))
-            assert abs(lam * math.exp(-state.t / 2.0) / 2.0 - 1.0) <= 1e-5
+        for t, r in zip(series.times, series.radii):
+            lam = float(np.max(final.profile.lambda_of_r(r)))
+            assert abs(lam * math.exp(-t / 2.0) / 2.0 - 1.0) <= 1e-5
         assert events[-1].kind == "completed"
 
     def test_massless_sinh_law(self):
         cfg = make_config(t_end=4.0)
         final, series, _ = flow.run(cfg)
-        for state in series.states:
-            r = float(np.max(state.r.values))
-            want = math.sinh(1.0) * math.exp(state.t / 2.0)
+        for t, r_values in zip(series.times, series.radii):
+            r = float(np.max(r_values))
+            want = math.sinh(1.0) * math.exp(t / 2.0)
             assert abs(math.sinh(r) / want - 1.0) <= 1e-5
+
+    def test_series_keeps_radii_and_metrics(self):
+        cfg = make_config(t_end=0.3)
+        final, series, _ = flow.run(cfg)
+        assert len(series.radii) == len(series.metrics) == len(series.records) == 4
+        assert series.grid is final.grid
+        assert np.array_equal(series.radii[-1], final.r.values)
+        assert np.array_equal(series.metrics[-1], geo.compute_extrinsic(final).g_cov)
 
     def test_zero_t_end(self):
         cfg = make_config(t_end=0.0)
