@@ -121,8 +121,8 @@ def _h_of_w(w, s0, m, n):
 class WarpProfile:
     """Tabulated warp factor lambda(r) with closed-form derivative accessors.
 
-    Immutable after construction; all accessors are pure and accept scalars
-    or arrays.  Requests outside [0, r_max] (or the matching lambda / gauge
+    Immutable after construction, apart from a one-entry memo of the gauge
+    offset Phi(c); all accessors are pure and accept scalars or arrays.  Requests outside [0, r_max] (or the matching lambda / gauge
     ranges) raise TableExtentError.
     """
 
@@ -139,12 +139,13 @@ class WarpProfile:
     _phihat_lo: float = 0.0
     _phihat_hi: float = 0.0
     lam_max: float = 0.0
+    _offset: tuple = field(default=(None, 0.0), repr=False, compare=False)
 
     # -- warp factor and derivatives -------------------------------------
 
     def _check_r(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_horizon - 1e-12) or np.any(r > self.r_max * (1 + 1e-14)):
+        if (r < self.r_horizon - 1e-12).any() or (r > self.r_max * (1 + 1e-14)).any():
             raise TableExtentError(
                 f"radius outside table range [{self.r_horizon}, {self.r_max}];"
                 " rebuild with larger extent"
@@ -173,10 +174,10 @@ class WarpProfile:
     def radius_from_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
         if self.params.m == 0.0:
-            if np.any(lam < 0) or np.any(lam > self.lam_max * (1 + 1e-12)):
+            if (lam < 0).any() or (lam > self.lam_max * (1 + 1e-12)).any():
                 raise TableExtentError("warp value outside table range")
             return np.arcsinh(lam)
-        if np.any(lam < self.s0 * (1 - 1e-12)) or np.any(lam > self.lam_max * (1 + 1e-12)):
+        if (lam < self.s0 * (1 - 1e-12)).any() or (lam > self.lam_max * (1 + 1e-12)).any():
             raise TableExtentError("warp value outside table range")
         u = np.sqrt(np.maximum(lam - self.s0, 0.0))
         return self._r_of_u(u)
@@ -188,27 +189,34 @@ class WarpProfile:
         from the closed hyperbolic form log tanh(r/2) (m = 0)."""
         r = self._check_r(r)
         if self.params.m == 0.0:
-            if np.any(r <= 0.0):
+            if (r <= 0.0).any():
                 raise TableExtentError("gauge primitive requires r > 0 in the massless limit")
             return np.log(np.tanh(r / 2.0))
         return self._phihat_of_r(np.clip(r, self.r_horizon, self.r_max))
 
+    def _gauge_offset(self, c: float) -> float:
+        """Phi(c), kept for the last base radius asked for: a run reads it
+        for one c on every substep."""
+        if self._offset[0] != c:
+            self._offset = (c, float(self.gauge_primitive(c)))
+        return self._offset[1]
+
     def gauge_from_radius(self, r, c: float):
         """phi = integral_c^r ds/lambda(s)."""
-        return self.gauge_primitive(r) - float(self.gauge_primitive(c))
+        return self.gauge_primitive(r) - self._gauge_offset(c)
 
     def radius_from_gauge(self, phi, c: float):
         """Inverse of gauge_from_radius at fixed base radius c."""
         phi = np.asarray(phi, dtype=float)
-        y = phi + float(self.gauge_primitive(c))
+        y = phi + self._gauge_offset(c)
         if self.params.m == 0.0:
-            if np.any(y >= 0.0):
+            if (y >= 0.0).any():
                 raise TableExtentError("gauge value outside range (massless limit)")
             r = 2.0 * np.arctanh(np.exp(y))
-            if np.any(r > self.r_max * (1 + 1e-14)):
+            if (r > self.r_max * (1 + 1e-14)).any():
                 raise TableExtentError("gauge value maps beyond r_max")
             return r
-        if np.any(y < self._phihat_lo - 1e-12) or np.any(y > self._phihat_hi + 1e-12):
+        if (y < self._phihat_lo - 1e-12).any() or (y > self._phihat_hi + 1e-12).any():
             raise TableExtentError("gauge value outside tabulated range")
         return self._r_of_phihat(np.clip(y, self._phihat_lo, self._phihat_hi))
 

@@ -86,12 +86,14 @@ def elementary_symmetric_deleted(kappa: np.ndarray, e: np.ndarray) -> np.ndarray
 
 def _in_cone(f, e):
     """Cone membership from the sigma_j values e of elementary_symmetric."""
-    return np.all(e[..., 1:f.cone_order + 1] > 0.0, axis=-1)
+    return (e[..., 1:f.cone_order + 1] > 0.0).all(axis=-1)
 
 
-def cone_contains(f: CurvatureFunction, kappa) -> np.ndarray:
-    """Membership in Gamma(F), elementwise over leading axes."""
-    return _in_cone(f, elementary_symmetric(kappa))
+def cone_contains(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
+    """Membership in Gamma(F), elementwise over leading axes. e, when
+    given, is elementary_symmetric(kappa), as ExtrinsicData.sigma_j holds
+    it; so in f_eval and f_grad."""
+    return _in_cone(f, elementary_symmetric(kappa) if e is None else e)
 
 
 def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
@@ -101,12 +103,13 @@ def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
     return np.min(e[..., 1:f.cone_order + 1], axis=-1)
 
 
-def _require_admissible(f, kappa):
-    """All sigma_j(kappa), as elementary_symmetric; raises
+def _require_admissible(f, kappa, e):
+    """All sigma_j(kappa), as elementary_symmetric (e if given); raises
     InadmissibleCurvatures when any point lies outside the cone."""
-    e = elementary_symmetric(kappa)
+    if e is None:
+        e = elementary_symmetric(kappa)
     ok = _in_cone(f, e)
-    if not np.all(ok):
+    if not ok.all():
         bad = np.argwhere(~np.atleast_1d(ok))
         raise InadmissibleCurvatures(
             f"principal curvatures outside the admissibility cone of {f.kind} "
@@ -115,10 +118,10 @@ def _require_admissible(f, kappa):
     return e
 
 
-def f_eval(f: CurvatureFunction, kappa) -> np.ndarray:
+def f_eval(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
     """F(kappa); raises InadmissibleCurvatures outside the cone."""
     kappa = np.asarray(kappa, dtype=float)
-    e = _require_admissible(f, kappa)
+    e = _require_admissible(f, kappa, e)
     n = f.n
     if f.kind == "mean":
         return e[..., 1]
@@ -130,11 +133,11 @@ def f_eval(f: CurvatureFunction, kappa) -> np.ndarray:
     return (n * k / (n - k + 1.0)) * e[..., k] / den
 
 
-def f_grad(f: CurvatureFunction, kappa) -> np.ndarray:
+def f_grad(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
     """Componentwise derivative dF/dkappa_i; all components positive on the
     cone and Euler's identity sum kappa_i dF/dkappa_i = F holds."""
     kappa = np.asarray(kappa, dtype=float)
-    e = _require_admissible(f, kappa)
+    e = _require_admissible(f, kappa, e)
     n = f.n
     if f.kind == "mean":
         return np.ones_like(kappa)

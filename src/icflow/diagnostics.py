@@ -59,7 +59,7 @@ def snapshot(state: GraphState, ext, F: cf.CurvatureFunction,
     """Condense one state; pinch_ref = (lambda(inf r_0), lambda(sup r_0))."""
     n = state.profile.params.n
     t = state.t
-    f_vals = cf.f_eval(F, ext.kappa)
+    f_vals = cf.f_eval(F, ext.kappa, ext.sigma_j)
     scaled = ext.lam * math.exp(-t / n)
     chi_scaled = ext.chi * math.exp(-t / n)
     eps = 1e-6 * pinch_ref[1]

@@ -68,7 +68,7 @@ class InitialData:
             base = np.interp(grid.theta, np.asarray(self.table_theta), np.asarray(self.table_r))
         else:
             raise ConfigError(f"unknown initial data kind {self.kind!r}")
-        if np.any(base <= 0):
+        if (base <= 0).any():
             raise ConfigError("initial radius must be positive everywhere")
         if grid.mode == "latlong2d":
             base = np.repeat(base[:, None], grid.n_psi, axis=1)
@@ -115,9 +115,9 @@ def rhs(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData) -> Scala
     """d phi / dt = v / F(lambda h^i_j), with ext = compute_extrinsic(state).
     Raises InadmissibleState when any node leaves the cone, carrying the
     worst offender."""
-    kappa = ext.kappa
-    ok = cf.cone_contains(F, kappa)
-    if not np.all(ok):
+    kappa, e = ext.kappa, ext.sigma_j
+    ok = cf.cone_contains(F, kappa, e)
+    if not ok.all():
         margins = cf.cone_margin(F, kappa)
         worst = int(np.argmin(margins))
         idx = np.unravel_index(worst, margins.shape)
@@ -126,7 +126,7 @@ def rhs(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData) -> Scala
             t=state.t, node=idx, kappa=kappa[idx],
         )
     scaled = cf.f_eval(F, ext.lam[..., None] * kappa)
-    plain = ext.lam * cf.f_eval(F, kappa)
+    plain = ext.lam * cf.f_eval(F, kappa, e)
     if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
         raise FlowError("homogeneity cross-check failed in speed evaluation")
     if np.min(scaled) <= 0.0:
@@ -144,8 +144,8 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
               cfl: float, dt_min: float = 0.0, dt_max: float = math.inf) -> float:
     """Parabolic stability bound cfl h_min^2 / max(diffusion scale), with
     ext = compute_extrinsic(state)."""
-    fp = cf.f_grad(F, ext.kappa)
-    fval = cf.f_eval(F, ext.kappa)
+    fp = cf.f_grad(F, ext.kappa, ext.sigma_j)
+    fval = cf.f_eval(F, ext.kappa, ext.sigma_j)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = ext.v / (ext.lam * fval) ** 2 * np.max(fp, axis=-1)
     h_min = state.grid.min_spacing()

@@ -38,8 +38,8 @@ from .sphere import (
     ScalarField,
     SphereGrid,
     covariant_hess,
+    covector_norm_sq,
     grad_components,
-    grad_norm_sq,
 )
 
 
@@ -85,6 +85,8 @@ class ExtrinsicData:
     stability bound and the first stage of the next step. Only what the
     stepper and the snapshots read is kept; the identity checks derive the
     mixed shape operator, raised gradient and gtilde^ij from these fields.
+    sigma_j feeds every cone test, F and dF of kappa that reads this state;
+    sigma is the grid's shared, read-only round metric.
     """
 
     v: np.ndarray
@@ -94,6 +96,7 @@ class ExtrinsicData:
     g_cov: np.ndarray              # induced metric, (..., 2, 2)
     h_cov: np.ndarray              # symmetrized second fundamental form
     kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
+    sigma_j: np.ndarray            # elementary symmetric sigma_j(kappa), j = 0..n
     chi: np.ndarray                # lambda / v
     lam: np.ndarray
     lam_p: np.ndarray
@@ -144,14 +147,6 @@ def _pencil_eigenvalues(a, b):
     return np.stack([lo, hi], axis=-1)
 
 
-def _sigma_components(grid):
-    s2 = grid.sin_theta ** 2
-    sig = np.zeros(grid.field_shape + (2, 2))
-    sig[..., 0, 0] = 1.0
-    sig[..., 1, 1] = s2
-    return sig
-
-
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     grid = state.grid
     prof = state.profile
@@ -159,11 +154,11 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     lam_p = prof.lambda_p_of_lambda(lam)
 
     dphi = grad_components(state.phi)                 # covariant (..., 2)
-    q = grad_norm_sq(state.phi)
+    q = covector_norm_sq(grid, dphi)
     v = np.sqrt(1.0 + q)
     hess_cov = covariant_hess(state.phi)
 
-    sig = _sigma_components(grid)
+    sig = grid.sigma
     pp = dphi[..., :, None] * dphi[..., None, :]      # phi_i phi_j
     g_cov = (lam * lam)[..., None, None] * (pp + sig)
 
@@ -174,6 +169,7 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     return ExtrinsicData(
         v=v, grad_phi=dphi, grad_phi_sq=q, sigma=sig,
         g_cov=g_cov, h_cov=h_cov, kappa=kappa,
+        sigma_j=cf.elementary_symmetric(kappa),
         chi=lam / v, lam=lam, lam_p=lam_p,
     )
 

@@ -14,7 +14,7 @@ poles, which is second-order consistent for smooth fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,18 @@ from .errors import FlowError, ResolutionTooSmall
 _MIN_NTHETA = 16
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class SphereGrid:
+    """Node layout plus the per-node trigonometry every stencil reads:
+    sin theta and cos theta (broadcastable to field_shape) and the round
+    metric components sigma (field_shape + (2, 2)), computed once per grid
+    and read-only."""
+
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
     n_psi: int                     # 1 in axisymmetric mode
@@ -33,22 +43,24 @@ class SphereGrid:
     d_theta: float
     d_psi: float
     n: int = 2
+    sin_theta: np.ndarray = field(init=False, repr=False, compare=False)
+    cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s, c = np.sin(self.theta), np.cos(self.theta)
+        if self.mode != "axisymmetric1d":
+            s, c = s[:, None], c[:, None]
+        sig = np.zeros(self.field_shape + (2, 2))
+        sig[..., 0, 0] = 1.0
+        sig[..., 1, 1] = s ** 2
+        self.sin_theta, self.cos_theta, self.sigma = _frozen(s), _frozen(c), _frozen(sig)
 
     @property
     def field_shape(self):
         if self.mode == "axisymmetric1d":
             return (self.n_theta,)
         return (self.n_theta, self.n_psi)
-
-    @property
-    def sin_theta(self):
-        s = np.sin(self.theta)
-        return s if self.mode == "axisymmetric1d" else s[:, None]
-
-    @property
-    def cos_theta(self):
-        c = np.cos(self.theta)
-        return c if self.mode == "axisymmetric1d" else c[:, None]
 
     def min_spacing(self) -> float:
         """Smallest geodesic distance between adjacent nodes."""
@@ -69,7 +81,7 @@ class ScalarField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {self.grid.field_shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise FlowError("scalar field contains non-finite values")
 
 
@@ -140,14 +152,18 @@ def grad_components(f: ScalarField):
     return np.stack([dth, _dpsi(g, f.values)], axis=-1)
 
 
+def covector_norm_sq(grid: SphereGrid, d):
+    """|d|^2 with respect to the round metric, for a covector d of shape
+    (..., 2) such as grad_components returns."""
+    q = d[..., 0] * d[..., 0]
+    if grid.mode == "axisymmetric1d":
+        return q
+    return q + (d[..., 1] / grid.sin_theta) ** 2
+
+
 def grad_norm_sq(f: ScalarField):
     """|Df|^2 with respect to the round metric."""
-    g = f.grid
-    dth = _dtheta(g, f.values)
-    if g.mode == "axisymmetric1d":
-        return dth * dth
-    dps = _dpsi(g, f.values)
-    return dth * dth + (dps / g.sin_theta) ** 2
+    return covector_norm_sq(f.grid, grad_components(f))
 
 
 def covariant_hess(f: ScalarField):

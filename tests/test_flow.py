@@ -279,7 +279,8 @@ class TestRun:
     @pytest.mark.parametrize("name", ["mean", "sigma2root"])
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
         # per rk2 step: the accepted state and the midpoint; the initial
-        # state adds one per run. sigma_j: three per rhs, two in stable_dt
+        # state adds one per run. sigma_j: one per extrinsic pass, and one
+        # per rhs for the scaled curvatures lambda kappa
         cfg = make_config(
             background=bg.BackgroundParams(m=1.0, n=2),
             grid_resolution=32,
@@ -294,7 +295,29 @@ class TestRun:
         steps = events[-1].payload["steps"]
         assert steps >= 20
         assert n_ext["n"] == 2 * steps + 1
-        assert n_sym["n"] <= 8 * steps + len(series.records)
+        assert n_sym["n"] == 4 * steps + 1
+
+    def test_gauge_offset_evaluated_once_per_run(self, monkeypatch):
+        # Phi(base_radius) is read on every substep; it is evaluated for
+        # the initial state only, next to Phi(r0)
+        cfg = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_resolution=32,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                     amplitude=0.2, wavenumber=1),
+            t_end=0.05, output_every=0.01,
+        )
+        orig = bg.WarpProfile.gauge_primitive
+        calls = []
+
+        def counted(self, r):
+            calls.append(np.ndim(r))
+            return orig(self, r)
+
+        monkeypatch.setattr(bg.WarpProfile, "gauge_primitive", counted)
+        _, _, events = flow.run(cfg)
+        assert events[-1].payload["steps"] >= 20
+        assert sorted(calls) == [0, 1]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
