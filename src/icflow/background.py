@@ -47,6 +47,7 @@ whose inverse converts the evolving gauge field back to a radius.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +59,9 @@ from scipy.special import roots_legendre
 from .errors import NegativeMass, NonPositiveDimension, TableExtentError
 
 _GL_ORDER = 10
+
+# lambda(r) ~ e^r / 2, so lambda^2 overflows double precision past this radius
+_R_MAX_TABLE = 0.5 * math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -122,8 +126,9 @@ class WarpProfile:
     """Tabulated warp factor lambda(r) with closed-form derivative accessors.
 
     Immutable after construction, apart from a one-entry memo of the gauge
-    offset Phi(c); all accessors are pure and accept scalars or arrays.  Requests outside [0, r_max] (or the matching lambda / gauge
-    ranges) raise TableExtentError.
+    offset Phi(c); all accessors are pure and accept scalars or arrays.
+    Requests outside [0, r_max] (or the matching lambda / gauge ranges)
+    raise TableExtentError.
     """
 
     params: BackgroundParams
@@ -266,8 +271,10 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     For m = 0 everything is closed form and the stored table is a sampled
     view for inspection only.
     """
-    if r_max <= 0:
-        raise TableExtentError(f"r_max must be positive, got {r_max}")
+    if not 0 < r_max <= _R_MAX_TABLE:
+        raise TableExtentError(
+            f"r_max must lie in (0, {_R_MAX_TABLE:.1f}], where lambda^2 is a finite "
+            f"double; got {r_max}")
     m, n = params.m, params.n
     if m == 0.0:
         table_r = np.linspace(0.0, r_max, 513)

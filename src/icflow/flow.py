@@ -204,6 +204,12 @@ def _snapshot_times(t0, t_end, every):
     return times
 
 
+def _table_extent(config: FlowConfig, r, t: float) -> float:
+    """Warp-table extent for radii r at time t: the largest radius, plus
+    the remaining flow time at the asymptotic drift rate 1/n, plus 2."""
+    return float(np.max(r)) + (config.t_end - t) / config.background.n + 2.0
+
+
 def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     """Integrate to t_end, returning (final state, diagnostics series, events).
 
@@ -215,8 +221,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     if initial_state is None:
         grid = build_grid(config.grid_mode, config.grid_resolution)
         r0 = config.initial.radius_on(grid)
-        r_max = float(np.max(r0)) + config.t_end / config.background.n + 2.0
-        profile = build_warp_profile(config.background, r_max)
+        profile = build_warp_profile(config.background, _table_extent(config, r0, 0.0))
         state = state_from_radius(grid, profile, r0, t=0.0)
     else:
         state = initial_state
@@ -303,20 +308,18 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
     phi = np.asarray(doc["phi"], dtype=float).reshape(grid.field_shape)
     t = float(doc["t"])
     base = float(doc["base_radius"])
-    # grow the table until it covers the checkpointed radii, then extend it
-    # for the remaining integration window
-    guess = abs(base) + 4.0
-    r_now = None
-    for _ in range(24):
-        profile = build_warp_profile(config.background, guess)
+    # size the table as the uninterrupted run does; grow it only when the
+    # checkpointed radii or the remaining flow time fall outside it. Past
+    # the largest table, build_warp_profile raises TableExtentError.
+    extent = _table_extent(config, config.initial.radius_on(grid), 0.0)
+    while True:
+        profile = build_warp_profile(config.background, extent)
         try:
             r_now = profile.radius_from_gauge(phi, base)
             break
         except TableExtentError:
-            guess *= 2.0
-    if r_now is None:
-        raise ConfigError("checkpoint gauge values outside any reasonable table extent")
-    r_max = float(np.max(r_now)) + (config.t_end - t) / config.background.n + 2.0
+            extent *= 2.0
+    r_max = _table_extent(config, r_now, t)
     if r_max > profile.r_max:
         profile = build_warp_profile(config.background, r_max)
     return state_from_gauge(grid, profile, phi, base, t=t)

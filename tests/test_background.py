@@ -128,6 +128,15 @@ class TestWarpProfile:
         with pytest.raises(TableExtentError):
             bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=-2.0)
 
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_extent_beyond_double_range(self, m):
+        # lambda ~ e^r / 2 squared overflows near r = 354.9; the m > 0 node
+        # grid would overflow math.sinh first
+        with pytest.raises(TableExtentError):
+            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=802.15)
+        with pytest.raises(TableExtentError):
+            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=math.nan)
+
 
 class TestWarpDerivatives:
     def test_horizon_m2(self, prof_m2):

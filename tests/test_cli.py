@@ -203,6 +203,12 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "[background] m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_radius_beyond_table_range_exit_2(self, tmp_path, capsys, m):
+        p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 800")
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "r_max" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t_end", [1.0, 0.5])
     def test_resume_at_or_past_t_end_exit_2(self, tmp_path, capsys, t_end):
         kw = dict(n_theta=32, report_extra="enable_rates = false\nenable_limit_profile = false")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
-from icflow.errors import ConfigError, InadmissibleState, StepUnderflow
+from icflow.errors import ConfigError, InadmissibleState, StepUnderflow, TableExtentError
 
 
 def make_config(**kw):
@@ -366,6 +367,38 @@ class TestCheckpoint:
             ref = match[0]
             assert abs(rec.r_tilde_max - ref.r_tilde_max) < 1e-9
             assert abs(rec.sup_grad_phi_sq - ref.sup_grad_phi_sq) < 1e-9
+
+    @pytest.mark.parametrize("t_stop", [0.5, 1.0])
+    def test_resume_builds_the_runs_table(self, tmp_path, monkeypatch, t_stop):
+        # a checkpoint of the same config reloads onto one table of the
+        # run's own extent, mid-run or at t_end
+        cfg = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_resolution=32,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                     amplitude=0.3, wavenumber=1),
+            t_end=1.0, dt_max=1e-2,
+        )
+        final, _, _ = flow.run(cfg)
+        stopped, _, _ = flow.run(replace(cfg, t_end=t_stop))
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(stopped, path)
+        n_build = count_calls(monkeypatch, bg, "build_warp_profile")
+        loaded = flow.load_checkpoint(path, cfg)
+        assert n_build["n"] == 1
+        assert loaded.profile.r_max == final.profile.r_max
+        assert np.array_equal(loaded.phi.values, stopped.phi.values)
+
+    def test_gauge_beyond_every_table_rejected(self, tmp_path, prof_m0):
+        # the table grows by doubling until build_warp_profile refuses
+        state = unit_sphere_state(prof_m0, 32)
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["phi"] = [50.0] * len(doc["phi"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TableExtentError):
+            flow.load_checkpoint(path, make_config(grid_resolution=32))
 
     def test_legacy_tol_ode_key_loads(self, tmp_path, prof_m0):
         grid = sp.build_grid("axisymmetric1d", 32)
