@@ -193,13 +193,13 @@ def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicDa
 
 
 def _snapshot_times(t0, t_end, every):
-    k0 = math.floor(t0 / every + 1e-9) + 1
+    """The targets k * every strictly between t0 and t_end, then t_end."""
+    k = math.floor(t0 / every + 1e-9) + 1
     times = []
-    t = k0 * every
-    while t < t_end - 1e-12:
-        if t > t0 + 1e-12:
-            times.append(t)
-        t += every
+    while k * every < t_end - 1e-12:
+        if k * every > t0 + 1e-12:
+            times.append(k * every)
+        k += 1
     times.append(t_end)
     return times
 
@@ -214,8 +214,9 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     """Integrate to t_end, returning (final state, diagnostics series, events).
 
     Deterministic for a given config: fixed node order, no randomized
-    reductions. Snapshots are taken at t = 0 (or the resume time), every
-    output_every, and at t_end.
+    reductions. Snapshots are taken at t = 0 (or the resume time), at each
+    k * output_every, and at t_end. The step that ends an interval is cut,
+    or stretched by under 1e-12, to land on its snapshot time exactly.
     """
     F = config.f
     if initial_state is None:
@@ -250,7 +251,8 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
             while state.t < target - 1e-12:
                 dt = stable_dt(state, F, ext, config.cfl,
                                dt_min=config.dt_min, dt_max=config.dt_max)
-                dt = min(dt, target - state.t)
+                if state.t + dt >= target - 1e-12:
+                    dt = target - state.t      # ends the interval on target
                 state = step(state, F, dt, ext, config.integrator, events=events)
                 ext = compute_extrinsic(state)
                 steps += 1

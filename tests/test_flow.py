@@ -250,6 +250,37 @@ class TestRun:
         ts = [e.t for e in events]
         assert all(a <= b + 1e-12 for a, b in zip(ts, ts[1:]))
 
+    def test_snapshot_times_are_multiples_of_every(self):
+        assert flow._snapshot_times(0.0, 1.0, 0.1) == [k * 0.1 for k in range(1, 10)] + [1.0]
+        assert flow._snapshot_times(0.7, 1.55, 0.1) == [k * 0.1 for k in range(8, 16)] + [1.55]
+        _, series, _ = flow.run(make_config(t_end=0.55, output_every=0.1))
+        assert list(series.times) == [0.0] + [k * 0.1 for k in range(1, 6)] + [0.55]
+
+    def test_no_sliver_step_before_a_snapshot(self, monkeypatch):
+        # from t = 8 on, the rounding of t adds up to a gap just over 1e-12
+        # before the t = 9.9 snapshot unless every interval ends on target
+        cfg = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_resolution=16,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                     amplitude=0.3, wavenumber=1),
+            t_end=10.0, dt_max=1e-3, output_every=0.1,
+        )
+        grid = sp.build_grid("axisymmetric1d", 16)
+        profile = bg.build_warp_profile(cfg.background, 9.3)
+        start = geo.state_from_radius(grid, profile, 6.0 + 0.3 * np.cos(grid.theta), t=8.0)
+        dts = []
+        orig = flow.step
+
+        def recorded(state, F, dt, *args, **kwargs):
+            dts.append(dt)
+            return orig(state, F, dt, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "step", recorded)
+        _, series, _ = flow.run(cfg, initial_state=start)
+        assert min(dts) > 1e-9
+        assert list(series.times) == [8.0] + [k * 0.1 for k in range(81, 100)] + [10.0]
+
     def test_symmetry_preserved_in_2d(self):
         cfg = make_config(
             grid_mode="latlong2d",
@@ -292,7 +323,7 @@ class TestRun:
         )
         n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
         n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
-        _, series, events = flow.run(cfg)
+        _, _, events = flow.run(cfg)
         steps = events[-1].payload["steps"]
         assert steps >= 20
         assert n_ext["n"] == 2 * steps + 1
