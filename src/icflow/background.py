@@ -47,12 +47,11 @@ whose inverse converts the evolving gauge field back to a radius.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BPoly
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -60,8 +59,11 @@ from .errors import NegativeMass, NonPositiveDimension, TableExtentError
 
 _GL_ORDER = 10
 
-# lambda(r) ~ e^r / 2, so lambda^2 overflows double precision past this radius
-_R_MAX_TABLE = 0.5 * math.log(sys.float_info.max)
+# The gauge phi resolves radius only to about eps * lambda(r): dr = lambda
+# dPhi, and a gauge value of order one carries a rounding of eps. Extents
+# are limited to where that radius error stays below 1e-8:
+# eps * sinh(r_max) <= 1e-8, so r_max <= 18.3.
+R_GAUGE_LIMIT = math.asinh(1e-8 / np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,8 @@ class WarpProfile:
     Immutable after construction, apart from a one-entry memo of the gauge
     offset Phi(c); all accessors are pure and accept scalars or arrays.
     Requests outside [0, r_max] (or the matching lambda / gauge ranges)
-    raise TableExtentError.
+    raise TableExtentError; the range tests let slivers of about 1e-12
+    through, across which each table extends its end piece.
     """
 
     params: BackgroundParams
@@ -137,10 +140,10 @@ class WarpProfile:
     r_horizon: float
     table_r: np.ndarray
     table_lam: np.ndarray
-    _lam_of_r: Optional[BPoly] = field(default=None, repr=False)
-    _phihat_of_r: Optional[BPoly] = field(default=None, repr=False)
-    _r_of_phihat: Optional[BPoly] = field(default=None, repr=False)
-    _r_of_u: Optional[BPoly] = field(default=None, repr=False)
+    _lam_of_r: Optional[PPoly] = field(default=None, repr=False)
+    _phihat_of_r: Optional[PPoly] = field(default=None, repr=False)
+    _r_of_phihat: Optional[PPoly] = field(default=None, repr=False)
+    _r_of_u: Optional[PPoly] = field(default=None, repr=False)
     _phihat_lo: float = 0.0
     _phihat_hi: float = 0.0
     lam_max: float = 0.0
@@ -161,7 +164,7 @@ class WarpProfile:
         r = self._check_r(r)
         if self.params.m == 0.0:
             return np.sinh(r)
-        return self._lam_of_r(np.clip(r, self.r_horizon, self.r_max))
+        return self._lam_of_r(r)
 
     def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -197,7 +200,7 @@ class WarpProfile:
             if (r <= 0.0).any():
                 raise TableExtentError("gauge primitive requires r > 0 in the massless limit")
             return np.log(np.tanh(r / 2.0))
-        return self._phihat_of_r(np.clip(r, self.r_horizon, self.r_max))
+        return self._phihat_of_r(r)
 
     def _gauge_offset(self, c: float) -> float:
         """Phi(c), kept for the last base radius asked for: a run reads it
@@ -223,7 +226,7 @@ class WarpProfile:
             return r
         if (y < self._phihat_lo - 1e-12).any() or (y > self._phihat_hi + 1e-12).any():
             raise TableExtentError("gauge value outside tabulated range")
-        return self._r_of_phihat(np.clip(y, self._phihat_lo, self._phihat_hi))
+        return self._r_of_phihat(y)
 
     # -- self checks ------------------------------------------------------
 
@@ -249,32 +252,68 @@ class WarpProfile:
         return float(np.max(np.abs(d * d - target) / (1.0 + lam * lam)))
 
 
-def _build_u_grid(s0, m, n, r_max):
+def _build_u_grid(s0, m, r_max):
     """u nodes covering the requested extent (in horizon-anchored distance,
     with margin for the asymptotic shift): uniform near the horizon, then
-    geometric so the resulting r spacing stays near 0.01."""
-    reach = max(r_max, 8.0) + max(math.asinh(s0), 1.0) + 1.0
-    lam_ub = math.sinh(reach) + m + 2.0
-    u_max = math.sqrt(lam_ub - s0)
+    geometric so the resulting r spacing stays near 0.01.
+
+    Also returns the index of the node that anchors the origin shift: the
+    last node of the r_max = 8 grid. Each grid is a prefix of every larger
+    one (the geometric part is built by repeated multiplication), so the
+    shift, and with it the table on common radii, does not depend on r_max.
+    """
+    def u_reach(extent):
+        reach = extent + max(math.asinh(s0), 1.0) + 1.0
+        lam_ub = math.sinh(reach) + m + 2.0
+        return math.sqrt(lam_ub - s0)
+
+    u_max = u_reach(max(r_max, 8.0))
     u = list(np.linspace(0.0, 1.0, 257))
     ratio = math.exp(0.005)
     uu = u[-1]
     while uu < u_max:
         uu *= ratio
         u.append(uu)
-    return np.asarray(u)
+    u = np.asarray(u)
+    return u, int(np.searchsorted(u, u_reach(8.0)))
+
+
+def _hermite(x, f, *derivs):
+    """Piecewise Hermite interpolant of the values f and the derivatives
+    derivs = (f',) (cubic) or (f', f'') (quintic) at the nodes x.
+
+    Each interval's local power-basis coefficients, in t = (x - x_i) / h,
+    are built from the increment f_(i+1) - f_i and the end derivatives
+    scaled by h, so no coefficient is a difference of nearly equal values
+    of f; PPoly then evaluates by Horner.
+    """
+    h = np.diff(x)
+    df = np.diff(f)
+    d0, d1 = h * derivs[0][:-1], h * derivs[0][1:]
+    if len(derivs) == 1:
+        a = [f[:-1], d0, 3.0 * df - 2.0 * d0 - d1, d0 + d1 - 2.0 * df]
+    else:
+        c0, c1 = h * h * derivs[1][:-1], h * h * derivs[1][1:]
+        a = [f[:-1], d0, 0.5 * c0,
+             10.0 * df - 6.0 * d0 - 4.0 * d1 - 1.5 * c0 + 0.5 * c1,
+             -15.0 * df + 8.0 * d0 + 7.0 * d1 + 1.5 * c0 - c1,
+             6.0 * df - 3.0 * d0 - 3.0 * d1 - 0.5 * c0 + 0.5 * c1]
+    # PPoly wants the coefficients of (x - x_i)^k, highest power first
+    return PPoly(np.array([ak / h ** k for k, ak in enumerate(a)][::-1]), x)
 
 
 def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     """Tabulate lambda(r) and the gauge primitive on [r_horizon, r_max].
 
     For m = 0 everything is closed form and the stored table is a sampled
-    view for inspection only.
+    view for inspection only. An extent past the gauge resolution limit
+    (r = 18.3, see R_GAUGE_LIMIT) raises TableExtentError before any node
+    is built.
     """
-    if not 0 < r_max <= _R_MAX_TABLE:
+    if not 0 < r_max <= R_GAUGE_LIMIT:
         raise TableExtentError(
-            f"r_max must lie in (0, {_R_MAX_TABLE:.1f}], where lambda^2 is a finite "
-            f"double; got {r_max}")
+            f"r_max must lie in (0, {R_GAUGE_LIMIT:.1f}], where the gauge resolves "
+            f"radius to 1e-8; got {r_max}")
     m, n = params.m, params.n
     if m == 0.0:
         table_r = np.linspace(0.0, r_max, 513)
@@ -286,7 +325,7 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
         return prof
 
     s0 = solve_horizon(params)
-    u = _build_u_grid(s0, m, n, r_max)
+    u, anchor = _build_u_grid(s0, m, r_max)
     xq, wq = roots_legendre(_GL_ORDER)
 
     half = 0.5 * np.diff(u)                      # (N-1,)
@@ -301,11 +340,11 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     phihat = np.concatenate([[0.0], np.cumsum(dphi)])
     lam_nodes = s0 + u * u
 
-    # fix the radial origin by the large-r asymptotics lambda ~ sinh(r):
-    # rho = asinh(lambda_far) solves the leading order, and the first
-    # correction term is stripped before reading off the shift
-    rho = math.asinh(lam_nodes[-1])
-    shift = rho - r_nodes[-1] - (m / (2.0 * (n + 1.0))) * math.sinh(rho) ** (-n) / math.cosh(rho)
+    # fix the radial origin by the large-r asymptotics lambda ~ sinh(r) at
+    # the anchor node: rho = asinh(lambda_anchor) solves the leading order,
+    # and the first correction term is stripped before reading off the shift
+    rho = math.asinh(lam_nodes[anchor])
+    shift = rho - r_nodes[anchor] - (m / (2.0 * (n + 1.0))) * math.sinh(rho) ** (-n) / math.cosh(rho)
     r_nodes = r_nodes + shift
 
     keep = np.searchsorted(r_nodes, r_max)
@@ -317,25 +356,16 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
 
     lam_p = np.sqrt(np.maximum(1.0 + lam_nodes ** 2 - m * lam_nodes ** (1 - n), 0.0))
     lam_pp = lam_nodes + 0.5 * m * (n - 1) * lam_nodes ** (-n)
-
-    lam_of_r = BPoly.from_derivatives(
-        r_nodes, np.stack([lam_nodes, lam_p, lam_pp], axis=1)
-    )
-    phihat_of_r = BPoly.from_derivatives(
-        r_nodes, np.stack([phihat, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2], axis=1)
-    )
-    r_of_phihat = BPoly.from_derivatives(
-        phihat, np.stack([r_nodes, lam_nodes, lam_nodes * lam_p], axis=1)
-    )
     Gn = 2.0 / np.sqrt(_h_of_w(u * u, s0, m, n))
-    r_of_u = BPoly.from_derivatives(u, np.stack([r_nodes, Gn], axis=1))
 
     prof = WarpProfile(
         params=params, r_max=float(r_nodes[-1]), s0=float(s0),
         r_horizon=float(r_nodes[0]),
         table_r=r_nodes, table_lam=lam_nodes,
-        _lam_of_r=lam_of_r, _phihat_of_r=phihat_of_r,
-        _r_of_phihat=r_of_phihat, _r_of_u=r_of_u,
+        _lam_of_r=_hermite(r_nodes, lam_nodes, lam_p, lam_pp),
+        _phihat_of_r=_hermite(r_nodes, phihat, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2),
+        _r_of_phihat=_hermite(phihat, r_nodes, lam_nodes, lam_nodes * lam_p),
+        _r_of_u=_hermite(u, r_nodes, Gn),
         _phihat_lo=float(phihat[0]), _phihat_hi=float(phihat[-1]),
         lam_max=float(lam_nodes[-1]),
     )

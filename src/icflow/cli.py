@@ -5,12 +5,13 @@
     icflow check
 
 A run writes series.csv (one row per snapshot, 17 significant digits),
-report.json / report.txt, checkpoint.json and limit_profile.csv into the
-output directory, and exits 0 only if every enabled check passed (1 on a
-check failure, 2 on a runtime or configuration error). Identical configs
-produce byte-identical series files. The environment variable
-ICFLOW_THREADS caps worker parallelism for sweeps; node-level arithmetic
-is vectorized and single-threaded per run.
+report.json / report.txt, checkpoint.json, limit_profile.csv and
+events.jsonl into the output directory (a failed run still writes
+events.jsonl, ending with the error), and exits 0 only if every enabled
+check passed (1 on a check failure, 2 on a runtime or configuration
+error). Identical configs produce byte-identical series files. The
+environment variable ICFLOW_THREADS caps worker parallelism for sweeps;
+node-level arithmetic is vectorized and single-threaded per run.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def _write_profile(path: Path, profile: dg.LimitProfile) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_events(path: Path, events) -> None:
+    lines = [json.dumps({"kind": e.kind, "t": e.t, **e.payload}, sort_keys=True,
+                        default=int)      # node indices are numpy integers
+             for e in events]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
     """Run one configured flow and write all artifacts. Returns the report."""
     out = Path(out_dir)
@@ -60,7 +68,12 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
         if initial_state.t >= cfg.flow.t_end:
             raise ConfigError(f"checkpoint time t={initial_state.t} is not before "
                               f"[flow] t_end = {cfg.flow.t_end}; nothing to run")
-    final, series, events = flow.run(cfg.flow, initial_state=initial_state)
+    try:
+        final, series, events = flow.run(cfg.flow, initial_state=initial_state)
+    except Exception as exc:
+        _write_events(out / "events.jsonl", exc.events)
+        raise
+    _write_events(out / "events.jsonl", events)
     try:
         prof = dg.limit_profile(series)
     except InsufficientData:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import curvature as cf
 from . import diagnostics as dg
-from .background import BackgroundParams, build_warp_profile
+from .background import R_GAUGE_LIMIT, BackgroundParams, build_warp_profile
 from .errors import (
     ConfigError,
     FlowError,
@@ -106,7 +106,7 @@ class FlowConfig:
 
 @dataclass
 class FlowEvent:
-    kind: str                      # snapshot | admissibility_violation | table_extent | completed
+    kind: str                      # snapshot | admissibility_violation | completed | failed
     t: float
     payload: dict = field(default_factory=dict)
 
@@ -217,36 +217,35 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     reductions. Snapshots are taken at t = 0 (or the resume time), at each
     k * output_every, and at t_end. The step that ends an interval is cut,
     or stretched by under 1e-12, to land on its snapshot time exactly.
+    An exception raised on the way carries the events so far, ending with
+    a `failed` event, as exc.events.
     """
     F = config.f
-    if initial_state is None:
-        grid = build_grid(config.grid_mode, config.grid_resolution)
-        r0 = config.initial.radius_on(grid)
-        profile = build_warp_profile(config.background, _table_extent(config, r0, 0.0))
-        state = state_from_radius(grid, profile, r0, t=0.0)
-    else:
-        state = initial_state
-        grid = state.grid
-        r0 = state.r.values
-
-    series = dg.DiagnosticsSeries.start(state, F)
     events: list[FlowEvent] = []
-    if config.t_end <= state.t:
-        events.append(FlowEvent("completed", state.t, {"steps": 0}))
-        return state, series, events
-
-    def take_snapshot(s, ext):
-        rec = dg.snapshot(s, ext, F, pinch_ref=series.pinch_ref)
-        series.append(s, ext, rec)
-        events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
-
-    # one extrinsic pass per accepted state, shared by the snapshot, the
-    # stability bound and the first stage of the next step
-    ext = compute_extrinsic(state)
-    take_snapshot(state, ext)
-    snap_times = _snapshot_times(state.t, config.t_end, config.output_every)
-    steps = 0
+    state = initial_state
     try:
+        if state is None:
+            grid = build_grid(config.grid_mode, config.grid_resolution)
+            r0 = config.initial.radius_on(grid)
+            profile = build_warp_profile(config.background, _table_extent(config, r0, 0.0))
+            state = state_from_radius(grid, profile, r0, t=0.0)
+
+        series = dg.DiagnosticsSeries.start(state, F)
+        if config.t_end <= state.t:
+            events.append(FlowEvent("completed", state.t, {"steps": 0}))
+            return state, series, events
+
+        def take_snapshot(s, ext):
+            rec = dg.snapshot(s, ext, F, pinch_ref=series.pinch_ref)
+            series.append(s, ext, rec)
+            events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
+
+        # one extrinsic pass per accepted state, shared by the snapshot, the
+        # stability bound and the first stage of the next step
+        ext = compute_extrinsic(state)
+        take_snapshot(state, ext)
+        snap_times = _snapshot_times(state.t, config.t_end, config.output_every)
+        steps = 0
         for target in snap_times:
             while state.t < target - 1e-12:
                 dt = stable_dt(state, F, ext, config.cfl,
@@ -258,9 +257,9 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
                 steps += 1
             take_snapshot(state, ext)
     except Exception as exc:
-        if isinstance(exc, TableExtentError):
-            events.append(FlowEvent("table_extent", state.t, {"error": str(exc)}))
-        exc.t = state.t
+        t = 0.0 if state is None else state.t
+        events.append(FlowEvent("failed", t, {"error": f"{type(exc).__name__}: {exc}"}))
+        exc.t = t
         exc.events = events
         raise
     events.append(FlowEvent("completed", state.t, {"steps": steps}))
@@ -311,8 +310,8 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
     t = float(doc["t"])
     base = float(doc["base_radius"])
     # size the table as the uninterrupted run does; grow it only when the
-    # checkpointed radii or the remaining flow time fall outside it. Past
-    # the largest table, build_warp_profile raises TableExtentError.
+    # checkpointed radii or the remaining flow time fall outside it, by
+    # doubling up to the largest table, and fail past that
     extent = _table_extent(config, config.initial.radius_on(grid), 0.0)
     while True:
         profile = build_warp_profile(config.background, extent)
@@ -320,7 +319,9 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
             r_now = profile.radius_from_gauge(phi, base)
             break
         except TableExtentError:
-            extent *= 2.0
+            if extent >= R_GAUGE_LIMIT:
+                raise
+            extent = min(2.0 * extent, R_GAUGE_LIMIT)
     r_max = _table_extent(config, r_now, t)
     if r_max > profile.r_max:
         profile = build_warp_profile(config.background, r_max)

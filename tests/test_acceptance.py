@@ -300,7 +300,7 @@ enable_limit_profile = false
     ck_r = json.loads((r / "checkpoint.json").read_text())
     resume_diff = float(np.max(np.abs(
         np.array(ck_a["phi"]) - np.array(ck_r["phi"]))))
-    ok = byte_identical and resume_diff < 1e-9
+    ok = byte_identical and resume_diff == 0.0
     verdict("A9 determinism and resume", ok,
             f"reruns byte-identical {byte_identical}, resume deviation "
-            f"{resume_diff:.2e} (<=1e-9)")
+            f"{resume_diff:.2e} (== 0)")

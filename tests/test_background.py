@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
 from icflow import background as bg
 from icflow.errors import NegativeMass, NonPositiveDimension, TableExtentError
@@ -130,12 +131,47 @@ class TestWarpProfile:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_extent_beyond_double_range(self, m):
-        # lambda ~ e^r / 2 squared overflows near r = 354.9; the m > 0 node
-        # grid would overflow math.sinh first
+        # far past the gauge limit, where lambda^2 (and math.sinh of the
+        # m > 0 node grid) would overflow
         with pytest.raises(TableExtentError):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=802.15)
         with pytest.raises(TableExtentError):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=math.nan)
+
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_extent_just_past_gauge_limit(self, m):
+        limit = bg.R_GAUGE_LIMIT
+        assert 18.3 < limit < 18.4
+        with pytest.raises(TableExtentError, match="r_max"):
+            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 20.0))
+
+    @pytest.mark.parametrize("which", ["m1", "m2"])
+    def test_matches_bpoly_reference(self, which, prof_m1, prof_m2):
+        # the same Hermite interpolants built by scipy's Bernstein form
+        prof = {"m1": prof_m1, "m2": prof_m2}[which]
+        x, lam = prof.table_r, prof.table_lam
+        _, lam_p, lam_pp = bg.warp_derivatives(prof, x)
+        phihat = prof.gauge_primitive(x)
+        lam_ref = BPoly.from_derivatives(x, np.stack([lam, lam_p, lam_pp], axis=1))
+        phi_ref = BPoly.from_derivatives(
+            x, np.stack([phihat, 1.0 / lam, -lam_p / lam ** 2], axis=1))
+        r = np.linspace(prof.r_horizon, prof.r_max, 20011)
+        assert np.max(np.abs(prof.lambda_of_r(r) / lam_ref(r) - 1.0)) <= 4e-15
+        assert np.max(np.abs(prof.gauge_primitive(r) - phi_ref(r))) <= 4e-15
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_table_independent_of_extent(self, m):
+        # the origin shift is anchored at a fixed node, so tables of
+        # different extent agree bit for bit on common radii
+        params = bg.BackgroundParams(m=m, n=2)
+        profs = [bg.build_warp_profile(params, r_max) for r_max in (5.0, 9.3, 11.0)]
+        r = np.linspace(profs[0].r_horizon, 5.0, 1001)
+        lam = profs[0].lambda_of_r(r)
+        phihat = profs[0].gauge_primitive(r)
+        for prof in profs[1:]:
+            assert np.array_equal(prof.lambda_of_r(r), lam)
+            assert np.array_equal(prof.gauge_primitive(r), phihat)
 
 
 class TestWarpDerivatives:
@@ -215,9 +251,19 @@ class TestGauge:
         r = np.linspace(prof_m1.r_horizon + 0.01, prof_m1.r_max - 0.5, 400)
         phi = prof_m1.gauge_from_radius(r, c)
         back = prof_m1.radius_from_gauge(phi, c)
-        assert np.max(np.abs(back - r)) < 1e-10
+        assert np.max(np.abs(back - r)) < 1e-11
         phi2 = prof_m1.gauge_from_radius(back, c)
-        assert np.max(np.abs(phi2 - phi)) < 1e-10
+        assert np.max(np.abs(phi2 - phi)) < 1e-11
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_gauge_roundtrip_at_limit(self, m):
+        # at the largest extent one rounding of the gauge, eps * lambda,
+        # moves the radius by 1e-8; the round trip stays within a few of those
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), bg.R_GAUGE_LIMIT)
+        c = 1.5
+        r = np.linspace(max(prof.r_horizon, 0.0) + 0.01, bg.R_GAUGE_LIMIT, 2001)
+        back = prof.radius_from_gauge(prof.gauge_from_radius(r, c), c)
+        assert np.max(np.abs(back - r)) < 3e-8
 
     def test_gauge_monotone(self, prof_m1):
         rng = np.random.default_rng(7)

@@ -6,10 +6,9 @@ Configs are drawn around valid short runs: N_theta <= 64 and t_end <= 0.05
 in axisymmetric mode, N_theta <= 20, n_psi <= 64 and t_end <= 0.005 in
 lat-long mode (whose pole-row stability bound takes many more steps), and at
 most one key per config takes a value outside its valid range. Initial
-radii are either ordinary (<= 5) or beyond any warp table (>= 720, where
-sinh overflows). Radii in between build tables of thousands of nodes,
-seconds each, and are left out to keep the test at a few seconds. The
-seed is fixed, so every run draws the same 40 configs.
+radii span 0.05 to 1e4, past the largest warp table (r = 18.3, where the
+gauge stops resolving radius). The seed is fixed, so every run draws the
+same 40 configs.
 """
 
 from hypothesis import HealthCheck, given, seed, settings
@@ -51,7 +50,7 @@ def run_configs(draw):
         grid = {"mode": "latlong2d", "n_theta": n_theta,
                 "n_psi": 2 * draw(st.integers(n_theta, 32))}
         t_end = draw(num(1e-4, 0.005))
-    initial = {"r0": draw(st.one_of(num(0.05, 5.0), num(720.0, 1e4)))}
+    initial = {"r0": draw(num(0.05, 1e4))}
     if draw(st.booleans()):
         initial.update(kind="cosine_perturbation", amplitude=draw(num(-3.0, 3.0)),
                        wavenumber=draw(st.integers(0, 4)))

@@ -393,11 +393,31 @@ class TestCheckpoint:
         _, series_res, _ = flow.run(cfg_full, initial_state=resumed_state)
 
         for rec in series_res.records:
-            match = [r for r in series_full.records if abs(r.t - rec.t) < 1e-9]
+            match = [r for r in series_full.records if r.t == rec.t]
             assert match
             ref = match[0]
-            assert abs(rec.r_tilde_max - ref.r_tilde_max) < 1e-9
-            assert abs(rec.sup_grad_phi_sq - ref.sup_grad_phi_sq) < 1e-9
+            assert rec.r_tilde_max == ref.r_tilde_max
+            assert rec.sup_grad_phi_sq == ref.sup_grad_phi_sq
+
+    def test_run_independent_of_table_extent(self):
+        # a resumed run may load onto a table of another extent than the
+        # original run's; the flow on it must not change, bit for bit
+        cfg = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_resolution=32,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                     amplitude=0.3, wavenumber=1),
+            t_end=0.5, dt_max=1e-2,
+        )
+        grid = sp.build_grid("axisymmetric1d", 32)
+        r0 = cfg.initial.radius_on(grid)
+        finals = []
+        for r_max in (5.0, 11.0):
+            prof = bg.build_warp_profile(cfg.background, r_max)
+            final, _, _ = flow.run(cfg, initial_state=geo.state_from_radius(grid, prof, r0))
+            finals.append(final)
+        assert np.array_equal(finals[0].phi.values, finals[1].phi.values)
+        assert np.array_equal(finals[0].r.values, finals[1].r.values)
 
     @pytest.mark.parametrize("t_stop", [0.5, 1.0])
     def test_resume_builds_the_runs_table(self, tmp_path, monkeypatch, t_stop):
@@ -430,6 +450,20 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(TableExtentError):
             flow.load_checkpoint(path, make_config(grid_resolution=32))
+
+    def test_table_growth_stops_at_the_gauge_limit(self, tmp_path, prof_m0):
+        # doubling from the config's extent 5 would jump from 10 to 20, past
+        # the largest table; the last try is the largest table itself
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 16.0)
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof, np.full(32, 12.0), t=0.5)
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(state, path)
+        cfg = make_config(grid_resolution=32, t_end=1.0,
+                          initial=flow.InitialData(kind="constant", r0=2.5))
+        loaded = flow.load_checkpoint(path, cfg)
+        assert loaded.profile.r_max == bg.R_GAUGE_LIMIT
+        assert np.max(np.abs(loaded.r.values - 12.0)) < 1e-9
 
     def test_legacy_tol_ode_key_loads(self, tmp_path, prof_m0):
         grid = sp.build_grid("axisymmetric1d", 32)
