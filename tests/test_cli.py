@@ -239,6 +239,16 @@ class TestRunCommand:
         assert events[-1]["t"] == 1.0
         assert events[-1]["steps"] > 0
 
+    def test_events_file_holds_retries(self, tmp_path):
+        # an admissibility retry carries numpy node indices and kappa values
+        event = flow.FlowEvent("admissibility_violation", 0.5, {
+            "dt": 0.01, "node": np.unravel_index(7, (4, 8)),
+            "kappa": list(np.array([1.5, -0.25]))})
+        cli._write_events(tmp_path / "events.jsonl", [event])
+        line = json.loads((tmp_path / "events.jsonl").read_text())
+        assert line == {"kind": "admissibility_violation", "t": 0.5, "dt": 0.01,
+                        "node": [0, 7], "kappa": [1.5, -0.25]}
+
     @pytest.mark.parametrize("t_end", [1.0, 0.5])
     def test_resume_at_or_past_t_end_exit_2(self, tmp_path, capsys, t_end):
         kw = dict(n_theta=32, report_extra="enable_rates = false\nenable_limit_profile = false")

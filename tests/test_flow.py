@@ -451,7 +451,7 @@ class TestCheckpoint:
         with pytest.raises(TableExtentError):
             flow.load_checkpoint(path, make_config(grid_resolution=32))
 
-    def test_table_growth_stops_at_the_gauge_limit(self, tmp_path, prof_m0):
+    def test_table_growth_stops_at_the_gauge_limit(self, tmp_path):
         # doubling from the config's extent 5 would jump from 10 to 20, past
         # the largest table; the last try is the largest table itself
         prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 16.0)
