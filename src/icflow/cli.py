@@ -182,11 +182,11 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_run_combo, payloads))
 
     rows = ["combo,slope_kappa,slope_grad,slope_hess,overall_pass,error"]
-    any_failed = False
+    any_error = any_failed = False
     for combo, report, err in results:
         key = _combo_key(combo)
         if err is not None:
-            any_failed = True
+            any_error = True
             rows.append(f"{key},,,,0,{err}")
             print(f"FAIL {key}: {err}")
             continue
@@ -202,6 +202,9 @@ def cmd_sweep(args) -> int:
         ]))
         print(f"{'PASS' if ok else 'FAIL'} {key}")
     (out / "aggregate.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # a combination that raised is a runtime error (2), like a failed run
+    if any_error:
+        return 2
     return 1 if any_failed else 0
 
 

@@ -115,10 +115,11 @@ class DiagnosticsSeries:
         return DiagnosticsSeries(grid=state.grid, pinch_ref=(lam_lo, lam_hi), meta=meta)
 
     def append(self, state: GraphState, ext, record: DiagnosticsRecord) -> None:
-        """Keep record and, of the state and its ext, only r and g_cov."""
+        """Keep record and, of the state and its ext, only r and the
+        induced metric components ext.g."""
         self.records.append(record)
         self.radii.append(state.r.values)
-        self.metrics.append(ext.g_cov)
+        self.metrics.append(ext.g)
 
     @property
     def times(self):
@@ -193,18 +194,20 @@ class LimitProfile:
     f_hat_spread: float
 
 
-def _metric_residual(g_cov, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
+def _metric_residual(g, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
     """sup over nodes of || e^(-2t/n) g - (1/4) e^(2 f_hat) sigma ||.
 
     The quarter is the square of lambda e^(-r) -> 1/2; with it the rescaled
-    metrics converge to the conformal limit determined by r - t/n.
+    metrics converge to the conformal limit determined by r - t/n. g is
+    the (g00, g01, g11) triple of the induced metric.
     """
     target = 0.25 * np.exp(2.0 * f_hat_2d)
     scale = math.exp(-2.0 * t / n)
     s = grid.sin_theta
-    a = scale * g_cov[..., 0, 0] - target
-    b = scale * g_cov[..., 0, 1] / s
-    d = (scale * g_cov[..., 1, 1] - target * s ** 2) / (s * s)
+    g00, g01, g11 = g
+    a = scale * g00 - target
+    b = scale * g01 / s
+    d = (scale * g11 - target * s ** 2) / (s * s)
     return float(np.sqrt(np.max(a * a + 2.0 * b * b + d * d)))
 
 

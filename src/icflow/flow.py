@@ -171,6 +171,12 @@ def _advance(state, F, dt, ext, integrator):
                             state.base_radius, t=state.t + dt)
 
 
+def _offender(exc: InadmissibleState) -> dict:
+    """The worst node and its kappa, as an event payload."""
+    return {"node": exc.node,
+            "kappa": None if exc.kappa is None else list(np.atleast_1d(exc.kappa))}
+
+
 def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicData,
          integrator: str = "rk2", events: Optional[list] = None) -> GraphState:
     """One explicit step from state, with ext = compute_extrinsic(state); on
@@ -183,11 +189,8 @@ def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicDa
         except InadmissibleState as exc:
             last = exc
             if events is not None:
-                events.append(FlowEvent(
-                    "admissibility_violation", state.t,
-                    {"dt": dt, "node": exc.node,
-                     "kappa": None if exc.kappa is None else list(np.atleast_1d(exc.kappa))},
-                ))
+                events.append(FlowEvent("admissibility_violation", state.t,
+                                        {"dt": dt, **_offender(exc)}))
             dt *= 0.5
     raise last
 
@@ -218,7 +221,8 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     k * output_every, and at t_end. The step that ends an interval is cut,
     or stretched by under 1e-12, to land on its snapshot time exactly.
     An exception raised on the way carries the events so far, ending with
-    a `failed` event, as exc.events.
+    a `failed` event, as exc.events; an InadmissibleState's `failed`
+    event also names the worst node and its kappa.
     """
     F = config.f
     events: list[FlowEvent] = []
@@ -258,7 +262,10 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
             take_snapshot(state, ext)
     except Exception as exc:
         t = 0.0 if state is None else state.t
-        events.append(FlowEvent("failed", t, {"error": f"{type(exc).__name__}: {exc}"}))
+        payload = {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, InadmissibleState):
+            payload.update(_offender(exc))
+        events.append(FlowEvent("failed", t, payload))
         exc.t = t
         exc.events = events
         raise

@@ -13,9 +13,10 @@ forms
 with gtilde^ij = sigma^ij - phi^i phi^j / v^2. Principal curvatures are
 computed from the symmetric covariant pair (h_ij, g_ij) by a closed-form
 2x2 generalized eigensolve, which keeps them real and avoids dividing by
-sin^2(theta) near the poles. The raw operator is symmetrized through the
-induced metric first, suppressing the O(h^2) asymmetry of the discrete
-Hessian.
+sin^2(theta) near the poles. Both are carried as component triples
+(00, 01, 11); the discrete Hessian is symmetric by construction, since
+one array serves as both of its off-diagonal entries, so h_ij needs no
+symmetrization.
 
 The ambient curvature enters through two contractions along the surface,
 assembled from the warped-product coefficients; the scalar prefactor
@@ -39,7 +40,9 @@ from .sphere import (
     SphereGrid,
     covariant_hess,
     covector_norm_sq,
+    derivatives,
     grad_components,
+    symmetric_matrix,
 )
 
 
@@ -79,8 +82,11 @@ def state_from_gauge(grid, profile, phi_values, base_radius, t=0.0) -> GraphStat
 class ExtrinsicData:
     """Per-node extrinsic quantities of a graph state.
 
-    All tensors are in (theta, psi) coordinates with trailing axes (2,) or
-    (2, 2); axisymmetric grids simply carry zero psi entries. flow.run
+    Tensors are in (theta, psi) coordinates. The gradient is the pair
+    (phi_theta, phi_psi); the symmetric 2-tensors g and h are the triples
+    of their (00, 01, 11) components, and `symmetric_matrix(*ext.g)`
+    assembles a (..., 2, 2) array where one is needed. On axisymmetric
+    grids the psi components are the grid's read-only zero field. flow.run
     computes one per accepted state and hands it to the snapshot, the
     stability bound and the first stage of the next step. Only what the
     stepper and the snapshots read is kept; the identity checks derive the
@@ -90,11 +96,11 @@ class ExtrinsicData:
     """
 
     v: np.ndarray
-    grad_phi: np.ndarray           # covariant D_i phi, (..., 2)
+    grad_phi: tuple                # covariant D_i phi, (theta, psi)
     grad_phi_sq: np.ndarray        # |D phi|^2
     sigma: np.ndarray              # round metric components, (..., 2, 2)
-    g_cov: np.ndarray              # induced metric, (..., 2, 2)
-    h_cov: np.ndarray              # symmetrized second fundamental form
+    g: tuple                       # induced metric, (g00, g01, g11)
+    h: tuple                       # second fundamental form, (h00, h01, h11)
     kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
     sigma_j: np.ndarray            # elementary symmetric sigma_j(kappa), j = 0..n
     chi: np.ndarray                # lambda / v
@@ -102,49 +108,48 @@ class ExtrinsicData:
     lam_p: np.ndarray
 
 
-def _inv22(m):
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
-
-
 def _h_mixed(ext):
     """Mixed shape operator h^i_j = g^ik h_kj."""
-    return np.einsum("...ik,...kj->...ij", _inv22(ext.g_cov), ext.h_cov)
+    g00, g01, g11 = ext.g
+    g_inv = symmetric_matrix(g11, -g01, g00) / (g00 * g11 - g01 * g01)[..., None, None]
+    return np.einsum("...ik,...kj->...ij", g_inv, symmetric_matrix(*ext.h))
 
 
 def _grad_up(ext):
-    """Contravariant gradient phi^i = sigma^ik phi_k."""
-    up = np.empty_like(ext.grad_phi)
-    up[..., 0] = ext.grad_phi[..., 0]
-    up[..., 1] = ext.grad_phi[..., 1] / ext.sigma[..., 1, 1]
-    return up
+    """Contravariant gradient phi^i = sigma^ik phi_k, shape (..., 2)."""
+    d_th, d_ps = ext.grad_phi
+    return np.stack([d_th, d_ps / ext.sigma[..., 1, 1]], axis=-1)
 
 
-def _pencil_eigenvalues(a, b):
+def _pencil_eigenvalues(a, b, diagonal=False):
     """Ascending eigenvalues of the symmetric pencil a x = kappa b x with b
-    positive definite (closed 2x2 form).
+    positive definite (closed 2x2 form), from the component triples
+    a = (a00, a01, a11) and b = (b00, b01, b11).
 
     The discriminant is expanded as
         (a00 b11 - a11 b00)^2 + 4 (a00 b01 - a01 b00)(a11 b01 - a01 b11),
     which vanishes to rounding at umbilic points where a is proportional
     to b; the textbook form mix^2 - 4 det a det b would leave an
-    sqrt(eps)-sized spurious eigenvalue split there.
+    sqrt(eps)-sized spurious eigenvalue split there. With diagonal=True
+    both off-diagonals vanish identically and the terms they enter are
+    skipped; each of those terms adds an exact zero, so the result is the
+    same bit for bit.
     """
-    det_b = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] ** 2
-    mix = (a[..., 0, 0] * b[..., 1, 1] + a[..., 1, 1] * b[..., 0, 0]
-           - 2.0 * a[..., 0, 1] * b[..., 0, 1])
-    d1 = a[..., 0, 0] * b[..., 1, 1] - a[..., 1, 1] * b[..., 0, 0]
-    d2 = a[..., 0, 0] * b[..., 0, 1] - a[..., 0, 1] * b[..., 0, 0]
-    d3 = a[..., 1, 1] * b[..., 0, 1] - a[..., 0, 1] * b[..., 1, 1]
-    disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
-    lo = (mix - disc) / (2.0 * det_b)
-    hi = (mix + disc) / (2.0 * det_b)
-    return np.stack([lo, hi], axis=-1)
+    a00, a01, a11 = a
+    b00, b01, b11 = b
+    p, q = a00 * b11, a11 * b00
+    mix, d1 = p + q, p - q
+    if diagonal:
+        det_b = b00 * b11
+        disc = np.sqrt(d1 * d1)
+    else:
+        det_b = b00 * b11 - b01 ** 2
+        mix = mix - 2.0 * a01 * b01
+        d2 = a00 * b01 - a01 * b00
+        d3 = a11 * b01 - a01 * b11
+        disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
+    den = 2.0 * det_b
+    return np.stack([(mix - disc) / den, (mix + disc) / den], axis=-1)
 
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:
@@ -153,24 +158,34 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     lam = prof.lambda_of_r(state.r.values)
     lam_p = prof.lambda_p_of_lambda(lam)
 
-    dphi = grad_components(state.phi)                 # covariant (..., 2)
-    q = covector_norm_sq(grid, dphi)
+    d_th, d_ps, p00, p01, p11 = derivatives(state.phi)   # D phi and phi_ij
+    q = covector_norm_sq(grid, d_th, d_ps)
     v = np.sqrt(1.0 + q)
-    hess_cov = covariant_hess(state.phi)
+    chi = lam / v
+    lam2 = lam * lam
 
-    sig = grid.sigma
-    pp = dphi[..., :, None] * dphi[..., None, :]      # phi_i phi_j
-    g_cov = (lam * lam)[..., None, None] * (pp + sig)
-
-    h_raw = (lam / v)[..., None, None] * (lam_p[..., None, None] * (pp + sig) - hess_cov)
-    h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
-    kappa = _pencil_eigenvalues(h_cov, g_cov)
+    # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij), where
+    # b_ij = phi_i phi_j + sigma_ij
+    s2 = grid.sigma[..., 1, 1]
+    b00 = d_th * d_th + 1.0
+    if grid.mode == "axisymmetric1d":
+        zero = grid.zeros
+        g = (lam2 * b00, zero, lam2 * s2)
+        h = (chi * (lam_p * b00 - p00), zero, chi * (lam_p * s2 - p11))
+        kappa = _pencil_eigenvalues(h, g, diagonal=True)
+    else:
+        b01 = d_th * d_ps
+        b11 = d_ps * d_ps + s2
+        g = (lam2 * b00, lam2 * b01, lam2 * b11)
+        h = (chi * (lam_p * b00 - p00), chi * (lam_p * b01 - p01),
+             chi * (lam_p * b11 - p11))
+        kappa = _pencil_eigenvalues(h, g)
 
     return ExtrinsicData(
-        v=v, grad_phi=dphi, grad_phi_sq=q, sigma=sig,
-        g_cov=g_cov, h_cov=h_cov, kappa=kappa,
+        v=v, grad_phi=(d_th, d_ps), grad_phi_sq=q, sigma=grid.sigma,
+        g=g, h=h, kappa=kappa,
         sigma_j=cf.elementary_symmetric(kappa),
-        chi=lam / v, lam=lam, lam_p=lam_p,
+        chi=chi, lam=lam, lam_p=lam_p,
     )
 
 
@@ -186,7 +201,7 @@ def ambient_contractions(state: GraphState, ext: ExtrinsicData):
     lam_pp = prof.lambda_pp_of_lambda(lam)
     q, v = ext.grad_phi_sq, ext.v
     sig = ext.sigma
-    r_i = lam[..., None] * ext.grad_phi
+    r_i = lam[..., None] * np.stack(ext.grad_phi, axis=-1)
     rr = r_i[..., :, None] * r_i[..., None, :]
 
     lp2m1 = lam_p * lam_p - 1.0
@@ -250,7 +265,7 @@ def contraction_consistency_residual(state: GraphState, F: cf.CurvatureFunction)
     lam_pp = state.profile.lambda_pp_of_lambda(lam)
     lhs = (np.einsum("...ij,...ij->...", f_up, t_radial) / ext.chi
            + np.einsum("...ij,...ij->...", f_up, t_normal))
-    rhs = -(lam_pp / lam) * np.einsum("...ij,...ij->...", f_up, ext.g_cov)
+    rhs = -(lam_pp / lam) * np.einsum("...ij,...ij->...", f_up, symmetric_matrix(*ext.g))
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
@@ -271,7 +286,7 @@ def tilt_gradient_shape_residual(state: GraphState) -> float:
     grid = state.grid
     v_field = ScalarField(grid, ext.v, t=state.t)
     lhs = grad_components(v_field)
-    r_i = ext.lam[..., None] * ext.grad_phi
+    r_i = ext.lam[..., None] * np.stack(ext.grad_phi, axis=-1)
     rhs = ((ext.lam_p / ext.lam) * ext.v)[..., None] * r_i \
         - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", _h_mixed(ext), r_i)
     return float(np.max(np.abs(lhs - rhs)))

@@ -31,9 +31,10 @@ def _frozen(a):
 @dataclass
 class SphereGrid:
     """Node layout plus the per-node trigonometry every stencil reads:
-    sin theta and cos theta (broadcastable to field_shape) and the round
-    metric components sigma (field_shape + (2, 2)), computed once per grid
-    and read-only."""
+    sin theta and cos theta (broadcastable to field_shape), the round
+    metric components sigma (field_shape + (2, 2)) and a zero field that
+    stands for the psi components of axisymmetric tensors, computed once
+    per grid and read-only."""
 
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
@@ -46,6 +47,7 @@ class SphereGrid:
     sin_theta: np.ndarray = field(init=False, repr=False, compare=False)
     cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
     sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    zeros: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, c = np.sin(self.theta), np.cos(self.theta)
@@ -55,6 +57,7 @@ class SphereGrid:
         sig[..., 0, 0] = 1.0
         sig[..., 1, 1] = s ** 2
         self.sin_theta, self.cos_theta, self.sigma = _frozen(s), _frozen(c), _frozen(sig)
+        self.zeros = _frozen(np.zeros(self.field_shape))
 
     @property
     def field_shape(self):
@@ -122,70 +125,78 @@ def _pad_theta(grid, v):
     return np.concatenate([top, v, bot], axis=0)
 
 
-def _dtheta(grid, v):
-    p = _pad_theta(grid, v)
+def _dtheta(grid, p):
+    """Centered theta difference from the padded copy p = _pad_theta(grid, v)."""
     return (p[2:] - p[:-2]) / (2.0 * grid.d_theta)
 
 
-def _d2theta(grid, v):
-    p = _pad_theta(grid, v)
+def _d2theta(grid, p, v):
+    """Second theta difference of v from its padded copy p."""
     return (p[2:] - 2.0 * v + p[:-2]) / grid.d_theta ** 2
 
 
-def _dpsi(grid, v):
-    return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * grid.d_psi)
-
-
-def _d2psi(grid, v):
-    return (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / grid.d_psi ** 2
+def _psi_diffs(grid, v):
+    """Centered first and second psi differences of v (periodic)."""
+    fwd, bwd = np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)
+    return (fwd - bwd) / (2.0 * grid.d_psi), (fwd - 2.0 * v + bwd) / grid.d_psi ** 2
 
 
 # -- covariant operators ----------------------------------------------------
 
+def derivatives(f: ScalarField):
+    """Covariant gradient and Hessian of f as components of field shape:
+    (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
+
+    Each theta stencil reads one padded copy of its field. On S^2 the only
+    nonzero Christoffel symbols are Gamma^theta_psipsi = -sin cos and
+    Gamma^psi_thetapsi = cot. In axisymmetric mode f_psi and f_thetapsi
+    vanish identically and are the grid's read-only `zeros`.
+    """
+    g = f.grid
+    v = f.values
+    p = _pad_theta(g, v)
+    d_th = _dtheta(g, p)
+    h_thth = _d2theta(g, p, v)
+    h_psps = g.sin_theta * g.cos_theta * d_th
+    if g.mode == "axisymmetric1d":
+        return d_th, g.zeros, h_thth, g.zeros, h_psps
+    d_ps, d2_ps = _psi_diffs(g, v)
+    h_thps = _dtheta(g, _pad_theta(g, d_ps)) - g.cos_theta / g.sin_theta * d_ps
+    return d_th, d_ps, h_thth, h_thps, h_psps + d2_ps
+
+
+def symmetric_matrix(c00, c01, c11):
+    """The (..., 2, 2) symmetric matrix with components c00, c01 = c10, c11."""
+    m = np.empty(np.shape(c00) + (2, 2))
+    m[..., 0, 0] = c00
+    m[..., 0, 1] = m[..., 1, 0] = c01
+    m[..., 1, 1] = c11
+    return m
+
+
 def grad_components(f: ScalarField):
     """Gradient as a (..., 2) array in both modes (psi component zero when
     axisymmetric)."""
-    g = f.grid
-    dth = _dtheta(g, f.values)
-    if g.mode == "axisymmetric1d":
-        return np.stack([dth, np.zeros_like(dth)], axis=-1)
-    return np.stack([dth, _dpsi(g, f.values)], axis=-1)
+    return np.stack(derivatives(f)[:2], axis=-1)
 
 
-def covector_norm_sq(grid: SphereGrid, d):
-    """|d|^2 with respect to the round metric, for a covector d of shape
-    (..., 2) such as grad_components returns."""
-    q = d[..., 0] * d[..., 0]
+def covector_norm_sq(grid: SphereGrid, d_th, d_ps):
+    """|d|^2 with respect to the round metric, for the covector with
+    components (d_th, d_ps) such as `derivatives` returns."""
+    q = d_th * d_th
     if grid.mode == "axisymmetric1d":
         return q
-    return q + (d[..., 1] / grid.sin_theta) ** 2
+    return q + (d_ps / grid.sin_theta) ** 2
 
 
 def grad_norm_sq(f: ScalarField):
     """|Df|^2 with respect to the round metric."""
-    return covector_norm_sq(f.grid, grad_components(f))
+    return covector_norm_sq(f.grid, *derivatives(f)[:2])
 
 
 def covariant_hess(f: ScalarField):
-    """Covariant Hessian f_ij = d_i d_j f - Gamma^k_ij d_k f, shape (..., 2, 2).
-
-    On S^2 the only nonzero Christoffel symbols are Gamma^theta_psipsi =
-    -sin cos and Gamma^psi_thetapsi = cot.
-    """
-    g = f.grid
-    v = f.values
-    dth = _dtheta(g, v)
-    h = np.zeros(g.field_shape + (2, 2))
-    h[..., 0, 0] = _d2theta(g, v)
-    h[..., 1, 1] = g.sin_theta * g.cos_theta * dth
-    if g.mode == "latlong2d":
-        dps = _dpsi(g, v)
-        cot = g.cos_theta / g.sin_theta
-        mixed = _dtheta(g, dps) - cot * dps
-        h[..., 0, 1] = mixed
-        h[..., 1, 0] = mixed
-        h[..., 1, 1] += _d2psi(g, v)
-    return h
+    """Covariant Hessian f_ij = d_i d_j f - Gamma^k_ij d_k f, shape (..., 2, 2)."""
+    return symmetric_matrix(*derivatives(f)[2:])
 
 
 def hessian_mixed(f: ScalarField):
@@ -199,28 +210,27 @@ def hessian_mixed(f: ScalarField):
     g = f.grid
     v = f.values
     cot = g.cos_theta / g.sin_theta
+    d_th, _, h_thth, h_thps, _ = derivatives(f)
     h = np.zeros(g.field_shape + (2, 2))
-    h[..., 0, 0] = _d2theta(g, v)
+    h[..., 0, 0] = h_thth
     if g.mode == "axisymmetric1d":
-        axi = cot * _dtheta(g, v)
-        d2 = h[..., 0, 0]
-        axi[0] = d2[0]
-        axi[-1] = d2[-1]
+        axi = cot * d_th
+        axi[0] = h_thth[0]
+        axi[-1] = h_thth[-1]
         h[..., 1, 1] = axi
         return h
     vbar = np.mean(v, axis=1, keepdims=True)
     vp = v - vbar
-    axi = cot * _dtheta(g, vbar)
-    d2bar = _d2theta(g, vbar)
+    pbar = _pad_theta(g, vbar)
+    axi = cot * _dtheta(g, pbar)
+    d2bar = _d2theta(g, pbar, vbar)
     axi[0, :] = d2bar[0, :]
     axi[-1, :] = d2bar[-1, :]
     s2 = g.sin_theta ** 2
-    fluct = _d2psi(g, vp) / s2 + cot * _dtheta(g, vp)
+    fluct = _psi_diffs(g, vp)[1] / s2 + cot * _dtheta(g, _pad_theta(g, vp))
     h[..., 1, 1] = axi + fluct
-    dps = _dpsi(g, v)
-    mixed_cov = _dtheta(g, dps) - cot * dps
-    h[..., 0, 1] = mixed_cov
-    h[..., 1, 0] = mixed_cov / s2
+    h[..., 0, 1] = h_thps
+    h[..., 1, 0] = h_thps / s2
     return h
 
 

@@ -11,7 +11,7 @@ from icflow import config as cfgmod
 from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
-from icflow.errors import ConfigError
+from icflow.errors import ConfigError, InadmissibleState
 
 BASE = """
 [background]
@@ -249,6 +249,24 @@ class TestRunCommand:
         assert line == {"kind": "admissibility_violation", "t": 0.5, "dt": 0.01,
                         "node": [0, 7], "kappa": [1.5, -0.25]}
 
+    def test_failed_event_names_the_offender(self, tmp_path, monkeypatch):
+        # every retry of the first step leaves the cone; the run gives up
+        # and its last event carries the worst node and kappa
+        def always_bad(s, F, dt, ext, integrator):
+            raise InadmissibleState("synthetic", t=s.t, node=np.unravel_index(5, (32,)),
+                                    kappa=np.array([1.5, -0.25]))
+
+        monkeypatch.setattr(flow, "_advance", always_bad)
+        p = write_config(tmp_path / "c.ini", n_theta=32)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        lines = (out / "events.jsonl").read_text().splitlines()
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds == ["snapshot"] + 9 * ["admissibility_violation"] + ["failed"]
+        last = json.loads(lines[-1])
+        assert last == {"kind": "failed", "t": 0.0, "node": [5], "kappa": [1.5, -0.25],
+                        "error": "InadmissibleState: synthetic"}
+
     @pytest.mark.parametrize("t_end", [1.0, 0.5])
     def test_resume_at_or_past_t_end_exit_2(self, tmp_path, capsys, t_end):
         kw = dict(n_theta=32, report_extra="enable_rates = false\nenable_limit_profile = false")
@@ -302,6 +320,23 @@ class TestSweepCommand:
             assert cells[4] == "1"
             assert float(cells[1]) <= -0.85     # umbilicity decay slope
         assert (out / "mean_m0.0").is_dir() and (out / "mean_m1.0").is_dir()
+
+    def test_erroring_combination_exit_2(self, tmp_path, capsys):
+        # amplitude 3 makes the initial radius negative: that combination
+        # raises, the other passes, and aggregate.csv still lists both
+        cfg = write_config(tmp_path / "s.ini", m=1.0, n_theta=32, kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1",
+                           report_extra="enable_rates = false\nenable_limit_profile = false")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\namplitude = 0.2 3.0\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        rows = [line.split(",") for line in
+                (out / "aggregate.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[4]) for r in rows] == [("amplitude0.2", "1"), ("amplitude3.0", "0")]
+        assert rows[0][5] == ""
+        assert rows[1][5].startswith("ConfigError")
+        assert "PASS amplitude0.2" in capsys.readouterr().out
 
     def test_unknown_sweep_f_kind_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.ini")

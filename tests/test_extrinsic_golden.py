@@ -1,0 +1,131 @@
+"""The component-form extrinsic pass against a reference copy of the
+(..., 2, 2) pass it replaced: every quantity must agree bit for bit."""
+
+import numpy as np
+import pytest
+
+from icflow import background as bg
+from icflow import curvature as cf
+from icflow import geometry as geo
+from icflow import sphere as sp
+
+
+# -- reference: the (..., 2, 2) pass, with its own stencils -------------------
+
+def _pad_theta(grid, v):
+    if grid.mode == "axisymmetric1d":
+        return np.concatenate([v[:1], v, v[-1:]])
+    half = grid.n_psi // 2
+    top = np.roll(v[:1], half, axis=1)
+    bot = np.roll(v[-1:], half, axis=1)
+    return np.concatenate([top, v, bot], axis=0)
+
+
+def _dtheta(grid, v):
+    p = _pad_theta(grid, v)
+    return (p[2:] - p[:-2]) / (2.0 * grid.d_theta)
+
+
+def _d2theta(grid, v):
+    p = _pad_theta(grid, v)
+    return (p[2:] - 2.0 * v + p[:-2]) / grid.d_theta ** 2
+
+
+def _dpsi(grid, v):
+    return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * grid.d_psi)
+
+
+def _d2psi(grid, v):
+    return (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / grid.d_psi ** 2
+
+
+def _grad(grid, v):
+    dth = _dtheta(grid, v)
+    if grid.mode == "axisymmetric1d":
+        return np.stack([dth, np.zeros_like(dth)], axis=-1)
+    return np.stack([dth, _dpsi(grid, v)], axis=-1)
+
+
+def _hess(grid, v):
+    dth = _dtheta(grid, v)
+    h = np.zeros(grid.field_shape + (2, 2))
+    h[..., 0, 0] = _d2theta(grid, v)
+    h[..., 1, 1] = grid.sin_theta * grid.cos_theta * dth
+    if grid.mode == "latlong2d":
+        dps = _dpsi(grid, v)
+        cot = grid.cos_theta / grid.sin_theta
+        mixed = _dtheta(grid, dps) - cot * dps
+        h[..., 0, 1] = mixed
+        h[..., 1, 0] = mixed
+        h[..., 1, 1] += _d2psi(grid, v)
+    return h
+
+
+def _pencil(a, b):
+    det_b = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] ** 2
+    mix = (a[..., 0, 0] * b[..., 1, 1] + a[..., 1, 1] * b[..., 0, 0]
+           - 2.0 * a[..., 0, 1] * b[..., 0, 1])
+    d1 = a[..., 0, 0] * b[..., 1, 1] - a[..., 1, 1] * b[..., 0, 0]
+    d2 = a[..., 0, 0] * b[..., 0, 1] - a[..., 0, 1] * b[..., 0, 0]
+    d3 = a[..., 1, 1] * b[..., 0, 1] - a[..., 0, 1] * b[..., 1, 1]
+    disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
+    lo = (mix - disc) / (2.0 * det_b)
+    hi = (mix + disc) / (2.0 * det_b)
+    return np.stack([lo, hi], axis=-1)
+
+
+def reference_extrinsic(state):
+    grid = state.grid
+    lam = state.profile.lambda_of_r(state.r.values)
+    lam_p = state.profile.lambda_p_of_lambda(lam)
+    dphi = _grad(grid, state.phi.values)
+    q = dphi[..., 0] * dphi[..., 0]
+    if grid.mode == "latlong2d":
+        q = q + (dphi[..., 1] / grid.sin_theta) ** 2
+    v = np.sqrt(1.0 + q)
+    hess_cov = _hess(grid, state.phi.values)
+    pp = dphi[..., :, None] * dphi[..., None, :]
+    g_cov = (lam * lam)[..., None, None] * (pp + grid.sigma)
+    h_raw = (lam / v)[..., None, None] * (
+        lam_p[..., None, None] * (pp + grid.sigma) - hess_cov)
+    h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
+    kappa = _pencil(h_cov, g_cov)
+    return dict(v=v, grad_phi=dphi, grad_phi_sq=q, g_cov=g_cov, h_cov=h_cov,
+                kappa=kappa, sigma_j=cf.elementary_symmetric(kappa),
+                chi=lam / v, lam=lam, lam_p=lam_p)
+
+
+# -- states ------------------------------------------------------------------
+
+def a3_state():
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
+    grid = sp.build_grid("axisymmetric1d", 256)
+    return geo.state_from_radius(grid, prof, 2.0 + 0.3 * np.cos(grid.theta))
+
+
+def massless_state():
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), r_max=8.0)
+    grid = sp.build_grid("axisymmetric1d", 64)
+    return geo.state_from_radius(grid, prof, 1.0 + 0.1 * np.cos(grid.theta))
+
+
+def latlong_state():
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
+    grid = sp.build_grid("latlong2d", (24, 48))
+    th, ps = grid.theta[:, None], grid.psi[None, :]
+    return geo.state_from_radius(
+        grid, prof, 2.0 + 0.2 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ps))
+
+
+@pytest.mark.parametrize("make_state", [a3_state, massless_state, latlong_state])
+def test_matches_tensor_pass_bit_for_bit(make_state):
+    state = make_state()
+    ext = geo.compute_extrinsic(state)
+    ref = reference_extrinsic(state)
+    for name in ("kappa", "sigma_j", "v", "chi", "lam", "lam_p", "grad_phi_sq"):
+        assert np.array_equal(getattr(ext, name), ref[name]), name
+    for k in range(2):
+        assert np.array_equal(ext.grad_phi[k], ref["grad_phi"][..., k])
+    for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
+        assert np.array_equal(ext.g[k], ref["g_cov"][..., i, j]), ("g", i, j)
+        assert np.array_equal(ext.h[k], ref["h_cov"][..., i, j]), ("h", i, j)

@@ -229,7 +229,8 @@ class TestRun:
         assert len(series.radii) == len(series.metrics) == len(series.records) == 4
         assert series.grid is final.grid
         assert np.array_equal(series.radii[-1], final.r.values)
-        assert np.array_equal(series.metrics[-1], geo.compute_extrinsic(final).g_cov)
+        g = geo.compute_extrinsic(final).g
+        assert all(np.array_equal(a, b) for a, b in zip(series.metrics[-1], g, strict=True))
 
     def test_zero_t_end(self):
         cfg = make_config(t_end=0.0)
