@@ -68,11 +68,10 @@ R_GAUGE_LIMIT = math.asinh(1e-8 / np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class BackgroundParams:
-    """Mass and dimension of the background plus numerical tolerances."""
+    """Mass and dimension of the background."""
 
     m: float
-    n: int
-    tol_root: float = 1e-13
+    n: int = 2
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -106,7 +105,7 @@ def solve_horizon(params: BackgroundParams) -> float:
         hi *= 2.0
     if g(hi) == 0.0:
         return hi
-    return brentq(g, lo, hi, xtol=params.tol_root, rtol=8 * np.finfo(float).eps)
+    return brentq(g, lo, hi, xtol=1e-13, rtol=8 * np.finfo(float).eps)
 
 
 def _h_of_w(w, s0, m, n):
@@ -155,9 +154,7 @@ class WarpProfile:
         r = np.asarray(r, dtype=float)
         if (r < self.r_horizon - 1e-12).any() or (r > self.r_max * (1 + 1e-14)).any():
             raise TableExtentError(
-                f"radius outside table range [{self.r_horizon}, {self.r_max}];"
-                " rebuild with larger extent"
-            )
+                f"radius outside table range [{self.r_horizon}, {self.r_max}]")
         return r
 
     def lambda_of_r(self, r):

@@ -58,10 +58,18 @@ def _write_events(path: Path, events) -> None:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _make_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
 def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
     """Run one configured flow and write all artifacts. Returns the report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     initial_state = None
     if resume is not None:
         initial_state = flow.load_checkpoint(resume, cfg.flow)
@@ -80,15 +88,13 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
         prof = None
     report = dg.theorem_report(series, prof, cfg.report, config_echo=cfg.echo)
 
-    if "csv" in cfg.output.formats:
-        _write_series(out / "series.csv", series)
-        if prof is not None:
-            _write_profile(out / "limit_profile.csv", prof)
+    _write_series(out / "series.csv", series)
+    if prof is not None:
+        _write_profile(out / "limit_profile.csv", prof)
     flow.save_checkpoint(final, out / "checkpoint.json")
-    if "json" in cfg.output.formats:
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, sort_keys=True, indent=1)
+        fh.write("\n")
     (out / "report.txt").write_text(
         "\n".join(dg.report_lines(report)) + "\n", encoding="utf-8")
     return report
@@ -166,8 +172,7 @@ def cmd_sweep(args) -> int:
             print("error: sweep config needs a [sweep] section", file=sys.stderr)
             return 2
         combos = sweep_combos(cfg)
-        out = Path(args.out or cfg.output.directory)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_dir(args.out or cfg.output.directory)
         jobs = _max_jobs(args.jobs)
     except IcflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,28 +47,49 @@ def _to_int(raw, where):
         raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
 
 
+def _to_str(raw, where):
+    return raw
+
+
+def _to_floats(raw, where):
+    return [_to_float(x, where) for x in raw.split()]
+
+
+def _to_words(raw, where):
+    return raw.split()
+
+
+# every key a section accepts, with its converter; a key the file leaves
+# out takes the default of the field it fills
 _SCHEMA = {
-    "background": {"m", "n", "tol_root"},
-    "grid": {"mode", "n_theta", "n_psi"},
-    "initial": {"kind", "r0", "amplitude", "wavenumber", "table_path"},
-    "flow": {"f_kind", "t_end", "cfl", "integrator", "output_every",
-             "dt_max", "dt_min"},
-    "report": {"window_start", "window_end", "tol_rate_kappa", "tol_rate_grad",
-               "tol_rate_hess", "limit_gap_tol", "metric_residual_tol",
-               "chi_ratio_max", "enable_rates", "enable_pinching",
-               "enable_f_bounds", "enable_gradient_monotone",
-               "enable_chi_ratio", "enable_limit_profile"},
-    "output": {"directory", "formats"},
-    "sweep": {"m", "f_kind", "amplitude"},
+    "background": {"m": _to_float, "n": _to_int},
+    "grid": {"mode": _to_str, "n_theta": _to_int, "n_psi": _to_int},
+    "initial": {"kind": _to_str, "r0": _to_float, "amplitude": _to_float,
+                "wavenumber": _to_int, "table_path": _to_str},
+    "flow": {"f_kind": _to_str, "t_end": _to_float, "cfl": _to_float,
+             "output_every": _to_float, "dt_max": _to_float, "dt_min": _to_float},
+    "report": {"window_start": _to_float, "window_end": _to_float,
+               "tol_rate_kappa": _to_float, "tol_rate_grad": _to_float,
+               "tol_rate_hess": _to_float, "limit_gap_tol": _to_float,
+               "metric_residual_tol": _to_float, "chi_ratio_max": _to_float,
+               "enable_rates": _to_bool, "enable_limit_profile": _to_bool},
+    "output": {"directory": _to_str},
+    "sweep": {"m": _to_floats, "f_kind": _to_words, "amplitude": _to_floats},
 }
 
 _REQUIRED_SECTIONS = ("background", "grid", "initial", "flow")
+
+# initial data kind: (required keys, optional keys)
+_INITIAL_KEYS = {
+    "constant": (("r0",), ()),
+    "cosine_perturbation": (("r0", "amplitude"), ("wavenumber",)),
+    "custom_table": (("table_path",), ()),
+}
 
 
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    formats: tuple = ("csv", "json")
 
 
 @dataclass
@@ -104,155 +125,103 @@ def _validate_keys(parser):
             raise ConfigError(f"missing required section [{section}]")
 
 
+def _options(parser, section) -> dict:
+    """The keys [section] sets, converted; every error names its key."""
+    if section not in parser:
+        return {}
+    schema = _SCHEMA[section]
+    return {key: schema[key](raw, f"[{section}] {key}")
+            for key, raw in parser[section].items()}
+
+
+def _require(options, section, *keys):
+    for key in keys:
+        if key not in options:
+            raise ConfigError(f"missing required key [{section}] {key}")
+
+
+def _load_table(path):
+    try:
+        data = np.loadtxt(path, delimiter=",")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[initial] table_path: {exc}") from None
+    if data.ndim != 2 or data.shape[1] != 2 or not np.all(np.isfinite(data)):
+        raise ConfigError("[initial] table_path: expected two comma-separated "
+                          "columns of finite numbers")
+    return {"table_theta": tuple(data[:, 0]), "table_r": tuple(data[:, 1])}
+
+
 def parse_run_config(path, allow_sweep=False) -> RunConfig:
     parser = _read_ini(path)
     _validate_keys(parser)
     if "sweep" in parser and not allow_sweep:
         raise ConfigError("[sweep] section is only valid for the sweep command")
+    opts = {section: _options(parser, section) for section in _SCHEMA}
 
-    b = parser["background"]
-    background = BackgroundParams(
-        m=_to_float(b.get("m", None) or _missing("background", "m"), "[background] m"),
-        n=_to_int(b.get("n", "2"), "[background] n"),
-        tol_root=_to_float(b.get("tol_root", "1e-13"), "[background] tol_root"),
-    )
+    _require(opts["background"], "background", "m")
+    background = BackgroundParams(**opts["background"])
 
-    g = parser["grid"]
-    mode = g.get("mode", "axisymmetric1d").strip()
+    grid = opts["grid"]
+    _require(grid, "grid", "n_theta")
+    mode = grid.get("mode", "axisymmetric1d")
     if mode not in ("axisymmetric1d", "latlong2d"):
         raise ConfigError(f"[grid] mode: unknown mode {mode!r}")
-    n_theta = _to_int(g.get("n_theta", None) or _missing("grid", "n_theta"), "[grid] n_theta")
     if mode == "latlong2d":
-        n_psi = _to_int(g.get("n_psi", str(2 * n_theta)), "[grid] n_psi")
-        resolution = (n_theta, n_psi)
+        resolution = (grid["n_theta"], grid.get("n_psi", 2 * grid["n_theta"]))
+    elif "n_psi" in grid:
+        raise ConfigError("[grid] n_psi is only valid in latlong2d mode")
     else:
-        if "n_psi" in g:
-            raise ConfigError("[grid] n_psi is only valid in latlong2d mode")
-        resolution = n_theta
+        resolution = grid["n_theta"]
 
-    i = parser["initial"]
-    kind = i.get("kind", None) or _missing("initial", "kind")
-    kind = kind.strip()
-    if kind == "constant":
-        initial = InitialData(
-            kind=kind,
-            r0=_to_float(i.get("r0", None) or _missing("initial", "r0"), "[initial] r0"),
-        )
-        _forbid(i, ("amplitude", "wavenumber", "table_path"), "constant")
-    elif kind == "cosine_perturbation":
-        initial = InitialData(
-            kind=kind,
-            r0=_to_float(i.get("r0", None) or _missing("initial", "r0"), "[initial] r0"),
-            amplitude=_to_float(i.get("amplitude", None) or _missing("initial", "amplitude"),
-                                "[initial] amplitude"),
-            wavenumber=_to_int(i.get("wavenumber", "1"), "[initial] wavenumber"),
-        )
-        _forbid(i, ("table_path",), "cosine_perturbation")
-    elif kind == "custom_table":
-        _forbid(i, ("r0", "amplitude", "wavenumber"), "custom_table")
-        table_path = i.get("table_path", None) or _missing("initial", "table_path")
-        try:
-            data = np.loadtxt(table_path, delimiter=",")
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"[initial] table_path: {exc}") from None
-        if data.ndim != 2 or data.shape[1] != 2 or not np.all(np.isfinite(data)):
-            raise ConfigError("[initial] table_path: expected two comma-separated "
-                              "columns of finite numbers")
-        initial = InitialData(kind=kind, table_theta=tuple(data[:, 0]),
-                              table_r=tuple(data[:, 1]))
-    else:
+    initial = opts["initial"]
+    _require(initial, "initial", "kind")
+    kind = initial.pop("kind")
+    if kind not in _INITIAL_KEYS:
         raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
+    required, optional = _INITIAL_KEYS[kind]
+    for key in initial:
+        if key not in required + optional:
+            raise ConfigError(f"[initial] {key} is not valid for kind {kind!r}")
+    _require(initial, "initial", *required)
+    if kind == "custom_table":
+        initial.update(_load_table(initial.pop("table_path")))
+    initial = InitialData(kind=kind, **initial)
 
-    f = parser["flow"]
-    f_kind = (f.get("f_kind", None) or _missing("flow", "f_kind")).strip()
+    flow = opts["flow"]
+    _require(flow, "flow", "f_kind", "t_end")
     try:
-        func = cf.from_name(f_kind, background.n)
+        func = cf.from_name(flow.pop("f_kind"), background.n)
     except ValueError as exc:
         raise ConfigError(f"[flow] f_kind: {exc}") from None
-    flow_cfg = FlowConfig(
-        background=background,
-        grid_mode=mode,
-        grid_resolution=resolution,
-        initial=initial,
-        f=func,
-        t_end=_to_float(f.get("t_end", None) or _missing("flow", "t_end"), "[flow] t_end"),
-        cfl=_to_float(f.get("cfl", "0.2"), "[flow] cfl"),
-        dt_max=_to_float(f.get("dt_max", "1e-3"), "[flow] dt_max"),
-        dt_min=_to_float(f.get("dt_min", "1e-12"), "[flow] dt_min"),
-        integrator=f.get("integrator", "rk2").strip(),
-        output_every=_to_float(f.get("output_every", "0.1"), "[flow] output_every"),
-    )
+    flow_cfg = FlowConfig(background=background, grid_mode=mode, grid_resolution=resolution,
+                          initial=initial, f=func, **flow)
     if flow_cfg.t_end <= 0:
         raise ConfigError("[flow] t_end must be positive")
 
-    rep = parser["report"] if "report" in parser else {}
-    window = None
+    rep = opts["report"]
     if "window_start" in rep or "window_end" in rep:
         if not ("window_start" in rep and "window_end" in rep):
             raise ConfigError("[report] window_start and window_end must be given together")
-        window = (_to_float(rep["window_start"], "[report] window_start"),
-                  _to_float(rep["window_end"], "[report] window_end"))
-        if not (0 <= window[0] < window[1] <= flow_cfg.t_end + 1e-12):
+        rep["window"] = (rep.pop("window_start"), rep.pop("window_end"))
+        if not (0 <= rep["window"][0] < rep["window"][1] <= flow_cfg.t_end + 1e-12):
             raise ConfigError("[report] rate window must satisfy 0 <= start < end <= t_end")
-    report = ReportConfig(
-        window=window,
-        tol_rate_kappa=_to_float(rep.get("tol_rate_kappa", "0.15"), "[report] tol_rate_kappa"),
-        tol_rate_grad=_to_float(rep.get("tol_rate_grad", "0.15"), "[report] tol_rate_grad"),
-        tol_rate_hess=_to_float(rep.get("tol_rate_hess", "0.10"), "[report] tol_rate_hess"),
-        limit_gap_tol=_to_float(rep.get("limit_gap_tol", "0.02"), "[report] limit_gap_tol"),
-        metric_residual_tol=_to_float(rep.get("metric_residual_tol", "5e-3"),
-                                      "[report] metric_residual_tol"),
-        chi_ratio_max=_to_float(rep.get("chi_ratio_max", "10"), "[report] chi_ratio_max"),
-        enable_rates=_to_bool(rep.get("enable_rates", "true"), "[report] enable_rates"),
-        enable_pinching=_to_bool(rep.get("enable_pinching", "true"), "[report] enable_pinching"),
-        enable_f_bounds=_to_bool(rep.get("enable_f_bounds", "true"), "[report] enable_f_bounds"),
-        enable_gradient_monotone=_to_bool(rep.get("enable_gradient_monotone", "true"),
-                                          "[report] enable_gradient_monotone"),
-        enable_chi_ratio=_to_bool(rep.get("enable_chi_ratio", "true"),
-                                  "[report] enable_chi_ratio"),
-        enable_limit_profile=_to_bool(rep.get("enable_limit_profile", "true"),
-                                      "[report] enable_limit_profile"),
-    )
+    report = ReportConfig(**rep)
 
-    out = parser["output"] if "output" in parser else {}
-    formats = tuple((out.get("formats", "csv json") or "").split())
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"[output] formats: unknown format {fmt!r}")
-    output = OutputConfig(directory=out.get("directory", "out"), formats=formats)
+    output = OutputConfig(**opts["output"])
 
     echo = {s: dict(parser[s]) for s in parser.sections()}
 
     sweep = None
     if "sweep" in parser:
-        sw = parser["sweep"]
-        sweep = {}
-        if "m" in sw:
-            sweep["m"] = [_to_float(x, "[sweep] m") for x in sw["m"].split()]
-        if "f_kind" in sw:
-            kinds = sw["f_kind"].split()
-            for kname in kinds:
-                try:
-                    cf.from_name(kname, background.n)
-                except ValueError as exc:
-                    raise ConfigError(f"[sweep] f_kind: {exc}") from None
-            sweep["f_kind"] = kinds
-        if "amplitude" in sw:
-            sweep["amplitude"] = [_to_float(x, "[sweep] amplitude")
-                                  for x in sw["amplitude"].split()]
+        sweep = opts["sweep"]
+        for kname in sweep.get("f_kind", ()):
+            try:
+                cf.from_name(kname, background.n)
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] f_kind: {exc}") from None
         if not sweep or any(len(v) == 0 for v in sweep.values()):
             raise ConfigError("[sweep] needs at least one non-empty value grid")
         if "amplitude" in sweep and initial.kind != "cosine_perturbation":
             raise ConfigError("[sweep] amplitude requires cosine_perturbation initial data")
 
     return RunConfig(flow=flow_cfg, report=report, output=output, echo=echo, sweep=sweep)
-
-
-def _missing(section, key):
-    raise ConfigError(f"missing required key [{section}] {key}")
-
-
-def _forbid(section_proxy, keys, kind):
-    for key in keys:
-        if key in section_proxy:
-            raise ConfigError(f"[initial] {key} is not valid for kind {kind!r}")

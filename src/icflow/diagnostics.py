@@ -277,10 +277,6 @@ class ReportConfig:
     metric_residual_tol: float = 5e-3
     chi_ratio_max: float = 10.0
     enable_rates: bool = True
-    enable_pinching: bool = True
-    enable_f_bounds: bool = True
-    enable_gradient_monotone: bool = True
-    enable_chi_ratio: bool = True
     enable_limit_profile: bool = True
 
 
@@ -290,7 +286,9 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
 
     profile is limit_profile(series), or None when that raised
     InsufficientData. Checks with insufficient data are reported as such
-    and do not fail the run; disabled checks are skipped entirely.
+    and do not fail the run. Pinching, the F bounds, gradient monotonicity
+    and the chi ratio always run; the rate fits and the limit-profile
+    checks run unless disabled.
     """
     n = series.meta["n"]
     t = series.times
@@ -333,42 +331,38 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
                 })
                 report["insufficient"].append(f"rate:{name}: {exc}")
 
-    if report_cfg.enable_pinching:
-        add_result("pinching_pass", bool(
-            all(r.pinch_low_ok for r in series.records)
-            and all(r.pinch_high_ok for r in series.records)
-        ))
+    add_result("pinching_pass", bool(
+        all(r.pinch_low_ok for r in series.records)
+        and all(r.pinch_high_ok for r in series.records)
+    ))
 
-    if report_cfg.enable_f_bounds:
-        fmax0 = series.records[0].F_max
-        bound = 1.1 * max(fmax0, series.meta["f_umb0"])
-        fmin = series.column("F_min")
-        fmax = series.column("F_max")
-        late = fmin[t >= 1.0 - 1e-12]
-        floor_ok = True
-        if late.size:
-            floor_ok = bool(np.min(fmin) >= 0.5 * float(np.min(late)))
-        add_result("f_bounds_pass", bool(
-            np.all(fmin > 0.0) and np.max(fmax) <= bound and floor_ok
-        ))
+    fmax0 = series.records[0].F_max
+    bound = 1.1 * max(fmax0, series.meta["f_umb0"])
+    fmin = series.column("F_min")
+    fmax = series.column("F_max")
+    late = fmin[t >= 1.0 - 1e-12]
+    floor_ok = True
+    if late.size:
+        floor_ok = bool(np.min(fmin) >= 0.5 * float(np.min(late)))
+    add_result("f_bounds_pass", bool(
+        np.all(fmin > 0.0) and np.max(fmax) <= bound and floor_ok
+    ))
 
-    if report_cfg.enable_gradient_monotone:
-        # absolute floor covers the rounding-level gradients of constant data
-        g0 = series.meta["sup_grad0"]
-        grads = series.column("sup_grad_phi_sq")
-        add_result("gradient_monotone_pass",
-                   bool(np.all(grads <= g0 * (1.0 + 1e-6) + 1e-20)))
+    # absolute floor covers the rounding-level gradients of constant data
+    g0 = series.meta["sup_grad0"]
+    grads = series.column("sup_grad_phi_sq")
+    add_result("gradient_monotone_pass",
+               bool(np.all(grads <= g0 * (1.0 + 1e-6) + 1e-20)))
 
-    if report_cfg.enable_chi_ratio:
-        sel = t >= 1.0 - 1e-12
-        if int(np.sum(sel)) >= 2:
-            hi = float(np.max(series.column("chi_scaled_max")[sel]))
-            lo = float(np.min(series.column("chi_scaled_min")[sel]))
-            report["chi_ratio"] = hi / lo if lo > 0 else math.inf
-            add_result("chi_ratio_pass",
-                       bool(lo > 0 and hi / lo <= report_cfg.chi_ratio_max))
-        else:
-            report["insufficient"].append("chi_ratio: run too short")
+    sel = t >= 1.0 - 1e-12
+    if int(np.sum(sel)) >= 2:
+        hi = float(np.max(series.column("chi_scaled_max")[sel]))
+        lo = float(np.min(series.column("chi_scaled_min")[sel]))
+        report["chi_ratio"] = hi / lo if lo > 0 else math.inf
+        add_result("chi_ratio_pass",
+                   bool(lo > 0 and hi / lo <= report_cfg.chi_ratio_max))
+    else:
+        report["insufficient"].append("chi_ratio: run too short")
 
     if report_cfg.enable_limit_profile and profile is None:
         report["limit_gap"] = None

@@ -14,10 +14,9 @@ class NegativeMass(IcflowError):
 
 
 class TableExtentError(IcflowError):
-    """A radius, warp value or gauge value fell outside the tabulated range.
-
-    The caller must rebuild the warp profile with a larger extent; values
-    are never silently extrapolated.
+    """A radius, warp value or gauge value fell outside the tabulated range,
+    or a table extent lies past R_GAUGE_LIMIT (r = 18.3), where the gauge
+    no longer resolves radius. Values are never silently extrapolated.
     """
 
 

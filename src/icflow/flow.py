@@ -9,7 +9,7 @@ step and must agree to rounding, which cross-checks the scaling path.
 The radius field is refreshed from phi through the tabulated gauge
 inverse after every substep.
 
-Stepping is explicit (forward Euler or midpoint) under a parabolic
+Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
 F'_max gtilde_max v / (lambda F)^2, so dt ~ cfl h_min^2 (lambda F)^2 and
 grows geometrically as the surface expands; total work to reach a fixed
@@ -65,7 +65,10 @@ class InitialData:
         elif self.kind == "cosine_perturbation":
             base = self.r0 + self.amplitude * np.cos(self.wavenumber * grid.theta)
         elif self.kind == "custom_table":
-            base = np.interp(grid.theta, np.asarray(self.table_theta), np.asarray(self.table_r))
+            theta = np.asarray(self.table_theta)
+            if not (np.diff(theta) > 0).all():     # np.interp needs increasing theta
+                raise ConfigError("[initial] table_path: theta must be strictly increasing")
+            base = np.interp(grid.theta, theta, np.asarray(self.table_r))
         else:
             raise ConfigError(f"unknown initial data kind {self.kind!r}")
         if (base <= 0).any():
@@ -86,7 +89,6 @@ class FlowConfig:
     cfl: float = 0.2
     dt_max: float = 1e-3
     dt_min: float = 1e-12
-    integrator: str = "rk2"
     output_every: float = 0.1
 
     def __post_init__(self):
@@ -96,8 +98,6 @@ class FlowConfig:
             raise ConfigError("dt_min must be smaller than dt_max")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
-        if self.integrator not in ("euler", "rk2"):
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.output_every <= 0:
             raise ConfigError("output_every must be positive")
         if self.background.n != 2:
@@ -155,18 +155,15 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
     return min(dt, dt_max)
 
 
-def _advance(state, F, dt, ext, integrator):
+def _advance(state, F, dt, ext):
     k1 = rhs(state, F, ext)
-    if integrator == "euler":
-        phi_new = state.phi.values + dt * k1.values
-    else:
-        mid = state_from_gauge(
-            state.grid, state.profile,
-            state.phi.values + 0.5 * dt * k1.values,
-            state.base_radius, t=state.t + 0.5 * dt,
-        )
-        k2 = rhs(mid, F, compute_extrinsic(mid))
-        phi_new = state.phi.values + dt * k2.values
+    mid = state_from_gauge(
+        state.grid, state.profile,
+        state.phi.values + 0.5 * dt * k1.values,
+        state.base_radius, t=state.t + 0.5 * dt,
+    )
+    k2 = rhs(mid, F, compute_extrinsic(mid))
+    phi_new = state.phi.values + dt * k2.values
     return state_from_gauge(state.grid, state.profile, phi_new,
                             state.base_radius, t=state.t + dt)
 
@@ -178,14 +175,14 @@ def _offender(exc: InadmissibleState) -> dict:
 
 
 def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicData,
-         integrator: str = "rk2", events: Optional[list] = None) -> GraphState:
-    """One explicit step from state, with ext = compute_extrinsic(state); on
+         events: Optional[list] = None) -> GraphState:
+    """One midpoint (rk2) step from state, with ext = compute_extrinsic(state); on
     admissibility failure the step is retried with halved dt, up to eight
     times."""
     last = None
     for _ in range(9):
         try:
-            return _advance(state, F, dt, ext, integrator)
+            return _advance(state, F, dt, ext)
         except InadmissibleState as exc:
             last = exc
             if events is not None:
@@ -256,7 +253,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
                                dt_min=config.dt_min, dt_max=config.dt_max)
                 if state.t + dt >= target - 1e-12:
                     dt = target - state.t      # ends the interval on target
-                state = step(state, F, dt, ext, config.integrator, events=events)
+                state = step(state, F, dt, ext, events=events)
                 ext = compute_extrinsic(state)
                 steps += 1
             take_snapshot(state, ext)
@@ -283,7 +280,6 @@ def save_checkpoint(state: GraphState, path) -> None:
         "params": {
             "m": state.profile.params.m,
             "n": state.profile.params.n,
-            "tol_root": state.profile.params.tol_root,
         },
         "grid": {
             "mode": grid.mode,
@@ -299,23 +295,27 @@ def save_checkpoint(state: GraphState, path) -> None:
 
 
 def load_checkpoint(path, config: FlowConfig) -> GraphState:
-    """Rebuild a state from a checkpoint document, validated against config."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(f"unsupported checkpoint format {doc.get('format_version')!r}")
-    p = doc["params"]
-    if p["m"] != config.background.m or p["n"] != config.background.n:
-        raise ConfigError("checkpoint background parameters do not match the configuration")
-    g = doc["grid"]
-    if g["mode"] != config.grid_mode:
-        raise ConfigError("checkpoint grid mode does not match the configuration")
+    """Rebuild a state from a checkpoint document, validated against config.
+    A file that cannot be read as a checkpoint is a ConfigError naming it."""
     grid = build_grid(config.grid_mode, config.grid_resolution)
-    if (grid.n_theta, grid.n_psi) != (g["n_theta"], g["n_psi"]):
-        raise ConfigError("checkpoint grid resolution does not match the configuration")
-    phi = np.asarray(doc["phi"], dtype=float).reshape(grid.field_shape)
-    t = float(doc["t"])
-    base = float(doc["base_radius"])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ConfigError(f"unsupported checkpoint format {doc.get('format_version')!r}")
+        p = doc["params"]
+        if p["m"] != config.background.m or p["n"] != config.background.n:
+            raise ConfigError("checkpoint background parameters do not match the configuration")
+        g = doc["grid"]
+        if g["mode"] != config.grid_mode:
+            raise ConfigError("checkpoint grid mode does not match the configuration")
+        if (grid.n_theta, grid.n_psi) != (g["n_theta"], g["n_psi"]):
+            raise ConfigError("checkpoint grid resolution does not match the configuration")
+        phi = np.asarray(doc["phi"], dtype=float).reshape(grid.field_shape)
+        t = float(doc["t"])
+        base = float(doc["base_radius"])
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}") from None
     # size the table as the uninterrupted run does; grow it only when the
     # checkpointed radii or the remaining flow time fall outside it, by
     # doubling up to the largest table, and fail past that

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from icflow import background as bg
 from icflow import cli
 from icflow import config as cfgmod
+from icflow import curvature as cf
 from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
+from icflow import sphere as sp
 from icflow.errors import ConfigError, InadmissibleState
 
 BASE = """
@@ -70,7 +73,6 @@ class TestConfigParsing:
         rc = cfgmod.parse_run_config(p)
         assert rc.flow.background.m == 0.0
         assert rc.flow.grid_resolution == 48
-        assert rc.output.formats == ("csv", "json")
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -84,6 +86,43 @@ class TestConfigParsing:
         p = write_config(tmp_path / "c.ini", report_extra="tol_rate_kapa = 0.2")
         with pytest.raises(ConfigError, match=r"\[report\] tol_rate_kapa"):
             cfgmod.parse_run_config(p)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("background", "tol_root", "1e-13"),
+        ("flow", "integrator", "rk2"),
+        ("report", "enable_pinching", "true"),
+        ("report", "enable_f_bounds", "true"),
+        ("report", "enable_gradient_monotone", "true"),
+        ("report", "enable_chi_ratio", "true"),
+        ("output", "formats", "csv json"),
+    ])
+    def test_removed_key_rejected(self, tmp_path, section, key, value):
+        p = write_config(tmp_path / "c.ini")
+        p.write_text(p.read_text().replace(f"[{section}]", f"[{section}]\n{key} = {value}"))
+        with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}$"):
+            cfgmod.parse_run_config(p)
+
+    def test_minimal_config_takes_field_defaults(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[background]\nm = 1\n[grid]\nn_theta = 32\n[initial]\nkind = constant\n"
+                     "r0 = 2\n[flow]\nf_kind = mean\nt_end = 1\n")
+        rc = cfgmod.parse_run_config(p)
+        assert rc.flow == flow.FlowConfig(
+            background=bg.BackgroundParams(m=1.0), grid_mode="axisymmetric1d",
+            grid_resolution=32, initial=flow.InitialData(kind="constant", r0=2.0),
+            f=cf.from_name("mean", 2), t_end=1.0)
+        assert rc.report == dg.ReportConfig()
+        assert rc.output == cfgmod.OutputConfig()
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        p = tmp_path / "c.ini"
+        p.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        rc = cfgmod.parse_run_config(p)
+        assert rc.flow.grid_mode == "axisymmetric1d"
+        assert rc.flow.initial.kind == "cosine_perturbation"
+        assert rc.flow.f == cf.from_name("mean", 2)
+        assert rc.report.window == (4.0, 9.0)
 
     def test_cfl_bound(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -198,6 +237,31 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing", "not_json", "no_params", "phi_short",
+                                      "out_is_a_file"])
+    def test_bad_checkpoint_or_output_exit_2(self, tmp_path, capsys, case):
+        p = write_config(tmp_path / "c.ini", n_theta=32)
+        grid = sp.build_grid("axisymmetric1d", 32)
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0), 5.0)
+        ck, out = tmp_path / "ck.json", tmp_path / "o"
+        flow.save_checkpoint(geo.state_from_radius(grid, prof, np.full(32, 1.0), t=0.5), ck)
+        doc = json.loads(ck.read_text())
+        if case == "missing":
+            ck.unlink()
+        elif case == "not_json":
+            ck.write_text("{not json")
+        elif case == "no_params":
+            del doc["params"]
+            ck.write_text(json.dumps(doc))
+        elif case == "phi_short":
+            doc["phi"].pop()
+            ck.write_text(json.dumps(doc))
+        else:
+            out.write_text("")
+        assert cli.main(["run", "--config", str(p), "--out", str(out),
+                         "--resume", str(ck)]) == 2
+        assert str(out if case == "out_is_a_file" else ck) in capsys.readouterr().err
+
     def test_non_finite_mass_exit_2(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.ini", m="nan")
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -252,7 +316,7 @@ class TestRunCommand:
     def test_failed_event_names_the_offender(self, tmp_path, monkeypatch):
         # every retry of the first step leaves the cone; the run gives up
         # and its last event carries the worst node and kappa
-        def always_bad(s, F, dt, ext, integrator):
+        def always_bad(s, F, dt, ext):
             raise InadmissibleState("synthetic", t=s.t, node=np.unravel_index(5, (32,)),
                                     kappa=np.array([1.5, -0.25]))
 
@@ -387,6 +451,7 @@ class TestCustomTable:
     @pytest.mark.parametrize("text", [
         "theta,r\n0.0,1.5\n3.2,1.5\n",       # header row
         "0.0,1.5\n3.2,nan\n",                 # non-finite radius
+        "3.2,1.7\n1.6,2.0\n0.0,2.3\n",        # theta decreasing
     ])
     def test_malformed_table_rejected(self, tmp_path, text):
         table = tmp_path / "r0.csv"
@@ -394,7 +459,8 @@ class TestCustomTable:
         cfg = write_config(tmp_path / "c.ini", kind="custom_table",
                            initial_extra=f"table_path = {table}")
         with pytest.raises(ConfigError, match="table_path"):
-            cfgmod.parse_run_config(cfg)
+            rc = cfgmod.parse_run_config(cfg)
+            rc.flow.initial.radius_on(sp.build_grid("axisymmetric1d", 16))
 
     def test_custom_table_forbids_r0(self, tmp_path):
         cfg = write_config(

@@ -60,7 +60,6 @@ def run_configs(draw):
         "f_kind": draw(st.sampled_from(["mean", "sigma2root", "quotient2"])),
         "t_end": t_end,
         "cfl": draw(num(0.05, 0.5)),
-        "integrator": draw(st.sampled_from(["euler", "rk2"])),
         "output_every": draw(num(0.005, 0.1)),
         "dt_max": draw(num(1e-4, 0.05)),
         "dt_min": draw(st.sampled_from(["1e-12", "1e-6"])),

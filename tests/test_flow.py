@@ -50,8 +50,8 @@ def stable_dt(state, f, **kw):
     return flow.stable_dt(state, f, geo.compute_extrinsic(state), **kw)
 
 
-def step(state, f, dt, *args, **kw):
-    return flow.step(state, f, dt, geo.compute_extrinsic(state), *args, **kw)
+def step(state, f, dt, **kw):
+    return flow.step(state, f, dt, geo.compute_extrinsic(state), **kw)
 
 
 def count_calls(monkeypatch, module, name):
@@ -128,19 +128,11 @@ class TestStableDt:
 
 
 class TestStep:
-    def test_single_euler_step(self, prof_m0):
-        state = unit_sphere_state(prof_m0)
-        new = step(state, cf.from_name("mean", 2), 0.01, "euler")
-        dphi = new.phi.values - state.phi.values
-        want = 0.01 / (2.0 * math.cosh(1.0))
-        assert np.max(np.abs(dphi - want)) < 1e-15
-        assert abs(np.max(dphi) - 0.003240271368319427) < 1e-12
-
     def test_constant_stays_constant(self, prof_m0):
         state = unit_sphere_state(prof_m0)
         f = cf.from_name("mean", 2)
         for _ in range(5):
-            state = step(state, f, 0.01, "rk2")
+            state = step(state, f, 0.01)
         spread = np.max(state.phi.values) - np.min(state.phi.values)
         assert spread <= 1e-13
 
@@ -148,21 +140,18 @@ class TestStep:
         # umbilic closed form: lambda(t) = sinh(1) e^(t/2)
         f = cf.from_name("mean", 2)
 
-        def final_error(dt, integrator):
+        def final_error(dt):
             grid = sp.build_grid("axisymmetric1d", 16)
             state = geo.state_from_radius(grid, prof_m0, np.full(16, 1.0))
             steps = round(1.0 / dt)
             for _ in range(steps):
-                state = step(state, f, dt, integrator)
+                state = step(state, f, dt)
             lam = float(prof_m0.lambda_of_r(state.r.values[0]))
             return abs(lam - math.sinh(1.0) * math.exp(0.5 * state.t))
 
-        orders = {}
-        for integ in ("euler", "rk2"):
-            errs = [final_error(dt, integ) for dt in (4e-3, 2e-3, 1e-3)]
-            orders[integ] = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-        assert all(abs(o - 1.0) <= 0.1 for o in orders["euler"])
-        assert all(abs(o - 2.0) <= 0.1 for o in orders["rk2"])
+        errs = [final_error(dt) for dt in (4e-3, 2e-3, 1e-3)]
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(abs(o - 2.0) <= 0.1 for o in orders)
 
     def test_retry_halving(self, prof_m0, monkeypatch):
         state = unit_sphere_state(prof_m0)
@@ -170,15 +159,15 @@ class TestStep:
         calls = {"n": 0}
         real = flow._advance
 
-        def flaky(s, F, dt, ext, integrator):
+        def flaky(s, F, dt, ext):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise InadmissibleState("synthetic", t=s.t, node=(0,), kappa=None)
-            return real(s, F, dt, ext, integrator)
+            return real(s, F, dt, ext)
 
         monkeypatch.setattr(flow, "_advance", flaky)
         events = []
-        new = step(state, f, 0.01, "rk2", events=events)
+        new = step(state, f, 0.01, events=events)
         assert calls["n"] == 3
         assert len(events) == 2
         assert all(e.kind == "admissibility_violation" for e in events)
@@ -187,12 +176,12 @@ class TestStep:
     def test_retry_exhaustion(self, prof_m0, monkeypatch):
         state = unit_sphere_state(prof_m0)
 
-        def always_bad(s, F, dt, ext, integrator):
+        def always_bad(s, F, dt, ext):
             raise InadmissibleState("synthetic", t=s.t, node=(0,), kappa=None)
 
         monkeypatch.setattr(flow, "_advance", always_bad)
         with pytest.raises(InadmissibleState):
-            step(state, cf.from_name("mean", 2), 0.01, "rk2")
+            step(state, cf.from_name("mean", 2), 0.01)
 
 
 class TestRun:
@@ -357,8 +346,6 @@ class TestRun:
             make_config(cfl=0.9)
         with pytest.raises(ConfigError):
             make_config(t_end=-1.0)
-        with pytest.raises(ConfigError):
-            make_config(integrator="rk7")
 
 
 class TestCheckpoint:
@@ -472,8 +459,9 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         flow.save_checkpoint(state, path)
         doc = json.loads(path.read_text())
-        assert "tol_ode" not in doc["params"]
-        doc["params"]["tol_ode"] = 1e-10     # written by older versions
+        assert set(doc["params"]) == {"m", "n"}
+        doc["params"]["tol_ode"] = 1e-10     # both written by older versions
+        doc["params"]["tol_root"] = 1e-13
         path.write_text(json.dumps(doc, sort_keys=True))
         loaded = flow.load_checkpoint(path, make_config(grid_resolution=32, t_end=2.0))
         assert loaded.t == state.t
