@@ -55,9 +55,19 @@ from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
-from .errors import NegativeMass, NonPositiveDimension, TableExtentError
+from .errors import MassTooSmall, NegativeMass, NonPositiveDimension, TableExtentError
 
 _GL_ORDER = 10
+
+# A small mass has its horizon at lambda = s0 ~ m, where the r nodes lie
+# s0 / 32 apart next to an origin shift that carries a rounding of about
+# 1e-14; their spacing keeps the ODE residual below 1e-9 only for s0 above
+# about 1e-19. Positive masses below machine epsilon are refused.
+M_MIN = float(np.finfo(float).eps)
+
+# horizons below _S0_GRADED get graded u nodes, _GRADE per horizon scale
+_S0_GRADED = 2.0 ** -7
+_GRADE = 64
 
 # The gauge phi resolves radius only to about eps * lambda(r): dr = lambda
 # dPhi, and a gauge value of order one carries a rounding of eps. Extents
@@ -78,6 +88,9 @@ class BackgroundParams:
             raise NonPositiveDimension(f"sphere dimension must be an integer >= 2, got {self.n}")
         if self.m < 0:
             raise NegativeMass(f"mass parameter must be >= 0, got {self.m}")
+        if 0 < self.m < M_MIN:
+            raise MassTooSmall(
+                f"a positive mass must be at least {M_MIN:.3g}, got {self.m}")
 
 
 def _g(s, m, n):
@@ -100,12 +113,17 @@ def solve_horizon(params: BackgroundParams) -> float:
         lo /= 2.0
     if g(lo) == 0.0:
         return lo
-    hi = max(2.0 * lo, 1.0)
+    small = lo < _S0_GRADED
+    hi = 2.0 * lo if small else max(2.0 * lo, 1.0)
     while g(hi) < 0.0:
         hi *= 2.0
     if g(hi) == 0.0:
         return hi
-    return brentq(g, lo, hi, xtol=1e-13, rtol=8 * np.finfo(float).eps)
+    # a small horizon is solved to full relative precision in its factor-2
+    # bracket: the table's H(w) takes g(s0) to be zero, and an absolute
+    # 1e-13 would leave g(s0) ~ 1e-13 / s0
+    xtol = np.finfo(float).eps * lo if small else 1e-13
+    return brentq(g, lo, hi, xtol=xtol, rtol=8 * np.finfo(float).eps)
 
 
 def _h_of_w(w, s0, m, n):
@@ -249,9 +267,28 @@ class WarpProfile:
         return float(np.max(np.abs(d * d - target) / (1.0 + lam * lam)))
 
 
+def _horizon_nodes(s0):
+    """u nodes below 1/4 that resolve the horizon scale sqrt(s0) of small
+    horizons (s0 < 2^-7): uniform with spacing sqrt(s0) / 64 up to
+    sqrt(s0), then geometric with ratio 1 + 1/64 until the spacing reaches
+    the uniform grid's 1/256. They depend on s0 only. Larger horizons get
+    none: the uniform grid resolves them.
+    """
+    if s0 >= _S0_GRADED:
+        return []
+    a = math.sqrt(s0)
+    u = list(a / _GRADE * np.arange(_GRADE))
+    uu = a
+    while uu / _GRADE < 1.0 / 256.0:
+        u.append(uu)
+        uu *= 1.0 + 1.0 / _GRADE
+    return u
+
+
 def _build_u_grid(s0, m, r_max):
     """u nodes covering the requested extent (in horizon-anchored distance,
-    with margin for the asymptotic shift): uniform near the horizon, then
+    with margin for the asymptotic shift): uniform near the horizon (graded
+    there first when the horizon is small, see _horizon_nodes), then
     geometric so the resulting r spacing stays near 0.01.
 
     Also returns the index of the node that anchors the origin shift: the
@@ -266,6 +303,9 @@ def _build_u_grid(s0, m, r_max):
 
     u_max = u_reach(max(r_max, 8.0))
     u = list(np.linspace(0.0, 1.0, 257))
+    near = _horizon_nodes(s0)
+    if near:
+        u = near + [x for x in u if x >= near[-1] + 0.5 / 256.0]
     ratio = math.exp(0.005)
     uu = u[-1]
     while uu < u_max:

@@ -27,7 +27,7 @@ def _perturbed_state(profile, n_theta=128, r0=2.0, amp=0.3):
 
 def check_background_residual():
     worst = 0.0
-    for m in (1.0, 2.0):
+    for m in (1.0, 2.0, 1e-6):
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 10.0)
         worst = max(worst, prof.ode_residual_max())
     return worst <= 1e-9, f"max relative residual {worst:.2e} (bound 1e-9)"

@@ -13,6 +13,11 @@ class NegativeMass(IcflowError):
     """Mass parameter m must be nonnegative."""
 
 
+class MassTooSmall(IcflowError):
+    """A positive mass below M_MIN (machine epsilon), whose horizon the
+    warp table cannot resolve."""
+
+
 class TableExtentError(IcflowError):
     """A radius, warp value or gauge value fell outside the tabulated range,
     or a table extent lies past R_GAUGE_LIMIT (r = 18.3), where the gauge

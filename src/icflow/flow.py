@@ -11,9 +11,13 @@ inverse after every substep.
 
 Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
-F'_max gtilde_max v / (lambda F)^2, so dt ~ cfl h_min^2 (lambda F)^2 and
+F'_max gtilde_max v / (lambda F)^2, so dt ~ cfl d_theta^2 (lambda F)^2 and
 grows geometrically as the surface expands; total work to reach a fixed
-time is small and no nonlinear solves are needed. An admissibility guard
+time is small and no nonlinear solves are needed. On lat-long grids the
+pole rows' azimuthal spacing sin(theta_j) d_psi is far below d_theta;
+the polar filter (sphere.polar_filter) removes from the midpoint and the
+new gauge the azimuthal modes that d_theta does not resolve, so the same
+d_theta bound holds in both grid modes. An admissibility guard
 re-tries a failed step with halved dt up to eight times before giving up,
 so transient excursions toward the cone boundary are handled without
 interpreting them.
@@ -45,7 +49,7 @@ from .geometry import (
     state_from_gauge,
     state_from_radius,
 )
-from .sphere import ScalarField, build_grid
+from .sphere import ScalarField, build_grid, polar_filter
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -142,29 +146,34 @@ def rhs(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData) -> Scala
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
               cfl: float, dt_min: float = 0.0, dt_max: float = math.inf) -> float:
-    """Parabolic stability bound cfl h_min^2 / max(diffusion scale), with
-    ext = compute_extrinsic(state)."""
+    """Parabolic stability bound cfl d_theta^2 / max(diffusion scale), with
+    ext = compute_extrinsic(state). On lat-long grids the polar filter
+    keeps only the azimuthal modes that d_theta resolves."""
     fp = cf.f_grad(F, ext.kappa, ext.sigma_j)
     fval = cf.f_eval(F, ext.kappa, ext.sigma_j)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = ext.v / (ext.lam * fval) ** 2 * np.max(fp, axis=-1)
-    h_min = state.grid.min_spacing()
-    dt = cfl * h_min * h_min / float(np.max(scale))
+    h = state.grid.d_theta
+    dt = cfl * h * h / float(np.max(scale))
     if dt < dt_min:
         raise StepUnderflow(f"stability requires dt={dt:.3e} below dt_min={dt_min:.3e}")
     return min(dt, dt_max)
 
 
 def _advance(state, F, dt, ext):
+    grid = state.grid
+    latlong = grid.mode == "latlong2d"
     k1 = rhs(state, F, ext)
-    mid = state_from_gauge(
-        state.grid, state.profile,
-        state.phi.values + 0.5 * dt * k1.values,
-        state.base_radius, t=state.t + 0.5 * dt,
-    )
+    phi_mid = state.phi.values + 0.5 * dt * k1.values
+    if latlong:
+        phi_mid = polar_filter(grid, phi_mid)
+    mid = state_from_gauge(grid, state.profile, phi_mid,
+                           state.base_radius, t=state.t + 0.5 * dt)
     k2 = rhs(mid, F, compute_extrinsic(mid))
     phi_new = state.phi.values + dt * k2.values
-    return state_from_gauge(state.grid, state.profile, phi_new,
+    if latlong:
+        phi_new = polar_filter(grid, phi_new)
+    return state_from_gauge(grid, state.profile, phi_new,
                             state.base_radius, t=state.t + dt)
 
 

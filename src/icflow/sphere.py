@@ -10,11 +10,20 @@ f(theta, psi + pi), so ghost rows are mirrored (and rolled by half a
 period in 2D). The mixed Hessian component that divides by sin^2(theta)
 is replaced by its limit d^2f/dtheta^2 at the two rows adjacent to the
 poles, which is second-order consistent for smooth fields.
+
+Near the poles the lat-long rows crowd together: row j has azimuthal
+spacing sin(theta_j) d_psi, far below d_theta. A polar Fourier filter
+(as in global grid-point models) zeroes on each row the azimuthal modes
+k whose psi-Laplacian eigenvalue 4 sin^2(k d_psi / 2) / (sin(theta_j)
+d_psi)^2 exceeds the theta one, 4 / d_theta^2, so an explicit step sized
+by d_theta alone stays stable on both grids. Since d_psi <= d_theta,
+every row drops at least its Nyquist mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -32,9 +41,10 @@ def _frozen(a):
 class SphereGrid:
     """Node layout plus the per-node trigonometry every stencil reads:
     sin theta and cos theta (broadcastable to field_shape), the round
-    metric components sigma (field_shape + (2, 2)) and a zero field that
-    stands for the psi components of axisymmetric tensors, computed once
-    per grid and read-only."""
+    metric components sigma (field_shape + (2, 2)), a zero field that
+    stands for the psi components of axisymmetric tensors and, on lat-long
+    grids, the polar filter's keep-mask over (row, azimuthal mode k),
+    computed once per grid and read-only."""
 
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
@@ -48,6 +58,7 @@ class SphereGrid:
     cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
     sigma: np.ndarray = field(init=False, repr=False, compare=False)
     zeros: np.ndarray = field(init=False, repr=False, compare=False)
+    keep: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, c = np.sin(self.theta), np.cos(self.theta)
@@ -58,18 +69,20 @@ class SphereGrid:
         sig[..., 1, 1] = s ** 2
         self.sin_theta, self.cos_theta, self.sigma = _frozen(s), _frozen(c), _frozen(sig)
         self.zeros = _frozen(np.zeros(self.field_shape))
+        if self.mode != "axisymmetric1d":
+            # a mode on the threshold (k = 2j + 1 when d_psi = d_theta) is
+            # kept whatever the rounding, and the rows j and n_theta - 1 - j
+            # keep the same modes
+            k = np.arange(self.n_psi // 2 + 1)
+            keep = (np.sin(0.5 * k * self.d_psi)
+                    <= s * (self.d_psi / self.d_theta) * (1.0 + 1e-12))
+            self.keep = _frozen(keep | keep[::-1])
 
     @property
     def field_shape(self):
         if self.mode == "axisymmetric1d":
             return (self.n_theta,)
         return (self.n_theta, self.n_psi)
-
-    def min_spacing(self) -> float:
-        """Smallest geodesic distance between adjacent nodes."""
-        if self.mode == "axisymmetric1d":
-            return self.d_theta
-        return min(self.d_theta, float(np.sin(self.theta[0])) * self.d_psi)
 
 
 @dataclass
@@ -112,6 +125,13 @@ def build_grid(mode: str, resolution) -> SphereGrid:
         psi = (np.arange(n_psi) + 0.5) * hp
         return SphereGrid(mode, n_theta, n_psi, theta, psi, h, hp)
     raise ValueError(f"unknown grid mode {mode!r}")
+
+
+def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """values (lat-long field shape) with the azimuthal modes that
+    grid.keep drops zeroed on every row."""
+    modes = np.fft.rfft(values, axis=1)
+    return np.fft.irfft(modes * grid.keep, n=grid.n_psi, axis=1)
 
 
 # -- stencils --------------------------------------------------------------

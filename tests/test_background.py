@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
 from icflow import background as bg
-from icflow.errors import NegativeMass, NonPositiveDimension, TableExtentError
+from icflow.errors import MassTooSmall, NegativeMass, NonPositiveDimension, TableExtentError
 
 
 def bisect_horizon(m, n, tol=1e-12):
@@ -54,6 +55,17 @@ class TestHorizon:
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
             bg.BackgroundParams(m=-0.5, n=2)
+
+    @pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-17])
+    def test_mass_below_minimum(self, m):
+        with pytest.raises(MassTooSmall):
+            bg.BackgroundParams(m=m, n=2)
+
+    @pytest.mark.parametrize("m", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_small_horizon_to_full_precision(self, m):
+        # s0 (1 + s0^2) = m, the root relation for n = 2
+        s0 = bg.solve_horizon(bg.BackgroundParams(m=m, n=2))
+        assert abs(s0 * (1.0 + s0 * s0) / m - 1.0) <= 4 * np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +172,23 @@ class TestWarpProfile:
         assert np.max(np.abs(prof.lambda_of_r(r) / lam_ref(r) - 1.0)) <= 4e-15
         assert np.max(np.abs(prof.gauge_primitive(r) - phi_ref(r))) <= 4e-15
 
-    @pytest.mark.parametrize("m", [1.0, 2.0])
+    @pytest.mark.parametrize("m", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_small_mass(self, m):
+        # the u nodes are graded on the horizon scale sqrt(s0), so small
+        # horizons are resolved: the ODE holds on the table, and lambda(1)
+        # matches an ODE solve inward from the asymptotic value at r = 8
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 9.3)
+        assert prof.ode_residual_max() <= 1e-9
+        s8 = math.sinh(8.0)
+        ref = solve_ivp(lambda r, y: np.sqrt(1.0 + y * y - m / y), (8.0, 1.0),
+                        [s8 + m / (6.0 * s8 * s8)], method="DOP853", rtol=1e-13, atol=1e-14)
+        assert abs(float(prof.lambda_of_r(1.0)) - ref.y[0, -1]) <= 1e-12
+
+    def test_smallest_mass(self):
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=bg.M_MIN, n=2), 9.3)
+        assert prof.ode_residual_max() <= 1e-9
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 1e-6])
     def test_table_independent_of_extent(self, m):
         # the origin shift is anchored at a fixed node, so tables of
         # different extent agree bit for bit on common radii

@@ -267,6 +267,11 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "[background] m" in capsys.readouterr().err
 
+    def test_mass_below_minimum_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.ini", m="5e-324")
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "positive mass must be at least" in capsys.readouterr().err
+
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_beyond_table_range_exit_2(self, tmp_path, capsys, m):
         p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 800")

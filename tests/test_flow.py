@@ -121,6 +121,20 @@ class TestStableDt:
             dts.append(stable_dt(state, f, cfl=0.2, dt_max=np.inf))
         assert abs(dts[0] / dts[1] - 4.0) < 1e-12
 
+    def test_latlong_dt_quarters_per_doubling(self):
+        # the polar filter lets d_theta set the step on lat-long grids too,
+        # so dt ~ N^-2 and not the pole row's N^-4; A3 data, sigma_2 root
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 5.0)
+        f = cf.from_name("sigma2root", 2)
+        dts = []
+        for n in (16, 32, 64):
+            grid = sp.build_grid("latlong2d", (n, 2 * n))
+            r = np.repeat((2.0 + 0.3 * np.cos(grid.theta))[:, None], 2 * n, axis=1)
+            dts.append(stable_dt(geo.state_from_radius(grid, prof, r), f, cfl=0.2,
+                                 dt_max=np.inf))
+        for coarse, fine in zip(dts, dts[1:]):
+            assert abs(coarse / fine - 4.0) <= 0.5
+
     def test_underflow(self, prof_m0):
         state = unit_sphere_state(prof_m0)
         with pytest.raises(StepUnderflow):
@@ -284,6 +298,19 @@ class TestRun:
         var = np.max(final.phi.values, axis=1) - np.min(final.phi.values, axis=1)
         assert np.max(var) <= 1e-10
 
+    def test_latlong_matches_1d_on_axisymmetric_data(self):
+        # both grids step with the same d_theta-bound dt, and the filter
+        # keeps each row constant along psi, so they agree to rounding
+        kw = dict(background=bg.BackgroundParams(m=1.0, n=2),
+                  initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                           amplitude=0.3, wavenumber=1),
+                  f=cf.from_name("sigma2root", 2), t_end=0.2, output_every=0.1)
+        one_d, _, _ = flow.run(make_config(grid_resolution=24, **kw))
+        two_d, _, _ = flow.run(make_config(grid_mode="latlong2d",
+                                           grid_resolution=(24, 48), **kw))
+        assert np.max(np.ptp(two_d.r.values, axis=1)) <= 1e-14
+        assert np.max(np.abs(two_d.r.values - one_d.r.values[:, None])) <= 1e-12
+
     def test_pinching_and_gradient_monotone(self):
         cfg = make_config(
             background=bg.BackgroundParams(m=1.0, n=2),
@@ -386,6 +413,33 @@ class TestCheckpoint:
             ref = match[0]
             assert rec.r_tilde_max == ref.r_tilde_max
             assert rec.sup_grad_phi_sq == ref.sup_grad_phi_sq
+
+    def test_latlong_resume_matches_uninterrupted(self, tmp_path):
+        # non-axisymmetric data on a 16 x 32 grid: the checkpoint holds the
+        # filtered gauge, so the resumed run repeats the full one bit for bit
+        cfg_full = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_mode="latlong2d", grid_resolution=(16, 32),
+            initial=flow.InitialData(kind="constant", r0=2.0),
+            t_end=0.4, dt_max=1e-2,
+        )
+        grid = sp.build_grid("latlong2d", (16, 32))
+        th, ps = grid.theta[:, None], grid.psi[None, :]
+        r0 = 2.0 + 0.2 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ps)
+        prof = bg.build_warp_profile(cfg_full.background, 5.0)
+        full, series_full, _ = flow.run(cfg_full,
+                                        initial_state=geo.state_from_radius(grid, prof, r0))
+        mid, _, _ = flow.run(replace(cfg_full, t_end=0.2),
+                             initial_state=geo.state_from_radius(grid, prof, r0))
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(mid, path)
+        resumed, series_res, _ = flow.run(cfg_full,
+                                          initial_state=flow.load_checkpoint(path, cfg_full))
+        assert np.array_equal(resumed.phi.values, full.phi.values)
+        assert np.array_equal(resumed.r.values, full.r.values)
+        for rec in series_res.records:
+            ref = next(r for r in series_full.records if r.t == rec.t)
+            assert (rec.sup_hess_phi, rec.F_max) == (ref.sup_hess_phi, ref.F_max)
 
     def test_run_independent_of_table_extent(self):
         # a resumed run may load onto a table of another extent than the

@@ -202,3 +202,43 @@ class TestLatLong:
         gr = sp.grad_components(sp.ScalarField(g, v))
         want_th = np.cos(g.theta)[:, None] * np.sin(g.psi)[None, :]
         assert np.max(np.abs(gr[..., 0] - want_th)) < 6.0 * g.d_theta ** 2
+
+
+class TestPolarFilter:
+    @pytest.mark.parametrize("shape", [(24, 48), (16, 40), (21, 84)])
+    def test_kept_modes_unchanged_dropped_zeroed(self, shape):
+        g = sp.build_grid("latlong2d", shape)
+        v = np.random.default_rng(3).uniform(-1.0, 1.0, g.field_shape)
+        before = np.fft.rfft(v, axis=1) / g.n_psi
+        after = np.fft.rfft(sp.polar_filter(g, v), axis=1) / g.n_psi
+        assert np.max(np.abs(after - before)[g.keep]) <= 1e-15
+        assert np.max(np.abs(after)[~g.keep]) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(24, 48), (16, 40), (21, 84)])
+    def test_constant_along_psi_stays_constant(self, shape):
+        g = sp.build_grid("latlong2d", shape)
+        v = np.repeat((2.0 + np.cos(3 * g.theta))[:, None], g.n_psi, axis=1)
+        out = sp.polar_filter(g, v)
+        assert np.max(np.ptp(out, axis=1)) <= 4 * np.finfo(float).eps * np.max(v)
+        assert np.max(np.abs(out - v)) <= 4 * np.finfo(float).eps * np.max(v)
+
+    def test_keep_mask_on_square_cells(self):
+        # with d_psi = d_theta, sin(k d_psi / 2) <= sin(theta_j) holds
+        # exactly for k <= 2 j + 1 on the northern rows; the southern rows
+        # mirror them, and the threshold modes k = 2 j + 1 stay
+        g = sp.build_grid("latlong2d", (24, 48))
+        k = np.arange(25)
+        north = k[None, :] <= 2 * np.arange(12)[:, None] + 1
+        assert np.array_equal(g.keep, np.concatenate([north, north[::-1]]))
+        assert not g.keep.flags.writeable
+        assert sp.build_grid("axisymmetric1d", 24).keep is None
+
+    def test_kept_modes_resolved_by_d_theta(self):
+        # every kept mode's psi-Laplacian eigenvalue is at most 4 / d_theta^2
+        # (up to rounding), every dropped one above it
+        g = sp.build_grid("latlong2d", (20, 56))
+        k = np.arange(29)[None, :]
+        s = np.sin(g.theta)[:, None]
+        ratio = (np.sin(0.5 * k * g.d_psi) / (s * g.d_psi)) ** 2 * g.d_theta ** 2
+        assert np.all(ratio[g.keep] <= 1.0 + 1e-12)
+        assert np.all(ratio[~g.keep] > 1.0)
