@@ -37,11 +37,20 @@ with g(s) = 1 + s^2 - m s^(1-n).  H is evaluated through a cancellation
 free closed form (the power difference is expanded as a finite sum), so
 the integrand is smooth all the way to u = 0.
 
-The same pass tabulates the radial gauge primitive
+The same pass tabulates the radial gauge, anchored at infinity,
 
-    Phi(r) = integral_0^r ds / lambda(s),
+    phi(r) = -psi(r),    psi(r) = integral_r^infinity ds / lambda(s),
 
-whose inverse converts the evolving gauge field back to a radius.
+whose inverse converts the evolving gauge field back to a radius. psi is
+about 2 e^(-r), so a double holds it to relative precision and r resolves
+to about eps at any radius. In the massless limit
+psi = 2 artanh(e^(-r)) = -log tanh(r/2), which is its own inverse. For
+m > 0, psi at and above the node that anchors the origin shift comes from
+the same asymptotic form of lambda,
+
+    psi = 2 artanh(e^(-r)) - a 2^(n+2) e^(-(n+2) r) / (n + 2),    a = m / (2 (n + 1)),
+
+and below it from the quadrature increments summed downward.
 """
 
 from __future__ import annotations
@@ -69,11 +78,11 @@ M_MIN = float(np.finfo(float).eps)
 _S0_GRADED = 2.0 ** -7
 _GRADE = 64
 
-# The gauge phi resolves radius only to about eps * lambda(r): dr = lambda
-# dPhi, and a gauge value of order one carries a rounding of eps. Extents
-# are limited to where that radius error stays below 1e-8:
-# eps * sinh(r_max) <= 1e-8, so r_max <= 18.3.
-R_GAUGE_LIMIT = math.asinh(1e-8 / np.finfo(float).eps)
+# The largest table extent. The gauge resolves radius at any r, but the
+# quintic r(phi) coefficients divide by the fifth power of the phi node
+# spacing, about 0.02 e^(-r), which underflows near r = 143 (the
+# coefficients overflow to inf); tables up to r = 140 stay finite.
+R_TABLE_LIMIT = 140.0
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,10 @@ def _h_of_w(w, s0, m, n):
 class WarpProfile:
     """Tabulated warp factor lambda(r) with closed-form derivative accessors.
 
-    Immutable after construction, apart from a one-entry memo of the gauge
-    offset Phi(c); all accessors are pure and accept scalars or arrays.
-    Requests outside [0, r_max] (or the matching lambda / gauge ranges)
-    raise TableExtentError; the range tests let slivers of about 1e-12
-    through, across which each table extends its end piece.
+    Immutable after construction; all accessors are pure and accept
+    scalars or arrays. Requests outside [0, r_max] (or the matching lambda /
+    gauge ranges) raise TableExtentError; the range tests let slivers of
+    about 1e-12 through, across which each table extends its end piece.
     """
 
     params: BackgroundParams
@@ -158,13 +166,12 @@ class WarpProfile:
     table_r: np.ndarray
     table_lam: np.ndarray
     _lam_of_r: Optional[PPoly] = field(default=None, repr=False)
-    _phihat_of_r: Optional[PPoly] = field(default=None, repr=False)
-    _r_of_phihat: Optional[PPoly] = field(default=None, repr=False)
+    _phi_of_r: Optional[PPoly] = field(default=None, repr=False)
+    _r_of_phi: Optional[PPoly] = field(default=None, repr=False)
     _r_of_u: Optional[PPoly] = field(default=None, repr=False)
-    _phihat_lo: float = 0.0
-    _phihat_hi: float = 0.0
+    _phi_lo: float = 0.0
+    _phi_hi: float = 0.0
     lam_max: float = 0.0
-    _offset: tuple = field(default=(None, 0.0), repr=False, compare=False)
 
     # -- warp factor and derivatives -------------------------------------
 
@@ -207,41 +214,29 @@ class WarpProfile:
 
     # -- radial gauge -----------------------------------------------------
 
-    def gauge_primitive(self, r):
-        """Antiderivative of 1/lambda anchored at the horizon (m > 0) or built
-        from the closed hyperbolic form log tanh(r/2) (m = 0)."""
+    def gauge_from_radius(self, r):
+        """phi = -integral_r^infinity ds/lambda(s)."""
         r = self._check_r(r)
         if self.params.m == 0.0:
             if (r <= 0.0).any():
-                raise TableExtentError("gauge primitive requires r > 0 in the massless limit")
-            return np.log(np.tanh(r / 2.0))
-        return self._phihat_of_r(r)
+                raise TableExtentError("gauge requires r > 0 in the massless limit")
+            return -2.0 * np.arctanh(np.exp(-r))
+        return self._phi_of_r(r)
 
-    def _gauge_offset(self, c: float) -> float:
-        """Phi(c), kept for the last base radius asked for: a run reads it
-        for one c on every substep."""
-        if self._offset[0] != c:
-            self._offset = (c, float(self.gauge_primitive(c)))
-        return self._offset[1]
-
-    def gauge_from_radius(self, r, c: float):
-        """phi = integral_c^r ds/lambda(s)."""
-        return self.gauge_primitive(r) - self._gauge_offset(c)
-
-    def radius_from_gauge(self, phi, c: float):
-        """Inverse of gauge_from_radius at fixed base radius c."""
+    def radius_from_gauge(self, phi):
+        """Inverse of gauge_from_radius."""
         phi = np.asarray(phi, dtype=float)
-        y = phi + self._gauge_offset(c)
         if self.params.m == 0.0:
-            if (y >= 0.0).any():
+            if (phi >= 0.0).any():
                 raise TableExtentError("gauge value outside range (massless limit)")
-            r = 2.0 * np.arctanh(np.exp(y))
+            r = -np.log(np.tanh(-0.5 * phi))
             if (r > self.r_max * (1 + 1e-14)).any():
                 raise TableExtentError("gauge value maps beyond r_max")
             return r
-        if (y < self._phihat_lo - 1e-12).any() or (y > self._phihat_hi + 1e-12).any():
+        # phi_hi is about -2 e^(-r_max): its sliver is relative
+        if (phi < self._phi_lo - 1e-12).any() or (phi > self._phi_hi * (1 - 1e-12)).any():
             raise TableExtentError("gauge value outside tabulated range")
-        return self._r_of_phihat(y)
+        return self._r_of_phi(phi)
 
     # -- self checks ------------------------------------------------------
 
@@ -340,17 +335,16 @@ def _hermite(x, f, *derivs):
 
 
 def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
-    """Tabulate lambda(r) and the gauge primitive on [r_horizon, r_max].
+    """Tabulate lambda(r) and the gauge on [r_horizon, r_max].
 
     For m = 0 everything is closed form and the stored table is a sampled
-    view for inspection only. An extent past the gauge resolution limit
-    (r = 18.3, see R_GAUGE_LIMIT) raises TableExtentError before any node
-    is built.
+    view for inspection only. An extent past R_TABLE_LIMIT (r = 140)
+    raises TableExtentError before any node is built.
     """
-    if not 0 < r_max <= R_GAUGE_LIMIT:
+    if not 0 < r_max <= R_TABLE_LIMIT:
         raise TableExtentError(
-            f"r_max must lie in (0, {R_GAUGE_LIMIT:.1f}], where the gauge resolves "
-            f"radius to 1e-8; got {r_max}")
+            f"r_max must lie in (0, {R_TABLE_LIMIT:g}], where the warp tables stay "
+            f"finite; got {r_max}")
     m, n = params.m, params.n
     if m == 0.0:
         table_r = np.linspace(0.0, r_max, 513)
@@ -374,36 +368,43 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     dphi = np.sum(G / lam_pts * wq[None, :], axis=1) * half
 
     r_nodes = np.concatenate([[0.0], np.cumsum(dr)])
-    phihat = np.concatenate([[0.0], np.cumsum(dphi)])
     lam_nodes = s0 + u * u
 
     # fix the radial origin by the large-r asymptotics lambda ~ sinh(r) at
     # the anchor node: rho = asinh(lambda_anchor) solves the leading order,
     # and the first correction term is stripped before reading off the shift
+    a = m / (2.0 * (n + 1.0))
     rho = math.asinh(lam_nodes[anchor])
-    shift = rho - r_nodes[anchor] - (m / (2.0 * (n + 1.0))) * math.sinh(rho) ** (-n) / math.cosh(rho)
+    shift = rho - r_nodes[anchor] - a * math.sinh(rho) ** (-n) / math.cosh(rho)
     r_nodes = r_nodes + shift
+
+    # psi from the same asymptotic form at and above the anchor, and by the
+    # quadrature increments summed downward from it below
+    far = r_nodes[anchor:]
+    psi_far = 2.0 * np.arctanh(np.exp(-far)) - a * 2.0 ** (n + 2) * np.exp(-(n + 2) * far) / (n + 2)
+    psi_near = np.cumsum(np.concatenate([[psi_far[0]], dphi[anchor - 1::-1]]))[:0:-1]
+    phi = -np.concatenate([psi_near, psi_far])
 
     keep = np.searchsorted(r_nodes, r_max)
     keep = min(keep + 1, len(r_nodes) - 1)
     r_nodes = r_nodes[: keep + 1]
-    phihat = phihat[: keep + 1]
+    phi = phi[: keep + 1]
     lam_nodes = lam_nodes[: keep + 1]
     u = u[: keep + 1]
 
-    lam_p = np.sqrt(np.maximum(1.0 + lam_nodes ** 2 - m * lam_nodes ** (1 - n), 0.0))
-    lam_pp = lam_nodes + 0.5 * m * (n - 1) * lam_nodes ** (-n)
     Gn = 2.0 / np.sqrt(_h_of_w(u * u, s0, m, n))
+    lam_p = 2.0 * u / Gn                         # dlambda/du / dr/du
+    lam_pp = lam_nodes + 0.5 * m * (n - 1) * lam_nodes ** (-n)
 
     prof = WarpProfile(
         params=params, r_max=float(r_nodes[-1]), s0=float(s0),
         r_horizon=float(r_nodes[0]),
         table_r=r_nodes, table_lam=lam_nodes,
         _lam_of_r=_hermite(r_nodes, lam_nodes, lam_p, lam_pp),
-        _phihat_of_r=_hermite(r_nodes, phihat, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2),
-        _r_of_phihat=_hermite(phihat, r_nodes, lam_nodes, lam_nodes * lam_p),
+        _phi_of_r=_hermite(r_nodes, phi, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2),
+        _r_of_phi=_hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p),
         _r_of_u=_hermite(u, r_nodes, Gn),
-        _phihat_lo=float(phihat[0]), _phihat_hi=float(phihat[-1]),
+        _phi_lo=float(phi[0]), _phi_hi=float(phi[-1]),
         lam_max=float(lam_nodes[-1]),
     )
     return prof

@@ -30,7 +30,7 @@ def check_background_residual():
     for m in (1.0, 2.0, 1e-6):
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 10.0)
         worst = max(worst, prof.ode_residual_max())
-    return worst <= 1e-9, f"max relative residual {worst:.2e} (bound 1e-9)"
+    return worst <= 1e-10, f"max relative residual {worst:.2e} (bound 1e-10)"
 
 
 def check_background_hyperbolic():

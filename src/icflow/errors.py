@@ -20,8 +20,8 @@ class MassTooSmall(IcflowError):
 
 class TableExtentError(IcflowError):
     """A radius, warp value or gauge value fell outside the tabulated range,
-    or a table extent lies past R_GAUGE_LIMIT (r = 18.3), where the gauge
-    no longer resolves radius. Values are never silently extrapolated.
+    or a table extent lies past R_TABLE_LIMIT (r = 140), where the warp
+    tables stop being finite. Values are never silently extrapolated.
     """
 
 

@@ -6,8 +6,9 @@ The scalar form evolved here is
 
 equal by 1-homogeneity to v / (lambda F(h^i_j)); both are computed each
 step and must agree to rounding, which cross-checks the scaling path.
-The radius field is refreshed from phi through the tabulated gauge
-inverse after every substep.
+The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
+so it resolves radius at any r; the radius field is refreshed from phi
+through the tabulated gauge inverse after every substep.
 
 Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
@@ -34,13 +35,12 @@ import numpy as np
 
 from . import curvature as cf
 from . import diagnostics as dg
-from .background import R_GAUGE_LIMIT, BackgroundParams, build_warp_profile
+from .background import BackgroundParams, build_warp_profile
 from .errors import (
     ConfigError,
     FlowError,
     InadmissibleState,
     StepUnderflow,
-    TableExtentError,
 )
 from .geometry import (
     ExtrinsicData,
@@ -51,7 +51,7 @@ from .geometry import (
 )
 from .sphere import ScalarField, build_grid, polar_filter
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,12 @@ def _advance(state, F, dt, ext):
     phi_mid = state.phi.values + 0.5 * dt * k1.values
     if latlong:
         phi_mid = polar_filter(grid, phi_mid)
-    mid = state_from_gauge(grid, state.profile, phi_mid,
-                           state.base_radius, t=state.t + 0.5 * dt)
+    mid = state_from_gauge(grid, state.profile, phi_mid, t=state.t + 0.5 * dt)
     k2 = rhs(mid, F, compute_extrinsic(mid))
     phi_new = state.phi.values + dt * k2.values
     if latlong:
         phi_new = polar_filter(grid, phi_new)
-    return state_from_gauge(grid, state.profile, phi_new,
-                            state.base_radius, t=state.t + dt)
+    return state_from_gauge(grid, state.profile, phi_new, t=state.t + dt)
 
 
 def _offender(exc: InadmissibleState) -> dict:
@@ -295,7 +293,7 @@ def save_checkpoint(state: GraphState, path) -> None:
             "n_theta": grid.n_theta,
             "n_psi": grid.n_psi,
         },
-        "base_radius": state.base_radius,
+        "r_max": float(np.max(state.r.values)),
         "phi": [float(x) for x in state.phi.values.ravel()],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -322,23 +320,11 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
             raise ConfigError("checkpoint grid resolution does not match the configuration")
         phi = np.asarray(doc["phi"], dtype=float).reshape(grid.field_shape)
         t = float(doc["t"])
-        base = float(doc["base_radius"])
+        r_max = float(doc["r_max"])
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}") from None
-    # size the table as the uninterrupted run does; grow it only when the
-    # checkpointed radii or the remaining flow time fall outside it, by
-    # doubling up to the largest table, and fail past that
-    extent = _table_extent(config, config.initial.radius_on(grid), 0.0)
-    while True:
-        profile = build_warp_profile(config.background, extent)
-        try:
-            r_now = profile.radius_from_gauge(phi, base)
-            break
-        except TableExtentError:
-            if extent >= R_GAUGE_LIMIT:
-                raise
-            extent = min(2.0 * extent, R_GAUGE_LIMIT)
-    r_max = _table_extent(config, r_now, t)
-    if r_max > profile.r_max:
-        profile = build_warp_profile(config.background, r_max)
-    return state_from_gauge(grid, profile, phi, base, t=t)
+    # one table, at least the uninterrupted run's own, and long enough for
+    # the checkpointed radii and the remaining flow time
+    extent = max(_table_extent(config, config.initial.radius_on(grid), 0.0),
+                 _table_extent(config, r_max, t))
+    return state_from_gauge(grid, build_warp_profile(config.background, extent), phi, t=t)

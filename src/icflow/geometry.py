@@ -1,7 +1,8 @@
 """Extrinsic geometry of star-shaped graphs over the sphere.
 
 A hypersurface is the graph {(r(theta), theta)} in the warped background.
-The radial gauge phi = integral_c^r ds/lambda flattens the metric so that
+The radial gauge phi = -integral_r^infinity ds/lambda, anchored at
+infinity so that it resolves radius at any r, flattens the metric so that
 the induced metric, tilt factor and shape operator take the algebraic
 forms
 
@@ -55,27 +56,23 @@ class GraphState:
     phi: ScalarField
     r: ScalarField
     profile: WarpProfile
-    base_radius: float
 
 
-def state_from_radius(grid, profile, r_values, t=0.0, base_radius=None) -> GraphState:
+def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
     r_values = np.asarray(r_values, dtype=float)
-    if base_radius is None:
-        base_radius = float(np.min(r_values))
-    phi = profile.gauge_from_radius(r_values, base_radius)
+    phi = profile.gauge_from_radius(r_values)
     return GraphState(
         t=float(t), grid=grid,
         phi=ScalarField(grid, phi, t=t),
         r=ScalarField(grid, r_values, t=t),
-        profile=profile, base_radius=float(base_radius),
+        profile=profile,
     )
 
 
-def state_from_gauge(grid, profile, phi_values, base_radius, t=0.0) -> GraphState:
+def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
     phi = ScalarField(grid, np.asarray(phi_values, dtype=float), t=t)
-    r = ScalarField(grid, profile.radius_from_gauge(phi.values, base_radius), t=t)
-    return GraphState(t=float(t), grid=grid, phi=phi, r=r,
-                      profile=profile, base_radius=float(base_radius))
+    r = ScalarField(grid, profile.radius_from_gauge(phi.values), t=t)
+    return GraphState(t=float(t), grid=grid, phi=phi, r=r, profile=profile)
 
 
 @dataclass

@@ -355,3 +355,56 @@ def test_A10_filter_keeps_the_rates():
     verdict("A10 rates with and without the filter", ok,
             f"16x32 slopes {', '.join(f'{s:+.4f}' for s in slopes)}, largest gap to "
             f"the unfiltered run {max(gaps):.1e} (<=2e-3)")
+
+
+def far_run(r0, n_theta, dt_max, t_end, window):
+    """A run past r = 18.3, where a gauge anchored at a finite base radius
+    stopped resolving radius: m = 1, r = r0 + 0.3 cos(theta), mean
+    curvature. Returns the events, the report and the drift rate of
+    r - t/n over the second half of the run."""
+    cfg = flow.FlowConfig(
+        background=bg.BackgroundParams(m=1.0, n=2),
+        grid_mode="axisymmetric1d",
+        grid_resolution=n_theta,
+        initial=flow.InitialData(kind="cosine_perturbation", r0=r0,
+                                 amplitude=0.3, wavenumber=1),
+        f=cf.from_name("mean", 2),
+        t_end=t_end,
+        dt_max=dt_max,
+    )
+    _, series, events = flow.run(cfg)
+    rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig(window=window))
+    late = series.times >= 0.5 * t_end
+    r_tilde = [float(np.mean(r)) - t / 2.0 for r, t in zip(series.radii, series.times)]
+    drift = float(np.polyfit(series.times[late], np.array(r_tilde)[late], 1)[0])
+    return events, rep, drift
+
+
+def far_verdict(name, events, rep, drift, t_end, dt):
+    # every check but the drift envelope passes; that one sees rk2's
+    # truncation error, (mu dt)^3 / 6 per step with mu = 1/n, which makes
+    # r - t/n fall at mu^3 dt^2 / 6 per unit time
+    checks = {k: v for k, v in rep.items() if k.endswith("_pass") and k != "overall_pass"}
+    failed = sorted(k for k, v in checks.items() if not v)
+    rates = all(r["pass"] for r in rep["rates"])
+    predicted = -(0.5 ** 3) * dt * dt / 6.0
+    reached = events[-1].kind == "completed" and events[-1].t == t_end
+    ok = (reached and rates and not rep["insufficient"]
+          and set(failed) <= {"drift_envelope_pass"}
+          and abs(drift / predicted - 1.0) <= 0.05)
+    verdict(name, ok,
+            f"reached t_end {reached}, rates pass {rates}, failed checks {failed} "
+            f"(only drift_envelope_pass allowed), drift of r - t/n {drift:.3e}/unit t "
+            f"against rk2 truncation {predicted:.3e} (within 5%)")
+
+
+def test_A11_long_run_past_the_old_gauge_limit():
+    # A3's data to t_end = 40: the table extent is 24.3
+    events, rep, drift = far_run(2.0, 64, 1e-2, 40.0, (4.0, 36.0))
+    far_verdict("A11 long run past r = 18.3", events, rep, drift, 40.0, 1e-2)
+
+
+def test_A12_far_start_past_the_old_gauge_limit():
+    # A3's data moved out to r0 = 12, to t_end = 20: the extent is 24.3
+    events, rep, drift = far_run(12.0, 32, 1e-3, 20.0, None)
+    far_verdict("A12 far start past r = 18.3", events, rep, drift, 20.0, 1e-3)

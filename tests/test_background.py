@@ -143,7 +143,7 @@ class TestWarpProfile:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_extent_beyond_double_range(self, m):
-        # far past the gauge limit, where lambda^2 (and math.sinh of the
+        # far past the table limit, where lambda^2 (and math.sinh of the
         # m > 0 node grid) would overflow
         with pytest.raises(TableExtentError):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=802.15)
@@ -153,24 +153,31 @@ class TestWarpProfile:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_extent_just_past_gauge_limit(self, m):
-        limit = bg.R_GAUGE_LIMIT
-        assert 18.3 < limit < 18.4
+        # the largest table still builds, finite; one ulp past it is refused
+        limit = bg.R_TABLE_LIMIT
+        assert limit == 140.0
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), limit)
+        if m:
+            assert all(np.isfinite(pp.c).all() for pp in
+                       (prof._lam_of_r, prof._phi_of_r, prof._r_of_phi, prof._r_of_u))
         with pytest.raises(TableExtentError, match="r_max"):
-            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 20.0))
+            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 150.0))
 
     @pytest.mark.parametrize("which", ["m1", "m2"])
     def test_matches_bpoly_reference(self, which, prof_m1, prof_m2):
-        # the same Hermite interpolants built by scipy's Bernstein form
+        # the same Hermite interpolants built by scipy's Bernstein form,
+        # from the table's own node values and derivatives
         prof = {"m1": prof_m1, "m2": prof_m2}[which]
         x, lam = prof.table_r, prof.table_lam
-        _, lam_p, lam_pp = bg.warp_derivatives(prof, x)
-        phihat = prof.gauge_primitive(x)
+        lam_p = prof._lam_of_r.derivative()(x)
+        lam_pp = prof.lambda_pp_of_lambda(lam)
+        phi = prof.gauge_from_radius(x)
         lam_ref = BPoly.from_derivatives(x, np.stack([lam, lam_p, lam_pp], axis=1))
         phi_ref = BPoly.from_derivatives(
-            x, np.stack([phihat, 1.0 / lam, -lam_p / lam ** 2], axis=1))
+            x, np.stack([phi, 1.0 / lam, -lam_p / lam ** 2], axis=1))
         r = np.linspace(prof.r_horizon, prof.r_max, 20011)
         assert np.max(np.abs(prof.lambda_of_r(r) / lam_ref(r) - 1.0)) <= 4e-15
-        assert np.max(np.abs(prof.gauge_primitive(r) - phi_ref(r))) <= 4e-15
+        assert np.max(np.abs(prof.gauge_from_radius(r) - phi_ref(r))) <= 4e-15
 
     @pytest.mark.parametrize("m", [1e-12, 1e-9, 1e-6, 1e-3])
     def test_small_mass(self, m):
@@ -178,7 +185,7 @@ class TestWarpProfile:
         # horizons are resolved: the ODE holds on the table, and lambda(1)
         # matches an ODE solve inward from the asymptotic value at r = 8
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 9.3)
-        assert prof.ode_residual_max() <= 1e-9
+        assert prof.ode_residual_max() <= 1e-10
         s8 = math.sinh(8.0)
         ref = solve_ivp(lambda r, y: np.sqrt(1.0 + y * y - m / y), (8.0, 1.0),
                         [s8 + m / (6.0 * s8 * s8)], method="DOP853", rtol=1e-13, atol=1e-14)
@@ -186,7 +193,7 @@ class TestWarpProfile:
 
     def test_smallest_mass(self):
         prof = bg.build_warp_profile(bg.BackgroundParams(m=bg.M_MIN, n=2), 9.3)
-        assert prof.ode_residual_max() <= 1e-9
+        assert prof.ode_residual_max() <= 1e-10
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 1e-6])
     def test_table_independent_of_extent(self, m):
@@ -196,10 +203,10 @@ class TestWarpProfile:
         profs = [bg.build_warp_profile(params, r_max) for r_max in (5.0, 9.3, 11.0)]
         r = np.linspace(profs[0].r_horizon, 5.0, 1001)
         lam = profs[0].lambda_of_r(r)
-        phihat = profs[0].gauge_primitive(r)
+        phi = profs[0].gauge_from_radius(r)
         for prof in profs[1:]:
             assert np.array_equal(prof.lambda_of_r(r), lam)
-            assert np.array_equal(prof.gauge_primitive(r), phihat)
+            assert np.array_equal(prof.gauge_from_radius(r), phi)
 
 
 class TestWarpDerivatives:
@@ -265,45 +272,68 @@ class TestAmbientCurvature:
 
 class TestGauge:
     def test_gauge_massless_closed_form(self, prof_m0):
-        # oracle: integral of 1/sinh is log tanh(r/2)
-        c = 1.0
+        # oracle: integral_r^inf ds/sinh(s) = -log tanh(r/2)
         r = np.linspace(0.2, 8.0, 50)
-        want = np.log(np.tanh(r / 2.0)) - math.log(math.tanh(c / 2.0))
-        got = prof_m0.gauge_from_radius(r, c)
+        want = np.log(np.tanh(r / 2.0))
+        got = prof_m0.gauge_from_radius(r)
         assert np.max(np.abs(got - want)) < 1e-12
-        back = prof_m0.radius_from_gauge(got, c)
+        back = prof_m0.radius_from_gauge(got)
         assert np.max(np.abs(back - r)) < 1e-9
 
+    def test_gauge_massless_far_field(self):
+        # phi ~ -2 e^(-r) keeps its relative precision where log tanh(r/2)
+        # has lost every digit
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 60.0)
+        r = np.linspace(20.0, 60.0, 41)
+        phi = prof.gauge_from_radius(r)
+        assert np.max(np.abs(phi / (-2.0 * np.exp(-r)) - 1.0)) <= 1e-15
+        assert np.max(np.abs(prof.radius_from_gauge(phi) - r)) <= 1e-13
+
     def test_gauge_roundtrip_m1(self, prof_m1):
-        c = 1.5
         r = np.linspace(prof_m1.r_horizon + 0.01, prof_m1.r_max - 0.5, 400)
-        phi = prof_m1.gauge_from_radius(r, c)
-        back = prof_m1.radius_from_gauge(phi, c)
+        phi = prof_m1.gauge_from_radius(r)
+        back = prof_m1.radius_from_gauge(phi)
         assert np.max(np.abs(back - r)) < 1e-11
-        phi2 = prof_m1.gauge_from_radius(back, c)
+        phi2 = prof_m1.gauge_from_radius(back)
         assert np.max(np.abs(phi2 - phi)) < 1e-11
 
-    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [0.0, 1.0, 0.01, 2.0, 1e-6])
     def test_gauge_roundtrip_at_limit(self, m):
-        # at the largest extent one rounding of the gauge, eps * lambda,
-        # moves the radius by 1e-8; the round trip stays within a few of those
-        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), bg.R_GAUGE_LIMIT)
-        c = 1.5
-        r = np.linspace(max(prof.r_horizon, 0.0) + 0.01, bg.R_GAUGE_LIMIT, 2001)
-        back = prof.radius_from_gauge(prof.gauge_from_radius(r, c), c)
-        assert np.max(np.abs(back - r)) < 3e-8
+        # the gauge is anchored at infinity, so the round trip keeps r to
+        # 1e-12 relative (absolute below r = 1) up to the largest extent;
+        # anchored at a finite base radius it resolved r = 18.3 only to 3e-8
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), bg.R_TABLE_LIMIT)
+        r = np.linspace(max(prof.r_horizon, 0.0) + 0.01, bg.R_TABLE_LIMIT, 4001)
+        back = prof.radius_from_gauge(prof.gauge_from_radius(r))
+        assert np.max(np.abs(back - r) / np.maximum(r, 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 0.01])
+    def test_gauge_far_field_closed_form(self, m):
+        # at and above the origin-shift anchor the table's gauge is the
+        # asymptotic closed form; the table reproduces it between its nodes
+        n = 2
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=n), 40.0)
+        r = np.linspace(12.0, 40.0, 2001)
+        a = m / (2.0 * (n + 1))
+        psi = 2.0 * np.arctanh(np.exp(-r)) - a * 2.0 ** (n + 2) * np.exp(-(n + 2) * r) / (n + 2)
+        assert np.max(np.abs(prof.gauge_from_radius(r) / -psi - 1.0)) <= 1e-13
 
     def test_gauge_monotone(self, prof_m1):
         rng = np.random.default_rng(7)
-        c = 1.0
         for _ in range(50):
             a, b = np.sort(rng.uniform(prof_m1.r_horizon + 0.05, 9.0, size=2))
             if a == b:
                 continue
-            pa = prof_m1.gauge_from_radius(a, c)
-            pb = prof_m1.gauge_from_radius(b, c)
+            pa = prof_m1.gauge_from_radius(a)
+            pb = prof_m1.gauge_from_radius(b)
             assert pa < pb
 
-    def test_gauge_extent_error(self, prof_m1):
-        with pytest.raises(TableExtentError):
-            prof_m1.radius_from_gauge(np.array([50.0]), 1.0)
+    def test_gauge_extent_error(self, prof_m0, prof_m1):
+        # a positive gauge lies past r = infinity; half the table's top
+        # value lies about log 2 past r_max
+        for prof in (prof_m0, prof_m1):
+            with pytest.raises(TableExtentError):
+                prof.radius_from_gauge(np.array([50.0]))
+            top = float(prof.gauge_from_radius(prof.r_max))
+            with pytest.raises(TableExtentError):
+                prof.radius_from_gauge(np.array([0.5 * top]))

@@ -280,9 +280,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_past_gauge_limit_fails_fast(self, tmp_path, capsys, m):
-        # r0 = 40 lies past the extent where the gauge resolves radius: the
-        # run stops before building a table and says why in events.jsonl
-        p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 40")
+        # r0 = 138 with t_end = 1 needs an extent of 140.5, just past the
+        # largest finite table: the run stops before building a table and
+        # says why in events.jsonl
+        p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 138")
         out = tmp_path / "o"
         start = time.perf_counter()
         assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2

@@ -346,28 +346,6 @@ class TestRun:
         assert n_ext["n"] == 2 * steps + 1
         assert n_sym["n"] == 4 * steps + 1
 
-    def test_gauge_offset_evaluated_once_per_run(self, monkeypatch):
-        # Phi(base_radius) is read on every substep; it is evaluated for
-        # the initial state only, next to Phi(r0)
-        cfg = make_config(
-            background=bg.BackgroundParams(m=1.0, n=2),
-            grid_resolution=32,
-            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
-                                     amplitude=0.2, wavenumber=1),
-            t_end=0.05, output_every=0.01,
-        )
-        orig = bg.WarpProfile.gauge_primitive
-        calls = []
-
-        def counted(self, r):
-            calls.append(np.ndim(r))
-            return orig(self, r)
-
-        monkeypatch.setattr(bg.WarpProfile, "gauge_primitive", counted)
-        _, _, events = flow.run(cfg)
-        assert events[-1].payload["steps"] >= 20
-        assert sorted(calls) == [0, 1]
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             make_config(cfl=0.9)
@@ -483,7 +461,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.phi.values, stopped.phi.values)
 
     def test_gauge_beyond_every_table_rejected(self, tmp_path, prof_m0):
-        # the table grows by doubling until build_warp_profile refuses
+        # a positive gauge lies past r = infinity
         state = unit_sphere_state(prof_m0, 32)
         path = tmp_path / "ck.json"
         flow.save_checkpoint(state, path)
@@ -493,19 +471,36 @@ class TestCheckpoint:
         with pytest.raises(TableExtentError):
             flow.load_checkpoint(path, make_config(grid_resolution=32))
 
-    def test_table_growth_stops_at_the_gauge_limit(self, tmp_path):
-        # doubling from the config's extent 5 would jump from 10 to 20, past
-        # the largest table; the last try is the largest table itself
-        prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 16.0)
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_far_checkpoint_loads_onto_one_table(self, tmp_path, monkeypatch, m):
+        # radii far past the config's own extent (2.5 + 0.25 + 2) are sized
+        # from the checkpoint's r_max: one table, the radii kept to rounding
+        params = bg.BackgroundParams(m=m, n=2)
+        prof = bg.build_warp_profile(params, 16.0)
         grid = sp.build_grid("axisymmetric1d", 32)
         state = geo.state_from_radius(grid, prof, np.full(32, 12.0), t=0.5)
         path = tmp_path / "ck.json"
         flow.save_checkpoint(state, path)
-        cfg = make_config(grid_resolution=32, t_end=1.0,
+        cfg = make_config(background=params, grid_resolution=32, t_end=1.0,
                           initial=flow.InitialData(kind="constant", r0=2.5))
+        n_build = count_calls(monkeypatch, bg, "build_warp_profile")
         loaded = flow.load_checkpoint(path, cfg)
-        assert loaded.profile.r_max == bg.R_GAUGE_LIMIT
-        assert np.max(np.abs(loaded.r.values - 12.0)) < 1e-9
+        assert n_build["n"] == 1
+        assert loaded.profile.r_max >= 12.0 + 0.25 + 2.0
+        assert np.max(np.abs(loaded.r.values - 12.0)) < 1e-13
+
+    def test_version_1_checkpoint_rejected(self, tmp_path, prof_m0):
+        # version 1 held a base radius in place of r_max
+        state = unit_sphere_state(prof_m0, 32)
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2 and doc["r_max"] == 1.0
+        doc["format_version"] = 1
+        doc["base_radius"] = doc.pop("r_max")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="unsupported checkpoint format 1"):
+            flow.load_checkpoint(path, make_config(grid_resolution=32))
 
     def test_legacy_tol_ode_key_loads(self, tmp_path, prof_m0):
         grid = sp.build_grid("axisymmetric1d", 32)

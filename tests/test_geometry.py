@@ -35,18 +35,23 @@ def perturbed_state(profile, grid, r0=1.0, amp=0.1, wavenumber=1):
 
 
 class TestGauge:
-    def test_constant_gauge_is_base(self, prof_m1):
+    def test_constant_gauge_is_base(self, prof_m0, prof_m1):
+        # a constant gauge is a geodesic sphere; for m = 0 its radius is the
+        # closed form r = -log tanh(-phi/2)
         grid = sp.build_grid("axisymmetric1d", 32)
-        state = geo.state_from_gauge(grid, prof_m1, np.zeros(32), 2.0)
+        phi = math.log(math.tanh(1.0))
+        state = geo.state_from_gauge(grid, prof_m0, np.full(32, phi))
+        assert np.max(np.abs(state.r.values - 2.0)) < 1e-12
+        phi = float(prof_m1.gauge_from_radius(2.0))
+        state = geo.state_from_gauge(grid, prof_m1, np.full(32, phi))
         assert np.max(np.abs(state.r.values - 2.0)) < 1e-12
 
     def test_massless_closed_form_roundtrip(self, prof_m0):
         grid = sp.build_grid("axisymmetric1d", 64)
         r = 1.0 + 0.3 * np.cos(grid.theta)
         state = geo.state_from_radius(grid, prof_m0, r)
-        # oracle: phi = log tanh(r/2) - log tanh(c/2)
-        c = state.base_radius
-        want = np.log(np.tanh(r / 2)) - math.log(math.tanh(c / 2))
+        # oracle: phi = -integral_r^inf ds/sinh(s) = log tanh(r/2)
+        want = np.log(np.tanh(r / 2))
         assert np.max(np.abs(state.phi.values - want)) < 1e-12
         assert np.max(np.abs(state.r.values - r)) < 1e-9
 
@@ -55,14 +60,14 @@ class TestGauge:
         lo = prof_m1.r_horizon + 0.1
         for _ in range(30):
             a, b = np.sort(rng.uniform(lo, 6.0, size=2))
-            pa = prof_m1.gauge_from_radius(a, 1.0)
-            pb = prof_m1.gauge_from_radius(b, 1.0)
+            pa = prof_m1.gauge_from_radius(a)
+            pb = prof_m1.gauge_from_radius(b)
             assert pa < pb
 
     def test_extent_guard(self, prof_m1):
         grid = sp.build_grid("axisymmetric1d", 32)
         with pytest.raises(TableExtentError):
-            geo.state_from_gauge(grid, prof_m1, np.full(32, 40.0), 1.0)
+            geo.state_from_gauge(grid, prof_m1, np.full(32, 40.0))
 
 
 class TestUmbilic:
@@ -168,7 +173,7 @@ class TestAmbientContractions:
         state = perturbed_state(prof_m1, grid, r0=2.0, amp=0.3)
         state = geo.GraphState(
             t=state.t, grid=grid, phi=state.phi, r=state.r,
-            profile=BrokenProfile(prof_m1), base_radius=state.base_radius,
+            profile=BrokenProfile(prof_m1),
         )
         F = cf.from_name("mean", 2)
         assert geo.contraction_consistency_residual(state, F) > 1e-3
