@@ -293,7 +293,6 @@ def save_checkpoint(state: GraphState, path) -> None:
             "n_theta": grid.n_theta,
             "n_psi": grid.n_psi,
         },
-        "r_max": float(np.max(state.r.values)),
         "phi": [float(x) for x in state.phi.values.ravel()],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -320,11 +319,17 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
             raise ConfigError("checkpoint grid resolution does not match the configuration")
         phi = np.asarray(doc["phi"], dtype=float).reshape(grid.field_shape)
         t = float(doc["t"])
-        r_max = float(doc["r_max"])
+        if not np.isfinite(phi).all():
+            raise ValueError("phi holds non-finite values")
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}") from None
     # one table, at least the uninterrupted run's own, and long enough for
-    # the checkpointed radii and the remaining flow time
+    # the checkpointed radii and the remaining flow time. lambda >= sinh r
+    # for every m >= 0, so psi_m <= psi_0 and the massless inverse of the
+    # largest phi bounds the largest radius from above (a phi at or
+    # above 0 lies past every table)
+    s = math.tanh(-0.5 * float(np.max(phi)))
+    r_bound = -math.log(s) if s > 0.0 else math.inf
     extent = max(_table_extent(config, config.initial.radius_on(grid), 0.0),
-                 _table_extent(config, r_max, t))
+                 _table_extent(config, r_bound, t))
     return state_from_gauge(grid, build_warp_profile(config.background, extent), phi, t=t)

@@ -5,11 +5,13 @@ runtime error), and never lets another exception escape.
 Configs are drawn around valid short runs: t_end <= 0.05 in both grid
 modes, N_theta <= 64 in axisymmetric mode and N_theta <= 20, n_psi <= 64 in
 lat-long mode, and at most one key per config (about a third of them)
-takes a value outside its valid range. Initial radii lie mostly in 0.05
-to 30, with one value, r0 = 500, past the largest warp table (r = 140);
-perturbation amplitudes lie mostly below r0 and masses are 0 or in 0.01
-to 4, so most valid draws reach the flow and the report, which keeps or
-drops the limit-profile checks. The seed is fixed, so every run draws the
+takes a value outside its valid range. Initial radii lie in 0.05 to 30,
+except that one draw in eight takes r0 = 500, past the largest warp table
+(r = 140); perturbation amplitudes lie mostly below r0. Masses are 0, in
+0.01 to 4, or in [0, 0.01) down to subnormals, which keeps both the
+graded-horizon tables and the exit for masses below M_MIN in the draw.
+Most valid draws reach the flow and the report, which keeps or drops the
+limit-profile checks. The seed is fixed, so every run draws the
 same 40 configs.
 """
 
@@ -52,8 +54,8 @@ def run_configs(draw):
         grid = {"mode": "latlong2d", "n_theta": n_theta,
                 "n_psi": 2 * draw(st.integers(n_theta, 32))}
         t_end = draw(num(1e-4, 0.05))
-    near = st.floats(0.05, 30.0)
-    r0 = draw(st.one_of(near, near, near, st.just(500.0)))
+    far = draw(st.sampled_from([False] * 7 + [True]))
+    r0 = 500.0 if far else draw(st.floats(0.05, 30.0))
     initial = {"r0": repr(r0)}
     if draw(st.booleans()):
         # |amplitude| < r0 keeps the radius positive; one draw in eight leaves it
@@ -70,7 +72,8 @@ def run_configs(draw):
         "dt_max": draw(num(1e-4, 0.05)),
         "dt_min": draw(st.sampled_from(["1e-12", "1e-6"])),
     }
-    background = {"m": draw(st.one_of(st.just("0.0"), num(0.01, 4.0))), "n": 2}
+    background = {"m": draw(st.one_of(st.just("0.0"), num(0.01, 4.0), num(0.0, 0.01))),
+                  "n": 2}
     report = {"enable_limit_profile": draw(st.sampled_from(["true", "false"]))}
     sections = {"background": background, "grid": grid, "initial": initial, "flow": flow,
                 "report": report}

@@ -474,7 +474,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_far_checkpoint_loads_onto_one_table(self, tmp_path, monkeypatch, m):
         # radii far past the config's own extent (2.5 + 0.25 + 2) are sized
-        # from the checkpoint's r_max: one table, the radii kept to rounding
+        # from the checkpoint's phi: one table, the radii kept to rounding
         params = bg.BackgroundParams(m=m, n=2)
         prof = bg.build_warp_profile(params, 16.0)
         grid = sp.build_grid("axisymmetric1d", 32)
@@ -490,16 +490,30 @@ class TestCheckpoint:
         assert np.max(np.abs(loaded.r.values - 12.0)) < 1e-13
 
     def test_version_1_checkpoint_rejected(self, tmp_path, prof_m0):
-        # version 1 held a base radius in place of r_max
+        # version 1 held a base radius, and phi relative to it
         state = unit_sphere_state(prof_m0, 32)
         path = tmp_path / "ck.json"
         flow.save_checkpoint(state, path)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 2 and doc["r_max"] == 1.0
+        assert doc["format_version"] == 2 and "base_radius" not in doc
         doc["format_version"] = 1
-        doc["base_radius"] = doc.pop("r_max")
+        doc["base_radius"] = 1.0
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="unsupported checkpoint format 1"):
+            flow.load_checkpoint(path, make_config(grid_resolution=32))
+
+    @pytest.mark.parametrize("bad, error", [
+        (float("nan"), ConfigError),
+        (-5e-324, TableExtentError),     # its radius bound overflows
+    ])
+    def test_gauge_with_no_radius_bound_rejected(self, tmp_path, prof_m0, bad, error):
+        state = unit_sphere_state(prof_m0, 32)
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["phi"][3] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
             flow.load_checkpoint(path, make_config(grid_resolution=32))
 
     def test_legacy_tol_ode_key_loads(self, tmp_path, prof_m0):
