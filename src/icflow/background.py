@@ -51,6 +51,10 @@ the same asymptotic form of lambda,
     psi = 2 artanh(e^(-r)) - a 2^(n+2) e^(-(n+2) r) / (n + 2),    a = m / (2 (n + 1)),
 
 and below it from the quadrature increments summed downward.
+
+The gauge table indexes r and lambda together by phi: dr/dphi = lambda,
+dlambda/dphi = lambda lambda', and the second derivatives follow in
+closed form, so a time step finds both from one interval search.
 """
 
 from __future__ import annotations
@@ -60,13 +64,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PPoly
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .errors import MassTooSmall, NegativeMass, NonPositiveDimension, TableExtentError
 
-_GL_ORDER = 10
+# 10-point Gauss-Legendre nodes and weights on [-1, 1], ascending
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889844, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163116, 0.14887433898163116,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889844,
+    0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868714, 0.14945134915058053, 0.21908636251598224,
+    0.26926671930999674, 0.2955242247147533, 0.2955242247147533,
+    0.26926671930999674, 0.21908636251598224, 0.14945134915058053,
+    0.06667134430868714])
 
 # A small mass has its horizon at lambda = s0 ~ m, where the r nodes lie
 # s0 / 32 apart next to an origin shift that carries a rounding of about
@@ -78,10 +89,10 @@ M_MIN = float(np.finfo(float).eps)
 _S0_GRADED = 2.0 ** -7
 _GRADE = 64
 
-# The largest table extent. The gauge resolves radius at any r, but the
-# quintic r(phi) coefficients divide by the fifth power of the phi node
-# spacing, about 0.02 e^(-r), which underflows near r = 143 (the
-# coefficients overflow to inf); tables up to r = 140 stay finite.
+# The largest table extent. Every table coefficient is a node value times
+# a power of its node spacing, so nothing divides by a small spacing; the
+# first overflow is the node value d^2 lambda / d phi^2 ~ lambda^3 of the
+# gauge table, near r = 237.
 R_TABLE_LIMIT = 140.0
 
 
@@ -110,7 +121,10 @@ def solve_horizon(params: BackgroundParams) -> float:
     """Horizon radius: the unique positive root of 1 + s^2 - m s^(1-n).
 
     The function is strictly increasing on (0, infinity), tends to -infinity
-    at 0+ and to +infinity at infinity, so the root is unique.  Returns 0
+    at 0+ and to +infinity at infinity, so the root is unique.  A factor-2
+    bracket is bisected down to adjacent doubles, and the one with the
+    smaller |g| is returned: full relative precision at any horizon, which
+    the table's H(w) needs, since it takes g(s0) to be zero.  Returns 0
     for the massless (hyperbolic) limit.
     """
     m, n = params.m, params.n
@@ -120,19 +134,16 @@ def solve_horizon(params: BackgroundParams) -> float:
     lo = 1.0
     while g(lo) > 0.0:
         lo /= 2.0
-    if g(lo) == 0.0:
-        return lo
-    small = lo < _S0_GRADED
-    hi = 2.0 * lo if small else max(2.0 * lo, 1.0)
-    while g(hi) < 0.0:
-        hi *= 2.0
-    if g(hi) == 0.0:
-        return hi
-    # a small horizon is solved to full relative precision in its factor-2
-    # bracket: the table's H(w) takes g(s0) to be zero, and an absolute
-    # 1e-13 would leave g(s0) ~ 1e-13 / s0
-    xtol = np.finfo(float).eps * lo if small else 1e-13
-    return brentq(g, lo, hi, xtol=xtol, rtol=8 * np.finfo(float).eps)
+    hi = 2.0 * lo
+    while g(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(g(lo)) <= abs(g(hi)) else hi
 
 
 def _h_of_w(w, s0, m, n):
@@ -149,6 +160,14 @@ def _h_of_w(w, s0, m, n):
     return 2.0 * s0 + w + m * num / (x ** (n - 1) * s0 ** (n - 1))
 
 
+def _outside(x, lo, hi):
+    """Whether any entry of the array x lies below lo or above hi; NaN
+    entries count as neither, as in (x < lo).any(), in one reduction a
+    side."""
+    return (np.fmin.reduce(x, axis=None, initial=np.inf) < lo
+            or np.fmax.reduce(x, axis=None, initial=-np.inf) > hi)
+
+
 @dataclass
 class WarpProfile:
     """Tabulated warp factor lambda(r) with closed-form derivative accessors.
@@ -157,6 +176,8 @@ class WarpProfile:
     scalars or arrays. Requests outside [0, r_max] (or the matching lambda /
     gauge ranges) raise TableExtentError; the range tests let slivers of
     about 1e-12 through, across which each table extends its end piece.
+    For m > 0 three tables hold the profile: (lambda, phi) by r, (r,
+    lambda) by the gauge phi, and r by u = sqrt(lambda - s0).
     """
 
     params: BackgroundParams
@@ -165,10 +186,9 @@ class WarpProfile:
     r_horizon: float
     table_r: np.ndarray
     table_lam: np.ndarray
-    _lam_of_r: Optional[PPoly] = field(default=None, repr=False)
-    _phi_of_r: Optional[PPoly] = field(default=None, repr=False)
-    _r_of_phi: Optional[PPoly] = field(default=None, repr=False)
-    _r_of_u: Optional[PPoly] = field(default=None, repr=False)
+    _by_r: Optional[_Piecewise] = field(default=None, repr=False)
+    _by_phi: Optional[_Piecewise] = field(default=None, repr=False)
+    _by_u: Optional[_Piecewise] = field(default=None, repr=False)
     _phi_lo: float = 0.0
     _phi_hi: float = 0.0
     lam_max: float = 0.0
@@ -177,7 +197,7 @@ class WarpProfile:
 
     def _check_r(self, r):
         r = np.asarray(r, dtype=float)
-        if (r < self.r_horizon - 1e-12).any() or (r > self.r_max * (1 + 1e-14)).any():
+        if _outside(r, self.r_horizon - 1e-12, self.r_max * (1 + 1e-14)):
             raise TableExtentError(
                 f"radius outside table range [{self.r_horizon}, {self.r_max}]")
         return r
@@ -186,7 +206,7 @@ class WarpProfile:
         r = self._check_r(r)
         if self.params.m == 0.0:
             return np.sinh(r)
-        return self._lam_of_r(r)
+        return self._by_r(r)[0]
 
     def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -210,7 +230,7 @@ class WarpProfile:
         if (lam < self.s0 * (1 - 1e-12)).any() or (lam > self.lam_max * (1 + 1e-12)).any():
             raise TableExtentError("warp value outside table range")
         u = np.sqrt(np.maximum(lam - self.s0, 0.0))
-        return self._r_of_u(u)
+        return self._by_u(u)[0]
 
     # -- radial gauge -----------------------------------------------------
 
@@ -221,22 +241,27 @@ class WarpProfile:
             if (r <= 0.0).any():
                 raise TableExtentError("gauge requires r > 0 in the massless limit")
             return -2.0 * np.arctanh(np.exp(-r))
-        return self._phi_of_r(r)
+        return self._by_r(r)[1]
 
     def radius_from_gauge(self, phi):
         """Inverse of gauge_from_radius."""
+        return self.warp_from_gauge(phi)[0]
+
+    def warp_from_gauge(self, phi):
+        """(r, lambda) at the gauge phi from one table lookup, with the
+        range tests of both radius_from_gauge and lambda_of_r."""
         phi = np.asarray(phi, dtype=float)
         if self.params.m == 0.0:
             if (phi >= 0.0).any():
                 raise TableExtentError("gauge value outside range (massless limit)")
-            r = -np.log(np.tanh(-0.5 * phi))
-            if (r > self.r_max * (1 + 1e-14)).any():
-                raise TableExtentError("gauge value maps beyond r_max")
-            return r
+            r = self._check_r(-np.log(np.tanh(-0.5 * phi)))
+            return r, np.sinh(r)
         # phi_hi is about -2 e^(-r_max): its sliver is relative
-        if (phi < self._phi_lo - 1e-12).any() or (phi > self._phi_hi * (1 - 1e-12)).any():
+        if _outside(phi, self._phi_lo - 1e-12, self._phi_hi * (1 - 1e-12)):
             raise TableExtentError("gauge value outside tabulated range")
-        return self._r_of_phi(phi)
+        r, lam = self._by_phi(phi)
+        self._check_r(r)
+        return r, lam
 
     # -- self checks ------------------------------------------------------
 
@@ -256,8 +281,8 @@ class WarpProfile:
         else:
             r = self.table_r
             pts = np.concatenate([r[1:], 0.5 * (r[:-1] + r[1:])])
-            lam = self._lam_of_r(pts)
-            d = self._lam_of_r.derivative()(pts)
+            lam = self._by_r(pts)[0]
+            d = self._by_r.derivative()(pts)[0]
         target = 1.0 + lam * lam - m * lam ** (1 - n)
         return float(np.max(np.abs(d * d - target) / (1.0 + lam * lam)))
 
@@ -314,24 +339,61 @@ def _hermite(x, f, *derivs):
     """Piecewise Hermite interpolant of the values f and the derivatives
     derivs = (f',) (cubic) or (f', f'') (quintic) at the nodes x.
 
-    Each interval's local power-basis coefficients, in t = (x - x_i) / h,
-    are built from the increment f_(i+1) - f_i and the end derivatives
-    scaled by h, so no coefficient is a difference of nearly equal values
-    of f; PPoly then evaluates by Horner.
+    Returns each interval's coefficients of t^0, t^1, ... in its local
+    variable t = (x - x_i) / h, as _Piecewise evaluates them. They are
+    built from the increment f_(i+1) - f_i and the end derivatives scaled
+    by powers of h, so no coefficient is a difference of nearly equal
+    values of f, and none divides by a power of h.
     """
     h = np.diff(x)
     df = np.diff(f)
     d0, d1 = h * derivs[0][:-1], h * derivs[0][1:]
     if len(derivs) == 1:
-        a = [f[:-1], d0, 3.0 * df - 2.0 * d0 - d1, d0 + d1 - 2.0 * df]
-    else:
-        c0, c1 = h * h * derivs[1][:-1], h * h * derivs[1][1:]
-        a = [f[:-1], d0, 0.5 * c0,
-             10.0 * df - 6.0 * d0 - 4.0 * d1 - 1.5 * c0 + 0.5 * c1,
-             -15.0 * df + 8.0 * d0 + 7.0 * d1 + 1.5 * c0 - c1,
-             6.0 * df - 3.0 * d0 - 3.0 * d1 - 0.5 * c0 + 0.5 * c1]
-    # PPoly wants the coefficients of (x - x_i)^k, highest power first
-    return PPoly(np.array([ak / h ** k for k, ak in enumerate(a)][::-1]), x)
+        return [f[:-1], d0, 3.0 * df - 2.0 * d0 - d1, d0 + d1 - 2.0 * df]
+    c0, c1 = h * h * derivs[1][:-1], h * h * derivs[1][1:]
+    return [f[:-1], d0, 0.5 * c0,
+            10.0 * df - 6.0 * d0 - 4.0 * d1 - 1.5 * c0 + 0.5 * c1,
+            -15.0 * df + 8.0 * d0 + 7.0 * d1 + 1.5 * c0 - c1,
+            6.0 * df - 3.0 * d0 - 3.0 * d1 - 0.5 * c0 + 0.5 * c1]
+
+
+class _Piecewise:
+    """Piecewise polynomials of one degree on shared breakpoints x, one per
+    coefficient list in `funcs` (as _hermite returns them).
+
+    Column i of `rows` holds x_i, h_i and then, for each power t^k in
+    turn, the coefficients of every function, so one np.take gathers all a
+    query needs into contiguous rows. One searchsorted on the interior
+    breakpoints picks each query's interval, and a query past either end
+    extends the end piece. Horner runs in t = (x - x_i) / h_i.
+    """
+
+    def __init__(self, x, *funcs):
+        self.x = x
+        self._inner = x[1:-1]
+        self.cols = len(funcs)
+        self.rows = np.array([x[:-1], np.diff(x), *(a for ak in zip(*funcs) for a in ak)])
+
+    def __call__(self, xq):
+        """The functions at xq, stacked along a new first axis."""
+        xq = np.asarray(xq, dtype=float)
+        q = xq.ravel()
+        g = self.rows.take(self._inner.searchsorted(q, "right"), axis=1)
+        t = np.concatenate([(q - g[0]) / g[1]] * self.cols)
+        c = g[2:].reshape(-1, t.size)
+        p = c[-1] * t
+        for ck in c[-2:0:-1]:
+            p += ck
+            p *= t
+        p += c[0]
+        return p.reshape((self.cols,) + xq.shape)
+
+    def derivative(self):
+        """d/dx of the functions, as a _Piecewise one degree lower."""
+        h = self.rows[1]
+        c = self.rows[2:].reshape(-1, self.cols, len(h))
+        return _Piecewise(self.x, *([k * c[k, j] / h for k in range(1, len(c))]
+                                    for j in range(self.cols)))
 
 
 def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
@@ -357,15 +419,14 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
 
     s0 = solve_horizon(params)
     u, anchor = _build_u_grid(s0, m, r_max)
-    xq, wq = roots_legendre(_GL_ORDER)
 
     half = 0.5 * np.diff(u)                      # (N-1,)
     mid = 0.5 * (u[:-1] + u[1:])
-    upts = mid[:, None] + half[:, None] * xq[None, :]    # (N-1, q)
+    upts = mid[:, None] + half[:, None] * _GL_NODES[None, :]    # (N-1, q)
     G = 2.0 / np.sqrt(_h_of_w(upts * upts, s0, m, n))
     lam_pts = s0 + upts * upts
-    dr = np.sum(G * wq[None, :], axis=1) * half
-    dphi = np.sum(G / lam_pts * wq[None, :], axis=1) * half
+    dr = np.sum(G * _GL_WEIGHTS[None, :], axis=1) * half
+    dphi = np.sum(G / lam_pts * _GL_WEIGHTS[None, :], axis=1) * half
 
     r_nodes = np.concatenate([[0.0], np.cumsum(dr)])
     lam_nodes = s0 + u * u
@@ -400,10 +461,12 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
         params=params, r_max=float(r_nodes[-1]), s0=float(s0),
         r_horizon=float(r_nodes[0]),
         table_r=r_nodes, table_lam=lam_nodes,
-        _lam_of_r=_hermite(r_nodes, lam_nodes, lam_p, lam_pp),
-        _phi_of_r=_hermite(r_nodes, phi, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2),
-        _r_of_phi=_hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p),
-        _r_of_u=_hermite(u, r_nodes, Gn),
+        _by_r=_Piecewise(r_nodes, _hermite(r_nodes, lam_nodes, lam_p, lam_pp),
+                         _hermite(r_nodes, phi, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2)),
+        _by_phi=_Piecewise(phi, _hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p),
+                           _hermite(phi, lam_nodes, lam_nodes * lam_p,
+                                    lam_nodes * (lam_p * lam_p + lam_nodes * lam_pp))),
+        _by_u=_Piecewise(u, _hermite(u, r_nodes, Gn)),
         _phi_lo=float(phi[0]), _phi_hi=float(phi[-1]),
         lam_max=float(lam_nodes[-1]),
     )

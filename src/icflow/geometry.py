@@ -49,12 +49,14 @@ from .sphere import (
 
 @dataclass
 class GraphState:
-    """The evolving surface at one instant: gauge field, radius and time."""
+    """The evolving surface at one instant: gauge field, radius, warp
+    factor lambda(r) at each node, and time."""
 
     t: float
     grid: SphereGrid
     phi: ScalarField
     r: ScalarField
+    lam: np.ndarray
     profile: WarpProfile
 
 
@@ -65,14 +67,16 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
         t=float(t), grid=grid,
         phi=ScalarField(grid, phi, t=t),
         r=ScalarField(grid, r_values, t=t),
+        lam=profile.lambda_of_r(r_values),
         profile=profile,
     )
 
 
 def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
     phi = ScalarField(grid, np.asarray(phi_values, dtype=float), t=t)
-    r = ScalarField(grid, profile.radius_from_gauge(phi.values), t=t)
-    return GraphState(t=float(t), grid=grid, phi=phi, r=r, profile=profile)
+    r, lam = profile.warp_from_gauge(phi.values)
+    return GraphState(t=float(t), grid=grid, phi=phi, r=ScalarField(grid, r, t=t),
+                      lam=lam, profile=profile)
 
 
 @dataclass
@@ -151,9 +155,8 @@ def _pencil_eigenvalues(a, b, diagonal=False):
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     grid = state.grid
-    prof = state.profile
-    lam = prof.lambda_of_r(state.r.values)
-    lam_p = prof.lambda_p_of_lambda(lam)
+    lam = state.lam
+    lam_p = state.profile.lambda_p_of_lambda(lam)
 
     d_th, d_ps, p00, p01, p11 = derivatives(state.phi)   # D phi and phi_ij
     q = covector_norm_sq(grid, d_th, d_ps)

@@ -61,6 +61,22 @@ class TestHorizon:
         with pytest.raises(MassTooSmall):
             bg.BackgroundParams(m=m, n=2)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [bg.M_MIN, 1e-12, 1e-6, 0.0076, 0.01, 1.0, 2.0, 100.0])
+    def test_horizon_is_the_nearest_double(self, m, n):
+        # no neighbouring double brings 1 + s^2 - m s^(1-n) closer to 0
+        s0 = bg.solve_horizon(bg.BackgroundParams(m=m, n=n))
+        g = lambda s: abs(1.0 + s * s - m * s ** (1 - n))
+        assert g(s0) <= g(np.nextafter(s0, 0.0))
+        assert g(s0) <= g(np.nextafter(s0, np.inf))
+
+    def test_gauss_legendre_constants(self):
+        from scipy.special import roots_legendre
+
+        nodes, weights = roots_legendre(10)
+        assert np.array_equal(bg._GL_NODES, nodes)
+        assert np.array_equal(bg._GL_WEIGHTS, weights)
+
     @pytest.mark.parametrize("m", [1e-12, 1e-9, 1e-6, 1e-3])
     def test_small_horizon_to_full_precision(self, m):
         # s0 (1 + s0^2) = m, the root relation for n = 2
@@ -158,8 +174,8 @@ class TestWarpProfile:
         assert limit == 140.0
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), limit)
         if m:
-            assert all(np.isfinite(pp.c).all() for pp in
-                       (prof._lam_of_r, prof._phi_of_r, prof._r_of_phi, prof._r_of_u))
+            assert all(np.isfinite(tab.rows).all() for tab in
+                       (prof._by_r, prof._by_phi, prof._by_u))
         with pytest.raises(TableExtentError, match="r_max"):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 150.0))
 
@@ -169,7 +185,7 @@ class TestWarpProfile:
         # from the table's own node values and derivatives
         prof = {"m1": prof_m1, "m2": prof_m2}[which]
         x, lam = prof.table_r, prof.table_lam
-        lam_p = prof._lam_of_r.derivative()(x)
+        lam_p = prof._by_r.derivative()(x)[0]
         lam_pp = prof.lambda_pp_of_lambda(lam)
         phi = prof.gauge_from_radius(x)
         lam_ref = BPoly.from_derivatives(x, np.stack([lam, lam_p, lam_pp], axis=1))
@@ -317,6 +333,35 @@ class TestGauge:
         a = m / (2.0 * (n + 1))
         psi = 2.0 * np.arctanh(np.exp(-r)) - a * 2.0 ** (n + 2) * np.exp(-(n + 2) * r) / (n + 2)
         assert np.max(np.abs(prof.gauge_from_radius(r) / -psi - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("m,tol", [(1.0, 2e-14), (2.0, 2e-14), (100.0, 2e-14), (1e-6, 1e-13)])
+    def test_fused_lookup_matches_composition(self, m, tol):
+        # lambda(phi) from the gauge table agrees with lambda(r(phi)) over
+        # the whole table, up to the rounding of r
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 40.0)
+        phi = np.linspace(prof._phi_lo, prof._phi_hi, 100001)
+        r, lam = prof.warp_from_gauge(phi)
+        assert np.array_equal(r, prof.radius_from_gauge(phi))
+        assert np.max(np.abs(lam / prof.lambda_of_r(r) - 1.0)) <= tol
+
+    def test_fused_lookup_near_a_resolved_horizon(self):
+        # m = 0.01 has the largest ODE residual of the ungraded horizons;
+        # next to the horizon lambda(phi) holds (from a quadrature oracle
+        # in u = sqrt(lambda - s0)) to 5e-12 relative, where lambda(r) is
+        # off by 1.3e-11
+        from scipy.integrate import quad
+
+        m, n = 0.01, 2
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=n), 11.0)
+        s0 = prof.s0
+        dr_du = lambda u: 2.0 / math.sqrt(bg._h_of_w(u * u, s0, m, n))
+        worst = 0.0
+        for u in np.linspace(0.001, 0.3, 40):
+            phi = prof._phi_lo + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
+                                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            _, lam = prof.warp_from_gauge(phi)
+            worst = max(worst, abs(lam / (s0 + u * u) - 1.0))
+        assert worst <= 5e-12
 
     def test_gauge_monotone(self, prof_m1):
         rng = np.random.default_rng(7)

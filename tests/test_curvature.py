@@ -29,6 +29,13 @@ class TestEval:
             for k in range(n + 1):
                 assert abs(e[k] - brute_sigma(kappa, k)) < 1e-12 * max(1, abs(e[k]))
 
+    def test_elementary_n2_closed_form(self):
+        # the general loop forms exactly (1, k0 + k1, k1 k0) at n = 2
+        kappa = np.random.default_rng(1).normal(size=(64, 2))
+        k0, k1 = kappa[:, 0], kappa[:, 1]
+        want = np.stack([np.ones(64), k0 + k1, k1 * k0], axis=-1)
+        assert np.array_equal(cf.elementary_symmetric(kappa), want)
+
     @pytest.mark.parametrize("name", ALL_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_normalization(self, name, n):

@@ -172,7 +172,7 @@ class TestAmbientContractions:
         grid = sp.build_grid("axisymmetric1d", 64)
         state = perturbed_state(prof_m1, grid, r0=2.0, amp=0.3)
         state = geo.GraphState(
-            t=state.t, grid=grid, phi=state.phi, r=state.r,
+            t=state.t, grid=grid, phi=state.phi, r=state.r, lam=state.lam,
             profile=BrokenProfile(prof_m1),
         )
         F = cf.from_name("mean", 2)
