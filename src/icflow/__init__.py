@@ -21,7 +21,7 @@ from .diagnostics import (
     snapshot,
     theorem_report,
 )
-from .flow import FlowConfig, FlowEvent, InitialData, rhs, run, stable_dt, step
+from .flow import FlowConfig, FlowEvent, InitialData, evaluate, run, stable_dt, step
 from .geometry import (
     ExtrinsicData,
     GraphState,

@@ -85,8 +85,9 @@ _GL_WEIGHTS = np.array([
 # about 1e-19. Positive masses below machine epsilon are refused.
 M_MIN = float(np.finfo(float).eps)
 
-# horizons below _S0_GRADED get graded u nodes, _GRADE per horizon scale
-_S0_GRADED = 2.0 ** -7
+# horizons below _S0_GRADED get graded u nodes, _GRADE per horizon scale;
+# at s0 = 2^-4 the graded spacing sqrt(s0) / 64 equals the uniform 1/256
+_S0_GRADED = 2.0 ** -4
 _GRADE = 64
 
 # The largest table extent. Every table coefficient is a node value times
@@ -289,7 +290,7 @@ class WarpProfile:
 
 def _horizon_nodes(s0):
     """u nodes below 1/4 that resolve the horizon scale sqrt(s0) of small
-    horizons (s0 < 2^-7): uniform with spacing sqrt(s0) / 64 up to
+    horizons (s0 < 2^-4): uniform with spacing sqrt(s0) / 64 up to
     sqrt(s0), then geometric with ratio 1 + 1/64 until the spacing reaches
     the uniform grid's 1/256. They depend on s0 only. Larger horizons get
     none: the uniform grid resolves them.

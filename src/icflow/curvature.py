@@ -60,13 +60,19 @@ def from_name(name: str, n: int) -> CurvatureFunction:
 def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     """All sigma_j(kappa), j = 0..n, along the last axis: shape (..., n+1)."""
     kappa = np.asarray(kappa, dtype=float)
-    e = [np.ones(kappa.shape[:-1])]
-    for i in range(kappa.shape[-1]):
+    n = kappa.shape[-1]
+    e = np.empty(kappa.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    e[..., 1] = kappa[..., 0]
+    # adding kappa_i updates sigma_j += kappa_i sigma_j-1 in place, from
+    # the top down; sigma_0 = 1 enters sigma_1 as kappa_i itself
+    for i in range(1, n):
         ki = kappa[..., i]
-        e = [e[0], *(e[j] + ki * e[j - 1] for j in range(1, i + 1)), ki * e[i]]
-    # np.stack(e, axis=-1) without its per-call checks, which cost more
-    # than the arithmetic on a 256-node grid
-    return np.concatenate([ej[..., None] for ej in e], axis=-1)
+        e[..., i + 1] = ki * e[..., i]
+        for j in range(i, 1, -1):
+            e[..., j] += ki * e[..., j - 1]
+        e[..., 1] += ki
+    return e
 
 
 def elementary_symmetric_deleted(kappa: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -88,6 +94,12 @@ def _in_cone(f, e):
     return (e[..., 1:f.cone_order + 1] > 0.0).all(axis=-1)
 
 
+def _all_in_cone(f, e):
+    """Whether every point of e lies in the cone: _in_cone(f, e).all() in
+    one reduction (a NaN minimum fails the test, as a NaN entry does)."""
+    return bool(e[..., 1:f.cone_order + 1].min() > 0.0)
+
+
 def cone_contains(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
     """Membership in Gamma(F), elementwise over leading axes. e, when
     given, is elementary_symmetric(kappa), as ExtrinsicData.sigma_j holds
@@ -107,9 +119,8 @@ def _require_admissible(f, kappa, e):
     InadmissibleCurvatures when any point lies outside the cone."""
     if e is None:
         e = elementary_symmetric(kappa)
-    ok = _in_cone(f, e)
-    if not ok.all():
-        bad = np.argwhere(~np.atleast_1d(ok))
+    if not _all_in_cone(f, e):
+        bad = np.argwhere(~np.atleast_1d(_in_cone(f, e)))
         raise InadmissibleCurvatures(
             f"principal curvatures outside the admissibility cone of {f.kind} "
             f"(first offender at index {tuple(bad[0])})"
@@ -117,10 +128,8 @@ def _require_admissible(f, kappa, e):
     return e
 
 
-def f_eval(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
-    """F(kappa); raises InadmissibleCurvatures outside the cone."""
-    kappa = np.asarray(kappa, dtype=float)
-    e = _require_admissible(f, kappa, e)
+def _value(f, e):
+    """F from the sigma_j values e of points on the cone; no cone test."""
     n = f.n
     if f.kind == "mean":
         return e[..., 1]
@@ -132,11 +141,9 @@ def f_eval(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
     return (n * k / (n - k + 1.0)) * e[..., k] / den
 
 
-def f_grad(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
-    """Componentwise derivative dF/dkappa_i; all components positive on the
-    cone and Euler's identity sum kappa_i dF/dkappa_i = F holds."""
-    kappa = np.asarray(kappa, dtype=float)
-    e = _require_admissible(f, kappa, e)
+def _gradient(f, kappa, e):
+    """dF/dkappa_i at points kappa on the cone, with e their sigma_j; no
+    cone test."""
     n = f.n
     if f.kind == "mean":
         return np.ones_like(kappa)
@@ -149,3 +156,17 @@ def f_grad(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
     skm1 = np.maximum(e[..., k - 1], _EPS_DEN)
     num = d[..., k - 1, :] * skm1[..., None] - e[..., k, None] * d[..., k - 2, :]
     return c * num / (skm1 * skm1)[..., None]
+
+
+def f_eval(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
+    """F(kappa); raises InadmissibleCurvatures outside the cone."""
+    kappa = np.asarray(kappa, dtype=float)
+    return _value(f, _require_admissible(f, kappa, e))
+
+
+def f_grad(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
+    """Componentwise derivative dF/dkappa_i; all components positive on the
+    cone and Euler's identity sum kappa_i dF/dkappa_i = F holds. Raises
+    InadmissibleCurvatures outside the cone."""
+    kappa = np.asarray(kappa, dtype=float)
+    return _gradient(f, kappa, _require_admissible(f, kappa, e))

@@ -54,12 +54,12 @@ class DiagnosticsRecord:
     neg_drift_scaled: float = 0.0   # sup (1/n - v/F)_+ e^(t/n); not serialized
 
 
-def snapshot(state: GraphState, ext, F: cf.CurvatureFunction,
-             pinch_ref: tuple) -> DiagnosticsRecord:
-    """Condense one state; pinch_ref = (lambda(inf r_0), lambda(sup r_0))."""
+def snapshot(state: GraphState, ext, pinch_ref: tuple) -> DiagnosticsRecord:
+    """Condense one state, with ext = flow.evaluate(state, F), which holds
+    F(kappa); pinch_ref = (lambda(inf r_0), lambda(sup r_0))."""
     n = state.profile.params.n
     t = state.t
-    f_vals = cf.f_eval(F, ext.kappa, ext.sigma_j)
+    f_vals = ext.f_kappa
     scaled = ext.lam * math.exp(-t / n)
     chi_scaled = ext.chi * math.exp(-t / n)
     eps = 1e-6 * pinch_ref[1]

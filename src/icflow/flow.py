@@ -4,8 +4,13 @@ The scalar form evolved here is
 
     d phi / dt = v / F(lambda h^i_j),
 
-equal by 1-homogeneity to v / (lambda F(h^i_j)); both are computed each
-step and must agree to rounding, which cross-checks the scaling path.
+equal by 1-homogeneity to v / (lambda F(h^i_j)); both are computed and
+must agree to rounding, which cross-checks the scaling path. `evaluate`
+computes everything the stepper reads of a state in one pass: the
+extrinsic data, one cone test, F(kappa) and the speed. Each state the
+stepper touches (accepted, midpoint, end) is evaluated once, and the end
+state inside the step's retry loop, so an end state outside the cone is
+retried like a midpoint.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r; the radius field is refreshed from phi
 through the tabulated gauge inverse after every substep.
@@ -49,7 +54,7 @@ from .geometry import (
     state_from_gauge,
     state_from_radius,
 )
-from .sphere import ScalarField, build_grid, polar_filter
+from .sphere import build_grid, polar_filter
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -115,64 +120,72 @@ class FlowEvent:
     payload: dict = field(default_factory=dict)
 
 
-def rhs(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData) -> ScalarField:
-    """d phi / dt = v / F(lambda h^i_j), with ext = compute_extrinsic(state).
-    Raises InadmissibleState when any node leaves the cone, carrying the
-    worst offender."""
+def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
+    """The stage data of state: its extrinsic pass, one cone test on its
+    sigma_j, F(kappa) and the speed d phi / dt = v / F(lambda kappa), kept
+    as ext.f_kappa and ext.speed.
+
+    Raises InadmissibleState, carrying the worst node, when kappa leaves
+    the cone or F(lambda kappa) is not positive; InadmissibleCurvatures
+    when lambda kappa leaves the cone; FlowError when F(lambda kappa) and
+    lambda F(kappa) disagree beyond rounding or the speed is not finite.
+    """
+    ext = compute_extrinsic(state)
     kappa, e = ext.kappa, ext.sigma_j
-    ok = cf.cone_contains(F, kappa, e)
-    if not ok.all():
+    if not cf._all_in_cone(F, e):
         margins = cf.cone_margin(F, kappa)
-        worst = int(np.argmin(margins))
-        idx = np.unravel_index(worst, margins.shape)
+        idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
         raise InadmissibleState(
             f"state left the admissibility cone at t={state.t}",
             t=state.t, node=idx, kappa=kappa[idx],
         )
-    scaled = cf.f_eval(F, ext.lam[..., None] * kappa)
-    plain = ext.lam * cf.f_eval(F, kappa, e)
-    if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
+    f_kappa = cf._value(F, e)
+    scaled = cf._value(F, cf._require_admissible(F, ext.lam[..., None] * kappa, None))
+    if np.abs(scaled - ext.lam * f_kappa).max() > 1e-12 * np.abs(scaled).max():
         raise FlowError("homogeneity cross-check failed in speed evaluation")
-    if np.min(scaled) <= 0.0:
-        worst = int(np.argmin(scaled))
-        idx = np.unravel_index(worst, scaled.shape)
+    if scaled.min() <= 0.0:
+        idx = np.unravel_index(int(np.argmin(scaled)), scaled.shape)
         raise InadmissibleState(
             f"curvature function not positive at t={state.t}",
             t=state.t, node=idx, kappa=kappa[idx],
         )
     speed = ext.v / scaled
-    return ScalarField(state.grid, speed, t=state.t)
+    if not np.isfinite(speed).all():
+        raise FlowError(f"non-finite speed at t={state.t}")
+    ext.f_kappa = f_kappa
+    ext.speed = speed
+    return ext
 
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
               cfl: float, dt_min: float = 0.0, dt_max: float = math.inf) -> float:
     """Parabolic stability bound cfl d_theta^2 / max(diffusion scale), with
-    ext = compute_extrinsic(state). On lat-long grids the polar filter
-    keeps only the azimuthal modes that d_theta resolves."""
-    fp = cf.f_grad(F, ext.kappa, ext.sigma_j)
-    fval = cf.f_eval(F, ext.kappa, ext.sigma_j)
+    ext = evaluate(state, F). On lat-long grids the polar filter keeps
+    only the azimuthal modes that d_theta resolves."""
+    fp = cf._gradient(F, ext.kappa, ext.sigma_j)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
-    scale = ext.v / (ext.lam * fval) ** 2 * np.max(fp, axis=-1)
+    scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
     h = state.grid.d_theta
-    dt = cfl * h * h / float(np.max(scale))
+    dt = cfl * h * h / float(scale.max())
     if dt < dt_min:
         raise StepUnderflow(f"stability requires dt={dt:.3e} below dt_min={dt_min:.3e}")
     return min(dt, dt_max)
 
 
 def _advance(state, F, dt, ext):
+    """One rk2 step of size dt from state, with ext = evaluate(state, F):
+    the new state and its stage data."""
     grid = state.grid
     latlong = grid.mode == "latlong2d"
-    k1 = rhs(state, F, ext)
-    phi_mid = state.phi.values + 0.5 * dt * k1.values
+    phi_mid = state.phi.values + 0.5 * dt * ext.speed
     if latlong:
         phi_mid = polar_filter(grid, phi_mid)
     mid = state_from_gauge(grid, state.profile, phi_mid, t=state.t + 0.5 * dt)
-    k2 = rhs(mid, F, compute_extrinsic(mid))
-    phi_new = state.phi.values + dt * k2.values
+    phi_new = state.phi.values + dt * evaluate(mid, F).speed
     if latlong:
         phi_new = polar_filter(grid, phi_new)
-    return state_from_gauge(grid, state.profile, phi_new, t=state.t + dt)
+    new = state_from_gauge(grid, state.profile, phi_new, t=state.t + dt)
+    return new, evaluate(new, F)
 
 
 def _offender(exc: InadmissibleState) -> dict:
@@ -182,10 +195,12 @@ def _offender(exc: InadmissibleState) -> dict:
 
 
 def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicData,
-         events: Optional[list] = None) -> GraphState:
-    """One midpoint (rk2) step from state, with ext = compute_extrinsic(state); on
-    admissibility failure the step is retried with halved dt, up to eight
-    times."""
+         events: Optional[list] = None) -> tuple[GraphState, ExtrinsicData]:
+    """One midpoint (rk2) step from state, with ext = evaluate(state, F).
+    Returns the new state and its stage data, evaluate(new, F). When the
+    midpoint or the new state leaves the cone (InadmissibleState), the
+    step is retried with halved dt, up to eight times, logging an
+    `admissibility_violation` event for each failed try."""
     last = None
     for _ in range(9):
         try:
@@ -244,13 +259,13 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
             return state, series, events
 
         def take_snapshot(s, ext):
-            rec = dg.snapshot(s, ext, F, pinch_ref=series.pinch_ref)
+            rec = dg.snapshot(s, ext, pinch_ref=series.pinch_ref)
             series.append(s, ext, rec)
             events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
 
-        # one extrinsic pass per accepted state, shared by the snapshot, the
-        # stability bound and the first stage of the next step
-        ext = compute_extrinsic(state)
+        # one stage evaluation per state: the step returns its new state's,
+        # which the snapshot, the stability bound and the next step share
+        ext = evaluate(state, F)
         take_snapshot(state, ext)
         snap_times = _snapshot_times(state.t, config.t_end, config.output_every)
         steps = 0
@@ -260,8 +275,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
                                dt_min=config.dt_min, dt_max=config.dt_max)
                 if state.t + dt >= target - 1e-12:
                     dt = target - state.t      # ends the interval on target
-                state = step(state, F, dt, ext, events=events)
-                ext = compute_extrinsic(state)
+                state, ext = step(state, F, dt, ext, events=events)
                 steps += 1
             take_snapshot(state, ext)
     except Exception as exc:

@@ -31,6 +31,7 @@ combination loses all significant digits at large radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -87,13 +88,18 @@ class ExtrinsicData:
     (phi_theta, phi_psi); the symmetric 2-tensors g and h are the triples
     of their (00, 01, 11) components, and `symmetric_matrix(*ext.g)`
     assembles a (..., 2, 2) array where one is needed. On axisymmetric
-    grids the psi components are the grid's read-only zero field. flow.run
-    computes one per accepted state and hands it to the snapshot, the
-    stability bound and the first stage of the next step. Only what the
-    stepper and the snapshots read is kept; the identity checks derive the
-    mixed shape operator, raised gradient and gtilde^ij from these fields.
-    sigma_j feeds every cone test, F and dF of kappa that reads this state;
-    sigma is the grid's shared, read-only round metric.
+    grids the psi components are the grid's read-only zero field. Only
+    what the stepper and the snapshots read is kept; the identity checks
+    derive the mixed shape operator, raised gradient and gtilde^ij from
+    these fields. sigma_j feeds every cone test, F and dF of kappa that
+    reads this state; sigma is the grid's shared, read-only round metric.
+
+    f_kappa and speed are the flow's stage data, None until
+    flow.evaluate fills them in: F(kappa) of the flow's curvature
+    function, which the stability bound and the snapshot read, and
+    d phi / dt = v / F(lambda kappa). flow.evaluate makes one per state
+    the stepper touches: each accepted state, each midpoint and each
+    trial end state.
     """
 
     v: np.ndarray
@@ -107,6 +113,8 @@ class ExtrinsicData:
     chi: np.ndarray                # lambda / v
     lam: np.ndarray
     lam_p: np.ndarray
+    f_kappa: Optional[np.ndarray] = None   # F(kappa)
+    speed: Optional[np.ndarray] = None     # v / F(lambda kappa)
 
 
 def _h_mixed(ext):
@@ -150,7 +158,11 @@ def _pencil_eigenvalues(a, b, diagonal=False):
         d3 = a11 * b01 - a01 * b11
         disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
     den = 2.0 * det_b
-    return np.stack([(mix - disc) / den, (mix + disc) / den], axis=-1)
+    lo = (mix - disc) / den
+    kappa = np.empty(lo.shape + (2,))
+    kappa[..., 0] = lo
+    kappa[..., 1] = (mix + disc) / den
+    return kappa
 
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:

@@ -7,9 +7,16 @@ Christoffel symbols of the ambient metric, and reads the principal
 curvatures off the first and second fundamental forms. No gauge field,
 no shape-operator formula, no symmetrization: a fully separate path from
 the production code.
+
+The step-path oracles compute the flow's speed and stability bound
+through the public curvature API, each cone test, F and dF evaluated on
+its own; the flow's one-pass stage must match them bit for bit.
 """
 
 import numpy as np
+
+from icflow import curvature as cf
+from icflow.errors import FlowError, InadmissibleState
 
 
 def _even_pad(v):
@@ -45,3 +52,37 @@ def revolution_principal_curvatures(profile, theta, r_values):
     ii_pp = -(acc_r_p - rp * acc_th_p) / v
     kappa_parallel = ii_pp / (lam ** 2 * sin ** 2)
     return kappa_meridian, kappa_parallel
+
+
+# -- the step path through the public curvature API ----------------------------
+
+def reference_speed(state, F, ext):
+    """d phi / dt = v / F(lambda kappa) through the public cone test and
+    f_eval, with ext = compute_extrinsic(state): each check of the stage,
+    on its own evaluation of F."""
+    kappa, e = ext.kappa, ext.sigma_j
+    ok = cf.cone_contains(F, kappa, e)
+    if not ok.all():
+        margins = cf.cone_margin(F, kappa)
+        idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        raise InadmissibleState("state left the admissibility cone",
+                                t=state.t, node=idx, kappa=kappa[idx])
+    scaled = cf.f_eval(F, ext.lam[..., None] * kappa)
+    plain = ext.lam * cf.f_eval(F, kappa, e)
+    if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
+        raise FlowError("homogeneity cross-check failed in speed evaluation")
+    if np.min(scaled) <= 0.0:
+        idx = np.unravel_index(int(np.argmin(scaled)), scaled.shape)
+        raise InadmissibleState("curvature function not positive",
+                                t=state.t, node=idx, kappa=kappa[idx])
+    return ext.v / scaled
+
+
+def reference_stable_dt(state, F, ext, cfl):
+    """The parabolic stability bound from f_grad and f_eval, with
+    ext = compute_extrinsic(state)."""
+    fp = cf.f_grad(F, ext.kappa, ext.sigma_j)
+    fval = cf.f_eval(F, ext.kappa, ext.sigma_j)
+    scale = ext.v / (ext.lam * fval) ** 2 * np.max(fp, axis=-1)
+    h = state.grid.d_theta
+    return cfl * h * h / float(np.max(scale))

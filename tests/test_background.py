@@ -207,6 +207,16 @@ class TestWarpProfile:
                         [s8 + m / (6.0 * s8 * s8)], method="DOP853", rtol=1e-13, atol=1e-14)
         assert abs(float(prof.lambda_of_r(1.0)) - ref.y[0, -1]) <= 1e-12
 
+    def test_residual_across_the_graded_threshold(self):
+        # graded horizon nodes reach s0 = 2^-4, where their spacing
+        # sqrt(s0) / 64 meets the uniform 1/256, so no horizon falls
+        # between the two resolutions; on the uniform nodes alone
+        # m = 0.008 reaches 2.6e-11
+        masses = [*np.geomspace(1e-3, 2.0, 40), 0.006, 0.008, 0.01]
+        worst = max(bg.build_warp_profile(bg.BackgroundParams(m=float(m), n=2), 9.3)
+                    .ode_residual_max() for m in masses)
+        assert worst <= 2e-12
+
     def test_smallest_mass(self):
         prof = bg.build_warp_profile(bg.BackgroundParams(m=bg.M_MIN, n=2), 9.3)
         assert prof.ode_residual_max() <= 1e-10
@@ -345,10 +355,10 @@ class TestGauge:
         assert np.max(np.abs(lam / prof.lambda_of_r(r) - 1.0)) <= tol
 
     def test_fused_lookup_near_a_resolved_horizon(self):
-        # m = 0.01 has the largest ODE residual of the ungraded horizons;
-        # next to the horizon lambda(phi) holds (from a quadrature oracle
-        # in u = sqrt(lambda - s0)) to 5e-12 relative, where lambda(r) is
-        # off by 1.3e-11
+        # m = 0.01 (s0 ~ 0.01 < 2^-4) gets graded horizon nodes; next to
+        # the horizon lambda(phi) holds (from a quadrature oracle in
+        # u = sqrt(lambda - s0)) to 1.2e-14 relative, against 1.1e-12 on
+        # the uniform nodes alone
         from scipy.integrate import quad
 
         m, n = 0.01, 2
@@ -361,7 +371,7 @@ class TestGauge:
                                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
             _, lam = prof.warp_from_gauge(phi)
             worst = max(worst, abs(lam / (s0 + u * u) - 1.0))
-        assert worst <= 5e-12
+        assert worst <= 5e-14
 
     def test_gauge_monotone(self, prof_m1):
         rng = np.random.default_rng(7)

@@ -46,8 +46,8 @@ class TestSnapshot:
         grid = sp.build_grid("axisymmetric1d", 32)
         r0 = float(prof.radius_from_lambda(2.0))
         state = geo.state_from_radius(grid, prof, np.full(32, r0))
-        ext = geo.compute_extrinsic(state)
-        rec = dg.snapshot(state, ext, cf.from_name("mean", 2), pinch_ref=(2.0, 2.0))
+        ext = flow.evaluate(state, cf.from_name("mean", 2))
+        rec = dg.snapshot(state, ext, pinch_ref=(2.0, 2.0))
         assert rec.sup_kappa_dev < 1e-10
         assert rec.sup_grad_phi_sq == 0.0
         assert rec.pinch_low_ok and rec.pinch_high_ok
@@ -56,9 +56,8 @@ class TestSnapshot:
         prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 6.0)
         grid = sp.build_grid("axisymmetric1d", 32)
         state = geo.state_from_radius(grid, prof, np.full(32, 1.0))
-        ext = geo.compute_extrinsic(state)
-        rec = dg.snapshot(state, ext, cf.from_name("mean", 2),
-                          pinch_ref=(math.sinh(1.0), math.sinh(1.0)))
+        ext = flow.evaluate(state, cf.from_name("mean", 2))
+        rec = dg.snapshot(state, ext, pinch_ref=(math.sinh(1.0), math.sinh(1.0)))
         want = 1.0 / math.tanh(1.0) - 1.0
         assert abs(rec.sup_kappa_dev - want) < 1e-12
         assert abs(want - 0.3130352854993312) < 1e-15

@@ -11,7 +11,15 @@ from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
-from icflow.errors import ConfigError, InadmissibleState, StepUnderflow, TableExtentError
+from icflow.errors import (
+    ConfigError,
+    FlowError,
+    InadmissibleState,
+    StepUnderflow,
+    TableExtentError,
+)
+
+from oracles import reference_speed, reference_stable_dt
 
 
 def make_config(**kw):
@@ -33,6 +41,11 @@ def prof_m0():
 
 
 @pytest.fixture(scope="module")
+def prof_m1():
+    return bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
+
+
+@pytest.fixture(scope="module")
 def prof_m2():
     return bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), r_max=8.0)
 
@@ -43,15 +56,15 @@ def unit_sphere_state(prof_m0, n=48):
 
 
 def rhs(state, f):
-    return flow.rhs(state, f, geo.compute_extrinsic(state))
+    return flow.evaluate(state, f).speed
 
 
 def stable_dt(state, f, **kw):
-    return flow.stable_dt(state, f, geo.compute_extrinsic(state), **kw)
+    return flow.stable_dt(state, f, flow.evaluate(state, f), **kw)
 
 
 def step(state, f, dt, **kw):
-    return flow.step(state, f, dt, geo.compute_extrinsic(state), **kw)
+    return flow.step(state, f, dt, flow.evaluate(state, f), **kw)[0]
 
 
 def count_calls(monkeypatch, module, name):
@@ -76,7 +89,7 @@ class TestRhs:
         speed = rhs(state, cf.from_name("mean", 2))
         want = 1.0 / (2.0 * math.cosh(1.0))
         assert abs(want - 0.3240271368319427) < 1e-15
-        assert np.max(np.abs(speed.values - want)) < 1e-13
+        assert np.max(np.abs(speed - want)) < 1e-13
 
     def test_umbilic_reduces_to_radial_law(self, prof_m2):
         # constant data: speed = 1/(n lambda')
@@ -85,7 +98,7 @@ class TestRhs:
         state = geo.state_from_radius(grid, prof_m2, np.full(32, r0))
         speed = rhs(state, cf.from_name("mean", 2))
         lam_p = float(prof_m2.lambda_p_of_lambda(2.0))
-        assert np.max(np.abs(speed.values - 1.0 / (2.0 * lam_p))) < 1e-12
+        assert np.max(np.abs(speed - 1.0 / (2.0 * lam_p))) < 1e-12
 
     def test_inadmissible_state_raises(self, prof_m0):
         # a deep thin dimple drives one principal curvature negative enough
@@ -99,6 +112,20 @@ class TestRhs:
             rhs(state, cf.from_name("mean", 2))
         assert exc.value.node is not None
         assert exc.value.kappa is not None
+
+    def test_stage_checks_raise_typed_errors(self, prof_m0, monkeypatch):
+        # a formula that is not 1-homogeneous fails the cross-check, a
+        # negative one the positivity test, and a subnormal one overflows
+        # the speed
+        state = unit_sphere_state(prof_m0)
+        f = cf.from_name("mean", 2)
+        real = cf._value
+        for formula, error in [(lambda F, e: real(F, e) ** 1.5, FlowError),
+                               (lambda F, e: -real(F, e), InadmissibleState),
+                               (lambda F, e: 1e-310 * real(F, e), FlowError)]:
+            monkeypatch.setattr(cf, "_value", formula)
+            with np.errstate(over="ignore"), pytest.raises(error):
+                flow.evaluate(state, f)
 
 
 class TestStableDt:
@@ -196,6 +223,50 @@ class TestStep:
         monkeypatch.setattr(flow, "_advance", always_bad)
         with pytest.raises(InadmissibleState):
             step(state, cf.from_name("mean", 2), 0.01)
+
+    def test_end_state_tested_inside_retry(self, prof_m1):
+        # at dt = 3.625e-3 the end state leaves Gamma_1 at nodes 31-32
+        # (the midpoint does not): the step logs one violation there and
+        # returns the admissible half step with its stage data
+        grid = sp.build_grid("axisymmetric1d", 64)
+        state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.9 * np.cos(2 * grid.theta))
+        f = cf.from_name("mean", 2)
+        events = []
+        new, ext = flow.step(state, f, 3.625e-3, flow.evaluate(state, f), events=events)
+        assert [(e.kind, e.payload["dt"], e.payload["node"]) for e in events] == \
+            [("admissibility_violation", 3.625e-3, (31,))]
+        assert new.t == 3.625e-3 / 2
+        assert cf.cone_contains(f, geo.compute_extrinsic(new).kappa).all()
+        assert np.array_equal(ext.speed, flow.evaluate(new, f).speed)
+        assert flow.stable_dt(new, f, ext, cfl=0.2) > 0.0
+
+
+def stage_states():
+    """Perturbed states on both grid modes, massless and with m = 1."""
+    for m in (0.0, 1.0):
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
+        grid = sp.build_grid("axisymmetric1d", 64)
+        yield f"1d-m{m}", geo.state_from_radius(grid, prof, 2.0 + 0.3 * np.cos(grid.theta))
+        grid = sp.build_grid("latlong2d", (16, 32))
+        th, ps = grid.theta[:, None], grid.psi[None, :]
+        yield f"latlong-m{m}", geo.state_from_radius(
+            grid, prof, 2.0 + 0.2 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ps))
+
+
+class TestStageGolden:
+    """The one-pass stage against the step path through the public
+    curvature API (tests/oracles.py): equal bit for bit."""
+
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    def test_matches_public_api_path(self, name):
+        f = cf.from_name(name, 2)
+        for label, state in stage_states():
+            ext = flow.evaluate(state, f)
+            ref = geo.compute_extrinsic(state)
+            assert np.array_equal(ext.speed, reference_speed(state, f, ref)), label
+            assert np.array_equal(ext.f_kappa, cf.f_eval(f, ref.kappa)), label
+            assert flow.stable_dt(state, f, ext, cfl=0.2) == \
+                reference_stable_dt(state, f, ref, cfl=0.2), label
 
 
 class TestRun:
@@ -327,9 +398,11 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["mean", "sigma2root"])
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
-        # per rk2 step: the accepted state and the midpoint; the initial
-        # state adds one per run. sigma_j: one per extrinsic pass, and one
-        # per rhs for the scaled curvatures lambda kappa
+        # one stage evaluation per state: per rk2 step the midpoint and the
+        # new state, plus the initial state once per run. sigma_j: one per
+        # extrinsic pass, and one for the scaled curvatures lambda kappa.
+        # The stage tests the cone and evaluates F through the private
+        # formulas, never through cone_contains or f_eval
         cfg = make_config(
             background=bg.BackgroundParams(m=1.0, n=2),
             grid_resolution=32,
@@ -340,11 +413,14 @@ class TestRun:
         )
         n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
         n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
+        n_cone = count_calls(monkeypatch, cf, "cone_contains")
+        n_f = count_calls(monkeypatch, cf, "f_eval")
         _, _, events = flow.run(cfg)
         steps = events[-1].payload["steps"]
         assert steps >= 20
         assert n_ext["n"] == 2 * steps + 1
-        assert n_sym["n"] == 4 * steps + 1
+        assert n_sym["n"] == 2 * n_ext["n"]
+        assert n_cone["n"] == n_f["n"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
