@@ -9,8 +9,8 @@ report.json / report.txt, checkpoint.json, limit_profile.csv and
 events.jsonl into the output directory (a failed run still writes
 events.jsonl, ending with the error), and exits 0 only if every enabled
 check passed (1 on a check failure, 2 on a runtime or configuration
-error). Identical configs produce byte-identical series files. The
-environment variable ICFLOW_THREADS caps worker parallelism for sweeps;
+error). Identical configs produce byte-identical series files. A sweep
+runs up to --jobs combinations at once, capped by the CPU count;
 node-level arithmetic is vectorized and single-threaded per run.
 """
 
@@ -147,17 +147,6 @@ def _run_combo(payload):
         return combo, None, f"{type(exc).__name__}: {exc}"
 
 
-def _max_jobs(requested) -> int:
-    cap = os.environ.get("ICFLOW_THREADS")
-    limit = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            limit = min(limit, max(1, int(cap)))
-        except ValueError:
-            raise IcflowError(f"ICFLOW_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(requested, limit))
-
-
 def sweep_combos(cfg: RunConfig) -> list:
     """Cartesian product of the sweep value grids, in sorted key order."""
     keys = sorted(cfg.sweep)
@@ -173,10 +162,10 @@ def cmd_sweep(args) -> int:
             return 2
         combos = sweep_combos(cfg)
         out = _make_dir(args.out or cfg.output.directory)
-        jobs = _max_jobs(args.jobs)
     except IcflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
     payloads = [(cfg, combo, out / _combo_key(combo)) for combo in combos]
     results = []

@@ -1,8 +1,9 @@
 """Run configuration files.
 
 INI-style sections with strict validation: unknown sections or keys are
-rejected with the offending location in the message, so a typo in a
-tolerance cannot silently change what a run certifies.
+rejected with the offending location in the message, so a typo cannot
+silently change what a run does. No key sets a tolerance of the
+certificate: those are constants of the diagnostics module.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ _SCHEMA = {
     "flow": {"f_kind": _to_str, "t_end": _to_float, "cfl": _to_float,
              "output_every": _to_float, "dt_max": _to_float, "dt_min": _to_float},
     "report": {"window_start": _to_float, "window_end": _to_float,
-               "tol_rate_kappa": _to_float, "tol_rate_grad": _to_float,
-               "tol_rate_hess": _to_float, "limit_gap_tol": _to_float,
-               "metric_residual_tol": _to_float, "chi_ratio_max": _to_float,
                "enable_rates": _to_bool, "enable_limit_profile": _to_bool},
     "output": {"directory": _to_str},
     "sweep": {"m": _to_floats, "f_kind": _to_words, "amplitude": _to_floats},

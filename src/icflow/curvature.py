@@ -100,11 +100,9 @@ def _all_in_cone(f, e):
     return bool(e[..., 1:f.cone_order + 1].min() > 0.0)
 
 
-def cone_contains(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
-    """Membership in Gamma(F), elementwise over leading axes. e, when
-    given, is elementary_symmetric(kappa), as ExtrinsicData.sigma_j holds
-    it; so in f_eval and f_grad."""
-    return _in_cone(f, elementary_symmetric(kappa) if e is None else e)
+def cone_contains(f: CurvatureFunction, kappa) -> np.ndarray:
+    """Membership in Gamma(F), elementwise over leading axes."""
+    return _in_cone(f, elementary_symmetric(kappa))
 
 
 def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
@@ -114,11 +112,10 @@ def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
     return np.min(e[..., 1:f.cone_order + 1], axis=-1)
 
 
-def _require_admissible(f, kappa, e):
-    """All sigma_j(kappa), as elementary_symmetric (e if given); raises
+def _require_admissible(f, kappa):
+    """All sigma_j(kappa), as elementary_symmetric; raises
     InadmissibleCurvatures when any point lies outside the cone."""
-    if e is None:
-        e = elementary_symmetric(kappa)
+    e = elementary_symmetric(kappa)
     if not _all_in_cone(f, e):
         bad = np.argwhere(~np.atleast_1d(_in_cone(f, e)))
         raise InadmissibleCurvatures(
@@ -158,15 +155,15 @@ def _gradient(f, kappa, e):
     return c * num / (skm1 * skm1)[..., None]
 
 
-def f_eval(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
+def f_eval(f: CurvatureFunction, kappa) -> np.ndarray:
     """F(kappa); raises InadmissibleCurvatures outside the cone."""
     kappa = np.asarray(kappa, dtype=float)
-    return _value(f, _require_admissible(f, kappa, e))
+    return _value(f, _require_admissible(f, kappa))
 
 
-def f_grad(f: CurvatureFunction, kappa, e=None) -> np.ndarray:
+def f_grad(f: CurvatureFunction, kappa) -> np.ndarray:
     """Componentwise derivative dF/dkappa_i; all components positive on the
     cone and Euler's identity sum kappa_i dF/dkappa_i = F holds. Raises
     InadmissibleCurvatures outside the cone."""
     kappa = np.asarray(kappa, dtype=float)
-    return _gradient(f, kappa, _require_admissible(f, kappa, e))
+    return _gradient(f, kappa, _require_admissible(f, kappa))

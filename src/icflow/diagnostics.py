@@ -30,6 +30,17 @@ from .sphere import SphereGrid, grad_norm_sq, hessian_mixed, tensor_sup_norm
 FLOOR = 1e-13
 _FLOOR_PASS = 1e-10
 
+# the certificate's tolerances, fixed so that a pass means the same on
+# every run: a fitted decay rate may fall short of its target by at most
+# TOL_RATE_*; the limit gap, the final metric residual and the late chi
+# ratio must stay at or below the other three
+TOL_RATE_KAPPA = 0.15
+TOL_RATE_GRAD = 0.15
+TOL_RATE_HESS = 0.10
+LIMIT_GAP_TOL = 0.02
+METRIC_RESIDUAL_TOL = 5e-3
+CHI_RATIO_MAX = 10.0
+
 SERIES_COLUMNS = (
     "t", "sup_kappa_dev", "sup_grad_phi_sq", "sup_hess_phi",
     "F_min", "F_max", "r_tilde_min", "r_tilde_max",
@@ -212,9 +223,10 @@ def _metric_residual(g, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
 
 
 _TOO_SHORT = "limit profile requires at least two retained states"
+_MID_FRACTION = 0.6
 
 
-def limit_profile(series: DiagnosticsSeries, mid_fraction: float = 0.6) -> LimitProfile:
+def limit_profile(series: DiagnosticsSeries) -> LimitProfile:
     """Radial limit profile and convergence measures of a completed run.
 
     The drift envelope is calibrated on the first half of the run: with
@@ -232,7 +244,7 @@ def limit_profile(series: DiagnosticsSeries, mid_fraction: float = 0.6) -> Limit
     gap = float(np.max(np.abs(f_hat_2d - r_tilde[-2])))
 
     t_final = recs[-1].t
-    mid_idx = int(np.argmin(np.abs(series.times - mid_fraction * t_final)))
+    mid_idx = int(np.argmin(np.abs(series.times - _MID_FRACTION * t_final)))
     if mid_idx == len(recs) - 1 and mid_idx > 0:
         mid_idx -= 1
     t_mid = recs[mid_idx].t
@@ -270,12 +282,6 @@ def limit_profile(series: DiagnosticsSeries, mid_fraction: float = 0.6) -> Limit
 @dataclass
 class ReportConfig:
     window: Optional[tuple] = None         # default [0.4, 0.9] t_end
-    tol_rate_kappa: float = 0.15
-    tol_rate_grad: float = 0.15
-    tol_rate_hess: float = 0.10
-    limit_gap_tol: float = 0.02
-    metric_residual_tol: float = 5e-3
-    chi_ratio_max: float = 10.0
     enable_rates: bool = True
     enable_limit_profile: bool = True
 
@@ -309,9 +315,9 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
 
     if report_cfg.enable_rates:
         targets = [
-            ("sup_kappa_dev", 2.0 / n, report_cfg.tol_rate_kappa),
-            ("sup_grad_phi_sq", 2.0 / n, report_cfg.tol_rate_grad),
-            ("sup_hess_phi", 1.0 / n, report_cfg.tol_rate_hess),
+            ("sup_kappa_dev", 2.0 / n, TOL_RATE_KAPPA),
+            ("sup_grad_phi_sq", 2.0 / n, TOL_RATE_GRAD),
+            ("sup_hess_phi", 1.0 / n, TOL_RATE_HESS),
         ]
         for name, target, tol in targets:
             try:
@@ -360,7 +366,7 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
         lo = float(np.min(series.column("chi_scaled_min")[sel]))
         report["chi_ratio"] = hi / lo if lo > 0 else math.inf
         add_result("chi_ratio_pass",
-                   bool(lo > 0 and hi / lo <= report_cfg.chi_ratio_max))
+                   bool(lo > 0 and hi / lo <= CHI_RATIO_MAX))
     else:
         report["insufficient"].append("chi_ratio: run too short")
 
@@ -372,13 +378,13 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
         report["metric_residual_final"] = profile.metric_residual_final
         report["metric_residual_mid"] = profile.metric_residual_mid
         report["drift_constant"] = profile.drift_constant
-        add_result("limit_gap_pass", bool(profile.gap <= report_cfg.limit_gap_tol))
+        add_result("limit_gap_pass", bool(profile.gap <= LIMIT_GAP_TOL))
         # tiny slack so exactly self-similar runs, where both residuals
         # sit at the same floor, do not fail the decrease comparison
         add_result("metric_residual_pass", bool(
-            profile.metric_residual_final <= report_cfg.metric_residual_tol
+            profile.metric_residual_final <= METRIC_RESIDUAL_TOL
             and profile.metric_residual_final
-            <= profile.metric_residual_mid + 0.01 * report_cfg.metric_residual_tol
+            <= profile.metric_residual_mid + 0.01 * METRIC_RESIDUAL_TOL
         ))
         add_result("drift_envelope_pass", profile.drift_ok)
         # the profile is asserted constant only for umbilic initial data

@@ -140,7 +140,7 @@ def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
             t=state.t, node=idx, kappa=kappa[idx],
         )
     f_kappa = cf._value(F, e)
-    scaled = cf._value(F, cf._require_admissible(F, ext.lam[..., None] * kappa, None))
+    scaled = cf._value(F, cf._require_admissible(F, ext.lam[..., None] * kappa))
     if np.abs(scaled - ext.lam * f_kappa).max() > 1e-12 * np.abs(scaled).max():
         raise FlowError("homogeneity cross-check failed in speed evaluation")
     if scaled.min() <= 0.0:
@@ -333,8 +333,8 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
             raise ConfigError("checkpoint grid resolution does not match the configuration")
         phi = np.asarray(doc["phi"], dtype=float).reshape(grid.field_shape)
         t = float(doc["t"])
-        if not np.isfinite(phi).all():
-            raise ValueError("phi holds non-finite values")
+        if not (math.isfinite(t) and np.isfinite(phi).all()):
+            raise ValueError("t and phi must be finite")
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}") from None
     # one table, at least the uninterrupted run's own, and long enough for

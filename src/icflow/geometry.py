@@ -66,17 +66,17 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
     phi = profile.gauge_from_radius(r_values)
     return GraphState(
         t=float(t), grid=grid,
-        phi=ScalarField(grid, phi, t=t),
-        r=ScalarField(grid, r_values, t=t),
+        phi=ScalarField(grid, phi),
+        r=ScalarField(grid, r_values),
         lam=profile.lambda_of_r(r_values),
         profile=profile,
     )
 
 
 def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
-    phi = ScalarField(grid, np.asarray(phi_values, dtype=float), t=t)
+    phi = ScalarField(grid, np.asarray(phi_values, dtype=float))
     r, lam = profile.warp_from_gauge(phi.values)
-    return GraphState(t=float(t), grid=grid, phi=phi, r=ScalarField(grid, r, t=t),
+    return GraphState(t=float(t), grid=grid, phi=phi, r=ScalarField(grid, r),
                       lam=lam, profile=profile)
 
 
@@ -284,9 +284,7 @@ def contraction_consistency_residual(state: GraphState, F: cf.CurvatureFunction)
 def tilt_gradient_residual(state: GraphState) -> float:
     """Sup defect of D_i v = v^-1 phi^k phi_ki (round-metric derivatives)."""
     ext = compute_extrinsic(state)
-    grid = state.grid
-    v_field = ScalarField(grid, ext.v, t=state.t)
-    lhs = grad_components(v_field)
+    lhs = grad_components(ScalarField(state.grid, ext.v))
     hess_cov = covariant_hess(state.phi)
     rhs = np.einsum("...k,...ki->...i", _grad_up(ext), hess_cov) / ext.v[..., None]
     return float(np.max(np.abs(lhs - rhs)))
@@ -295,9 +293,7 @@ def tilt_gradient_residual(state: GraphState) -> float:
 def tilt_gradient_shape_residual(state: GraphState) -> float:
     """Sup defect of D_k v = (lambda'/lambda) v r_k - v^2 h^i_k r_i."""
     ext = compute_extrinsic(state)
-    grid = state.grid
-    v_field = ScalarField(grid, ext.v, t=state.t)
-    lhs = grad_components(v_field)
+    lhs = grad_components(ScalarField(state.grid, ext.v))
     r_i = ext.lam[..., None] * np.stack(ext.grad_phi, axis=-1)
     rhs = ((ext.lam_p / ext.lam) * ext.v)[..., None] * r_i \
         - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", _h_mixed(ext), r_i)

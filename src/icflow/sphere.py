@@ -53,7 +53,6 @@ class SphereGrid:
     psi: np.ndarray                # (n_psi,) or empty
     d_theta: float
     d_psi: float
-    n: int = 2
     sin_theta: np.ndarray = field(init=False, repr=False, compare=False)
     cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
     sigma: np.ndarray = field(init=False, repr=False, compare=False)
@@ -89,7 +88,6 @@ class SphereGrid:
 class ScalarField:
     grid: SphereGrid
     values: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

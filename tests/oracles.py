@@ -10,7 +10,8 @@ the production code.
 
 The step-path oracles compute the flow's speed and stability bound
 through the public curvature API, each cone test, F and dF evaluated on
-its own; the flow's one-pass stage must match them bit for bit.
+its own from kappa, sigma_j recomputed each time; the flow's one-pass
+stage must match them bit for bit.
 """
 
 import numpy as np
@@ -60,15 +61,15 @@ def reference_speed(state, F, ext):
     """d phi / dt = v / F(lambda kappa) through the public cone test and
     f_eval, with ext = compute_extrinsic(state): each check of the stage,
     on its own evaluation of F."""
-    kappa, e = ext.kappa, ext.sigma_j
-    ok = cf.cone_contains(F, kappa, e)
+    kappa = ext.kappa
+    ok = cf.cone_contains(F, kappa)
     if not ok.all():
         margins = cf.cone_margin(F, kappa)
         idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
         raise InadmissibleState("state left the admissibility cone",
                                 t=state.t, node=idx, kappa=kappa[idx])
     scaled = cf.f_eval(F, ext.lam[..., None] * kappa)
-    plain = ext.lam * cf.f_eval(F, kappa, e)
+    plain = ext.lam * cf.f_eval(F, kappa)
     if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
         raise FlowError("homogeneity cross-check failed in speed evaluation")
     if np.min(scaled) <= 0.0:
@@ -81,8 +82,8 @@ def reference_speed(state, F, ext):
 def reference_stable_dt(state, F, ext, cfl):
     """The parabolic stability bound from f_grad and f_eval, with
     ext = compute_extrinsic(state)."""
-    fp = cf.f_grad(F, ext.kappa, ext.sigma_j)
-    fval = cf.f_eval(F, ext.kappa, ext.sigma_j)
+    fp = cf.f_grad(F, ext.kappa)
+    fval = cf.f_eval(F, ext.kappa)
     scale = ext.v / (ext.lam * fval) ** 2 * np.max(fp, axis=-1)
     h = state.grid.d_theta
     return cfl * h * h / float(np.max(scale))

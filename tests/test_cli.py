@@ -95,6 +95,12 @@ class TestConfigParsing:
         ("report", "enable_gradient_monotone", "true"),
         ("report", "enable_chi_ratio", "true"),
         ("output", "formats", "csv json"),
+        ("report", "tol_rate_kappa", "0.15"),
+        ("report", "tol_rate_grad", "0.15"),
+        ("report", "tol_rate_hess", "0.10"),
+        ("report", "limit_gap_tol", "0.02"),
+        ("report", "metric_residual_tol", "5e-3"),
+        ("report", "chi_ratio_max", "10.0"),
     ])
     def test_removed_key_rejected(self, tmp_path, section, key, value):
         p = write_config(tmp_path / "c.ini")
@@ -122,7 +128,7 @@ class TestConfigParsing:
         assert rc.flow.grid_mode == "axisymmetric1d"
         assert rc.flow.initial.kind == "cosine_perturbation"
         assert rc.flow.f == cf.from_name("mean", 2)
-        assert rc.report.window == (4.0, 9.0)
+        assert rc.report == dg.ReportConfig(window=(4.0, 9.0))
 
     def test_cfl_bound(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -238,7 +244,7 @@ class TestRunCommand:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["missing", "not_json", "no_params", "phi_short",
-                                      "out_is_a_file"])
+                                      "t_nan", "t_inf", "out_is_a_file"])
     def test_bad_checkpoint_or_output_exit_2(self, tmp_path, capsys, case):
         p = write_config(tmp_path / "c.ini", n_theta=32)
         grid = sp.build_grid("axisymmetric1d", 32)
@@ -255,6 +261,10 @@ class TestRunCommand:
             ck.write_text(json.dumps(doc))
         elif case == "phi_short":
             doc["phi"].pop()
+            ck.write_text(json.dumps(doc))
+        elif case in ("t_nan", "t_inf"):
+            # json writes and reads these as NaN and Infinity
+            doc["t"] = float("nan") if case == "t_nan" else float("inf")
             ck.write_text(json.dumps(doc))
         else:
             out.write_text("")
@@ -367,6 +377,20 @@ class TestRunCommand:
         rows = (out / "limit_profile.csv").read_text().splitlines()
         assert report["limit_gap"] is not None and len(rows) == 33
 
+    def test_report_pins_the_certificate(self, tmp_path):
+        # the rate targets 2/n, 2/n and 1/n and every tolerance are fixed;
+        # no config key moves them, so a change to one is an edit here
+        cfg = write_config(tmp_path / "c.ini", n_theta=32, dt_max="1e-2")
+        out = tmp_path / "out"
+        cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        rates = json.loads((out / "report.json").read_text())["rates"]
+        assert [(r["name"], r["target"], r["tolerance"]) for r in rates] == [
+            ("sup_kappa_dev", 1.0, 0.15),
+            ("sup_grad_phi_sq", 1.0, 0.15),
+            ("sup_hess_phi", 0.5, 0.10),
+        ]
+        assert (dg.LIMIT_GAP_TOL, dg.METRIC_RESIDUAL_TOL, dg.CHI_RATIO_MAX) == (0.02, 5e-3, 10.0)
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):
@@ -417,10 +441,6 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "[sweep] f_kind" in err and "bogus" in err
         assert not out.exists()
-
-    def test_jobs_env_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ICFLOW_THREADS", "1")
-        assert cli._max_jobs(8) == 1
 
 
 class TestSweepCombos:
