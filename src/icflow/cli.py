@@ -9,7 +9,7 @@ report.json / report.txt, checkpoint.json, limit_profile.csv and
 events.jsonl into the output directory (a failed run still writes
 events.jsonl, ending with the error), and exits 0 only if every enabled
 check passed (1 on a check failure, 2 on a runtime or configuration
-error). Identical configs produce byte-identical series files. A sweep
+error, an artifact that cannot be written among them). Identical configs produce byte-identical series files. A sweep
 runs up to --jobs combinations at once, capped by the CPU count;
 node-level arithmetic is vectorized and single-threaded per run.
 """
@@ -32,6 +32,14 @@ from .config import RunConfig, parse_run_config
 from .errors import ConfigError, IcflowError, InsufficientData
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one artifact; an OSError is a ConfigError naming the file."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_series(path: Path, series: dg.DiagnosticsSeries) -> None:
     cols = dg.SERIES_COLUMNS
     lines = [",".join(cols)]
@@ -41,21 +49,21 @@ def _write_series(path: Path, series: dg.DiagnosticsSeries) -> None:
             val = getattr(rec, c)
             cells.append(str(int(val)) if isinstance(val, bool) else "%.17g" % val)
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_profile(path: Path, profile: dg.LimitProfile) -> None:
     lines = ["theta,f_hat"]
     for th, fh in zip(profile.theta, profile.f_hat):
         lines.append("%.17g,%.17g" % (th, fh))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_events(path: Path, events) -> None:
     lines = [json.dumps({"kind": e.kind, "t": e.t, **e.payload}, sort_keys=True,
                         default=int)      # node indices are numpy integers
              for e in events]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_text(path, "".join(line + "\n" for line in lines))
 
 
 def _make_dir(path) -> Path:
@@ -92,22 +100,14 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
     if prof is not None:
         _write_profile(out / "limit_profile.csv", prof)
     flow.save_checkpoint(final, out / "checkpoint.json")
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    (out / "report.txt").write_text(
-        "\n".join(dg.report_lines(report)) + "\n", encoding="utf-8")
+    _write_text(out / "report.json", json.dumps(report, sort_keys=True, indent=1) + "\n")
+    _write_text(out / "report.txt", "\n".join(dg.report_lines(report)) + "\n")
     return report
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = parse_run_config(args.config)
-        out_dir = args.out or cfg.output.directory
-        report = execute_run(cfg, out_dir, resume=args.resume)
-    except IcflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_run_config(args.config)
+    report = execute_run(cfg, args.out or cfg.output.directory, resume=args.resume)
     for line in dg.report_lines(report):
         print(line)
     return 0 if report["overall_pass"] else 1
@@ -155,16 +155,11 @@ def sweep_combos(cfg: RunConfig) -> list:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = parse_run_config(args.config, allow_sweep=True)
-        if not cfg.sweep:
-            print("error: sweep config needs a [sweep] section", file=sys.stderr)
-            return 2
-        combos = sweep_combos(cfg)
-        out = _make_dir(args.out or cfg.output.directory)
-    except IcflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_run_config(args.config, allow_sweep=True)
+    if not cfg.sweep:
+        raise ConfigError("sweep config needs a [sweep] section")
+    combos = sweep_combos(cfg)
+    out = _make_dir(args.out or cfg.output.directory)
     jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
     payloads = [(cfg, combo, out / _combo_key(combo)) for combo in combos]
@@ -195,7 +190,7 @@ def cmd_sweep(args) -> int:
             "",
         ]))
         print(f"{'PASS' if ok else 'FAIL'} {key}")
-    (out / "aggregate.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_text(out / "aggregate.csv", "\n".join(rows) + "\n")
     # a combination that raised is a runtime error (2), like a failed run
     if any_error:
         return 2
@@ -229,7 +224,11 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IcflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

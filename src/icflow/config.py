@@ -68,7 +68,7 @@ _SCHEMA = {
     "initial": {"kind": _to_str, "r0": _to_float, "amplitude": _to_float,
                 "wavenumber": _to_int, "table_path": _to_str},
     "flow": {"f_kind": _to_str, "t_end": _to_float, "cfl": _to_float,
-             "output_every": _to_float, "dt_max": _to_float, "dt_min": _to_float},
+             "output_every": _to_float, "dt_max": _to_float},
     "report": {"window_start": _to_float, "window_end": _to_float,
                "enable_rates": _to_bool, "enable_limit_profile": _to_bool},
     "output": {"directory": _to_str},

@@ -13,7 +13,9 @@ of {sigma_k > 0} containing the positive cone. The normalization constants
 are the unique ones compatible with 1-homogeneity.
 
 Evaluation and gradients are vectorized over leading axes: kappa may have
-shape (..., n).
+shape (..., n). Admissibility has one test, `require_cone` on the sigma_j:
+F and dF pass through it, and outside the cone it raises InadmissibleState
+naming the point of least margin.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InadmissibleCurvatures
+from .errors import InadmissibleState
 
 _EPS_DEN = 1e-300   # quotient denominator guard
 
@@ -89,40 +91,31 @@ def elementary_symmetric_deleted(kappa: np.ndarray, e: np.ndarray) -> np.ndarray
     return d
 
 
-def _in_cone(f, e):
-    """Cone membership from the sigma_j values e of elementary_symmetric."""
-    return (e[..., 1:f.cone_order + 1] > 0.0).all(axis=-1)
+def _margin(f, e):
+    """min_j sigma_j over the cone-defining inequalities, per point, from
+    the sigma_j values e of elementary_symmetric; negative outside."""
+    return e[..., 1:f.cone_order + 1].min(axis=-1)
 
 
-def _all_in_cone(f, e):
-    """Whether every point of e lies in the cone: _in_cone(f, e).all() in
-    one reduction (a NaN minimum fails the test, as a NaN entry does)."""
-    return bool(e[..., 1:f.cone_order + 1].min() > 0.0)
+def require_cone(f: CurvatureFunction, e, kappa, t=None):
+    """The one cone test: e, the sigma_j of kappa, when every point lies in
+    the cone of f (one reduction, which a NaN fails). Otherwise raises
+    InadmissibleState naming the point of least margin, its kappa and t."""
+    if e[..., 1:f.cone_order + 1].min() > 0.0:
+        return e
+    margin = _margin(f, e)
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin)), margin.shape))
+    where = "" if t is None else f" at t={t}"
+    raise InadmissibleState(
+        f"principal curvatures left the admissibility cone of {f.kind}{where}; "
+        f"least margin at node {idx}, kappa={kappa[idx].tolist()}",
+        t=t, node=idx, kappa=kappa[idx],
+    )
 
 
 def cone_contains(f: CurvatureFunction, kappa) -> np.ndarray:
     """Membership in Gamma(F), elementwise over leading axes."""
-    return _in_cone(f, elementary_symmetric(kappa))
-
-
-def cone_margin(f: CurvatureFunction, kappa) -> np.ndarray:
-    """min_j sigma_j over the cone-defining inequalities; negative outside."""
-    kappa = np.asarray(kappa, dtype=float)
-    e = elementary_symmetric(kappa)
-    return np.min(e[..., 1:f.cone_order + 1], axis=-1)
-
-
-def _require_admissible(f, kappa):
-    """All sigma_j(kappa), as elementary_symmetric; raises
-    InadmissibleCurvatures when any point lies outside the cone."""
-    e = elementary_symmetric(kappa)
-    if not _all_in_cone(f, e):
-        bad = np.argwhere(~np.atleast_1d(_in_cone(f, e)))
-        raise InadmissibleCurvatures(
-            f"principal curvatures outside the admissibility cone of {f.kind} "
-            f"(first offender at index {tuple(bad[0])})"
-        )
-    return e
+    return _margin(f, elementary_symmetric(kappa)) > 0.0
 
 
 def _value(f, e):
@@ -156,14 +149,14 @@ def _gradient(f, kappa, e):
 
 
 def f_eval(f: CurvatureFunction, kappa) -> np.ndarray:
-    """F(kappa); raises InadmissibleCurvatures outside the cone."""
+    """F(kappa); raises InadmissibleState outside the cone."""
     kappa = np.asarray(kappa, dtype=float)
-    return _value(f, _require_admissible(f, kappa))
+    return _value(f, require_cone(f, elementary_symmetric(kappa), kappa))
 
 
 def f_grad(f: CurvatureFunction, kappa) -> np.ndarray:
     """Componentwise derivative dF/dkappa_i; all components positive on the
     cone and Euler's identity sum kappa_i dF/dkappa_i = F holds. Raises
-    InadmissibleCurvatures outside the cone."""
+    InadmissibleState outside the cone."""
     kappa = np.asarray(kappa, dtype=float)
-    return _gradient(f, kappa, _require_admissible(f, kappa))
+    return _gradient(f, kappa, require_cone(f, elementary_symmetric(kappa), kappa))

@@ -29,15 +29,13 @@ class ResolutionTooSmall(IcflowError):
     """Grid resolution below the supported minimum."""
 
 
-class InadmissibleCurvatures(IcflowError):
-    """Principal curvatures left the admissibility cone of the curvature function."""
-
-
 class InadmissibleState(IcflowError):
-    """A flow state has at least one node outside the admissibility cone.
+    """Principal curvatures left the admissibility cone of the curvature
+    function, or F was not positive there.
 
-    Carries the flow time ``t``, the flat ``node`` index of the worst
-    offender and its principal curvatures ``kappa``.
+    Carries the flow time ``t`` (None outside a flow), the ``node`` index
+    of the worst offender and its principal curvatures ``kappa``. The
+    stepper retries a step that raises it with halved dt.
     """
 
     def __init__(self, message, t=None, node=None, kappa=None):
@@ -48,7 +46,7 @@ class InadmissibleState(IcflowError):
 
 
 class StepUnderflow(IcflowError):
-    """The stability-limited time step fell below dt_min."""
+    """The stability-limited time step fell below flow.DT_MIN."""
 
 
 class InsufficientData(IcflowError):

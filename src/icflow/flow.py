@@ -7,10 +7,10 @@ The scalar form evolved here is
 equal by 1-homogeneity to v / (lambda F(h^i_j)); both are computed and
 must agree to rounding, which cross-checks the scaling path. `evaluate`
 computes everything the stepper reads of a state in one pass: the
-extrinsic data, one cone test, F(kappa) and the speed. Each state the
-stepper touches (accepted, midpoint, end) is evaluated once, and the end
-state inside the step's retry loop, so an end state outside the cone is
-retried like a midpoint.
+extrinsic data, the cone test on kappa and on lambda kappa, F(kappa) and
+the speed. Each state the stepper touches (accepted, midpoint, end) is
+evaluated once, and the end state inside the step's retry loop, so an
+end state outside the cone is retried like a midpoint.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r; the radius field is refreshed from phi
 through the tabulated gauge inverse after every substep.
@@ -57,6 +57,7 @@ from .geometry import (
 from .sphere import build_grid, polar_filter
 
 CHECKPOINT_FORMAT_VERSION = 2
+DT_MIN = 1e-12   # a stability bound below this is a StepUnderflow
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,13 @@ class FlowConfig:
     t_end: float
     cfl: float = 0.2
     dt_max: float = 1e-3
-    dt_min: float = 1e-12
     output_every: float = 0.1
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.5):
             raise ConfigError(f"cfl must lie in (0, 0.5], got {self.cfl}")
-        if not (self.dt_min < self.dt_max):
-            raise ConfigError("dt_min must be smaller than dt_max")
+        if not (DT_MIN < self.dt_max):
+            raise ConfigError(f"dt_max must exceed DT_MIN = {DT_MIN:g}")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
         if self.output_every <= 0:
@@ -121,26 +121,20 @@ class FlowEvent:
 
 
 def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
-    """The stage data of state: its extrinsic pass, one cone test on its
-    sigma_j, F(kappa) and the speed d phi / dt = v / F(lambda kappa), kept
-    as ext.f_kappa and ext.speed.
+    """The stage data of state: its extrinsic pass, the cone test on its
+    sigma_j and on those of lambda kappa, F(kappa) and the speed
+    d phi / dt = v / F(lambda kappa), kept as ext.f_kappa and ext.speed.
 
-    Raises InadmissibleState, carrying the worst node, when kappa leaves
-    the cone or F(lambda kappa) is not positive; InadmissibleCurvatures
-    when lambda kappa leaves the cone; FlowError when F(lambda kappa) and
-    lambda F(kappa) disagree beyond rounding or the speed is not finite.
+    Raises InadmissibleState, carrying the worst node and its kappa, when
+    kappa or lambda kappa leaves the cone or F(lambda kappa) is not
+    positive; FlowError when F(lambda kappa) and lambda F(kappa) disagree
+    beyond rounding or the speed is not finite.
     """
     ext = compute_extrinsic(state)
-    kappa, e = ext.kappa, ext.sigma_j
-    if not cf._all_in_cone(F, e):
-        margins = cf.cone_margin(F, kappa)
-        idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        raise InadmissibleState(
-            f"state left the admissibility cone at t={state.t}",
-            t=state.t, node=idx, kappa=kappa[idx],
-        )
-    f_kappa = cf._value(F, e)
-    scaled = cf._value(F, cf._require_admissible(F, ext.lam[..., None] * kappa))
+    kappa = ext.kappa
+    f_kappa = cf._value(F, cf.require_cone(F, ext.sigma_j, kappa, state.t))
+    e_scaled = cf.elementary_symmetric(ext.lam[..., None] * kappa)
+    scaled = cf._value(F, cf.require_cone(F, e_scaled, kappa, state.t))
     if np.abs(scaled - ext.lam * f_kappa).max() > 1e-12 * np.abs(scaled).max():
         raise FlowError("homogeneity cross-check failed in speed evaluation")
     if scaled.min() <= 0.0:
@@ -158,17 +152,18 @@ def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
 
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
-              cfl: float, dt_min: float = 0.0, dt_max: float = math.inf) -> float:
+              cfl: float, dt_max: float = math.inf) -> float:
     """Parabolic stability bound cfl d_theta^2 / max(diffusion scale), with
     ext = evaluate(state, F). On lat-long grids the polar filter keeps
-    only the azimuthal modes that d_theta resolves."""
+    only the azimuthal modes that d_theta resolves. A bound below DT_MIN
+    raises StepUnderflow."""
     fp = cf._gradient(F, ext.kappa, ext.sigma_j)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
     h = state.grid.d_theta
     dt = cfl * h * h / float(scale.max())
-    if dt < dt_min:
-        raise StepUnderflow(f"stability requires dt={dt:.3e} below dt_min={dt_min:.3e}")
+    if dt < DT_MIN:
+        raise StepUnderflow(f"stability requires dt={dt:.3e} below DT_MIN={DT_MIN:.3e}")
     return min(dt, dt_max)
 
 
@@ -271,8 +266,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         steps = 0
         for target in snap_times:
             while state.t < target - 1e-12:
-                dt = stable_dt(state, F, ext, config.cfl,
-                               dt_min=config.dt_min, dt_max=config.dt_max)
+                dt = stable_dt(state, F, ext, config.cfl, dt_max=config.dt_max)
                 if state.t + dt >= target - 1e-12:
                     dt = target - state.t      # ends the interval on target
                 state, ext = step(state, F, dt, ext, events=events)
@@ -294,6 +288,8 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
 # -- checkpointing -----------------------------------------------------------
 
 def save_checkpoint(state: GraphState, path) -> None:
+    """Write state as a checkpoint document; a file that cannot be written
+    is a ConfigError naming it."""
     grid = state.grid
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -309,9 +305,12 @@ def save_checkpoint(state: GraphState, path) -> None:
         },
         "phi": [float(x) for x in state.phi.values.ravel()],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def load_checkpoint(path, config: FlowConfig) -> GraphState:

@@ -64,7 +64,7 @@ def reference_speed(state, F, ext):
     kappa = ext.kappa
     ok = cf.cone_contains(F, kappa)
     if not ok.all():
-        margins = cf.cone_margin(F, kappa)
+        margins = cf.elementary_symmetric(kappa)[..., 1:F.cone_order + 1].min(axis=-1)
         idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
         raise InadmissibleState("state left the admissibility cone",
                                 t=state.t, node=idx, kappa=kappa[idx])

@@ -101,6 +101,7 @@ class TestConfigParsing:
         ("report", "limit_gap_tol", "0.02"),
         ("report", "metric_residual_tol", "5e-3"),
         ("report", "chi_ratio_max", "10.0"),
+        ("flow", "dt_min", "1e-12"),
     ])
     def test_removed_key_rejected(self, tmp_path, section, key, value):
         p = write_config(tmp_path / "c.ini")
@@ -272,6 +273,14 @@ class TestRunCommand:
                          "--resume", str(ck)]) == 2
         assert str(out if case == "out_is_a_file" else ck) in capsys.readouterr().err
 
+    def test_unwritable_artifact_exit_2(self, tmp_path, capsys):
+        # a directory in the way of series.csv: the run writes no traceback
+        p = write_config(tmp_path / "c.ini", n_theta=32, t_end=0.1)
+        out = tmp_path / "o"
+        (out / "series.csv").mkdir(parents=True)
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert f"cannot write {out / 'series.csv'}" in capsys.readouterr().err
+
     def test_non_finite_mass_exit_2(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.ini", m="nan")
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -431,6 +440,18 @@ class TestSweepCommand:
         assert rows[0][5] == ""
         assert rows[1][5].startswith("ConfigError")
         assert "PASS amplitude0.2" in capsys.readouterr().out
+
+    def test_unwritable_aggregate_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1,
+                           report_extra="enable_rates = false\nenable_limit_profile = false")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nf_kind = mean\n")
+        out = tmp_path / "sweep"
+        (out / "aggregate.csv").mkdir(parents=True)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS mean" in captured.out
+        assert f"cannot write {out / 'aggregate.csv'}" in captured.err
 
     def test_unknown_sweep_f_kind_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.ini")

@@ -40,7 +40,7 @@ INVALID = {
     ("initial", "r0"): ["0", "-1.0"],
     ("flow", "t_end"): ["0", "-0.01"],
     ("flow", "cfl"): ["0", "0.6"],
-    ("flow", "dt_min"): ["0.05"],
+    ("flow", "dt_max"): ["0", "1e-13"],
 }
 
 
@@ -70,7 +70,6 @@ def run_configs(draw):
         "cfl": draw(num(0.05, 0.5)),
         "output_every": draw(num(0.005, 0.1)),
         "dt_max": draw(num(1e-4, 0.05)),
-        "dt_min": draw(st.sampled_from(["1e-12", "1e-6"])),
     }
     background = {"m": draw(st.one_of(st.just("0.0"), num(0.01, 4.0), num(0.0, 0.01))),
                   "n": 2}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icflow import curvature as cf
-from icflow.errors import InadmissibleCurvatures
+from icflow.errors import InadmissibleState
 
 ALL_KINDS = ["mean", "sigma2root", "quotient2"]
 
@@ -63,8 +63,20 @@ class TestEval:
 
     def test_inadmissible_raises(self):
         F = cf.from_name("sigma2root", 2)
-        with pytest.raises(InadmissibleCurvatures):
+        with pytest.raises(InadmissibleState):
             cf.f_eval(F, np.array([-1.0, 3.0]))
+
+    @pytest.mark.parametrize("func", [cf.f_eval, cf.f_grad])
+    def test_inadmissible_names_least_margin_point(self, func):
+        # margins sigma_1 = 3, -1, 2, -4: the first offender is point 1,
+        # the least margin point 3
+        F = cf.from_name("mean", 2)
+        kappa = np.array([[1.0, 2.0], [-2.0, 1.0], [1.0, 1.0], [-5.0, 1.0]])
+        with pytest.raises(InadmissibleState) as info:
+            func(F, kappa)
+        assert info.value.node == (3,)
+        assert np.array_equal(info.value.kappa, [-5.0, 1.0])
+        assert info.value.t is None
 
 
 class TestCone:

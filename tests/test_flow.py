@@ -162,10 +162,11 @@ class TestStableDt:
         for coarse, fine in zip(dts, dts[1:]):
             assert abs(coarse / fine - 4.0) <= 0.5
 
-    def test_underflow(self, prof_m0):
+    def test_underflow(self, prof_m0, monkeypatch):
+        monkeypatch.setattr(flow, "DT_MIN", 1.0)
         state = unit_sphere_state(prof_m0)
         with pytest.raises(StepUnderflow):
-            stable_dt(state, cf.from_name("mean", 2), cfl=0.2, dt_min=1.0)
+            stable_dt(state, cf.from_name("mean", 2), cfl=0.2)
 
 
 class TestStep:
@@ -239,6 +240,36 @@ class TestStep:
         assert cf.cone_contains(f, geo.compute_extrinsic(new).kappa).all()
         assert np.array_equal(ext.speed, flow.evaluate(new, f).speed)
         assert flow.stable_dt(new, f, ext, cfl=0.2) > 0.0
+
+    def test_scaled_curvatures_outside_cone_retried(self, prof_m1, monkeypatch):
+        # only sigma_j(lambda kappa) of the first midpoint leaves the cone,
+        # at node 5: the step logs that node with its unscaled kappa and
+        # takes the half step
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
+        f = cf.from_name("mean", 2)
+        dt = 1e-3
+        ext = flow.evaluate(state, f)
+        mid = geo.state_from_gauge(grid, prof_m1, state.phi.values + 0.5 * dt * ext.speed,
+                                   t=0.5 * dt)
+        kappa_mid = geo.compute_extrinsic(mid).kappa
+        orig = cf.elementary_symmetric
+        calls = {"n": 0}
+
+        def scaled_out_once(kappa):
+            e = orig(kappa)
+            calls["n"] += 1
+            if calls["n"] == 2:      # the midpoint's lambda kappa
+                e[5, 1] = -1.0
+            return e
+
+        monkeypatch.setattr(cf, "elementary_symmetric", scaled_out_once)
+        events = []
+        new, _ = flow.step(state, f, dt, ext, events=events)
+        assert [(e.kind, e.payload["dt"], e.payload["node"]) for e in events] == \
+            [("admissibility_violation", dt, (5,))]
+        assert events[0].payload["kappa"] == list(kappa_mid[5])
+        assert new.t == 0.5 * dt
 
 
 def stage_states():
@@ -427,6 +458,8 @@ class TestRun:
             make_config(cfl=0.9)
         with pytest.raises(ConfigError):
             make_config(t_end=-1.0)
+        with pytest.raises(ConfigError, match="DT_MIN"):
+            make_config(dt_max=flow.DT_MIN)
 
 
 class TestCheckpoint:
