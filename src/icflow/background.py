@@ -65,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MassTooSmall, NegativeMass, NonPositiveDimension, TableExtentError
+from .errors import ConfigError, TableExtentError
 
 # 10-point Gauss-Legendre nodes and weights on [-1, 1], ascending
 _GL_NODES = np.array([
@@ -106,12 +106,11 @@ class BackgroundParams:
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
-            raise NonPositiveDimension(f"sphere dimension must be an integer >= 2, got {self.n}")
+            raise ConfigError(f"sphere dimension must be an integer >= 2, got {self.n}")
         if self.m < 0:
-            raise NegativeMass(f"mass parameter must be >= 0, got {self.m}")
+            raise ConfigError(f"mass parameter must be >= 0, got {self.m}")
         if 0 < self.m < M_MIN:
-            raise MassTooSmall(
-                f"a positive mass must be at least {M_MIN:.3g}, got {self.m}")
+            raise ConfigError(f"a positive mass must be at least {M_MIN:.3g}, got {self.m}")
 
 
 def _g(s, m, n):

@@ -6,10 +6,12 @@
 
 A run writes series.csv (one row per snapshot, 17 significant digits),
 report.json / report.txt, checkpoint.json, limit_profile.csv and
-events.jsonl into the output directory (a failed run still writes
-events.jsonl, ending with the error), and exits 0 only if every enabled
-check passed (1 on a check failure, 2 on a runtime or configuration
-error, an artifact that cannot be written among them). Identical configs produce byte-identical series files. A sweep
+events.jsonl into the output directory, --out (default `out`). A failed
+run still writes events.jsonl, ending with the error; a resume from a
+checkpoint at or past t_end is one. The run exits 0 only if every
+enabled check passed (1 on a check failure, 2 on a runtime or
+configuration error, an artifact that cannot be written among them).
+Identical configs produce byte-identical series files. A sweep
 runs up to --jobs combinations at once, capped by the CPU count;
 node-level arithmetic is vectorized and single-threaded per run.
 """
@@ -78,12 +80,7 @@ def _make_dir(path) -> Path:
 def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
     """Run one configured flow and write all artifacts. Returns the report."""
     out = _make_dir(out_dir)
-    initial_state = None
-    if resume is not None:
-        initial_state = flow.load_checkpoint(resume, cfg.flow)
-        if initial_state.t >= cfg.flow.t_end:
-            raise ConfigError(f"checkpoint time t={initial_state.t} is not before "
-                              f"[flow] t_end = {cfg.flow.t_end}; nothing to run")
+    initial_state = None if resume is None else flow.load_checkpoint(resume, cfg.flow)
     try:
         final, series, events = flow.run(cfg.flow, initial_state=initial_state)
     except Exception as exc:
@@ -107,7 +104,7 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
 
 def cmd_run(args) -> int:
     cfg = parse_run_config(args.config)
-    report = execute_run(cfg, args.out or cfg.output.directory, resume=args.resume)
+    report = execute_run(cfg, args.out, resume=args.resume)
     for line in dg.report_lines(report):
         print(line)
     return 0 if report["overall_pass"] else 1
@@ -134,8 +131,7 @@ def _apply_combo(cfg: RunConfig, combo) -> RunConfig:
             flow_cfg = replace(flow_cfg, initial=replace(flow_cfg.initial, amplitude=val))
     echo = dict(cfg.echo)
     echo["sweep_combo"] = {k: v for k, v in combo}
-    return RunConfig(flow=flow_cfg, report=cfg.report, output=cfg.output,
-                     echo=echo, sweep=None)
+    return RunConfig(flow=flow_cfg, report=cfg.report, echo=echo, sweep=None)
 
 
 def _run_combo(payload):
@@ -159,7 +155,7 @@ def cmd_sweep(args) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep config needs a [sweep] section")
     combos = sweep_combos(cfg)
-    out = _make_dir(args.out or cfg.output.directory)
+    out = _make_dir(args.out)
     jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
     payloads = [(cfg, combo, out / _combo_key(combo)) for combo in combos]
@@ -210,13 +206,13 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one configured flow")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", default="out")
     p_run.add_argument("--resume", default=None, help="checkpoint file to resume from")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -2,8 +2,10 @@
 
 INI-style sections with strict validation: unknown sections or keys are
 rejected with the offending location in the message, so a typo cannot
-silently change what a run does. No key sets a tolerance of the
-certificate: those are constants of the diagnostics module.
+silently change what a run does. Every rejection is a ConfigError. No
+key sets a tolerance of the certificate, which are constants of the
+diagnostics module, nor the stability fraction flow.CFL; the output
+directory is the command line's --out.
 """
 
 from __future__ import annotations
@@ -67,11 +69,10 @@ _SCHEMA = {
     "grid": {"mode": _to_str, "n_theta": _to_int, "n_psi": _to_int},
     "initial": {"kind": _to_str, "r0": _to_float, "amplitude": _to_float,
                 "wavenumber": _to_int, "table_path": _to_str},
-    "flow": {"f_kind": _to_str, "t_end": _to_float, "cfl": _to_float,
-             "output_every": _to_float, "dt_max": _to_float},
+    "flow": {"f_kind": _to_str, "t_end": _to_float, "output_every": _to_float,
+             "dt_max": _to_float},
     "report": {"window_start": _to_float, "window_end": _to_float,
                "enable_rates": _to_bool, "enable_limit_profile": _to_bool},
-    "output": {"directory": _to_str},
     "sweep": {"m": _to_floats, "f_kind": _to_words, "amplitude": _to_floats},
 }
 
@@ -86,15 +87,9 @@ _INITIAL_KEYS = {
 
 
 @dataclass
-class OutputConfig:
-    directory: str = "out"
-
-
-@dataclass
 class RunConfig:
     flow: FlowConfig
     report: ReportConfig
-    output: OutputConfig
     echo: dict = field(default_factory=dict)
     sweep: dict | None = None
 
@@ -189,12 +184,10 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
     _require(flow, "flow", "f_kind", "t_end")
     try:
         func = cf.from_name(flow.pop("f_kind"), background.n)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"[flow] f_kind: {exc}") from None
     flow_cfg = FlowConfig(background=background, grid_mode=mode, grid_resolution=resolution,
                           initial=initial, f=func, **flow)
-    if flow_cfg.t_end <= 0:
-        raise ConfigError("[flow] t_end must be positive")
 
     rep = opts["report"]
     if "window_start" in rep or "window_end" in rep:
@@ -205,8 +198,6 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
             raise ConfigError("[report] rate window must satisfy 0 <= start < end <= t_end")
     report = ReportConfig(**rep)
 
-    output = OutputConfig(**opts["output"])
-
     echo = {s: dict(parser[s]) for s in parser.sections()}
 
     sweep = None
@@ -215,11 +206,11 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
         for kname in sweep.get("f_kind", ()):
             try:
                 cf.from_name(kname, background.n)
-            except ValueError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"[sweep] f_kind: {exc}") from None
         if not sweep or any(len(v) == 0 for v in sweep.values()):
             raise ConfigError("[sweep] needs at least one non-empty value grid")
         if "amplitude" in sweep and initial.kind != "cosine_perturbation":
             raise ConfigError("[sweep] amplitude requires cosine_perturbation initial data")
 
-    return RunConfig(flow=flow_cfg, report=report, output=output, echo=echo, sweep=sweep)
+    return RunConfig(flow=flow_cfg, report=report, echo=echo, sweep=sweep)

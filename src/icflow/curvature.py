@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InadmissibleState
+from .errors import ConfigError, InadmissibleState
 
 _EPS_DEN = 1e-300   # quotient denominator guard
 
@@ -38,9 +38,9 @@ class CurvatureFunction:
 
     def __post_init__(self):
         if self.kind not in ("mean", "sigma_k_root", "quotient"):
-            raise ValueError(f"unknown curvature function kind {self.kind!r}")
+            raise ConfigError(f"unknown curvature function kind {self.kind!r}")
         if self.kind != "mean" and not (2 <= self.k <= self.n):
-            raise ValueError(f"order k={self.k} requires 2 <= k <= n={self.n}")
+            raise ConfigError(f"order k={self.k} requires 2 <= k <= n={self.n}")
 
     @property
     def cone_order(self) -> int:
@@ -54,7 +54,7 @@ _NAMED = {"mean": ("mean", 1), "sigma2root": ("sigma_k_root", 2), "quotient2": (
 def from_name(name: str, n: int) -> CurvatureFunction:
     """Config-facing constructor: mean, sigma2root or quotient2."""
     if name not in _NAMED:
-        raise ValueError(f"unknown curvature function name {name!r}; expected one of {sorted(_NAMED)}")
+        raise ConfigError(f"unknown curvature function name {name!r}; expected one of {sorted(_NAMED)}")
     kind, k = _NAMED[name]
     return CurvatureFunction(kind=kind, n=n, k=k)
 

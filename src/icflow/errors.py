@@ -1,21 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every failure is an IcflowError, which the command line maps to exit 2.
+Every input the program rejects, from a config file or a library call,
+raises ConfigError; the other types name what went wrong on the way.
+"""
 
 
 class IcflowError(Exception):
     """Base class for all icflow errors."""
-
-
-class NonPositiveDimension(IcflowError):
-    """Sphere dimension n < 2 is not supported."""
-
-
-class NegativeMass(IcflowError):
-    """Mass parameter m must be nonnegative."""
-
-
-class MassTooSmall(IcflowError):
-    """A positive mass below M_MIN (machine epsilon), whose horizon the
-    warp table cannot resolve."""
 
 
 class TableExtentError(IcflowError):
@@ -23,10 +15,6 @@ class TableExtentError(IcflowError):
     or a table extent lies past R_TABLE_LIMIT (r = 140), where the warp
     tables stop being finite. Values are never silently extrapolated.
     """
-
-
-class ResolutionTooSmall(IcflowError):
-    """Grid resolution below the supported minimum."""
 
 
 class InadmissibleState(IcflowError):
@@ -58,4 +46,6 @@ class FlowError(IcflowError):
 
 
 class ConfigError(IcflowError):
-    """Invalid or malformed run configuration."""
+    """Any input the program rejects: a malformed or out-of-range config
+    value, library parameter, grid, curvature function, file or start
+    time."""

@@ -17,7 +17,7 @@ through the tabulated gauge inverse after every substep.
 
 Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
-F'_max gtilde_max v / (lambda F)^2, so dt ~ cfl d_theta^2 (lambda F)^2 and
+F'_max gtilde_max v / (lambda F)^2, so dt ~ CFL d_theta^2 (lambda F)^2 and
 grows geometrically as the surface expands; total work to reach a fixed
 time is small and no nonlinear solves are needed. On lat-long grids the
 pole rows' azimuthal spacing sin(theta_j) d_psi is far below d_theta;
@@ -27,6 +27,11 @@ d_theta bound holds in both grid modes. An admissibility guard
 re-tries a failed step with halved dt up to eight times before giving up,
 so transient excursions toward the cone boundary are handled without
 interpreting them.
+
+Rejected input is a ConfigError: FlowConfig refuses a t_end that is not
+positive and finite and an f normalised for another n than the
+background's, and run refuses a start state at or past t_end, which it
+records as its `failed` event.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .sphere import build_grid, polar_filter
 
 CHECKPOINT_FORMAT_VERSION = 2
 DT_MIN = 1e-12   # a stability bound below this is a StepUnderflow
+CFL = 0.2        # the stability bound's fraction of the parabolic limit
 
 
 @dataclass(frozen=True)
@@ -96,21 +102,21 @@ class FlowConfig:
     initial: InitialData
     f: cf.CurvatureFunction
     t_end: float
-    cfl: float = 0.2
     dt_max: float = 1e-3
     output_every: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 0.5):
-            raise ConfigError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         if not (DT_MIN < self.dt_max):
             raise ConfigError(f"dt_max must exceed DT_MIN = {DT_MIN:g}")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
-        if self.output_every <= 0:
+        if not (0.0 < self.t_end < math.inf):
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (self.output_every > 0):
             raise ConfigError("output_every must be positive")
         if self.background.n != 2:
             raise ConfigError("time integration is implemented for n = 2 grids")
+        if self.f.n != self.background.n:
+            raise ConfigError(f"curvature function is normalised for n = {self.f.n}, "
+                              f"the background has n = {self.background.n}")
 
 
 @dataclass
@@ -152,8 +158,8 @@ def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
 
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
-              cfl: float, dt_max: float = math.inf) -> float:
-    """Parabolic stability bound cfl d_theta^2 / max(diffusion scale), with
+              dt_max: float = math.inf) -> float:
+    """Parabolic stability bound CFL d_theta^2 / max(diffusion scale), with
     ext = evaluate(state, F). On lat-long grids the polar filter keeps
     only the azimuthal modes that d_theta resolves. A bound below DT_MIN
     raises StepUnderflow."""
@@ -161,7 +167,7 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
     h = state.grid.d_theta
-    dt = cfl * h * h / float(scale.max())
+    dt = CFL * h * h / float(scale.max())
     if dt < DT_MIN:
         raise StepUnderflow(f"stability requires dt={dt:.3e} below DT_MIN={DT_MIN:.3e}")
     return min(dt, dt_max)
@@ -234,6 +240,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     reductions. Snapshots are taken at t = 0 (or the resume time), at each
     k * output_every, and at t_end. The step that ends an interval is cut,
     or stretched by under 1e-12, to land on its snapshot time exactly.
+    A start state at or past t_end, with nothing to run, is a ConfigError.
     An exception raised on the way carries the events so far, ending with
     a `failed` event, as exc.events; an InadmissibleState's `failed`
     event also names the worst node and its kappa.
@@ -247,11 +254,11 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
             r0 = config.initial.radius_on(grid)
             profile = build_warp_profile(config.background, _table_extent(config, r0, 0.0))
             state = state_from_radius(grid, profile, r0, t=0.0)
+        if state.t >= config.t_end:
+            raise ConfigError(f"start time t={state.t} is not before "
+                              f"t_end = {config.t_end}; nothing to run")
 
         series = dg.DiagnosticsSeries.start(state, F)
-        if config.t_end <= state.t:
-            events.append(FlowEvent("completed", state.t, {"steps": 0}))
-            return state, series, events
 
         def take_snapshot(s, ext):
             rec = dg.snapshot(s, ext, pinch_ref=series.pinch_ref)
@@ -266,7 +273,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         steps = 0
         for target in snap_times:
             while state.t < target - 1e-12:
-                dt = stable_dt(state, F, ext, config.cfl, dt_max=config.dt_max)
+                dt = stable_dt(state, F, ext, dt_max=config.dt_max)
                 if state.t + dt >= target - 1e-12:
                     dt = target - state.t      # ends the interval on target
                 state, ext = step(state, F, dt, ext, events=events)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FlowError, ResolutionTooSmall
+from .errors import ConfigError, FlowError
 
 _MIN_NTHETA = 16
 
@@ -92,7 +92,7 @@ class ScalarField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.field_shape:
-            raise ValueError(
+            raise ConfigError(
                 f"field shape {self.values.shape} does not match grid {self.grid.field_shape}"
             )
         if not np.isfinite(self.values).all():
@@ -105,16 +105,16 @@ def build_grid(mode: str, resolution) -> SphereGrid:
     if mode == "axisymmetric1d":
         n_theta = int(resolution)
         if n_theta < _MIN_NTHETA:
-            raise ResolutionTooSmall(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
+            raise ConfigError(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
         h = np.pi / n_theta
         theta = (np.arange(n_theta) + 0.5) * h
         return SphereGrid(mode, n_theta, 1, theta, np.zeros(0), h, 0.0)
     if mode == "latlong2d":
         n_theta, n_psi = int(resolution[0]), int(resolution[1])
         if n_theta < _MIN_NTHETA:
-            raise ResolutionTooSmall(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
+            raise ConfigError(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
         if n_psi < 2 * n_theta or n_psi % 2 != 0:
-            raise ResolutionTooSmall(
+            raise ConfigError(
                 f"n_psi must be even and >= 2 n_theta, got {n_psi} (n_theta={n_theta})"
             )
         h = np.pi / n_theta
@@ -122,7 +122,7 @@ def build_grid(mode: str, resolution) -> SphereGrid:
         theta = (np.arange(n_theta) + 0.5) * h
         psi = (np.arange(n_psi) + 0.5) * hp
         return SphereGrid(mode, n_theta, n_psi, theta, psi, h, hp)
-    raise ValueError(f"unknown grid mode {mode!r}")
+    raise ConfigError(f"unknown grid mode {mode!r}")
 
 
 def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:

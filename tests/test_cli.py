@@ -37,9 +37,6 @@ output_every = 0.1
 
 [report]
 {report_extra}
-
-[output]
-directory = out
 """
 
 
@@ -94,7 +91,6 @@ class TestConfigParsing:
         ("report", "enable_f_bounds", "true"),
         ("report", "enable_gradient_monotone", "true"),
         ("report", "enable_chi_ratio", "true"),
-        ("output", "formats", "csv json"),
         ("report", "tol_rate_kappa", "0.15"),
         ("report", "tol_rate_grad", "0.15"),
         ("report", "tol_rate_hess", "0.10"),
@@ -102,11 +98,20 @@ class TestConfigParsing:
         ("report", "metric_residual_tol", "5e-3"),
         ("report", "chi_ratio_max", "10.0"),
         ("flow", "dt_min", "1e-12"),
+        ("flow", "cfl", "0.2"),
     ])
     def test_removed_key_rejected(self, tmp_path, section, key, value):
         p = write_config(tmp_path / "c.ini")
         p.write_text(p.read_text().replace(f"[{section}]", f"[{section}]\n{key} = {value}"))
         with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}$"):
+            cfgmod.parse_run_config(p)
+
+    @pytest.mark.parametrize("key, value", [("directory", "out"), ("formats", "csv json")])
+    def test_output_section_rejected(self, tmp_path, key, value):
+        # --out is the one way to name the output directory
+        p = write_config(tmp_path / "c.ini")
+        p.write_text(p.read_text() + f"\n[output]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[output\]$"):
             cfgmod.parse_run_config(p)
 
     def test_minimal_config_takes_field_defaults(self, tmp_path):
@@ -119,7 +124,6 @@ class TestConfigParsing:
             grid_resolution=32, initial=flow.InitialData(kind="constant", r0=2.0),
             f=cf.from_name("mean", 2), t_end=1.0)
         assert rc.report == dg.ReportConfig()
-        assert rc.output == cfgmod.OutputConfig()
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -130,14 +134,6 @@ class TestConfigParsing:
         assert rc.flow.initial.kind == "cosine_perturbation"
         assert rc.flow.f == cf.from_name("mean", 2)
         assert rc.report == dg.ReportConfig(window=(4.0, 9.0))
-
-    def test_cfl_bound(self, tmp_path):
-        p = tmp_path / "c.ini"
-        txt = BASE.format(m=0, n_theta=48, kind="constant", initial_extra="r0 = 1.0",
-                          t_end=1.0, dt_max="1e-3", report_extra="")
-        p.write_text(txt.replace("[flow]", "[flow]\ncfl = 0.9"))
-        with pytest.raises(ConfigError, match="cfl"):
-            cfgmod.parse_run_config(p)
 
     def test_missing_required_key(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -361,12 +357,18 @@ class TestRunCommand:
         kw = dict(n_theta=32, report_extra="enable_rates = false\nenable_limit_profile = false")
         cfg_first = write_config(tmp_path / "first.ini", t_end=1.0, **kw)
         cfg_again = write_config(tmp_path / "again.ini", t_end=t_end, **kw)
-        first = tmp_path / "first"
+        first, again = tmp_path / "first", tmp_path / "r"
         assert cli.main(["run", "--config", str(cfg_first), "--out", str(first)]) == 0
         capsys.readouterr()
-        assert cli.main(["run", "--config", str(cfg_again), "--out", str(tmp_path / "r"),
+        assert cli.main(["run", "--config", str(cfg_again), "--out", str(again),
                          "--resume", str(first / "checkpoint.json")]) == 2
         assert "t_end" in capsys.readouterr().err
+        # refused like any other start-up failure: events.jsonl says why
+        events = [json.loads(line) for line in (again / "events.jsonl").read_text().splitlines()]
+        assert [e["kind"] for e in events] == ["failed"]
+        t_first = json.loads((first / "checkpoint.json").read_text())["t"]
+        assert events[0]["t"] == t_first
+        assert events[0]["error"].startswith(f"ConfigError: start time t={t_first} is not before")
 
     def test_one_limit_profile_per_run(self, tmp_path, monkeypatch):
         # the report and limit_profile.csv share one profile, which reads the

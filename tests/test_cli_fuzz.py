@@ -39,7 +39,6 @@ INVALID = {
     ("grid", "n_psi"): ["31", "34"],
     ("initial", "r0"): ["0", "-1.0"],
     ("flow", "t_end"): ["0", "-0.01"],
-    ("flow", "cfl"): ["0", "0.6"],
     ("flow", "dt_max"): ["0", "1e-13"],
 }
 
@@ -67,7 +66,6 @@ def run_configs(draw):
     flow = {
         "f_kind": draw(st.sampled_from(["mean", "sigma2root", "quotient2"])),
         "t_end": t_end,
-        "cfl": draw(num(0.05, 0.5)),
         "output_every": draw(num(0.005, 0.1)),
         "dt_max": draw(num(1e-4, 0.05)),
     }

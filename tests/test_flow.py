@@ -132,11 +132,11 @@ class TestStableDt:
     def test_umbilic_scale(self, prof_m0):
         state = unit_sphere_state(prof_m0)
         f = cf.from_name("mean", 2)
-        dt = stable_dt(state, f, cfl=0.2, dt_max=np.inf)
+        dt = stable_dt(state, f, dt_max=np.inf)
         lam = math.sinh(1.0)
         fval = 2.0 * math.cosh(1.0) / math.sinh(1.0)
         h = state.grid.d_theta
-        want = 0.2 * h * h * (lam * fval) ** 2
+        want = flow.CFL * h * h * (lam * fval) ** 2
         assert abs(dt - want) < 1e-12 * want
 
     def test_resolution_quarters_dt(self, prof_m0):
@@ -145,7 +145,7 @@ class TestStableDt:
         for n in (32, 64):
             grid = sp.build_grid("axisymmetric1d", n)
             state = geo.state_from_radius(grid, prof_m0, np.full(n, 1.0))
-            dts.append(stable_dt(state, f, cfl=0.2, dt_max=np.inf))
+            dts.append(stable_dt(state, f, dt_max=np.inf))
         assert abs(dts[0] / dts[1] - 4.0) < 1e-12
 
     def test_latlong_dt_quarters_per_doubling(self):
@@ -157,8 +157,7 @@ class TestStableDt:
         for n in (16, 32, 64):
             grid = sp.build_grid("latlong2d", (n, 2 * n))
             r = np.repeat((2.0 + 0.3 * np.cos(grid.theta))[:, None], 2 * n, axis=1)
-            dts.append(stable_dt(geo.state_from_radius(grid, prof, r), f, cfl=0.2,
-                                 dt_max=np.inf))
+            dts.append(stable_dt(geo.state_from_radius(grid, prof, r), f, dt_max=np.inf))
         for coarse, fine in zip(dts, dts[1:]):
             assert abs(coarse / fine - 4.0) <= 0.5
 
@@ -166,7 +165,7 @@ class TestStableDt:
         monkeypatch.setattr(flow, "DT_MIN", 1.0)
         state = unit_sphere_state(prof_m0)
         with pytest.raises(StepUnderflow):
-            stable_dt(state, cf.from_name("mean", 2), cfl=0.2)
+            stable_dt(state, cf.from_name("mean", 2))
 
 
 class TestStep:
@@ -239,7 +238,7 @@ class TestStep:
         assert new.t == 3.625e-3 / 2
         assert cf.cone_contains(f, geo.compute_extrinsic(new).kappa).all()
         assert np.array_equal(ext.speed, flow.evaluate(new, f).speed)
-        assert flow.stable_dt(new, f, ext, cfl=0.2) > 0.0
+        assert flow.stable_dt(new, f, ext) > 0.0
 
     def test_scaled_curvatures_outside_cone_retried(self, prof_m1, monkeypatch):
         # only sigma_j(lambda kappa) of the first midpoint leaves the cone,
@@ -296,8 +295,8 @@ class TestStageGolden:
             ref = geo.compute_extrinsic(state)
             assert np.array_equal(ext.speed, reference_speed(state, f, ref)), label
             assert np.array_equal(ext.f_kappa, cf.f_eval(f, ref.kappa)), label
-            assert flow.stable_dt(state, f, ext, cfl=0.2) == \
-                reference_stable_dt(state, f, ref, cfl=0.2), label
+            assert flow.stable_dt(state, f, ext) == \
+                reference_stable_dt(state, f, ref, cfl=flow.CFL), label
 
 
 class TestRun:
@@ -338,11 +337,8 @@ class TestRun:
         assert all(np.array_equal(a, b) for a, b in zip(series.metrics[-1], g, strict=True))
 
     def test_zero_t_end(self):
-        cfg = make_config(t_end=0.0)
-        final, series, events = flow.run(cfg)
-        assert final.t == 0.0
-        assert series.records == []
-        assert [e.kind for e in events] == ["completed"]
+        with pytest.raises(ConfigError, match="t_end must be positive"):
+            make_config(t_end=0.0)
 
     def test_snapshot_times_and_event_order(self):
         cfg = make_config(t_end=0.55, output_every=0.1)
@@ -454,8 +450,6 @@ class TestRun:
         assert n_cone["n"] == n_f["n"] == 0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            make_config(cfl=0.9)
         with pytest.raises(ConfigError):
             make_config(t_end=-1.0)
         with pytest.raises(ConfigError, match="DT_MIN"):

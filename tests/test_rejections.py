@@ -1,0 +1,53 @@
+"""Every input the library rejects raises ConfigError, whatever layer
+rejects it: the grid, the curvature function, the flow configuration or
+the start state of a run. The background's and the grid resolution's
+rejections are tested beside them, in test_background and test_sphere."""
+
+import numpy as np
+import pytest
+
+from icflow import background as bg
+from icflow import curvature as cf
+from icflow import flow
+from icflow import geometry as geo
+from icflow import sphere as sp
+from icflow.errors import ConfigError
+
+
+def flow_config(**kw):
+    args = dict(background=bg.BackgroundParams(m=0.0, n=2), grid_mode="axisymmetric1d",
+                grid_resolution=16, initial=flow.InitialData(kind="constant", r0=1.0),
+                f=cf.from_name("mean", 2), t_end=0.5)
+    args.update(kw)
+    return flow.FlowConfig(**args)
+
+
+def run_from_t_end():
+    grid = sp.build_grid("axisymmetric1d", 16)
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 5.0)
+    flow.run(flow_config(), initial_state=geo.state_from_radius(grid, prof, np.ones(16), t=0.5))
+
+
+REJECTIONS = {
+    "grid_mode": (lambda: sp.build_grid("cubed", 16), "unknown grid mode"),
+    "field_shape": (lambda: sp.ScalarField(sp.build_grid("axisymmetric1d", 16), np.ones(5)),
+                    "field shape"),
+    "f_kind": (lambda: cf.CurvatureFunction("harmonic", 2), "unknown curvature function kind"),
+    "f_order": (lambda: cf.CurvatureFunction("sigma_k_root", 2, k=3), "order k=3"),
+    "f_name": (lambda: cf.from_name("sigma3root", 2), "unknown curvature function name"),
+    "f_dimension_mean": (lambda: flow_config(f=cf.from_name("mean", 3)), "normalised for n = 3"),
+    "f_dimension_sigma2root": (lambda: flow_config(f=cf.from_name("sigma2root", 3)),
+                               "normalised for n = 3"),
+    "f_dimension_quotient2": (lambda: flow_config(f=cf.from_name("quotient2", 3)),
+                              "normalised for n = 3"),
+    "t_end_inf": (lambda: flow_config(t_end=float("inf")), "t_end must be positive and finite"),
+    "output_every_nan": (lambda: flow_config(output_every=float("nan")), "output_every"),
+    "start_at_t_end": (run_from_t_end, "nothing to run"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_library_rejection_raises_config_error(case):
+    call, message = REJECTIONS[case]
+    with pytest.raises(ConfigError, match=message):
+        call()

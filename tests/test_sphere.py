@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icflow import sphere as sp
-from icflow.errors import FlowError, ResolutionTooSmall
+from icflow.errors import ConfigError, FlowError
 
 
 def field(grid, values):
@@ -39,9 +39,9 @@ class TestGrid:
         assert abs(np.sum(cell_areas(g)) - 4 * np.pi) < 1e-10
 
     def test_resolution_too_small(self):
-        with pytest.raises(ResolutionTooSmall):
+        with pytest.raises(ConfigError, match="n_theta must be >= 16"):
             sp.build_grid("axisymmetric1d", 8)
-        with pytest.raises(ResolutionTooSmall):
+        with pytest.raises(ConfigError, match="n_psi must be even"):
             sp.build_grid("latlong2d", (32, 33))
 
     def test_nodes_exclude_poles(self):

@@ -1,6 +1,7 @@
 """The benchmark's traced mode wraps icflow callables by name; every one
 of them must exist, or its per-layer metrics silently vanish. Its set-up
-probe calls icflow directly and must keep running too."""
+probe calls icflow directly and must keep running too, and its workload
+configs must keep parsing."""
 
 import importlib
 import importlib.util
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from icflow import flow
+from icflow import config, flow
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 PROBE = ROOT / "perfbench" / "setup_probe.py"
+WORKLOADS = ROOT / "perfbench" / "workloads"
 
 TINY_RUN = """
 [background]
@@ -72,3 +74,10 @@ def test_setup_probe_prints_two_floats(tmp_path, kind):
     last = done.stdout.splitlines()[-1].split()
     assert len(last) == 2
     assert all(math.isfinite(float(x)) and float(x) > 0.0 for x in last)
+
+
+@pytest.mark.parametrize("ini", sorted(WORKLOADS.glob("*.ini")), ids=lambda p: p.stem)
+def test_workload_config_parses(ini):
+    # a schema key removed while a workload still sets it fails here
+    cfg = config.parse_run_config(ini, allow_sweep=ini.stem == "sweep_small")
+    assert (cfg.sweep is not None) == (ini.stem == "sweep_small")
