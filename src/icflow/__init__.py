@@ -14,7 +14,6 @@ from .diagnostics import (
     DiagnosticsRecord,
     DiagnosticsSeries,
     LimitProfile,
-    RateFit,
     ReportConfig,
     fit_rate,
     limit_profile,

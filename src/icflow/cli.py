@@ -31,7 +31,7 @@ from . import diagnostics as dg
 from . import flow
 from .checks import run_all
 from .config import RunConfig, parse_run_config
-from .errors import ConfigError, IcflowError, InsufficientData
+from .errors import ConfigError, IcflowError
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -87,10 +87,7 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
         _write_events(out / "events.jsonl", exc.events)
         raise
     _write_events(out / "events.jsonl", events)
-    try:
-        prof = dg.limit_profile(series)
-    except InsufficientData:
-        prof = None
+    prof = dg.limit_profile(series)
     report = dg.theorem_report(series, prof, cfg.report, config_echo=cfg.echo)
 
     _write_series(out / "series.csv", series)

@@ -11,19 +11,20 @@ Exponential rates are estimated by least squares on (t, log y): a bound
 of the form y <= C e^(-mu t) is accepted when the fitted slope is at most
 -mu + tolerance with r^2 >= 0.95. Quantities that have already collapsed
 to the floating-point floor pass trivially; windows with fewer than eight
-usable snapshots report insufficient data instead of failure.
+usable snapshots report insufficient data instead of failure. A rate fit
+returns its report.json entry as it stands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import curvature as cf
-from .errors import InsufficientData
+from .errors import ConfigError
 from .geometry import GraphState
 from .sphere import SphereGrid, grad_norm_sq, hessian_mixed, tensor_sup_norm
 
@@ -41,13 +42,6 @@ LIMIT_GAP_TOL = 0.02
 METRIC_RESIDUAL_TOL = 5e-3
 CHI_RATIO_MAX = 10.0
 
-SERIES_COLUMNS = (
-    "t", "sup_kappa_dev", "sup_grad_phi_sq", "sup_hess_phi",
-    "F_min", "F_max", "r_tilde_min", "r_tilde_max",
-    "chi_scaled_min", "chi_scaled_max", "pinch_low_ok", "pinch_high_ok",
-)
-
-
 @dataclass
 class DiagnosticsRecord:
     t: float
@@ -63,6 +57,11 @@ class DiagnosticsRecord:
     pinch_low_ok: bool
     pinch_high_ok: bool
     neg_drift_scaled: float = 0.0   # sup (1/n - v/F)_+ e^(t/n); not serialized
+
+
+# the columns of series.csv, in field order
+SERIES_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord)
+                       if f.name != "neg_drift_scaled")
 
 
 def snapshot(state: GraphState, ext, pinch_ref: tuple) -> DiagnosticsRecord:
@@ -117,7 +116,6 @@ class DiagnosticsSeries:
         umb = prof.lambda_p_of_lambda(lam) / lam
         meta = {
             "n": prof.params.n,
-            "m": prof.params.m,
             "f_umb0": prof.params.n * float(np.max(umb)),
             "sup_grad0": float(np.max(grad_norm_sq(state.phi))),
             "t0": state.t,
@@ -140,43 +138,33 @@ class DiagnosticsSeries:
         return np.array([getattr(r, name) for r in self.records])
 
 
-@dataclass
-class RateFit:
-    quantity: str
-    window: tuple
-    slope: Optional[float]
-    intercept: Optional[float]
-    r_squared: Optional[float]
-    target_rate: float
-    tolerance: float
-    passed: bool
-    status: str                    # "fit" | "floor" | "insufficient"
-
-
 def fit_rate(series: DiagnosticsSeries, quantity: str, window: tuple,
-             target_rate: float, tolerance: float) -> RateFit:
+             target: float, tolerance: float) -> tuple:
     """Least squares on (t, log y) over snapshots in the window.
 
-    Values below the floating-point floor are excluded; a window whose
-    values have all collapsed to the floor passes trivially. Fewer than
-    eight usable snapshots raise InsufficientData.
+    Returns (entry, reason). entry is the rate entry of report.json:
+    name, slope, target, tolerance, r_squared, pass and status, which is
+    "fit", "floor" or "insufficient". Values below the floating-point
+    floor are excluded; a window whose values have all collapsed to the
+    floor passes trivially. With fewer than eight usable snapshots the
+    status is "insufficient", slope, r_squared and pass are None, and
+    reason says what was missing; otherwise reason is None.
     """
+    entry = {"name": quantity, "slope": None, "target": target,
+             "tolerance": tolerance, "r_squared": None, "pass": None,
+             "status": "insufficient"}
     t = series.times
     y = series.column(quantity)
     in_win = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
     if int(np.sum(in_win)) < 8:
-        raise InsufficientData(
-            f"only {int(np.sum(in_win))} snapshots in window {window} for {quantity}"
-        )
+        return entry, f"only {int(np.sum(in_win))} snapshots in window {window} for {quantity}"
     tw, yw = t[in_win], y[in_win]
     usable = yw > FLOOR
     if int(np.sum(usable)) < 8:
         if float(np.max(yw)) <= _FLOOR_PASS:
-            return RateFit(quantity, window, None, None, None,
-                           target_rate, tolerance, True, "floor")
-        raise InsufficientData(
-            f"only {int(np.sum(usable))} positive values in window for {quantity}"
-        )
+            entry.update({"pass": True, "status": "floor"})
+            return entry, None
+        return entry, f"only {int(np.sum(usable))} positive values in window for {quantity}"
     tf, yf = tw[usable], np.log(yw[usable])
     slope, intercept = np.polyfit(tf, yf, 1)
     fitted = slope * tf + intercept
@@ -186,9 +174,9 @@ def fit_rate(series: DiagnosticsSeries, quantity: str, window: tuple,
         r2 = 1.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    passed = bool(slope <= -target_rate + tolerance and r2 >= 0.95)
-    return RateFit(quantity, window, float(slope), float(intercept), float(r2),
-                   target_rate, tolerance, passed, "fit")
+    entry.update({"slope": float(slope), "r_squared": float(r2), "status": "fit",
+                  "pass": bool(slope <= -target + tolerance and r2 >= 0.95)})
+    return entry, None
 
 
 @dataclass
@@ -224,8 +212,9 @@ _TOO_SHORT = "limit profile requires at least two retained states"
 _MID_FRACTION = 0.6
 
 
-def limit_profile(series: DiagnosticsSeries) -> LimitProfile:
-    """Radial limit profile and convergence measures of a completed run.
+def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
+    """Radial limit profile and convergence measures of a completed run,
+    or None when the series holds fewer than two snapshots.
 
     The drift envelope is calibrated on the first half of the run: with
     C = sup of the observed negative drift rate scaled by e^(t/n), every
@@ -233,7 +222,7 @@ def limit_profile(series: DiagnosticsSeries) -> LimitProfile:
         min (r_tilde(b) - r_tilde(a)) >= -C n (e^(-a/n) - e^(-b/n)).
     """
     if len(series.radii) < 2:
-        raise InsufficientData(_TOO_SHORT)
+        return None
     n = series.meta["n"]
     grid = series.grid
     recs = series.records
@@ -282,14 +271,18 @@ class ReportConfig:
     enable_rates: bool = True
     enable_limit_profile: bool = True
 
+    def __post_init__(self):
+        if self.window is not None and not (0 <= self.window[0] < self.window[1]):
+            raise ConfigError(f"rate window must satisfy 0 <= start < end, got {self.window}")
+
 
 def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
                    report_cfg: ReportConfig, config_echo: Optional[dict] = None) -> dict:
     """Aggregate pass/fail summary of a completed run.
 
-    profile is limit_profile(series), or None when that raised
-    InsufficientData. Checks with insufficient data are reported as such
-    and do not fail the run. Pinching, the F bounds, gradient monotonicity
+    profile is limit_profile(series), which is None for a series of fewer
+    than two snapshots. Checks with insufficient data are reported as such,
+    with a note saying why, and do not fail the run. Pinching, the F bounds, gradient monotonicity
     and the chi ratio always run; the rate fits and the limit-profile
     checks run unless disabled.
     """
@@ -317,22 +310,12 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
             ("sup_hess_phi", 1.0 / n, TOL_RATE_HESS),
         ]
         for name, target, tol in targets:
-            try:
-                fit = fit_rate(series, name, window, target, tol)
-                report["rates"].append({
-                    "name": name, "slope": fit.slope, "target": target,
-                    "tolerance": tol, "r_squared": fit.r_squared,
-                    "pass": fit.passed, "status": fit.status,
-                })
-                if not fit.passed:
-                    report["overall_pass"] = False
-            except InsufficientData as exc:
-                report["rates"].append({
-                    "name": name, "slope": None, "target": target,
-                    "tolerance": tol, "r_squared": None,
-                    "pass": None, "status": "insufficient",
-                })
-                report["insufficient"].append(f"rate:{name}: {exc}")
+            entry, reason = fit_rate(series, name, window, target, tol)
+            report["rates"].append(entry)
+            if reason is not None:
+                report["insufficient"].append(f"rate:{name}: {reason}")
+            elif not entry["pass"]:
+                report["overall_pass"] = False
 
     add_result("pinching_pass", bool(
         all(r.pinch_low_ok for r in series.records)

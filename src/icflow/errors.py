@@ -3,6 +3,8 @@
 Every failure is an IcflowError, which the command line maps to exit 2.
 Every input the program rejects, from a config file or a library call,
 raises ConfigError; the other types name what went wrong on the way.
+Data too scarce for a rate fit or the limit profile is no error: the
+report notes that check as insufficient.
 """
 
 
@@ -35,10 +37,6 @@ class InadmissibleState(IcflowError):
 
 class StepUnderflow(IcflowError):
     """The stability-limited time step fell below flow.DT_MIN."""
-
-
-class InsufficientData(IcflowError):
-    """Not enough usable snapshots for a rate fit or profile extraction."""
 
 
 class FlowError(IcflowError):

@@ -28,10 +28,11 @@ re-tries a failed step with halved dt up to eight times before giving up,
 so transient excursions toward the cone boundary are handled without
 interpreting them.
 
-Rejected input is a ConfigError: FlowConfig refuses a t_end that is not
-positive and finite and an f normalised for another n than the
-background's, and run refuses a start state at or past t_end, which it
-records as its `failed` event.
+Rejected input is a ConfigError: InitialData refuses an unknown kind, a
+non-finite r0 or amplitude and a malformed table, FlowConfig refuses a
+t_end that is not positive and finite and an f normalised for another n
+than the background's, and run refuses a start state at or past t_end,
+which it records as its `failed` event.
 """
 
 from __future__ import annotations
@@ -75,18 +76,29 @@ class InitialData:
     table_theta: Optional[tuple] = None
     table_r: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "cosine_perturbation", "custom_table"):
+            raise ConfigError(f"unknown initial data kind {self.kind!r}")
+        if not (math.isfinite(self.r0) and math.isfinite(self.amplitude)):
+            raise ConfigError(f"initial r0 and amplitude must be finite, "
+                              f"got {self.r0} and {self.amplitude}")
+        if self.kind == "custom_table":
+            theta = np.asarray(self.table_theta, dtype=float)
+            r = np.asarray(self.table_r, dtype=float)
+            if not (theta.ndim == r.ndim == 1 and theta.size == r.size >= 2
+                    and np.isfinite(theta).all() and np.isfinite(r).all()):
+                raise ConfigError("custom_table needs table_theta and table_r: two "
+                                  "columns of equal length, at least two finite values each")
+            if not (np.diff(theta) > 0).all():     # np.interp needs increasing theta
+                raise ConfigError("custom_table: theta must be strictly increasing")
+
     def radius_on(self, grid) -> np.ndarray:
         if self.kind == "constant":
             base = np.full(grid.n_theta, self.r0)
         elif self.kind == "cosine_perturbation":
             base = self.r0 + self.amplitude * np.cos(self.wavenumber * grid.theta)
-        elif self.kind == "custom_table":
-            theta = np.asarray(self.table_theta)
-            if not (np.diff(theta) > 0).all():     # np.interp needs increasing theta
-                raise ConfigError("[initial] table_path: theta must be strictly increasing")
-            base = np.interp(grid.theta, theta, np.asarray(self.table_r))
         else:
-            raise ConfigError(f"unknown initial data kind {self.kind!r}")
+            base = np.interp(grid.theta, self.table_theta, self.table_r)
         if (base <= 0).any():
             raise ConfigError("initial radius must be positive everywhere")
         if grid.mode == "latlong2d":

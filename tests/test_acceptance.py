@@ -101,10 +101,10 @@ def test_A2_hyperbolic_closed_form():
             r = float(np.max(r_values))
             want = math.sinh(1.0) * math.exp(t / 2.0)
             defect = max(defect, abs(math.sinh(r) / want - 1.0))
-    fit = dg.fit_rate(series, "sup_kappa_dev", (4.0, 9.0), 1.0, 0.05)
-    ok = defect <= 1e-5 and abs(fit.slope + 1.0) <= 0.05 and elapsed < 10.0
+    fit, _ = dg.fit_rate(series, "sup_kappa_dev", (4.0, 9.0), 1.0, 0.05)
+    ok = defect <= 1e-5 and abs(fit["slope"] + 1.0) <= 0.05 and elapsed < 10.0
     verdict("A2 hyperbolic closed form", ok,
-            f"sinh-law defect {defect:.2e} (<=1e-5), decay slope {fit.slope:+.4f} "
+            f"sinh-law defect {defect:.2e} (<=1e-5), decay slope {fit['slope']:+.4f} "
             f"(-1.0 +- 0.05), runtime {elapsed:.1f}s (<10s)")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import icflow
 from icflow import background as bg
 from icflow import cli
 from icflow import config as cfgmod
@@ -134,6 +136,15 @@ class TestConfigParsing:
         assert rc.flow.initial.kind == "cosine_perturbation"
         assert rc.flow.f == cf.from_name("mean", 2)
         assert rc.report == dg.ReportConfig(window=(4.0, 9.0))
+
+    def test_readme_imports_resolve(self):
+        # a README that shows a deleted public name fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^from icflow import (\([^)]*\)|.*)$", readme, re.MULTILINE)
+        names = [n.strip() for block in blocks for n in block.strip("()").split(",")]
+        assert len(blocks) >= 2 and "theorem_report" in names
+        missing = [n for n in names if n and not hasattr(icflow, n)]
+        assert missing == []
 
     def test_missing_required_key(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -401,6 +412,35 @@ class TestRunCommand:
             ("sup_hess_phi", 0.5, 0.10),
         ]
         assert (dg.LIMIT_GAP_TOL, dg.METRIC_RESIDUAL_TOL, dg.CHI_RATIO_MAX) == (0.02, 5e-3, 10.0)
+
+    def test_short_run_report_text(self, tmp_path):
+        # too short for any rate fit or the chi ratio: the rates are noted
+        # insufficient, not failed, and the metric residual has not settled;
+        # the text holds no rounded number, so it is the same on every platform
+        cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32, kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.3", t_end=0.5)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "report.txt").read_text() == """\
+RATE  sup_kappa_dev: insufficient data
+RATE  sup_grad_phi_sq: insufficient data
+RATE  sup_hess_phi: insufficient data
+CHECK pinching_pass: PASS
+CHECK f_bounds_pass: PASS
+CHECK gradient_monotone_pass: PASS
+CHECK limit_gap_pass: PASS
+CHECK metric_residual_pass: FAIL
+CHECK drift_envelope_pass: PASS
+CHECK r_tilde_bounded_pass: PASS
+NOTE  rate:sup_kappa_dev: only 3 snapshots in window (0.2, 0.45) for sup_kappa_dev
+NOTE  rate:sup_grad_phi_sq: only 3 snapshots in window (0.2, 0.45) for sup_grad_phi_sq
+NOTE  rate:sup_hess_phi: only 3 snapshots in window (0.2, 0.45) for sup_hess_phi
+NOTE  chi_ratio: run too short
+OVERALL: FAIL
+"""
+        rates = json.loads((out / "report.json").read_text())["rates"]
+        assert [sorted(r) for r in rates] == 3 * [
+            ["name", "pass", "r_squared", "slope", "status", "target", "tolerance"]]
 
 
 class TestSweepCommand:

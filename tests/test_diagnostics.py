@@ -9,7 +9,6 @@ from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
-from icflow.errors import InsufficientData
 
 
 def synthetic_series(times, values):
@@ -70,37 +69,48 @@ class TestFitRate:
     def test_exact_exponential(self):
         t = np.linspace(0, 5, 20)
         s = synthetic_series(t, 5.0 * np.exp(-t))
-        fit = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
-        assert abs(fit.slope + 1.0) < 1e-9
-        assert fit.r_squared > 1 - 1e-12
-        assert fit.passed and fit.status == "fit"
+        fit, reason = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
+        assert abs(fit["slope"] + 1.0) < 1e-9
+        assert fit["r_squared"] > 1 - 1e-12
+        assert fit["pass"] and fit["status"] == "fit" and reason is None
 
     def test_constant_series_fails_but_fits(self):
         t = np.linspace(0, 5, 20)
         s = synthetic_series(t, np.full(20, 0.25))
-        fit = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
-        assert fit.status == "fit"
-        assert abs(fit.slope) < 1e-12
-        assert not fit.passed
+        fit, reason = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
+        assert fit["status"] == "fit" and reason is None
+        assert abs(fit["slope"]) < 1e-12
+        assert fit["pass"] is False
 
     def test_too_few_snapshots(self):
         t = np.linspace(0, 5, 5)
         s = synthetic_series(t, np.exp(-t))
-        with pytest.raises(InsufficientData):
-            dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
+        fit, reason = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
+        assert fit == {"name": "sup_kappa_dev", "slope": None, "target": 1.0,
+                       "tolerance": 0.1, "r_squared": None, "pass": None,
+                       "status": "insufficient"}
+        assert reason == "only 5 snapshots in window (0.0, 5.0) for sup_kappa_dev"
+
+    def test_too_few_positive_values(self):
+        t = np.linspace(0, 5, 20)
+        y = np.where(np.arange(20) < 5, 0.5, 0.0)
+        fit, reason = dg.fit_rate(synthetic_series(t, y), "sup_hess_phi", (0.0, 5.0), 0.5, 0.1)
+        assert fit["status"] == "insufficient" and fit["pass"] is None
+        assert reason == "only 5 positive values in window for sup_hess_phi"
 
     def test_floor_passes(self):
         t = np.linspace(0, 5, 20)
         s = synthetic_series(t, np.full(20, 1e-15))
-        fit = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
-        assert fit.status == "floor"
-        assert fit.passed
+        fit, reason = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
+        assert fit["status"] == "floor" and reason is None
+        assert fit["pass"] is True
+        assert fit["slope"] is None and fit["r_squared"] is None
 
     def test_slope_too_shallow_fails(self):
         t = np.linspace(0, 5, 20)
         s = synthetic_series(t, np.exp(-0.3 * t))
-        fit = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
-        assert not fit.passed
+        fit, _ = dg.fit_rate(s, "sup_kappa_dev", (0.0, 5.0), 1.0, 0.1)
+        assert fit["pass"] is False
 
 
 class TestLimitProfile:
@@ -133,8 +143,9 @@ class TestLimitProfile:
 
     def test_insufficient(self):
         s = dg.DiagnosticsSeries()
-        with pytest.raises(InsufficientData):
-            dg.limit_profile(s)
+        assert dg.limit_profile(s) is None
+        s.radii.append(np.ones(16))
+        assert dg.limit_profile(s) is None
 
 
 class TestTheoremReport:

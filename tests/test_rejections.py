@@ -1,13 +1,15 @@
 """Every input the library rejects raises ConfigError, whatever layer
-rejects it: the grid, the curvature function, the flow configuration or
-the start state of a run. The background's and the grid resolution's
-rejections are tested beside them, in test_background and test_sphere."""
+rejects it: the grid, the curvature function, the initial data, the flow
+or report configuration or the start state of a run. The background's
+and the grid resolution's rejections are tested beside them, in
+test_background and test_sphere."""
 
 import numpy as np
 import pytest
 
 from icflow import background as bg
 from icflow import curvature as cf
+from icflow import diagnostics as dg
 from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
@@ -20,6 +22,10 @@ def flow_config(**kw):
                 f=cf.from_name("mean", 2), t_end=0.5)
     args.update(kw)
     return flow.FlowConfig(**args)
+
+
+def table(theta, r):
+    return flow.InitialData(kind="custom_table", table_theta=theta, table_r=r)
 
 
 def run_from_t_end():
@@ -43,6 +49,21 @@ REJECTIONS = {
     "t_end_inf": (lambda: flow_config(t_end=float("inf")), "t_end must be positive and finite"),
     "output_every_nan": (lambda: flow_config(output_every=float("nan")), "output_every"),
     "start_at_t_end": (run_from_t_end, "nothing to run"),
+    "initial_kind": (lambda: flow.InitialData(kind="sphere", r0=1.0),
+                     "unknown initial data kind"),
+    "initial_r0_nan": (lambda: flow.InitialData(kind="constant", r0=float("nan")),
+                       "r0 and amplitude must be finite"),
+    "initial_amplitude_inf": (lambda: flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                                       amplitude=float("inf")),
+                              "r0 and amplitude must be finite"),
+    "table_missing": (lambda: flow.InitialData(kind="custom_table"), "custom_table needs"),
+    "table_lengths": (lambda: table((0.0, 1.6, 3.2), (1.5, 1.5)), "custom_table needs"),
+    "table_one_row": (lambda: table((0.0,), (1.5,)), "custom_table needs"),
+    "table_nan": (lambda: table((0.0, 3.2), (1.5, float("nan"))), "custom_table needs"),
+    "table_theta_decreasing": (lambda: table((3.2, 1.6, 0.0), (1.5, 1.6, 1.5)),
+                               "strictly increasing"),
+    "report_window_reversed": (lambda: dg.ReportConfig(window=(9.0, 4.0)),
+                               r"0 <= start < end"),
 }
 
 
