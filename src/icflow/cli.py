@@ -8,9 +8,11 @@ A run writes series.csv (one row per snapshot, 17 significant digits),
 report.json / report.txt, checkpoint.json, limit_profile.csv and
 events.jsonl into the output directory, --out (default `out`). A failed
 run still writes events.jsonl, ending with the error; a resume from a
-checkpoint at or past t_end is one. The run exits 0 only if every
-enabled check passed (1 on a check failure, 2 on a runtime or
-configuration error, an artifact that cannot be written among them).
+checkpoint at or past t_end is one. Every run is judged on every check;
+one the run is too short to judge is noted as insufficient in the report
+and fails nothing. The run exits 0 only if no check failed (1 on a check
+failure, 2 on a runtime or configuration error, an artifact that cannot
+be written among them).
 Identical configs produce byte-identical series files. A sweep
 runs up to --jobs combinations at once, capped by the CPU count;
 node-level arithmetic is vectorized and single-threaded per run.

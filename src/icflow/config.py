@@ -4,8 +4,9 @@ INI-style sections with strict validation: unknown sections or keys are
 rejected with the offending location in the message, so a typo cannot
 silently change what a run does. Every rejection is a ConfigError. No
 key sets a tolerance of the certificate, which are constants of the
-diagnostics module, nor the stability fraction flow.CFL; the output
-directory is the command line's --out.
+diagnostics module, or switches a check off: [report] sets only the
+rate-fit window. No key sets the stability fraction flow.CFL either;
+the output directory is the command line's --out.
 """
 
 from __future__ import annotations
@@ -21,17 +22,6 @@ from .background import BackgroundParams
 from .diagnostics import ReportConfig
 from .errors import ConfigError
 from .flow import FlowConfig, InitialData
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
-def _to_bool(raw, where):
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}") from None
-
 
 def _to_float(raw, where):
     try:
@@ -71,8 +61,7 @@ _SCHEMA = {
                 "wavenumber": _to_int, "table_path": _to_str},
     "flow": {"f_kind": _to_str, "t_end": _to_float, "output_every": _to_float,
              "dt_max": _to_float},
-    "report": {"window_start": _to_float, "window_end": _to_float,
-               "enable_rates": _to_bool, "enable_limit_profile": _to_bool},
+    "report": {"window_start": _to_float, "window_end": _to_float},
     "sweep": {"m": _to_floats, "f_kind": _to_words, "amplitude": _to_floats},
 }
 

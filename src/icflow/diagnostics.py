@@ -12,7 +12,9 @@ of the form y <= C e^(-mu t) is accepted when the fitted slope is at most
 -mu + tolerance with r^2 >= 0.95. Quantities that have already collapsed
 to the floating-point floor pass trivially; windows with fewer than eight
 usable snapshots report insufficient data instead of failure. A rate fit
-returns its report.json entry as it stands.
+returns its report.json entry as it stands. Likewise the final metric
+residual is judged only when a round sphere at the final radii would
+meet its tolerance; before that the run is too short to tell.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import curvature as cf
+from .background import WarpProfile
 from .errors import ConfigError
 from .geometry import GraphState
 from .sphere import SphereGrid, grad_norm_sq, hessian_mixed, tensor_sup_norm
@@ -94,34 +97,42 @@ def snapshot(state: GraphState, ext, pinch_ref: tuple) -> DiagnosticsRecord:
 @dataclass
 class DiagnosticsSeries:
     """Snapshot records plus, per snapshot, the radius array and induced
-    metric the limit profile reads."""
+    metric the limit profile reads; and, from the start state, what the
+    report measures them against."""
 
+    profile: WarpProfile           # lambda(r) of the run's background
+    grid: SphereGrid
+    pinch_ref: tuple               # (lambda(inf r), lambda(sup r)) e^(-t0/n)
+    t0: float
+    f_umb0: float                  # n sup lambda'/lambda, F of the umbilic spheres
+    sup_grad0: float               # sup |D phi|^2
+    initial_constant: bool         # the start radius is constant
     records: list = field(default_factory=list)
     radii: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
-    grid: Optional[SphereGrid] = None
-    pinch_ref: tuple = (0.0, 0.0)
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.profile.params.n
 
     @staticmethod
     def start(state: GraphState, F: cf.CurvatureFunction) -> "DiagnosticsSeries":
         prof = state.profile
+        n = prof.params.n
         r = state.r.values
         # reference for the pinching flags is the scaled warp value at the
         # series start, so resumed runs check monotonicity from their own t0
-        scale0 = math.exp(-state.t / prof.params.n)
+        scale0 = math.exp(-state.t / n)
         lam_lo = float(prof.lambda_of_r(np.min(r))) * scale0
         lam_hi = float(prof.lambda_of_r(np.max(r))) * scale0
         lam = prof.lambda_of_r(r)
         umb = prof.lambda_p_of_lambda(lam) / lam
-        meta = {
-            "n": prof.params.n,
-            "f_umb0": prof.params.n * float(np.max(umb)),
-            "sup_grad0": float(np.max(grad_norm_sq(state.phi))),
-            "t0": state.t,
-            "initial_constant": bool(np.max(r) - np.min(r) < 1e-12),
-        }
-        return DiagnosticsSeries(grid=state.grid, pinch_ref=(lam_lo, lam_hi), meta=meta)
+        return DiagnosticsSeries(
+            profile=prof, grid=state.grid, pinch_ref=(lam_lo, lam_hi), t0=state.t,
+            f_umb0=n * float(np.max(umb)),
+            sup_grad0=float(np.max(grad_norm_sq(state.phi))),
+            initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
+        )
 
     def append(self, state: GraphState, ext, record: DiagnosticsRecord) -> None:
         """Keep record and, of the state and its ext, only r and the
@@ -186,6 +197,7 @@ class LimitProfile:
     gap: float                     # sup |f_hat - r_tilde(penultimate)|
     metric_residual_final: float
     metric_residual_mid: float
+    metric_residual_floor: float   # that of the round sphere at the final radii
     drift_constant: float
     drift_ok: bool
     f_hat_spread: float
@@ -209,6 +221,8 @@ def _metric_residual(g, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
 
 
 _TOO_SHORT = "limit profile requires at least two retained states"
+_AT_FLOOR = ("a round sphere at the final radii exceeds the tolerance on its own, "
+             "so the run is too short to judge the residual")
 _MID_FRACTION = 0.6
 
 
@@ -223,7 +237,7 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
     """
     if len(series.radii) < 2:
         return None
-    n = series.meta["n"]
+    n = series.n
     grid = series.grid
     recs = series.records
     r_tilde = [r - rec.t / n for r, rec in zip(series.radii, recs)]
@@ -238,9 +252,13 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
 
     res_final = _metric_residual(series.metrics[-1], t_final, f_hat_2d, n, grid)
     res_mid = _metric_residual(series.metrics[mid_idx], t_mid, f_hat_2d, n, grid)
+    # the round sphere g = lambda(r)^2 sigma at the final radii leaves
+    # sqrt(2) e^(-2t/n) sup |lambda^2 - e^(2r)/4| however the flow went
+    lam2 = series.profile.lambda_of_r(series.radii[-1]) ** 2
+    res_floor = _metric_residual((lam2, 0.0, lam2 * grid.sin_theta ** 2),
+                                 t_final, f_hat_2d, n, grid)
 
-    t0 = series.meta.get("t0", 0.0)
-    t_half = t0 + 0.5 * (t_final - t0)
+    t_half = series.t0 + 0.5 * (t_final - series.t0)
     first = [r for r in recs if r.t <= t_half]
     c_drift = 1.1 * max((r.neg_drift_scaled for r in first), default=0.0) + 1e-12
     drift_ok = True
@@ -260,6 +278,7 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
     return LimitProfile(
         theta=grid.theta, f_hat=f_hat, gap=gap,
         metric_residual_final=res_final, metric_residual_mid=res_mid,
+        metric_residual_floor=res_floor,
         drift_constant=c_drift, drift_ok=drift_ok,
         f_hat_spread=float(np.max(f_hat_2d) - np.min(f_hat_2d)),
     )
@@ -268,8 +287,6 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
 @dataclass
 class ReportConfig:
     window: Optional[tuple] = None         # default [0.4, 0.9] t_end
-    enable_rates: bool = True
-    enable_limit_profile: bool = True
 
     def __post_init__(self):
         if self.window is not None and not (0 <= self.window[0] < self.window[1]):
@@ -281,12 +298,14 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
     """Aggregate pass/fail summary of a completed run.
 
     profile is limit_profile(series), which is None for a series of fewer
-    than two snapshots. Checks with insufficient data are reported as such,
-    with a note saying why, and do not fail the run. Pinching, the F bounds, gradient monotonicity
-    and the chi ratio always run; the rate fits and the limit-profile
-    checks run unless disabled.
+    than two snapshots. Every run is judged on every check. One with too
+    little data to judge is noted as insufficient, saying why, and does
+    not fail the run: a short rate window, a run that ends before t = 1
+    for the chi ratio, no limit profile, or, for the final metric
+    residual, a round sphere at the final radii whose own residual
+    exceeds METRIC_RESIDUAL_TOL.
     """
-    n = series.meta["n"]
+    n = series.n
     t = series.times
     t_end = float(t[-1])
     window = report_cfg.window or (0.4 * t_end, 0.9 * t_end)
@@ -303,19 +322,18 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
         if value is False:
             report["overall_pass"] = False
 
-    if report_cfg.enable_rates:
-        targets = [
-            ("sup_kappa_dev", 2.0 / n, TOL_RATE_KAPPA),
-            ("sup_grad_phi_sq", 2.0 / n, TOL_RATE_GRAD),
-            ("sup_hess_phi", 1.0 / n, TOL_RATE_HESS),
-        ]
-        for name, target, tol in targets:
-            entry, reason = fit_rate(series, name, window, target, tol)
-            report["rates"].append(entry)
-            if reason is not None:
-                report["insufficient"].append(f"rate:{name}: {reason}")
-            elif not entry["pass"]:
-                report["overall_pass"] = False
+    targets = [
+        ("sup_kappa_dev", 2.0 / n, TOL_RATE_KAPPA),
+        ("sup_grad_phi_sq", 2.0 / n, TOL_RATE_GRAD),
+        ("sup_hess_phi", 1.0 / n, TOL_RATE_HESS),
+    ]
+    for name, target, tol in targets:
+        entry, reason = fit_rate(series, name, window, target, tol)
+        report["rates"].append(entry)
+        if reason is not None:
+            report["insufficient"].append(f"rate:{name}: {reason}")
+        elif not entry["pass"]:
+            report["overall_pass"] = False
 
     add_result("pinching_pass", bool(
         all(r.pinch_low_ok for r in series.records)
@@ -323,7 +341,7 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
     ))
 
     fmax0 = series.records[0].F_max
-    bound = 1.1 * max(fmax0, series.meta["f_umb0"])
+    bound = 1.1 * max(fmax0, series.f_umb0)
     fmin = series.column("F_min")
     fmax = series.column("F_max")
     late = fmin[t >= 1.0 - 1e-12]
@@ -335,10 +353,9 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
     ))
 
     # absolute floor covers the rounding-level gradients of constant data
-    g0 = series.meta["sup_grad0"]
     grads = series.column("sup_grad_phi_sq")
     add_result("gradient_monotone_pass",
-               bool(np.all(grads <= g0 * (1.0 + 1e-6) + 1e-20)))
+               bool(np.all(grads <= series.sup_grad0 * (1.0 + 1e-6) + 1e-20)))
 
     sel = t >= 1.0 - 1e-12
     if int(np.sum(sel)) >= 2:
@@ -350,15 +367,19 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
     else:
         report["insufficient"].append("chi_ratio: run too short")
 
-    if report_cfg.enable_limit_profile and profile is None:
+    if profile is None:
         report["limit_gap"] = None
         report["insufficient"].append(f"limit_profile: {_TOO_SHORT}")
-    elif report_cfg.enable_limit_profile:
-        report["limit_gap"] = profile.gap
-        report["metric_residual_final"] = profile.metric_residual_final
-        report["metric_residual_mid"] = profile.metric_residual_mid
-        report["drift_constant"] = profile.drift_constant
-        add_result("limit_gap_pass", bool(profile.gap <= LIMIT_GAP_TOL))
+        return report
+    report["limit_gap"] = profile.gap
+    report["metric_residual_final"] = profile.metric_residual_final
+    report["metric_residual_mid"] = profile.metric_residual_mid
+    report["metric_residual_floor"] = profile.metric_residual_floor
+    report["drift_constant"] = profile.drift_constant
+    add_result("limit_gap_pass", bool(profile.gap <= LIMIT_GAP_TOL))
+    if profile.metric_residual_floor > METRIC_RESIDUAL_TOL:
+        report["insufficient"].append(f"metric_residual: {_AT_FLOOR}")
+    else:
         # tiny slack so exactly self-similar runs, where both residuals
         # sit at the same floor, do not fail the decrease comparison
         add_result("metric_residual_pass", bool(
@@ -366,19 +387,18 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
             and profile.metric_residual_final
             <= profile.metric_residual_mid + 0.01 * METRIC_RESIDUAL_TOL
         ))
-        add_result("drift_envelope_pass", profile.drift_ok)
-        # the profile is asserted constant only for umbilic initial data
-        if series.meta.get("initial_constant"):
-            add_result("umbilic_profile_constant_pass",
-                       bool(profile.f_hat_spread <= 1e-8))
-        # r_tilde stays within its initial range plus the drift allowance
-        r0_bound = max(abs(series.records[0].r_tilde_min),
-                       abs(series.records[0].r_tilde_max))
-        rt = max(np.max(np.abs(series.column("r_tilde_min"))),
-                 np.max(np.abs(series.column("r_tilde_max"))))
-        add_result("r_tilde_bounded_pass",
-                   bool(rt <= r0_bound + n * profile.drift_constant + 1e-9))
-
+    add_result("drift_envelope_pass", profile.drift_ok)
+    # the profile is asserted constant only for umbilic initial data
+    if series.initial_constant:
+        add_result("umbilic_profile_constant_pass",
+                   bool(profile.f_hat_spread <= 1e-8))
+    # r_tilde stays within its initial range plus the drift allowance
+    r0_bound = max(abs(series.records[0].r_tilde_min),
+                   abs(series.records[0].r_tilde_max))
+    rt = max(np.max(np.abs(series.column("r_tilde_min"))),
+             np.max(np.abs(series.column("r_tilde_max"))))
+    add_result("r_tilde_bounded_pass",
+               bool(rt <= r0_bound + n * profile.drift_constant + 1e-9))
     return report
 
 

@@ -115,7 +115,7 @@ def test_A3_perturbed_decay_rates(a3_run):
     rates = {r["name"]: r for r in rep["rates"]}
     k, g, h = (rates["sup_kappa_dev"], rates["sup_grad_phi_sq"], rates["sup_hess_phi"])
     pinch = all(r.pinch_low_ok and r.pinch_high_ok for r in series.records)
-    g0 = series.meta["sup_grad0"]
+    g0 = series.sup_grad0
     monotone = all(r.sup_grad_phi_sq <= g0 * (1 + 1e-6) for r in series.records)
     no_violations = not any(e.kind == "admissibility_violation" for e in events)
     ok = (
@@ -133,7 +133,7 @@ def test_A3_perturbed_decay_rates(a3_run):
 
 def test_A4_limit_profile(a3_run):
     _, series, _, _ = a3_run
-    n = series.meta["n"]
+    n = series.n
     times = series.times
 
     def snap(t):
@@ -279,9 +279,6 @@ t_end = {t_end}
 dt_max = 2e-3
 output_every = 0.1
 
-[report]
-enable_rates = false
-enable_limit_profile = false
 """
     import json
 

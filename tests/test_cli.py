@@ -188,17 +188,20 @@ class TestConfigParsing:
 
 
 class TestRunCommand:
-    def test_umbilic_run_exits_zero(self, tmp_path, capsys):
+    def test_umbilic_mass2_run_fails_only_its_kappa_rate(self, tmp_path, capsys):
+        # the sphere at lambda = 2, m = 2 starts at kappa = 1 exactly, and
+        # |kappa - 1| rises before it decays (ROADMAP item 8's kappa
+        # transient): the fit over [1.2, 2.7] reads about -0.675 against
+        # <= -0.85, and every other check passes
         prof = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), 6.0)
         r0 = float(prof.radius_from_lambda(2.0))
         cfg = write_config(
             tmp_path / "c.ini", m=2.0, n_theta=48,
             initial_extra=f"r0 = {r0!r}", t_end=3.0, dt_max="1e-3",
-            report_extra="enable_rates = false\nenable_limit_profile = false",
         )
         out = tmp_path / "out"
         rcode = cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        assert rcode == 0
+        assert rcode == 1
         series = (out / "series.csv").read_text().splitlines()
         assert series[0] == ",".join(
             ["t", "sup_kappa_dev", "sup_grad_phi_sq", "sup_hess_phi",
@@ -213,7 +216,11 @@ class TestRunCommand:
         for row in rows:
             assert abs(float(row[8]) / 2.0 - 1.0) < 1e-5
         report = json.loads((out / "report.json").read_text())
-        assert report["overall_pass"] is True
+        assert [k for k, v in report.items() if k.endswith("_pass") and not v] == [
+            "overall_pass"]
+        rates = {r["name"]: r for r in report["rates"]}
+        assert [name for name, r in rates.items() if not r["pass"]] == ["sup_kappa_dev"]
+        assert -0.70 < rates["sup_kappa_dev"]["slope"] < -0.65
         assert (out / "checkpoint.json").exists()
         assert (out / "report.txt").exists()
 
@@ -221,8 +228,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32,
                            kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1",
-                           t_end=1.0,
-                           report_extra="enable_rates = false\nenable_limit_profile = false")
+                           t_end=1.0)
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["run", "--config", str(cfg), "--out", str(a)]) == 0
         assert cli.main(["run", "--config", str(cfg), "--out", str(b)]) == 0
@@ -231,8 +237,7 @@ class TestRunCommand:
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         kw = dict(m=0.0, n_theta=32, kind="cosine_perturbation",
-                  initial_extra="r0 = 1.0\namplitude = 0.2\nwavenumber = 1",
-                  report_extra="enable_rates = false\nenable_limit_profile = false")
+                  initial_extra="r0 = 1.0\namplitude = 0.2\nwavenumber = 1")
         cfg_half = write_config(tmp_path / "half.ini", t_end=1.0, **kw)
         cfg_full = write_config(tmp_path / "full.ini", t_end=2.0, **kw)
         half, full, res = tmp_path / "h", tmp_path / "f", tmp_path / "r"
@@ -322,8 +327,7 @@ class TestRunCommand:
     def test_events_file(self, tmp_path):
         p = write_config(tmp_path / "c.ini", m=1.0, n_theta=32,
                          kind="cosine_perturbation",
-                         initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1",
-                         report_extra="enable_rates = false\nenable_limit_profile = false")
+                         initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 0
         events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
@@ -365,7 +369,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("t_end", [1.0, 0.5])
     def test_resume_at_or_past_t_end_exit_2(self, tmp_path, capsys, t_end):
-        kw = dict(n_theta=32, report_extra="enable_rates = false\nenable_limit_profile = false")
+        kw = dict(n_theta=32)
         cfg_first = write_config(tmp_path / "first.ini", t_end=1.0, **kw)
         cfg_again = write_config(tmp_path / "again.ini", t_end=t_end, **kw)
         first, again = tmp_path / "first", tmp_path / "r"
@@ -414,13 +418,14 @@ class TestRunCommand:
         assert (dg.LIMIT_GAP_TOL, dg.METRIC_RESIDUAL_TOL, dg.CHI_RATIO_MAX) == (0.02, 5e-3, 10.0)
 
     def test_short_run_report_text(self, tmp_path):
-        # too short for any rate fit or the chi ratio: the rates are noted
-        # insufficient, not failed, and the metric residual has not settled;
-        # the text holds no rounded number, so it is the same on every platform
+        # too short for any rate fit, the chi ratio or the metric residual,
+        # whose round-sphere floor alone exceeds its tolerance: each is noted
+        # insufficient, not failed; the text holds no rounded number, so it
+        # is the same on every platform
         cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32, kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.3", t_end=0.5)
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "report.txt").read_text() == """\
 RATE  sup_kappa_dev: insufficient data
 RATE  sup_grad_phi_sq: insufficient data
@@ -429,14 +434,15 @@ CHECK pinching_pass: PASS
 CHECK f_bounds_pass: PASS
 CHECK gradient_monotone_pass: PASS
 CHECK limit_gap_pass: PASS
-CHECK metric_residual_pass: FAIL
 CHECK drift_envelope_pass: PASS
 CHECK r_tilde_bounded_pass: PASS
 NOTE  rate:sup_kappa_dev: only 3 snapshots in window (0.2, 0.45) for sup_kappa_dev
 NOTE  rate:sup_grad_phi_sq: only 3 snapshots in window (0.2, 0.45) for sup_grad_phi_sq
 NOTE  rate:sup_hess_phi: only 3 snapshots in window (0.2, 0.45) for sup_hess_phi
 NOTE  chi_ratio: run too short
-OVERALL: FAIL
+NOTE  metric_residual: a round sphere at the final radii exceeds the tolerance on its own, \
+so the run is too short to judge the residual
+OVERALL: PASS
 """
         rates = json.loads((out / "report.json").read_text())["rates"]
         assert [sorted(r) for r in rates] == 3 * [
@@ -470,8 +476,7 @@ class TestSweepCommand:
         # amplitude 3 makes the initial radius negative: that combination
         # raises, the other passes, and aggregate.csv still lists both
         cfg = write_config(tmp_path / "s.ini", m=1.0, n_theta=32, kind="cosine_perturbation",
-                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1",
-                           report_extra="enable_rates = false\nenable_limit_profile = false")
+                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
         with open(cfg, "a") as fh:
             fh.write("\n[sweep]\namplitude = 0.2 3.0\n")
         out = tmp_path / "sweep"
@@ -484,8 +489,7 @@ class TestSweepCommand:
         assert "PASS amplitude0.2" in capsys.readouterr().out
 
     def test_unwritable_aggregate_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1,
-                           report_extra="enable_rates = false\nenable_limit_profile = false")
+        cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1)
         with open(cfg, "a") as fh:
             fh.write("\n[sweep]\nf_kind = mean\n")
         out = tmp_path / "sweep"
@@ -532,7 +536,6 @@ class TestCustomTable:
         cfg = write_config(
             tmp_path / "c.ini", m=0.0, n_theta=32, kind="custom_table",
             initial_extra=f"table_path = {table}", t_end=0.3,
-            report_extra="enable_rates = false\nenable_limit_profile = false",
         )
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0

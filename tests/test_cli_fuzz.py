@@ -10,9 +10,8 @@ except that one draw in eight takes r0 = 500, past the largest warp table
 (r = 140); perturbation amplitudes lie mostly below r0. Masses are 0, in
 0.01 to 4, or in [0, 0.01) down to subnormals, which keeps both the
 graded-horizon tables and the exit for masses below M_MIN in the draw.
-Most valid draws reach the flow and the report, which keeps or drops the
-limit-profile checks. The seed is fixed, so every run draws the
-same 40 configs.
+Most valid draws reach the flow and the report, which judges every check.
+The seed is fixed, so every run draws the same 40 configs.
 """
 
 from hypothesis import HealthCheck, given, seed, settings
@@ -71,9 +70,7 @@ def run_configs(draw):
     }
     background = {"m": draw(st.one_of(st.just("0.0"), num(0.01, 4.0), num(0.0, 0.01))),
                   "n": 2}
-    report = {"enable_limit_profile": draw(st.sampled_from(["true", "false"]))}
-    sections = {"background": background, "grid": grid, "initial": initial, "flow": flow,
-                "report": report}
+    sections = {"background": background, "grid": grid, "initial": initial, "flow": flow}
     broken = draw(st.one_of(st.none(), st.none(), st.sampled_from(sorted(INVALID))))
     if broken is not None:
         sections[broken[0]][broken[1]] = draw(st.sampled_from(INVALID[broken]))

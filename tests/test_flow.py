@@ -420,7 +420,7 @@ class TestRun:
         _, series, _ = flow.run(cfg)
         assert all(r.pinch_low_ok for r in series.records)
         assert all(r.pinch_high_ok for r in series.records)
-        g0 = series.meta["sup_grad0"]
+        g0 = series.sup_grad0
         assert all(r.sup_grad_phi_sq <= g0 * (1 + 1e-6) for r in series.records)
 
     @pytest.mark.parametrize("name", ["mean", "sigma2root"])
