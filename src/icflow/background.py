@@ -96,6 +96,9 @@ _GRADE = 64
 # gauge table, near r = 237.
 R_TABLE_LIMIT = 140.0
 
+_DOUBLE_MAX = float(np.finfo(float).max)
+_DOUBLE_TINY = float(np.finfo(float).smallest_subnormal)
+
 
 @dataclass(frozen=True)
 class BackgroundParams:
@@ -168,6 +171,13 @@ def _outside(x, lo, hi):
             or np.fmax.reduce(x, axis=None, initial=-np.inf) > hi)
 
 
+def _within(x, lo, hi):
+    """Whether every entry of the array x is finite and lies in [lo, hi],
+    for finite lo and hi: one min and one max, whose comparisons a NaN
+    fails."""
+    return lo <= x.min() and x.max() <= hi
+
+
 @dataclass
 class WarpProfile:
     """Tabulated warp factor lambda(r) with closed-form derivative accessors.
@@ -195,9 +205,16 @@ class WarpProfile:
 
     # -- warp factor and derivatives -------------------------------------
 
+    def _r_bounds(self):
+        return self.r_horizon - 1e-12, self.r_max * (1 + 1e-14)
+
+    def _phi_bounds(self):
+        # m > 0 only; phi_hi is about -2 e^(-r_max): its sliver is relative
+        return self._phi_lo - 1e-12, self._phi_hi * (1 - 1e-12)
+
     def _check_r(self, r):
         r = np.asarray(r, dtype=float)
-        if _outside(r, self.r_horizon - 1e-12, self.r_max * (1 + 1e-14)):
+        if _outside(r, *self._r_bounds()):
             raise TableExtentError(
                 f"radius outside table range [{self.r_horizon}, {self.r_max}]")
         return r
@@ -256,12 +273,27 @@ class WarpProfile:
                 raise TableExtentError("gauge value outside range (massless limit)")
             r = self._check_r(-np.log(np.tanh(-0.5 * phi)))
             return r, np.sinh(r)
-        # phi_hi is about -2 e^(-r_max): its sliver is relative
-        if _outside(phi, self._phi_lo - 1e-12, self._phi_hi * (1 - 1e-12)):
+        if _outside(phi, *self._phi_bounds()):
             raise TableExtentError("gauge value outside tabulated range")
         r, lam = self._by_phi(phi)
         self._check_r(r)
         return r, lam
+
+    def warp_in_table(self, phi):
+        """warp_from_gauge(phi) for a float array phi when every phi and
+        every radius is finite and inside the table, judged by one min and
+        one max of each; otherwise None, and warp_from_gauge's entrywise
+        tests tell what is wrong. The same lookup, so the same bits."""
+        if self.params.m == 0.0:
+            # every negative double, so that the radius test bounds phi
+            if not _within(phi, -_DOUBLE_MAX, -_DOUBLE_TINY):
+                return None
+            r = -np.log(np.tanh(-0.5 * phi))
+            return (r, np.sinh(r)) if _within(r, *self._r_bounds()) else None
+        if not _within(phi, *self._phi_bounds()):
+            return None
+        r, lam = self._by_phi(phi)
+        return (r, lam) if _within(r, *self._r_bounds()) else None
 
     # -- self checks ------------------------------------------------------
 

@@ -77,20 +77,6 @@ def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     return e
 
 
-def elementary_symmetric_deleted(kappa: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sigma_j of kappa with entry i removed: shape (..., n+1, n).
-
-    Uses the recursion sigma_j(kappa\\i) = sigma_j - kappa_i sigma_j-1(kappa\\i).
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    d = np.zeros(kappa.shape[:-1] + (n + 1, n))
-    d[..., 0, :] = 1.0
-    for j in range(1, n + 1):
-        d[..., j, :] = e[..., j, None] - kappa * d[..., j - 1, :]
-    return d
-
-
 def _margin(f, e):
     """min_j sigma_j over the cone-defining inequalities, per point, from
     the sigma_j values e of elementary_symmetric; negative outside."""
@@ -99,9 +85,10 @@ def _margin(f, e):
 
 def require_cone(f: CurvatureFunction, e, kappa, t=None):
     """The one cone test: e, the sigma_j of kappa, when every point lies in
-    the cone of f (one reduction, which a NaN fails). Otherwise raises
-    InadmissibleState naming the point of least margin, its kappa and t."""
-    if e[..., 1:f.cone_order + 1].min() > 0.0:
+    the cone of f (one minimum per sigma_j, which a NaN fails). Otherwise
+    raises InadmissibleState naming the point of least margin, its kappa
+    and t."""
+    if all(e[..., j].min() > 0.0 for j in range(1, f.cone_order + 1)):
         return e
     margin = _margin(f, e)
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin)), margin.shape))
@@ -137,14 +124,19 @@ def _gradient(f, kappa, e):
     n = f.n
     if f.kind == "mean":
         return np.ones_like(kappa)
-    d = elementary_symmetric_deleted(kappa, e)
     k = f.k
+    # d[j] = sigma_j of kappa with entry i removed, shape (..., n), from
+    # sigma_j(kappa\i) = sigma_j - kappa_i sigma_j-1(kappa\i); only the
+    # rows j < k that dF reads are built
+    d = [1.0]
+    for j in range(1, k):
+        d.append(e[..., j, None] - kappa * d[-1])
     if f.kind == "sigma_k_root":
         val = n * (e[..., k] / comb(n, k)) ** (1.0 / k)
-        return (val / (k * e[..., k]))[..., None] * d[..., k - 1, :]
+        return (val / (k * e[..., k]))[..., None] * d[k - 1]
     c = n * k / (n - k + 1.0)
     skm1 = np.maximum(e[..., k - 1], _EPS_DEN)
-    num = d[..., k - 1, :] * skm1[..., None] - e[..., k, None] * d[..., k - 2, :]
+    num = d[k - 1] * skm1[..., None] - e[..., k, None] * d[k - 2]
     return c * num / (skm1 * skm1)[..., None]
 
 

@@ -176,8 +176,12 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
     only the azimuthal modes that d_theta resolves. A bound below DT_MIN
     raises StepUnderflow."""
     fp = cf._gradient(F, ext.kappa, ext.sigma_j)
-    # largest eigenvalue of gtilde relative to sigma is exactly 1
-    scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
+    # largest eigenvalue of gtilde relative to sigma is exactly 1; the
+    # largest dF/dkappa_i is taken column by column
+    fp_max = fp[..., 0]
+    for i in range(1, fp.shape[-1]):
+        fp_max = np.maximum(fp_max, fp[..., i])
+    scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp_max
     h = state.grid.d_theta
     dt = CFL * h * h / float(scale.max())
     if dt < DT_MIN:

@@ -30,6 +30,7 @@ combination loses all significant digits at large radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,10 +75,21 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
 
 
 def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
-    phi = ScalarField(grid, np.asarray(phi_values, dtype=float))
-    r, lam = profile.warp_from_gauge(phi.values)
-    return GraphState(t=float(t), grid=grid, phi=phi, r=ScalarField(grid, r),
-                      lam=lam, profile=profile)
+    """The state at the gauge phi_values, with r and lambda from one table
+    lookup. phi and r are each judged, finite and inside the table, by one
+    min and one max (WarpProfile.warp_in_table). Only when that fails are
+    the fields built with ScalarField's own tests and the table's
+    entrywise ones, which raise the error they name."""
+    phi = np.asarray(phi_values, dtype=float)
+    warp = profile.warp_in_table(phi) if phi.shape == grid.field_shape else None
+    if warp is None:
+        phi_field = ScalarField(grid, phi)
+        r, lam = profile.warp_from_gauge(phi)
+        return GraphState(t=float(t), grid=grid, phi=phi_field, r=ScalarField(grid, r),
+                          lam=lam, profile=profile)
+    r, lam = warp
+    return GraphState(t=float(t), grid=grid, phi=ScalarField.unchecked(grid, phi),
+                      r=ScalarField.unchecked(grid, r), lam=lam, profile=profile)
 
 
 @dataclass
@@ -143,6 +155,13 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     both off-diagonals vanish identically and the terms they enter are
     skipped; each of those terms adds an exact zero, so the result is the
     same bit for bit.
+
+    Far out d1, d2 and d3 grow like lambda^4, and their squares overflow
+    past r ~ 88. So the diagonal root is |d1|, and the general one is taken
+    of the discriminant times s^2, for one power of two s per state near
+    1 / sqrt(max det b), and divided by s: d1 s is squared, and 4 s^2 is
+    one factor of 4 d2 d3. Both equal the unscaled sqrt wherever its
+    products neither overflow nor underflow.
     """
     a00, a01, a11 = a
     b00, b01, b11 = b
@@ -150,13 +169,15 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     mix, d1 = p + q, p - q
     if diagonal:
         det_b = b00 * b11
-        disc = np.sqrt(d1 * d1)
+        disc = np.abs(d1)
     else:
         det_b = b00 * b11 - b01 ** 2
         mix = mix - 2.0 * a01 * b01
         d2 = a00 * b01 - a01 * b00
         d3 = a11 * b01 - a01 * b11
-        disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
+        s = math.ldexp(1.0, -(math.frexp(float(det_b.max()))[1] // 2))
+        d1 = d1 * s
+        disc = np.sqrt(np.maximum(d1 * d1 + (4.0 * s * s) * d2 * d3, 0.0)) / s
     den = 2.0 * det_b
     lo = (mix - disc) / den
     kappa = np.empty(lo.shape + (2,))

@@ -6,10 +6,14 @@ a single meridian; the lat-long mode adds a uniform periodic azimuth.
 
 Pole closure uses even reflection: an axisymmetric smooth function
 satisfies f(-theta) = f(theta), a general one f(-theta, psi) =
-f(theta, psi + pi), so ghost rows are mirrored (and rolled by half a
-period in 2D). The mixed Hessian component that divides by sin^2(theta)
-is replaced by its limit d^2f/dtheta^2 at the two rows adjacent to the
-poles, which is second-order consistent for smooth fields.
+f(theta, psi + pi), so ghost rows are mirrored (and, in 2D, taken half a
+period round, by swapping the two halves of the edge row). The periodic
+psi stencils read a copy with one wrapped ghost column on each side.
+Ghost rows and columns are copied by slicing, which moves the same data
+as a roll at a fraction of its cost. The mixed Hessian component that
+divides by sin^2(theta) is replaced by its limit d^2f/dtheta^2 at the two
+rows adjacent to the poles, which is second-order consistent for smooth
+fields.
 
 Near the poles the lat-long rows crowd together: row j has azimuthal
 spacing sin(theta_j) d_psi, far below d_theta. A polar Fourier filter
@@ -98,6 +102,15 @@ class ScalarField:
         if not np.isfinite(self.values).all():
             raise FlowError("scalar field contains non-finite values")
 
+    @classmethod
+    def unchecked(cls, grid, values):
+        """The field of a float array that the caller has already found
+        finite and of grid.field_shape, built without repeating those
+        tests."""
+        f = cls.__new__(cls)
+        f.grid, f.values = grid, values
+        return f
+
 
 def build_grid(mode: str, resolution) -> SphereGrid:
     """Cell-centered grid. resolution is N_theta (axisymmetric) or a pair
@@ -135,12 +148,15 @@ def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 # -- stencils --------------------------------------------------------------
 
 def _pad_theta(grid, v):
+    """v with one ghost row past each pole, by even reflection. In 2D the
+    ghost row is the edge row half a period round, its two halves swapped
+    by slicing."""
     if grid.mode == "axisymmetric1d":
         return np.concatenate([v[:1], v, v[-1:]])
     half = grid.n_psi // 2
-    top = np.roll(v[:1], half, axis=1)
-    bot = np.roll(v[-1:], half, axis=1)
-    return np.concatenate([top, v, bot], axis=0)
+    top = np.concatenate([v[0, half:], v[0, :half]])
+    bot = np.concatenate([v[-1, half:], v[-1, :half]])
+    return np.concatenate([top[None], v, bot[None]])
 
 
 def _dtheta(grid, p):
@@ -154,8 +170,10 @@ def _d2theta(grid, p, v):
 
 
 def _psi_diffs(grid, v):
-    """Centered first and second psi differences of v (periodic)."""
-    fwd, bwd = np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)
+    """Centered first and second psi differences of v (periodic), read
+    from one copy of v with a wrapped ghost column on each side."""
+    w = np.concatenate([v[:, -1:], v, v[:, :1]], axis=1)
+    fwd, bwd = w[:, 2:], w[:, :-2]
     return (fwd - bwd) / (2.0 * grid.d_psi), (fwd - 2.0 * v + bwd) / grid.d_psi ** 2
 
 

@@ -1,13 +1,19 @@
 """The component-form extrinsic pass against a reference copy of the
-(..., 2, 2) pass it replaced: every quantity must agree bit for bit."""
+(..., 2, 2) pass it replaced, and the stage data, the stability bound and
+dF against reference copies of the reductions they replaced: every
+quantity must agree bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
 
 from icflow import background as bg
 from icflow import curvature as cf
+from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
+from icflow.errors import InadmissibleState
 
 
 # -- reference: the (..., 2, 2) pass, with its own stencils -------------------
@@ -95,6 +101,53 @@ def reference_extrinsic(state):
                 chi=lam / v, lam=lam, lam_p=lam_p)
 
 
+# -- reference: the stage reductions along a short last axis ----------------
+
+def _in_cone(f, e):
+    return e[..., 1:f.cone_order + 1].min() > 0.0
+
+
+def _deleted(kappa, e):
+    n = kappa.shape[-1]
+    d = np.zeros(kappa.shape[:-1] + (n + 1, n))
+    d[..., 0, :] = 1.0
+    for j in range(1, n + 1):
+        d[..., j, :] = e[..., j, None] - kappa * d[..., j - 1, :]
+    return d
+
+
+def reference_gradient(f, kappa, e):
+    n = f.n
+    if f.kind == "mean":
+        return np.ones_like(kappa)
+    d = _deleted(kappa, e)
+    k = f.k
+    if f.kind == "sigma_k_root":
+        val = n * (e[..., k] / math.comb(n, k)) ** (1.0 / k)
+        return (val / (k * e[..., k]))[..., None] * d[..., k - 1, :]
+    c = n * k / (n - k + 1.0)
+    skm1 = np.maximum(e[..., k - 1], 1e-300)
+    num = d[..., k - 1, :] * skm1[..., None] - e[..., k, None] * d[..., k - 2, :]
+    return c * num / (skm1 * skm1)[..., None]
+
+
+def reference_stage(state, f):
+    """(f_kappa, speed) of flow.evaluate, from the reference extrinsic pass."""
+    ref = reference_extrinsic(state)
+    assert _in_cone(f, ref["sigma_j"])
+    f_kappa = cf._value(f, ref["sigma_j"])
+    e_scaled = cf.elementary_symmetric(ref["lam"][..., None] * ref["kappa"])
+    assert _in_cone(f, e_scaled)
+    return f_kappa, ref["v"] / cf._value(f, e_scaled)
+
+
+def reference_stable_dt(state, f, ext):
+    fp = reference_gradient(f, ext.kappa, ext.sigma_j)
+    scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
+    h = state.grid.d_theta
+    return flow.CFL * h * h / float(scale.max())
+
+
 # -- states ------------------------------------------------------------------
 
 def a3_state():
@@ -117,7 +170,18 @@ def latlong_state():
         grid, prof, 2.0 + 0.2 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ps))
 
 
-@pytest.mark.parametrize("make_state", [a3_state, massless_state, latlong_state])
+def massless_latlong_state():
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), r_max=8.0)
+    grid = sp.build_grid("latlong2d", (16, 32))
+    th, ps = grid.theta[:, None], grid.psi[None, :]
+    return geo.state_from_radius(
+        grid, prof, 1.0 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.sin(ps))
+
+
+STATES = [a3_state, massless_state, latlong_state, massless_latlong_state]
+
+
+@pytest.mark.parametrize("make_state", STATES)
 def test_matches_tensor_pass_bit_for_bit(make_state):
     state = make_state()
     ext = geo.compute_extrinsic(state)
@@ -129,3 +193,36 @@ def test_matches_tensor_pass_bit_for_bit(make_state):
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
         assert np.array_equal(ext.g[k], ref["g_cov"][..., i, j]), ("g", i, j)
         assert np.array_equal(ext.h[k], ref["h_cov"][..., i, j]), ("h", i, j)
+
+
+@pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+@pytest.mark.parametrize("make_state", STATES)
+def test_stage_matches_reference_reductions_bit_for_bit(make_state, name):
+    state = make_state()
+    f = cf.from_name(name, 2)
+    ext = flow.evaluate(state, f)
+    f_kappa, speed = reference_stage(state, f)
+    assert np.array_equal(ext.f_kappa, f_kappa)
+    assert np.array_equal(ext.speed, speed)
+    assert np.array_equal(cf._gradient(f, ext.kappa, ext.sigma_j),
+                          reference_gradient(f, ext.kappa, ext.sigma_j))
+    assert flow.stable_dt(state, f, ext) == reference_stable_dt(state, f, ext)
+
+
+@pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+def test_cone_test_matches_reference(name):
+    # the cone test reads one minimum per sigma_j; it must accept and
+    # refuse exactly what one minimum over sigma_1..sigma_k did
+    f = cf.from_name(name, 2)
+    kappa = latlong_state().grid.zeros[..., None] + np.array([0.5, 1.5])
+    for j in range(3):
+        for bad in (None, 0.0, -1e-300, -2.0, math.nan, -math.inf):
+            e = cf.elementary_symmetric(kappa)
+            if bad is not None:
+                e[7, 11, j] = bad
+            try:
+                cf.require_cone(f, e, kappa)
+                accepted = True
+            except InadmissibleState:
+                accepted = False
+            assert accepted == bool(_in_cone(f, e)), (j, bad)

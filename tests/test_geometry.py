@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from icflow import background as bg
 from icflow import curvature as cf
+from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
-from icflow.errors import TableExtentError
+from icflow.errors import FlowError, InadmissibleState, TableExtentError
 
 from oracles import revolution_principal_curvatures
 
@@ -215,3 +217,92 @@ class TestTwoDim:
         e2 = geo.compute_extrinsic(s2)
         assert np.max(np.abs(e2.kappa[:, 0, :] - e1.kappa)) < 1e-12
         assert np.max(np.abs(e2.v[:, 0] - e1.v)) < 1e-13
+
+
+class TestFarRadius:
+    # the pencil discriminant's d1 grows like lambda^4: its square
+    # overflowed past r ~ 88, and kappa read [-inf, inf]
+    @pytest.fixture(scope="class")
+    def prof_far(self):
+        return bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=bg.R_TABLE_LIMIT)
+
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    @pytest.mark.parametrize("mode, res", [("axisymmetric1d", 32), ("latlong2d", (16, 32))])
+    @pytest.mark.parametrize("r0", [100.0, 138.0])
+    def test_stage_data_finite(self, prof_far, r0, mode, res, name):
+        state = perturbed_state(prof_far, sp.build_grid(mode, res), r0=r0, amp=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext = flow.evaluate(state, cf.from_name(name, 2))
+        # far out the surface is umbilic to rounding: kappa = 1 + O(e^-2r)
+        assert np.abs(ext.kappa - 1.0).max() < 1e-12
+        assert np.isfinite(ext.speed).all()
+
+
+class TestFailurePaths:
+    """state_from_gauge judges phi and r by one min and one max each; when
+    that fails, the entrywise tests raise the error they always raised."""
+
+    def gauge(self, prof, mode="axisymmetric1d", res=32):
+        grid = sp.build_grid(mode, res)
+        return grid, perturbed_state(prof, grid).phi.values.copy()
+
+    @pytest.mark.parametrize("mode, res", [("axisymmetric1d", 32), ("latlong2d", (16, 32))])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_non_finite_gauge(self, prof_m0, prof_m1, m, bad, mode, res):
+        prof = prof_m1 if m else prof_m0
+        grid, phi = self.gauge(prof, mode, res)
+        phi.flat[5] = bad
+        with pytest.raises(FlowError, match="^scalar field contains non-finite values$"):
+            geo.state_from_gauge(grid, prof, phi)
+
+    def test_non_finite_is_named_before_the_table(self, prof_m1):
+        grid, phi = self.gauge(prof_m1)
+        phi[2], phi[9] = 50.0, math.nan
+        with pytest.raises(FlowError, match="non-finite"):
+            geo.state_from_gauge(grid, prof_m1, phi)
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_gauge_past_the_m1_table(self, prof_m1, end):
+        grid, phi = self.gauge(prof_m1)
+        lo = float(prof_m1.gauge_from_radius(prof_m1.r_horizon))
+        hi = float(prof_m1.gauge_from_radius(prof_m1.r_max))
+        phi[4] = lo - 1e-6 if end == "low" else 0.5 * hi
+        with pytest.raises(TableExtentError, match="^gauge value outside tabulated range$"):
+            geo.state_from_gauge(grid, prof_m1, phi)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_nonnegative_gauge_at_m0(self, prof_m0, bad):
+        grid, phi = self.gauge(prof_m0)
+        phi[-1] = bad
+        with pytest.raises(TableExtentError,
+                           match=r"^gauge value outside range \(massless limit\)$"):
+            geo.state_from_gauge(grid, prof_m0, phi)
+
+    def test_radius_past_the_m0_table(self, prof_m0):
+        # a gauge just below 0 is a radius near 690, past r_max = 8
+        grid, phi = self.gauge(prof_m0)
+        phi[0] = -1e-300
+        with pytest.raises(TableExtentError,
+                           match=r"^radius outside table range \[0\.0, 8\.0\]$"):
+            geo.state_from_gauge(grid, prof_m0, phi)
+
+    def test_in_table_gauge_builds_its_state(self, prof_m0, prof_m1):
+        for prof in (prof_m0, prof_m1):
+            grid, phi = self.gauge(prof)
+            state = geo.state_from_gauge(grid, prof, phi)
+            r, lam = prof.warp_from_gauge(phi)
+            assert state.phi.values is phi
+            assert np.array_equal(state.r.values, r) and np.array_equal(state.lam, lam)
+
+    @pytest.mark.parametrize("name", ["sigma2root", "quotient2"])
+    def test_nan_sigma2_leaves_the_cone(self, name):
+        # sigma_1 > 0 everywhere; a NaN sigma_2 at one node must fail the
+        # cone test, not pass it
+        kappa = np.ones((8, 2))
+        e = cf.elementary_symmetric(kappa)
+        e[3, 2] = math.nan
+        with pytest.raises(InadmissibleState) as info:
+            cf.require_cone(cf.from_name(name, 2), e, kappa)
+        assert info.value.node == (3,)
