@@ -55,13 +55,16 @@ and below it from the quadrature increments summed downward.
 The gauge table indexes r and lambda together by phi: dr/dphi = lambda,
 dlambda/dphi = lambda lambda', and the second derivatives follow in
 closed form, so a time step finds both from one interval search.
+
+Every accessor judges its argument against one range before it looks
+anything up, and refuses a value outside it, NaN included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -97,7 +100,23 @@ _GRADE = 64
 R_TABLE_LIMIT = 140.0
 
 _DOUBLE_MAX = float(np.finfo(float).max)
-_DOUBLE_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _bisect(below, lo, hi):
+    """Adjacent doubles lo < hi with below(lo) true and below(hi) false,
+    bisected from such a bracket."""
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# the lower end of every massless radius range: the smallest double r whose
+# gauge -2 artanh(e^(-r)) is finite, that is with e^(-r) < 1 (about 4.5e-17)
+_R_MIN_MASSLESS = _bisect(lambda r: np.exp(-r) == 1.0, 2.0 ** -60, 2.0 ** -50)[1]
 
 
 @dataclass(frozen=True)
@@ -140,12 +159,7 @@ def solve_horizon(params: BackgroundParams) -> float:
     hi = 2.0 * lo
     while g(hi) <= 0.0:
         lo, hi = hi, 2.0 * hi
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda s: g(s) <= 0.0, lo, hi)
     return lo if abs(g(lo)) <= abs(g(hi)) else hi
 
 
@@ -163,31 +177,32 @@ def _h_of_w(w, s0, m, n):
     return 2.0 * s0 + w + m * num / (x ** (n - 1) * s0 ** (n - 1))
 
 
-def _outside(x, lo, hi):
-    """Whether any entry of the array x lies below lo or above hi; NaN
-    entries count as neither, as in (x < lo).any(), in one reduction a
-    side."""
-    return (np.fmin.reduce(x, axis=None, initial=np.inf) < lo
-            or np.fmax.reduce(x, axis=None, initial=-np.inf) > hi)
-
-
-def _within(x, lo, hi):
-    """Whether every entry of the array x is finite and lies in [lo, hi],
-    for finite lo and hi: one min and one max, whose comparisons a NaN
-    fails."""
-    return lo <= x.min() and x.max() <= hi
+def _judge(x, lo, hi, quantity):
+    """The float array of x, after one min and one max have found every
+    entry inside the finite range [lo, hi]; a NaN fails the comparison, so
+    a non-finite entry is refused too (TableExtentError naming the
+    quantity)."""
+    x = np.asarray(x, dtype=float)
+    if x.size and not (lo <= x.min() and x.max() <= hi):
+        raise TableExtentError(f"{quantity} outside tabulated range")
+    return x
 
 
 @dataclass
 class WarpProfile:
-    """Tabulated warp factor lambda(r) with closed-form derivative accessors.
+    """The warp factor lambda and the radial gauge phi, with closed-form
+    derivative accessors.
 
     Immutable after construction; all accessors are pure and accept
-    scalars or arrays. Requests outside [0, r_max] (or the matching lambda /
-    gauge ranges) raise TableExtentError; the range tests let slivers of
-    about 1e-12 through, across which each table extends its end piece.
-    For m > 0 three tables hold the profile: (lambda, phi) by r, (r,
-    lambda) by the gauge phi, and r by u = sqrt(lambda - s0).
+    scalars or arrays. build_warp_profile fixes three lookups and the
+    range of each one's argument: (lambda, phi) by r, (r, lambda) by phi,
+    and r by lambda. For m > 0 they are Hermite tables, the last one in
+    u = sqrt(lambda - s0); for m = 0 they are the closed forms sinh,
+    -2 artanh(e^(-r)), -log tanh(-phi/2) and arcsinh. Each accessor is
+    one range test (_judge) and one lookup. The ranges let slivers of
+    about 1e-12 through, across which a table extends its end piece. The
+    radius range is [r_horizon, r_max] for m > 0; for m = 0 it starts at
+    the smallest r whose gauge is finite (about 4.5e-17).
     """
 
     params: BackgroundParams
@@ -196,34 +211,17 @@ class WarpProfile:
     r_horizon: float
     table_r: np.ndarray
     table_lam: np.ndarray
-    _by_r: Optional[_Piecewise] = field(default=None, repr=False)
-    _by_phi: Optional[_Piecewise] = field(default=None, repr=False)
-    _by_u: Optional[_Piecewise] = field(default=None, repr=False)
-    _phi_lo: float = 0.0
-    _phi_hi: float = 0.0
-    lam_max: float = 0.0
+    _by_r: Callable = field(repr=False)
+    _by_phi: Callable = field(repr=False)
+    _by_lam: Callable = field(repr=False)
+    _r_range: tuple = field(repr=False)
+    _phi_range: tuple = field(repr=False)
+    _lam_range: tuple = field(repr=False)
 
     # -- warp factor and derivatives -------------------------------------
 
-    def _r_bounds(self):
-        return self.r_horizon - 1e-12, self.r_max * (1 + 1e-14)
-
-    def _phi_bounds(self):
-        # m > 0 only; phi_hi is about -2 e^(-r_max): its sliver is relative
-        return self._phi_lo - 1e-12, self._phi_hi * (1 - 1e-12)
-
-    def _check_r(self, r):
-        r = np.asarray(r, dtype=float)
-        if _outside(r, *self._r_bounds()):
-            raise TableExtentError(
-                f"radius outside table range [{self.r_horizon}, {self.r_max}]")
-        return r
-
     def lambda_of_r(self, r):
-        r = self._check_r(r)
-        if self.params.m == 0.0:
-            return np.sinh(r)
-        return self._by_r(r)[0]
+        return self._by_r(_judge(r, *self._r_range, "radius"))[0]
 
     def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -239,61 +237,24 @@ class WarpProfile:
         return lam + 0.5 * m * (n - 1) * lam ** (-n)
 
     def radius_from_lambda(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if self.params.m == 0.0:
-            if (lam < 0).any() or (lam > self.lam_max * (1 + 1e-12)).any():
-                raise TableExtentError("warp value outside table range")
-            return np.arcsinh(lam)
-        if (lam < self.s0 * (1 - 1e-12)).any() or (lam > self.lam_max * (1 + 1e-12)).any():
-            raise TableExtentError("warp value outside table range")
-        u = np.sqrt(np.maximum(lam - self.s0, 0.0))
-        return self._by_u(u)[0]
+        return self._by_lam(_judge(lam, *self._lam_range, "warp value"))[0]
 
     # -- radial gauge -----------------------------------------------------
 
     def gauge_from_radius(self, r):
         """phi = -integral_r^infinity ds/lambda(s)."""
-        r = self._check_r(r)
-        if self.params.m == 0.0:
-            if (r <= 0.0).any():
-                raise TableExtentError("gauge requires r > 0 in the massless limit")
-            return -2.0 * np.arctanh(np.exp(-r))
-        return self._by_r(r)[1]
+        return self._by_r(_judge(r, *self._r_range, "radius"))[1]
 
     def radius_from_gauge(self, phi):
         """Inverse of gauge_from_radius."""
         return self.warp_from_gauge(phi)[0]
 
     def warp_from_gauge(self, phi):
-        """(r, lambda) at the gauge phi from one table lookup, with the
-        range tests of both radius_from_gauge and lambda_of_r."""
-        phi = np.asarray(phi, dtype=float)
-        if self.params.m == 0.0:
-            if (phi >= 0.0).any():
-                raise TableExtentError("gauge value outside range (massless limit)")
-            r = self._check_r(-np.log(np.tanh(-0.5 * phi)))
-            return r, np.sinh(r)
-        if _outside(phi, *self._phi_bounds()):
-            raise TableExtentError("gauge value outside tabulated range")
-        r, lam = self._by_phi(phi)
-        self._check_r(r)
+        """(r, lambda) at the gauge phi from one lookup; phi is judged
+        first, then r, by one min and one max each."""
+        r, lam = self._by_phi(_judge(phi, *self._phi_range, "gauge value"))
+        _judge(r, *self._r_range, "radius")
         return r, lam
-
-    def warp_in_table(self, phi):
-        """warp_from_gauge(phi) for a float array phi when every phi and
-        every radius is finite and inside the table, judged by one min and
-        one max of each; otherwise None, and warp_from_gauge's entrywise
-        tests tell what is wrong. The same lookup, so the same bits."""
-        if self.params.m == 0.0:
-            # every negative double, so that the radius test bounds phi
-            if not _within(phi, -_DOUBLE_MAX, -_DOUBLE_TINY):
-                return None
-            r = -np.log(np.tanh(-0.5 * phi))
-            return (r, np.sinh(r)) if _within(r, *self._r_bounds()) else None
-        if not _within(phi, *self._phi_bounds()):
-            return None
-        r, lam = self._by_phi(phi)
-        return (r, lam) if _within(r, *self._r_bounds()) else None
 
     # -- self checks ------------------------------------------------------
 
@@ -428,6 +389,31 @@ class _Piecewise:
                                     for j in range(self.cols)))
 
 
+class _SqrtPiecewise(_Piecewise):
+    """A _Piecewise in u = sqrt(x - x0), queried by x."""
+
+    def __init__(self, x0, u, *funcs):
+        super().__init__(u, *funcs)
+        self.x0 = x0
+
+    def __call__(self, xq):
+        return super().__call__(np.sqrt(np.maximum(xq - self.x0, 0.0)))
+
+
+# the m = 0 lookups: closed forms, returning what the tables would stack
+def _massless_by_r(r):
+    return np.sinh(r), -2.0 * np.arctanh(np.exp(-r))
+
+
+def _massless_by_phi(phi):
+    r = -np.log(np.tanh(-0.5 * phi))
+    return r, np.sinh(r)
+
+
+def _massless_by_lam(lam):
+    return (np.arcsinh(lam),)
+
+
 def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     """Tabulate lambda(r) and the gauge on [r_horizon, r_max].
 
@@ -442,12 +428,15 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     m, n = params.m, params.n
     if m == 0.0:
         table_r = np.linspace(0.0, r_max, 513)
-        prof = WarpProfile(
+        r_lo = _R_MIN_MASSLESS
+        return WarpProfile(
             params=params, r_max=float(r_max), s0=0.0, r_horizon=0.0,
             table_r=table_r, table_lam=np.sinh(table_r),
-            lam_max=float(np.sinh(r_max)),
+            _by_r=_massless_by_r, _by_phi=_massless_by_phi, _by_lam=_massless_by_lam,
+            _r_range=(r_lo, r_max * (1 + 1e-14)),
+            _phi_range=(-_DOUBLE_MAX, float(_massless_by_r(r_max)[1]) * (1 - 1e-12)),
+            _lam_range=(float(np.sinh(r_lo)), float(np.sinh(r_max)) * (1 + 1e-12)),
         )
-        return prof
 
     s0 = solve_horizon(params)
     u, anchor = _build_u_grid(s0, m, r_max)
@@ -489,20 +478,21 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     lam_p = 2.0 * u / Gn                         # dlambda/du / dr/du
     lam_pp = lam_nodes + 0.5 * m * (n - 1) * lam_nodes ** (-n)
 
-    prof = WarpProfile(
-        params=params, r_max=float(r_nodes[-1]), s0=float(s0),
-        r_horizon=float(r_nodes[0]),
+    r_lo, r_hi = float(r_nodes[0]), float(r_nodes[-1])
+    return WarpProfile(
+        params=params, r_max=r_hi, s0=float(s0), r_horizon=r_lo,
         table_r=r_nodes, table_lam=lam_nodes,
         _by_r=_Piecewise(r_nodes, _hermite(r_nodes, lam_nodes, lam_p, lam_pp),
                          _hermite(r_nodes, phi, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2)),
         _by_phi=_Piecewise(phi, _hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p),
                            _hermite(phi, lam_nodes, lam_nodes * lam_p,
                                     lam_nodes * (lam_p * lam_p + lam_nodes * lam_pp))),
-        _by_u=_Piecewise(u, _hermite(u, r_nodes, Gn)),
-        _phi_lo=float(phi[0]), _phi_hi=float(phi[-1]),
-        lam_max=float(lam_nodes[-1]),
+        _by_lam=_SqrtPiecewise(s0, u, _hermite(u, r_nodes, Gn)),
+        _r_range=(r_lo - 1e-12, r_hi * (1 + 1e-14)),
+        # phi[-1] is about -2 e^(-r_max): its sliver is relative
+        _phi_range=(float(phi[0]) - 1e-12, float(phi[-1]) * (1 - 1e-12)),
+        _lam_range=(s0 * (1 - 1e-12), float(lam_nodes[-1]) * (1 + 1e-12)),
     )
-    return prof
 
 
 def warp_derivatives(profile: WarpProfile, r):

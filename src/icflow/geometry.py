@@ -38,6 +38,7 @@ import numpy as np
 
 from . import curvature as cf
 from .background import WarpProfile
+from .errors import TableExtentError
 from .sphere import (
     ScalarField,
     SphereGrid,
@@ -75,19 +76,20 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
 
 
 def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
-    """The state at the gauge phi_values, with r and lambda from one table
-    lookup. phi and r are each judged, finite and inside the table, by one
-    min and one max (WarpProfile.warp_in_table). Only when that fails are
-    the fields built with ScalarField's own tests and the table's
-    entrywise ones, which raise the error they name."""
+    """The state at the gauge phi_values, with r and lambda from one
+    lookup (WarpProfile.warp_from_gauge), which judges phi and then r by
+    one min and one max each. A wrong shape is a ConfigError. Only when
+    the lookup refuses a value is phi built as a checked ScalarField, so
+    that a non-finite value is named (FlowError) before a finite value
+    past the table (TableExtentError)."""
     phi = np.asarray(phi_values, dtype=float)
-    warp = profile.warp_in_table(phi) if phi.shape == grid.field_shape else None
-    if warp is None:
-        phi_field = ScalarField(grid, phi)
+    if phi.shape != grid.field_shape:
+        ScalarField(grid, phi)      # raises ConfigError
+    try:
         r, lam = profile.warp_from_gauge(phi)
-        return GraphState(t=float(t), grid=grid, phi=phi_field, r=ScalarField(grid, r),
-                          lam=lam, profile=profile)
-    r, lam = warp
+    except TableExtentError:
+        ScalarField(grid, phi)      # raises FlowError on a non-finite value
+        raise
     return GraphState(t=float(t), grid=grid, phi=ScalarField.unchecked(grid, phi),
                       r=ScalarField.unchecked(grid, r), lam=lam, profile=profile)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ class TestWarpProfile:
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), limit)
         if m:
             assert all(np.isfinite(tab.rows).all() for tab in
-                       (prof._by_r, prof._by_phi, prof._by_u))
+                       (prof._by_r, prof._by_phi, prof._by_lam))
         with pytest.raises(TableExtentError, match="r_max"):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 150.0))
 
@@ -349,7 +350,7 @@ class TestGauge:
         # lambda(phi) from the gauge table agrees with lambda(r(phi)) over
         # the whole table, up to the rounding of r
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 40.0)
-        phi = np.linspace(prof._phi_lo, prof._phi_hi, 100001)
+        phi = np.linspace(prof._by_phi.x[0], prof._by_phi.x[-1], 100001)
         r, lam = prof.warp_from_gauge(phi)
         assert np.array_equal(r, prof.radius_from_gauge(phi))
         assert np.max(np.abs(lam / prof.lambda_of_r(r) - 1.0)) <= tol
@@ -367,7 +368,7 @@ class TestGauge:
         dr_du = lambda u: 2.0 / math.sqrt(bg._h_of_w(u * u, s0, m, n))
         worst = 0.0
         for u in np.linspace(0.001, 0.3, 40):
-            phi = prof._phi_lo + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
+            phi = prof._by_phi.x[0] + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
                                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
             _, lam = prof.warp_from_gauge(phi)
             worst = max(worst, abs(lam / (s0 + u * u) - 1.0))
@@ -392,3 +393,43 @@ class TestGauge:
             top = float(prof.gauge_from_radius(prof.r_max))
             with pytest.raises(TableExtentError):
                 prof.radius_from_gauge(np.array([0.5 * top]))
+
+
+class TestRanges:
+    """Every lookup judges its argument against one range, fixed when the
+    profile is built, and refuses a value outside it, non-finite values
+    included."""
+
+    ACCESSORS = ["lambda_of_r", "gauge_from_radius", "radius_from_lambda",
+                 "radius_from_gauge", "warp_from_gauge"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ACCESSORS)
+    def test_non_finite_refused(self, prof_m0, prof_m1, name, m, bad):
+        prof = prof_m1 if m else prof_m0
+        inside = {"lambda_of_r": 2.0, "gauge_from_radius": 2.0, "radius_from_lambda": 2.0,
+                  "radius_from_gauge": float(prof.gauge_from_radius(2.0)),
+                  "warp_from_gauge": float(prof.gauge_from_radius(2.0))}[name]
+        with pytest.raises(TableExtentError):
+            getattr(prof, name)(np.array([inside, bad, inside]))
+
+    def test_massless_radius_floor(self, prof_m0):
+        # the m = 0 radius range starts at the smallest r whose gauge
+        # -2 artanh(e^(-r)) is finite, the same for every accessor
+        r_lo = prof_m0._r_range[0]
+        below = np.nextafter(r_lo, 0.0)
+        assert 2.0 ** -55 < r_lo < 2.0 ** -52
+        assert np.exp(-r_lo) < 1.0 and np.exp(-below) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(prof_m0.gauge_from_radius(r_lo))
+            assert prof_m0.lambda_of_r(r_lo) == np.sinh(r_lo)
+            assert prof_m0.radius_from_lambda(np.sinh(r_lo)) == r_lo
+            for bad in (below, 1e-17, 0.0, -5e-13):
+                with pytest.raises(TableExtentError, match="^radius outside tabulated range$"):
+                    prof_m0.lambda_of_r(bad)
+                with pytest.raises(TableExtentError, match="^radius outside tabulated range$"):
+                    prof_m0.gauge_from_radius(bad)
+            with pytest.raises(TableExtentError, match="^warp value outside tabulated range$"):
+                prof_m0.radius_from_lambda(np.sinh(below))

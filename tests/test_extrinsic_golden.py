@@ -1,7 +1,9 @@
 """The component-form extrinsic pass against a reference copy of the
-(..., 2, 2) pass it replaced, and the stage data, the stability bound and
-dF against reference copies of the reductions they replaced: every
-quantity must agree bit for bit."""
+(..., 2, 2) pass it replaced, the stage data, the stability bound and dF
+against reference copies of the reductions they replaced, and the warp
+lookups and state_from_gauge against reference copies of the per-mass
+accessors they replaced: every quantity must agree bit for bit, and the
+lookups must refuse the same finite values past the table."""
 
 import math
 
@@ -13,7 +15,7 @@ from icflow import curvature as cf
 from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
-from icflow.errors import InadmissibleState
+from icflow.errors import ConfigError, FlowError, InadmissibleState, TableExtentError
 
 
 # -- reference: the (..., 2, 2) pass, with its own stencils -------------------
@@ -148,6 +150,92 @@ def reference_stable_dt(state, f, ext):
     return flow.CFL * h * h / float(scale.max())
 
 
+# -- reference: the warp lookups, with a branch and range tests per mass -----
+
+def _ref_check_r(prof, r):
+    r = np.asarray(r, dtype=float)
+    if (r < prof.r_horizon - 1e-12).any() or (r > prof.r_max * (1 + 1e-14)).any():
+        raise TableExtentError("radius")
+    return r
+
+
+def ref_lambda_of_r(prof, r):
+    r = _ref_check_r(prof, r)
+    if prof.params.m == 0.0:
+        return np.sinh(r)
+    return prof._by_r(r)[0]
+
+
+def ref_radius_from_lambda(prof, lam):
+    lam = np.asarray(lam, dtype=float)
+    lam_max = float(prof.table_lam[-1])
+    if prof.params.m == 0.0:
+        if (lam < 0).any() or (lam > lam_max * (1 + 1e-12)).any():
+            raise TableExtentError("warp value")
+        return np.arcsinh(lam)
+    if (lam < prof.s0 * (1 - 1e-12)).any() or (lam > lam_max * (1 + 1e-12)).any():
+        raise TableExtentError("warp value")
+    u = np.sqrt(np.maximum(lam - prof.s0, 0.0))
+    return bg._Piecewise.__call__(prof._by_lam, u)[0]
+
+
+def ref_gauge_from_radius(prof, r):
+    r = _ref_check_r(prof, r)
+    if prof.params.m == 0.0:
+        if (r <= 0.0).any():
+            raise TableExtentError("radius")
+        return -2.0 * np.arctanh(np.exp(-r))
+    return prof._by_r(r)[1]
+
+
+def ref_warp_from_gauge(prof, phi):
+    phi = np.asarray(phi, dtype=float)
+    if prof.params.m == 0.0:
+        if (phi >= 0.0).any():
+            raise TableExtentError("gauge value")
+        r = _ref_check_r(prof, -np.log(np.tanh(-0.5 * phi)))
+        return r, np.sinh(r)
+    lo, hi = prof._by_phi.x[0] - 1e-12, prof._by_phi.x[-1] * (1 - 1e-12)
+    if (phi < lo).any() or (phi > hi).any():
+        raise TableExtentError("gauge value")
+    r, lam = prof._by_phi(phi)
+    _ref_check_r(prof, r)
+    return r, lam
+
+
+def ref_radius_from_gauge(prof, phi):
+    return ref_warp_from_gauge(prof, phi)[0]
+
+
+def ref_state_from_gauge(grid, prof, phi):
+    """(r, lambda) of the state, with the field's own tests first."""
+    sp.ScalarField(grid, phi)
+    return ref_warp_from_gauge(prof, phi)
+
+
+LOOKUPS = [("lambda_of_r", ref_lambda_of_r), ("gauge_from_radius", ref_gauge_from_radius),
+           ("radius_from_lambda", ref_radius_from_lambda),
+           ("radius_from_gauge", ref_radius_from_gauge),
+           ("warp_from_gauge", ref_warp_from_gauge)]
+
+
+def _outcome(fn, *args):
+    """What a call returns, as arrays, or the type of the error it raises."""
+    try:
+        out = fn(*args)
+    except (ConfigError, FlowError, TableExtentError) as exc:
+        return type(exc)
+    return [np.asarray(a) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def _same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in zip(a, b))
+
+
 # -- states ------------------------------------------------------------------
 
 def a3_state():
@@ -226,3 +314,74 @@ def test_cone_test_matches_reference(name):
             except InadmissibleState:
                 accepted = False
             assert accepted == bool(_in_cone(f, e)), (j, bad)
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-6, 1.0, 100.0])
+def test_lookups_match_reference_bit_for_bit(m):
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=40.0)
+    r = np.linspace(prof.r_horizon, prof.r_max, 20001)[int(m == 0.0):]
+    lam = np.linspace(prof.table_lam[0], prof.table_lam[-1], 20001)[int(m == 0.0):]
+    phi = np.linspace(ref_gauge_from_radius(prof, r[0]), ref_gauge_from_radius(prof, r[-1]), 20001)
+    args = {"lambda_of_r": r, "gauge_from_radius": r, "radius_from_lambda": lam,
+            "radius_from_gauge": phi, "warp_from_gauge": phi}
+    for name, ref in LOOKUPS:
+        x = args[name]
+        assert _same(_outcome(getattr(prof, name), x), _outcome(ref, prof, x)), name
+        for xi in (x[0], float(x[-1]), x[::997].reshape(-1, 3)):
+            assert _same(_outcome(getattr(prof, name), xi), _outcome(ref, prof, xi)), name
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-6, 1.0, 100.0])
+def test_lookups_refuse_what_the_reference_refused(m):
+    # finite values just past either end of each range, at the slivers'
+    # edges, and far out; m = 0 radii below the smallest one with a finite
+    # gauge are refused by design and left out
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
+    r_lo, r_hi = prof.r_horizon, prof.r_max
+    lam_lo, lam_hi = prof.s0, float(prof.table_lam[-1])
+    phi_hi = float(ref_gauge_from_radius(prof, r_hi))
+    probes = {
+        "r": [r_lo - 1e-9, r_lo - 1e-12, r_hi + 1e-9, r_hi * (1 + 1e-14),
+              np.nextafter(r_hi * (1 + 1e-14), 9.0), -1e300, 1e300],
+        "lam": [lam_lo * (1 - 1e-9) - 1e-9, lam_hi * (1 + 1e-9), lam_hi * (1 + 1e-12),
+                np.nextafter(lam_hi * (1 + 1e-12), 1e300), -1e300, 1e300],
+        "phi": [phi_hi * (1 - 1e-9), phi_hi * (1 - 1e-12), phi_hi * (1 - 1e-13),
+                0.0, 1.0, 1e300],
+    }
+    if m == 0.0:
+        probes["r"] = [x for x in probes["r"] if x > 0.0 or x < -1e-12]
+    else:
+        phi_lo = float(prof._by_phi.x[0])
+        probes["r"].append(np.nextafter(r_lo - 1e-12, -9.0))
+        probes["lam"] += [lam_lo * (1 - 1e-12), np.nextafter(lam_lo * (1 - 1e-12), -1.0)]
+        probes["phi"] += [phi_lo - 1e-9, phi_lo - 1e-12, -1e300]
+    kind = {"lambda_of_r": "r", "gauge_from_radius": "r", "radius_from_lambda": "lam",
+            "radius_from_gauge": "phi", "warp_from_gauge": "phi"}
+    refused = 0
+    for name, ref in LOOKUPS:
+        for x in probes[kind[name]]:
+            got, want = _outcome(getattr(prof, name), x), _outcome(ref, prof, x)
+            assert _same(got, want), (name, x)
+            refused += got is TableExtentError
+    assert refused >= 20
+
+
+@pytest.mark.parametrize("make_state", STATES)
+def test_state_from_gauge_matches_reference(make_state):
+    state = make_state()
+    grid, prof, phi = state.grid, state.profile, state.phi.values
+    new = geo.state_from_gauge(grid, prof, phi)
+    r, lam = ref_state_from_gauge(grid, prof, phi)
+    assert np.array_equal(new.r.values, r) and np.array_equal(new.lam, lam)
+    # every gauge is refused with the reference's error type: a non-finite
+    # value before a finite one past the table, and a wrong shape first
+    top = float(ref_gauge_from_radius(prof, prof.r_max))
+    for bad in ([math.nan], [math.inf], [-math.inf], [top * (1 - 1e-9)], [1.0],
+                [1.0, math.nan], [top * (1 - 1e-9), -math.inf]):
+        bent = phi.copy()
+        bent.flat[3:3 + len(bad)] = bad
+        got = _outcome(geo.state_from_gauge, grid, prof, bent)
+        assert got is _outcome(ref_state_from_gauge, grid, prof, bent), bad
+    for shape in [phi.ravel()[:-1], phi.ravel()[:-1] * math.nan]:
+        assert _outcome(geo.state_from_gauge, grid, prof, shape) is ConfigError
+        assert _outcome(ref_state_from_gauge, grid, prof, shape) is ConfigError
