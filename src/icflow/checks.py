@@ -66,7 +66,7 @@ def check_curvature_axioms():
             euler = np.max(np.abs(np.sum(kap * grad, axis=1) - val) / np.abs(val))
             hom = np.max(np.abs(cf.f_eval(F, 2.5 * kap) - 2.5 * val) / np.abs(2.5 * val))
             worst = max(worst, float(euler), float(hom))
-    return worst <= 1e-10, f"worst Euler/homogeneity defect {worst:.2e}"
+    return worst <= 1e-12, f"worst Euler/homogeneity defect {worst:.2e} (bound 1e-12)"
 
 
 def check_grid_refinement():

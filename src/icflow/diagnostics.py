@@ -29,7 +29,7 @@ from . import curvature as cf
 from .background import WarpProfile
 from .errors import ConfigError
 from .geometry import GraphState
-from .sphere import SphereGrid, grad_norm_sq, hessian_mixed, tensor_sup_norm
+from .sphere import SphereGrid, hessian_mixed, tensor_sup_norm
 
 FLOOR = 1e-13
 _FLOOR_PASS = 1e-10
@@ -103,9 +103,7 @@ class DiagnosticsSeries:
     profile: WarpProfile           # lambda(r) of the run's background
     grid: SphereGrid
     pinch_ref: tuple               # (lambda(inf r), lambda(sup r)) e^(-t0/n)
-    t0: float
     f_umb0: float                  # n sup lambda'/lambda, F of the umbilic spheres
-    sup_grad0: float               # sup |D phi|^2
     initial_constant: bool         # the start radius is constant
     records: list = field(default_factory=list)
     radii: list = field(default_factory=list)
@@ -128,9 +126,8 @@ class DiagnosticsSeries:
         lam = prof.lambda_of_r(r)
         umb = prof.lambda_p_of_lambda(lam) / lam
         return DiagnosticsSeries(
-            profile=prof, grid=state.grid, pinch_ref=(lam_lo, lam_hi), t0=state.t,
+            profile=prof, grid=state.grid, pinch_ref=(lam_lo, lam_hi),
             f_umb0=n * float(np.max(umb)),
-            sup_grad0=float(np.max(grad_norm_sq(state.phi))),
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )
 
@@ -258,7 +255,8 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
     res_floor = _metric_residual((lam2, 0.0, lam2 * grid.sin_theta ** 2),
                                  t_final, f_hat_2d, n, grid)
 
-    t_half = series.t0 + 0.5 * (t_final - series.t0)
+    t0 = recs[0].t
+    t_half = t0 + 0.5 * (t_final - t0)
     first = [r for r in recs if r.t <= t_half]
     c_drift = 1.1 * max((r.neg_drift_scaled for r in first), default=0.0) + 1e-12
     drift_ok = True
@@ -355,7 +353,7 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
     # absolute floor covers the rounding-level gradients of constant data
     grads = series.column("sup_grad_phi_sq")
     add_result("gradient_monotone_pass",
-               bool(np.all(grads <= series.sup_grad0 * (1.0 + 1e-6) + 1e-20)))
+               bool(np.all(grads <= grads[0] * (1.0 + 1e-6) + 1e-20)))
 
     sel = t >= 1.0 - 1e-12
     if int(np.sum(sel)) >= 2:

@@ -2,15 +2,15 @@
 
 The scalar form evolved here is
 
-    d phi / dt = v / F(lambda h^i_j),
+    d phi / dt = v / F(lambda h^i_j) = v / (lambda F(h^i_j)),
 
-equal by 1-homogeneity to v / (lambda F(h^i_j)); both are computed and
-must agree to rounding, which cross-checks the scaling path. `evaluate`
+by the 1-homogeneity of F, so one F is evaluated per state: F(kappa),
+which the stability bound and the snapshots read too. `evaluate`
 computes everything the stepper reads of a state in one pass: the
-extrinsic data, the cone test on kappa and on lambda kappa, F(kappa) and
-the speed. Each state the stepper touches (accepted, midpoint, end) is
-evaluated once, and the end state inside the step's retry loop, so an
-end state outside the cone is retried like a midpoint.
+extrinsic data, the cone test on kappa, F(kappa) and the speed
+v / (lambda F(kappa)). Each state the stepper touches (accepted,
+midpoint, end) is evaluated once, and the end state inside the step's
+retry loop, so an end state outside the cone is retried like a midpoint.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r; the radius field is refreshed from phi
 through the tabulated gauge inverse after every substep.
@@ -140,28 +140,23 @@ class FlowEvent:
 
 def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
     """The stage data of state: its extrinsic pass, the cone test on its
-    sigma_j and on those of lambda kappa, F(kappa) and the speed
-    d phi / dt = v / F(lambda kappa), kept as ext.f_kappa and ext.speed.
+    sigma_j, F(kappa) and the speed d phi / dt = v / (lambda F(kappa)),
+    kept as ext.f_kappa and ext.speed.
 
     Raises InadmissibleState, carrying the worst node and its kappa, when
-    kappa or lambda kappa leaves the cone or F(lambda kappa) is not
-    positive; FlowError when F(lambda kappa) and lambda F(kappa) disagree
-    beyond rounding or the speed is not finite.
+    kappa leaves the cone or F(kappa) is not positive; FlowError when the
+    speed is not finite.
     """
     ext = compute_extrinsic(state)
     kappa = ext.kappa
     f_kappa = cf._value(F, cf.require_cone(F, ext.sigma_j, kappa, state.t))
-    e_scaled = cf.elementary_symmetric(ext.lam[..., None] * kappa)
-    scaled = cf._value(F, cf.require_cone(F, e_scaled, kappa, state.t))
-    if np.abs(scaled - ext.lam * f_kappa).max() > 1e-12 * np.abs(scaled).max():
-        raise FlowError("homogeneity cross-check failed in speed evaluation")
-    if scaled.min() <= 0.0:
-        idx = np.unravel_index(int(np.argmin(scaled)), scaled.shape)
+    if f_kappa.min() <= 0.0:
+        idx = np.unravel_index(int(np.argmin(f_kappa)), f_kappa.shape)
         raise InadmissibleState(
             f"curvature function not positive at t={state.t}",
             t=state.t, node=idx, kappa=kappa[idx],
         )
-    speed = ext.v / scaled
+    speed = ext.v / (ext.lam * f_kappa)
     if not np.isfinite(speed).all():
         raise FlowError(f"non-finite speed at t={state.t}")
     ext.f_kappa = f_kappa

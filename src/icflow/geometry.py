@@ -111,9 +111,9 @@ class ExtrinsicData:
     f_kappa and speed are the flow's stage data, None until
     flow.evaluate fills them in: F(kappa) of the flow's curvature
     function, which the stability bound and the snapshot read, and
-    d phi / dt = v / F(lambda kappa). flow.evaluate makes one per state
-    the stepper touches: each accepted state, each midpoint and each
-    trial end state.
+    d phi / dt = v / (lambda F(kappa)), from that one F. flow.evaluate
+    makes one per state the stepper touches: each accepted state, each
+    midpoint and each trial end state.
     """
 
     v: np.ndarray
@@ -128,7 +128,7 @@ class ExtrinsicData:
     lam: np.ndarray
     lam_p: np.ndarray
     f_kappa: Optional[np.ndarray] = None   # F(kappa)
-    speed: Optional[np.ndarray] = None     # v / F(lambda kappa)
+    speed: Optional[np.ndarray] = None     # v / (lambda F(kappa))
 
 
 def _h_mixed(ext):

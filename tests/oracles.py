@@ -58,9 +58,10 @@ def revolution_principal_curvatures(profile, theta, r_values):
 # -- the step path through the public curvature API ----------------------------
 
 def reference_speed(state, F, ext):
-    """d phi / dt = v / F(lambda kappa) through the public cone test and
+    """d phi / dt = v / (lambda F(kappa)) through the public cone test and
     f_eval, with ext = compute_extrinsic(state): each check of the stage,
-    on its own evaluation of F."""
+    on its own evaluation of F, and the 1-homogeneity of F cross-checked
+    against F(lambda kappa) on the state."""
     kappa = ext.kappa
     ok = cf.cone_contains(F, kappa)
     if not ok.all():
@@ -72,11 +73,11 @@ def reference_speed(state, F, ext):
     plain = ext.lam * cf.f_eval(F, kappa)
     if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
         raise FlowError("homogeneity cross-check failed in speed evaluation")
-    if np.min(scaled) <= 0.0:
-        idx = np.unravel_index(int(np.argmin(scaled)), scaled.shape)
+    if np.min(plain) <= 0.0:
+        idx = np.unravel_index(int(np.argmin(plain)), plain.shape)
         raise InadmissibleState("curvature function not positive",
                                 t=state.t, node=idx, kappa=kappa[idx])
-    return ext.v / scaled
+    return ext.v / plain
 
 
 def reference_stable_dt(state, F, ext, cfl):

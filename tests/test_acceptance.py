@@ -115,7 +115,7 @@ def test_A3_perturbed_decay_rates(a3_run):
     rates = {r["name"]: r for r in rep["rates"]}
     k, g, h = (rates["sup_kappa_dev"], rates["sup_grad_phi_sq"], rates["sup_hess_phi"])
     pinch = all(r.pinch_low_ok and r.pinch_high_ok for r in series.records)
-    g0 = series.sup_grad0
+    g0 = series.records[0].sup_grad_phi_sq
     monotone = all(r.sup_grad_phi_sq <= g0 * (1 + 1e-6) for r in series.records)
     no_violations = not any(e.kind == "admissibility_violation" for e in events)
     ok = (

@@ -138,9 +138,7 @@ def reference_stage(state, f):
     ref = reference_extrinsic(state)
     assert _in_cone(f, ref["sigma_j"])
     f_kappa = cf._value(f, ref["sigma_j"])
-    e_scaled = cf.elementary_symmetric(ref["lam"][..., None] * ref["kappa"])
-    assert _in_cone(f, e_scaled)
-    return f_kappa, ref["v"] / cf._value(f, e_scaled)
+    return f_kappa, ref["v"] / (ref["lam"] * f_kappa)
 
 
 def reference_stable_dt(state, f, ext):
