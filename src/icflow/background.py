@@ -127,8 +127,10 @@ class BackgroundParams:
     n: int = 2
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        if self.n < 2 or not math.isfinite(self.n) or int(self.n) != self.n:
             raise ConfigError(f"sphere dimension must be an integer >= 2, got {self.n}")
+        if not math.isfinite(self.m):
+            raise ConfigError(f"mass parameter must be finite, got {self.m}")
         if self.m < 0:
             raise ConfigError(f"mass parameter must be >= 0, got {self.m}")
         if 0 < self.m < M_MIN:

@@ -202,6 +202,11 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
                 raise ConfigError(f"[sweep] f_kind: {exc}") from None
         if not sweep or any(len(v) == 0 for v in sweep.values()):
             raise ConfigError("[sweep] needs at least one non-empty value grid")
+        for key, values in sweep.items():
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    # two combinations of one name would write one directory
+                    raise ConfigError(f"[sweep] {key}: value {value!r} is repeated")
         if "amplitude" in sweep and initial.kind != "cosine_perturbation":
             raise ConfigError("[sweep] amplitude requires cosine_perturbation initial data")
 

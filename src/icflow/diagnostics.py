@@ -117,16 +117,14 @@ class DiagnosticsSeries:
     def start(state: GraphState, F: cf.CurvatureFunction) -> "DiagnosticsSeries":
         prof = state.profile
         n = prof.params.n
-        r = state.r.values
+        r, lam = state.r.values, state.lam
         # reference for the pinching flags is the scaled warp value at the
         # series start, so resumed runs check monotonicity from their own t0
         scale0 = math.exp(-state.t / n)
-        lam_lo = float(prof.lambda_of_r(np.min(r))) * scale0
-        lam_hi = float(prof.lambda_of_r(np.max(r))) * scale0
-        lam = prof.lambda_of_r(r)
         umb = prof.lambda_p_of_lambda(lam) / lam
         return DiagnosticsSeries(
-            profile=prof, grid=state.grid, pinch_ref=(lam_lo, lam_hi),
+            profile=prof, grid=state.grid,
+            pinch_ref=(float(np.min(lam)) * scale0, float(np.max(lam)) * scale0),
             f_umb0=n * float(np.max(umb)),
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )

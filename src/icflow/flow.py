@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,6 +83,10 @@ class InitialData:
         if not (math.isfinite(self.r0) and math.isfinite(self.amplitude)):
             raise ConfigError(f"initial r0 and amplitude must be finite, "
                               f"got {self.r0} and {self.amplitude}")
+        # cos(k theta) is even about theta = pi, as the pole closure needs,
+        # only for an integer k
+        if isinstance(self.wavenumber, bool) or not isinstance(self.wavenumber, numbers.Integral):
+            raise ConfigError(f"initial wavenumber must be an integer, got {self.wavenumber!r}")
         if self.kind == "custom_table":
             theta = np.asarray(self.table_theta, dtype=float)
             r = np.asarray(self.table_r, dtype=float)

@@ -10,10 +10,10 @@ f(theta, psi + pi), so ghost rows are mirrored (and, in 2D, taken half a
 period round, by swapping the two halves of the edge row). The periodic
 psi stencils read a copy with one wrapped ghost column on each side.
 Ghost rows and columns are copied by slicing, which moves the same data
-as a roll at a fraction of its cost. The mixed Hessian component that
-divides by sin^2(theta) is replaced by its limit d^2f/dtheta^2 at the two
-rows adjacent to the poles, which is second-order consistent for smooth
-fields.
+as a roll at a fraction of its cost. The mixed Hessian component
+H^psi_psi divides by sin^2(theta); at the two rows adjacent to the poles
+the azimuthal mean of its cot(theta) d_theta f part is replaced by its
+limit d^2f/dtheta^2, which is second-order consistent for smooth fields.
 
 Near the poles the lat-long rows crowd together: row j has azimuthal
 spacing sin(theta_j) d_psi, far below d_theta. A polar Fourier filter
@@ -26,6 +26,7 @@ every row drops at least its Nyquist mode.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,30 +113,38 @@ class ScalarField:
         return f
 
 
+def _count(name, value) -> int:
+    """value as an int, if it is an integer (bools and floats refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_grid(mode: str, resolution) -> SphereGrid:
-    """Cell-centered grid. resolution is N_theta (axisymmetric) or a pair
-    (N_theta, N_psi) with N_psi >= 2 N_theta and even."""
+    """Cell-centered grid. resolution is the integer N_theta (axisymmetric)
+    or a pair of integers (N_theta, N_psi) with N_psi >= 2 N_theta and even."""
     if mode == "axisymmetric1d":
-        n_theta = int(resolution)
-        if n_theta < _MIN_NTHETA:
-            raise ConfigError(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
-        h = np.pi / n_theta
-        theta = (np.arange(n_theta) + 0.5) * h
-        return SphereGrid(mode, n_theta, 1, theta, np.zeros(0), h, 0.0)
-    if mode == "latlong2d":
-        n_theta, n_psi = int(resolution[0]), int(resolution[1])
-        if n_theta < _MIN_NTHETA:
-            raise ConfigError(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
-        if n_psi < 2 * n_theta or n_psi % 2 != 0:
+        n_theta = _count("n_theta", resolution)
+    elif mode == "latlong2d":
+        if not (isinstance(resolution, (tuple, list)) and len(resolution) == 2):
             raise ConfigError(
-                f"n_psi must be even and >= 2 n_theta, got {n_psi} (n_theta={n_theta})"
-            )
-        h = np.pi / n_theta
-        hp = 2.0 * np.pi / n_psi
-        theta = (np.arange(n_theta) + 0.5) * h
-        psi = (np.arange(n_psi) + 0.5) * hp
-        return SphereGrid(mode, n_theta, n_psi, theta, psi, h, hp)
-    raise ConfigError(f"unknown grid mode {mode!r}")
+                f"latlong2d resolution must be a pair (n_theta, n_psi), got {resolution!r}")
+        n_theta, n_psi = _count("n_theta", resolution[0]), _count("n_psi", resolution[1])
+    else:
+        raise ConfigError(f"unknown grid mode {mode!r}")
+    if n_theta < _MIN_NTHETA:
+        raise ConfigError(f"n_theta must be >= {_MIN_NTHETA}, got {n_theta}")
+    h = np.pi / n_theta
+    theta = (np.arange(n_theta) + 0.5) * h
+    if mode == "axisymmetric1d":
+        return SphereGrid(mode, n_theta, 1, theta, np.zeros(0), h, 0.0)
+    if n_psi < 2 * n_theta or n_psi % 2 != 0:
+        raise ConfigError(
+            f"n_psi must be even and >= 2 n_theta, got {n_psi} (n_theta={n_theta})"
+        )
+    hp = 2.0 * np.pi / n_psi
+    psi = (np.arange(n_psi) + 0.5) * hp
+    return SphereGrid(mode, n_theta, n_psi, theta, psi, h, hp)
 
 
 def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
@@ -236,37 +245,24 @@ def covariant_hess(f: ScalarField):
 
 
 def hessian_mixed(f: ScalarField):
-    """The (1,1) Hessian H^i_j = sigma^ik f_kj, shape (..., 2, 2).
+    """The (1,1) Hessian H^i_j = sigma^ik f_kj, shape (..., 2, 2), from the
+    components `derivatives` returns.
 
-    For the azimuthal mean of the field the cot(theta) d_theta f part of
-    H^psi_psi is replaced by its limit d^2_theta f at the rows adjacent to
-    the poles. The azimuthal fluctuation keeps its two singular-looking
-    terms together, since only their sum is regular at the poles.
+    At the rows adjacent to the poles H^psi_psi = f_psipsi / sin^2 theta
+    also takes the azimuthal mean of f_thetatheta - cot(theta) f_theta:
+    this replaces the mean's cot(theta) d_theta f by its limit d^2_theta f,
+    while the fluctuation keeps its two singular-looking terms together,
+    since only their sum is regular at the poles.
     """
     g = f.grid
-    v = f.values
-    cot = g.cos_theta / g.sin_theta
-    d_th, _, h_thth, h_thps, _ = derivatives(f)
-    h = np.zeros(g.field_shape + (2, 2))
-    h[..., 0, 0] = h_thth
-    if g.mode == "axisymmetric1d":
-        axi = cot * d_th
-        axi[0] = h_thth[0]
-        axi[-1] = h_thth[-1]
-        h[..., 1, 1] = axi
-        return h
-    vbar = np.mean(v, axis=1, keepdims=True)
-    vp = v - vbar
-    pbar = _pad_theta(g, vbar)
-    axi = cot * _dtheta(g, pbar)
-    d2bar = _d2theta(g, pbar, vbar)
-    axi[0, :] = d2bar[0, :]
-    axi[-1, :] = d2bar[-1, :]
+    d_th, _, h_thth, h_thps, h_psps = derivatives(f)
     s2 = g.sin_theta ** 2
-    fluct = _psi_diffs(g, vp)[1] / s2 + cot * _dtheta(g, _pad_theta(g, vp))
-    h[..., 1, 1] = axi + fluct
-    h[..., 0, 1] = h_thps
-    h[..., 1, 0] = h_thps / s2
+    h = symmetric_matrix(h_thth, h_thps, h_psps / s2)
+    h[..., 1, 0] /= s2
+    ends = slice(None, None, g.n_theta - 1)     # rows 0 and n_theta - 1
+    c = h_thth[ends] - g.cos_theta[ends] / g.sin_theta[ends] * d_th[ends]
+    # the mean along psi: over no axis on axisymmetric grids
+    h[ends, ..., 1, 1] += np.mean(c, axis=tuple(range(1, c.ndim)), keepdims=True)
     return h
 
 

@@ -186,6 +186,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sweep"):
             cfgmod.parse_run_config(p, allow_sweep=True)
 
+    @pytest.mark.parametrize("line, message", [
+        ("m = 1 1.0", r"\[sweep\] m: value 1\.0 is repeated"),
+        ("m = 0 2 -0.0", r"\[sweep\] m: value -0\.0 is repeated"),
+        ("f_kind = mean mean", r"\[sweep\] f_kind: value 'mean' is repeated"),
+        ("amplitude = 0.1 0.2 0.10", r"\[sweep\] amplitude: value 0\.1 is repeated"),
+    ])
+    def test_repeated_sweep_value(self, tmp_path, line, message):
+        # two equal values would name two combinations alike, which would
+        # run into one directory
+        p = tmp_path / "c.ini"
+        p.write_text(BASE.format(m=0, n_theta=48, kind="cosine_perturbation",
+                                 initial_extra="r0 = 2.0\namplitude = 0.1", t_end=1.0,
+                                 dt_max="1e-3", report_extra="") + f"\n[sweep]\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            cfgmod.parse_run_config(p, allow_sweep=True)
+
 
 class TestRunCommand:
     def test_umbilic_mass2_run_fails_only_its_kappa_rate(self, tmp_path, capsys):

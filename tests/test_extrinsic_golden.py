@@ -1,9 +1,12 @@
 """The component-form extrinsic pass against a reference copy of the
-(..., 2, 2) pass it replaced, the stage data, the stability bound and dF
+(..., 2, 2) pass it replaced, the mixed Hessian against a reference copy
+of the mean / fluctuation split it replaced, the stage data, the stability bound and dF
 against reference copies of the reductions they replaced, and the warp
 lookups and state_from_gauge against reference copies of the per-mass
 accessors they replaced: every quantity must agree bit for bit, and the
-lookups must refuse the same finite values past the table."""
+lookups must refuse the same finite values past the table. The mixed
+Hessian differs from its reference in rounding only, so it must agree to
+1e-12 of its largest component."""
 
 import math
 
@@ -66,6 +69,27 @@ def _hess(grid, v):
         h[..., 0, 1] = mixed
         h[..., 1, 0] = mixed
         h[..., 1, 1] += _d2psi(grid, v)
+    return h
+
+
+def reference_hessian_mixed(grid, v):
+    """The (1,1) Hessian as the azimuthal mean / fluctuation split computed
+    it: the mean's cot(theta) d_theta f replaced by d^2_theta f at the
+    pole rows, the fluctuation's psi and cot terms kept together."""
+    cot = grid.cos_theta / grid.sin_theta
+    h = _hess(grid, v)
+    if grid.mode == "axisymmetric1d":
+        axi = cot * _dtheta(grid, v)
+        axi[[0, -1]] = h[[0, -1], 0, 0]
+        h[..., 1, 1] = axi
+        return h
+    s2 = grid.sin_theta ** 2
+    vbar = np.mean(v, axis=1, keepdims=True)
+    vp = v - vbar
+    axi = cot * _dtheta(grid, vbar)
+    axi[[0, -1]] = _d2theta(grid, vbar)[[0, -1]]
+    h[..., 1, 1] = axi + (_d2psi(grid, vp) / s2 + cot * _dtheta(grid, vp))
+    h[..., 1, 0] /= s2
     return h
 
 
@@ -279,6 +303,38 @@ def test_matches_tensor_pass_bit_for_bit(make_state):
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
         assert np.array_equal(ext.g[k], ref["g_cov"][..., i, j]), ("g", i, j)
         assert np.array_equal(ext.h[k], ref["h_cov"][..., i, j]), ("h", i, j)
+
+
+def axisymmetric_latlong_state():
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
+    grid = sp.build_grid("latlong2d", (24, 48))
+    return geo.state_from_radius(grid, prof, 2.0 + 0.3 * np.cos(grid.theta)[:, None]
+                                 + grid.zeros)
+
+
+def wavy_latlong_state(shape):
+    # modes 1 to 3 in psi, each with a nonzero value on the pole rows
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
+    grid = sp.build_grid("latlong2d", shape)
+    th, ps = grid.theta[:, None], grid.psi[None, :]
+    return geo.state_from_radius(
+        grid, prof, 2.0 + 0.2 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ps)
+        + 0.05 * np.sin(th) ** 2 * np.sin(2 * ps) + 0.02 * np.sin(th) ** 3 * np.cos(3 * ps + 0.4))
+
+
+@pytest.mark.parametrize("make_state", [
+    a3_state, axisymmetric_latlong_state,
+    lambda: wavy_latlong_state((16, 32)), lambda: wavy_latlong_state((32, 64))],
+    ids=["a3_256", "axisymmetric_24x48", "wavy_16x32", "wavy_32x64"])
+def test_hessian_mixed_matches_mean_fluctuation_split(make_state):
+    state = make_state()
+    h = sp.hessian_mixed(state.phi)
+    ref = reference_hessian_mixed(state.grid, state.phi.values)
+    bound = 1e-12 * np.abs(ref).max()
+    assert bound > 0.0
+    assert np.abs(h - ref).max() <= bound
+    # the two rows next to the poles, where the two forms differ most
+    assert np.abs(h[[0, -1]] - ref[[0, -1]]).max() <= bound
 
 
 @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])

@@ -1,8 +1,8 @@
 """Every input the library rejects raises ConfigError, whatever layer
-rejects it: the grid, the curvature function, the initial data, the flow
-or report configuration or the start state of a run. The background's
-and the grid resolution's rejections are tested beside them, in
-test_background and test_sphere."""
+rejects it: the grid, the background, the curvature function, the initial
+data, the flow or report configuration or the start state of a run. The
+background's and the grid resolution's range rejections are tested
+beside them, in test_background and test_sphere."""
 
 import numpy as np
 import pytest
@@ -36,6 +36,29 @@ def run_from_t_end():
 
 REJECTIONS = {
     "grid_mode": (lambda: sp.build_grid("cubed", 16), "unknown grid mode"),
+    "grid_latlong_one_count": (lambda: sp.build_grid("latlong2d", 24),
+                               r"latlong2d resolution must be a pair"),
+    "grid_latlong_three_counts": (lambda: sp.build_grid("latlong2d", (24, 48, 2)),
+                                  r"latlong2d resolution must be a pair"),
+    "grid_axisymmetric_pair": (lambda: sp.build_grid("axisymmetric1d", (24, 48)),
+                               r"n_theta must be an integer, got \(24, 48\)"),
+    "grid_text": (lambda: sp.build_grid("axisymmetric1d", "abc"),
+                  "n_theta must be an integer, got 'abc'"),
+    "grid_fraction": (lambda: sp.build_grid("axisymmetric1d", 24.7),
+                      r"n_theta must be an integer, got 24\.7"),
+    "grid_bool": (lambda: sp.build_grid("axisymmetric1d", True), "n_theta must be an integer"),
+    "grid_n_psi_fraction": (lambda: sp.build_grid("latlong2d", (24, 48.5)),
+                            r"n_psi must be an integer, got 48\.5"),
+    "background_m_nan": (lambda: bg.BackgroundParams(m=float("nan")),
+                         "mass parameter must be finite"),
+    "background_m_inf": (lambda: bg.BackgroundParams(m=float("inf")),
+                         "mass parameter must be finite"),
+    "background_n_nan": (lambda: bg.BackgroundParams(m=1.0, n=float("nan")),
+                         "sphere dimension must be an integer >= 2"),
+    "initial_wavenumber_fraction": (
+        lambda: flow.InitialData(kind="cosine_perturbation", r0=2.0, amplitude=0.1,
+                                 wavenumber=1.5),
+        r"wavenumber must be an integer, got 1\.5"),
     "field_shape": (lambda: sp.ScalarField(sp.build_grid("axisymmetric1d", 16), np.ones(5)),
                     "field shape"),
     "f_kind": (lambda: cf.CurvatureFunction("harmonic", 2), "unknown curvature function kind"),
