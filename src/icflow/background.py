@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, TableExtentError
+from .errors import ConfigError, TableExtentError, is_finite_number, is_integer
 
 # 10-point Gauss-Legendre nodes and weights on [-1, 1], ascending
 _GL_NODES = np.array([
@@ -127,10 +127,10 @@ class BackgroundParams:
     n: int = 2
 
     def __post_init__(self):
-        if self.n < 2 or not math.isfinite(self.n) or int(self.n) != self.n:
-            raise ConfigError(f"sphere dimension must be an integer >= 2, got {self.n}")
-        if not math.isfinite(self.m):
-            raise ConfigError(f"mass parameter must be finite, got {self.m}")
+        if not (is_integer(self.n) and self.n >= 2):
+            raise ConfigError(f"sphere dimension must be an integer >= 2, got {self.n!r}")
+        if not is_finite_number(self.m):
+            raise ConfigError(f"mass parameter must be finite and real, got {self.m!r}")
         if self.m < 0:
             raise ConfigError(f"mass parameter must be >= 0, got {self.m}")
         if 0 < self.m < M_MIN:

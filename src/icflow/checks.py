@@ -34,7 +34,9 @@ def check_background_residual():
 
 
 def check_background_hyperbolic():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 10.5)
+    # at m = 0 the table is the closed form sinh itself; at m = 1e-9 it is
+    # built, and lambda - sinh is O(m), about 3.3e-9
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1e-9, n=2), 10.5)
     r = np.linspace(1e-3, 10.0, 4001)
     err = float(np.max(np.abs(prof.lambda_of_r(r) - np.sinh(r))))
     return err <= 1e-8, f"sup |lambda - sinh| = {err:.2e} (bound 1e-8)"
@@ -102,12 +104,8 @@ def check_umbilic_exactness():
 
 def check_contraction_identity(profile=None):
     prof = profile or bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 8.0)
-    state = _perturbed_state(prof)
-    worst = 0.0
-    for name in ("mean", "sigma2root", "quotient2"):
-        worst = max(worst, geo.contraction_consistency_residual(
-            state, cf.from_name(name, 2)))
-    return worst <= 1e-11, f"largest contraction-identity residual {worst:.2e}"
+    res = geo.contraction_consistency_residual(_perturbed_state(prof))
+    return res <= 1e-12, f"contraction-identity residual {res:.2e} (bound 1e-12)"
 
 
 def check_tilt_identity():
@@ -120,10 +118,8 @@ def check_tilt_identity():
 
 def check_tilt_shape_identity():
     prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 8.0)
-    errs = [geo.tilt_gradient_shape_residual(_perturbed_state(prof, n))
-            for n in (64, 128, 256)]
-    ratios = [a / b for a, b in zip(errs, errs[1:])]
-    return min(ratios) >= 3.5, f"refinement ratios {['%.2f' % r for r in ratios]}"
+    res = geo.tilt_gradient_shape_residual(_perturbed_state(prof))
+    return res <= 1e-12, f"shape-form defect {res:.2e} (bound 1e-12)"
 
 
 def check_umbilic_flow_law():
@@ -143,6 +139,54 @@ def check_umbilic_flow_law():
     return worst <= 1e-6, f"umbilic growth-law defect {worst:.2e}"
 
 
+def off_centre_sphere_radius(cos_gamma, rho, d):
+    """The radius over the unit sphere of the geodesic sphere of radius rho
+    in hyperbolic space (m = 0) about a point at distance d < rho from the
+    origin, at the angle gamma from the centre's direction. It solves the
+    law of cosines cosh rho = cosh r cosh d - sinh r sinh d cos gamma:
+
+        r = atanh(tanh d cos gamma)
+            + acosh(cosh rho / sqrt(1 + sinh^2 d sin^2 gamma)).
+    """
+    stretch = np.sqrt(1.0 + math.sinh(d) ** 2 * (1.0 - cos_gamma ** 2))
+    return np.arctanh(math.tanh(d) * cos_gamma) + np.arccosh(math.cosh(rho) / stretch)
+
+
+def off_centre_sphere_errors(mode, resolution, t_end, dt_max, rho0=1.5, d=0.6):
+    """Sup errors in r and in kappa at t_end of the mean curvature flow at
+    m = 0 of the geodesic sphere of radius rho0 about a point at distance d
+    from the origin: on the axis theta = 0 on axisymmetric grids, at
+    theta = pi/2, psi = 0 on lat-long grids. The flow keeps it a geodesic
+    sphere about the same centre, of radius rho with sinh rho = sinh rho0
+    e^(t/2), and both principal curvatures coth rho."""
+    grid = sp.build_grid(mode, resolution)
+    if mode == "axisymmetric1d":
+        cos_gamma = grid.cos_theta
+    else:
+        cos_gamma = grid.sin_theta * np.cos(grid.psi)
+    params = bg.BackgroundParams(m=0.0, n=2)
+    cfg = flow.FlowConfig(
+        background=params, grid_mode=mode, grid_resolution=resolution,
+        initial=flow.InitialData(kind="constant", r0=rho0),
+        f=cf.from_name("mean", 2), t_end=t_end, dt_max=dt_max,
+    )
+    prof = bg.build_warp_profile(params, rho0 + d + t_end / 2.0 + 2.0)
+    start = geo.state_from_radius(grid, prof, off_centre_sphere_radius(cos_gamma, rho0, d))
+    final, _, _ = flow.run(cfg, initial_state=start)
+    rho = math.asinh(math.sinh(rho0) * math.exp(final.t / 2.0))
+    r_err = np.max(np.abs(final.r.values - off_centre_sphere_radius(cos_gamma, rho, d)))
+    k_err = np.max(np.abs(geo.compute_extrinsic(final).kappa - 1.0 / math.tanh(rho)))
+    return float(r_err), float(k_err)
+
+
+def check_off_centre_sphere():
+    # N_theta = 64 to t = 0.5 reads 1.6e-5 in r and 6.4e-5 in kappa; the
+    # kappa error is the stencils' at t = 0, 8.6e-5, decaying
+    r_err, k_err = off_centre_sphere_errors("axisymmetric1d", 64, 0.5, 1e-3)
+    ok = r_err <= 2e-5 and k_err <= 8e-5
+    return ok, f"errors r {r_err:.2e} (bound 2e-5), kappa {k_err:.2e} (bound 8e-5)"
+
+
 ALL_CHECKS = (
     ("background_ode_residual", check_background_residual),
     ("background_hyperbolic_limit", check_background_hyperbolic),
@@ -154,6 +198,7 @@ ALL_CHECKS = (
     ("tilt_gradient_identity", check_tilt_identity),
     ("tilt_gradient_shape_identity", check_tilt_shape_identity),
     ("umbilic_flow_law", check_umbilic_flow_law),
+    ("off_centre_geodesic_sphere", check_off_centre_sphere),
 )
 
 

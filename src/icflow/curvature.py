@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, InadmissibleState
+from .errors import ConfigError, InadmissibleState, is_integer
 
 _EPS_DEN = 1e-300   # quotient denominator guard
 
@@ -39,6 +39,9 @@ class CurvatureFunction:
     def __post_init__(self):
         if self.kind not in ("mean", "sigma_k_root", "quotient"):
             raise ConfigError(f"unknown curvature function kind {self.kind!r}")
+        if not (is_integer(self.n) and is_integer(self.k)):
+            raise ConfigError(f"curvature function n and k must be integers, "
+                              f"got n={self.n!r}, k={self.k!r}")
         if self.kind != "mean" and not (2 <= self.k <= self.n):
             raise ConfigError(f"order k={self.k} requires 2 <= k <= n={self.n}")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import curvature as cf
 from .background import WarpProfile
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_number
 from .geometry import GraphState
 from .sphere import SphereGrid, hessian_mixed, tensor_sup_norm
 
@@ -285,8 +285,11 @@ class ReportConfig:
     window: Optional[tuple] = None         # default [0.4, 0.9] t_end
 
     def __post_init__(self):
-        if self.window is not None and not (0 <= self.window[0] < self.window[1]):
-            raise ConfigError(f"rate window must satisfy 0 <= start < end, got {self.window}")
+        w = self.window
+        if w is not None and not (isinstance(w, (tuple, list)) and len(w) == 2
+                                  and all(map(is_finite_number, w)) and 0 <= w[0] < w[1]):
+            raise ConfigError(f"rate window must be a pair of finite numbers with "
+                              f"0 <= start < end, got {w!r}")
 
 
 def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],

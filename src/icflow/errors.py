@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two type tests
+that library inputs are judged by.
 
 Every failure is an IcflowError, which the command line maps to exit 2.
 Every input the program rejects, from a config file or a library call,
@@ -6,6 +7,20 @@ raises ConfigError; the other types name what went wrong on the way.
 Data too scarce for a rate fit or the limit profile is no error: the
 report notes that check as insufficient.
 """
+
+import math
+import numbers
+
+
+def is_integer(value) -> bool:
+    """True for an integer; a bool, a float or a string is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite real number; a bool, a string or None is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class IcflowError(Exception):

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,6 +52,8 @@ from .errors import (
     FlowError,
     InadmissibleState,
     StepUnderflow,
+    is_finite_number,
+    is_integer,
 )
 from .geometry import (
     ExtrinsicData,
@@ -80,12 +81,12 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in ("constant", "cosine_perturbation", "custom_table"):
             raise ConfigError(f"unknown initial data kind {self.kind!r}")
-        if not (math.isfinite(self.r0) and math.isfinite(self.amplitude)):
-            raise ConfigError(f"initial r0 and amplitude must be finite, "
-                              f"got {self.r0} and {self.amplitude}")
+        if not (is_finite_number(self.r0) and is_finite_number(self.amplitude)):
+            raise ConfigError(f"initial r0 and amplitude must be finite numbers, "
+                              f"got {self.r0!r} and {self.amplitude!r}")
         # cos(k theta) is even about theta = pi, as the pole closure needs,
         # only for an integer k
-        if isinstance(self.wavenumber, bool) or not isinstance(self.wavenumber, numbers.Integral):
+        if not is_integer(self.wavenumber):
             raise ConfigError(f"initial wavenumber must be an integer, got {self.wavenumber!r}")
         if self.kind == "custom_table":
             theta = np.asarray(self.table_theta, dtype=float)
@@ -123,12 +124,19 @@ class FlowConfig:
     output_every: float = 0.1
 
     def __post_init__(self):
-        if not (DT_MIN < self.dt_max):
-            raise ConfigError(f"dt_max must exceed DT_MIN = {DT_MIN:g}")
-        if not (0.0 < self.t_end < math.inf):
-            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (self.output_every > 0):
-            raise ConfigError("output_every must be positive")
+        for name, kind in (("background", BackgroundParams), ("initial", InitialData),
+                           ("f", cf.CurvatureFunction)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
+        if not (is_finite_number(self.dt_max) and DT_MIN < self.dt_max):
+            raise ConfigError(f"dt_max must be finite and exceed DT_MIN = {DT_MIN:g}, "
+                              f"got {self.dt_max!r}")
+        if not (is_finite_number(self.t_end) and self.t_end > 0.0):
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
+        if not (is_finite_number(self.output_every) and self.output_every > 0):
+            raise ConfigError(f"output_every must be positive and finite, "
+                              f"got {self.output_every!r}")
         if self.background.n != 2:
             raise ConfigError("time integration is implemented for n = 2 grids")
         if self.f.n != self.background.n:

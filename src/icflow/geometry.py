@@ -104,9 +104,9 @@ class ExtrinsicData:
     assembles a (..., 2, 2) array where one is needed. On axisymmetric
     grids the psi components are the grid's read-only zero field. Only
     what the stepper and the snapshots read is kept; the identity checks
-    derive the mixed shape operator, raised gradient and gtilde^ij from
-    these fields. sigma_j feeds every cone test, F and dF of kappa that
-    reads this state; sigma is the grid's shared, read-only round metric.
+    derive the mixed shape operator and the raised gradient from these
+    fields and the grid's round metric. sigma_j feeds every cone test, F
+    and dF of kappa that reads this state.
 
     f_kappa and speed are the flow's stage data, None until
     flow.evaluate fills them in: F(kappa) of the flow's curvature
@@ -119,7 +119,6 @@ class ExtrinsicData:
     v: np.ndarray
     grad_phi: tuple                # covariant D_i phi, (theta, psi)
     grad_phi_sq: np.ndarray        # |D phi|^2
-    sigma: np.ndarray              # round metric components, (..., 2, 2)
     g: tuple                       # induced metric, (g00, g01, g11)
     h: tuple                       # second fundamental form, (h00, h01, h11)
     kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
@@ -136,12 +135,6 @@ def _h_mixed(ext):
     g00, g01, g11 = ext.g
     g_inv = symmetric_matrix(g11, -g01, g00) / (g00 * g11 - g01 * g01)[..., None, None]
     return np.einsum("...ik,...kj->...ij", g_inv, symmetric_matrix(*ext.h))
-
-
-def _grad_up(ext):
-    """Contravariant gradient phi^i = sigma^ik phi_k, shape (..., 2)."""
-    d_th, d_ps = ext.grad_phi
-    return np.stack([d_th, d_ps / ext.sigma[..., 1, 1]], axis=-1)
 
 
 def _pencil_eigenvalues(a, b, diagonal=False):
@@ -217,7 +210,7 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
         kappa = _pencil_eigenvalues(h, g)
 
     return ExtrinsicData(
-        v=v, grad_phi=(d_th, d_ps), grad_phi_sq=q, sigma=grid.sigma,
+        v=v, grad_phi=(d_th, d_ps), grad_phi_sq=q,
         g=g, h=h, kappa=kappa,
         sigma_j=cf.elementary_symmetric(kappa),
         chi=chi, lam=lam, lam_p=lam_p,
@@ -235,7 +228,7 @@ def ambient_contractions(state: GraphState, ext: ExtrinsicData):
     lam, lam_p = ext.lam, ext.lam_p
     lam_pp = prof.lambda_pp_of_lambda(lam)
     q, v = ext.grad_phi_sq, ext.v
-    sig = ext.sigma
+    sig = state.grid.sigma
     r_i = lam[..., None] * np.stack(ext.grad_phi, axis=-1)
     rr = r_i[..., :, None] * r_i[..., None, :]
 
@@ -253,71 +246,57 @@ def ambient_contractions(state: GraphState, ext: ExtrinsicData):
     return t_normal, t_radial
 
 
-def shape_gradient_tensor(F: cf.CurvatureFunction, ext: ExtrinsicData):
-    """dF/dh as a contravariant 2-tensor F^ij, from the 2x2 spectral calculus.
+def contraction_consistency_residual(state: GraphState) -> float:
+    """Sup residual of the contracted curvature identity, checked component
+    by component as the tensor identity
 
-    F^i_j shares eigenvectors with the scaled shape operator; writing it as
-    alpha I + beta h-tilde reproduces the eigenvalue derivatives exactly,
-    with beta -> 0 at umbilic points. Indices are then raised with gtilde.
-    """
-    lam = ext.lam
-    kt = lam[..., None] * ext.kappa                   # eigenvalues of lam h
-    f = cf.f_grad(F, kt)
-    gap = kt[..., 1] - kt[..., 0]
-    safe = np.abs(gap) > 1e-9 * (1.0 + np.abs(kt).max(axis=-1))
-    beta = np.where(safe, (f[..., 1] - f[..., 0]) / np.where(safe, gap, 1.0), 0.0)
-    alpha = f[..., 0] - beta * kt[..., 0]
-    ht_mixed = lam[..., None, None] * _h_mixed(ext)
-    eye = np.zeros_like(ht_mixed)
-    eye[..., 0, 0] = 1.0
-    eye[..., 1, 1] = 1.0
-    f_mixed = alpha[..., None, None] * eye + beta[..., None, None] * ht_mixed
+        B_ij = chi^-1 R(nu, X_i, lambda d_r, X_j) + R(X_i, nu, X_j, nu)
+               + (lambda''/lambda) g_ij = 0,
 
-    up = _grad_up(ext)
-    v2 = ext.v * ext.v
-    gt = np.empty_like(ext.sigma)
-    gt[..., 0, 0] = 1.0 - up[..., 0] * up[..., 0] / v2
-    gt[..., 1, 1] = 1.0 / ext.sigma[..., 1, 1] - up[..., 1] * up[..., 1] / v2
-    gt[..., 0, 1] = -up[..., 0] * up[..., 1] / v2
-    gt[..., 1, 0] = gt[..., 0, 1]
-    return np.einsum("...ik,...jk->...ij", gt, f_mixed)
-
-
-def contraction_consistency_residual(state: GraphState, F: cf.CurvatureFunction) -> float:
-    """Sup residual of the contracted curvature identity
-
-        chi^-1 F^ij R(nu, X_i, lambda d_r, X_j) = -(lambda''/lambda) F^ij g_ij.
-
-    The left side is assembled from the two ambient contractions with the
-    closed-form radial prefactor, the right side from the warp accessors;
-    agreement at rounding level requires the closed forms to be mutually
-    consistent, so a corrupted lambda'' breaks the identity.
+    relative to 1 + |(lambda''/lambda) g_ij|. The two ambient contractions
+    carry the closed-form radial prefactor, the last term the warp
+    accessors; B vanishes to rounding only if the closed forms are
+    mutually consistent, so a corrupted lambda'' or prefactor breaks it.
     """
     ext = compute_extrinsic(state)
     t_normal, t_radial = ambient_contractions(state, ext)
-    f_up = shape_gradient_tensor(F, ext)
     lam = ext.lam
-    lam_pp = state.profile.lambda_pp_of_lambda(lam)
-    lhs = (np.einsum("...ij,...ij->...", f_up, t_radial) / ext.chi
-           + np.einsum("...ij,...ij->...", f_up, t_normal))
-    rhs = -(lam_pp / lam) * np.einsum("...ij,...ij->...", f_up, symmetric_matrix(*ext.g))
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
+    warp = (state.profile.lambda_pp_of_lambda(lam) / lam)[..., None, None] \
+        * symmetric_matrix(*ext.g)
+    b = t_radial / ext.chi[..., None, None] + t_normal + warp
+    return float(np.max(np.abs(b) / (1.0 + np.abs(warp))))
+
+
+def _tilt_gradient_form(state: GraphState, ext: ExtrinsicData):
+    """The gradient form v^-1 phi^k phi_ki of D_i v, shape (..., 2), from
+    the round-metric Hessian of phi."""
+    d_th, d_ps = ext.grad_phi
+    grad_up = np.stack([d_th, d_ps / state.grid.sigma[..., 1, 1]], axis=-1)
+    return np.einsum("...k,...ki->...i", grad_up, covariant_hess(state.phi)) \
+        / ext.v[..., None]
 
 
 def tilt_gradient_residual(state: GraphState) -> float:
-    """Sup defect of D_i v = v^-1 phi^k phi_ki (round-metric derivatives)."""
+    """Sup defect of D_i v = v^-1 phi^k phi_ki: the stencil derivative of v
+    against the gradient form, second order in the grid spacing."""
     ext = compute_extrinsic(state)
     lhs = grad_components(ScalarField(state.grid, ext.v))
-    hess_cov = covariant_hess(state.phi)
-    rhs = np.einsum("...k,...ki->...i", _grad_up(ext), hess_cov) / ext.v[..., None]
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - _tilt_gradient_form(state, ext))))
 
 
 def tilt_gradient_shape_residual(state: GraphState) -> float:
-    """Sup defect of D_k v = (lambda'/lambda) v r_k - v^2 h^i_k r_i."""
+    """Sup defect of the shape form of D_k v against its gradient form,
+
+        (lambda'/lambda) v r_k - v^2 h^i_k r_i = v^-1 phi^i phi_ik,
+
+    relative to sup |(lambda'/lambda) v r_k|. Both sides read the same
+    discrete phi_ij, on which the two are equal in exact arithmetic, so the
+    defect is rounding; a corrupted h, g or lambda' breaks it. A state with
+    no gradient reads 0.
+    """
     ext = compute_extrinsic(state)
-    lhs = grad_components(ScalarField(state.grid, ext.v))
     r_i = ext.lam[..., None] * np.stack(ext.grad_phi, axis=-1)
-    rhs = ((ext.lam_p / ext.lam) * ext.v)[..., None] * r_i \
-        - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", _h_mixed(ext), r_i)
-    return float(np.max(np.abs(lhs - rhs)))
+    radial = ((ext.lam_p / ext.lam) * ext.v)[..., None] * r_i
+    shape = radial - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", _h_mixed(ext), r_i)
+    scale = max(float(np.max(np.abs(radial))), np.finfo(float).tiny)
+    return float(np.max(np.abs(shape - _tilt_gradient_form(state, ext)))) / scale

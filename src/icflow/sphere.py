@@ -26,13 +26,12 @@ every row drops at least its Nyquist mode.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FlowError
+from .errors import ConfigError, FlowError, is_integer
 
 _MIN_NTHETA = 16
 
@@ -115,7 +114,7 @@ class ScalarField:
 
 def _count(name, value) -> int:
     """value as an int, if it is an integer (bools and floats refused)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

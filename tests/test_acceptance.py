@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from icflow import background as bg
+from icflow import checks
 from icflow import cli
 from icflow import curvature as cf
 from icflow import diagnostics as dg
@@ -182,20 +183,19 @@ def test_A6_identity_suite():
         grid = sp.build_grid("axisymmetric1d", n)
         return geo.state_from_radius(grid, prof, 2.0 + 0.3 * np.cos(grid.theta))
 
-    contraction = max(
-        geo.contraction_consistency_residual(state_at(n), cf.from_name(name, 2))
-        for n in (64, 128) for name in ("mean", "sigma2root", "quotient2")
-    )
-    tilt = [geo.tilt_gradient_residual(state_at(n)) for n in (64, 128, 256)]
-    shape = [geo.tilt_gradient_shape_residual(state_at(n)) for n in (64, 128, 256)]
+    states = [state_at(n) for n in (64, 128, 256)]
+    # the contraction identity and the shape form of D v are exact on the
+    # discrete data, so they hold to rounding at every resolution; the
+    # gradient form against the stencil derivative of v is second order
+    contraction = max(geo.contraction_consistency_residual(s) for s in states)
+    shape = max(geo.tilt_gradient_shape_residual(s) for s in states)
+    tilt = [geo.tilt_gradient_residual(s) for s in states]
     tilt_ratios = [a / b for a, b in zip(tilt, tilt[1:])]
-    shape_ratios = [a / b for a, b in zip(shape, shape[1:])]
-    ok = (contraction <= 1e-11
-          and min(tilt_ratios) >= 3.5 and min(shape_ratios) >= 3.5)
+    ok = contraction <= 1e-12 and shape <= 1e-12 and min(tilt_ratios) >= 3.5
     verdict("A6 identity suite", ok,
-            f"contraction identity residual {contraction:.2e} (<=1e-11, holds to "
-            f"rounding), tilt-gradient ratios {['%.2f' % r for r in tilt_ratios]}, "
-            f"shape-form ratios {['%.2f' % r for r in shape_ratios]} (>=3.5)")
+            f"contraction identity residual {contraction:.2e} (<=1e-12), shape-form "
+            f"defect {shape:.2e} (<=1e-12), tilt-gradient ratios "
+            f"{['%.2f' % r for r in tilt_ratios]} (>=3.5)")
 
 
 def test_A7_curvature_function_axioms():
@@ -239,7 +239,8 @@ def test_A8_background_asymptotics():
     for m in (1.0, 2.0, 1e-6):
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 10.0)
         residual = max(residual, prof.ode_residual_max())
-    prof0 = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 10.5)
+    # the massless limit of a built table: at m = 0 the lookup is sinh itself
+    prof0 = bg.build_warp_profile(bg.BackgroundParams(m=1e-9, n=2), 10.5)
     rr = np.linspace(1e-3, 10.0, 4001)
     sinh_err = float(np.max(np.abs(prof0.lambda_of_r(rr) - np.sinh(rr))))
     prof1 = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 10.0)
@@ -405,3 +406,33 @@ def test_A12_far_start_past_the_old_gauge_limit():
     # A3's data moved out to r0 = 12, to t_end = 20: the extent is 24.3
     events, rep, drift = far_run(12.0, 32, 1e-3, 20.0, None)
     far_verdict("A12 far start past r = 18.3", events, rep, drift, 20.0, 1e-3)
+
+
+def test_A13_off_centre_geodesic_sphere():
+    # m = 0, the geodesic sphere of radius 1.5 about a point at distance
+    # 0.6 from the origin, centred on the axis, mean curvature to t = 4:
+    # r and kappa at t_end against the closed form, second order in N_theta
+    errs = [checks.off_centre_sphere_errors("axisymmetric1d", n, 4.0, 1e-3)
+            for n in (32, 64, 128)]
+    r_ratios = [a[0] / b[0] for a, b in zip(errs, errs[1:])]
+    k_ratios = [a[1] / b[1] for a, b in zip(errs, errs[1:])]
+    ok = min(r_ratios + k_ratios) >= 3.8
+    verdict("A13 off-centre geodesic sphere", ok,
+            f"N_theta 32/64/128 errors r {['%.2e' % e[0] for e in errs]}, kappa "
+            f"{['%.2e' % e[1] for e in errs]}, ratios r {['%.2f' % x for x in r_ratios]}, "
+            f"kappa {['%.2f' % x for x in k_ratios]} (>=3.8)")
+
+
+def test_A13_off_centre_geodesic_sphere_latlong():
+    # the same sphere centred at theta = pi/2, with no symmetry on the grid,
+    # to t = 1. The bounds are today's errors rounded up (r 5.36e-4 and
+    # 2.25e-4, kappa 3.33e-3 and 2.13e-3). These errors are first order,
+    # set on the pole rows, where f_psipsi + sin cos f_theta is divided by
+    # sin^2 and its stencil errors do not cancel (ROADMAP item 3 mends them)
+    bounds = {(16, 32): (5.4e-4, 3.4e-3), (24, 48): (2.3e-4, 2.2e-3)}
+    errs = {res: checks.off_centre_sphere_errors("latlong2d", res, 1.0, 1e-2)
+            for res in bounds}
+    ok = all(e <= b for res in bounds for e, b in zip(errs[res], bounds[res]))
+    verdict("A13 off-centre geodesic sphere, lat-long", ok, ", ".join(
+        f"{a}x{b}: r {errs[a, b][0]:.2e} (<={bounds[a, b][0]:.1e}), kappa "
+        f"{errs[a, b][1]:.2e} (<={bounds[a, b][1]:.1e})" for a, b in bounds))

@@ -55,6 +55,10 @@ REJECTIONS = {
                          "mass parameter must be finite"),
     "background_n_nan": (lambda: bg.BackgroundParams(m=1.0, n=float("nan")),
                          "sphere dimension must be an integer >= 2"),
+    "background_m_text": (lambda: bg.BackgroundParams(m="1"),
+                          "mass parameter must be finite and real, got '1'"),
+    "background_n_text": (lambda: bg.BackgroundParams(m=1, n="2"),
+                          "sphere dimension must be an integer >= 2, got '2'"),
     "initial_wavenumber_fraction": (
         lambda: flow.InitialData(kind="cosine_perturbation", r0=2.0, amplitude=0.1,
                                  wavenumber=1.5),
@@ -63,6 +67,9 @@ REJECTIONS = {
                     "field shape"),
     "f_kind": (lambda: cf.CurvatureFunction("harmonic", 2), "unknown curvature function kind"),
     "f_order": (lambda: cf.CurvatureFunction("sigma_k_root", 2, k=3), "order k=3"),
+    "f_order_fraction": (lambda: cf.CurvatureFunction("sigma_k_root", n=3, k=2.5),
+                         r"n and k must be integers, got n=3, k=2\.5"),
+    "f_none": (lambda: flow_config(f=None), "f must be a CurvatureFunction, got None"),
     "f_name": (lambda: cf.from_name("sigma3root", 2), "unknown curvature function name"),
     "f_dimension_mean": (lambda: flow_config(f=cf.from_name("mean", 3)), "normalised for n = 3"),
     "f_dimension_sigma2root": (lambda: flow_config(f=cf.from_name("sigma2root", 3)),
@@ -70,12 +77,16 @@ REJECTIONS = {
     "f_dimension_quotient2": (lambda: flow_config(f=cf.from_name("quotient2", 3)),
                               "normalised for n = 3"),
     "t_end_inf": (lambda: flow_config(t_end=float("inf")), "t_end must be positive and finite"),
+    "t_end_text": (lambda: flow_config(t_end="1"), "t_end must be positive and finite, got '1'"),
+    "dt_max_text": (lambda: flow_config(dt_max="1e-3"), "dt_max must be finite"),
     "output_every_nan": (lambda: flow_config(output_every=float("nan")), "output_every"),
     "start_at_t_end": (run_from_t_end, "nothing to run"),
     "initial_kind": (lambda: flow.InitialData(kind="sphere", r0=1.0),
                      "unknown initial data kind"),
     "initial_r0_nan": (lambda: flow.InitialData(kind="constant", r0=float("nan")),
                        "r0 and amplitude must be finite"),
+    "initial_r0_text": (lambda: flow.InitialData(kind="constant", r0="2"),
+                        "r0 and amplitude must be finite numbers, got '2'"),
     "initial_amplitude_inf": (lambda: flow.InitialData(kind="cosine_perturbation", r0=2.0,
                                                        amplitude=float("inf")),
                               "r0 and amplitude must be finite"),
@@ -87,6 +98,8 @@ REJECTIONS = {
                                "strictly increasing"),
     "report_window_reversed": (lambda: dg.ReportConfig(window=(9.0, 4.0)),
                                r"0 <= start < end"),
+    "report_window_one_value": (lambda: dg.ReportConfig(window=(1,)),
+                                r"rate window must be a pair .*, got \(1,\)"),
 }
 
 
