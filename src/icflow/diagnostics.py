@@ -69,11 +69,12 @@ SERIES_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord)
 
 def snapshot(state: GraphState, ext, pinch_ref: tuple) -> DiagnosticsRecord:
     """Condense one state, with ext = flow.evaluate(state, F), which holds
-    F(kappa); pinch_ref = (lambda(inf r_0), lambda(sup r_0))."""
+    F(kappa) and the Hessian of phi; pinch_ref = (lambda(inf r_0),
+    lambda(sup r_0))."""
     n = state.profile.params.n
     t = state.t
     f_vals = ext.f_kappa
-    scaled = ext.lam * math.exp(-t / n)
+    scaled = state.lam * math.exp(-t / n)
     chi_scaled = ext.chi * math.exp(-t / n)
     eps = 1e-6 * pinch_ref[1]
     drift = (1.0 / n - ext.v / f_vals) * math.exp(t / n)
@@ -81,7 +82,7 @@ def snapshot(state: GraphState, ext, pinch_ref: tuple) -> DiagnosticsRecord:
         t=t,
         sup_kappa_dev=float(np.max(np.abs(ext.kappa - 1.0))),
         sup_grad_phi_sq=float(np.max(ext.grad_phi_sq)),
-        sup_hess_phi=tensor_sup_norm(hessian_mixed(state.phi), state.grid),
+        sup_hess_phi=tensor_sup_norm(*hessian_mixed(state.grid, ext.grad_phi[0], ext.hess_phi)),
         F_min=float(np.min(f_vals)),
         F_max=float(np.max(f_vals)),
         r_tilde_min=float(np.min(state.r.values)) - t / n,
@@ -203,16 +204,15 @@ def _metric_residual(g, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
 
     The quarter is the square of lambda e^(-r) -> 1/2; with it the rescaled
     metrics converge to the conformal limit determined by r - t/n. g is
-    the (g00, g01, g11) triple of the induced metric.
+    the (g00, g01, g11) triple of the induced metric, moved to the
+    orthonormal frame of sigma before `tensor_sup_norm` measures it.
     """
     target = 0.25 * np.exp(2.0 * f_hat_2d)
     scale = math.exp(-2.0 * t / n)
-    s = grid.sin_theta
+    s2 = grid.sin2
     g00, g01, g11 = g
-    a = scale * g00 - target
-    b = scale * g01 / s
-    d = (scale * g11 - target * s ** 2) / (s * s)
-    return float(np.sqrt(np.max(a * a + 2.0 * b * b + d * d)))
+    return tensor_sup_norm(scale * g00 - target, scale * g01 / grid.sin_theta,
+                           (scale * g11 - target * s2) / s2)
 
 
 _TOO_SHORT = "limit profile requires at least two retained states"
@@ -250,7 +250,7 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
     # the round sphere g = lambda(r)^2 sigma at the final radii leaves
     # sqrt(2) e^(-2t/n) sup |lambda^2 - e^(2r)/4| however the flow went
     lam2 = series.profile.lambda_of_r(series.radii[-1]) ** 2
-    res_floor = _metric_residual((lam2, 0.0, lam2 * grid.sin_theta ** 2),
+    res_floor = _metric_residual((lam2, 0.0, lam2 * grid.sin2),
                                  t_final, f_hat_2d, n, grid)
 
     t0 = recs[0].t

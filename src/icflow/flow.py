@@ -169,7 +169,7 @@ def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
             f"curvature function not positive at t={state.t}",
             t=state.t, node=idx, kappa=kappa[idx],
         )
-    speed = ext.v / (ext.lam * f_kappa)
+    speed = ext.v / (state.lam * f_kappa)
     if not np.isfinite(speed).all():
         raise FlowError(f"non-finite speed at t={state.t}")
     ext.f_kappa = f_kappa
@@ -189,7 +189,7 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
     fp_max = fp[..., 0]
     for i in range(1, fp.shape[-1]):
         fp_max = np.maximum(fp_max, fp[..., i])
-    scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp_max
+    scale = ext.v / (state.lam * ext.f_kappa) ** 2 * fp_max
     h = state.grid.d_theta
     dt = CFL * h * h / float(scale.max())
     if dt < DT_MIN:

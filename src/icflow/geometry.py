@@ -14,10 +14,11 @@ forms
 with gtilde^ij = sigma^ij - phi^i phi^j / v^2. Principal curvatures are
 computed from the symmetric covariant pair (h_ij, g_ij) by a closed-form
 2x2 generalized eigensolve, which keeps them real and avoids dividing by
-sin^2(theta) near the poles. Both are carried as component triples
-(00, 01, 11); the discrete Hessian is symmetric by construction, since
-one array serves as both of its off-diagonal entries, so h_ij needs no
-symmetrization.
+sin^2(theta) near the poles. Gradients are carried as component pairs
+(theta, psi) and symmetric 2-tensors as component triples (00, 01, 11),
+as `sphere.derivatives` returns them; the discrete Hessian is symmetric
+by construction, since one array serves as both of its off-diagonal
+entries, so h_ij needs no symmetrization.
 
 The ambient curvature enters through two contractions along the surface,
 assembled from the warped-product coefficients; the scalar prefactor
@@ -42,11 +43,9 @@ from .errors import TableExtentError
 from .sphere import (
     ScalarField,
     SphereGrid,
-    covariant_hess,
     covector_norm_sq,
     derivatives,
     grad_components,
-    symmetric_matrix,
 )
 
 
@@ -99,14 +98,12 @@ class ExtrinsicData:
     """Per-node extrinsic quantities of a graph state.
 
     Tensors are in (theta, psi) coordinates. The gradient is the pair
-    (phi_theta, phi_psi); the symmetric 2-tensors g and h are the triples
-    of their (00, 01, 11) components, and `symmetric_matrix(*ext.g)`
-    assembles a (..., 2, 2) array where one is needed. On axisymmetric
-    grids the psi components are the grid's read-only zero field. Only
-    what the stepper and the snapshots read is kept; the identity checks
-    derive the mixed shape operator and the raised gradient from these
-    fields and the grid's round metric. sigma_j feeds every cone test, F
-    and dF of kappa that reads this state.
+    (phi_theta, phi_psi); the symmetric 2-tensors g, h and the round
+    Hessian of phi are the triples of their (00, 01, 11) components. On
+    axisymmetric grids the psi components are the grid's read-only zero
+    field. Only what the stepper, the snapshots and the identity checks
+    read is kept; lambda is the state's (`GraphState.lam`). sigma_j feeds
+    every cone test, F and dF of kappa that reads this state.
 
     f_kappa and speed are the flow's stage data, None until
     flow.evaluate fills them in: F(kappa) of the flow's curvature
@@ -119,22 +116,15 @@ class ExtrinsicData:
     v: np.ndarray
     grad_phi: tuple                # covariant D_i phi, (theta, psi)
     grad_phi_sq: np.ndarray        # |D phi|^2
+    hess_phi: tuple                # round Hessian phi_ij, (p00, p01, p11)
     g: tuple                       # induced metric, (g00, g01, g11)
     h: tuple                       # second fundamental form, (h00, h01, h11)
     kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
     sigma_j: np.ndarray            # elementary symmetric sigma_j(kappa), j = 0..n
     chi: np.ndarray                # lambda / v
-    lam: np.ndarray
     lam_p: np.ndarray
     f_kappa: Optional[np.ndarray] = None   # F(kappa)
     speed: Optional[np.ndarray] = None     # v / (lambda F(kappa))
-
-
-def _h_mixed(ext):
-    """Mixed shape operator h^i_j = g^ik h_kj."""
-    g00, g01, g11 = ext.g
-    g_inv = symmetric_matrix(g11, -g01, g00) / (g00 * g11 - g01 * g01)[..., None, None]
-    return np.einsum("...ik,...kj->...ij", g_inv, symmetric_matrix(*ext.h))
 
 
 def _pencil_eigenvalues(a, b, diagonal=False):
@@ -194,7 +184,7 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
 
     # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij), where
     # b_ij = phi_i phi_j + sigma_ij
-    s2 = grid.sigma[..., 1, 1]
+    s2 = grid.sin2
     b00 = d_th * d_th + 1.0
     if grid.mode == "axisymmetric1d":
         zero = grid.zeros
@@ -210,39 +200,51 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
         kappa = _pencil_eigenvalues(h, g)
 
     return ExtrinsicData(
-        v=v, grad_phi=(d_th, d_ps), grad_phi_sq=q,
+        v=v, grad_phi=(d_th, d_ps), grad_phi_sq=q, hess_phi=(p00, p01, p11),
         g=g, h=h, kappa=kappa,
         sigma_j=cf.elementary_symmetric(kappa),
-        chi=chi, lam=lam, lam_p=lam_p,
+        chi=chi, lam_p=lam_p,
     )
 
 
-def ambient_contractions(state: GraphState, ext: ExtrinsicData):
-    """The two ambient curvature contractions along the surface.
+def _raise(g, w):
+    """The vector g^ij w_j of the covector pair w, for the metric triple g."""
+    g00, g01, g11 = g
+    det = g00 * g11 - g01 * g01
+    return (g11 * w[0] - g01 * w[1]) / det, (g00 * w[1] - g01 * w[0]) / det
 
-    Returns covariant (..., 2, 2) tensors: the normal-normal contraction
-    R(X_i, nu, X_j, nu), and R(nu, X_i, (lambda d_r)^T, X_j).
+
+def _contract(w, t):
+    """The covector w^i t_ij of the vector pair w and the triple t."""
+    t00, t01, t11 = t
+    return w[0] * t00 + w[1] * t01, w[0] * t01 + w[1] * t11
+
+
+def ambient_contractions(state: GraphState, ext: ExtrinsicData):
+    """The two ambient curvature contractions along the surface, as
+    covariant triples: the normal-normal contraction R(X_i, nu, X_j, nu),
+    and R(nu, X_i, (lambda d_r)^T, X_j).
     """
     prof = state.profile
     m, n = prof.params.m, prof.params.n
-    lam, lam_p = ext.lam, ext.lam_p
+    lam, lam_p = state.lam, ext.lam_p
     lam_pp = prof.lambda_pp_of_lambda(lam)
     q, v = ext.grad_phi_sq, ext.v
-    sig = state.grid.sigma
-    r_i = lam[..., None] * np.stack(ext.grad_phi, axis=-1)
-    rr = r_i[..., :, None] * r_i[..., None, :]
+    s2 = state.grid.sin2
+    r0, r1 = (lam * d for d in ext.grad_phi)
+    rr = (r0 * r0, r0 * r1, r1 * r1)
 
     lp2m1 = lam_p * lam_p - 1.0
     c_a = lam * lam_pp + lp2m1 * q
     c_b = 2.0 * lam_pp / lam - lp2m1 / lam ** 2 + (lam_pp / lam) * q
-    t_normal = -(1.0 / (v * v))[..., None, None] * (
-        c_a[..., None, None] * sig + c_b[..., None, None] * rr
-    )
+    w_n = -(1.0 / (v * v))
+    t_normal = (w_n * (c_a + c_b * rr[0]), w_n * (c_b * rr[1]),
+                w_n * (c_a * s2 + c_b * rr[2]))
 
     prefactor = 0.5 * m * (n + 1) * lam ** (-n)      # (lam lam'' + 1 - lam'^2)/lam
-    t_radial = (prefactor / v ** 3)[..., None, None] * (
-        rr - (lam * lam * q)[..., None, None] * sig
-    )
+    w_r = prefactor / v ** 3
+    lam2q = lam * lam * q
+    t_radial = (w_r * (rr[0] - lam2q), w_r * rr[1], w_r * (rr[2] - lam2q * s2))
     return t_normal, t_radial
 
 
@@ -260,20 +262,20 @@ def contraction_consistency_residual(state: GraphState) -> float:
     """
     ext = compute_extrinsic(state)
     t_normal, t_radial = ambient_contractions(state, ext)
-    lam = ext.lam
-    warp = (state.profile.lambda_pp_of_lambda(lam) / lam)[..., None, None] \
-        * symmetric_matrix(*ext.g)
-    b = t_radial / ext.chi[..., None, None] + t_normal + warp
-    return float(np.max(np.abs(b) / (1.0 + np.abs(warp))))
+    ratio = state.profile.lambda_pp_of_lambda(state.lam) / state.lam
+    res = 0.0
+    for tr, tn, g in zip(t_radial, t_normal, ext.g):
+        warp = ratio * g
+        b = tr / ext.chi + tn + warp
+        res = max(res, float(np.max(np.abs(b) / (1.0 + np.abs(warp)))))
+    return res
 
 
-def _tilt_gradient_form(state: GraphState, ext: ExtrinsicData):
-    """The gradient form v^-1 phi^k phi_ki of D_i v, shape (..., 2), from
-    the round-metric Hessian of phi."""
+def _tilt_gradient_form(grid: SphereGrid, ext: ExtrinsicData):
+    """The gradient form v^-1 phi^k phi_ki of D_i v, as a pair, from the
+    round-metric Hessian of phi that the extrinsic pass kept."""
     d_th, d_ps = ext.grad_phi
-    grad_up = np.stack([d_th, d_ps / state.grid.sigma[..., 1, 1]], axis=-1)
-    return np.einsum("...k,...ki->...i", grad_up, covariant_hess(state.phi)) \
-        / ext.v[..., None]
+    return tuple(c / ext.v for c in _contract((d_th, d_ps / grid.sin2), ext.hess_phi))
 
 
 def tilt_gradient_residual(state: GraphState) -> float:
@@ -281,7 +283,8 @@ def tilt_gradient_residual(state: GraphState) -> float:
     against the gradient form, second order in the grid spacing."""
     ext = compute_extrinsic(state)
     lhs = grad_components(ScalarField(state.grid, ext.v))
-    return float(np.max(np.abs(lhs - _tilt_gradient_form(state, ext))))
+    rhs = _tilt_gradient_form(state.grid, ext)
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(lhs, rhs))
 
 
 def tilt_gradient_shape_residual(state: GraphState) -> float:
@@ -289,14 +292,16 @@ def tilt_gradient_shape_residual(state: GraphState) -> float:
 
         (lambda'/lambda) v r_k - v^2 h^i_k r_i = v^-1 phi^i phi_ik,
 
-    relative to sup |(lambda'/lambda) v r_k|. Both sides read the same
-    discrete phi_ij, on which the two are equal in exact arithmetic, so the
-    defect is rounding; a corrupted h, g or lambda' breaks it. A state with
-    no gradient reads 0.
+    relative to sup |(lambda'/lambda) v r_k|, with h^i_k r_i = r^j h_jk
+    for r^j = g^ij r_i. Both sides read the same discrete phi_ij, on
+    which the two are equal in exact arithmetic, so the defect is
+    rounding; a corrupted h, g or lambda' breaks it. A state with no
+    gradient reads 0.
     """
     ext = compute_extrinsic(state)
-    r_i = ext.lam[..., None] * np.stack(ext.grad_phi, axis=-1)
-    radial = ((ext.lam_p / ext.lam) * ext.v)[..., None] * r_i
-    shape = radial - (ext.v ** 2)[..., None] * np.einsum("...ik,...i->...k", _h_mixed(ext), r_i)
-    scale = max(float(np.max(np.abs(radial))), np.finfo(float).tiny)
-    return float(np.max(np.abs(shape - _tilt_gradient_form(state, ext)))) / scale
+    r_i = tuple(state.lam * d for d in ext.grad_phi)
+    radial = tuple((ext.lam_p / state.lam) * ext.v * r for r in r_i)
+    h_r = _contract(_raise(ext.g, r_i), ext.h)
+    defect = max(float(np.max(np.abs(a - ext.v ** 2 * b - c)))
+                 for a, b, c in zip(radial, h_r, _tilt_gradient_form(state.grid, ext)))
+    return defect / max(max(float(np.max(np.abs(a))) for a in radial), np.finfo(float).tiny)

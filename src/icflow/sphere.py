@@ -10,8 +10,12 @@ f(theta, psi + pi), so ghost rows are mirrored (and, in 2D, taken half a
 period round, by swapping the two halves of the edge row). The periodic
 psi stencils read a copy with one wrapped ghost column on each side.
 Ghost rows and columns are copied by slicing, which moves the same data
-as a roll at a fraction of its cost. The mixed Hessian component
-H^psi_psi divides by sin^2(theta); at the two rows adjacent to the poles
+as a roll at a fraction of its cost. A covector is the pair of its
+(theta, psi) components, a symmetric 2-tensor the triple of its (00, 01,
+11) components. In the orthonormal frame (d_theta, d_psi / sin theta),
+where covariant and mixed components agree, `hessian_mixed` returns the
+Hessian and `tensor_sup_norm` measures a tensor. The frame's psi-psi
+Hessian divides by sin^2(theta); at the two rows adjacent to the poles
 the azimuthal mean of its cot(theta) d_theta f part is replaced by its
 limit d^2f/dtheta^2, which is second-order consistent for smooth fields.
 
@@ -44,11 +48,11 @@ def _frozen(a):
 @dataclass
 class SphereGrid:
     """Node layout plus the per-node trigonometry every stencil reads:
-    sin theta and cos theta (broadcastable to field_shape), the round
-    metric components sigma (field_shape + (2, 2)), a zero field that
-    stands for the psi components of axisymmetric tensors and, on lat-long
-    grids, the polar filter's keep-mask over (row, azimuthal mode k),
-    computed once per grid and read-only."""
+    sin theta, cos theta and sin^2 theta, the round metric's psi-psi
+    component (broadcastable to field_shape), a zero field that stands for
+    the psi components of axisymmetric tensors and, on lat-long grids, the
+    polar filter's keep-mask over (row, azimuthal mode k), computed once
+    per grid and read-only."""
 
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
@@ -59,7 +63,7 @@ class SphereGrid:
     d_psi: float
     sin_theta: np.ndarray = field(init=False, repr=False, compare=False)
     cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
-    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    sin2: np.ndarray = field(init=False, repr=False, compare=False)
     zeros: np.ndarray = field(init=False, repr=False, compare=False)
     keep: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
@@ -67,10 +71,7 @@ class SphereGrid:
         s, c = np.sin(self.theta), np.cos(self.theta)
         if self.mode != "axisymmetric1d":
             s, c = s[:, None], c[:, None]
-        sig = np.zeros(self.field_shape + (2, 2))
-        sig[..., 0, 0] = 1.0
-        sig[..., 1, 1] = s ** 2
-        self.sin_theta, self.cos_theta, self.sigma = _frozen(s), _frozen(c), _frozen(sig)
+        self.sin_theta, self.cos_theta, self.sin2 = _frozen(s), _frozen(c), _frozen(s ** 2)
         self.zeros = _frozen(np.zeros(self.field_shape))
         if self.mode != "axisymmetric1d":
             # a mode on the threshold (k = 2j + 1 when d_psi = d_theta) is
@@ -209,19 +210,10 @@ def derivatives(f: ScalarField):
     return d_th, d_ps, h_thth, h_thps, h_psps + d2_ps
 
 
-def symmetric_matrix(c00, c01, c11):
-    """The (..., 2, 2) symmetric matrix with components c00, c01 = c10, c11."""
-    m = np.empty(np.shape(c00) + (2, 2))
-    m[..., 0, 0] = c00
-    m[..., 0, 1] = m[..., 1, 0] = c01
-    m[..., 1, 1] = c11
-    return m
-
-
 def grad_components(f: ScalarField):
-    """Gradient as a (..., 2) array in both modes (psi component zero when
-    axisymmetric)."""
-    return np.stack(derivatives(f)[:2], axis=-1)
+    """Gradient components (f_theta, f_psi); f_psi is the grid's zero
+    field when axisymmetric."""
+    return derivatives(f)[:2]
 
 
 def covector_norm_sq(grid: SphereGrid, d_th, d_ps):
@@ -239,45 +231,35 @@ def grad_norm_sq(f: ScalarField):
 
 
 def covariant_hess(f: ScalarField):
-    """Covariant Hessian f_ij = d_i d_j f - Gamma^k_ij d_k f, shape (..., 2, 2)."""
-    return symmetric_matrix(*derivatives(f)[2:])
+    """Covariant Hessian f_ij = d_i d_j f - Gamma^k_ij d_k f as the triple
+    (f_thetatheta, f_thetapsi, f_psipsi)."""
+    return derivatives(f)[2:]
 
 
-def hessian_mixed(f: ScalarField):
-    """The (1,1) Hessian H^i_j = sigma^ik f_kj, shape (..., 2, 2), from the
-    components `derivatives` returns.
+def hessian_mixed(grid: SphereGrid, d_th, hess):
+    """The Hessian's orthonormal-frame triple
+    (f_thetatheta, f_thetapsi / sin theta, f_psipsi / sin^2 theta), from
+    f_theta and the covariant triple hess that `derivatives` returns; in
+    this frame the mixed H^i_j and the covariant f_ij agree.
 
-    At the rows adjacent to the poles H^psi_psi = f_psipsi / sin^2 theta
-    also takes the azimuthal mean of f_thetatheta - cot(theta) f_theta:
-    this replaces the mean's cot(theta) d_theta f by its limit d^2_theta f,
-    while the fluctuation keeps its two singular-looking terms together,
-    since only their sum is regular at the poles.
+    At the rows adjacent to the poles the psi-psi entry also takes the
+    azimuthal mean of f_thetatheta - cot(theta) f_theta: this replaces
+    the mean's cot(theta) d_theta f by its limit d^2_theta f, while the
+    fluctuation keeps its two singular-looking terms together, since only
+    their sum is regular at the poles.
     """
-    g = f.grid
-    d_th, _, h_thth, h_thps, h_psps = derivatives(f)
-    s2 = g.sin_theta ** 2
-    h = symmetric_matrix(h_thth, h_thps, h_psps / s2)
-    h[..., 1, 0] /= s2
-    ends = slice(None, None, g.n_theta - 1)     # rows 0 and n_theta - 1
-    c = h_thth[ends] - g.cos_theta[ends] / g.sin_theta[ends] * d_th[ends]
+    h_thth, h_thps, h_psps = hess
+    h11 = h_psps / grid.sin2
+    ends = slice(None, None, grid.n_theta - 1)     # rows 0 and n_theta - 1
+    c = h_thth[ends] - grid.cos_theta[ends] / grid.sin_theta[ends] * d_th[ends]
     # the mean along psi: over no axis on axisymmetric grids
-    h[ends, ..., 1, 1] += np.mean(c, axis=tuple(range(1, c.ndim)), keepdims=True)
-    return h
+    h11[ends] += np.mean(c, axis=tuple(range(1, c.ndim)), keepdims=True)
+    return h_thth, h_thps / grid.sin_theta, h11
 
 
 # -- reductions --------------------------------------------------------------
 
-def tensor_sup_norm(t_mixed: np.ndarray, grid: SphereGrid) -> float:
-    """Sup over nodes of the frame-invariant Frobenius norm of a (1,1)
-    tensor (so c * identity has norm |c| sqrt(2)).
-
-    Components are moved to an orthonormal frame of the round metric
-    before squaring: T-hat^a_b = T^a_b sqrt(sigma_aa / sigma_bb).
-    """
-    s = grid.sin_theta
-    a = t_mixed[..., 0, 0]
-    b = t_mixed[..., 0, 1] / s
-    c = t_mixed[..., 1, 0] * s
-    d = t_mixed[..., 1, 1]
-    sq = a * a + b * b + c * c + d * d
-    return float(np.sqrt(np.max(sq)))
+def tensor_sup_norm(t00, t01, t11) -> float:
+    """Sup over nodes of the Frobenius norm of a symmetric 2-tensor given
+    by its orthonormal-frame triple (so c * identity has norm |c| sqrt(2))."""
+    return float(np.sqrt(np.max(t00 * t00 + 2.0 * t01 * t01 + t11 * t11)))

@@ -69,8 +69,8 @@ def reference_speed(state, F, ext):
         idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
         raise InadmissibleState("state left the admissibility cone",
                                 t=state.t, node=idx, kappa=kappa[idx])
-    scaled = cf.f_eval(F, ext.lam[..., None] * kappa)
-    plain = ext.lam * cf.f_eval(F, kappa)
+    scaled = cf.f_eval(F, state.lam[..., None] * kappa)
+    plain = state.lam * cf.f_eval(F, kappa)
     if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
         raise FlowError("homogeneity cross-check failed in speed evaluation")
     if np.min(plain) <= 0.0:
@@ -85,6 +85,6 @@ def reference_stable_dt(state, F, ext, cfl):
     ext = compute_extrinsic(state)."""
     fp = cf.f_grad(F, ext.kappa)
     fval = cf.f_eval(F, ext.kappa)
-    scale = ext.v / (ext.lam * fval) ** 2 * np.max(fp, axis=-1)
+    scale = ext.v / (state.lam * fval) ** 2 * np.max(fp, axis=-1)
     h = state.grid.d_theta
     return cfl * h * h / float(np.max(scale))

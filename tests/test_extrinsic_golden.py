@@ -1,10 +1,10 @@
 """The component-form extrinsic pass against a reference copy of the
-(..., 2, 2) pass it replaced, the mixed Hessian against a reference copy
+(..., 2, 2) pass it replaced, the frame Hessian against a reference copy
 of the mean / fluctuation split it replaced, the stage data, the stability bound and dF
 against reference copies of the reductions they replaced, and the warp
 lookups and state_from_gauge against reference copies of the per-mass
 accessors they replaced: every quantity must agree bit for bit, and the
-lookups must refuse the same finite values past the table. The mixed
+lookups must refuse the same finite values past the table. The frame
 Hessian differs from its reference in rounding only, so it must agree to
 1e-12 of its largest component."""
 
@@ -108,6 +108,9 @@ def _pencil(a, b):
 
 def reference_extrinsic(state):
     grid = state.grid
+    sigma = np.zeros(grid.field_shape + (2, 2))
+    sigma[..., 0, 0] = 1.0
+    sigma[..., 1, 1] = grid.sin_theta ** 2
     lam = state.profile.lambda_of_r(state.r.values)
     lam_p = state.profile.lambda_p_of_lambda(lam)
     dphi = _grad(grid, state.phi.values)
@@ -117,12 +120,12 @@ def reference_extrinsic(state):
     v = np.sqrt(1.0 + q)
     hess_cov = _hess(grid, state.phi.values)
     pp = dphi[..., :, None] * dphi[..., None, :]
-    g_cov = (lam * lam)[..., None, None] * (pp + grid.sigma)
+    g_cov = (lam * lam)[..., None, None] * (pp + sigma)
     h_raw = (lam / v)[..., None, None] * (
-        lam_p[..., None, None] * (pp + grid.sigma) - hess_cov)
+        lam_p[..., None, None] * (pp + sigma) - hess_cov)
     h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
     kappa = _pencil(h_cov, g_cov)
-    return dict(v=v, grad_phi=dphi, grad_phi_sq=q, g_cov=g_cov, h_cov=h_cov,
+    return dict(v=v, grad_phi=dphi, grad_phi_sq=q, hess=hess_cov, g_cov=g_cov, h_cov=h_cov,
                 kappa=kappa, sigma_j=cf.elementary_symmetric(kappa),
                 chi=lam / v, lam=lam, lam_p=lam_p)
 
@@ -167,7 +170,7 @@ def reference_stage(state, f):
 
 def reference_stable_dt(state, f, ext):
     fp = reference_gradient(f, ext.kappa, ext.sigma_j)
-    scale = ext.v / (ext.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
+    scale = ext.v / (state.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
     h = state.grid.d_theta
     return flow.CFL * h * h / float(scale.max())
 
@@ -296,11 +299,13 @@ def test_matches_tensor_pass_bit_for_bit(make_state):
     state = make_state()
     ext = geo.compute_extrinsic(state)
     ref = reference_extrinsic(state)
-    for name in ("kappa", "sigma_j", "v", "chi", "lam", "lam_p", "grad_phi_sq"):
+    for name in ("kappa", "sigma_j", "v", "chi", "lam_p", "grad_phi_sq"):
         assert np.array_equal(getattr(ext, name), ref[name]), name
+    assert np.array_equal(state.lam, ref["lam"])
     for k in range(2):
         assert np.array_equal(ext.grad_phi[k], ref["grad_phi"][..., k])
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
+        assert np.array_equal(ext.hess_phi[k], ref["hess"][..., i, j]), ("hess", i, j)
         assert np.array_equal(ext.g[k], ref["g_cov"][..., i, j]), ("g", i, j)
         assert np.array_equal(ext.h[k], ref["h_cov"][..., i, j]), ("h", i, j)
 
@@ -328,13 +333,20 @@ def wavy_latlong_state(shape):
     ids=["a3_256", "axisymmetric_24x48", "wavy_16x32", "wavy_32x64"])
 def test_hessian_mixed_matches_mean_fluctuation_split(make_state):
     state = make_state()
-    h = sp.hessian_mixed(state.phi)
-    ref = reference_hessian_mixed(state.grid, state.phi.values)
-    bound = 1e-12 * np.abs(ref).max()
+    grid = state.grid
+    d = sp.derivatives(state.phi)
+    h = np.stack(sp.hessian_mixed(grid, d[0], d[2:]))
+    ref = reference_hessian_mixed(grid, state.phi.values)
+    # the reference's mixed components moved to the orthonormal frame,
+    # where H^theta_psi / sin theta and H^psi_theta sin theta agree
+    s = grid.sin_theta
+    frame = np.stack([ref[..., 0, 0], ref[..., 0, 1] / s, ref[..., 1, 1]])
+    bound = 1e-12 * np.abs(frame).max()
     assert bound > 0.0
-    assert np.abs(h - ref).max() <= bound
+    assert np.abs(ref[..., 1, 0] * s - frame[1]).max() <= bound
+    assert np.abs(h - frame).max() <= bound
     # the two rows next to the poles, where the two forms differ most
-    assert np.abs(h[[0, -1]] - ref[[0, -1]]).max() <= bound
+    assert np.abs(h[:, [0, -1]] - frame[:, [0, -1]]).max() <= bound
 
 
 @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])

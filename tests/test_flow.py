@@ -394,8 +394,10 @@ class TestRun:
     @pytest.mark.parametrize("name", ["mean", "sigma2root"])
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
         # one stage evaluation per state: per rk2 step the midpoint and the
-        # new state, plus the initial state once per run. sigma_j: one per
-        # extrinsic pass, which the one cone test and the one F read.
+        # new state, plus the initial state once per run. One stencil pass
+        # per extrinsic pass: snapshots read the Hessian of phi it kept.
+        # sigma_j: one per extrinsic pass, which the one cone test and the
+        # one F read.
         # The stage tests the cone and evaluates F through the private
         # formulas, never through cone_contains or f_eval
         cfg = make_config(
@@ -407,6 +409,7 @@ class TestRun:
             t_end=0.05, output_every=0.01,
         )
         n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
+        n_der = count_calls(monkeypatch, sp, "derivatives")
         n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
         n_cone = count_calls(monkeypatch, cf, "cone_contains")
         n_f = count_calls(monkeypatch, cf, "f_eval")
@@ -414,6 +417,7 @@ class TestRun:
         steps = events[-1].payload["steps"]
         assert steps >= 20
         assert n_ext["n"] == 2 * steps + 1
+        assert n_der["n"] == n_ext["n"]
         assert n_sym["n"] == n_ext["n"]
         assert n_cone["n"] == n_f["n"] == 0
 
