@@ -13,7 +13,6 @@ from .curvature import CurvatureFunction, cone_contains, f_eval, f_grad, from_na
 from .diagnostics import (
     DiagnosticsRecord,
     DiagnosticsSeries,
-    LimitProfile,
     ReportConfig,
     fit_rate,
     limit_profile,

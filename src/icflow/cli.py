@@ -56,9 +56,13 @@ def _write_series(path: Path, series: dg.DiagnosticsSeries) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_profile(path: Path, profile: dg.LimitProfile) -> None:
+def _write_profile(path: Path, series: dg.DiagnosticsSeries) -> None:
+    """theta and the final r - t/n, along psi_0 on a lat-long grid."""
+    f_hat = dg.final_r_tilde(series)
+    if series.grid.mode == "latlong2d":
+        f_hat = f_hat[:, 0]
     lines = ["theta,f_hat"]
-    for th, fh in zip(profile.theta, profile.f_hat):
+    for th, fh in zip(series.grid.theta, f_hat):
         lines.append("%.17g,%.17g" % (th, fh))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -89,12 +93,10 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
         _write_events(out / "events.jsonl", exc.events)
         raise
     _write_events(out / "events.jsonl", events)
-    prof = dg.limit_profile(series)
-    report = dg.theorem_report(series, prof, cfg.report, config_echo=cfg.echo)
+    report = dg.theorem_report(series, cfg.report, config_echo=cfg.echo)
 
     _write_series(out / "series.csv", series)
-    if prof is not None:
-        _write_profile(out / "limit_profile.csv", prof)
+    _write_profile(out / "limit_profile.csv", series)
     flow.save_checkpoint(final, out / "checkpoint.json")
     _write_text(out / "report.json", json.dumps(report, sort_keys=True, indent=1) + "\n")
     _write_text(out / "report.txt", "\n".join(dg.report_lines(report)) + "\n")
@@ -221,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IcflowError as exc:
+    except (IcflowError, MemoryError) as exc:   # a grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

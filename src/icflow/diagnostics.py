@@ -12,9 +12,10 @@ of the form y <= C e^(-mu t) is accepted when the fitted slope is at most
 -mu + tolerance with r^2 >= 0.95. Quantities that have already collapsed
 to the floating-point floor pass trivially; windows with fewer than eight
 usable snapshots report insufficient data instead of failure. A rate fit
-returns its report.json entry as it stands. Likewise the final metric
-residual is judged only when a round sphere at the final radii would
-meet its tolerance; before that the run is too short to tell.
+returns its report.json entry as it stands, and the limit profile its
+section of report.json. The final metric residual in it is judged only
+when a round sphere at the final radii would meet its tolerance; before
+that the run is too short to tell.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ class DiagnosticsSeries:
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )
 
-    def append(self, state: GraphState, ext, record: DiagnosticsRecord) -> None:
-        """Keep record and, of the state and its ext, only r and the
-        induced metric components ext.g."""
-        self.records.append(record)
+    def append(self, state: GraphState, ext) -> None:
+        """Record snapshot(state, ext) and keep, of the state and its ext,
+        only r and the induced metric components ext.g."""
+        self.records.append(snapshot(state, ext, self.pinch_ref))
         self.radii.append(state.r.values)
         self.metrics.append(ext.g)
 
@@ -186,17 +187,10 @@ def fit_rate(series: DiagnosticsSeries, quantity: str, window: tuple,
     return entry, None
 
 
-@dataclass
-class LimitProfile:
-    theta: np.ndarray
-    f_hat: np.ndarray              # r - t/n at the final snapshot
-    gap: float                     # sup |f_hat - r_tilde(penultimate)|
-    metric_residual_final: float
-    metric_residual_mid: float
-    metric_residual_floor: float   # that of the round sphere at the final radii
-    drift_constant: float
-    drift_ok: bool
-    f_hat_spread: float
+def final_r_tilde(series: DiagnosticsSeries):
+    """f_hat = r - t/n at the last snapshot, the limit profile's radius;
+    an (n_theta, n_psi) array on a lat-long grid."""
+    return series.radii[-1] - series.records[-1].t / series.n
 
 
 def _metric_residual(g, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
@@ -221,9 +215,15 @@ _AT_FLOOR = ("a round sphere at the final radii exceeds the tolerance on its own
 _MID_FRACTION = 0.6
 
 
-def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
-    """Radial limit profile and convergence measures of a completed run,
-    or None when the series holds fewer than two snapshots.
+def limit_profile(series: DiagnosticsSeries) -> tuple:
+    """The limit section of report.json for a completed run, as
+    (entries, notes).
+
+    entries holds limit_gap = sup |f_hat - r_tilde(penultimate)|, the
+    final, mid-run and round-sphere metric residuals and drift_constant,
+    then the verdicts in report order. notes holds the insufficient-data
+    notes. A series of fewer than two snapshots gives only limit_gap =
+    None and a note saying so.
 
     The drift envelope is calibrated on the first half of the run: with
     C = sup of the observed negative drift rate scaled by e^(t/n), every
@@ -231,13 +231,13 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
         min (r_tilde(b) - r_tilde(a)) >= -C n (e^(-a/n) - e^(-b/n)).
     """
     if len(series.radii) < 2:
-        return None
+        return {"limit_gap": None}, [f"limit_profile: {_TOO_SHORT}"]
     n = series.n
     grid = series.grid
     recs = series.records
-    r_tilde = [r - rec.t / n for r, rec in zip(series.radii, recs)]
-    f_hat_2d = r_tilde[-1]
-    gap = float(np.max(np.abs(f_hat_2d - r_tilde[-2])))
+    f_hat = final_r_tilde(series)
+    r_tilde = [r - rec.t / n for r, rec in zip(series.radii[:-1], recs)] + [f_hat]
+    gap = float(np.max(np.abs(f_hat - r_tilde[-2])))
 
     t_final = recs[-1].t
     mid_idx = int(np.argmin(np.abs(series.times - _MID_FRACTION * t_final)))
@@ -245,13 +245,13 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
         mid_idx -= 1
     t_mid = recs[mid_idx].t
 
-    res_final = _metric_residual(series.metrics[-1], t_final, f_hat_2d, n, grid)
-    res_mid = _metric_residual(series.metrics[mid_idx], t_mid, f_hat_2d, n, grid)
+    res_final = _metric_residual(series.metrics[-1], t_final, f_hat, n, grid)
+    res_mid = _metric_residual(series.metrics[mid_idx], t_mid, f_hat, n, grid)
     # the round sphere g = lambda(r)^2 sigma at the final radii leaves
     # sqrt(2) e^(-2t/n) sup |lambda^2 - e^(2r)/4| however the flow went
     lam2 = series.profile.lambda_of_r(series.radii[-1]) ** 2
     res_floor = _metric_residual((lam2, 0.0, lam2 * grid.sin2),
-                                 t_final, f_hat_2d, n, grid)
+                                 t_final, f_hat, n, grid)
 
     t0 = recs[0].t
     t_half = t0 + 0.5 * (t_final - t0)
@@ -270,14 +270,30 @@ def limit_profile(series: DiagnosticsSeries) -> Optional[LimitProfile]:
                 drift_ok = False
         prev = k
 
-    f_hat = f_hat_2d[:, 0] if grid.mode == "latlong2d" else f_hat_2d
-    return LimitProfile(
-        theta=grid.theta, f_hat=f_hat, gap=gap,
-        metric_residual_final=res_final, metric_residual_mid=res_mid,
-        metric_residual_floor=res_floor,
-        drift_constant=c_drift, drift_ok=drift_ok,
-        f_hat_spread=float(np.max(f_hat_2d) - np.min(f_hat_2d)),
-    )
+    entries = {"limit_gap": gap, "metric_residual_final": res_final,
+               "metric_residual_mid": res_mid, "metric_residual_floor": res_floor,
+               "drift_constant": c_drift,
+               "limit_gap_pass": bool(gap <= LIMIT_GAP_TOL)}
+    notes = []
+    if res_floor > METRIC_RESIDUAL_TOL:
+        notes.append(f"metric_residual: {_AT_FLOOR}")
+    else:
+        # tiny slack so exactly self-similar runs, where both residuals
+        # sit at the same floor, do not fail the decrease comparison
+        entries["metric_residual_pass"] = bool(
+            res_final <= METRIC_RESIDUAL_TOL
+            and res_final <= res_mid + 0.01 * METRIC_RESIDUAL_TOL)
+    entries["drift_envelope_pass"] = drift_ok
+    # the profile is asserted constant only for umbilic initial data
+    if series.initial_constant:
+        entries["umbilic_profile_constant_pass"] = bool(
+            np.max(f_hat) - np.min(f_hat) <= 1e-8)
+    # r_tilde stays within its initial range plus the drift allowance
+    r0_bound = max(abs(recs[0].r_tilde_min), abs(recs[0].r_tilde_max))
+    rt = max(np.max(np.abs(series.column("r_tilde_min"))),
+             np.max(np.abs(series.column("r_tilde_max"))))
+    entries["r_tilde_bounded_pass"] = bool(rt <= r0_bound + n * c_drift + 1e-9)
+    return entries, notes
 
 
 @dataclass
@@ -292,17 +308,16 @@ class ReportConfig:
                               f"0 <= start < end, got {w!r}")
 
 
-def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
-                   report_cfg: ReportConfig, config_echo: Optional[dict] = None) -> dict:
+def theorem_report(series: DiagnosticsSeries, report_cfg: ReportConfig,
+                   config_echo: Optional[dict] = None) -> dict:
     """Aggregate pass/fail summary of a completed run.
 
-    profile is limit_profile(series), which is None for a series of fewer
-    than two snapshots. Every run is judged on every check. One with too
-    little data to judge is noted as insufficient, saying why, and does
-    not fail the run: a short rate window, a run that ends before t = 1
-    for the chi ratio, no limit profile, or, for the final metric
-    residual, a round sphere at the final radii whose own residual
-    exceeds METRIC_RESIDUAL_TOL.
+    Every run is judged on every check. One with too little data to judge
+    is noted as insufficient, saying why, and does not fail the run: a
+    short rate window, a run that ends before t = 1 for the chi ratio, a
+    series of fewer than two snapshots for the limit profile, or, for the
+    final metric residual, a round sphere at the final radii whose own
+    residual exceeds METRIC_RESIDUAL_TOL.
     """
     n = series.n
     t = series.times
@@ -366,38 +381,10 @@ def theorem_report(series: DiagnosticsSeries, profile: Optional[LimitProfile],
     else:
         report["insufficient"].append("chi_ratio: run too short")
 
-    if profile is None:
-        report["limit_gap"] = None
-        report["insufficient"].append(f"limit_profile: {_TOO_SHORT}")
-        return report
-    report["limit_gap"] = profile.gap
-    report["metric_residual_final"] = profile.metric_residual_final
-    report["metric_residual_mid"] = profile.metric_residual_mid
-    report["metric_residual_floor"] = profile.metric_residual_floor
-    report["drift_constant"] = profile.drift_constant
-    add_result("limit_gap_pass", bool(profile.gap <= LIMIT_GAP_TOL))
-    if profile.metric_residual_floor > METRIC_RESIDUAL_TOL:
-        report["insufficient"].append(f"metric_residual: {_AT_FLOOR}")
-    else:
-        # tiny slack so exactly self-similar runs, where both residuals
-        # sit at the same floor, do not fail the decrease comparison
-        add_result("metric_residual_pass", bool(
-            profile.metric_residual_final <= METRIC_RESIDUAL_TOL
-            and profile.metric_residual_final
-            <= profile.metric_residual_mid + 0.01 * METRIC_RESIDUAL_TOL
-        ))
-    add_result("drift_envelope_pass", profile.drift_ok)
-    # the profile is asserted constant only for umbilic initial data
-    if series.initial_constant:
-        add_result("umbilic_profile_constant_pass",
-                   bool(profile.f_hat_spread <= 1e-8))
-    # r_tilde stays within its initial range plus the drift allowance
-    r0_bound = max(abs(series.records[0].r_tilde_min),
-                   abs(series.records[0].r_tilde_max))
-    rt = max(np.max(np.abs(series.column("r_tilde_min"))),
-             np.max(np.abs(series.column("r_tilde_max"))))
-    add_result("r_tilde_bounded_pass",
-               bool(rt <= r0_bound + n * profile.drift_constant + 1e-9))
+    entries, notes = limit_profile(series)
+    for key, value in entries.items():
+        add_result(key, value)
+    report["insufficient"] += notes
     return report
 
 

@@ -285,8 +285,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         series = dg.DiagnosticsSeries.start(state, F)
 
         def take_snapshot(s, ext):
-            rec = dg.snapshot(s, ext, pinch_ref=series.pinch_ref)
-            series.append(s, ext, rec)
+            series.append(s, ext)
             events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
 
         # one stage evaluation per state: the step returns its new state's,

@@ -111,8 +111,7 @@ def test_A2_hyperbolic_closed_form():
 
 def test_A3_perturbed_decay_rates(a3_run):
     _, series, events, elapsed = a3_run
-    rep = dg.theorem_report(series, dg.limit_profile(series),
-                            dg.ReportConfig(window=(4.0, 9.0)))
+    rep = dg.theorem_report(series, dg.ReportConfig(window=(4.0, 9.0)))
     rates = {r["name"]: r for r in rep["rates"]}
     k, g, h = (rates["sup_kappa_dev"], rates["sup_grad_phi_sq"], rates["sup_hess_phi"])
     pinch = all(r.pinch_low_ok and r.pinch_high_ok for r in series.records)
@@ -323,8 +322,7 @@ def a10_run(n_theta, dt_max):
         + 0.05 * np.sin(th) ** 2 * np.cos(2 * ps)
     prof = bg.build_warp_profile(cfg.background, float(np.max(r0)) + cfg.t_end / 2 + 2.0)
     _, series, events = flow.run(cfg, initial_state=geo.state_from_radius(grid, prof, r0))
-    rep = dg.theorem_report(series, dg.limit_profile(series),
-                            dg.ReportConfig(window=(4.0, 9.0)))
+    rep = dg.theorem_report(series, dg.ReportConfig(window=(4.0, 9.0)))
     return events, rep
 
 
@@ -371,7 +369,7 @@ def far_run(r0, n_theta, dt_max, t_end, window):
         dt_max=dt_max,
     )
     _, series, events = flow.run(cfg)
-    rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig(window=window))
+    rep = dg.theorem_report(series, dg.ReportConfig(window=window))
     late = series.times >= 0.5 * t_end
     r_tilde = [float(np.mean(r)) - t / 2.0 for r, t in zip(series.radii, series.times)]
     drift = float(np.polyfit(series.times[late], np.array(r_tilde)[late], 1)[0])

@@ -402,8 +402,9 @@ class TestRunCommand:
         assert events[0]["error"].startswith(f"ConfigError: start time t={t_first} is not before")
 
     def test_one_limit_profile_per_run(self, tmp_path, monkeypatch):
-        # the report and limit_profile.csv share one profile, which reads the
-        # metrics stored at the snapshots instead of recomputing them
+        # the report computes the limit profile once, from the metrics stored
+        # at the snapshots instead of recomputing them; limit_profile.csv is
+        # written from the series
         cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32,
                            kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
@@ -418,6 +419,47 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         rows = (out / "limit_profile.csv").read_text().splitlines()
         assert report["limit_gap"] is not None and len(rows) == 33
+
+    def test_latlong_limit_profile_is_the_psi0_column(self, tmp_path, monkeypatch):
+        # one row per theta: theta and the final r - t/n at psi = psi_0,
+        # both written to round-trip exactly
+        p = tmp_path / "c.ini"
+        p.write_text(BASE.format(m=1.0, n_theta=16, kind="cosine_perturbation",
+                                 initial_extra="r0 = 2.0\namplitude = 0.3",
+                                 t_end=0.2, dt_max="2e-3", report_extra="")
+                     .replace("mode = axisymmetric1d", "mode = latlong2d\nn_psi = 32"))
+        runs = []
+        real_run = flow.run
+
+        def kept_run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(flow, "run", kept_run)
+        out = tmp_path / "out"
+        cli.main(["run", "--config", str(p), "--out", str(out)])
+        _, series, _ = runs[0]
+        rows = (out / "limit_profile.csv").read_text().splitlines()
+        assert rows[0] == "theta,f_hat" and len(rows) == 17
+        cells = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
+        assert series.radii[-1].shape == (16, 32)
+        assert np.array_equal(cells[:, 0], series.grid.theta)
+        assert np.array_equal(cells[:, 1], series.radii[-1][:, 0] - series.times[-1] / 2)
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate is a runtime error, not a failed check
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(flow, "build_grid", no_memory)
+        p = write_config(tmp_path / "c.ini", n_theta=32, t_end=0.1)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Unable to allocate 72.8 TiB" in err
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [e["kind"] for e in events] == ["failed"]
+        assert events[0]["error"].startswith("MemoryError")
 
     def test_report_pins_the_certificate(self, tmp_path):
         # the rate targets 2/n, 2/n and 1/n and every tolerance are fixed;

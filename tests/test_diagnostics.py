@@ -120,25 +120,29 @@ class TestFitRate:
 class TestLimitProfile:
     def test_umbilic_limit_value(self, umbilic_run):
         _, series, _ = umbilic_run
-        prof = dg.limit_profile(series)
+        entries, notes = dg.limit_profile(series)
+        f_hat = dg.final_r_tilde(series)
         want = math.log(2.0 * math.sinh(1.0))
         assert abs(want - 0.8545865421311408) < 1e-15
-        assert np.max(np.abs(prof.f_hat - want)) < 1e-3
-        assert prof.gap < 1e-4
-        assert prof.f_hat_spread < 1e-10
-        assert prof.metric_residual_final < 5e-3
+        assert np.max(np.abs(f_hat - want)) < 1e-3
+        assert entries["limit_gap"] < 1e-4
+        assert np.max(f_hat) - np.min(f_hat) < 1e-10
+        assert entries["umbilic_profile_constant_pass"] is True
+        assert entries["metric_residual_final"] < 5e-3
+        assert notes == []
 
     def test_metric_residual_floor_of_a_round_sphere(self, umbilic_run):
         # at m = 0, lambda^2 - e^(2r)/4 = -1/2 + e^(-2r)/4, and the umbilic
         # run is a round sphere, so its residual is the floor
         _, series, _ = umbilic_run
-        prof = dg.limit_profile(series)
+        entries, _ = dg.limit_profile(series)
         t, r = series.times[-1], series.radii[-1][0]
         want = math.sqrt(2.0) * math.exp(-2.0 * t / 2) * abs(-0.5 + 0.25 * math.exp(-2.0 * r))
-        assert prof.metric_residual_floor == pytest.approx(want, rel=1e-10)
-        assert prof.metric_residual_floor == pytest.approx(prof.metric_residual_final, rel=1e-10)
-        rep = dg.theorem_report(series, prof, dg.ReportConfig())
-        assert rep["metric_residual_floor"] == prof.metric_residual_floor
+        floor = entries["metric_residual_floor"]
+        assert floor == pytest.approx(want, rel=1e-10)
+        assert floor == pytest.approx(entries["metric_residual_final"], rel=1e-10)
+        rep = dg.theorem_report(series, dg.ReportConfig())
+        assert rep["metric_residual_floor"] == floor
         assert rep["metric_residual_pass"] is True
 
     def test_umbilic_mass2_limit_value(self):
@@ -155,20 +159,21 @@ class TestLimitProfile:
             dt_max=2e-3,
         )
         _, series, _ = flow.run(cfg)
-        prof_fit = dg.limit_profile(series)
-        assert np.max(np.abs(prof_fit.f_hat - math.log(4.0))) < 1e-3
+        assert np.max(np.abs(dg.final_r_tilde(series) - math.log(4.0))) < 1e-3
 
     def test_insufficient(self):
+        too_short = ({"limit_gap": None},
+                     ["limit_profile: limit profile requires at least two retained states"])
         s = synthetic_series([], [])
-        assert dg.limit_profile(s) is None
+        assert dg.limit_profile(s) == too_short
         s.radii.append(np.ones(16))
-        assert dg.limit_profile(s) is None
+        assert dg.limit_profile(s) == too_short
 
 
 class TestTheoremReport:
     def test_umbilic_report_passes(self, umbilic_run):
         _, series, _ = umbilic_run
-        rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig())
+        rep = dg.theorem_report(series, dg.ReportConfig())
         assert rep["overall_pass"], dg.report_lines(rep)
         by_name = {r["name"]: r for r in rep["rates"]}
         # gradient and Hessian collapse to the floor on exact umbilic data
@@ -182,9 +187,11 @@ class TestTheoremReport:
         lines = dg.report_lines(rep)
         assert any(line.startswith("OVERALL: PASS") for line in lines)
 
-    def test_missing_profile_reported_insufficient(self, umbilic_run):
-        _, series, _ = umbilic_run
-        rep = dg.theorem_report(series, None, dg.ReportConfig())
+    def test_missing_profile_reported_insufficient(self):
+        # one snapshot: the series holds no limit profile
+        series = synthetic_series([0.0], [0.5])
+        series.radii.append(np.ones(16))
+        rep = dg.theorem_report(series, dg.ReportConfig())
         assert rep["limit_gap"] is None
         assert "limit_gap_pass" not in rep
         assert ("limit_profile: limit profile requires at least two retained states"
@@ -200,7 +207,7 @@ class TestTheoremReport:
             t_end=0.5,
         )
         _, series, _ = flow.run(cfg)
-        rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig())
+        rep = dg.theorem_report(series, dg.ReportConfig())
         statuses = {r["name"]: r["status"] for r in rep["rates"]}
         assert all(s in ("insufficient", "floor") for s in statuses.values())
         assert rep["pinching_pass"]
@@ -220,7 +227,7 @@ class TestTheoremReport:
             dt_max=1e-2,
         )
         _, series, _ = flow.run(cfg)
-        rep = dg.theorem_report(series, dg.limit_profile(series), dg.ReportConfig())
+        rep = dg.theorem_report(series, dg.ReportConfig())
         assert rep["metric_residual_floor"] > dg.METRIC_RESIDUAL_TOL
         assert rep["metric_residual_final"] > dg.METRIC_RESIDUAL_TOL
         assert "metric_residual_pass" not in rep
