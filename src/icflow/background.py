@@ -52,7 +52,9 @@ the same asymptotic form of lambda,
 
 and below it from the quadrature increments summed downward.
 
-The gauge table indexes r and lambda together by phi: dr/dphi = lambda,
+The flow reads the profile through two lookups. The radius table
+indexes lambda and phi together by r, which places the start state. The
+gauge table indexes r and lambda together by phi: dr/dphi = lambda,
 dlambda/dphi = lambda lambda', and the second derivatives follow in
 closed form, so a time step finds both from one interval search.
 
@@ -196,12 +198,12 @@ class WarpProfile:
     derivative accessors.
 
     Immutable after construction; all accessors are pure and accept
-    scalars or arrays. build_warp_profile fixes three lookups and the
-    range of each one's argument: (lambda, phi) by r, (r, lambda) by phi,
-    and r by lambda. For m > 0 they are Hermite tables, the last one in
-    u = sqrt(lambda - s0); for m = 0 they are the closed forms sinh,
-    -2 artanh(e^(-r)), -log tanh(-phi/2) and arcsinh. Each accessor is
-    one range test (_judge) and one lookup. The ranges let slivers of
+    scalars or arrays. build_warp_profile fixes two lookups and the range
+    of each one's argument: (lambda, phi) by r, which places the start
+    state, and (r, lambda) by phi, which every stage reads. For m > 0
+    they are quintic Hermite tables; for m = 0 they are the closed forms
+    sinh, -2 artanh(e^(-r)) and -log tanh(-phi/2). Each accessor is one
+    range test (_judge) and one lookup. The ranges let slivers of
     about 1e-12 through, across which a table extends its end piece. The
     radius range is [r_horizon, r_max] for m > 0; for m = 0 it starts at
     the smallest r whose gauge is finite (about 4.5e-17).
@@ -215,10 +217,8 @@ class WarpProfile:
     table_lam: np.ndarray
     _by_r: Callable = field(repr=False)
     _by_phi: Callable = field(repr=False)
-    _by_lam: Callable = field(repr=False)
     _r_range: tuple = field(repr=False)
     _phi_range: tuple = field(repr=False)
-    _lam_range: tuple = field(repr=False)
 
     # -- warp factor and derivatives -------------------------------------
 
@@ -237,9 +237,6 @@ class WarpProfile:
         if m == 0.0:
             return lam
         return lam + 0.5 * m * (n - 1) * lam ** (-n)
-
-    def radius_from_lambda(self, lam):
-        return self._by_lam(_judge(lam, *self._lam_range, "warp value"))[0]
 
     # -- radial gauge -----------------------------------------------------
 
@@ -330,9 +327,9 @@ def _build_u_grid(s0, m, r_max):
     return u, int(np.searchsorted(u, u_reach(8.0)))
 
 
-def _hermite(x, f, *derivs):
-    """Piecewise Hermite interpolant of the values f and the derivatives
-    derivs = (f',) (cubic) or (f', f'') (quintic) at the nodes x.
+def _hermite(x, f, fp, fpp):
+    """Piecewise quintic Hermite interpolant of the values f and the
+    derivatives f', f'' at the nodes x.
 
     Returns each interval's coefficients of t^0, t^1, ... in its local
     variable t = (x - x_i) / h, as _Piecewise evaluates them. They are
@@ -342,10 +339,8 @@ def _hermite(x, f, *derivs):
     """
     h = np.diff(x)
     df = np.diff(f)
-    d0, d1 = h * derivs[0][:-1], h * derivs[0][1:]
-    if len(derivs) == 1:
-        return [f[:-1], d0, 3.0 * df - 2.0 * d0 - d1, d0 + d1 - 2.0 * df]
-    c0, c1 = h * h * derivs[1][:-1], h * h * derivs[1][1:]
+    d0, d1 = h * fp[:-1], h * fp[1:]
+    c0, c1 = h * h * fpp[:-1], h * h * fpp[1:]
     return [f[:-1], d0, 0.5 * c0,
             10.0 * df - 6.0 * d0 - 4.0 * d1 - 1.5 * c0 + 0.5 * c1,
             -15.0 * df + 8.0 * d0 + 7.0 * d1 + 1.5 * c0 - c1,
@@ -391,17 +386,6 @@ class _Piecewise:
                                     for j in range(self.cols)))
 
 
-class _SqrtPiecewise(_Piecewise):
-    """A _Piecewise in u = sqrt(x - x0), queried by x."""
-
-    def __init__(self, x0, u, *funcs):
-        super().__init__(u, *funcs)
-        self.x0 = x0
-
-    def __call__(self, xq):
-        return super().__call__(np.sqrt(np.maximum(xq - self.x0, 0.0)))
-
-
 # the m = 0 lookups: closed forms, returning what the tables would stack
 def _massless_by_r(r):
     return np.sinh(r), -2.0 * np.arctanh(np.exp(-r))
@@ -410,10 +394,6 @@ def _massless_by_r(r):
 def _massless_by_phi(phi):
     r = -np.log(np.tanh(-0.5 * phi))
     return r, np.sinh(r)
-
-
-def _massless_by_lam(lam):
-    return (np.arcsinh(lam),)
 
 
 def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
@@ -434,10 +414,9 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
         return WarpProfile(
             params=params, r_max=float(r_max), s0=0.0, r_horizon=0.0,
             table_r=table_r, table_lam=np.sinh(table_r),
-            _by_r=_massless_by_r, _by_phi=_massless_by_phi, _by_lam=_massless_by_lam,
+            _by_r=_massless_by_r, _by_phi=_massless_by_phi,
             _r_range=(r_lo, r_max * (1 + 1e-14)),
             _phi_range=(-_DOUBLE_MAX, float(_massless_by_r(r_max)[1]) * (1 - 1e-12)),
-            _lam_range=(float(np.sinh(r_lo)), float(np.sinh(r_max)) * (1 + 1e-12)),
         )
 
     s0 = solve_horizon(params)
@@ -489,11 +468,9 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
         _by_phi=_Piecewise(phi, _hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p),
                            _hermite(phi, lam_nodes, lam_nodes * lam_p,
                                     lam_nodes * (lam_p * lam_p + lam_nodes * lam_pp))),
-        _by_lam=_SqrtPiecewise(s0, u, _hermite(u, r_nodes, Gn)),
         _r_range=(r_lo - 1e-12, r_hi * (1 + 1e-14)),
         # phi[-1] is about -2 e^(-r_max): its sliver is relative
         _phi_range=(float(phi[0]) - 1e-12, float(phi[-1]) * (1 - 1e-12)),
-        _lam_range=(s0 * (1 - 1e-12), float(lam_nodes[-1]) * (1 + 1e-12)),
     )
 
 

@@ -28,7 +28,7 @@ class IcflowError(Exception):
 
 
 class TableExtentError(IcflowError):
-    """A radius, warp value or gauge value fell outside the tabulated range
+    """A radius or gauge value fell outside the tabulated range
     or was not finite (NaN or an infinity), or a table extent lies past
     R_TABLE_LIMIT (r = 140), where the warp tables stop being finite.
     Values are never silently extrapolated.

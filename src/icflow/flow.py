@@ -104,7 +104,14 @@ class InitialData:
         elif self.kind == "cosine_perturbation":
             base = self.r0 + self.amplitude * np.cos(self.wavenumber * grid.theta)
         else:
-            base = np.interp(grid.theta, self.table_theta, self.table_r)
+            theta = self.table_theta
+            # np.interp would hold the end values past the table's range
+            if not (theta[0] <= grid.theta[0] and theta[-1] >= grid.theta[-1]):
+                raise ConfigError(
+                    f"custom_table: theta must cover the grid's nodes "
+                    f"[{grid.theta[0]:.6g}, {grid.theta[-1]:.6g}] (radians), "
+                    f"got [{theta[0]:.6g}, {theta[-1]:.6g}]")
+            base = np.interp(grid.theta, theta, self.table_r)
         if (base <= 0).any():
             raise ConfigError("initial radius must be positive everywhere")
         if grid.mode == "latlong2d":

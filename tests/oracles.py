@@ -20,6 +20,20 @@ from icflow import curvature as cf
 from icflow.errors import FlowError, InadmissibleState
 
 
+def radius_at_lambda(profile, lam):
+    """The radius at which profile.lambda_of_r comes nearest the warp
+    value lam: the table's radius range bisected to adjacent doubles, and
+    the nearer of the two. It places an umbilic sphere by its lambda."""
+    lo, hi = profile.r_horizon, profile.r_max
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if profile.lambda_of_r(mid) < lam:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda r: abs(float(profile.lambda_of_r(r)) - lam))
+
+
 def _even_pad(v):
     return np.concatenate([v[:1], v, v[-1:]])
 

@@ -18,7 +18,7 @@ from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
 
-from oracles import revolution_principal_curvatures
+from oracles import radius_at_lambda, revolution_principal_curvatures
 
 
 def verdict(name, ok, detail=""):
@@ -60,7 +60,7 @@ def a3_run():
 
 def test_A1_umbilic_exactness():
     prof = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), 6.0)
-    r0 = float(prof.radius_from_lambda(2.0))
+    r0 = radius_at_lambda(prof, 2.0)
     finals = {}
     worst_defect = 0.0
     worst_time = 0.0

@@ -132,8 +132,6 @@ class TestWarpProfile:
         r = np.linspace(prof_m1.r_horizon + 0.01, prof_m1.r_max - 0.5, 500)
         lam = prof_m1.lambda_of_r(r)
         assert np.all(np.diff(lam) > 0)
-        back = prof_m1.radius_from_lambda(lam)
-        assert np.max(np.abs(back - r)) < 1e-9
 
     def test_asymptotic_expansion_m1(self, prof_m1):
         # remainder after the first correction term scales like sinh^-4,
@@ -175,8 +173,7 @@ class TestWarpProfile:
         assert limit == 140.0
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), limit)
         if m:
-            assert all(np.isfinite(tab.rows).all() for tab in
-                       (prof._by_r, prof._by_phi, prof._by_lam))
+            assert all(np.isfinite(tab.rows).all() for tab in (prof._by_r, prof._by_phi))
         with pytest.raises(TableExtentError, match="r_max"):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 150.0))
 
@@ -262,9 +259,10 @@ class TestAmbientCurvature:
         assert abs(k_rad + 1.0) < 1e-12
 
     def test_m1_tangential_closed_form(self, prof_m1):
-        r = prof_m1.radius_from_lambda(2.0)
-        k_tan, _ = bg.ambient_sectional(prof_m1, r)
-        assert abs(k_tan - (-0.875)) < 1e-10
+        # K_tan = (1 - lambda'^2) / lambda^2 = -1 + m lambda^-3
+        lam = float(prof_m1.lambda_of_r(2.0))
+        k_tan, _ = bg.ambient_sectional(prof_m1, 2.0)
+        assert abs(k_tan - (-1.0 + lam ** -3)) < 1e-10
 
     def test_deviation_matches_closed_form(self, prof_m1):
         r = np.linspace(0.5, 10.0, 200)
@@ -400,15 +398,14 @@ class TestRanges:
     profile is built, and refuses a value outside it, non-finite values
     included."""
 
-    ACCESSORS = ["lambda_of_r", "gauge_from_radius", "radius_from_lambda",
-                 "radius_from_gauge", "warp_from_gauge"]
+    ACCESSORS = ["lambda_of_r", "gauge_from_radius", "radius_from_gauge", "warp_from_gauge"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("m", [0.0, 1.0])
     @pytest.mark.parametrize("name", ACCESSORS)
     def test_non_finite_refused(self, prof_m0, prof_m1, name, m, bad):
         prof = prof_m1 if m else prof_m0
-        inside = {"lambda_of_r": 2.0, "gauge_from_radius": 2.0, "radius_from_lambda": 2.0,
+        inside = {"lambda_of_r": 2.0, "gauge_from_radius": 2.0,
                   "radius_from_gauge": float(prof.gauge_from_radius(2.0)),
                   "warp_from_gauge": float(prof.gauge_from_radius(2.0))}[name]
         with pytest.raises(TableExtentError):
@@ -425,11 +422,8 @@ class TestRanges:
             warnings.simplefilter("error")
             assert np.isfinite(prof_m0.gauge_from_radius(r_lo))
             assert prof_m0.lambda_of_r(r_lo) == np.sinh(r_lo)
-            assert prof_m0.radius_from_lambda(np.sinh(r_lo)) == r_lo
             for bad in (below, 1e-17, 0.0, -5e-13):
                 with pytest.raises(TableExtentError, match="^radius outside tabulated range$"):
                     prof_m0.lambda_of_r(bad)
                 with pytest.raises(TableExtentError, match="^radius outside tabulated range$"):
                     prof_m0.gauge_from_radius(bad)
-            with pytest.raises(TableExtentError, match="^warp value outside tabulated range$"):
-                prof_m0.radius_from_lambda(np.sinh(below))

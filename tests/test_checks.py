@@ -2,6 +2,7 @@ import time
 
 from icflow import background as bg
 from icflow import checks
+from icflow import curvature as cf
 
 
 class _BrokenProfile:
@@ -31,4 +32,22 @@ def test_suite_passes_and_is_fast(capsys):
 def test_contraction_check_detects_broken_warp():
     prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 8.0)
     ok, _ = checks.check_contraction_identity(profile=_BrokenProfile(prof))
+    assert not ok
+
+
+def test_umbilic_exactness_check_detects_broken_warp_derivative(monkeypatch):
+    # kappa = lambda' / lambda off by 1e-3 relative: the defect reads 1.3e-3
+    # (8.6e-4 on the m = 2 sphere alone)
+    lam_p = bg.WarpProfile.lambda_p_of_lambda
+    monkeypatch.setattr(bg.WarpProfile, "lambda_p_of_lambda",
+                        lambda self, lam: 1.001 * lam_p(self, lam))
+    ok, _ = checks.check_umbilic_exactness()
+    assert not ok
+
+
+def test_umbilic_flow_law_check_detects_broken_speed(monkeypatch):
+    # F 1% too large slows the growth: the law's defect reads 2.5e-3
+    value = cf._value
+    monkeypatch.setattr(cf, "_value", lambda f, e: 1.01 * value(f, e))
+    ok, _ = checks.check_umbilic_flow_law()
     assert not ok

@@ -18,6 +18,8 @@ from icflow import geometry as geo
 from icflow import sphere as sp
 from icflow.errors import ConfigError, InadmissibleState
 
+from oracles import radius_at_lambda
+
 BASE = """
 [background]
 m = {m}
@@ -210,7 +212,7 @@ class TestRunCommand:
         # transient): the fit over [1.2, 2.7] reads about -0.675 against
         # <= -0.85, and every other check passes
         prof = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), 6.0)
-        r0 = float(prof.radius_from_lambda(2.0))
+        r0 = radius_at_lambda(prof, 2.0)
         cfg = write_config(
             tmp_path / "c.ini", m=2.0, n_theta=48,
             initial_extra=f"r0 = {r0!r}", t_end=3.0, dt_max="1e-3",

@@ -10,6 +10,8 @@ from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
 
+from oracles import radius_at_lambda
+
 
 def synthetic_series(times, values):
     """A series started on a unit sphere at m = 0, holding synthetic records."""
@@ -47,7 +49,7 @@ class TestSnapshot:
         # at lambda = 2, m = 2: lambda'^2 = 1 + 4 - 1 = 4, kappa = 1 exactly
         prof = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), 6.0)
         grid = sp.build_grid("axisymmetric1d", 32)
-        r0 = float(prof.radius_from_lambda(2.0))
+        r0 = radius_at_lambda(prof, 2.0)
         state = geo.state_from_radius(grid, prof, np.full(32, r0))
         ext = flow.evaluate(state, cf.from_name("mean", 2))
         rec = dg.snapshot(state, ext, pinch_ref=(2.0, 2.0))
@@ -148,7 +150,7 @@ class TestLimitProfile:
     def test_umbilic_mass2_limit_value(self):
         # constant data at lambda_0 = 2: r - t/2 -> log(2 lambda_0) = log 4
         prof = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), 8.0)
-        r0 = float(prof.radius_from_lambda(2.0))
+        r0 = radius_at_lambda(prof, 2.0)
         cfg = flow.FlowConfig(
             background=bg.BackgroundParams(m=2.0, n=2),
             grid_mode="axisymmetric1d",

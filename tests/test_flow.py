@@ -19,7 +19,7 @@ from icflow.errors import (
     TableExtentError,
 )
 
-from oracles import reference_speed, reference_stable_dt
+from oracles import radius_at_lambda, reference_speed, reference_stable_dt
 
 
 def make_config(**kw):
@@ -94,7 +94,7 @@ class TestRhs:
     def test_umbilic_reduces_to_radial_law(self, prof_m2):
         # constant data: speed = 1/(n lambda')
         grid = sp.build_grid("axisymmetric1d", 32)
-        r0 = float(prof_m2.radius_from_lambda(2.0))
+        r0 = radius_at_lambda(prof_m2, 2.0)
         state = geo.state_from_radius(grid, prof_m2, np.full(32, r0))
         speed = rhs(state, cf.from_name("mean", 2))
         lam_p = float(prof_m2.lambda_p_of_lambda(2.0))
@@ -275,7 +275,7 @@ class TestRun:
             t_end=3.0,
         )
         prof = bg.build_warp_profile(cfg.background, 6.0)
-        r0 = float(prof.radius_from_lambda(2.0))
+        r0 = radius_at_lambda(prof, 2.0)
         cfg = make_config(
             background=cfg.background,
             initial=flow.InitialData(kind="constant", r0=r0),

@@ -11,7 +11,7 @@ from icflow import geometry as geo
 from icflow import sphere as sp
 from icflow.errors import FlowError, InadmissibleState, TableExtentError
 
-from oracles import revolution_principal_curvatures
+from oracles import radius_at_lambda, revolution_principal_curvatures
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestUmbilic:
 
     def test_geodesic_sphere_m2(self, prof_m2):
         grid = sp.build_grid("axisymmetric1d", 48)
-        r0 = float(prof_m2.radius_from_lambda(2.0))
+        r0 = radius_at_lambda(prof_m2, 2.0)
         state = geo.state_from_radius(grid, prof_m2, np.full(48, r0))
         ext = geo.compute_extrinsic(state)
         lam_p = prof_m2.lambda_p_of_lambda(2.0)

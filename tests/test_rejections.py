@@ -96,6 +96,11 @@ REJECTIONS = {
     "table_nan": (lambda: table((0.0, 3.2), (1.5, float("nan"))), "custom_table needs"),
     "table_theta_decreasing": (lambda: table((3.2, 1.6, 0.0), (1.5, 1.6, 1.5)),
                                "strictly increasing"),
+    # theta over [0, 1] on N_theta = 32: np.interp would hold 22 nodes at
+    # the table's last r
+    "table_short_of_the_grid": (
+        lambda: table((0.0, 1.0), (1.5, 1.6)).radius_on(sp.build_grid("axisymmetric1d", 32)),
+        r"theta must cover the grid's nodes \[0\.0490874, 3\.09251\] \(radians\), got \[0, 1\]"),
     "report_window_reversed": (lambda: dg.ReportConfig(window=(9.0, 4.0)),
                                r"0 <= start < end"),
     "report_window_one_value": (lambda: dg.ReportConfig(window=(1,)),
