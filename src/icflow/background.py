@@ -52,14 +52,17 @@ the same asymptotic form of lambda,
 
 and below it from the quadrature increments summed downward.
 
-The flow reads the profile through two lookups. The radius table
-indexes lambda and phi together by r, which places the start state. The
-gauge table indexes r and lambda together by phi: dr/dphi = lambda,
-dlambda/dphi = lambda lambda', and the second derivatives follow in
-closed form, so a time step finds both from one interval search.
+The flow reads the profile through two tables. The radius table
+indexes lambda and phi by r, which places the start state. The gauge
+table indexes r and lambda by phi: dr/dphi = lambda, dlambda/dphi =
+lambda lambda', and the second derivatives follow in closed form. Each
+lookup evaluates one function: a stage reads lambda by phi alone, and r
+by phi is looked up only where a radius is read.
 
 Every accessor judges its argument against one range before it looks
-anything up, and refuses a value outside it, NaN included.
+anything up, and refuses a value outside it, NaN included. The gauge
+range is narrowed at build to the phi whose r lies in the radius range,
+so one test on phi refuses every gauge past either end of the table.
 """
 
 from __future__ import annotations
@@ -100,8 +103,6 @@ _GRADE = 64
 # first overflow is the node value d^2 lambda / d phi^2 ~ lambda^3 of the
 # gauge table, near r = 237.
 R_TABLE_LIMIT = 140.0
-
-_DOUBLE_MAX = float(np.finfo(float).max)
 
 
 def _bisect(below, lo, hi):
@@ -198,15 +199,17 @@ class WarpProfile:
     derivative accessors.
 
     Immutable after construction; all accessors are pure and accept
-    scalars or arrays. build_warp_profile fixes two lookups and the range
-    of each one's argument: (lambda, phi) by r, which places the start
-    state, and (r, lambda) by phi, which every stage reads. For m > 0
-    they are quintic Hermite tables; for m = 0 they are the closed forms
-    sinh, -2 artanh(e^(-r)) and -log tanh(-phi/2). Each accessor is one
-    range test (_judge) and one lookup. The ranges let slivers of
-    about 1e-12 through, across which a table extends its end piece. The
-    radius range is [r_horizon, r_max] for m > 0; for m = 0 it starts at
-    the smallest r whose gauge is finite (about 4.5e-17).
+    scalars or arrays. build_warp_profile fixes four lookups, each of one
+    function, and the range of each argument: lambda and phi by r, which
+    place the start state, and r and lambda by phi, of which every stage
+    reads lambda. For m > 0 they are quintic Hermite tables; for m = 0
+    they are the closed forms sinh, -2 artanh(e^(-r)), -log tanh(-phi/2)
+    and the sinh of the last. Each accessor is one range test (_judge)
+    and one lookup. The ranges let slivers of about 1e-12 through, across
+    which a table extends its end piece. The radius range is
+    [r_horizon, r_max] for m > 0; for m = 0 it starts at the smallest r
+    whose gauge is finite (about 4.5e-17). The gauge range holds exactly
+    the phi of that sliver-wide range whose r lies in the radius range.
     """
 
     params: BackgroundParams
@@ -215,15 +218,21 @@ class WarpProfile:
     r_horizon: float
     table_r: np.ndarray
     table_lam: np.ndarray
-    _by_r: Callable = field(repr=False)
-    _by_phi: Callable = field(repr=False)
+    _lam_by_r: Callable = field(repr=False)
+    _phi_by_r: Callable = field(repr=False)
+    _r_by_phi: Callable = field(repr=False)
+    _lam_by_phi: Callable = field(repr=False)
     _r_range: tuple = field(repr=False)
     _phi_range: tuple = field(repr=False)
 
     # -- warp factor and derivatives -------------------------------------
 
     def lambda_of_r(self, r):
-        return self._by_r(_judge(r, *self._r_range, "radius"))[0]
+        return self._lam_by_r(_judge(r, *self._r_range, "radius"))
+
+    def lambda_from_gauge(self, phi):
+        """lambda at the gauge phi: the one lookup of every stage."""
+        return self._lam_by_phi(_judge(phi, *self._phi_range, "gauge value"))
 
     def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -242,18 +251,11 @@ class WarpProfile:
 
     def gauge_from_radius(self, r):
         """phi = -integral_r^infinity ds/lambda(s)."""
-        return self._by_r(_judge(r, *self._r_range, "radius"))[1]
+        return self._phi_by_r(_judge(r, *self._r_range, "radius"))
 
     def radius_from_gauge(self, phi):
         """Inverse of gauge_from_radius."""
-        return self.warp_from_gauge(phi)[0]
-
-    def warp_from_gauge(self, phi):
-        """(r, lambda) at the gauge phi from one lookup; phi is judged
-        first, then r, by one min and one max each."""
-        r, lam = self._by_phi(_judge(phi, *self._phi_range, "gauge value"))
-        _judge(r, *self._r_range, "radius")
-        return r, lam
+        return self._r_by_phi(_judge(phi, *self._phi_range, "gauge value"))
 
     # -- self checks ------------------------------------------------------
 
@@ -273,8 +275,8 @@ class WarpProfile:
         else:
             r = self.table_r
             pts = np.concatenate([r[1:], 0.5 * (r[:-1] + r[1:])])
-            lam = self._by_r(pts)[0]
-            d = self._by_r.derivative()(pts)[0]
+            lam = self._lam_by_r(pts)
+            d = self._lam_by_r.derivative()(pts)
         target = 1.0 + lam * lam - m * lam ** (1 - n)
         return float(np.max(np.abs(d * d - target) / (1.0 + lam * lam)))
 
@@ -348,52 +350,78 @@ def _hermite(x, f, fp, fpp):
 
 
 class _Piecewise:
-    """Piecewise polynomials of one degree on shared breakpoints x, one per
-    coefficient list in `funcs` (as _hermite returns them).
+    """A piecewise polynomial on the breakpoints x, from one coefficient
+    list (as _hermite returns it).
 
-    Column i of `rows` holds x_i, h_i and then, for each power t^k in
-    turn, the coefficients of every function, so one np.take gathers all a
-    query needs into contiguous rows. One searchsorted on the interior
-    breakpoints picks each query's interval, and a query past either end
-    extends the end piece. Horner runs in t = (x - x_i) / h_i.
+    Column i of `rows` holds x_i, h_i and then the coefficients of t^0,
+    t^1, ..., so one np.take gathers all a query needs into contiguous
+    rows. One searchsorted on the interior breakpoints picks each query's
+    interval, and a query past either end extends the end piece. Horner
+    runs in t = (x - x_i) / h_i.
     """
 
-    def __init__(self, x, *funcs):
+    def __init__(self, x, coeffs):
         self.x = x
         self._inner = x[1:-1]
-        self.cols = len(funcs)
-        self.rows = np.array([x[:-1], np.diff(x), *(a for ak in zip(*funcs) for a in ak)])
+        self.rows = np.array([x[:-1], np.diff(x), *coeffs])
 
     def __call__(self, xq):
-        """The functions at xq, stacked along a new first axis."""
         xq = np.asarray(xq, dtype=float)
         q = xq.ravel()
         g = self.rows.take(self._inner.searchsorted(q, "right"), axis=1)
-        t = np.concatenate([(q - g[0]) / g[1]] * self.cols)
-        c = g[2:].reshape(-1, t.size)
-        p = c[-1] * t
-        for ck in c[-2:0:-1]:
+        t = (q - g[0]) / g[1]
+        p = g[-1] * t
+        for ck in g[-2:2:-1]:
             p += ck
             p *= t
-        p += c[0]
-        return p.reshape((self.cols,) + xq.shape)
+        p += g[2]
+        return p.reshape(xq.shape)[()]      # a scalar query gives a scalar
 
     def derivative(self):
-        """d/dx of the functions, as a _Piecewise one degree lower."""
-        h = self.rows[1]
-        c = self.rows[2:].reshape(-1, self.cols, len(h))
-        return _Piecewise(self.x, *([k * c[k, j] / h for k in range(1, len(c))]
-                                    for j in range(self.cols)))
+        """d/dx, as a _Piecewise one degree lower."""
+        h, c = self.rows[1], self.rows[2:]
+        return _Piecewise(self.x, [k * c[k] / h for k in range(1, len(c))])
 
 
-# the m = 0 lookups: closed forms, returning what the tables would stack
-def _massless_by_r(r):
-    return np.sinh(r), -2.0 * np.arctanh(np.exp(-r))
+# the m = 0 lookups: closed forms
+def _massless_gauge(r):
+    return -2.0 * np.arctanh(np.exp(-r))
 
 
-def _massless_by_phi(phi):
-    r = -np.log(np.tanh(-0.5 * phi))
-    return r, np.sinh(r)
+def _massless_radius(phi):
+    return -np.log(np.tanh(-0.5 * phi))
+
+
+def _massless_lambda_by_gauge(phi):
+    return np.sinh(_massless_radius(phi))
+
+
+# where _last_inside probes its bracket, as fractions of it
+_PROBES = np.linspace(0.0, 1.0, 257)
+
+
+def _last_inside(radius, r_range, a, b):
+    """The last gauge from a toward b whose radius lies in r_range, for
+    radius monotone and radius(a) inside. Each round looks radius up at
+    257 evenly spaced doubles of the bracket at once and keeps the two
+    across which it leaves r_range, so a bracket of 2^k doubles takes
+    about k / 8 lookups."""
+    while True:
+        x = a + (b - a) * _PROBES
+        x[-1] = b
+        r = radius(x)
+        ok = (r_range[0] <= r) & (r <= r_range[1])
+        if ok[-1]:
+            return float(b)
+        i = int(np.argmin(ok))
+        a, b = x[i - 1], x[i]
+        if np.nextafter(a, b) == b:
+            return float(a)
+
+
+# the lower end of every massless gauge range: below it tanh(-phi/2)
+# rounds to 1 and r to 0, under the radius range (as it does below -40)
+_PHI_MIN_MASSLESS = _last_inside(_massless_radius, (_R_MIN_MASSLESS, math.inf), -1.0, -40.0)
 
 
 def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
@@ -410,13 +438,16 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     m, n = params.m, params.n
     if m == 0.0:
         table_r = np.linspace(0.0, r_max, 513)
-        r_lo = _R_MIN_MASSLESS
+        r_range = (_R_MIN_MASSLESS, r_max * (1 + 1e-14))
+        top = float(_massless_gauge(r_max))
         return WarpProfile(
             params=params, r_max=float(r_max), s0=0.0, r_horizon=0.0,
             table_r=table_r, table_lam=np.sinh(table_r),
-            _by_r=_massless_by_r, _by_phi=_massless_by_phi,
-            _r_range=(r_lo, r_max * (1 + 1e-14)),
-            _phi_range=(-_DOUBLE_MAX, float(_massless_by_r(r_max)[1]) * (1 - 1e-12)),
+            _lam_by_r=np.sinh, _phi_by_r=_massless_gauge, _r_by_phi=_massless_radius,
+            _lam_by_phi=_massless_lambda_by_gauge,
+            _r_range=r_range,
+            _phi_range=(_PHI_MIN_MASSLESS, _last_inside(_massless_radius, r_range,
+                                                        top, top * (1 - 1e-12))),
         )
 
     s0 = solve_horizon(params)
@@ -460,17 +491,24 @@ def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
     lam_pp = lam_nodes + 0.5 * m * (n - 1) * lam_nodes ** (-n)
 
     r_lo, r_hi = float(r_nodes[0]), float(r_nodes[-1])
+    r_range = (r_lo - 1e-12, r_hi * (1 + 1e-14))
+    r_by_phi = _Piecewise(phi, _hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p))
+    # a sliver of 1e-12 past each end node, narrowed to the phi whose r lies
+    # in r_range; the end nodes map to r_lo and r_hi, and phi[-1] is about
+    # -2 e^(-r_max), so its sliver is relative
+    phi_range = (_last_inside(r_by_phi, r_range, float(phi[0]), float(phi[0]) - 1e-12),
+                 _last_inside(r_by_phi, r_range, float(phi[-1]), float(phi[-1]) * (1 - 1e-12)))
     return WarpProfile(
         params=params, r_max=r_hi, s0=float(s0), r_horizon=r_lo,
         table_r=r_nodes, table_lam=lam_nodes,
-        _by_r=_Piecewise(r_nodes, _hermite(r_nodes, lam_nodes, lam_p, lam_pp),
-                         _hermite(r_nodes, phi, 1.0 / lam_nodes, -lam_p / lam_nodes ** 2)),
-        _by_phi=_Piecewise(phi, _hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p),
-                           _hermite(phi, lam_nodes, lam_nodes * lam_p,
-                                    lam_nodes * (lam_p * lam_p + lam_nodes * lam_pp))),
-        _r_range=(r_lo - 1e-12, r_hi * (1 + 1e-14)),
-        # phi[-1] is about -2 e^(-r_max): its sliver is relative
-        _phi_range=(float(phi[0]) - 1e-12, float(phi[-1]) * (1 - 1e-12)),
+        _lam_by_r=_Piecewise(r_nodes, _hermite(r_nodes, lam_nodes, lam_p, lam_pp)),
+        _phi_by_r=_Piecewise(r_nodes, _hermite(r_nodes, phi, 1.0 / lam_nodes,
+                                               -lam_p / lam_nodes ** 2)),
+        _r_by_phi=r_by_phi,
+        _lam_by_phi=_Piecewise(phi, _hermite(phi, lam_nodes, lam_nodes * lam_p,
+                                             lam_nodes * (lam_p * lam_p + lam_nodes * lam_pp))),
+        _r_range=r_range,
+        _phi_range=phi_range,
     )
 
 

@@ -12,8 +12,10 @@ v / (lambda F(kappa)). Each state the stepper touches (accepted,
 midpoint, end) is evaluated once, and the end state inside the step's
 retry loop, so an end state outside the cone is retried like a midpoint.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
-so it resolves radius at any r; the radius field is refreshed from phi
-through the tabulated gauge inverse after every substep.
+so it resolves radius at any r. A stage reads only lambda of its gauge
+(WarpProfile.lambda_from_gauge); a state's radius field is looked up
+through the tabulated gauge inverse only where it is read, at the
+snapshots.
 
 Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
@@ -97,6 +99,11 @@ class InitialData:
                                   "columns of equal length, at least two finite values each")
             if not (np.diff(theta) > 0).all():     # np.interp needs increasing theta
                 raise ConfigError("custom_table: theta must be strictly increasing")
+            # a table in degrees covers the grid too, and would read as
+            # nearly round
+            if theta[-1] > 2.0 * math.pi:
+                raise ConfigError(f"custom_table: theta is in radians, got theta up to "
+                                  f"{theta[-1]:.6g}, past 2 pi")
 
     def radius_on(self, grid) -> np.ndarray:
         if self.kind == "constant":

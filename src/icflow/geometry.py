@@ -32,7 +32,7 @@ combination loses all significant digits at large radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,15 +51,25 @@ from .sphere import (
 
 @dataclass
 class GraphState:
-    """The evolving surface at one instant: gauge field, radius, warp
-    factor lambda(r) at each node, and time."""
+    """The evolving surface at one instant: gauge field, warp factor
+    lambda(r) at each node, and time. The radius field r is the one
+    state_from_radius was given, or else it is looked up from phi
+    (WarpProfile.radius_from_gauge) when first read and then kept: a
+    stage reads only phi and lambda."""
 
     t: float
     grid: SphereGrid
     phi: ScalarField
-    r: ScalarField
     lam: np.ndarray
     profile: WarpProfile
+    _r: Optional[ScalarField] = field(default=None, repr=False, compare=False)
+
+    @property
+    def r(self) -> ScalarField:
+        if self._r is None:
+            self._r = ScalarField.unchecked(
+                self.grid, self.profile.radius_from_gauge(self.phi.values))
+        return self._r
 
 
 def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
@@ -68,29 +78,30 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
     return GraphState(
         t=float(t), grid=grid,
         phi=ScalarField(grid, phi),
-        r=ScalarField(grid, r_values),
         lam=profile.lambda_of_r(r_values),
         profile=profile,
+        _r=ScalarField(grid, r_values),
     )
 
 
 def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
-    """The state at the gauge phi_values, with r and lambda from one
-    lookup (WarpProfile.warp_from_gauge), which judges phi and then r by
-    one min and one max each. A wrong shape is a ConfigError. Only when
-    the lookup refuses a value is phi built as a checked ScalarField, so
-    that a non-finite value is named (FlowError) before a finite value
-    past the table (TableExtentError)."""
+    """The state at the gauge phi_values, with lambda from one lookup
+    (WarpProfile.lambda_from_gauge), whose one min and one max refuse
+    every gauge whose radius lies past the table; r is looked up only if
+    it is read. A wrong shape is a ConfigError. Only when the lookup
+    refuses a value is phi built as a checked ScalarField, so that a
+    non-finite value is named (FlowError) before a finite value past the
+    table (TableExtentError)."""
     phi = np.asarray(phi_values, dtype=float)
     if phi.shape != grid.field_shape:
         ScalarField(grid, phi)      # raises ConfigError
     try:
-        r, lam = profile.warp_from_gauge(phi)
+        lam = profile.lambda_from_gauge(phi)
     except TableExtentError:
         ScalarField(grid, phi)      # raises FlowError on a non-finite value
         raise
     return GraphState(t=float(t), grid=grid, phi=ScalarField.unchecked(grid, phi),
-                      r=ScalarField.unchecked(grid, r), lam=lam, profile=profile)
+                      lam=lam, profile=profile)
 
 
 @dataclass

@@ -48,11 +48,12 @@ def _frozen(a):
 @dataclass
 class SphereGrid:
     """Node layout plus the per-node trigonometry every stencil reads:
-    sin theta, cos theta and sin^2 theta, the round metric's psi-psi
-    component (broadcastable to field_shape), a zero field that stands for
-    the psi components of axisymmetric tensors and, on lat-long grids, the
-    polar filter's keep-mask over (row, azimuthal mode k), computed once
-    per grid and read-only."""
+    sin theta, cos theta, sin^2 theta (the round metric's psi-psi
+    component), sin theta cos theta and cot theta, broadcastable to
+    field_shape; a zero field that stands for the psi components of
+    axisymmetric tensors; and, on lat-long grids, the polar filter's
+    keep-mask over (row, azimuthal mode k). All are computed once per
+    grid and read-only."""
 
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
@@ -64,6 +65,8 @@ class SphereGrid:
     sin_theta: np.ndarray = field(init=False, repr=False, compare=False)
     cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
     sin2: np.ndarray = field(init=False, repr=False, compare=False)
+    sin_cos: np.ndarray = field(init=False, repr=False, compare=False)
+    cot: np.ndarray = field(init=False, repr=False, compare=False)
     zeros: np.ndarray = field(init=False, repr=False, compare=False)
     keep: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
@@ -72,6 +75,7 @@ class SphereGrid:
         if self.mode != "axisymmetric1d":
             s, c = s[:, None], c[:, None]
         self.sin_theta, self.cos_theta, self.sin2 = _frozen(s), _frozen(c), _frozen(s ** 2)
+        self.sin_cos, self.cot = _frozen(s * c), _frozen(c / s)
         self.zeros = _frozen(np.zeros(self.field_shape))
         if self.mode != "axisymmetric1d":
             # a mode on the threshold (k = 2j + 1 when d_psi = d_theta) is
@@ -202,11 +206,11 @@ def derivatives(f: ScalarField):
     p = _pad_theta(g, v)
     d_th = _dtheta(g, p)
     h_thth = _d2theta(g, p, v)
-    h_psps = g.sin_theta * g.cos_theta * d_th
+    h_psps = g.sin_cos * d_th
     if g.mode == "axisymmetric1d":
         return d_th, g.zeros, h_thth, g.zeros, h_psps
     d_ps, d2_ps = _psi_diffs(g, v)
-    h_thps = _dtheta(g, _pad_theta(g, d_ps)) - g.cos_theta / g.sin_theta * d_ps
+    h_thps = _dtheta(g, _pad_theta(g, d_ps)) - g.cot * d_ps
     return d_th, d_ps, h_thth, h_thps, h_psps + d2_ps
 
 
@@ -251,7 +255,7 @@ def hessian_mixed(grid: SphereGrid, d_th, hess):
     h_thth, h_thps, h_psps = hess
     h11 = h_psps / grid.sin2
     ends = slice(None, None, grid.n_theta - 1)     # rows 0 and n_theta - 1
-    c = h_thth[ends] - grid.cos_theta[ends] / grid.sin_theta[ends] * d_th[ends]
+    c = h_thth[ends] - grid.cot[ends] * d_th[ends]
     # the mean along psi: over no axis on axisymmetric grids
     h11[ends] += np.mean(c, axis=tuple(range(1, c.ndim)), keepdims=True)
     return h_thth, h_thps / grid.sin_theta, h11

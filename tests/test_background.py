@@ -173,7 +173,8 @@ class TestWarpProfile:
         assert limit == 140.0
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), limit)
         if m:
-            assert all(np.isfinite(tab.rows).all() for tab in (prof._by_r, prof._by_phi))
+            assert all(np.isfinite(tab.rows).all() for tab in (
+                prof._lam_by_r, prof._phi_by_r, prof._r_by_phi, prof._lam_by_phi))
         with pytest.raises(TableExtentError, match="r_max"):
             bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 150.0))
 
@@ -183,7 +184,7 @@ class TestWarpProfile:
         # from the table's own node values and derivatives
         prof = {"m1": prof_m1, "m2": prof_m2}[which]
         x, lam = prof.table_r, prof.table_lam
-        lam_p = prof._by_r.derivative()(x)[0]
+        lam_p = prof._lam_by_r.derivative()(x)
         lam_pp = prof.lambda_pp_of_lambda(lam)
         phi = prof.gauge_from_radius(x)
         lam_ref = BPoly.from_derivatives(x, np.stack([lam, lam_p, lam_pp], axis=1))
@@ -348,9 +349,8 @@ class TestGauge:
         # lambda(phi) from the gauge table agrees with lambda(r(phi)) over
         # the whole table, up to the rounding of r
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 40.0)
-        phi = np.linspace(prof._by_phi.x[0], prof._by_phi.x[-1], 100001)
-        r, lam = prof.warp_from_gauge(phi)
-        assert np.array_equal(r, prof.radius_from_gauge(phi))
+        phi = np.linspace(prof._r_by_phi.x[0], prof._r_by_phi.x[-1], 100001)
+        r, lam = prof.radius_from_gauge(phi), prof.lambda_from_gauge(phi)
         assert np.max(np.abs(lam / prof.lambda_of_r(r) - 1.0)) <= tol
 
     def test_fused_lookup_near_a_resolved_horizon(self):
@@ -366,9 +366,9 @@ class TestGauge:
         dr_du = lambda u: 2.0 / math.sqrt(bg._h_of_w(u * u, s0, m, n))
         worst = 0.0
         for u in np.linspace(0.001, 0.3, 40):
-            phi = prof._by_phi.x[0] + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
+            phi = prof._r_by_phi.x[0] + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
                                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            _, lam = prof.warp_from_gauge(phi)
+            lam = prof.lambda_from_gauge(phi)
             worst = max(worst, abs(lam / (s0 + u * u) - 1.0))
         assert worst <= 5e-14
 
@@ -398,7 +398,7 @@ class TestRanges:
     profile is built, and refuses a value outside it, non-finite values
     included."""
 
-    ACCESSORS = ["lambda_of_r", "gauge_from_radius", "radius_from_gauge", "warp_from_gauge"]
+    ACCESSORS = ["lambda_of_r", "gauge_from_radius", "radius_from_gauge", "lambda_from_gauge"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("m", [0.0, 1.0])
@@ -407,9 +407,58 @@ class TestRanges:
         prof = prof_m1 if m else prof_m0
         inside = {"lambda_of_r": 2.0, "gauge_from_radius": 2.0,
                   "radius_from_gauge": float(prof.gauge_from_radius(2.0)),
-                  "warp_from_gauge": float(prof.gauge_from_radius(2.0))}[name]
+                  "lambda_from_gauge": float(prof.gauge_from_radius(2.0))}[name]
         with pytest.raises(TableExtentError):
             getattr(prof, name)(np.array([inside, bad, inside]))
+
+    @pytest.mark.parametrize("m", [0.0, 1e-6, 1.0, 100.0])
+    def test_gauge_range_refuses_what_phi_then_r_refused(self, m):
+        # the gauge range is narrowed at build, so that its one test
+        # refuses what the sliver-wide phi range and then the radius range
+        # of r(phi) refused: probed at the 40 doubles on either side of each
+        # end, at the wide range's ends and, at m = 0, across phi ~ -38,
+        # below which r rounds to 0
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
+        if m == 0.0:
+            top = float(prof.gauge_from_radius(prof.r_max))
+            wide = (-np.finfo(float).max, top * (1 - 1e-12))
+        else:
+            nodes = prof._r_by_phi.x
+            wide = (float(nodes[0]) - 1e-12, float(nodes[-1]) * (1 - 1e-12))
+        lo, hi = prof._phi_range
+        assert wide[0] <= lo and hi < wide[1]
+        probes = [wide[0], wide[1], np.nextafter(wide[1], 1.0)]
+        for end in (lo, hi):
+            for direction in (-math.inf, math.inf):
+                phi = end
+                for _ in range(40):
+                    probes.append(phi)
+                    phi = np.nextafter(phi, direction)
+        if m == 0.0:
+            assert -39.0 < lo < -37.0
+            probes += list(np.linspace(-40.0, -36.0, 4001))
+        r_lo, r_hi = prof._r_range
+        for phi in probes:
+            r = prof._r_by_phi(phi)
+            refused_before = not (wide[0] <= phi <= wide[1] and r_lo <= r <= r_hi)
+            for name in ("radius_from_gauge", "lambda_from_gauge"):
+                try:
+                    getattr(prof, name)(phi)
+                    refused = False
+                except TableExtentError:
+                    refused = True
+                assert refused == refused_before, (name, phi)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ACCESSORS)
+    def test_scalar_in_scalar_out(self, prof_m0, prof_m1, name, m):
+        # a float query gives a numpy float at every mass, as the ufuncs of
+        # the m = 0 closed forms do; an array gives an array of its shape
+        prof = prof_m1 if m else prof_m0
+        x = 2.0 if name in ("lambda_of_r", "gauge_from_radius") else \
+            float(prof.gauge_from_radius(2.0))
+        assert type(getattr(prof, name)(x)) is np.float64
+        assert getattr(prof, name)(np.full((2, 3), x)).shape == (2, 3)
 
     def test_massless_radius_floor(self, prof_m0):
         # the m = 0 radius range starts at the smallest r whose gauge

@@ -188,7 +188,7 @@ def ref_lambda_of_r(prof, r):
     r = _ref_check_r(prof, r)
     if prof.params.m == 0.0:
         return np.sinh(r)
-    return prof._by_r(r)[0]
+    return prof._lam_by_r(r)
 
 
 def ref_gauge_from_radius(prof, r):
@@ -197,7 +197,7 @@ def ref_gauge_from_radius(prof, r):
         if (r <= 0.0).any():
             raise TableExtentError("radius")
         return -2.0 * np.arctanh(np.exp(-r))
-    return prof._by_r(r)[1]
+    return prof._phi_by_r(r)
 
 
 def ref_warp_from_gauge(prof, phi):
@@ -207,16 +207,20 @@ def ref_warp_from_gauge(prof, phi):
             raise TableExtentError("gauge value")
         r = _ref_check_r(prof, -np.log(np.tanh(-0.5 * phi)))
         return r, np.sinh(r)
-    lo, hi = prof._by_phi.x[0] - 1e-12, prof._by_phi.x[-1] * (1 - 1e-12)
+    lo, hi = prof._r_by_phi.x[0] - 1e-12, prof._r_by_phi.x[-1] * (1 - 1e-12)
     if (phi < lo).any() or (phi > hi).any():
         raise TableExtentError("gauge value")
-    r, lam = prof._by_phi(phi)
+    r, lam = prof._r_by_phi(phi), prof._lam_by_phi(phi)
     _ref_check_r(prof, r)
     return r, lam
 
 
 def ref_radius_from_gauge(prof, phi):
     return ref_warp_from_gauge(prof, phi)[0]
+
+
+def ref_lambda_from_gauge(prof, phi):
+    return ref_warp_from_gauge(prof, phi)[1]
 
 
 def ref_state_from_gauge(grid, prof, phi):
@@ -227,7 +231,7 @@ def ref_state_from_gauge(grid, prof, phi):
 
 LOOKUPS = [("lambda_of_r", ref_lambda_of_r), ("gauge_from_radius", ref_gauge_from_radius),
            ("radius_from_gauge", ref_radius_from_gauge),
-           ("warp_from_gauge", ref_warp_from_gauge)]
+           ("lambda_from_gauge", ref_lambda_from_gauge)]
 
 
 def _outcome(fn, *args):
@@ -374,7 +378,7 @@ def test_lookups_match_reference_bit_for_bit(m):
     r = np.linspace(prof.r_horizon, prof.r_max, 20001)[int(m == 0.0):]
     phi = np.linspace(ref_gauge_from_radius(prof, r[0]), ref_gauge_from_radius(prof, r[-1]), 20001)
     args = {"lambda_of_r": r, "gauge_from_radius": r, "radius_from_gauge": phi,
-            "warp_from_gauge": phi}
+            "lambda_from_gauge": phi}
     for name, ref in LOOKUPS:
         x = args[name]
         assert _same(_outcome(getattr(prof, name), x), _outcome(ref, prof, x)), name
@@ -399,11 +403,11 @@ def test_lookups_refuse_what_the_reference_refused(m):
     if m == 0.0:
         probes["r"] = [x for x in probes["r"] if x > 0.0 or x < -1e-12]
     else:
-        phi_lo = float(prof._by_phi.x[0])
+        phi_lo = float(prof._r_by_phi.x[0])
         probes["r"].append(np.nextafter(r_lo - 1e-12, -9.0))
         probes["phi"] += [phi_lo - 1e-9, phi_lo - 1e-12, -1e300]
     kind = {"lambda_of_r": "r", "gauge_from_radius": "r",
-            "radius_from_gauge": "phi", "warp_from_gauge": "phi"}
+            "radius_from_gauge": "phi", "lambda_from_gauge": "phi"}
     refused = 0
     for name, ref in LOOKUPS:
         for x in probes[kind[name]]:
@@ -432,3 +436,16 @@ def test_state_from_gauge_matches_reference(make_state):
     for shape in [phi.ravel()[:-1], phi.ravel()[:-1] * math.nan]:
         assert _outcome(geo.state_from_gauge, grid, prof, shape) is ConfigError
         assert _outcome(ref_state_from_gauge, grid, prof, shape) is ConfigError
+
+
+@pytest.mark.parametrize("make_state", STATES)
+def test_state_from_gauge_reads_the_reference_radius(make_state):
+    # the state is built with lambda alone; r is looked up from phi when
+    # first read, kept, and equal to the reference's bit for bit
+    state = make_state()
+    grid, prof, phi = state.grid, state.profile, state.phi.values
+    new = geo.state_from_gauge(grid, prof, phi)
+    assert new._r is None
+    r = new.r
+    assert new.r is r
+    assert np.array_equal(r.values, ref_state_from_gauge(grid, prof, phi)[0])

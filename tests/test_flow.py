@@ -239,6 +239,26 @@ class TestStep:
         assert flow.stable_dt(new, f, ext) > 0.0
 
 
+def test_step_reads_no_radius(prof_m1, monkeypatch):
+    # a stage looks up lambda of its gauge alone; the new state's radius is
+    # looked up once, when first read, and a start state keeps its radii
+    calls = {"n": 0}
+    real = bg.WarpProfile.radius_from_gauge
+
+    def counted(self, phi):
+        calls["n"] += 1
+        return real(self, phi)
+
+    monkeypatch.setattr(bg.WarpProfile, "radius_from_gauge", counted)
+    grid = sp.build_grid("axisymmetric1d", 32)
+    state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
+    new = step(state, cf.from_name("mean", 2), 1e-3)
+    assert np.array_equal(state.r.values, 2.0 + 0.3 * np.cos(grid.theta))
+    assert calls["n"] == 0
+    assert new.r is new.r
+    assert calls["n"] == 1
+
+
 def stage_states():
     """Perturbed states on both grid modes, massless and with m = 1."""
     for m in (0.0, 1.0):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,10 +206,7 @@ class TestAmbientContractions:
 
         grid = sp.build_grid("axisymmetric1d", 64)
         state = perturbed_state(prof_m1, grid, r0=2.0, amp=0.3)
-        state = geo.GraphState(
-            t=state.t, grid=grid, phi=state.phi, r=state.r, lam=state.lam,
-            profile=BrokenProfile(prof_m1),
-        )
+        state = replace(state, profile=BrokenProfile(prof_m1))
         assert geo.contraction_consistency_residual(state) > 1e-3
 
 
@@ -327,7 +325,7 @@ class TestFailurePaths:
         for prof in (prof_m0, prof_m1):
             grid, phi = self.gauge(prof)
             state = geo.state_from_gauge(grid, prof, phi)
-            r, lam = prof.warp_from_gauge(phi)
+            r, lam = prof.radius_from_gauge(phi), prof.lambda_from_gauge(phi)
             assert state.phi.values is phi
             assert np.array_equal(state.r.values, r) and np.array_equal(state.lam, lam)
 

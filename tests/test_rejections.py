@@ -96,6 +96,9 @@ REJECTIONS = {
     "table_nan": (lambda: table((0.0, 3.2), (1.5, float("nan"))), "custom_table needs"),
     "table_theta_decreasing": (lambda: table((3.2, 1.6, 0.0), (1.5, 1.6, 1.5)),
                                "strictly increasing"),
+    # theta in degrees covers every grid, and would read as nearly round
+    "table_in_degrees": (lambda: table((0.0, 90.0, 180.0), (1.5, 1.6, 1.5)),
+                         r"theta is in radians, got theta up to 180, past 2 pi"),
     # theta over [0, 1] on N_theta = 32: np.interp would hold 22 nodes at
     # the table's last r
     "table_short_of_the_grid": (

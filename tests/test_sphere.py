@@ -53,6 +53,16 @@ class TestGrid:
         g = sp.build_grid("axisymmetric1d", 32)
         assert g.theta[0] > 0 and g.theta[-1] < np.pi
 
+    @pytest.mark.parametrize("mode, res", [("axisymmetric1d", 32), ("latlong2d", (16, 32))])
+    def test_trigonometry_once_per_grid(self, mode, res):
+        # the stencils read sin theta cos theta and cot theta from the
+        # grid: the products they computed on every call, read-only
+        g = sp.build_grid(mode, res)
+        assert np.array_equal(g.sin_cos, g.sin_theta * g.cos_theta)
+        assert np.array_equal(g.cot, g.cos_theta / g.sin_theta)
+        for a in (g.sin_theta, g.cos_theta, g.sin2, g.sin_cos, g.cot, g.zeros):
+            assert not a.flags.writeable
+
 
 class TestScalarField:
     def test_non_finite_values_are_a_flow_error(self):
