@@ -367,15 +367,14 @@ class _Piecewise:
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
-        q = xq.ravel()
-        g = self.rows.take(self._inner.searchsorted(q, "right"), axis=1)
-        t = (q - g[0]) / g[1]
+        g = self.rows.take(self._inner.searchsorted(xq, "right"), axis=1)
+        t = (xq - g[0]) / g[1]
         p = g[-1] * t
         for ck in g[-2:2:-1]:
             p += ck
             p *= t
         p += g[2]
-        return p.reshape(xq.shape)[()]      # a scalar query gives a scalar
+        return p[()]      # a scalar query gives a scalar
 
     def derivative(self):
         """d/dx, as a _Piecewise one degree lower."""

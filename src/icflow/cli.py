@@ -14,8 +14,9 @@ and fails nothing. The run exits 0 only if no check failed (1 on a check
 failure, 2 on a runtime or configuration error, an artifact that cannot
 be written among them).
 Identical configs produce byte-identical series files. A sweep
-runs up to --jobs combinations at once, capped by the CPU count;
-node-level arithmetic is vectorized and single-threaded per run.
+runs up to --jobs combinations at once, capped by the CPU count, and a
+worker that dies abruptly is a runtime error (2); node-level arithmetic
+is vectorized and single-threaded per run.
 """
 
 from __future__ import annotations
@@ -25,15 +26,13 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 from . import diagnostics as dg
 from . import flow
-from .checks import run_all
 from .config import RunConfig, parse_run_config
-from .errors import ConfigError, IcflowError
+from .errors import ConfigError, FlowError, IcflowError
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -164,8 +163,17 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_run_combo(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_combo, payloads))
+        # imported here, so that run and check never load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_run_combo, payloads))
+        except BrokenProcessPool as exc:
+            # a worker that dies abruptly (killed, a crash, os._exit) takes
+            # every pending result with it: a runtime error, not a failed check
+            raise FlowError(f"a sweep worker died abruptly: {exc}") from None
 
     rows = ["combo,slope_kappa,slope_grad,slope_hess,overall_pass,error"]
     any_error = any_failed = False
@@ -195,6 +203,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(_args) -> int:
+    from .checks import run_all
+
     return 0 if run_all() else 1
 
 

@@ -88,10 +88,13 @@ def _margin(f, e):
 
 def require_cone(f: CurvatureFunction, e, kappa, t=None):
     """The one cone test: e, the sigma_j of kappa, when every point lies in
-    the cone of f (one minimum per sigma_j, which a NaN fails). Otherwise
+    the cone of f (one minimum per sigma_j, which a NaN fails; sigma_1
+    first, and the higher ones only for a cone order above 1). Otherwise
     raises InadmissibleState naming the point of least margin, its kappa
     and t."""
-    if all(e[..., j].min() > 0.0 for j in range(1, f.cone_order + 1)):
+    order = f.cone_order
+    if e[..., 1].min() > 0.0 and (
+            order == 1 or all(e[..., j].min() > 0.0 for j in range(2, order + 1))):
         return e
     margin = _margin(f, e)
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin)), margin.shape))

@@ -56,7 +56,8 @@ class StepUnderflow(IcflowError):
 
 
 class FlowError(IcflowError):
-    """Internal inconsistency detected during time integration."""
+    """Internal inconsistency detected during time integration, or a sweep
+    worker process that died before returning its run."""
 
 
 class ConfigError(IcflowError):

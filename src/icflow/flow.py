@@ -194,16 +194,18 @@ def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
               dt_max: float = math.inf) -> float:
     """Parabolic stability bound CFL d_theta^2 / max(diffusion scale), with
-    ext = evaluate(state, F). On lat-long grids the polar filter keeps
-    only the azimuthal modes that d_theta resolves. A bound below DT_MIN
-    raises StepUnderflow."""
-    fp = cf._gradient(F, ext.kappa, ext.sigma_j)
-    # largest eigenvalue of gtilde relative to sigma is exactly 1; the
-    # largest dF/dkappa_i is taken column by column
-    fp_max = fp[..., 0]
-    for i in range(1, fp.shape[-1]):
-        fp_max = np.maximum(fp_max, fp[..., i])
-    scale = ext.v / (state.lam * ext.f_kappa) ** 2 * fp_max
+    ext = evaluate(state, F). The scale is v / (lambda F)^2 times the
+    largest dF/dkappa_i: 1 for the mean, else dF/dkappa_0 of the smaller
+    kappa. On lat-long grids the polar filter keeps only the azimuthal
+    modes that d_theta resolves. A bound below DT_MIN raises
+    StepUnderflow."""
+    # largest eigenvalue of gtilde relative to sigma is exactly 1
+    scale = ext.v / (state.lam * ext.f_kappa) ** 2
+    if F.kind != "mean":
+        # at n = 2 every dF/dkappa_i is sigma_1 - kappa_i times a positive
+        # factor, and rounding keeps that monotone, so the column of the
+        # smaller (first, ascending) kappa is the largest, bit for bit
+        scale = scale * cf._gradient(F, ext.kappa[..., :1], ext.sigma_j)[..., 0]
     h = state.grid.d_theta
     dt = CFL * h * h / float(scale.max())
     if dt < DT_MIN:

@@ -183,21 +183,31 @@ def _pencil_eigenvalues(a, b, diagonal=False):
 
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:
+    """The extrinsic pass of state: one set of stencils (D phi and the
+    round Hessian), the tilt v, g, h, kappa from the 2x2 pencil and its
+    sigma_j. On axisymmetric grids |D phi|^2 = phi_theta^2, so
+    b00 = |D phi|^2 + 1 is formed once and v = sqrt(b00)."""
     grid = state.grid
     lam = state.lam
     lam_p = state.profile.lambda_p_of_lambda(lam)
 
     d_th, d_ps, p00, p01, p11 = derivatives(state.phi)   # D phi and phi_ij
     q = covector_norm_sq(grid, d_th, d_ps)
-    v = np.sqrt(1.0 + q)
+    # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij), where
+    # b_ij = phi_i phi_j + sigma_ij; on axisymmetric grids |D phi|^2 is
+    # phi_theta^2, so b00 = |D phi|^2 + 1 = v^2
+    axisymmetric = grid.mode == "axisymmetric1d"
+    if axisymmetric:
+        b00 = q + 1.0
+        v = np.sqrt(b00)
+    else:
+        b00 = d_th * d_th + 1.0
+        v = np.sqrt(1.0 + q)
     chi = lam / v
     lam2 = lam * lam
 
-    # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij), where
-    # b_ij = phi_i phi_j + sigma_ij
     s2 = grid.sin2
-    b00 = d_th * d_th + 1.0
-    if grid.mode == "axisymmetric1d":
+    if axisymmetric:
         zero = grid.zeros
         g = (lam2 * b00, zero, lam2 * s2)
         h = (chi * (lam_p * b00 - p00), zero, chi * (lam_p * s2 - p11))

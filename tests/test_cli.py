@@ -1,7 +1,11 @@
+import concurrent.futures
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +563,34 @@ class TestSweepCommand:
         assert "PASS mean" in captured.out
         assert f"cannot write {out / 'aggregate.csv'}" in captured.err
 
+    def test_dead_worker_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a worker that dies abruptly (killed for memory, a crash, os._exit)
+        # breaks the pool: a runtime error with an error line, not a
+        # traceback read as a failed check
+        class DeadPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1)
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nf_kind = mean sigma2root\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker died abruptly")
+        assert not (out / "aggregate.csv").exists()
+
     def test_unknown_sweep_f_kind_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.ini")
         with open(cfg, "a") as fh:
@@ -568,6 +600,17 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "[sweep] f_kind" in err and "bogus" in err
         assert not out.exists()
+
+
+def test_run_and_check_load_no_process_pool():
+    # only a sweep with --jobs above 1 imports the process pool
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(icflow.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, icflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestSweepCombos:

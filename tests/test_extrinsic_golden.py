@@ -8,6 +8,7 @@ lookups must refuse the same finite values past the table. The frame
 Hessian differs from its reference in rounding only, so it must agree to
 1e-12 of its largest component."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -351,6 +352,41 @@ def test_stage_matches_reference_reductions_bit_for_bit(make_state, name):
     assert np.array_equal(cf._gradient(f, ext.kappa, ext.sigma_j),
                           reference_gradient(f, ext.kappa, ext.sigma_j))
     assert flow.stable_dt(state, f, ext) == reference_stable_dt(state, f, ext)
+
+
+def in_cone_pairs(rng, rows, cols):
+    """Ascending kappa pairs in the sigma_2 cone, shape (rows, cols, 2):
+    the larger kappa from 1e-150 to 1e150, and the smaller one of the
+    same size (ratio 1e-16 to 1), a tie, or far smaller, so that sigma_2
+    is just above 0 (ratio down to 1e-300, while sigma_2 stays positive)."""
+    size = rows * cols
+    hi = 10.0 ** rng.uniform(-150.0, 150.0, 4 * size)
+    ratio = 10.0 ** np.concatenate([rng.uniform(-16.0, 0.0, 2 * size), np.zeros(size),
+                                    rng.uniform(-300.0, -16.0, size)])
+    kappa = np.stack([hi * ratio, hi], axis=-1)
+    e = cf.elementary_symmetric(kappa)
+    kappa = kappa[(e[:, 1] > 0.0) & (e[:, 2] > 0.0)]
+    return rng.permutation(kappa)[:size].reshape(rows, cols, 2)
+
+
+@pytest.mark.parametrize("name", ["sigma2root", "quotient2"])
+def test_stable_dt_reads_the_smaller_kappa_column(name, monkeypatch):
+    # at n = 2 the smaller kappa's dF column is the column maximum bit for
+    # bit, ties and sigma_2 near 0 included, so the bound equals the
+    # reference's full maximum; DT_MIN is lifted so that a bound of a
+    # state far from 1 in size is compared and not refused
+    monkeypatch.setattr(flow, "DT_MIN", 0.0)
+    f = cf.from_name(name, 2)
+    state = a3_state()
+    ext = flow.evaluate(state, f)
+    kappa = in_cone_pairs(np.random.default_rng(20261019), 200, state.grid.n_theta)
+    e = cf.elementary_symmetric(kappa)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert np.array_equal(cf._gradient(f, kappa[..., :1], e)[..., 0],
+                              reference_gradient(f, kappa, e).max(axis=-1))
+        for k, ek in zip(kappa, e):
+            row = dataclasses.replace(ext, kappa=k, sigma_j=ek, f_kappa=cf._value(f, ek))
+            assert flow.stable_dt(state, f, row) == reference_stable_dt(state, f, row)
 
 
 @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])

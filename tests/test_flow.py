@@ -159,6 +159,18 @@ class TestStableDt:
         for coarse, fine in zip(dts, dts[1:]):
             assert abs(coarse / fine - 4.0) <= 0.5
 
+    @pytest.mark.parametrize("name, grads", [("mean", 0), ("sigma2root", 1), ("quotient2", 1)])
+    def test_gradient_only_where_dF_varies(self, prof_m1, monkeypatch, name, grads):
+        # dF = 1 for the mean, so its bound builds no dF array; the others
+        # build one, of the smaller kappa's column
+        f = cf.from_name(name, 2)
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
+        ext = flow.evaluate(state, f)
+        n_grad = count_calls(monkeypatch, cf, "_gradient")
+        flow.stable_dt(state, f, ext)
+        assert n_grad["n"] == grads
+
     def test_underflow(self, prof_m0, monkeypatch):
         monkeypatch.setattr(flow, "DT_MIN", 1.0)
         state = unit_sphere_state(prof_m0)
