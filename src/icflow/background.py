@@ -24,7 +24,7 @@ asymptotics rather than by the horizon: r is chosen so that
 which makes lambda(r) e^(-r) -> 1/2 exactly. The horizon then sits at a
 mass-dependent coordinate r_horizon (zero in the massless limit, and
 slightly negative for small positive mass); the table covers
-[r_horizon, r_max].
+[r_horizon, r_anchor], up to the node near r = 10 that anchors the shift.
 
 For m > 0 the profile is tabulated by quadrature of the inverse relation
 dr = dlambda / lambda'.  Since lambda'^2 vanishes linearly in
@@ -45,31 +45,26 @@ whose inverse converts the evolving gauge field back to a radius. psi is
 about 2 e^(-r), so a double holds it to relative precision and r resolves
 to about eps at any radius. In the massless limit
 psi = 2 artanh(e^(-r)) = -log tanh(r/2), which is its own inverse. For
-m > 0, psi at and above the node that anchors the origin shift comes from
-the same asymptotic form of lambda,
+m > 0, psi at the anchor comes from the same asymptotic form of lambda,
 
-    psi = 2 artanh(e^(-r)) - a 2^(n+2) e^(-(n+2) r) / (n + 2),    a = m / (2 (n + 1)),
+    psi = 2 artanh(e^(-r)) - b e^(-(n+2) r),    a = m / (2 (n + 1)),  b = a 2^(n+2) / (n + 2),
 
-and below it from the quadrature increments summed downward.
+and below it from the quadrature increments summed downward. Above the
+anchor this closed far field is the profile: lambda = sinh r + a
+sinh(r)^(-n), and r = r0 - sinh(r0) b e^(-(n+2) r0), r0 = -log tanh(psi/2).
 
-The flow reads the profile through two tables. The radius table
-indexes lambda and phi by r, which places the start state. The gauge
-table indexes r and lambda by phi: dr/dphi = lambda, dlambda/dphi =
-lambda lambda', and the second derivatives follow in closed form. Each
-lookup evaluates one function: a stage reads lambda by phi alone, and r
-by phi is looked up only where a radius is read.
-
-Every accessor judges its argument against one range before it looks
-anything up, and refuses a value outside it, NaN included. The gauge
-range is narrowed at build to the phi whose r lies in the radius range,
-so one test on phi refuses every gauge past either end of the table.
+The flow reads four lookups of one function each: lambda and phi by r
+place the start state, a stage reads lambda by phi (dr/dphi = lambda),
+and r by phi is read only at snapshots. Each first judges its argument
+against one range, NaN included; the gauge range is narrowed at build to
+the phi whose r lies in the radius range, which ends at the cap r_max.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -98,11 +93,10 @@ M_MIN = float(np.finfo(float).eps)
 _S0_GRADED = 2.0 ** -4
 _GRADE = 64
 
-# The largest table extent. Every table coefficient is a node value times
-# a power of its node spacing, so nothing divides by a small spacing; the
-# first overflow is the node value d^2 lambda / d phi^2 ~ lambda^3 of the
-# gauge table, near r = 237.
-R_TABLE_LIMIT = 140.0
+# The largest radius a profile accepts: the stage's pencil products grow
+# like lambda^4, and one evaluation, snapshot and rk2 step stay finite
+# under -W error up to r = 177.96 (both grid modes, every F, m <= 10).
+R_MAX = 177.0
 
 
 def _bisect(below, lo, hi):
@@ -138,6 +132,9 @@ class BackgroundParams:
             raise ConfigError(f"mass parameter must be >= 0, got {self.m}")
         if 0 < self.m < M_MIN:
             raise ConfigError(f"a positive mass must be at least {M_MIN:.3g}, got {self.m}")
+        # one value each, as equal params share a profile (and checkpoint)
+        object.__setattr__(self, "m", float(self.m) + 0.0)
+        object.__setattr__(self, "n", int(self.n))
 
 
 def _g(s, m, n):
@@ -182,34 +179,43 @@ def _h_of_w(w, s0, m, n):
     return 2.0 * s0 + w + m * num / (x ** (n - 1) * s0 ** (n - 1))
 
 
-def _judge(x, lo, hi, quantity):
-    """The float array of x, after one min and one max have found every
-    entry inside the finite range [lo, hi]; a NaN fails the comparison, so
-    a non-finite entry is refused too (TableExtentError naming the
-    quantity)."""
-    x = np.asarray(x, dtype=float)
-    if x.size and not (lo <= x.min() and x.max() <= hi):
-        raise TableExtentError(f"{quantity} outside tabulated range")
-    return x
+def _radius_bound(phi) -> float:
+    """-log tanh(-phi/2), which bounds the radius of phi at every m >= 0."""
+    s = math.tanh(-0.5 * phi) if phi < 0.0 else 0.0
+    return -math.log(s) if s > 0.0 else math.inf
 
 
-@dataclass
+class _Joined:
+    """One function of the profile: the table `near` up to `anchor` and the
+    closed far field `far` above it. A query's min and max pick the piece,
+    so only a query that straddles the anchor reads both."""
+
+    def __init__(self, near, far=None, anchor=math.inf):
+        self.near, self.far, self.anchor = near, far, anchor
+
+    def __call__(self, x, lo, hi):
+        if hi <= self.anchor:
+            return self.near(x)
+        if lo > self.anchor:
+            return self.far(x)
+        out, below = np.empty_like(x), x <= self.anchor
+        out[below], out[~below] = self.near(x[below]), self.far(x[~below])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class WarpProfile:
     """The warp factor lambda and the radial gauge phi, with closed-form
-    derivative accessors.
+    derivative accessors; frozen, and shared by the callers of
+    build_warp_profile with one mass and cap.
 
-    Immutable after construction; all accessors are pure and accept
-    scalars or arrays. build_warp_profile fixes four lookups, each of one
-    function, and the range of each argument: lambda and phi by r, which
-    place the start state, and r and lambda by phi, of which every stage
-    reads lambda. For m > 0 they are quintic Hermite tables; for m = 0
-    they are the closed forms sinh, -2 artanh(e^(-r)), -log tanh(-phi/2)
-    and the sinh of the last. Each accessor is one range test (_judge)
-    and one lookup. The ranges let slivers of about 1e-12 through, across
-    which a table extends its end piece. The radius range is
-    [r_horizon, r_max] for m > 0; for m = 0 it starts at the smallest r
-    whose gauge is finite (about 4.5e-17). The gauge range holds exactly
-    the phi of that sliver-wide range whose r lies in the radius range.
+    Four lookups of one function each take scalars or arrays: lambda and
+    phi by r, which place the start state, and r and lambda by phi, of
+    which a stage reads lambda. Each accessor is one range test (_judge)
+    and one lookup. The radius range is [r_horizon, r_max] with a sliver
+    of 1e-12 below the horizon (at m = 0 it starts at the smallest r whose
+    gauge is finite, about 4.5e-17); the gauge range holds exactly the phi
+    of a sliver-wide range whose r lies in it.
     """
 
     params: BackgroundParams
@@ -218,21 +224,36 @@ class WarpProfile:
     r_horizon: float
     table_r: np.ndarray
     table_lam: np.ndarray
-    _lam_by_r: Callable = field(repr=False)
-    _phi_by_r: Callable = field(repr=False)
-    _r_by_phi: Callable = field(repr=False)
-    _lam_by_phi: Callable = field(repr=False)
+    _lam_by_r: _Joined = field(repr=False)
+    _phi_by_r: _Joined = field(repr=False)
+    _r_by_phi: _Joined = field(repr=False)
+    _lam_by_phi: _Joined = field(repr=False)
     _r_range: tuple = field(repr=False)
     _phi_range: tuple = field(repr=False)
+
+    def _judge(self, x, quantity):
+        """The float array of x with its min and max, after they have found
+        every entry inside the quantity's range; a NaN fails the comparison.
+        A TableExtentError names the quantity, and the radius past the top."""
+        x = np.asarray(x, dtype=float)
+        bottom, top = self._r_range if quantity == "radius" else self._phi_range
+        lo, hi = (x.min(), x.max()) if x.size else (bottom, bottom)
+        if not (bottom <= lo and hi <= top):
+            message = f"{quantity} outside tabulated range"
+            if hi > top:
+                r = hi if quantity == "radius" else _radius_bound(hi)
+                message += f": radius {r:.6g} past r_max = {self.r_max:g}"
+            raise TableExtentError(message)
+        return x, lo, hi
 
     # -- warp factor and derivatives -------------------------------------
 
     def lambda_of_r(self, r):
-        return self._lam_by_r(_judge(r, *self._r_range, "radius"))
+        return self._lam_by_r(*self._judge(r, "radius"))
 
     def lambda_from_gauge(self, phi):
         """lambda at the gauge phi: the one lookup of every stage."""
-        return self._lam_by_phi(_judge(phi, *self._phi_range, "gauge value"))
+        return self._lam_by_phi(*self._judge(phi, "gauge value"))
 
     def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -251,32 +272,26 @@ class WarpProfile:
 
     def gauge_from_radius(self, r):
         """phi = -integral_r^infinity ds/lambda(s)."""
-        return self._phi_by_r(_judge(r, *self._r_range, "radius"))
+        return self._phi_by_r(*self._judge(r, "radius"))
 
     def radius_from_gauge(self, phi):
         """Inverse of gauge_from_radius."""
-        return self._r_by_phi(_judge(phi, *self._phi_range, "gauge value"))
+        return self._r_by_phi(*self._judge(phi, "gauge value"))
 
     # -- self checks ------------------------------------------------------
 
     def ode_residual_max(self) -> float:
-        """Largest relative defect of the tabulated solution against the
-        first-order warp equation, measured at table nodes and midpoints.
-
-        Relative normalization by 1 + lambda^2: the absolute residual is
-        below float resolution once lambda is large.
+        """Largest defect of the table against the first-order warp
+        equation at its nodes and midpoints, relative to 1 + lambda^2 (the
+        absolute residual is below float resolution once lambda is large).
         """
         m, n = self.params.m, self.params.n
-        if self.params.m == 0.0:
-            r = self.table_r[1:]
-            pts = np.concatenate([r, 0.5 * (r[:-1] + r[1:])])
-            lam = np.sinh(pts)
-            d = np.cosh(pts)
-        else:
-            r = self.table_r
-            pts = np.concatenate([r[1:], 0.5 * (r[:-1] + r[1:])])
-            lam = self._lam_by_r(pts)
-            d = self._lam_by_r.derivative()(pts)
+        if m == 0.0:        # closed form
+            return 0.0
+        r = self.table_r
+        pts = np.concatenate([r[1:], 0.5 * (r[:-1] + r[1:])])
+        lam = self._lam_by_r.near(pts)
+        d = self._lam_by_r.near.derivative()(pts)
         target = 1.0 + lam * lam - m * lam ** (1 - n)
         return float(np.max(np.abs(d * d - target) / (1.0 + lam * lam)))
 
@@ -299,23 +314,13 @@ def _horizon_nodes(s0):
     return u
 
 
-def _build_u_grid(s0, m, r_max):
-    """u nodes covering the requested extent (in horizon-anchored distance,
-    with margin for the asymptotic shift): uniform near the horizon (graded
-    there first when the horizon is small, see _horizon_nodes), then
-    geometric so the resulting r spacing stays near 0.01.
-
-    Also returns the index of the node that anchors the origin shift: the
-    last node of the r_max = 8 grid. Each grid is a prefix of every larger
-    one (the geometric part is built by repeated multiplication), so the
-    shift, and with it the table on common radii, does not depend on r_max.
-    """
-    def u_reach(extent):
-        reach = extent + max(math.asinh(s0), 1.0) + 1.0
-        lam_ub = math.sinh(reach) + m + 2.0
-        return math.sqrt(lam_ub - s0)
-
-    u_max = u_reach(max(r_max, 8.0))
+def _build_u_grid(s0, m):
+    """u nodes from the horizon (graded there when it is small, see
+    _horizon_nodes; uniform above) and then geometric, so that the r
+    spacing stays near 0.01, up to the anchor: the first node whose lambda
+    reaches sinh(8 + max(asinh s0, 1) + 1) + m + 2 (r = 10.003 at m = 1)."""
+    reach = 8.0 + max(math.asinh(s0), 1.0) + 1.0
+    u_max = math.sqrt(math.sinh(reach) + m + 2.0 - s0)
     u = list(np.linspace(0.0, 1.0, 257))
     near = _horizon_nodes(s0)
     if near:
@@ -325,8 +330,7 @@ def _build_u_grid(s0, m, r_max):
     while uu < u_max:
         uu *= ratio
         u.append(uu)
-    u = np.asarray(u)
-    return u, int(np.searchsorted(u, u_reach(8.0)))
+    return np.asarray(u)
 
 
 def _hermite(x, f, fp, fpp):
@@ -391,10 +395,6 @@ def _massless_radius(phi):
     return -np.log(np.tanh(-0.5 * phi))
 
 
-def _massless_lambda_by_gauge(phi):
-    return np.sinh(_massless_radius(phi))
-
-
 # where _last_inside probes its bracket, as fractions of it
 _PROBES = np.linspace(0.0, 1.0, 257)
 
@@ -423,91 +423,97 @@ def _last_inside(radius, r_range, a, b):
 _PHI_MIN_MASSLESS = _last_inside(_massless_radius, (_R_MIN_MASSLESS, math.inf), -1.0, -40.0)
 
 
-def build_warp_profile(params: BackgroundParams, r_max: float) -> WarpProfile:
-    """Tabulate lambda(r) and the gauge on [r_horizon, r_max].
+@functools.lru_cache(maxsize=8)
+def build_warp_profile(params: BackgroundParams, r_max: float = R_MAX) -> WarpProfile:
+    """The warp profile of the background params, accepting radii up to
+    the cap r_max.
 
-    For m = 0 everything is closed form and the stored table is a sampled
-    view for inspection only. An extent past R_TABLE_LIMIT (r = 140)
-    raises TableExtentError before any node is built.
+    For m > 0 the quadrature table covers [r_horizon, r_anchor], with
+    r_anchor near 10, and the closed far field the radii above it; m = 0
+    is closed form throughout, with no table. So the lookups depend on the
+    mass alone, and the cap r_max, which must lie in (r_horizon, R_MAX],
+    only ends the radius range. One profile is built per (params, r_max)
+    and process, and shared.
     """
-    if not 0 < r_max <= R_TABLE_LIMIT:
-        raise TableExtentError(
-            f"r_max must lie in (0, {R_TABLE_LIMIT:g}], where the warp tables stay "
-            f"finite; got {r_max}")
     m, n = params.m, params.n
     if m == 0.0:
-        table_r = np.linspace(0.0, r_max, 513)
-        r_range = (_R_MIN_MASSLESS, r_max * (1 + 1e-14))
-        top = float(_massless_gauge(r_max))
-        return WarpProfile(
-            params=params, r_max=float(r_max), s0=0.0, r_horizon=0.0,
-            table_r=table_r, table_lam=np.sinh(table_r),
-            _lam_by_r=np.sinh, _phi_by_r=_massless_gauge, _r_by_phi=_massless_radius,
-            _lam_by_phi=_massless_lambda_by_gauge,
-            _r_range=r_range,
-            _phi_range=(_PHI_MIN_MASSLESS, _last_inside(_massless_radius, r_range,
-                                                        top, top * (1 - 1e-12))),
-        )
+        s0 = r_lo = 0.0
+        table_r = table_lam = np.empty(0)
+        lam_by_r, phi_by_r = _Joined(np.sinh), _Joined(_massless_gauge)
+        r_by_phi = _Joined(_massless_radius)
+        lam_by_phi = _Joined(lambda phi: np.sinh(_massless_radius(phi)))
+    else:
+        s0 = solve_horizon(params)
+        u = _build_u_grid(s0, m)
 
-    s0 = solve_horizon(params)
-    u, anchor = _build_u_grid(s0, m, r_max)
+        half = 0.5 * np.diff(u)                      # (N-1,)
+        mid = 0.5 * (u[:-1] + u[1:])
+        upts = mid[:, None] + half[:, None] * _GL_NODES[None, :]    # (N-1, q)
+        G = 2.0 / np.sqrt(_h_of_w(upts * upts, s0, m, n))
+        lam_pts = s0 + upts * upts
+        dr = np.sum(G * _GL_WEIGHTS[None, :], axis=1) * half
+        dphi = np.sum(G / lam_pts * _GL_WEIGHTS[None, :], axis=1) * half
 
-    half = 0.5 * np.diff(u)                      # (N-1,)
-    mid = 0.5 * (u[:-1] + u[1:])
-    upts = mid[:, None] + half[:, None] * _GL_NODES[None, :]    # (N-1, q)
-    G = 2.0 / np.sqrt(_h_of_w(upts * upts, s0, m, n))
-    lam_pts = s0 + upts * upts
-    dr = np.sum(G * _GL_WEIGHTS[None, :], axis=1) * half
-    dphi = np.sum(G / lam_pts * _GL_WEIGHTS[None, :], axis=1) * half
+        table_r = np.concatenate([[0.0], np.cumsum(dr)])
+        table_lam = s0 + u * u
 
-    r_nodes = np.concatenate([[0.0], np.cumsum(dr)])
-    lam_nodes = s0 + u * u
+        # the radial origin from lambda ~ sinh(r) at the anchor: rho =
+        # asinh(lambda_anchor) solves the leading order, less the first
+        # correction term
+        a = m / (2.0 * (n + 1.0))
+        b = a * 2.0 ** (n + 2) / (n + 2)
+        rho = math.asinh(table_lam[-1])
+        table_r = table_r + (rho - table_r[-1] - a * math.sinh(rho) ** (-n) / math.cosh(rho))
+        r_lo = float(table_r[0])
 
-    # fix the radial origin by the large-r asymptotics lambda ~ sinh(r) at
-    # the anchor node: rho = asinh(lambda_anchor) solves the leading order,
-    # and the first correction term is stripped before reading off the shift
-    a = m / (2.0 * (n + 1.0))
-    rho = math.asinh(lam_nodes[anchor])
-    shift = rho - r_nodes[anchor] - a * math.sinh(rho) ** (-n) / math.cosh(rho)
-    r_nodes = r_nodes + shift
+        # the closed far field: psi, its inverse to first order in b, lambda
+        def far_psi(r):
+            return 2.0 * np.arctanh(np.exp(-r)) - b * np.exp(-(n + 2) * r)
 
-    # psi from the same asymptotic form at and above the anchor, and by the
-    # quadrature increments summed downward from it below
-    far = r_nodes[anchor:]
-    psi_far = 2.0 * np.arctanh(np.exp(-far)) - a * 2.0 ** (n + 2) * np.exp(-(n + 2) * far) / (n + 2)
-    psi_near = np.cumsum(np.concatenate([[psi_far[0]], dphi[anchor - 1::-1]]))[:0:-1]
-    phi = -np.concatenate([psi_near, psi_far])
+        def far_radius(phi):
+            r0 = _massless_radius(phi)
+            return r0 - np.sinh(r0) * b * np.exp(-(n + 2) * r0)
 
-    keep = np.searchsorted(r_nodes, r_max)
-    keep = min(keep + 1, len(r_nodes) - 1)
-    r_nodes = r_nodes[: keep + 1]
-    phi = phi[: keep + 1]
-    lam_nodes = lam_nodes[: keep + 1]
-    u = u[: keep + 1]
+        def far_lambda(r):
+            return np.sinh(r) + a * np.sinh(r) ** (-n)
 
-    Gn = 2.0 / np.sqrt(_h_of_w(u * u, s0, m, n))
-    lam_p = 2.0 * u / Gn                         # dlambda/du / dr/du
-    lam_pp = lam_nodes + 0.5 * m * (n - 1) * lam_nodes ** (-n)
+        # psi from the far field at the anchor, and below it by the
+        # quadrature increments summed downward
+        phi = -np.cumsum(np.concatenate([far_psi(table_r[-1:]), dphi[::-1]]))[::-1]
 
-    r_lo, r_hi = float(r_nodes[0]), float(r_nodes[-1])
-    r_range = (r_lo - 1e-12, r_hi * (1 + 1e-14))
-    r_by_phi = _Piecewise(phi, _hermite(phi, r_nodes, lam_nodes, lam_nodes * lam_p))
-    # a sliver of 1e-12 past each end node, narrowed to the phi whose r lies
-    # in r_range; the end nodes map to r_lo and r_hi, and phi[-1] is about
-    # -2 e^(-r_max), so its sliver is relative
-    phi_range = (_last_inside(r_by_phi, r_range, float(phi[0]), float(phi[0]) - 1e-12),
-                 _last_inside(r_by_phi, r_range, float(phi[-1]), float(phi[-1]) * (1 - 1e-12)))
+        Gn = 2.0 / np.sqrt(_h_of_w(u * u, s0, m, n))
+        lam_p = 2.0 * u / Gn                         # dlambda/du / dr/du
+        lam_pp = table_lam + 0.5 * m * (n - 1) * table_lam ** (-n)
+        lam_by_r = _Joined(_Piecewise(table_r, _hermite(table_r, table_lam, lam_p, lam_pp)),
+                           far_lambda, table_r[-1])
+        phi_by_r = _Joined(_Piecewise(table_r, _hermite(table_r, phi, 1.0 / table_lam,
+                                                        -lam_p / table_lam ** 2)),
+                           lambda r: -far_psi(r), table_r[-1])
+        r_by_phi = _Joined(_Piecewise(phi, _hermite(phi, table_r, table_lam, table_lam * lam_p)),
+                           far_radius, phi[-1])
+        lam_by_phi = _Joined(
+            _Piecewise(phi, _hermite(phi, table_lam, table_lam * lam_p,
+                                     table_lam * (lam_p * lam_p + table_lam * lam_pp))),
+            lambda x: far_lambda(far_radius(x)), phi[-1])
+
+    if not r_lo < r_max <= R_MAX:
+        raise TableExtentError(f"r_max must lie in ({r_lo:g}, R_MAX = {R_MAX:g}], where "
+                               f"the stage stays finite; got radius {r_max}")
+    # a sliver of 1e-12 past each end of phi, narrowed to the phi whose r
+    # lies in r_range; the cap's phi is about -2 e^(-r_max), so its sliver
+    # is relative
+    radius = lambda x: r_by_phi(x, x.min(), x.max())
+    r_range = (_R_MIN_MASSLESS if m == 0.0 else r_lo - 1e-12, r_max * (1 + 1e-14))
+    top = float(phi_by_r(np.float64(r_max), r_max, r_max))
+    bottom = _PHI_MIN_MASSLESS if m == 0.0 else _last_inside(radius, r_range, phi[0],
+                                                             phi[0] - 1e-12)
+    table_r.flags.writeable = table_lam.flags.writeable = False   # shared by every caller
     return WarpProfile(
-        params=params, r_max=r_hi, s0=float(s0), r_horizon=r_lo,
-        table_r=r_nodes, table_lam=lam_nodes,
-        _lam_by_r=_Piecewise(r_nodes, _hermite(r_nodes, lam_nodes, lam_p, lam_pp)),
-        _phi_by_r=_Piecewise(r_nodes, _hermite(r_nodes, phi, 1.0 / lam_nodes,
-                                               -lam_p / lam_nodes ** 2)),
-        _r_by_phi=r_by_phi,
-        _lam_by_phi=_Piecewise(phi, _hermite(phi, lam_nodes, lam_nodes * lam_p,
-                                             lam_nodes * (lam_p * lam_p + lam_nodes * lam_pp))),
+        params=params, r_max=float(r_max), s0=float(s0), r_horizon=r_lo,
+        table_r=table_r, table_lam=table_lam,
+        _lam_by_r=lam_by_r, _phi_by_r=phi_by_r, _r_by_phi=r_by_phi, _lam_by_phi=lam_by_phi,
         _r_range=r_range,
-        _phi_range=phi_range,
+        _phi_range=(bottom, _last_inside(radius, r_range, top, top * (1 - 1e-12))),
     )
 
 

@@ -26,24 +26,22 @@ def _perturbed_state(profile, n_theta=128, r0=2.0, amp=0.3):
 
 
 def check_background_residual():
-    worst = 0.0
-    for m in (1.0, 2.0, 1e-6):
-        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 10.0)
-        worst = max(worst, prof.ode_residual_max())
+    worst = max(bg.build_warp_profile(bg.BackgroundParams(m=m, n=2)).ode_residual_max()
+                for m in (1.0, 2.0, 1e-6))
     return worst <= 1e-10, f"max relative residual {worst:.2e} (bound 1e-10)"
 
 
 def check_background_hyperbolic():
     # at m = 0 the table is the closed form sinh itself; at m = 1e-9 it is
     # built, and lambda - sinh is O(m), about 3.3e-9
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1e-9, n=2), 10.5)
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1e-9, n=2))
     r = np.linspace(1e-3, 10.0, 4001)
     err = float(np.max(np.abs(prof.lambda_of_r(r) - np.sinh(r))))
     return err <= 1e-8, f"sup |lambda - sinh| = {err:.2e} (bound 1e-8)"
 
 
 def check_sectional_curvature():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 10.0)
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
     r = np.linspace(0.5, 9.5, 400)
     lam = prof.lambda_of_r(r)
     k_tan, _ = bg.ambient_sectional(prof, r)
@@ -88,13 +86,13 @@ def check_grid_refinement():
 def check_umbilic_exactness():
     # the sphere r = 1 at m = 2, n = 2: kappa = lambda' / lambda, with
     # lambda' written out from the warp equation at the state's own lambda
-    prof2 = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2), 8.0)
+    prof2 = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2))
     grid = sp.build_grid("axisymmetric1d", 64)
     state = geo.state_from_radius(grid, prof2, np.full(64, 1.0))
     ext = geo.compute_extrinsic(state)
     lam = state.lam[:, None]
     err = float(np.max(np.abs(ext.kappa - np.sqrt(1.0 + lam * lam - 2.0 / lam) / lam)))
-    prof0 = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 8.0)
+    prof0 = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2))
     state0 = geo.state_from_radius(grid, prof0, np.full(64, 1.0))
     ext0 = geo.compute_extrinsic(state0)
     err0 = float(np.max(np.abs(ext0.kappa - 1.0 / math.tanh(1.0))))
@@ -103,13 +101,13 @@ def check_umbilic_exactness():
 
 
 def check_contraction_identity(profile=None):
-    prof = profile or bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 8.0)
+    prof = profile or bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
     res = geo.contraction_consistency_residual(_perturbed_state(prof))
     return res <= 1e-12, f"contraction-identity residual {res:.2e} (bound 1e-12)"
 
 
 def check_tilt_identity():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 8.0)
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
     errs = [geo.tilt_gradient_residual(_perturbed_state(prof, n))
             for n in (64, 128, 256)]
     ratios = [a / b for a, b in zip(errs, errs[1:])]
@@ -117,7 +115,7 @@ def check_tilt_identity():
 
 
 def check_tilt_shape_identity():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), 8.0)
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
     res = geo.tilt_gradient_shape_residual(_perturbed_state(prof))
     return res <= 1e-12, f"shape-form defect {res:.2e} (bound 1e-12)"
 
@@ -168,7 +166,7 @@ def off_centre_sphere_errors(mode, resolution, t_end, dt_max, rho0=1.5, d=0.6):
         initial=flow.InitialData(kind="constant", r0=rho0),
         f=cf.from_name("mean", 2), t_end=t_end, dt_max=dt_max,
     )
-    prof = bg.build_warp_profile(params, rho0 + d + t_end / 2.0 + 2.0)
+    prof = bg.build_warp_profile(params)
     start = geo.state_from_radius(grid, prof, off_centre_sphere_radius(cos_gamma, rho0, d))
     final, _, _ = flow.run(cfg, initial_state=start)
     rho = math.asinh(math.sinh(rho0) * math.exp(final.t / 2.0))

@@ -14,9 +14,10 @@ and fails nothing. The run exits 0 only if no check failed (1 on a check
 failure, 2 on a runtime or configuration error, an artifact that cannot
 be written among them).
 Identical configs produce byte-identical series files. A sweep
-runs up to --jobs combinations at once, capped by the CPU count, and a
-worker that dies abruptly is a runtime error (2); node-level arithmetic
-is vectorized and single-threaded per run.
+runs up to --jobs combinations at once, capped by the CPU count. A
+worker that dies abruptly is a runtime error (2): the combinations that
+finished are kept, and aggregate.csv names each one it lost. Node-level
+arithmetic is vectorized and single-threaded per run.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def cmd_sweep(args) -> int:
     jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
     payloads = [(cfg, combo, out / _combo_key(combo)) for combo in combos]
-    results = []
+    results, broken = [], None
     if jobs == 1:
         results = [_run_combo(p) for p in payloads]
     else:
@@ -167,13 +168,16 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run_combo, payloads))
-        except BrokenProcessPool as exc:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_run_combo, p) for p in payloads]
             # a worker that dies abruptly (killed, a crash, os._exit) takes
-            # every pending result with it: a runtime error, not a failed check
-            raise FlowError(f"a sweep worker died abruptly: {exc}") from None
+            # every unfinished combination with it; the finished are kept
+            for combo, future in zip(combos, futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    broken = exc
+                    results.append((combo, None, f"{type(exc).__name__}: {exc}"))
 
     rows = ["combo,slope_kappa,slope_grad,slope_hess,overall_pass,error"]
     any_error = any_failed = False
@@ -196,6 +200,8 @@ def cmd_sweep(args) -> int:
         ]))
         print(f"{'PASS' if ok else 'FAIL'} {key}")
     _write_text(out / "aggregate.csv", "\n".join(rows) + "\n")
+    if broken is not None:
+        raise FlowError(f"a sweep worker died abruptly: {broken}")
     # a combination that raised is a runtime error (2), like a failed run
     if any_error:
         return 2

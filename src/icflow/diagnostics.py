@@ -105,7 +105,7 @@ class DiagnosticsSeries:
     profile: WarpProfile           # lambda(r) of the run's background
     grid: SphereGrid
     pinch_ref: tuple               # (lambda(inf r), lambda(sup r)) e^(-t0/n)
-    f_umb0: float                  # n sup lambda'/lambda, F of the umbilic spheres
+    f_umb0: float                  # sup F of the umbilic spheres from lambda_min on
     initial_constant: bool         # the start radius is constant
     records: list = field(default_factory=list)
     radii: list = field(default_factory=list)
@@ -123,11 +123,12 @@ class DiagnosticsSeries:
         # reference for the pinching flags is the scaled warp value at the
         # series start, so resumed runs check monotonicity from their own t0
         scale0 = math.exp(-state.t / n)
-        umb = prof.lambda_p_of_lambda(lam) / lam
+        # the umbilic spheres' F = n lambda'/lambda peaks at lambda*^(n-1) = m (n+1)/2
+        lam_umb = max(float(np.min(lam)), (0.5 * prof.params.m * (n + 1)) ** (1.0 / (n - 1)))
         return DiagnosticsSeries(
             profile=prof, grid=state.grid,
             pinch_ref=(float(np.min(lam)) * scale0, float(np.max(lam)) * scale0),
-            f_umb0=n * float(np.max(umb)),
+            f_umb0=n * float(prof.lambda_p_of_lambda(lam_umb)) / lam_umb,
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )
 

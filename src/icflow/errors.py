@@ -28,10 +28,10 @@ class IcflowError(Exception):
 
 
 class TableExtentError(IcflowError):
-    """A radius or gauge value fell outside the tabulated range
-    or was not finite (NaN or an infinity), or a table extent lies past
-    R_TABLE_LIMIT (r = 140), where the warp tables stop being finite.
-    Values are never silently extrapolated.
+    """A radius or gauge value fell outside a warp profile's range (one past
+    the top is named by its radius) or was not finite (NaN or an infinity),
+    or a cap was asked past background.R_MAX (r = 177), where the stage
+    overflows. Values are never silently extrapolated.
     """
 
 

@@ -14,8 +14,9 @@ retry loop, so an end state outside the cone is retried like a midpoint.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r. A stage reads only lambda of its gauge
 (WarpProfile.lambda_from_gauge); a state's radius field is looked up
-through the tabulated gauge inverse only where it is read, at the
-snapshots.
+through the gauge inverse only where it is read, at the snapshots. A run
+and its resume read the one warp profile of their mass, which needs no
+extent (build_warp_profile).
 
 Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
@@ -267,12 +268,6 @@ def _snapshot_times(t0, t_end, every):
     return times
 
 
-def _table_extent(config: FlowConfig, r, t: float) -> float:
-    """Warp-table extent for radii r at time t: the largest radius, plus
-    the remaining flow time at the asymptotic drift rate 1/n, plus 2."""
-    return float(np.max(r)) + (config.t_end - t) / config.background.n + 2.0
-
-
 def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     """Integrate to t_end, returning (final state, diagnostics series, events).
 
@@ -292,8 +287,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         if state is None:
             grid = build_grid(config.grid_mode, config.grid_resolution)
             r0 = config.initial.radius_on(grid)
-            profile = build_warp_profile(config.background, _table_extent(config, r0, 0.0))
-            state = state_from_radius(grid, profile, r0, t=0.0)
+            state = state_from_radius(grid, build_warp_profile(config.background), r0, t=0.0)
         if state.t >= config.t_end:
             raise ConfigError(f"start time t={state.t} is not before "
                               f"t_end = {config.t_end}; nothing to run")
@@ -382,13 +376,5 @@ def load_checkpoint(path, config: FlowConfig) -> GraphState:
             raise ValueError("t and phi must be finite")
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}") from None
-    # one table, at least the uninterrupted run's own, and long enough for
-    # the checkpointed radii and the remaining flow time. lambda >= sinh r
-    # for every m >= 0, so psi_m <= psi_0 and the massless inverse of the
-    # largest phi bounds the largest radius from above (a phi at or
-    # above 0 lies past every table)
-    s = math.tanh(-0.5 * float(np.max(phi)))
-    r_bound = -math.log(s) if s > 0.0 else math.inf
-    extent = max(_table_extent(config, config.initial.radius_on(grid), 0.0),
-                 _table_extent(config, r_bound, t))
-    return state_from_gauge(grid, build_warp_profile(config.background, extent), phi, t=t)
+    # the uninterrupted run's own profile: it depends on the mass alone
+    return state_from_gauge(grid, build_warp_profile(config.background), phi, t=t)

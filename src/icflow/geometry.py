@@ -87,11 +87,11 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
 def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
     """The state at the gauge phi_values, with lambda from one lookup
     (WarpProfile.lambda_from_gauge), whose one min and one max refuse
-    every gauge whose radius lies past the table; r is looked up only if
+    every gauge whose radius lies outside the profile; r is looked up only if
     it is read. A wrong shape is a ConfigError. Only when the lookup
     refuses a value is phi built as a checked ScalarField, so that a
-    non-finite value is named (FlowError) before a finite value past the
-    table (TableExtentError)."""
+    non-finite value is named (FlowError) before a finite value outside
+    the profile (TableExtentError)."""
     phi = np.asarray(phi_values, dtype=float)
     if phi.shape != grid.field_shape:
         ScalarField(grid, phi)      # raises ConfigError

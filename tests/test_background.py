@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -168,15 +169,19 @@ class TestWarpProfile:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_extent_just_past_gauge_limit(self, m):
-        # the largest table still builds, finite; one ulp past it is refused
-        limit = bg.R_TABLE_LIMIT
-        assert limit == 140.0
+        # the largest cap still builds, with finite lookups at it; one ulp
+        # past it is refused, with the cap named
+        limit = bg.R_MAX
+        assert limit == 177.0
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), limit)
         if m:
-            assert all(np.isfinite(tab.rows).all() for tab in (
+            assert all(np.isfinite(tab.near.rows).all() for tab in (
                 prof._lam_by_r, prof._phi_by_r, prof._r_by_phi, prof._lam_by_phi))
+        phi = prof.gauge_from_radius(limit)
+        assert np.isfinite([prof.lambda_of_r(limit), phi, prof.radius_from_gauge(phi),
+                            prof.lambda_from_gauge(phi)]).all()
         with pytest.raises(TableExtentError, match="r_max"):
-            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 150.0))
+            bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), np.nextafter(limit, 180.0))
 
     @pytest.mark.parametrize("which", ["m1", "m2"])
     def test_matches_bpoly_reference(self, which, prof_m1, prof_m2):
@@ -184,13 +189,13 @@ class TestWarpProfile:
         # from the table's own node values and derivatives
         prof = {"m1": prof_m1, "m2": prof_m2}[which]
         x, lam = prof.table_r, prof.table_lam
-        lam_p = prof._lam_by_r.derivative()(x)
+        lam_p = prof._lam_by_r.near.derivative()(x)
         lam_pp = prof.lambda_pp_of_lambda(lam)
         phi = prof.gauge_from_radius(x)
         lam_ref = BPoly.from_derivatives(x, np.stack([lam, lam_p, lam_pp], axis=1))
         phi_ref = BPoly.from_derivatives(
             x, np.stack([phi, 1.0 / lam, -lam_p / lam ** 2], axis=1))
-        r = np.linspace(prof.r_horizon, prof.r_max, 20011)
+        r = np.linspace(prof.r_horizon, x[-1], 20011)
         assert np.max(np.abs(prof.lambda_of_r(r) / lam_ref(r) - 1.0)) <= 4e-15
         assert np.max(np.abs(prof.gauge_from_radius(r) - phi_ref(r))) <= 4e-15
 
@@ -326,10 +331,10 @@ class TestGauge:
     @pytest.mark.parametrize("m", [0.0, 1.0, 0.01, 2.0, 1e-6])
     def test_gauge_roundtrip_at_limit(self, m):
         # the gauge is anchored at infinity, so the round trip keeps r to
-        # 1e-12 relative (absolute below r = 1) up to the largest extent;
+        # 1e-12 relative (absolute below r = 1) up to the largest radius;
         # anchored at a finite base radius it resolved r = 18.3 only to 3e-8
-        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), bg.R_TABLE_LIMIT)
-        r = np.linspace(max(prof.r_horizon, 0.0) + 0.01, bg.R_TABLE_LIMIT, 4001)
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2))
+        r = np.linspace(max(prof.r_horizon, 0.0) + 0.01, bg.R_MAX, 4001)
         back = prof.radius_from_gauge(prof.gauge_from_radius(r))
         assert np.max(np.abs(back - r) / np.maximum(r, 1.0)) <= 1e-12
 
@@ -347,9 +352,10 @@ class TestGauge:
     @pytest.mark.parametrize("m,tol", [(1.0, 2e-14), (2.0, 2e-14), (100.0, 2e-14), (1e-6, 1e-13)])
     def test_fused_lookup_matches_composition(self, m, tol):
         # lambda(phi) from the gauge table agrees with lambda(r(phi)) over
-        # the whole table, up to the rounding of r
+        # the whole table and the far field to r = 40, up to the rounding
+        # of r
         prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 40.0)
-        phi = np.linspace(prof._r_by_phi.x[0], prof._r_by_phi.x[-1], 100001)
+        phi = np.linspace(prof._r_by_phi.near.x[0], prof.gauge_from_radius(40.0), 100001)
         r, lam = prof.radius_from_gauge(phi), prof.lambda_from_gauge(phi)
         assert np.max(np.abs(lam / prof.lambda_of_r(r) - 1.0)) <= tol
 
@@ -366,7 +372,7 @@ class TestGauge:
         dr_du = lambda u: 2.0 / math.sqrt(bg._h_of_w(u * u, s0, m, n))
         worst = 0.0
         for u in np.linspace(0.001, 0.3, 40):
-            phi = prof._r_by_phi.x[0] + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
+            phi = prof._r_by_phi.near.x[0] + quad(lambda x: dr_du(x) / (s0 + x * x), 0.0, u,
                                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
             lam = prof.lambda_from_gauge(phi)
             worst = max(worst, abs(lam / (s0 + u * u) - 1.0))
@@ -393,6 +399,79 @@ class TestGauge:
                 prof.radius_from_gauge(np.array([0.5 * top]))
 
 
+class TestFarField:
+    """Past the table's anchor node the profile is the closed far field;
+    a profile depends on its mass alone, and its cap ends its range."""
+
+    @pytest.mark.parametrize("m", [0.01, 1.0, 2.0, 10.0])
+    def test_lookups_continuous_at_the_anchor(self, m):
+        # table and far field at the anchor node: psi and r agree to
+        # 1e-15; lambda agrees to one ulp of r there (1.8e-15), since the
+        # anchor's radius is rounded and d lambda / lambda = dr far out
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2))
+        r_a, phi_a = prof.table_r[-1], prof._r_by_phi.near.x[-1]
+        assert 10.0 < r_a < 10.5 and prof._lam_by_r.anchor == r_a
+        ulp = np.spacing(r_a)
+        for tab, x, tol in ((prof._lam_by_r, r_a, ulp), (prof._phi_by_r, r_a, 1e-15),
+                            (prof._r_by_phi, phi_a, 1e-15), (prof._lam_by_phi, phi_a, ulp)):
+            near, far = tab.near(np.array(x)), tab.far(np.array(x))
+            assert abs(far / near - 1.0) <= tol
+        # a query that straddles the anchor reads each piece on its side
+        r = np.array([r_a - 0.5, r_a, r_a + 0.5])
+        lam = prof.lambda_of_r(r)
+        assert lam[0] == prof.lambda_of_r(r[0]) and lam[2] == prof.lambda_of_r(r[2])
+        assert lam[1] == prof.table_lam[-1]
+
+    @pytest.mark.parametrize("m", [0.01, 1.0, 2.0, 10.0])
+    def test_far_field_matches_the_table_continued_to_r40(self, m):
+        # the table's quadrature continued past the anchor to r = 40, on
+        # the same geometric u nodes: the far field's lambda agrees with
+        # its nodes to 1e-12 (measured 3.9e-13: the sum of the r increments
+        # drifts), and its psi increments, differences of nearly equal
+        # values, with the quadrature's to 2e-12 (measured 9.1e-13)
+        n = 2
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=n))
+        s0 = prof.s0
+        u = [math.sqrt(prof.table_lam[-1] - s0)]
+        while u[-1] < math.sqrt(math.sinh(40.0) - s0):
+            u.append(u[-1] * math.exp(0.005))
+        u = np.asarray(u)
+        half = 0.5 * np.diff(u)
+        upts = 0.5 * (u[:-1] + u[1:])[:, None] + half[:, None] * bg._GL_NODES
+        G = 2.0 / np.sqrt(bg._h_of_w(upts * upts, s0, m, n))
+        dr = np.sum(G * bg._GL_WEIGHTS, axis=1) * half
+        dpsi = np.sum(G / (s0 + upts * upts) * bg._GL_WEIGHTS, axis=1) * half
+        r = prof.table_r[-1] + np.concatenate([[0.0], np.cumsum(dr)])
+        assert np.max(np.abs(prof.lambda_of_r(r) / (s0 + u * u) - 1.0)) <= 1e-12
+        phi = prof.gauge_from_radius(r)
+        assert np.max(np.abs(np.diff(phi) / dpsi - 1.0)) <= 2e-12
+        assert np.max(np.abs(prof.radius_from_gauge(phi) / r - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_past_r_max_names_the_radius(self, m):
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2))
+        with pytest.raises(TableExtentError, match=r"^radius outside tabulated range: "
+                                                   r"radius 177\.5 past r_max = 177$"):
+            prof.lambda_of_r(np.array([2.0, 177.5]))
+        phi = -2.0 * math.exp(-177.5)
+        for name in ("radius_from_gauge", "lambda_from_gauge"):
+            with pytest.raises(TableExtentError, match=r"^gauge value outside tabulated "
+                                                       r"range: radius 177\.5 past r_max = 177$"):
+                getattr(prof, name)(np.array([-1.0, phi]))
+
+    def test_one_profile_per_mass_and_cap(self):
+        p1, p2 = bg.BackgroundParams(m=1.0), bg.BackgroundParams(m=2.0)
+        prof = bg.build_warp_profile(p1)
+        assert bg.build_warp_profile(bg.BackgroundParams(m=1, n=2)) is prof
+        assert bg.build_warp_profile(p2) is not prof
+        capped = bg.build_warp_profile(p1, 8.0)
+        assert capped is not prof and bg.build_warp_profile(p1, 8.0) is capped
+        # the table depends on the mass alone
+        assert np.array_equal(capped.table_r, prof.table_r)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prof.r_max = 9.0
+
+
 class TestRanges:
     """Every lookup judges its argument against one range, fixed when the
     profile is built, and refuses a value outside it, non-finite values
@@ -417,37 +496,40 @@ class TestRanges:
         # refuses what the sliver-wide phi range and then the radius range
         # of r(phi) refused: probed at the 40 doubles on either side of each
         # end, at the wide range's ends and, at m = 0, across phi ~ -38,
-        # below which r rounds to 0
-        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
-        if m == 0.0:
+        # below which r rounds to 0; at the cap r_max = 8, and at R_MAX,
+        # where the far field reads r
+        for r_max in (8.0, bg.R_MAX):
+            prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=r_max)
             top = float(prof.gauge_from_radius(prof.r_max))
-            wide = (-np.finfo(float).max, top * (1 - 1e-12))
-        else:
-            nodes = prof._r_by_phi.x
-            wide = (float(nodes[0]) - 1e-12, float(nodes[-1]) * (1 - 1e-12))
-        lo, hi = prof._phi_range
-        assert wide[0] <= lo and hi < wide[1]
-        probes = [wide[0], wide[1], np.nextafter(wide[1], 1.0)]
-        for end in (lo, hi):
-            for direction in (-math.inf, math.inf):
-                phi = end
-                for _ in range(40):
-                    probes.append(phi)
-                    phi = np.nextafter(phi, direction)
-        if m == 0.0:
-            assert -39.0 < lo < -37.0
-            probes += list(np.linspace(-40.0, -36.0, 4001))
-        r_lo, r_hi = prof._r_range
-        for phi in probes:
-            r = prof._r_by_phi(phi)
-            refused_before = not (wide[0] <= phi <= wide[1] and r_lo <= r <= r_hi)
-            for name in ("radius_from_gauge", "lambda_from_gauge"):
-                try:
-                    getattr(prof, name)(phi)
-                    refused = False
-                except TableExtentError:
-                    refused = True
-                assert refused == refused_before, (name, phi)
+            if m == 0.0:
+                wide = (-np.finfo(float).max, top * (1 - 1e-12))
+            else:
+                wide = (float(prof._r_by_phi.near.x[0]) - 1e-12, top * (1 - 1e-12))
+            lo, hi = prof._phi_range
+            # the r test binds at the top below about r = 100, where 1e-14 of
+            # r_max is narrower than the phi sliver's 1e-12, and the sliver above
+            assert wide[0] <= lo and (hi < wide[1] if r_max < 100.0 else hi == wide[1])
+            probes = [wide[0], wide[1], np.nextafter(wide[1], 1.0)]
+            for end in (lo, hi):
+                for direction in (-math.inf, math.inf):
+                    phi = end
+                    for _ in range(40):
+                        probes.append(phi)
+                        phi = np.nextafter(phi, direction)
+            if m == 0.0:
+                assert -39.0 < lo < -37.0
+                probes += list(np.linspace(-40.0, -36.0, 4001))
+            r_lo, r_hi = prof._r_range
+            for phi in probes:
+                r = prof._r_by_phi(np.float64(phi), phi, phi)
+                refused_before = not (wide[0] <= phi <= wide[1] and r_lo <= r <= r_hi)
+                for name in ("radius_from_gauge", "lambda_from_gauge"):
+                    try:
+                        getattr(prof, name)(phi)
+                        refused = False
+                    except TableExtentError:
+                        refused = True
+                    assert refused == refused_before, (name, phi)
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     @pytest.mark.parametrize("name", ACCESSORS)

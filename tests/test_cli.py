@@ -327,21 +327,23 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_beyond_table_range_exit_2(self, tmp_path, capsys, m):
-        p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 800")
-        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert "r_max" in capsys.readouterr().err
+        # r0 = 500 is the fuzz test's far draw
+        for r0 in (500, 800):
+            p = write_config(tmp_path / "c.ini", m=m, initial_extra=f"r0 = {r0}")
+            assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+            assert f"radius {r0} past r_max = 177" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_past_gauge_limit_fails_fast(self, tmp_path, capsys, m):
-        # r0 = 138 with t_end = 1 needs an extent of 140.5, just past the
-        # largest finite table: the run stops before building a table and
-        # says why in events.jsonl
-        p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 138")
+        # r0 = 177.5 lies just past R_MAX = 177, the largest radius the
+        # stage keeps finite: the run stops before its first stage, names
+        # the radius, and says why in events.jsonl
+        p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 177.5")
         out = tmp_path / "o"
         start = time.perf_counter()
         assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "r_max" in capsys.readouterr().err
+        assert "radius 177.5 past r_max = 177" in capsys.readouterr().err
         events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
         assert [e["kind"] for e in events] == ["failed"]
         assert events[0]["error"].startswith("TableExtentError")
@@ -566,10 +568,12 @@ class TestSweepCommand:
     def test_dead_worker_exit_2(self, tmp_path, capsys, monkeypatch):
         # a worker that dies abruptly (killed for memory, a crash, os._exit)
         # breaks the pool: a runtime error with an error line, not a
-        # traceback read as a failed check
-        class DeadPool:
+        # traceback read as a failed check. The combination that finished
+        # before it is kept, and aggregate.csv names each one that was lost
+        class HalfDeadPool:
+            # runs the first combination, then every later future raises
             def __init__(self, max_workers):
-                pass
+                self.submitted = 0
 
             def __enter__(self):
                 return self
@@ -577,19 +581,30 @@ class TestSweepCommand:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, payloads):
-                raise BrokenProcessPool("a child process terminated abruptly")
+            def submit(self, fn, payload):
+                future = concurrent.futures.Future()
+                if self.submitted == 0:
+                    future.set_result(fn(payload))
+                else:
+                    future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+                self.submitted += 1
+                return future
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", HalfDeadPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1)
         with open(cfg, "a") as fh:
-            fh.write("\n[sweep]\nf_kind = mean sigma2root\n")
+            fh.write("\n[sweep]\nf_kind = mean sigma2root quotient2\n")
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: a sweep worker died abruptly")
-        assert not (out / "aggregate.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a sweep worker died abruptly")
+        assert "PASS mean" in captured.out
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert len(rows) == 4 and rows[1].startswith("mean,") and rows[1].endswith(",1,")
+        lost = ",,,,0,BrokenProcessPool: a child process terminated abruptly"
+        assert rows[2:] == ["sigma2root" + lost, "quotient2" + lost]
+        assert (out / "mean" / "report.json").exists()
 
     def test_unknown_sweep_f_kind_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.ini")

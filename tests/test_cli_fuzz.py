@@ -6,10 +6,11 @@ Configs are drawn around valid short runs: t_end <= 0.05 in both grid
 modes, N_theta <= 64 in axisymmetric mode and N_theta <= 20, n_psi <= 64 in
 lat-long mode, and at most one key per config (about a third of them)
 takes a value outside its valid range. Initial radii lie in 0.05 to 30,
-except that one draw in eight takes r0 = 500, past the largest warp table
-(r = 140); perturbation amplitudes lie mostly below r0. Masses are 0, in
-0.01 to 4, or in [0, 0.01) down to subnormals, which keeps both the
-graded-horizon tables and the exit for masses below M_MIN in the draw.
+except that one draw in eight takes r0 = 500, past the largest radius a
+warp profile accepts (R_MAX, r = 177); perturbation amplitudes lie mostly
+below r0. Masses are 0, in 0.01 to 4, or in [0, 0.01) down to subnormals,
+which keeps both the graded-horizon tables and the exit for masses below
+M_MIN in the draw.
 Most valid draws reach the flow and the report, which judges every check.
 The seed is fixed, so every run draws the same 40 configs.
 """

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,3 +238,44 @@ class TestTheoremReport:
             "metric_residual: a round sphere at the final radii exceeds the tolerance "
             "on its own, so the run is too short to judge the residual"]
         assert rep["overall_pass"] is True, dg.report_lines(rep)
+
+
+class TestFBounds:
+    """f_bounds bounds F_max by the umbilic comparison spheres: F = n
+    lambda'/lambda peaks at lambda*, lambda*^(n-1) = m (n + 1) / 2."""
+
+    @pytest.fixture(scope="class")
+    def near_horizon_series(self):
+        # m = 1 from r_horizon + 0.1: the sphere's F rises from 0.506 to
+        # the peak 2 lambda*'/lambda* = 2.143 (lambda* = 3/2), which a
+        # bound read at the start's own nodes (1.1 x 0.506 = 0.557) missed
+        params = bg.BackgroundParams(m=1.0, n=2)
+        cfg = flow.FlowConfig(
+            background=params, grid_mode="axisymmetric1d", grid_resolution=16,
+            initial=flow.InitialData(kind="constant",
+                                     r0=bg.build_warp_profile(params).r_horizon + 0.1),
+            f=cf.from_name("mean", 2), t_end=3.0, dt_max=1e-2,
+        )
+        return flow.run(cfg)[1]
+
+    @staticmethod
+    def judged(series, f_scale=1.0):
+        """f_bounds_pass of the series with F_max scaled by f_scale, and
+        F_min held at its late minimum, so its floor is not what is judged."""
+        late = float(np.min(series.column("F_min")[series.times >= 1.0]))
+        copy = replace(series, records=[replace(r, F_min=late, F_max=f_scale * r.F_max)
+                                        for r in series.records])
+        return dg.theorem_report(copy, dg.ReportConfig())["f_bounds_pass"]
+
+    def test_bound_covers_the_comparison_spheres(self, near_horizon_series):
+        series = near_horizon_series
+        lam = 1.5
+        assert series.f_umb0 == pytest.approx(2.0 * math.sqrt(1.0 + lam * lam - 1.0 / lam) / lam,
+                                              rel=1e-15, abs=0.0)
+        f_max = float(np.max(series.column("F_max")))
+        assert 1.1 * series.records[0].F_max < f_max <= series.f_umb0 < 2.144
+        assert self.judged(series) is True
+
+    def test_f_past_the_bound_still_fails(self, near_horizon_series):
+        # 1.2 x 2.143 = 2.57 lies past the bound 1.1 x 2.143 = 2.357
+        assert self.judged(near_horizon_series, f_scale=1.2) is False

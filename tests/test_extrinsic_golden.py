@@ -177,6 +177,11 @@ def reference_stable_dt(state, f, ext):
 
 
 # -- reference: the warp lookups, with a branch and range tests per mass -----
+# For m > 0 each reads the table up to its last node, the anchor, and the
+# closed far field above it: with a = m / (2 (n + 1)) and
+# b = a 2^(n+2) / (n + 2), lambda = sinh r + a sinh^(-n) r,
+# psi = 2 artanh e^(-r) - a 2^(n+2) e^(-(n+2) r) / (n + 2) and
+# r = r0 - sinh(r0) b e^(-(n+2) r0) with r0 = -log tanh(psi / 2).
 
 def _ref_check_r(prof, r):
     r = np.asarray(r, dtype=float)
@@ -185,11 +190,39 @@ def _ref_check_r(prof, r):
     return r
 
 
+def _ref_pieces(x, anchor, near, far):
+    """near(x) at and below the anchor, far(x) above it, entry by entry."""
+    out = np.empty_like(x)
+    below = x <= anchor
+    out[below] = near(x[below])
+    out[~below] = far(x[~below])
+    return out[()]
+
+
+def _ref_far(prof):
+    m, n = prof.params.m, prof.params.n
+    a = m / (2.0 * (n + 1.0))
+    b = a * 2.0 ** (n + 2) / (n + 2)
+
+    def lam(r):
+        s = np.sinh(r)
+        return s + a * s ** (-n)
+
+    def phi(r):
+        return -(2.0 * np.arctanh(np.exp(-r)) - b * np.exp(-(n + 2) * r))
+
+    def radius(p):
+        r0 = -np.log(np.tanh(-0.5 * p))
+        return r0 - np.sinh(r0) * b * np.exp(-(n + 2) * r0)
+
+    return lam, phi, radius
+
+
 def ref_lambda_of_r(prof, r):
     r = _ref_check_r(prof, r)
     if prof.params.m == 0.0:
         return np.sinh(r)
-    return prof._lam_by_r(r)
+    return _ref_pieces(r, prof.table_r[-1], prof._lam_by_r.near, _ref_far(prof)[0])
 
 
 def ref_gauge_from_radius(prof, r):
@@ -198,7 +231,7 @@ def ref_gauge_from_radius(prof, r):
         if (r <= 0.0).any():
             raise TableExtentError("radius")
         return -2.0 * np.arctanh(np.exp(-r))
-    return prof._phi_by_r(r)
+    return _ref_pieces(r, prof.table_r[-1], prof._phi_by_r.near, _ref_far(prof)[1])
 
 
 def ref_warp_from_gauge(prof, phi):
@@ -208,10 +241,14 @@ def ref_warp_from_gauge(prof, phi):
             raise TableExtentError("gauge value")
         r = _ref_check_r(prof, -np.log(np.tanh(-0.5 * phi)))
         return r, np.sinh(r)
-    lo, hi = prof._r_by_phi.x[0] - 1e-12, prof._r_by_phi.x[-1] * (1 - 1e-12)
+    nodes = prof._r_by_phi.near.x
+    lo = nodes[0] - 1e-12
+    hi = ref_gauge_from_radius(prof, prof.r_max) * (1 - 1e-12)
     if (phi < lo).any() or (phi > hi).any():
         raise TableExtentError("gauge value")
-    r, lam = prof._r_by_phi(phi), prof._lam_by_phi(phi)
+    far_lam, _, far_r = _ref_far(prof)
+    r = _ref_pieces(phi, nodes[-1], prof._r_by_phi.near, far_r)
+    lam = _ref_pieces(phi, nodes[-1], prof._lam_by_phi.near, lambda p: far_lam(far_r(p)))
     _ref_check_r(prof, r)
     return r, lam
 
@@ -439,7 +476,7 @@ def test_lookups_refuse_what_the_reference_refused(m):
     if m == 0.0:
         probes["r"] = [x for x in probes["r"] if x > 0.0 or x < -1e-12]
     else:
-        phi_lo = float(prof._r_by_phi.x[0])
+        phi_lo = float(prof._r_by_phi.near.x[0])
         probes["r"].append(np.nextafter(r_lo - 1e-12, -9.0))
         probes["phi"] += [phi_lo - 1e-9, phi_lo - 1e-12, -1e300]
     kind = {"lambda_of_r": "r", "gauge_from_radius": "r",

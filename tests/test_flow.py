@@ -527,8 +527,9 @@ class TestCheckpoint:
             assert (rec.sup_hess_phi, rec.F_max) == (ref.sup_hess_phi, ref.F_max)
 
     def test_run_independent_of_table_extent(self):
-        # a resumed run may load onto a table of another extent than the
-        # original run's; the flow on it must not change, bit for bit
+        # a profile's cap r_max only ends its radius range: the flow on a
+        # profile capped below the anchor and on one capped above it is
+        # the same, bit for bit
         cfg = make_config(
             background=bg.BackgroundParams(m=1.0, n=2),
             grid_resolution=32,
@@ -548,8 +549,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("t_stop", [0.5, 1.0])
     def test_resume_builds_the_runs_table(self, tmp_path, monkeypatch, t_stop):
-        # a checkpoint of the same config reloads onto one table of the
-        # run's own extent, mid-run or at t_end
+        # a checkpoint of the same config reloads onto the run's own
+        # profile, mid-run or at t_end: the one profile of its mass
         cfg = make_config(
             background=bg.BackgroundParams(m=1.0, n=2),
             grid_resolution=32,
@@ -564,8 +565,33 @@ class TestCheckpoint:
         n_build = count_calls(monkeypatch, bg, "build_warp_profile")
         loaded = flow.load_checkpoint(path, cfg)
         assert n_build["n"] == 1
-        assert loaded.profile.r_max == final.profile.r_max
+        assert loaded.profile is final.profile is stopped.profile
+        assert loaded.profile.r_max == bg.R_MAX
         assert np.array_equal(loaded.phi.values, stopped.phi.values)
+
+    def test_resume_past_the_anchor_matches_uninterrupted(self, tmp_path):
+        # r0 = 11 lies past the table's anchor (near r = 10), so every
+        # lookup reads the closed far field: cut at t = 0.25 and resumed,
+        # the run repeats the uninterrupted one bit for bit
+        cfg = make_config(
+            background=bg.BackgroundParams(m=1.0, n=2),
+            grid_resolution=16,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=11.0,
+                                     amplitude=0.3, wavenumber=1),
+            t_end=0.5, dt_max=1e-2, output_every=0.05,
+        )
+        full, series_full, _ = flow.run(cfg)
+        assert full.r.values.min() > full.profile.table_r[-1]
+        mid, _, _ = flow.run(replace(cfg, t_end=0.25))
+        path = tmp_path / "ck.json"
+        flow.save_checkpoint(mid, path)
+        resumed, series_res, _ = flow.run(cfg, initial_state=flow.load_checkpoint(path, cfg))
+        assert np.array_equal(resumed.phi.values, full.phi.values)
+        assert np.array_equal(resumed.r.values, full.r.values)
+        assert len(series_res.records) == 6
+        for rec in series_res.records:
+            ref = next(r for r in series_full.records if r.t == rec.t)
+            assert rec == ref
 
     def test_gauge_beyond_every_table_rejected(self, tmp_path, prof_m0):
         # a positive gauge lies past r = infinity
@@ -580,8 +606,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_far_checkpoint_loads_onto_one_table(self, tmp_path, monkeypatch, m):
-        # radii far past the config's own extent (2.5 + 0.25 + 2) are sized
-        # from the checkpoint's phi: one table, the radii kept to rounding
+        # radii far past the config's own start (2.5) load onto the one
+        # profile of the mass, the radii kept to rounding
         params = bg.BackgroundParams(m=m, n=2)
         prof = bg.build_warp_profile(params, 16.0)
         grid = sp.build_grid("axisymmetric1d", 32)
@@ -593,7 +619,7 @@ class TestCheckpoint:
         n_build = count_calls(monkeypatch, bg, "build_warp_profile")
         loaded = flow.load_checkpoint(path, cfg)
         assert n_build["n"] == 1
-        assert loaded.profile.r_max >= 12.0 + 0.25 + 2.0
+        assert loaded.profile is bg.build_warp_profile(params)
         assert np.max(np.abs(loaded.r.values - 12.0)) < 1e-13
 
     def test_version_1_checkpoint_rejected(self, tmp_path, prof_m0):
@@ -611,7 +637,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("bad, error", [
         (float("nan"), ConfigError),
-        (-5e-324, TableExtentError),     # its radius bound overflows
+        (-5e-324, TableExtentError),     # past every radius
     ])
     def test_gauge_with_no_radius_bound_rejected(self, tmp_path, prof_m0, bad, error):
         state = unit_sphere_state(prof_m0, 32)

@@ -244,14 +244,15 @@ class TestTwoDim:
 
 class TestFarRadius:
     # the pencil discriminant's d1 grows like lambda^4: its square
-    # overflowed past r ~ 88, and kappa read [-inf, inf]
+    # overflowed past r ~ 88, and kappa read [-inf, inf]; the products
+    # themselves stay finite up to R_MAX
     @pytest.fixture(scope="class")
     def prof_far(self):
-        return bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=bg.R_TABLE_LIMIT)
+        return bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
 
     @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
     @pytest.mark.parametrize("mode, res", [("axisymmetric1d", 32), ("latlong2d", (16, 32))])
-    @pytest.mark.parametrize("r0", [100.0, 138.0])
+    @pytest.mark.parametrize("r0", [100.0, 138.0, bg.R_MAX - 0.3])
     def test_stage_data_finite(self, prof_far, r0, mode, res, name):
         state = perturbed_state(prof_far, sp.build_grid(mode, res), r0=r0, amp=0.3)
         with warnings.catch_warnings():
@@ -260,6 +261,10 @@ class TestFarRadius:
         # far out the surface is umbilic to rounding: kappa = 1 + O(e^-2r)
         assert np.abs(ext.kappa - 1.0).max() < 1e-12
         assert np.isfinite(ext.speed).all()
+
+
+# a gauge past the cap r_max = 8 of the module's profiles, named by its radius
+PAST_THE_CAP = "^gauge value outside tabulated range: radius {} past r_max = 8$"
 
 
 class TestFailurePaths:
@@ -288,37 +293,42 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("end", ["low", "high"])
     def test_gauge_past_the_m1_table(self, prof_m1, end):
+        # half the cap's gauge lies about log 2 past it, and is named so
+        message = ("^gauge value outside tabulated range$" if end == "low"
+                   else PAST_THE_CAP.format(r"8\.693\d*"))
         grid, phi = self.gauge(prof_m1)
         lo = float(prof_m1.gauge_from_radius(prof_m1.r_horizon))
         hi = float(prof_m1.gauge_from_radius(prof_m1.r_max))
         phi[4] = lo - 1e-6 if end == "low" else 0.5 * hi
-        with pytest.raises(TableExtentError, match="^gauge value outside tabulated range$"):
+        with pytest.raises(TableExtentError, match=message):
             geo.state_from_gauge(grid, prof_m1, phi)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_nonnegative_gauge_at_m0(self, prof_m0, bad):
         grid, phi = self.gauge(prof_m0)
         phi[-1] = bad
-        with pytest.raises(TableExtentError, match="^gauge value outside tabulated range$"):
+        with pytest.raises(TableExtentError, match=PAST_THE_CAP.format("inf")):
             geo.state_from_gauge(grid, prof_m0, phi)
 
     def test_radius_past_the_m0_table(self, prof_m0):
         # a gauge just below 0 is a radius near 690, past r_max = 8
         grid, phi = self.gauge(prof_m0)
         phi[0] = -1e-300
-        with pytest.raises(TableExtentError, match="^gauge value outside tabulated range$"):
+        with pytest.raises(TableExtentError, match=PAST_THE_CAP.format(r"691\.\d*")):
             geo.state_from_gauge(grid, prof_m0, phi)
 
     @pytest.mark.parametrize("bad", [-5e-324, -1e-300])
     def test_m0_gauge_next_to_zero(self, prof_m0, bad):
-        # refused by the gauge range before -log tanh(-phi/2) can warn
+        # refused by the gauge range before -log tanh(-phi/2) can warn; the
+        # smallest gauge's half rounds to 0, past every radius
+        radius = "inf" if bad == -5e-324 else r"691\.\d*"
         grid, phi = self.gauge(prof_m0)
         phi[7] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TableExtentError, match="^gauge value outside tabulated range$"):
+            with pytest.raises(TableExtentError, match=PAST_THE_CAP.format(radius)):
                 geo.state_from_gauge(grid, prof_m0, phi)
-            with pytest.raises(TableExtentError, match="^gauge value outside tabulated range$"):
+            with pytest.raises(TableExtentError, match=PAST_THE_CAP.format(radius)):
                 prof_m0.radius_from_gauge(phi)
 
     def test_in_table_gauge_builds_its_state(self, prof_m0, prof_m1):
