@@ -7,7 +7,6 @@ from .background import (
     ambient_sectional,
     build_warp_profile,
     solve_horizon,
-    warp_derivatives,
 )
 from .curvature import CurvatureFunction, cone_contains, f_eval, f_grad, from_name
 from .diagnostics import (

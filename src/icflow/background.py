@@ -57,7 +57,8 @@ The flow reads four lookups of one function each: lambda and phi by r
 place the start state, a stage reads lambda by phi (dr/dphi = lambda),
 and r by phi is read only at snapshots. Each first judges its argument
 against one range, NaN included; the gauge range is narrowed at build to
-the phi whose r lies in the radius range, which ends at the cap r_max.
+the phi whose r lies in the radius range, which ends at the cap r_max,
+each of its ends bisected to adjacent doubles.
 """
 
 from __future__ import annotations
@@ -99,16 +100,23 @@ _GRADE = 64
 R_MAX = 177.0
 
 
-def _bisect(below, lo, hi):
-    """Adjacent doubles lo < hi with below(lo) true and below(hi) false,
-    bisected from such a bracket."""
-    while lo < 0.5 * (lo + hi) < hi:
+def _bisect(at_lo, lo, hi):
+    """Adjacent doubles lo and hi with at_lo(lo) true and at_lo(hi) false,
+    bisected from such a bracket; lo may lie above hi."""
+    while lo != 0.5 * (lo + hi) != hi:
         mid = 0.5 * (lo + hi)
-        if below(mid):
+        if at_lo(mid):
             lo = mid
         else:
             hi = mid
     return lo, hi
+
+
+def _last_inside(inside, a, b):
+    """The last double from a toward b that is inside, for inside(a) true
+    and monotone along the bracket: b itself if it is inside, else the end
+    bisected to adjacent doubles."""
+    return float(b) if inside(b) else float(_bisect(inside, a, b)[0])
 
 
 # the lower end of every massless radius range: the smallest double r whose
@@ -138,7 +146,13 @@ class BackgroundParams:
 
 
 def _g(s, m, n):
-    return 1.0 + s * s - m * s ** (1 - n)
+    """1 + s^2 - m s^(1-n): lambda'^2 as a function of lambda = s."""
+    return 1.0 + s * s - m * s ** (1 - n) if m != 0.0 else 1.0 + s * s
+
+
+def _lambda_pp(lam, m, n):
+    """lambda'' as a function of lambda."""
+    return lam + 0.5 * m * (n - 1) * lam ** (-n) if m != 0.0 else lam
 
 
 def solve_horizon(params: BackgroundParams) -> float:
@@ -215,7 +229,8 @@ class WarpProfile:
     and one lookup. The radius range is [r_horizon, r_max] with a sliver
     of 1e-12 below the horizon (at m = 0 it starts at the smallest r whose
     gauge is finite, about 4.5e-17); the gauge range holds exactly the phi
-    of a sliver-wide range whose r lies in it.
+    of a sliver-wide range whose r lies in it, its ends bisected to
+    adjacent doubles at build.
     """
 
     params: BackgroundParams
@@ -257,16 +272,10 @@ class WarpProfile:
 
     def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
-        m, n = self.params.m, self.params.n
-        inner = 1.0 + lam * lam - m * lam ** (1 - n) if m != 0.0 else 1.0 + lam * lam
-        return np.sqrt(np.maximum(inner, 0.0))
+        return np.sqrt(np.maximum(_g(lam, self.params.m, self.params.n), 0.0))
 
     def lambda_pp_of_lambda(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        m, n = self.params.m, self.params.n
-        if m == 0.0:
-            return lam
-        return lam + 0.5 * m * (n - 1) * lam ** (-n)
+        return _lambda_pp(np.asarray(lam, dtype=float), self.params.m, self.params.n)
 
     # -- radial gauge -----------------------------------------------------
 
@@ -292,8 +301,7 @@ class WarpProfile:
         pts = np.concatenate([r[1:], 0.5 * (r[:-1] + r[1:])])
         lam = self._lam_by_r.near(pts)
         d = self._lam_by_r.near.derivative()(pts)
-        target = 1.0 + lam * lam - m * lam ** (1 - n)
-        return float(np.max(np.abs(d * d - target) / (1.0 + lam * lam)))
+        return float(np.max(np.abs(d * d - _g(lam, m, n)) / (1.0 + lam * lam)))
 
 
 def _horizon_nodes(s0):
@@ -395,32 +403,10 @@ def _massless_radius(phi):
     return -np.log(np.tanh(-0.5 * phi))
 
 
-# where _last_inside probes its bracket, as fractions of it
-_PROBES = np.linspace(0.0, 1.0, 257)
-
-
-def _last_inside(radius, r_range, a, b):
-    """The last gauge from a toward b whose radius lies in r_range, for
-    radius monotone and radius(a) inside. Each round looks radius up at
-    257 evenly spaced doubles of the bracket at once and keeps the two
-    across which it leaves r_range, so a bracket of 2^k doubles takes
-    about k / 8 lookups."""
-    while True:
-        x = a + (b - a) * _PROBES
-        x[-1] = b
-        r = radius(x)
-        ok = (r_range[0] <= r) & (r <= r_range[1])
-        if ok[-1]:
-            return float(b)
-        i = int(np.argmin(ok))
-        a, b = x[i - 1], x[i]
-        if np.nextafter(a, b) == b:
-            return float(a)
-
-
 # the lower end of every massless gauge range: below it tanh(-phi/2)
 # rounds to 1 and r to 0, under the radius range (as it does below -40)
-_PHI_MIN_MASSLESS = _last_inside(_massless_radius, (_R_MIN_MASSLESS, math.inf), -1.0, -40.0)
+_PHI_MIN_MASSLESS = _last_inside(lambda phi: _massless_radius(phi) >= _R_MIN_MASSLESS,
+                                 -1.0, -40.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -446,10 +432,13 @@ def build_warp_profile(params: BackgroundParams, r_max: float = R_MAX) -> WarpPr
         s0 = solve_horizon(params)
         u = _build_u_grid(s0, m)
 
+        def dr_du(u):
+            return 2.0 / np.sqrt(_h_of_w(u * u, s0, m, n))
+
         half = 0.5 * np.diff(u)                      # (N-1,)
         mid = 0.5 * (u[:-1] + u[1:])
         upts = mid[:, None] + half[:, None] * _GL_NODES[None, :]    # (N-1, q)
-        G = 2.0 / np.sqrt(_h_of_w(upts * upts, s0, m, n))
+        G = dr_du(upts)
         lam_pts = s0 + upts * upts
         dr = np.sum(G * _GL_WEIGHTS[None, :], axis=1) * half
         dphi = np.sum(G / lam_pts * _GL_WEIGHTS[None, :], axis=1) * half
@@ -468,22 +457,22 @@ def build_warp_profile(params: BackgroundParams, r_max: float = R_MAX) -> WarpPr
 
         # the closed far field: psi, its inverse to first order in b, lambda
         def far_psi(r):
-            return 2.0 * np.arctanh(np.exp(-r)) - b * np.exp(-(n + 2) * r)
+            return -_massless_gauge(r) - b * np.exp(-(n + 2) * r)
 
         def far_radius(phi):
             r0 = _massless_radius(phi)
             return r0 - np.sinh(r0) * b * np.exp(-(n + 2) * r0)
 
         def far_lambda(r):
-            return np.sinh(r) + a * np.sinh(r) ** (-n)
+            s = np.sinh(r)
+            return s + a * s ** (-n)
 
         # psi from the far field at the anchor, and below it by the
         # quadrature increments summed downward
         phi = -np.cumsum(np.concatenate([far_psi(table_r[-1:]), dphi[::-1]]))[::-1]
 
-        Gn = 2.0 / np.sqrt(_h_of_w(u * u, s0, m, n))
-        lam_p = 2.0 * u / Gn                         # dlambda/du / dr/du
-        lam_pp = table_lam + 0.5 * m * (n - 1) * table_lam ** (-n)
+        lam_p = 2.0 * u / dr_du(u)                   # dlambda/du / dr/du
+        lam_pp = _lambda_pp(table_lam, m, n)
         lam_by_r = _Joined(_Piecewise(table_r, _hermite(table_r, table_lam, lam_p, lam_pp)),
                            far_lambda, table_r[-1])
         phi_by_r = _Joined(_Piecewise(table_r, _hermite(table_r, phi, 1.0 / table_lam,
@@ -499,28 +488,21 @@ def build_warp_profile(params: BackgroundParams, r_max: float = R_MAX) -> WarpPr
     if not r_lo < r_max <= R_MAX:
         raise TableExtentError(f"r_max must lie in ({r_lo:g}, R_MAX = {R_MAX:g}], where "
                                f"the stage stays finite; got radius {r_max}")
-    # a sliver of 1e-12 past each end of phi, narrowed to the phi whose r
-    # lies in r_range; the cap's phi is about -2 e^(-r_max), so its sliver
-    # is relative
-    radius = lambda x: r_by_phi(x, x.min(), x.max())
+    # a sliver of 1e-12 past each end of phi, narrowed by bisection to the
+    # phi whose r lies in r_range; the cap's phi is about -2 e^(-r_max), so
+    # its sliver is relative
     r_range = (_R_MIN_MASSLESS if m == 0.0 else r_lo - 1e-12, r_max * (1 + 1e-14))
+    inside = lambda x: r_range[0] <= r_by_phi(x, x, x) <= r_range[1]
     top = float(phi_by_r(np.float64(r_max), r_max, r_max))
-    bottom = _PHI_MIN_MASSLESS if m == 0.0 else _last_inside(radius, r_range, phi[0],
-                                                             phi[0] - 1e-12)
+    bottom = _PHI_MIN_MASSLESS if m == 0.0 else _last_inside(inside, phi[0], phi[0] - 1e-12)
     table_r.flags.writeable = table_lam.flags.writeable = False   # shared by every caller
     return WarpProfile(
         params=params, r_max=float(r_max), s0=float(s0), r_horizon=r_lo,
         table_r=table_r, table_lam=table_lam,
         _lam_by_r=lam_by_r, _phi_by_r=phi_by_r, _r_by_phi=r_by_phi, _lam_by_phi=lam_by_phi,
         _r_range=r_range,
-        _phi_range=(bottom, _last_inside(radius, r_range, top, top * (1 - 1e-12))),
+        _phi_range=(bottom, _last_inside(inside, top, top * (1 - 1e-12))),
     )
-
-
-def warp_derivatives(profile: WarpProfile, r):
-    """(lambda, lambda', lambda'') at radius r, derivatives from closed forms."""
-    lam = profile.lambda_of_r(r)
-    return lam, profile.lambda_p_of_lambda(lam), profile.lambda_pp_of_lambda(lam)
 
 
 def ambient_sectional(profile: WarpProfile, r):
@@ -530,7 +512,8 @@ def ambient_sectional(profile: WarpProfile, r):
     K_rad of planes containing the radial direction; both approach -1 at
     large radius.
     """
-    lam, lam_p, lam_pp = warp_derivatives(profile, r)
+    lam = profile.lambda_of_r(r)
+    lam_p = profile.lambda_p_of_lambda(lam)
     k_tan = (1.0 - lam_p * lam_p) / (lam * lam)
-    k_rad = -lam_pp / lam
+    k_rad = -profile.lambda_pp_of_lambda(lam) / lam
     return k_tan, k_rad

@@ -100,8 +100,8 @@ def check_umbilic_exactness():
     return worst <= 1e-12, f"geodesic-sphere curvature defect {worst:.2e}"
 
 
-def check_contraction_identity(profile=None):
-    prof = profile or bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
+def check_contraction_identity():
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
     res = geo.contraction_consistency_residual(_perturbed_state(prof))
     return res <= 1e-12, f"contraction-identity residual {res:.2e} (bound 1e-12)"
 

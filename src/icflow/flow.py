@@ -318,7 +318,6 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         if isinstance(exc, InadmissibleState):
             payload.update(_offender(exc))
         events.append(FlowEvent("failed", t, payload))
-        exc.t = t
         exc.events = events
         raise
     events.append(FlowEvent("completed", state.t, {"steps": steps}))

@@ -196,8 +196,10 @@ def derivatives(f: ScalarField):
     """Covariant gradient and Hessian of f as components of field shape:
     (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
 
-    Each theta stencil reads one padded copy of its field. On S^2 the only
-    nonzero Christoffel symbols are Gamma^theta_psipsi = -sin cos and
+    Every stencil reads the one padded copy of f. Its psi differences are
+    padded too, since a ghost row's psi difference is the edge row's half a
+    period round, so their theta difference gives f_thetapsi. On S^2 the
+    only nonzero Christoffel symbols are Gamma^theta_psipsi = -sin cos and
     Gamma^psi_thetapsi = cot. In axisymmetric mode f_psi and f_thetapsi
     vanish identically and are the grid's read-only `zeros`.
     """
@@ -209,9 +211,10 @@ def derivatives(f: ScalarField):
     h_psps = g.sin_cos * d_th
     if g.mode == "axisymmetric1d":
         return d_th, g.zeros, h_thth, g.zeros, h_psps
-    d_ps, d2_ps = _psi_diffs(g, v)
-    h_thps = _dtheta(g, _pad_theta(g, d_ps)) - g.cot * d_ps
-    return d_th, d_ps, h_thth, h_thps, h_psps + d2_ps
+    dp_ps, d2p_ps = _psi_diffs(g, p)
+    d_ps = dp_ps[1:-1]
+    h_thps = _dtheta(g, dp_ps) - g.cot * d_ps
+    return d_th, d_ps, h_thth, h_thps, h_psps + d2p_ps[1:-1]
 
 
 def grad_components(f: ScalarField):

@@ -395,13 +395,13 @@ def far_verdict(name, events, rep, drift, t_end, dt):
 
 
 def test_A11_long_run_past_the_old_gauge_limit():
-    # A3's data to t_end = 40: the table extent is 24.3
+    # A3's data to t_end = 40: r ends near 22, read from the far field
     events, rep, drift = far_run(2.0, 64, 1e-2, 40.0, (4.0, 36.0))
     far_verdict("A11 long run past r = 18.3", events, rep, drift, 40.0, 1e-2)
 
 
 def test_A12_far_start_past_the_old_gauge_limit():
-    # A3's data moved out to r0 = 12, to t_end = 20: the extent is 24.3
+    # A3's data moved out to r0 = 12, to t_end = 20: r ends near 22
     events, rep, drift = far_run(12.0, 32, 1e-3, 20.0, None)
     far_verdict("A12 far start past r = 18.3", events, rep, drift, 20.0, 1e-3)
 

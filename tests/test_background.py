@@ -25,10 +25,16 @@ def bisect_horizon(m, n, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def warp_derivatives(profile, r):
+    """(lambda, lambda', lambda'') at radius r, from the profile's accessors."""
+    lam = profile.lambda_of_r(r)
+    return lam, profile.lambda_p_of_lambda(lam), profile.lambda_pp_of_lambda(lam)
+
+
 def ambient_curvature_components(profile, r):
     """Scalar coefficients (lambda^2 (1 - lambda'^2), -lambda lambda'')
     generating the ambient curvature tensor in the warped coordinate frame."""
-    lam, lam_p, lam_pp = bg.warp_derivatives(profile, r)
+    lam, lam_p, lam_pp = warp_derivatives(profile, r)
     return lam * lam * (1.0 - lam_p * lam_p), -lam * lam_pp
 
 
@@ -241,13 +247,13 @@ class TestWarpProfile:
 
 class TestWarpDerivatives:
     def test_horizon_m2(self, prof_m2):
-        lam, lam_p, lam_pp = bg.warp_derivatives(prof_m2, prof_m2.r_horizon)
+        lam, lam_p, lam_pp = warp_derivatives(prof_m2, prof_m2.r_horizon)
         assert abs(lam - 1.0) < 1e-12
         assert abs(lam_p) < 1e-6          # lambda' vanishes at the horizon
         assert abs(lam_pp - 2.0) < 1e-10
 
     def test_massless_closed_form(self, prof_m0):
-        lam, lam_p, lam_pp = bg.warp_derivatives(prof_m0, 1.0)
+        lam, lam_p, lam_pp = warp_derivatives(prof_m0, 1.0)
         assert abs(lam - math.sinh(1.0)) < 1e-12
         assert abs(lam_p - math.cosh(1.0)) < 1e-12
         assert abs(lam_pp - math.sinh(1.0)) < 1e-12
@@ -490,7 +496,7 @@ class TestRanges:
         with pytest.raises(TableExtentError):
             getattr(prof, name)(np.array([inside, bad, inside]))
 
-    @pytest.mark.parametrize("m", [0.0, 1e-6, 1.0, 100.0])
+    @pytest.mark.parametrize("m", [0.0, 1e-9, 1e-6, 1.0, 2.0, 10.0, 100.0])
     def test_gauge_range_refuses_what_phi_then_r_refused(self, m):
         # the gauge range is narrowed at build, so that its one test
         # refuses what the sliver-wide phi range and then the radius range

@@ -348,6 +348,23 @@ class TestRunCommand:
         assert [e["kind"] for e in events] == ["failed"]
         assert events[0]["error"].startswith("TableExtentError")
 
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_radius_crossing_r_max_mid_run_exit_2(self, tmp_path, capsys, m):
+        # r0 = 176.8 starts inside R_MAX = 177 and the flow carries the
+        # surface past it: the stage that reads the gauge past the cap is
+        # refused, the run exits 2 naming the radius, and events.jsonl ends
+        # in a `failed` event at the last accepted time
+        p = write_config(tmp_path / "c.ini", m=m, n_theta=16, kind="cosine_perturbation",
+                         initial_extra="r0 = 176.8\namplitude = 0.1", dt_max="1e-2")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "gauge value outside tabulated range: radius 177.002 past r_max = 177" in err
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [e["t"] for e in events if e["kind"] == "snapshot"] == [0.0, 0.1, 0.2]
+        assert events[-1]["kind"] == "failed" and events[-1]["t"] == 0.2
+        assert events[-1]["error"].startswith("TableExtentError")
+
     def test_events_file(self, tmp_path):
         p = write_config(tmp_path / "c.ini", m=1.0, n_theta=32,
                          kind="cosine_perturbation",
