@@ -14,10 +14,10 @@ and fails nothing. The run exits 0 only if no check failed (1 on a check
 failure, 2 on a runtime or configuration error, an artifact that cannot
 be written among them).
 Identical configs produce byte-identical series files. A sweep
-runs up to --jobs combinations at once, capped by the CPU count. A
-worker that dies abruptly is a runtime error (2): the combinations that
-finished are kept, and aggregate.csv names each one it lost. Node-level
-arithmetic is vectorized and single-threaded per run.
+runs up to --jobs combinations at once, capped by the CPUs the process
+may run on. A worker that dies abruptly is a runtime error (2): the
+combinations that finished are kept, and aggregate.csv names each one
+it lost. Node-level arithmetic is vectorized and single-threaded per run.
 """
 
 from __future__ import annotations
@@ -151,13 +151,21 @@ def sweep_combos(cfg: RunConfig) -> list:
             for vals in itertools.product(*(cfg.sweep[k] for k in keys))]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     cfg = parse_run_config(args.config, allow_sweep=True)
     if not cfg.sweep:
         raise ConfigError("sweep config needs a [sweep] section")
     combos = sweep_combos(cfg)
     out = _make_dir(args.out)
-    jobs = max(1, min(args.jobs, os.cpu_count() or 1))
+    jobs = max(1, min(args.jobs, _usable_cpus()))
 
     payloads = [(cfg, combo, out / _combo_key(combo)) for combo in combos]
     results, broken = [], None

@@ -106,6 +106,7 @@ class DiagnosticsSeries:
     grid: SphereGrid
     pinch_ref: tuple               # (lambda(inf r), lambda(sup r)) e^(-t0/n)
     f_umb0: float                  # sup F of the umbilic spheres from lambda_min on
+    f_umb_min: float               # inf F of the umbilic spheres from lambda_min on
     initial_constant: bool         # the start radius is constant
     records: list = field(default_factory=list)
     radii: list = field(default_factory=list)
@@ -123,12 +124,15 @@ class DiagnosticsSeries:
         # reference for the pinching flags is the scaled warp value at the
         # series start, so resumed runs check monotonicity from their own t0
         scale0 = math.exp(-state.t / n)
-        # the umbilic spheres' F = n lambda'/lambda peaks at lambda*^(n-1) = m (n+1)/2
-        lam_umb = max(float(np.min(lam)), (0.5 * prof.params.m * (n + 1)) ** (1.0 / (n - 1)))
+        # the umbilic spheres' F = n lambda'/lambda rises to its peak at
+        # lambda*^(n-1) = m (n+1)/2 and then falls toward n
+        lam_min = float(np.min(lam))
+        lam_umb = max(lam_min, (0.5 * prof.params.m * (n + 1)) ** (1.0 / (n - 1)))
         return DiagnosticsSeries(
             profile=prof, grid=state.grid,
-            pinch_ref=(float(np.min(lam)) * scale0, float(np.max(lam)) * scale0),
+            pinch_ref=(lam_min * scale0, float(np.max(lam)) * scale0),
             f_umb0=n * float(prof.lambda_p_of_lambda(lam_umb)) / lam_umb,
+            f_umb_min=n * min(float(prof.lambda_p_of_lambda(lam_min)) / lam_min, 1.0),
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )
 
@@ -357,14 +361,11 @@ def theorem_report(series: DiagnosticsSeries, report_cfg: ReportConfig,
 
     fmax0 = series.records[0].F_max
     bound = 1.1 * max(fmax0, series.f_umb0)
+    floor = 0.5 * min(series.records[0].F_min, series.f_umb_min)
     fmin = series.column("F_min")
     fmax = series.column("F_max")
-    late = fmin[t >= 1.0 - 1e-12]
-    floor_ok = True
-    if late.size:
-        floor_ok = bool(np.min(fmin) >= 0.5 * float(np.min(late)))
     add_result("f_bounds_pass", bool(
-        np.all(fmin > 0.0) and np.max(fmax) <= bound and floor_ok
+        np.all(fmin > 0.0) and np.max(fmax) <= bound and np.min(fmin) >= floor
     ))
 
     # absolute floor covers the rounding-level gradients of constant data

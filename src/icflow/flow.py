@@ -172,18 +172,13 @@ def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
     kept as ext.f_kappa and ext.speed.
 
     Raises InadmissibleState, carrying the worst node and its kappa, when
-    kappa leaves the cone or F(kappa) is not positive; FlowError when the
-    speed is not finite.
+    kappa leaves the cone; FlowError when the speed is not finite. At
+    n = 2 the cone test implies F(kappa) > 0 for every F: the mean is
+    sigma_1, the sigma_2 root is 2 sqrt(sigma_2) and the quotient is at
+    least 2 min kappa, so F is not tested again.
     """
     ext = compute_extrinsic(state)
-    kappa = ext.kappa
-    f_kappa = cf._value(F, cf.require_cone(F, ext.sigma_j, kappa, state.t))
-    if f_kappa.min() <= 0.0:
-        idx = np.unravel_index(int(np.argmin(f_kappa)), f_kappa.shape)
-        raise InadmissibleState(
-            f"curvature function not positive at t={state.t}",
-            t=state.t, node=idx, kappa=kappa[idx],
-        )
+    f_kappa = cf._value(F, cf.require_cone(F, ext.sigma_j, ext.kappa, state.t))
     speed = ext.v / (state.lam * f_kappa)
     if not np.isfinite(speed).all():
         raise FlowError(f"non-finite speed at t={state.t}")

@@ -175,10 +175,11 @@ def _pencil_eigenvalues(a, b, diagonal=False):
         d1 = d1 * s
         disc = np.sqrt(np.maximum(d1 * d1 + (4.0 * s * s) * d2 * d3, 0.0)) / s
     den = 2.0 * det_b
-    lo = (mix - disc) / den
-    kappa = np.empty(lo.shape + (2,))
-    kappa[..., 0] = lo
-    kappa[..., 1] = (mix + disc) / den
+    # each root is divided straight into its kappa column; mix has the
+    # shape of every input it reads
+    kappa = np.empty(mix.shape + (2,))
+    np.divide(mix - disc, den, out=kappa[..., 0])
+    np.divide(mix + disc, den, out=kappa[..., 1])
     return kappa
 
 

@@ -609,6 +609,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", HalfDeadPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1)
         with open(cfg, "a") as fh:
             fh.write("\n[sweep]\nf_kind = mean sigma2root quotient2\n")
@@ -622,6 +623,24 @@ class TestSweepCommand:
         lost = ",,,,0,BrokenProcessPool: a child process terminated abruptly"
         assert rows[2:] == ["sigma2root" + lost, "quotient2" + lost]
         assert (out / "mean" / "report.json").exists()
+
+    def test_jobs_capped_by_the_affinity_mask(self, tmp_path, capsys, monkeypatch):
+        # a machine of 4 CPUs, of which the process may run on one: --jobs 2
+        # takes the serial path and builds no process pool
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError(f"a pool of {max_workers} workers was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.05)
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nf_kind = mean sigma2root\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["mean", "sigma2root"]
 
     def test_unknown_sweep_f_kind_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.ini")

@@ -13,6 +13,22 @@ def sample_positive(rng, n, size):
     return rng.uniform(0.1, 10.0, size=(size, n))
 
 
+def reference_elementary_symmetric(kappa):
+    """sigma_j by the recurrence with every step in the loop, as it stood
+    before its first step was written in place."""
+    n = kappa.shape[-1]
+    e = np.empty(kappa.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    e[..., 1] = kappa[..., 0]
+    for i in range(1, n):
+        ki = kappa[..., i]
+        e[..., i + 1] = ki * e[..., i]
+        for j in range(i, 1, -1):
+            e[..., j] += ki * e[..., j - 1]
+        e[..., 1] += ki
+    return e
+
+
 def brute_sigma(kappa, k):
     """Elementary symmetric polynomial by explicit subset enumeration."""
     from itertools import combinations
@@ -35,6 +51,39 @@ class TestEval:
         k0, k1 = kappa[:, 0], kappa[:, 1]
         want = np.stack([np.ones(64), k0 + k1, k1 * k0], axis=-1)
         assert np.array_equal(cf.elementary_symmetric(kappa), want)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (7,), (5, 6), (3, 4, 2)])
+    def test_elementary_matches_the_recurrence_bit_for_bit(self, n, lead):
+        rng = np.random.default_rng(10 * n + len(lead))
+        kappa = rng.normal(size=lead + (n,)) * 10.0 ** rng.integers(-5, 6, size=lead + (n,))
+        got = cf.elementary_symmetric(kappa)
+        assert np.array_equal(got.view(np.uint64),
+                              reference_elementary_symmetric(kappa).view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(cf._NAMED))
+    def test_value_positive_on_the_cone(self, name):
+        # at n = 2 the cone test implies F > 0, so the flow does not test
+        # F again: seeded pairs of either sign with magnitudes from 1e-325
+        # to 1e308 (subnormals, and the zeros 1e-325 rounds to, included),
+        # plus a grid of edge values, kept where they lie in the cone. F
+        # is not finite only where sigma_2 overflows, or, for the
+        # quotient, 4 sigma_2 does
+        rng = np.random.default_rng(30)
+        kappa = 10.0 ** rng.uniform(-325.0, 308.0, size=(200_000, 2))
+        kappa *= rng.choice([-1.0, 1.0], size=kappa.shape)
+        edge = np.array([0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-154, 0.5, 1.0,
+                         1e154, 1e308, 1.7976931348623157e308])
+        kappa = np.concatenate([kappa, np.stack(np.meshgrid(edge, edge), -1).reshape(-1, 2)])
+        F = cf.from_name(name, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = cf.elementary_symmetric(kappa)
+            inside = cf._margin(F, e) > 0.0
+            value = cf._value(F, e[inside])
+        assert int(inside.sum()) > 40_000
+        finite = np.isfinite(value)
+        assert (value[finite] > 0.0).all()
+        assert (e[inside][~finite, 2] > 0.25 * np.finfo(float).max).all()
 
     @pytest.mark.parametrize("name", ALL_KINDS)
     @pytest.mark.parametrize("n", [2, 3, 4])

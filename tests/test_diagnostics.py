@@ -241,8 +241,11 @@ class TestTheoremReport:
 
 
 class TestFBounds:
-    """f_bounds bounds F_max by the umbilic comparison spheres: F = n
-    lambda'/lambda peaks at lambda*, lambda*^(n-1) = m (n + 1) / 2."""
+    """f_bounds bounds F by the umbilic comparison spheres, whose F = n
+    lambda'/lambda rises to its peak at lambda*, lambda*^(n-1) =
+    m (n + 1) / 2, and then falls toward n: F_max by 1.1 times the peak
+    from the start's lambda_min on, F_min by half the least of F_min(0)
+    and those spheres' F."""
 
     @pytest.fixture(scope="class")
     def near_horizon_series(self):
@@ -260,10 +263,8 @@ class TestFBounds:
 
     @staticmethod
     def judged(series, f_scale=1.0):
-        """f_bounds_pass of the series with F_max scaled by f_scale, and
-        F_min held at its late minimum, so its floor is not what is judged."""
-        late = float(np.min(series.column("F_min")[series.times >= 1.0]))
-        copy = replace(series, records=[replace(r, F_min=late, F_max=f_scale * r.F_max)
+        """f_bounds_pass of the series with F_max scaled by f_scale."""
+        copy = replace(series, records=[replace(r, F_max=f_scale * r.F_max)
                                         for r in series.records])
         return dg.theorem_report(copy, dg.ReportConfig())["f_bounds_pass"]
 
@@ -275,6 +276,35 @@ class TestFBounds:
         f_max = float(np.max(series.column("F_max")))
         assert 1.1 * series.records[0].F_max < f_max <= series.f_umb0 < 2.144
         assert self.judged(series) is True
+
+    def test_floor_holds_while_f_rises_from_the_horizon(self, near_horizon_series):
+        # F_min rises from 0.506 to about 2.14, so half its late value
+        # (1.07) lies above its start; the floor is half the start's 0.506
+        series = near_horizon_series
+        lam = series.pinch_ref[0]          # lambda_min at t = 0
+        assert series.f_umb_min == pytest.approx(
+            2.0 * math.sqrt(1.0 + lam * lam - 1.0 / lam) / lam, rel=1e-15, abs=0.0)
+        f_min = series.column("F_min")
+        assert f_min[0] < 0.5 * float(np.min(f_min[series.times >= 1.0]))
+        assert f_min[0] == pytest.approx(series.f_umb_min, rel=1e-3)
+        assert self.judged(series) is True
+
+    def test_f_falling_from_t1_fails_the_floor(self):
+        # A3's data at N_theta = 32: F_min stays near 2 and the floor is
+        # 1; scaled by 0.4 from t = 1 on, F_min falls to 0.8. The floor is
+        # read at the start, since one read off the late F_min would fall
+        # with it
+        cfg = flow.FlowConfig(
+            background=bg.BackgroundParams(m=1.0, n=2), grid_mode="axisymmetric1d",
+            grid_resolution=32,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0, amplitude=0.3),
+            f=cf.from_name("mean", 2), t_end=2.0, dt_max=1e-2,
+        )
+        series = flow.run(cfg)[1]
+        assert dg.theorem_report(series, dg.ReportConfig())["f_bounds_pass"] is True
+        scaled = replace(series, records=[replace(r, F_min=0.4 * r.F_min) if r.t >= 1.0 else r
+                                          for r in series.records])
+        assert dg.theorem_report(scaled, dg.ReportConfig())["f_bounds_pass"] is False
 
     def test_f_past_the_bound_still_fails(self, near_horizon_series):
         # 1.2 x 2.143 = 2.57 lies past the bound 1.1 x 2.143 = 2.357
