@@ -145,9 +145,11 @@ class BackgroundParams:
         object.__setattr__(self, "n", int(self.n))
 
 
-def _g(s, m, n):
-    """1 + s^2 - m s^(1-n): lambda'^2 as a function of lambda = s."""
-    return 1.0 + s * s - m * s ** (1 - n) if m != 0.0 else 1.0 + s * s
+def _g(s, m, n, s2=None):
+    """1 + s^2 - m s^(1-n): lambda'^2 as a function of lambda = s, with s2
+    = s * s if the caller has formed it."""
+    s2 = s * s if s2 is None else s2
+    return 1.0 + s2 - m * s ** (1 - n) if m != 0.0 else 1.0 + s2
 
 
 def _lambda_pp(lam, m, n):
@@ -246,17 +248,18 @@ class WarpProfile:
     _r_range: tuple = field(repr=False)
     _phi_range: tuple = field(repr=False)
 
-    def _judge(self, x, quantity):
+    def _judge(self, x, by_radius):
         """The float array of x with its min and max, after they have found
-        every entry inside the quantity's range; a NaN fails the comparison.
-        A TableExtentError names the quantity, and the radius past the top."""
+        every entry inside the radius range (by_radius) or the gauge range;
+        a NaN fails the comparison. A TableExtentError names the quantity,
+        and the radius past the top."""
         x = np.asarray(x, dtype=float)
-        bottom, top = self._r_range if quantity == "radius" else self._phi_range
+        bottom, top = self._r_range if by_radius else self._phi_range
         lo, hi = (x.min(), x.max()) if x.size else (bottom, bottom)
         if not (bottom <= lo and hi <= top):
-            message = f"{quantity} outside tabulated range"
+            message = f"{'radius' if by_radius else 'gauge value'} outside tabulated range"
             if hi > top:
-                r = hi if quantity == "radius" else _radius_bound(hi)
+                r = hi if by_radius else _radius_bound(hi)
                 message += f": radius {r:.6g} past r_max = {self.r_max:g}"
             raise TableExtentError(message)
         return x, lo, hi
@@ -264,15 +267,16 @@ class WarpProfile:
     # -- warp factor and derivatives -------------------------------------
 
     def lambda_of_r(self, r):
-        return self._lam_by_r(*self._judge(r, "radius"))
+        return self._lam_by_r(*self._judge(r, True))
 
     def lambda_from_gauge(self, phi):
         """lambda at the gauge phi: the one lookup of every stage."""
-        return self._lam_by_phi(*self._judge(phi, "gauge value"))
+        return self._lam_by_phi(*self._judge(phi, False))
 
-    def lambda_p_of_lambda(self, lam):
+    def lambda_p_of_lambda(self, lam, lam2=None):
+        """lambda' at lambda, with lam2 = lam * lam if the caller has it."""
         lam = np.asarray(lam, dtype=float)
-        return np.sqrt(np.maximum(_g(lam, self.params.m, self.params.n), 0.0))
+        return np.sqrt(np.maximum(_g(lam, self.params.m, self.params.n, lam2), 0.0))
 
     def lambda_pp_of_lambda(self, lam):
         return _lambda_pp(np.asarray(lam, dtype=float), self.params.m, self.params.n)
@@ -281,11 +285,11 @@ class WarpProfile:
 
     def gauge_from_radius(self, r):
         """phi = -integral_r^infinity ds/lambda(s)."""
-        return self._phi_by_r(*self._judge(r, "radius"))
+        return self._phi_by_r(*self._judge(r, True))
 
     def radius_from_gauge(self, phi):
         """Inverse of gauge_from_radius."""
-        return self._r_by_phi(*self._judge(phi, "gauge value"))
+        return self._r_by_phi(*self._judge(phi, False))
 
     # -- self checks ------------------------------------------------------
 
@@ -378,7 +382,6 @@ class _Piecewise:
         self.rows = np.array([x[:-1], np.diff(x), *coeffs])
 
     def __call__(self, xq):
-        xq = np.asarray(xq, dtype=float)
         g = self.rows.take(self._inner.searchsorted(xq, "right"), axis=1)
         t = (xq - g[0]) / g[1]
         p = g[-1] * t

@@ -4,13 +4,14 @@ The scalar form evolved here is
 
     d phi / dt = v / F(lambda h^i_j) = v / (lambda F(h^i_j)),
 
-by the 1-homogeneity of F, so one F is evaluated per state: F(kappa),
-which the stability bound and the snapshots read too. `evaluate`
-computes everything the stepper reads of a state in one pass: the
-extrinsic data, the cone test on kappa, F(kappa) and the speed
-v / (lambda F(kappa)). Each state the stepper touches (accepted,
-midpoint, end) is evaluated once, and the end state inside the step's
-retry loop, so an end state outside the cone is retried like a midpoint.
+by the 1-homogeneity of F, so one F is evaluated per stage: F(kappa),
+which the stability bound and the snapshots read too. Each rk2 stage is
+one array pass from its gauge to its speed: lambda by gauge, the
+extrinsic pass, the cone test on kappa, F(kappa) and the speed
+v / (lambda F(kappa)). The midpoint (`midpoint_speed`) builds no state
+and no record; `evaluate` keeps the pass of an accepted state as its
+ExtrinsicData, once per state, the end state's inside the step's retry
+loop, so an end state outside the cone is retried like a midpoint.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r. A stage reads only lambda of its gauge
 (WarpProfile.lambda_from_gauge); a state's radius field is looked up
@@ -62,6 +63,8 @@ from .geometry import (
     ExtrinsicData,
     GraphState,
     compute_extrinsic,
+    extrinsic_pass,
+    lambda_of_gauge,
     state_from_gauge,
     state_from_radius,
 )
@@ -166,25 +169,36 @@ class FlowEvent:
     payload: dict = field(default_factory=dict)
 
 
-def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
-    """The stage data of state: its extrinsic pass, the cone test on its
-    sigma_j, F(kappa) and the speed d phi / dt = v / (lambda F(kappa)),
-    kept as ext.f_kappa and ext.speed.
+def _stage(F, t, lam, v, kappa, sigma_j):
+    """F(kappa) and the speed d phi / dt = v / (lambda F(kappa)) of one
+    extrinsic pass at time t. Raises InadmissibleState, carrying the worst
+    node and its kappa, when kappa leaves the cone; FlowError when the
+    speed is not finite. At n = 2 the cone test implies F(kappa) > 0 for
+    every F: the mean is sigma_1, the sigma_2 root is 2 sqrt(sigma_2) and
+    the quotient is at least 2 min kappa. So the speed is a number only if
+    it is at least 0, and finite only if its maximum is."""
+    f_kappa = cf._value(F, cf.require_cone(F, sigma_j, kappa, t))
+    speed = v / (lam * f_kappa)
+    if not math.isfinite(speed.max()):
+        raise FlowError(f"non-finite speed at t={t}")
+    return f_kappa, speed
 
-    Raises InadmissibleState, carrying the worst node and its kappa, when
-    kappa leaves the cone; FlowError when the speed is not finite. At
-    n = 2 the cone test implies F(kappa) > 0 for every F: the mean is
-    sigma_1, the sigma_2 root is 2 sqrt(sigma_2) and the quotient is at
-    least 2 min kappa, so F is not tested again.
-    """
+
+def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
+    """The stage data of state: compute_extrinsic(state), with the
+    stage's F(kappa) and speed kept as ext.f_kappa and ext.speed."""
     ext = compute_extrinsic(state)
-    f_kappa = cf._value(F, cf.require_cone(F, ext.sigma_j, ext.kappa, state.t))
-    speed = ext.v / (state.lam * f_kappa)
-    if not np.isfinite(speed).all():
-        raise FlowError(f"non-finite speed at t={state.t}")
-    ext.f_kappa = f_kappa
-    ext.speed = speed
+    ext.f_kappa, ext.speed = _stage(F, state.t, state.lam, ext.v, ext.kappa, ext.sigma_j)
     return ext
+
+
+def midpoint_speed(grid, profile, phi, t, F: cf.CurvatureFunction) -> np.ndarray:
+    """evaluate(state_from_gauge(grid, profile, phi, t), F).speed, bit for
+    bit and with its refusals, from one array pass that builds no state
+    and no record."""
+    lam = lambda_of_gauge(grid, profile, phi)
+    v, kappa, sigma_j, *_ = extrinsic_pass(grid, profile, phi, lam)
+    return _stage(F, t, lam, v, kappa, sigma_j)[1]
 
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
@@ -193,7 +207,8 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
     ext = evaluate(state, F). The scale is v / (lambda F)^2 times the
     largest dF/dkappa_i: 1 for the mean, else dF/dkappa_0 of the smaller
     kappa. On lat-long grids the polar filter keeps only the azimuthal
-    modes that d_theta resolves. A bound below DT_MIN raises
+    modes that d_theta resolves. A largest scale of 0 (an F that
+    overflowed) or NaN raises FlowError, and a bound below DT_MIN
     StepUnderflow."""
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = ext.v / (state.lam * ext.f_kappa) ** 2
@@ -202,8 +217,11 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
         # factor, and rounding keeps that monotone, so the column of the
         # smaller (first, ascending) kappa is the largest, bit for bit
         scale = scale * cf._gradient(F, ext.kappa[..., :1], ext.sigma_j)[..., 0]
+    top = float(scale.max())
+    if not top > 0.0:
+        raise FlowError(f"no stability bound at t={state.t}: largest diffusion scale {top}")
     h = state.grid.d_theta
-    dt = CFL * h * h / float(scale.max())
+    dt = CFL * h * h / top
     if dt < DT_MIN:
         raise StepUnderflow(f"stability requires dt={dt:.3e} below DT_MIN={DT_MIN:.3e}")
     return min(dt, dt_max)
@@ -212,16 +230,15 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
 def _advance(state, F, dt, ext):
     """One rk2 step of size dt from state, with ext = evaluate(state, F):
     the new state and its stage data."""
-    grid = state.grid
+    grid, profile, phi = state.grid, state.profile, state.phi.values
     latlong = grid.mode == "latlong2d"
-    phi_mid = state.phi.values + 0.5 * dt * ext.speed
+    phi_mid = phi + 0.5 * dt * ext.speed
     if latlong:
         phi_mid = polar_filter(grid, phi_mid)
-    mid = state_from_gauge(grid, state.profile, phi_mid, t=state.t + 0.5 * dt)
-    phi_new = state.phi.values + dt * evaluate(mid, F).speed
+    phi_new = phi + dt * midpoint_speed(grid, profile, phi_mid, state.t + 0.5 * dt, F)
     if latlong:
         phi_new = polar_filter(grid, phi_new)
-    new = state_from_gauge(grid, state.profile, phi_new, t=state.t + dt)
+    new = state_from_gauge(grid, profile, phi_new, t=state.t + dt)
     return new, evaluate(new, F)
 
 

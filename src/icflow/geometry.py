@@ -49,7 +49,7 @@ from .sphere import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphState:
     """The evolving surface at one instant: gauge field, warp factor
     lambda(r) at each node, and time. The radius field r is the one
@@ -84,29 +84,34 @@ def state_from_radius(grid, profile, r_values, t=0.0) -> GraphState:
     )
 
 
-def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
-    """The state at the gauge phi_values, with lambda from one lookup
+def lambda_of_gauge(grid, profile, phi):
+    """lambda at the gauge array phi from one lookup
     (WarpProfile.lambda_from_gauge), whose one min and one max refuse
-    every gauge whose radius lies outside the profile; r is looked up only if
-    it is read. A wrong shape is a ConfigError. Only when the lookup
+    every gauge whose radius lies outside the profile. Only when the lookup
     refuses a value is phi built as a checked ScalarField, so that a
     non-finite value is named (FlowError) before a finite value outside
     the profile (TableExtentError)."""
-    phi = np.asarray(phi_values, dtype=float)
-    if phi.shape != grid.field_shape:
-        ScalarField(grid, phi)      # raises ConfigError
     try:
-        lam = profile.lambda_from_gauge(phi)
+        return profile.lambda_from_gauge(phi)
     except TableExtentError:
         ScalarField(grid, phi)      # raises FlowError on a non-finite value
         raise
+
+
+def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
+    """The state at the gauge phi_values, with lambda_of_gauge; r is
+    looked up only if it is read. A wrong shape is a ConfigError."""
+    phi = np.asarray(phi_values, dtype=float)
+    if phi.shape != grid.field_shape:
+        ScalarField(grid, phi)      # raises ConfigError
     return GraphState(t=float(t), grid=grid, phi=ScalarField.unchecked(grid, phi),
-                      lam=lam, profile=profile)
+                      lam=lambda_of_gauge(grid, profile, phi), profile=profile)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtrinsicData:
-    """Per-node extrinsic quantities of a graph state.
+    """Per-node extrinsic quantities of a graph state, in the order
+    extrinsic_pass returns them.
 
     Tensors are in (theta, psi) coordinates. The gradient is the pair
     (phi_theta, phi_psi); the symmetric 2-tensors g, h and the round
@@ -120,18 +125,18 @@ class ExtrinsicData:
     flow.evaluate fills them in: F(kappa) of the flow's curvature
     function, which the stability bound and the snapshot read, and
     d phi / dt = v / (lambda F(kappa)), from that one F. flow.evaluate
-    makes one per state the stepper touches: each accepted state, each
-    midpoint and each trial end state.
+    makes one per accepted state and trial end state; the rk2 midpoint
+    reads its speed straight off the pass and makes none.
     """
 
     v: np.ndarray
+    kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
+    sigma_j: np.ndarray            # elementary symmetric sigma_j(kappa), j = 0..n
     grad_phi: tuple                # covariant D_i phi, (theta, psi)
     grad_phi_sq: np.ndarray        # |D phi|^2
     hess_phi: tuple                # round Hessian phi_ij, (p00, p01, p11)
     g: tuple                       # induced metric, (g00, g01, g11)
     h: tuple                       # second fundamental form, (h00, h01, h11)
-    kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
-    sigma_j: np.ndarray            # elementary symmetric sigma_j(kappa), j = 0..n
     chi: np.ndarray                # lambda / v
     lam_p: np.ndarray
     f_kappa: Optional[np.ndarray] = None   # F(kappa)
@@ -183,16 +188,17 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     return kappa
 
 
-def compute_extrinsic(state: GraphState) -> ExtrinsicData:
-    """The extrinsic pass of state: one set of stencils (D phi and the
-    round Hessian), the tilt v, g, h, kappa from the 2x2 pencil and its
-    sigma_j. On axisymmetric grids |D phi|^2 = phi_theta^2, so
-    b00 = |D phi|^2 + 1 is formed once and v = sqrt(b00)."""
-    grid = state.grid
-    lam = state.lam
-    lam_p = state.profile.lambda_p_of_lambda(lam)
+def extrinsic_pass(grid, profile, phi, lam):
+    """The extrinsic pass of the gauge array phi, with lambda lam at its
+    nodes: one set of stencils (D phi and the round Hessian), the tilt v,
+    g, h, kappa from the 2x2 pencil and its sigma_j, as ExtrinsicData's
+    fields up to lam_p. lambda^2 is formed once, for lambda' and g. On
+    axisymmetric grids |D phi|^2 = phi_theta^2, so b00 = |D phi|^2 + 1 is
+    formed once and v = sqrt(b00)."""
+    lam2 = lam * lam
+    lam_p = profile.lambda_p_of_lambda(lam, lam2)
 
-    d_th, d_ps, p00, p01, p11 = derivatives(state.phi)   # D phi and phi_ij
+    d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
     q = covector_norm_sq(grid, d_th, d_ps)
     # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij), where
     # b_ij = phi_i phi_j + sigma_ij; on axisymmetric grids |D phi|^2 is
@@ -205,7 +211,6 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
         b00 = d_th * d_th + 1.0
         v = np.sqrt(1.0 + q)
     chi = lam / v
-    lam2 = lam * lam
 
     s2 = grid.sin2
     if axisymmetric:
@@ -220,13 +225,13 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
         h = (chi * (lam_p * b00 - p00), chi * (lam_p * b01 - p01),
              chi * (lam_p * b11 - p11))
         kappa = _pencil_eigenvalues(h, g)
+    return (v, kappa, cf.elementary_symmetric(kappa), (d_th, d_ps), q, (p00, p01, p11),
+            g, h, chi, lam_p)
 
-    return ExtrinsicData(
-        v=v, grad_phi=(d_th, d_ps), grad_phi_sq=q, hess_phi=(p00, p01, p11),
-        g=g, h=h, kappa=kappa,
-        sigma_j=cf.elementary_symmetric(kappa),
-        chi=chi, lam_p=lam_p,
-    )
+
+def compute_extrinsic(state: GraphState) -> ExtrinsicData:
+    """The extrinsic data of state: its extrinsic_pass, as a record."""
+    return ExtrinsicData(*extrinsic_pass(state.grid, state.profile, state.phi.values, state.lam))
 
 
 def _raise(g, w):

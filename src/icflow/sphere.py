@@ -160,26 +160,10 @@ def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 
 # -- stencils --------------------------------------------------------------
 
-def _pad_theta(grid, v):
-    """v with one ghost row past each pole, by even reflection. In 2D the
-    ghost row is the edge row half a period round, its two halves swapped
-    by slicing."""
-    if grid.mode == "axisymmetric1d":
-        return np.concatenate([v[:1], v, v[-1:]])
-    half = grid.n_psi // 2
-    top = np.concatenate([v[0, half:], v[0, :half]])
-    bot = np.concatenate([v[-1, half:], v[-1, :half]])
-    return np.concatenate([top[None], v, bot[None]])
-
-
-def _dtheta(grid, p):
-    """Centered theta difference from the padded copy p = _pad_theta(grid, v)."""
-    return (p[2:] - p[:-2]) / (2.0 * grid.d_theta)
-
-
-def _d2theta(grid, p, v):
-    """Second theta difference of v from its padded copy p."""
-    return (p[2:] - 2.0 * v + p[:-2]) / grid.d_theta ** 2
+def _dtheta(p, h):
+    """Centered theta difference, at spacing h, from a copy p padded with
+    one ghost row past each pole."""
+    return (p[2:] - p[:-2]) / (2.0 * h)
 
 
 def _psi_diffs(grid, v):
@@ -192,29 +176,41 @@ def _psi_diffs(grid, v):
 
 # -- covariant operators ----------------------------------------------------
 
-def derivatives(f: ScalarField):
-    """Covariant gradient and Hessian of f as components of field shape:
-    (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
+def derivatives(f, grid: Optional[SphereGrid] = None):
+    """Covariant gradient and Hessian of f, a ScalarField or, with its
+    grid given, a float array of grid.field_shape, as components of field
+    shape: (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
 
-    Every stencil reads the one padded copy of f. Its psi differences are
-    padded too, since a ghost row's psi difference is the edge row's half a
+    Every stencil reads one copy p of f with a ghost row past each pole,
+    by even reflection; in 2D the ghost row is the edge row half a period
+    round, its two halves swapped. The psi differences of p are padded
+    too, since a ghost row's psi difference is the edge row's half a
     period round, so their theta difference gives f_thetapsi. On S^2 the
     only nonzero Christoffel symbols are Gamma^theta_psipsi = -sin cos and
     Gamma^psi_thetapsi = cot. In axisymmetric mode f_psi and f_thetapsi
     vanish identically and are the grid's read-only `zeros`.
     """
-    g = f.grid
-    v = f.values
-    p = _pad_theta(g, v)
-    d_th = _dtheta(g, p)
-    h_thth = _d2theta(g, p, v)
-    h_psps = g.sin_cos * d_th
-    if g.mode == "axisymmetric1d":
-        return d_th, g.zeros, h_thth, g.zeros, h_psps
-    dp_ps, d2p_ps = _psi_diffs(g, p)
+    v = f
+    if grid is None:
+        grid, v = f.grid, f.values
+    h = grid.d_theta
+    p = np.empty((grid.n_theta + 2,) + v.shape[1:])
+    p[1:-1] = v
+    axisymmetric = grid.mode == "axisymmetric1d"
+    if axisymmetric:
+        p[0], p[-1] = v[0], v[-1]
+    else:
+        half = grid.n_psi // 2
+        p[0, :half], p[0, half:] = v[0, half:], v[0, :half]
+        p[-1, :half], p[-1, half:] = v[-1, half:], v[-1, :half]
+    d_th = _dtheta(p, h)
+    h_thth = (p[2:] - 2.0 * v + p[:-2]) / h ** 2
+    h_psps = grid.sin_cos * d_th
+    if axisymmetric:
+        return d_th, grid.zeros, h_thth, grid.zeros, h_psps
+    dp_ps, d2p_ps = _psi_diffs(grid, p)
     d_ps = dp_ps[1:-1]
-    h_thps = _dtheta(g, dp_ps) - g.cot * d_ps
-    return d_th, d_ps, h_thth, h_thps, h_psps + d2p_ps[1:-1]
+    return d_th, d_ps, h_thth, _dtheta(dp_ps, h) - grid.cot * d_ps, h_psps + d2p_ps[1:-1]
 
 
 def grad_components(f: ScalarField):

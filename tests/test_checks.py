@@ -29,7 +29,7 @@ def test_umbilic_exactness_check_detects_broken_warp_derivative(monkeypatch):
     # (8.6e-4 on the m = 2 sphere alone)
     lam_p = bg.WarpProfile.lambda_p_of_lambda
     monkeypatch.setattr(bg.WarpProfile, "lambda_p_of_lambda",
-                        lambda self, lam: 1.001 * lam_p(self, lam))
+                        lambda self, *lam: 1.001 * lam_p(self, *lam))
     ok, _ = checks.check_umbilic_exactness()
     assert not ok
 

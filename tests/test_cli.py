@@ -434,13 +434,15 @@ class TestRunCommand:
                            kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
         n_profile = count_calls(monkeypatch, dg.limit_profile)
+        n_pass = count_calls(monkeypatch, geo.extrinsic_pass)
         n_ext = count_calls(monkeypatch, geo.compute_extrinsic)
         n_steps = count_calls(monkeypatch, flow.step)
         out = tmp_path / "out"
         cli.main(["run", "--config", str(cfg), "--out", str(out)])
         assert n_profile["n"] == 1
         assert n_steps["n"] > 0
-        assert n_ext["n"] == 2 * n_steps["n"] + 1
+        assert n_pass["n"] == 2 * n_steps["n"] + 1
+        assert n_ext["n"] == n_steps["n"] + 1
         report = json.loads((out / "report.json").read_text())
         rows = (out / "limit_profile.csv").read_text().splitlines()
         assert report["limit_gap"] is not None and len(rows) == 33

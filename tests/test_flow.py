@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -20,6 +21,8 @@ from icflow.errors import (
 )
 
 from oracles import radius_at_lambda, reference_speed, reference_stable_dt
+
+EXTRINSIC_FIELDS = [f.name for f in dataclasses.fields(geo.ExtrinsicData)]
 
 
 def make_config(**kw):
@@ -122,6 +125,20 @@ class TestRhs:
         monkeypatch.setattr(cf, "_value", lambda F, e: 1e-310 * real(F, e))
         with np.errstate(over="ignore"), pytest.raises(FlowError):
             flow.evaluate(state, f)
+
+    def test_infinite_f_has_no_stability_bound(self, prof_m0, monkeypatch):
+        # F overflowed to infinity passes the stage with speed 0, whose
+        # diffusion scale is 0: the bound is a FlowError (exit 2), not a
+        # bare ZeroDivisionError
+        state = unit_sphere_state(prof_m0, n=16)
+        f = cf.from_name("mean", 2)
+        real = cf._value
+        monkeypatch.setattr(cf, "_value", lambda F, e: 1e308 * real(F, e))
+        with np.errstate(over="ignore"):
+            ext = flow.evaluate(state, f)
+        assert np.isinf(ext.f_kappa).all() and not ext.speed.any()
+        with pytest.raises(FlowError, match="no stability bound"):
+            flow.stable_dt(state, f, ext)
 
 
 class TestStableDt:
@@ -297,6 +314,141 @@ class TestStageGolden:
                 reference_stable_dt(state, f, ref, cfl=flow.CFL), label
 
 
+def reference_advance(state, F, dt, ext):
+    """flow._advance as it was while the midpoint was a state: a copy."""
+    grid = state.grid
+    latlong = grid.mode == "latlong2d"
+    phi_mid = state.phi.values + 0.5 * dt * ext.speed
+    if latlong:
+        phi_mid = sp.polar_filter(grid, phi_mid)
+    mid = geo.state_from_gauge(grid, state.profile, phi_mid, t=state.t + 0.5 * dt)
+    phi_new = state.phi.values + dt * flow.evaluate(mid, F).speed
+    if latlong:
+        phi_new = sp.polar_filter(grid, phi_new)
+    new = geo.state_from_gauge(grid, state.profile, phi_new, t=state.t + dt)
+    return new, flow.evaluate(new, F)
+
+
+def same_arrays(a, b):
+    """a and b, arrays or tuples of them, equal bit for bit, shapes included."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_arrays(x, y) for x, y in zip(a, b))
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def midpoint_gauge(state, ext, dt):
+    phi = state.phi.values + 0.5 * dt * ext.speed
+    return sp.polar_filter(state.grid, phi) if state.grid.mode == "latlong2d" else phi
+
+
+def outcome(fn, *args):
+    """The error fn raises, as (type, message, t, node, kappa); None if none."""
+    try:
+        fn(*args)
+    except (FlowError, InadmissibleState, TableExtentError) as exc:
+        kappa = getattr(exc, "kappa", None)
+        return (type(exc), str(exc), getattr(exc, "t", None), getattr(exc, "node", None),
+                None if kappa is None else list(kappa))
+    return None
+
+
+def admissible_exit_state():
+    """m = 1, N_theta = 64, r = 2 + 0.9 cos 2 theta: admissible, and at
+    dt = 0.03 its midpoint leaves Gamma_1 at node 34."""
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
+    grid = sp.build_grid("axisymmetric1d", 64)
+    return geo.state_from_radius(grid, prof, 2.0 + 0.9 * np.cos(2 * grid.theta))
+
+
+class TestMidpoint:
+    """The rk2 midpoint builds no state and no record: its speed, its step
+    and its refusals against the midpoint that was a state."""
+
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    def test_speed_matches_the_state_path(self, name):
+        f = cf.from_name(name, 2)
+        for label, state in stage_states():
+            ext = flow.evaluate(state, f)
+            dt = flow.stable_dt(state, f, ext, dt_max=1e-3)
+            phi, t = midpoint_gauge(state, ext, dt), state.t + 0.5 * dt
+            want = flow.evaluate(geo.state_from_gauge(state.grid, state.profile, phi, t), f)
+            got = flow.midpoint_speed(state.grid, state.profile, phi, t, f)
+            assert same_arrays(got, want.speed), label
+
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    def test_step_matches_the_reference_advance(self, name):
+        f = cf.from_name(name, 2)
+        for label, state in stage_states():
+            ext = ref_ext = flow.evaluate(state, f)
+            ref = state
+            for _ in range(3):
+                dt = flow.stable_dt(state, f, ext, dt_max=1e-3)
+                state, ext = flow.step(state, f, dt, ext)
+                ref, ref_ext = reference_advance(ref, f, dt, ref_ext)
+                assert state.t == ref.t, label
+                assert same_arrays(state.phi.values, ref.phi.values), label
+                assert same_arrays(state.lam, ref.lam), label
+                for name_ in EXTRINSIC_FIELDS:
+                    assert same_arrays(getattr(ext, name_), getattr(ref_ext, name_)), (label, name_)
+
+    def test_non_finite_midpoint_gauge_is_a_flow_error(self, prof_m1):
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
+        f = cf.from_name("mean", 2)
+        ext = flow.evaluate(state, f)
+        for bad in (math.nan, math.inf, -math.inf):
+            phi = state.phi.values.copy()
+            phi[5] = bad
+            got = outcome(flow.midpoint_speed, grid, prof_m1, phi, 0.5e-3, f)
+            assert got[0] is FlowError
+            assert got == outcome(lambda: flow.evaluate(
+                geo.state_from_gauge(grid, prof_m1, phi, 0.5e-3), f))
+        ext.speed = ext.speed.copy()
+        ext.speed[5] = math.nan
+        events = []
+        with pytest.raises(FlowError):
+            flow.step(state, f, 1e-3, ext, events=events)
+        assert events == []
+
+    def test_midpoint_gauge_past_r_max_is_a_table_extent_error(self, prof_m1):
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
+        f = cf.from_name("mean", 2)
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
+        assert prof.r_max == bg.R_MAX
+        for gauge in (float(prof.gauge_from_radius(bg.R_MAX)) * (1 - 1e-9), -1e-100):
+            phi = state.phi.values.copy()
+            phi[7] = gauge
+            got = outcome(flow.midpoint_speed, grid, prof, phi, 0.5e-3, f)
+            assert got[0] is TableExtentError and "past r_max = 177" in got[1]
+            assert got == outcome(lambda: flow.evaluate(
+                geo.state_from_gauge(grid, prof, phi, 0.5e-3), f))
+
+    def test_cone_exit_at_the_midpoint(self, monkeypatch):
+        state = admissible_exit_state()
+        f = cf.from_name("mean", 2)
+        ext = flow.evaluate(state, f)
+        dt = 0.03
+        phi, t = midpoint_gauge(state, ext, dt), state.t + 0.5 * dt
+        got = outcome(flow.midpoint_speed, state.grid, state.profile, phi, t, f)
+        assert got[0] is InadmissibleState and got[2] == 0.015 and got[3] == (34,)
+        assert got == outcome(lambda: flow.evaluate(
+            geo.state_from_gauge(state.grid, state.profile, phi, t), f))
+        # the step retries it with halved dt and logs what it logged when
+        # the midpoint was a state
+        events = []
+        new, new_ext = flow.step(state, f, dt, ext, events=events)
+        monkeypatch.setattr(flow, "_advance", reference_advance)
+        ref_events = []
+        ref, ref_ext = flow.step(state, f, dt, ext, events=ref_events)
+        assert events[0].kind == "admissibility_violation"
+        assert events[0].payload["node"] == (34,) and events[0].payload["dt"] == dt
+        assert [(e.kind, e.t, e.payload) for e in events] == \
+            [(e.kind, e.t, e.payload) for e in ref_events]
+        assert new.t == ref.t and same_arrays(new.phi.values, ref.phi.values)
+        assert same_arrays(new_ext.speed, ref_ext.speed)
+
+
 class TestRun:
     def test_umbilic_mass2_exponential_law(self):
         cfg = make_config(
@@ -423,11 +575,13 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["mean", "sigma2root"])
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
-        # one stage evaluation per state: per rk2 step the midpoint and the
-        # new state, plus the initial state once per run. One stencil pass
-        # per extrinsic pass: snapshots read the Hessian of phi it kept.
-        # sigma_j: one per extrinsic pass, which the one cone test and the
-        # one F read.
+        # one array pass per stage: per rk2 step the midpoint and the new
+        # state, plus the initial state once per run. Only accepted states
+        # (the new state and the initial one) become a GraphState and an
+        # ExtrinsicData record; the midpoint is a gauge array and its speed.
+        # One stencil pass per array pass: snapshots read the Hessian of
+        # phi it kept. sigma_j: one per array pass, which the one cone test
+        # and the one F read.
         # The stage tests the cone and evaluates F through the private
         # formulas, never through cone_contains or f_eval
         cfg = make_config(
@@ -438,7 +592,9 @@ class TestRun:
             f=cf.from_name(name, 2),
             t_end=0.05, output_every=0.01,
         )
+        n_pass = count_calls(monkeypatch, geo, "extrinsic_pass")
         n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
+        n_gauge = count_calls(monkeypatch, geo, "state_from_gauge")
         n_der = count_calls(monkeypatch, sp, "derivatives")
         n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
         n_cone = count_calls(monkeypatch, cf, "cone_contains")
@@ -446,9 +602,11 @@ class TestRun:
         _, _, events = flow.run(cfg)
         steps = events[-1].payload["steps"]
         assert steps >= 20
-        assert n_ext["n"] == 2 * steps + 1
-        assert n_der["n"] == n_ext["n"]
-        assert n_sym["n"] == n_ext["n"]
+        assert n_pass["n"] == 2 * steps + 1
+        assert n_ext["n"] == steps + 1
+        assert n_gauge["n"] == steps
+        assert n_der["n"] == n_pass["n"]
+        assert n_sym["n"] == n_pass["n"]
         assert n_cone["n"] == n_f["n"] == 0
 
     def test_config_validation(self):
