@@ -37,7 +37,7 @@ class TableExtentError(IcflowError):
 
 class InadmissibleState(IcflowError):
     """Principal curvatures left the admissibility cone of the curvature
-    function, or F was not positive there.
+    function.
 
     Carries the flow time ``t`` (None outside a flow), the ``node`` index
     of the worst offender and its principal curvatures ``kappa``. The

@@ -231,13 +231,9 @@ def _advance(state, F, dt, ext):
     """One rk2 step of size dt from state, with ext = evaluate(state, F):
     the new state and its stage data."""
     grid, profile, phi = state.grid, state.profile, state.phi.values
-    latlong = grid.mode == "latlong2d"
-    phi_mid = phi + 0.5 * dt * ext.speed
-    if latlong:
-        phi_mid = polar_filter(grid, phi_mid)
-    phi_new = phi + dt * midpoint_speed(grid, profile, phi_mid, state.t + 0.5 * dt, F)
-    if latlong:
-        phi_new = polar_filter(grid, phi_new)
+    phi_mid = polar_filter(grid, phi + 0.5 * dt * ext.speed)
+    speed_mid = midpoint_speed(grid, profile, phi_mid, state.t + 0.5 * dt, F)
+    phi_new = polar_filter(grid, phi + dt * speed_mid)
     new = state_from_gauge(grid, profile, phi_new, t=state.t + dt)
     return new, evaluate(new, F)
 
@@ -269,15 +265,14 @@ def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicDa
 
 
 def _snapshot_times(t0, t_end, every):
-    """The targets k * every strictly between t0 and t_end, then t_end."""
+    """Yield the targets k * every strictly between t0 and t_end, then
+    t_end, one at a time, so a long run holds no schedule."""
     k = math.floor(t0 / every + 1e-9) + 1
-    times = []
     while k * every < t_end - 1e-12:
         if k * every > t0 + 1e-12:
-            times.append(k * every)
+            yield k * every
         k += 1
-    times.append(t_end)
-    return times
+    yield t_end
 
 
 def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
@@ -314,9 +309,8 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         # which the snapshot, the stability bound and the next step share
         ext = evaluate(state, F)
         take_snapshot(state, ext)
-        snap_times = _snapshot_times(state.t, config.t_end, config.output_every)
         steps = 0
-        for target in snap_times:
+        for target in _snapshot_times(state.t, config.t_end, config.output_every):
             while state.t < target - 1e-12:
                 dt = stable_dt(state, F, ext, dt_max=config.dt_max)
                 if state.t + dt >= target - 1e-12:

@@ -152,8 +152,11 @@ def build_grid(mode: str, resolution) -> SphereGrid:
 
 
 def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """values (lat-long field shape) with the azimuthal modes that
-    grid.keep drops zeroed on every row."""
+    """values with the azimuthal modes that grid.keep drops zeroed on
+    every row; values itself on an axisymmetric grid, which has no
+    azimuth to filter."""
+    if grid.keep is None:
+        return values
     modes = np.fft.rfft(values, axis=1)
     return np.fft.irfft(modes * grid.keep, n=grid.n_psi, axis=1)
 
@@ -176,12 +179,12 @@ def _psi_diffs(grid, v):
 
 # -- covariant operators ----------------------------------------------------
 
-def derivatives(f, grid: Optional[SphereGrid] = None):
-    """Covariant gradient and Hessian of f, a ScalarField or, with its
-    grid given, a float array of grid.field_shape, as components of field
-    shape: (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
+def derivatives(v: np.ndarray, grid: SphereGrid):
+    """Covariant gradient and Hessian of v, a float array of
+    grid.field_shape, as components of field shape:
+    (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
 
-    Every stencil reads one copy p of f with a ghost row past each pole,
+    Every stencil reads one copy p of v with a ghost row past each pole,
     by even reflection; in 2D the ghost row is the edge row half a period
     round, its two halves swapped. The psi differences of p are padded
     too, since a ghost row's psi difference is the edge row's half a
@@ -190,9 +193,6 @@ def derivatives(f, grid: Optional[SphereGrid] = None):
     Gamma^psi_thetapsi = cot. In axisymmetric mode f_psi and f_thetapsi
     vanish identically and are the grid's read-only `zeros`.
     """
-    v = f
-    if grid is None:
-        grid, v = f.grid, f.values
     h = grid.d_theta
     p = np.empty((grid.n_theta + 2,) + v.shape[1:])
     p[1:-1] = v
@@ -216,7 +216,7 @@ def derivatives(f, grid: Optional[SphereGrid] = None):
 def grad_components(f: ScalarField):
     """Gradient components (f_theta, f_psi); f_psi is the grid's zero
     field when axisymmetric."""
-    return derivatives(f)[:2]
+    return derivatives(f.values, f.grid)[:2]
 
 
 def covector_norm_sq(grid: SphereGrid, d_th, d_ps):
@@ -230,13 +230,13 @@ def covector_norm_sq(grid: SphereGrid, d_th, d_ps):
 
 def grad_norm_sq(f: ScalarField):
     """|Df|^2 with respect to the round metric."""
-    return covector_norm_sq(f.grid, *derivatives(f)[:2])
+    return covector_norm_sq(f.grid, *derivatives(f.values, f.grid)[:2])
 
 
 def covariant_hess(f: ScalarField):
     """Covariant Hessian f_ij = d_i d_j f - Gamma^k_ij d_k f as the triple
     (f_thetatheta, f_thetapsi, f_psipsi)."""
-    return derivatives(f)[2:]
+    return derivatives(f.values, f.grid)[2:]
 
 
 def hessian_mixed(grid: SphereGrid, d_th, hess):

@@ -71,6 +71,20 @@ class TestSnapshot:
         assert rec.r_tilde_max >= rec.r_tilde_min
         assert np.isfinite(rec.r_tilde_min)
 
+    @pytest.mark.parametrize("shift, low_ok, high_ok", [
+        (1.0 + 2e-6, False, True), (1.0 - 2e-6, True, False),
+        (1.0 + 5e-7, True, True), (1.0 - 5e-7, True, True)])
+    def test_pinching_flags_against_the_slack(self, shift, low_ok, high_ok):
+        # lambda e^(-t/n) of the unit sphere at t = 0 is sinh(1); a start
+        # range moved by more than the relative slack 1e-6 fails a flag
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 6.0)
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof, np.full(32, 1.0))
+        ext = flow.evaluate(state, cf.from_name("mean", 2))
+        lam = shift * math.sinh(1.0)
+        rec = dg.snapshot(state, ext, pinch_ref=(lam, lam))
+        assert (rec.pinch_low_ok, rec.pinch_high_ok) == (low_ok, high_ok)
+
 
 class TestFitRate:
     def test_exact_exponential(self):
@@ -189,6 +203,26 @@ class TestTheoremReport:
         assert rep["umbilic_profile_constant_pass"]
         lines = dg.report_lines(rep)
         assert any(line.startswith("OVERALL: PASS") for line in lines)
+
+    @pytest.mark.parametrize("shift", [1.0, 1.0 + 2e-6, 1.0 - 2e-6])
+    def test_pinching_failure_fails_the_report(self, shift):
+        # the round sphere keeps lambda e^(-t/n) to rounding; judged
+        # against its start range moved past the slack, pinching fails,
+        # and with it the run
+        f = cf.from_name("mean", 2)
+        grid = sp.build_grid("axisymmetric1d", 16)
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2))
+        state = geo.state_from_radius(grid, prof, np.full(16, 1.0))
+        series = dg.DiagnosticsSeries.start(state, f)
+        series.pinch_ref = tuple(shift * p for p in series.pinch_ref)
+        ext = flow.evaluate(state, f)
+        series.append(state, ext)
+        for _ in range(10):
+            state, ext = flow.step(state, f, flow.stable_dt(state, f, ext, dt_max=1e-2), ext)
+            series.append(state, ext)
+        rep = dg.theorem_report(series, dg.ReportConfig())
+        assert rep["pinching_pass"] is (shift == 1.0)
+        assert rep["overall_pass"] is (shift == 1.0), dg.report_lines(rep)
 
     def test_missing_profile_reported_insufficient(self):
         # one snapshot: the series holds no limit profile

@@ -362,7 +362,7 @@ def wavy_latlong_state(shape):
 def test_hessian_mixed_matches_mean_fluctuation_split(make_state):
     state = make_state()
     grid = state.grid
-    d = sp.derivatives(state.phi)
+    d = sp.derivatives(state.phi.values, grid)
     h = np.stack(sp.hessian_mixed(grid, d[0], d[2:]))
     ref = reference_hessian_mixed(grid, state.phi.values)
     # the reference's mixed components moved to the orthonormal frame,

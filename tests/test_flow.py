@@ -337,8 +337,7 @@ def same_arrays(a, b):
 
 
 def midpoint_gauge(state, ext, dt):
-    phi = state.phi.values + 0.5 * dt * ext.speed
-    return sp.polar_filter(state.grid, phi) if state.grid.mode == "latlong2d" else phi
+    return sp.polar_filter(state.grid, state.phi.values + 0.5 * dt * ext.speed)
 
 
 def outcome(fn, *args):
@@ -503,8 +502,9 @@ class TestRun:
         assert all(a <= b + 1e-12 for a, b in zip(ts, ts[1:]))
 
     def test_snapshot_times_are_multiples_of_every(self):
-        assert flow._snapshot_times(0.0, 1.0, 0.1) == [k * 0.1 for k in range(1, 10)] + [1.0]
-        assert flow._snapshot_times(0.7, 1.55, 0.1) == [k * 0.1 for k in range(8, 16)] + [1.55]
+        assert list(flow._snapshot_times(0.0, 1.0, 0.1)) == [k * 0.1 for k in range(1, 10)] + [1.0]
+        assert list(flow._snapshot_times(0.7, 1.55, 0.1)) == \
+            [k * 0.1 for k in range(8, 16)] + [1.55]
         _, series, _ = flow.run(make_config(t_end=0.55, output_every=0.1))
         assert list(series.times) == [0.0] + [k * 0.1 for k in range(1, 6)] + [0.55]
 

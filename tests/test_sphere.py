@@ -10,7 +10,7 @@ def field(grid, values):
 
 
 def frame_hessian(f):
-    d = sp.derivatives(f)
+    d = sp.derivatives(f.values, f.grid)
     return sp.hessian_mixed(f.grid, d[0], d[2:])
 
 
@@ -226,6 +226,11 @@ class TestPolarFilter:
         out = sp.polar_filter(g, v)
         assert np.max(np.ptp(out, axis=1)) <= 4 * np.finfo(float).eps * np.max(v)
         assert np.max(np.abs(out - v)) <= 4 * np.finfo(float).eps * np.max(v)
+
+    def test_axisymmetric_grid_returns_its_input(self):
+        g = sp.build_grid("axisymmetric1d", 16)
+        v = np.linspace(1.0, 2.0, 16)
+        assert g.keep is None and sp.polar_filter(g, v) is v
 
     def test_keep_mask_on_square_cells(self):
         # with d_psi = d_theta, sin(k d_psi / 2) <= sin(theta_j) holds
