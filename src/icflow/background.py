@@ -94,9 +94,10 @@ M_MIN = float(np.finfo(float).eps)
 _S0_GRADED = 2.0 ** -4
 _GRADE = 64
 
-# The largest radius a profile accepts: the stage's pencil products grow
-# like lambda^4, and one evaluation, snapshot and rk2 step stay finite
-# under -W error up to r = 177.96 (both grid modes, every F, m <= 10).
+# The largest radius a profile accepts: the products of the full extrinsic
+# pass, which every snapshot makes, grow like lambda^4, and one
+# evaluation, snapshot and rk2 step stay finite under -W error up to
+# r = 177.96 (both grid modes, every F, m <= 10).
 R_MAX = 177.0
 
 
@@ -490,7 +491,7 @@ def build_warp_profile(params: BackgroundParams, r_max: float = R_MAX) -> WarpPr
 
     if not r_lo < r_max <= R_MAX:
         raise TableExtentError(f"r_max must lie in ({r_lo:g}, R_MAX = {R_MAX:g}], where "
-                               f"the stage stays finite; got radius {r_max}")
+                               f"a snapshot stays finite; got radius {r_max}")
     # a sliver of 1e-12 past each end of phi, narrowed by bisection to the
     # phi whose r lies in r_range; the cap's phi is about -2 e^(-r_max), so
     # its sliver is relative

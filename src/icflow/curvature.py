@@ -98,18 +98,22 @@ def require_cone(f: CurvatureFunction, e, kappa, t=None):
     the cone of f (one minimum per sigma_j, which a NaN fails; sigma_1
     first, and the higher ones only for a cone order above 1). Otherwise
     raises InadmissibleState naming the point of least margin, its kappa
-    and t."""
+    and t. kappa is the array of principal curvatures, or a function of a
+    point's index that returns them there, called only for a point outside
+    the cone. The cone of the sigma_j of c kappa, c > 0, is the same, so e
+    may be the sigma_j of a positive multiple of kappa."""
     order = f.cone_order
     if e[..., 1].min() > 0.0 and (
             order == 1 or all(e[..., j].min() > 0.0 for j in range(2, order + 1))):
         return e
     margin = _margin(f, e)
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin)), margin.shape))
+    k = kappa(idx) if callable(kappa) else kappa[idx]
     where = "" if t is None else f" at t={t}"
     raise InadmissibleState(
         f"principal curvatures left the admissibility cone of {f.kind}{where}; "
-        f"least margin at node {idx}, kappa={kappa[idx].tolist()}",
-        t=t, node=idx, kappa=kappa[idx],
+        f"least margin at node {idx}, kappa={k.tolist()}",
+        t=t, node=idx, kappa=k,
     )
 
 

@@ -71,13 +71,13 @@ SERIES_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord)
                        if f.name != "neg_drift_scaled")
 
 
-def snapshot(state: GraphState, ext, pinch_ref: tuple) -> DiagnosticsRecord:
-    """Condense one state, with ext = flow.evaluate(state, F), which holds
-    F(kappa) and the Hessian of phi; pinch_ref = (lambda(inf r_0),
-    lambda(sup r_0))."""
+def snapshot(state: GraphState, ext, f_vals, pinch_ref: tuple) -> DiagnosticsRecord:
+    """Condense one state, with ext = geometry.compute_extrinsic(state),
+    which holds kappa and the Hessian of phi, f_vals its F, the flow
+    stage's (flow.evaluate(state, F).f), and pinch_ref =
+    (lambda(inf r_0), lambda(sup r_0))."""
     n = state.profile.params.n
     t = state.t
-    f_vals = ext.f_kappa
     scaled = state.lam * math.exp(-t / n)
     chi_scaled = ext.chi * math.exp(-t / n)
     eps = 1e-6 * pinch_ref[1]
@@ -139,10 +139,10 @@ class DiagnosticsSeries:
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )
 
-    def append(self, state: GraphState, ext) -> None:
-        """Record snapshot(state, ext) and keep, of the state and its ext,
-        only r and the induced metric components ext.g."""
-        self.records.append(snapshot(state, ext, self.pinch_ref))
+    def append(self, state: GraphState, ext, f_vals) -> None:
+        """Record snapshot(state, ext, f_vals) and keep, of the state and
+        its ext, only r and the induced metric components ext.g."""
+        self.records.append(snapshot(state, ext, f_vals, self.pinch_ref))
         self.radii.append(state.r.values)
         self.metrics.append(ext.g)
 

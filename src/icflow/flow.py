@@ -2,16 +2,21 @@
 
 The scalar form evolved here is
 
-    d phi / dt = v / F(lambda h^i_j) = v / (lambda F(h^i_j)),
+    d phi / dt = v / F(lambda h^i_j) = v^2 / (lambda v F(h^i_j)),
 
-by the 1-homogeneity of F, so one F is evaluated per stage: F(kappa),
-which the stability bound and the snapshots read too. Each rk2 stage is
-one array pass from its gauge to its speed: lambda by gauge, the
-extrinsic pass, the cone test on kappa, F(kappa) and the speed
-v / (lambda F(kappa)). The midpoint (`midpoint_speed`) builds no state
-and no record; `evaluate` keeps the pass of an accepted state as its
-ExtrinsicData, once per state, the end state's inside the step's retry
-loop, so an end state outside the cone is retried like a midpoint.
+and by the 1-homogeneity of F, lambda v F is F of the scaled shape
+operator lambda v h^i_j, whose invariants S_1 and S_2 the stage reads
+(geometry.scaled_invariants): F is a function of the sigma_j, so each
+rk2 stage is one array pass from its gauge to its speed, with no
+eigensolve: lambda by gauge, the scaled invariants, the cone test on
+them, lambda v F and the speed (1 + |D phi|^2) / (lambda v F). The
+midpoint (`midpoint_speed`) builds no state and no record; `evaluate`
+keeps the pass of an accepted state as its StageData, once per state,
+the end state's inside the step's retry loop, so an end state outside
+the cone is retried like a midpoint. The principal curvatures are solved
+only where they are read: at the snapshots (geometry.compute_extrinsic),
+at the node a cone exit names, and, for an F other than the mean, in the
+stability bound, as lambda v kappa, once per step.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r. A stage reads only lambda of its gauge
 (WarpProfile.lambda_from_gauge); a state's radius field is looked up
@@ -34,8 +39,9 @@ interpreting them.
 
 Rejected input is a ConfigError: InitialData refuses an unknown kind, a
 non-finite r0 or amplitude and a malformed table, FlowConfig refuses a
-t_end that is not positive and finite and an f normalised for another n
-than the background's, and run refuses a start state at or past t_end,
+t_end that is not positive and finite, an output_every at or below the
+landing tolerance LAND_TOL and an f normalised for another n than the
+background's, and run refuses a start state at or past t_end,
 which it records as its `failed` event.
 """
 
@@ -60,11 +66,12 @@ from .errors import (
     is_integer,
 )
 from .geometry import (
-    ExtrinsicData,
     GraphState,
     compute_extrinsic,
     extrinsic_pass,
     lambda_of_gauge,
+    scaled_curvatures,
+    scaled_invariants,
     state_from_gauge,
     state_from_radius,
 )
@@ -73,6 +80,7 @@ from .sphere import build_grid, polar_filter
 CHECKPOINT_FORMAT_VERSION = 2
 DT_MIN = 1e-12   # a stability bound below this is a StepUnderflow
 CFL = 0.2        # the stability bound's fraction of the parabolic limit
+LAND_TOL = 1e-12 # a step within this of a snapshot time lands on it
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,10 @@ class FlowConfig:
         if not (is_finite_number(self.output_every) and self.output_every > 0):
             raise ConfigError(f"output_every must be positive and finite, "
                               f"got {self.output_every!r}")
+        # snapshot times closer than the landing tolerance would be one
+        if not self.output_every > LAND_TOL:
+            raise ConfigError(f"output_every must exceed LAND_TOL = {LAND_TOL:g}, "
+                              f"got {self.output_every!r}")
         if self.background.n != 2:
             raise ConfigError("time integration is implemented for n = 2 grids")
         if self.f.n != self.background.n:
@@ -169,54 +181,85 @@ class FlowEvent:
     payload: dict = field(default_factory=dict)
 
 
-def _stage(F, t, lam, v, kappa, sigma_j):
-    """F(kappa) and the speed d phi / dt = v / (lambda F(kappa)) of one
-    extrinsic pass at time t. Raises InadmissibleState, carrying the worst
-    node and its kappa, when kappa leaves the cone; FlowError when the
-    speed is not finite. At n = 2 the cone test implies F(kappa) > 0 for
-    every F: the mean is sigma_1, the sigma_2 root is 2 sqrt(sigma_2) and
-    the quotient is at least 2 min kappa. So the speed is a number only if
-    it is at least 0, and finite only if its maximum is."""
-    f_kappa = cf._value(F, cf.require_cone(F, sigma_j, kappa, t))
-    speed = v / (lam * f_kappa)
+@dataclass(slots=True)
+class StageData:
+    """The stage data of an accepted state, as `evaluate` makes it: its
+    scaled invariants (geometry.scaled_invariants) and what the stage
+    made of them. e holds (1, S_1, S_2), on which the cone was tested;
+    lvf is lambda v F, F of the scaled shape operator; speed is
+    d phi / dt = v^2 / (lambda v F). The stability bound reads speed, v^2
+    and, for an F other than the mean, e and the triples b and hess; the
+    snapshot reads F (`f`). lam is the state's lambda."""
+
+    lam: np.ndarray
+    v2: np.ndarray                 # v^2 = 1 + |D phi|^2
+    e: np.ndarray                  # sigma_j of lambda v kappa, j = 0..2
+    lam_p: np.ndarray
+    b: tuple                       # phi_i phi_j + sigma_ij, (b00, b01, b11)
+    hess: tuple                    # round Hessian phi_ij, (p00, p01, p11)
+    lvf: np.ndarray                # lambda v F
+    speed: np.ndarray              # v^2 / (lambda v F)
+
+    @property
+    def f(self) -> np.ndarray:
+        """F at the nodes: lambda v F over lambda v."""
+        return self.lvf / (self.lam * np.sqrt(self.v2))
+
+
+def _stage(F, t, grid, profile, phi, lam):
+    """The stage of the gauge array phi, with lambda lam, at time t: its
+    scaled_invariants, lambda v F and the speed v^2 / (lambda v F). Raises
+    InadmissibleState when the invariants leave the cone, carrying the
+    node of least margin and its kappa, which the full extrinsic pass
+    solves there; FlowError when the speed is not finite. At n = 2 the
+    cone test implies lambda v F >= 0 for every F: the mean is S_1, the
+    sigma_2 root is 2 sqrt(S_2) and the quotient 4 S_2 / S_1, each of
+    positive numbers, 0 only where the quotient underflows. So the speed
+    is a number only if it is at least 0, and finite only if its maximum
+    is."""
+    def kappa_at(node):
+        return extrinsic_pass(grid, profile, phi, lam)[1][node]
+
+    inv = scaled_invariants(grid, profile, phi, lam)
+    lvf = cf._value(F, cf.require_cone(F, inv[1], kappa_at, t))
+    speed = inv[0] / lvf
     if not math.isfinite(speed.max()):
         raise FlowError(f"non-finite speed at t={t}")
-    return f_kappa, speed
+    return inv, lvf, speed
 
 
-def evaluate(state: GraphState, F: cf.CurvatureFunction) -> ExtrinsicData:
-    """The stage data of state: compute_extrinsic(state), with the
-    stage's F(kappa) and speed kept as ext.f_kappa and ext.speed."""
-    ext = compute_extrinsic(state)
-    ext.f_kappa, ext.speed = _stage(F, state.t, state.lam, ext.v, ext.kappa, ext.sigma_j)
-    return ext
+def evaluate(state: GraphState, F: cf.CurvatureFunction) -> StageData:
+    """The stage data of state, with its cone test, lambda v F and speed."""
+    inv, lvf, speed = _stage(F, state.t, state.grid, state.profile, state.phi.values,
+                             state.lam)
+    return StageData(state.lam, *inv, lvf, speed)
 
 
 def midpoint_speed(grid, profile, phi, t, F: cf.CurvatureFunction) -> np.ndarray:
     """evaluate(state_from_gauge(grid, profile, phi, t), F).speed, bit for
     bit and with its refusals, from one array pass that builds no state
     and no record."""
-    lam = lambda_of_gauge(grid, profile, phi)
-    v, kappa, sigma_j, *_ = extrinsic_pass(grid, profile, phi, lam)
-    return _stage(F, t, lam, v, kappa, sigma_j)[1]
+    return _stage(F, t, grid, profile, phi, lambda_of_gauge(grid, profile, phi))[2]
 
 
-def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
+def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
               dt_max: float = math.inf) -> float:
     """Parabolic stability bound CFL d_theta^2 / max(diffusion scale), with
-    ext = evaluate(state, F). The scale is v / (lambda F)^2 times the
-    largest dF/dkappa_i: 1 for the mean, else dF/dkappa_0 of the smaller
-    kappa. On lat-long grids the polar filter keeps only the azimuthal
-    modes that d_theta resolves. A largest scale of 0 (an F that
+    stage = evaluate(state, F). The scale is v / (lambda F)^2 =
+    speed^2 / v times the largest dF/dkappa_i: 1 for the mean, else dF of
+    the smaller kappa, read at lambda v kappa (scaled_curvatures), since
+    dF is 0-homogeneous. On lat-long grids the polar filter keeps only the
+    azimuthal modes that d_theta resolves. A largest scale of 0 (an F that
     overflowed) or NaN raises FlowError, and a bound below DT_MIN
     StepUnderflow."""
     # largest eigenvalue of gtilde relative to sigma is exactly 1
-    scale = ext.v / (state.lam * ext.f_kappa) ** 2
+    scale = stage.speed * stage.speed / np.sqrt(stage.v2)
     if F.kind != "mean":
-        # at n = 2 every dF/dkappa_i is sigma_1 - kappa_i times a positive
-        # factor, and rounding keeps that monotone, so the column of the
-        # smaller (first, ascending) kappa is the largest, bit for bit
-        scale = scale * cf._gradient(F, ext.kappa[..., :1], ext.sigma_j)[..., 0]
+        # at n = 2 every dF/dkappa_i is S_1 - lambda v kappa_i times a
+        # positive factor, and rounding keeps that monotone, so the column
+        # of the smaller (first, ascending) kappa is the largest, bit for bit
+        kappa = scaled_curvatures(state.grid, stage.lam_p, stage.b, stage.hess)
+        scale = scale * cf._gradient(F, kappa[..., :1], stage.e)[..., 0]
     top = float(scale.max())
     if not top > 0.0:
         raise FlowError(f"no stability bound at t={state.t}: largest diffusion scale {top}")
@@ -227,11 +270,11 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, ext: ExtrinsicData,
     return min(dt, dt_max)
 
 
-def _advance(state, F, dt, ext):
-    """One rk2 step of size dt from state, with ext = evaluate(state, F):
+def _advance(state, F, dt, stage):
+    """One rk2 step of size dt from state, with stage = evaluate(state, F):
     the new state and its stage data."""
     grid, profile, phi = state.grid, state.profile, state.phi.values
-    phi_mid = polar_filter(grid, phi + 0.5 * dt * ext.speed)
+    phi_mid = polar_filter(grid, phi + 0.5 * dt * stage.speed)
     speed_mid = midpoint_speed(grid, profile, phi_mid, state.t + 0.5 * dt, F)
     phi_new = polar_filter(grid, phi + dt * speed_mid)
     new = state_from_gauge(grid, profile, phi_new, t=state.t + dt)
@@ -244,9 +287,9 @@ def _offender(exc: InadmissibleState) -> dict:
             "kappa": None if exc.kappa is None else list(np.atleast_1d(exc.kappa))}
 
 
-def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicData,
-         events: Optional[list] = None) -> tuple[GraphState, ExtrinsicData]:
-    """One midpoint (rk2) step from state, with ext = evaluate(state, F).
+def step(state: GraphState, F: cf.CurvatureFunction, dt: float, stage: StageData,
+         events: Optional[list] = None) -> tuple[GraphState, StageData]:
+    """One midpoint (rk2) step from state, with stage = evaluate(state, F).
     Returns the new state and its stage data, evaluate(new, F). When the
     midpoint or the new state leaves the cone (InadmissibleState), the
     step is retried with halved dt, up to eight times, logging an
@@ -254,7 +297,7 @@ def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicDa
     last = None
     for _ in range(9):
         try:
-            return _advance(state, F, dt, ext)
+            return _advance(state, F, dt, stage)
         except InadmissibleState as exc:
             last = exc
             if events is not None:
@@ -265,11 +308,12 @@ def step(state: GraphState, F: cf.CurvatureFunction, dt: float, ext: ExtrinsicDa
 
 
 def _snapshot_times(t0, t_end, every):
-    """Yield the targets k * every strictly between t0 and t_end, then
-    t_end, one at a time, so a long run holds no schedule."""
+    """Yield the targets k * every that lie more than LAND_TOL inside
+    (t0, t_end), then t_end, one at a time, so a long run holds no
+    schedule."""
     k = math.floor(t0 / every + 1e-9) + 1
-    while k * every < t_end - 1e-12:
-        if k * every > t0 + 1e-12:
+    while k * every < t_end - LAND_TOL:
+        if k * every > t0 + LAND_TOL:
             yield k * every
         k += 1
     yield t_end
@@ -281,11 +325,13 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     Deterministic for a given config: fixed node order, no randomized
     reductions. Snapshots are taken at t = 0 (or the resume time), at each
     k * output_every, and at t_end. The step that ends an interval is cut,
-    or stretched by under 1e-12, to land on its snapshot time exactly.
-    A start state at or past t_end, with nothing to run, is a ConfigError.
-    An exception raised on the way carries the events so far, ending with
-    a `failed` event, as exc.events; an InadmissibleState's `failed`
-    event also names the worst node and its kappa.
+    or stretched by under LAND_TOL, to land on its snapshot time exactly.
+    A snapshot reads the full extrinsic data of its state, kappa with it,
+    and the stage's F. A start state at or past t_end, with nothing to
+    run, is a ConfigError. An exception raised on the way carries the
+    events so far, ending with a `failed` event, as exc.events; an
+    InadmissibleState's `failed` event also names the worst node and its
+    kappa.
     """
     F = config.f
     events: list[FlowEvent] = []
@@ -301,23 +347,23 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
 
         series = dg.DiagnosticsSeries.start(state, F)
 
-        def take_snapshot(s, ext):
-            series.append(s, ext)
+        def take_snapshot(s, stage):
+            series.append(s, compute_extrinsic(s), stage.f)
             events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
 
         # one stage evaluation per state: the step returns its new state's,
         # which the snapshot, the stability bound and the next step share
-        ext = evaluate(state, F)
-        take_snapshot(state, ext)
+        stage = evaluate(state, F)
+        take_snapshot(state, stage)
         steps = 0
         for target in _snapshot_times(state.t, config.t_end, config.output_every):
-            while state.t < target - 1e-12:
-                dt = stable_dt(state, F, ext, dt_max=config.dt_max)
-                if state.t + dt >= target - 1e-12:
+            while state.t < target - LAND_TOL:
+                dt = stable_dt(state, F, stage, dt_max=config.dt_max)
+                if state.t + dt >= target - LAND_TOL:
                     dt = target - state.t      # ends the interval on target
-                state, ext = step(state, F, dt, ext, events=events)
+                state, stage = step(state, F, dt, stage, events=events)
                 steps += 1
-            take_snapshot(state, ext)
+            take_snapshot(state, stage)
     except Exception as exc:
         t = 0.0 if state is None else state.t
         payload = {"error": f"{type(exc).__name__}: {exc}"}

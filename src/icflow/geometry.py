@@ -6,18 +6,33 @@ infinity so that it resolves radius at any r, flattens the metric so that
 the induced metric, tilt factor and shape operator take the algebraic
 forms
 
-    g_ij    = lambda^2 (phi_i phi_j + sigma_ij)
+    g_ij    = lambda^2 b_ij,        b_ij = phi_i phi_j + sigma_ij
     v^2     = 1 + |D phi|^2
-    h_ij    = (lambda / v) (lambda' (phi_i phi_j + sigma_ij) - phi_ij)
+    h_ij    = (lambda / v) (lambda' b_ij - phi_ij)
     h^i_j   = (1 / (lambda v)) (lambda' delta^i_j - gtilde^ik phi_kj)
 
-with gtilde^ij = sigma^ij - phi^i phi^j / v^2. Principal curvatures are
-computed from the symmetric covariant pair (h_ij, g_ij) by a closed-form
-2x2 generalized eigensolve, which keeps them real and avoids dividing by
-sin^2(theta) near the poles. Gradients are carried as component pairs
-(theta, psi) and symmetric 2-tensors as component triples (00, 01, 11),
-as `sphere.derivatives` returns them; the discrete Hessian is symmetric
-by construction, since one array serves as both of its off-diagonal
+with gtilde^ij = sigma^ij - phi^i phi^j / v^2, the inverse of b_ij.
+
+Two passes read these forms. The flow's stage reads only the invariants
+of the scaled shape operator lambda v h^i_j = lambda' delta^i_j - A,
+A = b^-1 phi_ij (`scaled_invariants`): at n = 2
+
+    S_1 = lambda v sigma_1       = 2 lambda' - tr A
+    S_2 = (lambda v)^2 sigma_2   = lambda' (lambda' - tr A) + det A,
+
+with tr A and det A in closed form over det b = v^2 sin^2(theta). An F
+of the principal curvatures is a function of the sigma_j, so by its
+1-homogeneity these give lambda v F with no eigensolve and no product
+that grows like lambda^4. Where kappa itself is read (snapshots, checks,
+the node a cone exit names), `extrinsic_pass` forms the pair (h_ij, g_ij)
+and solves it by a closed-form 2x2 generalized eigensolve, which keeps
+kappa real and avoids dividing by sin^2(theta) near the poles. The
+stability bound's one dF reads lambda v kappa = lambda' - mu off the
+same closed form, for the pencil phi_ij x = mu b_ij x
+(`scaled_curvatures`). Gradients are carried as component pairs (theta,
+psi) and symmetric 2-tensors as component triples (00, 01, 11), as
+`sphere.derivatives` returns them; the discrete Hessian is symmetric by
+construction, since one array serves as both of its off-diagonal
 entries, so h_ij needs no symmetrization.
 
 The ambient curvature enters through two contractions along the surface,
@@ -37,7 +52,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import curvature as cf
 from .background import WarpProfile
 from .errors import TableExtentError
 from .sphere import (
@@ -117,21 +131,12 @@ class ExtrinsicData:
     (phi_theta, phi_psi); the symmetric 2-tensors g, h and the round
     Hessian of phi are the triples of their (00, 01, 11) components. On
     axisymmetric grids the psi components are the grid's read-only zero
-    field. Only what the stepper, the snapshots and the identity checks
-    read is kept; lambda is the state's (`GraphState.lam`). sigma_j feeds
-    every cone test, F and dF of kappa that reads this state.
-
-    f_kappa and speed are the flow's stage data, None until
-    flow.evaluate fills them in: F(kappa) of the flow's curvature
-    function, which the stability bound and the snapshot read, and
-    d phi / dt = v / (lambda F(kappa)), from that one F. flow.evaluate
-    makes one per accepted state and trial end state; the rk2 midpoint
-    reads its speed straight off the pass and makes none.
+    field. Only what the snapshots and the identity checks read is kept;
+    lambda is the state's (`GraphState.lam`).
     """
 
     v: np.ndarray
     kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
-    sigma_j: np.ndarray            # elementary symmetric sigma_j(kappa), j = 0..n
     grad_phi: tuple                # covariant D_i phi, (theta, psi)
     grad_phi_sq: np.ndarray        # |D phi|^2
     hess_phi: tuple                # round Hessian phi_ij, (p00, p01, p11)
@@ -139,8 +144,6 @@ class ExtrinsicData:
     h: tuple                       # second fundamental form, (h00, h01, h11)
     chi: np.ndarray                # lambda / v
     lam_p: np.ndarray
-    f_kappa: Optional[np.ndarray] = None   # F(kappa)
-    speed: Optional[np.ndarray] = None     # v / (lambda F(kappa))
 
 
 def _pencil_eigenvalues(a, b, diagonal=False):
@@ -157,12 +160,12 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     skipped; each of those terms adds an exact zero, so the result is the
     same bit for bit.
 
-    Far out d1, d2 and d3 grow like lambda^4, and their squares overflow
-    past r ~ 88. So the diagonal root is |d1|, and the general one is taken
-    of the discriminant times s^2, for one power of two s per state near
-    1 / sqrt(max det b), and divided by s: d1 s is squared, and 4 s^2 is
-    one factor of 4 d2 d3. Both equal the unscaled sqrt wherever its
-    products neither overflow nor underflow.
+    For the pair (h, g), far out d1, d2 and d3 grow like lambda^4, and
+    their squares overflow past r ~ 88. So the diagonal root is |d1|, and
+    the general one is taken of the discriminant times s^2, for one power
+    of two s per state near 1 / sqrt(max det b), and divided by s: d1 s is
+    squared, and 4 s^2 is one factor of 4 d2 d3. Both equal the unscaled
+    sqrt wherever its products neither overflow nor underflow.
     """
     a00, a01, a11 = a
     b00, b01, b11 = b
@@ -188,45 +191,86 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     return kappa
 
 
+def _tilt_terms(grid, phi):
+    """One set of stencils of the gauge array phi and the tilt terms both
+    passes read: D phi as a pair, the round Hessian phi_ij as a triple,
+    |D phi|^2, v^2 = 1 + |D phi|^2 and b_ij = phi_i phi_j + sigma_ij as a
+    triple. On axisymmetric grids |D phi|^2 = phi_theta^2, so
+    b = (v^2, 0, sin^2 theta), its zero the grid's."""
+    d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
+    q = covector_norm_sq(grid, d_th, d_ps)
+    if grid.mode == "axisymmetric1d":
+        v2 = q + 1.0
+        b = (v2, grid.zeros, grid.sin2)
+    else:
+        v2 = 1.0 + q
+        b = (d_th * d_th + 1.0, d_th * d_ps, d_ps * d_ps + grid.sin2)
+    return (d_th, d_ps), (p00, p01, p11), q, v2, b
+
+
+def scaled_invariants(grid, profile, phi, lam):
+    """The stage's pass of the gauge array phi, with lambda lam at its
+    nodes: one set of stencils and the invariants of the scaled shape
+    operator lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij.
+
+    Returns (v^2, e, lambda', b, phi_ij): e holds, along its last axis,
+    (1, S_1, S_2), the sigma_j of lambda v kappa, with
+    S_1 = 2 lambda' - tr A and S_2 = lambda' (lambda' - tr A) + det A;
+    tr A and det A are divided by det b = v^2 sin^2 theta, which is exact
+    in closed form. On axisymmetric grids the psi terms of tr A and det A
+    vanish identically and are skipped; each adds an exact zero, so a
+    lat-long grid gives the same e bit for bit on axisymmetric data."""
+    _, hess, _, v2, b = _tilt_terms(grid, phi)
+    lam_p = profile.lambda_p_of_lambda(lam)
+    b00, b01, b11 = b
+    p00, p01, p11 = hess
+    if grid.mode == "axisymmetric1d":
+        tr = b11 * p00 + b00 * p11
+        det = p00 * p11
+    else:
+        tr = b11 * p00 + b00 * p11 - 2.0 * (b01 * p01)
+        det = p00 * p11 - p01 * p01
+    det_b = grid.sin2 * v2
+    tr /= det_b
+    det /= det_b
+    e = np.empty(tr.shape + (3,))
+    e[..., 0] = 1.0
+    np.subtract(2.0 * lam_p, tr, out=e[..., 1])
+    np.add(lam_p * (lam_p - tr), det, out=e[..., 2])
+    return v2, e, lam_p, b, hess
+
+
+def scaled_curvatures(grid, lam_p, b, hess):
+    """lambda v kappa, ascending along the last axis: lambda' less the
+    eigenvalues mu of the pencil phi_ij x = mu b_ij x, from the triples b
+    and hess that scaled_invariants returns, with lam_p its lambda'."""
+    mu = _pencil_eigenvalues(hess, b, diagonal=grid.mode == "axisymmetric1d")
+    return lam_p[..., None] - mu[..., ::-1]
+
+
 def extrinsic_pass(grid, profile, phi, lam):
     """The extrinsic pass of the gauge array phi, with lambda lam at its
     nodes: one set of stencils (D phi and the round Hessian), the tilt v,
-    g, h, kappa from the 2x2 pencil and its sigma_j, as ExtrinsicData's
-    fields up to lam_p. lambda^2 is formed once, for lambda' and g. On
-    axisymmetric grids |D phi|^2 = phi_theta^2, so b00 = |D phi|^2 + 1 is
-    formed once and v = sqrt(b00)."""
+    g, h and kappa from the 2x2 pencil, as ExtrinsicData's fields.
+    lambda^2 is formed once, for lambda' and g."""
+    grad, hess, q, v2, (b00, b01, b11) = _tilt_terms(grid, phi)
+    p00, p01, p11 = hess
     lam2 = lam * lam
     lam_p = profile.lambda_p_of_lambda(lam, lam2)
-
-    d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
-    q = covector_norm_sq(grid, d_th, d_ps)
-    # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij), where
-    # b_ij = phi_i phi_j + sigma_ij; on axisymmetric grids |D phi|^2 is
-    # phi_theta^2, so b00 = |D phi|^2 + 1 = v^2
-    axisymmetric = grid.mode == "axisymmetric1d"
-    if axisymmetric:
-        b00 = q + 1.0
-        v = np.sqrt(b00)
-    else:
-        b00 = d_th * d_th + 1.0
-        v = np.sqrt(1.0 + q)
+    v = np.sqrt(v2)
     chi = lam / v
-
-    s2 = grid.sin2
-    if axisymmetric:
+    # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij)
+    if grid.mode == "axisymmetric1d":
         zero = grid.zeros
-        g = (lam2 * b00, zero, lam2 * s2)
-        h = (chi * (lam_p * b00 - p00), zero, chi * (lam_p * s2 - p11))
+        g = (lam2 * b00, zero, lam2 * b11)
+        h = (chi * (lam_p * b00 - p00), zero, chi * (lam_p * b11 - p11))
         kappa = _pencil_eigenvalues(h, g, diagonal=True)
     else:
-        b01 = d_th * d_ps
-        b11 = d_ps * d_ps + s2
         g = (lam2 * b00, lam2 * b01, lam2 * b11)
         h = (chi * (lam_p * b00 - p00), chi * (lam_p * b01 - p01),
              chi * (lam_p * b11 - p11))
         kappa = _pencil_eigenvalues(h, g)
-    return (v, kappa, cf.elementary_symmetric(kappa), (d_th, d_ps), q, (p00, p01, p11),
-            g, h, chi, lam_p)
+    return v, kappa, grad, q, hess, g, h, chi, lam_p
 
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:

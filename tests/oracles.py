@@ -8,15 +8,18 @@ curvatures off the first and second fundamental forms. No gauge field,
 no shape-operator formula, no symmetrization: a fully separate path from
 the production code.
 
-The step-path oracles compute the flow's speed and stability bound
-through the public curvature API, each cone test, F and dF evaluated on
-its own from kappa, sigma_j recomputed each time; the flow's one-pass
-stage must match them bit for bit.
+The step-path oracles compute the flow's speed and stability bound from
+the invariants of the scaled shape operator, written out term by term
+from the components of an extrinsic pass in the general (lat-long) form
+on both grids, with the cone test and dF taken over every column; the
+flow's one-pass stage, which skips the terms that vanish on axisymmetric
+grids and reads one dF column, must match them bit for bit.
 """
 
 import numpy as np
 
 from icflow import curvature as cf
+from icflow import geometry as geo
 from icflow.errors import FlowError, InadmissibleState
 
 
@@ -69,36 +72,58 @@ def revolution_principal_curvatures(profile, theta, r_values):
     return kappa_meridian, kappa_parallel
 
 
-# -- the step path through the public curvature API ----------------------------
+# -- the step path from the scaled invariants ----------------------------------
+
+def reference_invariants(grid, lam_p, d_th, d_ps, q, p00, p01, p11):
+    """(v^2, e, b) of the stage, from the components of an extrinsic pass:
+    e = (1, S_1, S_2) with S_1 = 2 lambda' - tr A and
+    S_2 = lambda' (lambda' - tr A) + det A, A = b^-1 phi_ij, and b the
+    triple of b_ij = phi_i phi_j + sigma_ij, each term written out in the
+    lat-long form, whose psi terms are exact zeros on axisymmetric grids."""
+    s2 = grid.sin2
+    v2 = 1.0 + q
+    b = (d_th * d_th + 1.0, d_th * d_ps, d_ps * d_ps + s2)
+    det_b = s2 * v2
+    tr = (b[2] * p00 + b[0] * p11 - 2.0 * (b[1] * p01)) / det_b
+    det = (p00 * p11 - p01 * p01) / det_b
+    e = np.stack([np.ones_like(tr), 2.0 * lam_p - tr, lam_p * (lam_p - tr) + det], axis=-1)
+    return v2, e, b
+
+
+def _stage_invariants(state, ext):
+    """reference_invariants of state, with ext = compute_extrinsic(state)."""
+    return reference_invariants(state.grid, ext.lam_p, *ext.grad_phi, ext.grad_phi_sq,
+                                *ext.hess_phi)
+
 
 def reference_speed(state, F, ext):
-    """d phi / dt = v / (lambda F(kappa)) through the public cone test and
-    f_eval, with ext = compute_extrinsic(state): each check of the stage,
-    on its own evaluation of F, and the 1-homogeneity of F cross-checked
-    against F(lambda kappa) on the state."""
-    kappa = ext.kappa
-    ok = cf.cone_contains(F, kappa)
-    if not ok.all():
-        margins = cf.elementary_symmetric(kappa)[..., 1:F.cone_order + 1].min(axis=-1)
+    """d phi / dt = v^2 / (lambda v F) from the scaled invariants, with
+    ext = compute_extrinsic(state): every sigma_j up to the cone order
+    tested at once, and a state outside the cone refused at its node of
+    least margin, with ext's kappa there."""
+    v2, e, _ = _stage_invariants(state, ext)
+    margins = e[..., 1:F.cone_order + 1].min(axis=-1)
+    if not (margins > 0.0).all():
         idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
         raise InadmissibleState("state left the admissibility cone",
-                                t=state.t, node=idx, kappa=kappa[idx])
-    scaled = cf.f_eval(F, state.lam[..., None] * kappa)
-    plain = state.lam * cf.f_eval(F, kappa)
-    if np.max(np.abs(scaled - plain)) > 1e-12 * np.max(np.abs(scaled)):
-        raise FlowError("homogeneity cross-check failed in speed evaluation")
-    if np.min(plain) <= 0.0:
-        idx = np.unravel_index(int(np.argmin(plain)), plain.shape)
-        raise InadmissibleState("curvature function not positive",
-                                t=state.t, node=idx, kappa=kappa[idx])
-    return ext.v / plain
+                                t=state.t, node=idx, kappa=ext.kappa[idx])
+    lvf = cf._value(F, e)
+    if np.min(lvf) <= 0.0:
+        raise FlowError("curvature function not positive on the cone")
+    return v2 / lvf
 
 
 def reference_stable_dt(state, F, ext, cfl):
-    """The parabolic stability bound from f_grad and f_eval, with
-    ext = compute_extrinsic(state)."""
-    fp = cf.f_grad(F, ext.kappa)
-    fval = cf.f_eval(F, ext.kappa)
-    scale = ext.v / (state.lam * fval) ** 2 * np.max(fp, axis=-1)
+    """The parabolic stability bound from the scaled invariants, with
+    ext = compute_extrinsic(state): v / (lambda F)^2 = speed^2 / v times
+    the largest dF/dkappa_i over both columns, read at lambda v kappa,
+    lambda' less the eigenvalues of the pencil (phi_ij, b_ij)."""
+    v2, e, b = _stage_invariants(state, ext)
+    speed = reference_speed(state, F, ext)
+    mu = geo._pencil_eigenvalues(ext.hess_phi, b,
+                                 diagonal=state.grid.mode == "axisymmetric1d")
+    kappa = ext.lam_p[..., None] - mu[..., ::-1]
+    fp = cf._gradient(F, kappa, e)
+    scale = speed * speed / np.sqrt(v2) * np.max(fp, axis=-1)
     h = state.grid.d_theta
     return cfl * h * h / float(np.max(scale))

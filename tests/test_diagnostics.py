@@ -45,6 +45,12 @@ def umbilic_run():
     return final, series, events
 
 
+def snapshot(state, pinch_ref):
+    """The snapshot of state as a mean curvature run takes it."""
+    stage = flow.evaluate(state, cf.from_name("mean", 2))
+    return dg.snapshot(state, geo.compute_extrinsic(state), stage.f, pinch_ref=pinch_ref)
+
+
 class TestSnapshot:
     def test_umbilic_mass2_kappa_is_one(self):
         # at lambda = 2, m = 2: lambda'^2 = 1 + 4 - 1 = 4, kappa = 1 exactly
@@ -52,8 +58,7 @@ class TestSnapshot:
         grid = sp.build_grid("axisymmetric1d", 32)
         r0 = radius_at_lambda(prof, 2.0)
         state = geo.state_from_radius(grid, prof, np.full(32, r0))
-        ext = flow.evaluate(state, cf.from_name("mean", 2))
-        rec = dg.snapshot(state, ext, pinch_ref=(2.0, 2.0))
+        rec = snapshot(state, pinch_ref=(2.0, 2.0))
         assert rec.sup_kappa_dev < 1e-10
         assert rec.sup_grad_phi_sq == 0.0
         assert rec.pinch_low_ok and rec.pinch_high_ok
@@ -62,8 +67,7 @@ class TestSnapshot:
         prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 6.0)
         grid = sp.build_grid("axisymmetric1d", 32)
         state = geo.state_from_radius(grid, prof, np.full(32, 1.0))
-        ext = flow.evaluate(state, cf.from_name("mean", 2))
-        rec = dg.snapshot(state, ext, pinch_ref=(math.sinh(1.0), math.sinh(1.0)))
+        rec = snapshot(state, pinch_ref=(math.sinh(1.0), math.sinh(1.0)))
         want = 1.0 / math.tanh(1.0) - 1.0
         assert abs(rec.sup_kappa_dev - want) < 1e-12
         assert abs(want - 0.3130352854993312) < 1e-15
@@ -80,9 +84,8 @@ class TestSnapshot:
         prof = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2), 6.0)
         grid = sp.build_grid("axisymmetric1d", 32)
         state = geo.state_from_radius(grid, prof, np.full(32, 1.0))
-        ext = flow.evaluate(state, cf.from_name("mean", 2))
         lam = shift * math.sinh(1.0)
-        rec = dg.snapshot(state, ext, pinch_ref=(lam, lam))
+        rec = snapshot(state, pinch_ref=(lam, lam))
         assert (rec.pinch_low_ok, rec.pinch_high_ok) == (low_ok, high_ok)
 
 
@@ -215,11 +218,11 @@ class TestTheoremReport:
         state = geo.state_from_radius(grid, prof, np.full(16, 1.0))
         series = dg.DiagnosticsSeries.start(state, f)
         series.pinch_ref = tuple(shift * p for p in series.pinch_ref)
-        ext = flow.evaluate(state, f)
-        series.append(state, ext)
+        stage = flow.evaluate(state, f)
+        series.append(state, geo.compute_extrinsic(state), stage.f)
         for _ in range(10):
-            state, ext = flow.step(state, f, flow.stable_dt(state, f, ext, dt_max=1e-2), ext)
-            series.append(state, ext)
+            state, stage = flow.step(state, f, flow.stable_dt(state, f, stage, dt_max=1e-2), stage)
+            series.append(state, geo.compute_extrinsic(state), stage.f)
         rep = dg.theorem_report(series, dg.ReportConfig())
         assert rep["pinching_pass"] is (shift == 1.0)
         assert rep["overall_pass"] is (shift == 1.0), dg.report_lines(rep)

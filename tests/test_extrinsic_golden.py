@@ -1,7 +1,9 @@
 """The component-form extrinsic pass against a reference copy of the
 (..., 2, 2) pass it replaced, the frame Hessian against a reference copy
-of the mean / fluctuation split it replaced, the stage data, the stability bound and dF
-against reference copies of the reductions they replaced, and the warp
+of the mean / fluctuation split it replaced, the stage data from that
+pass's components by the invariant formula of tests/oracles.py, the
+stability bound and dF against reference copies of the reductions they
+replaced, and the warp
 lookups and state_from_gauge against reference copies of the per-mass
 accessors they replaced: every quantity must agree bit for bit, and the
 lookups must refuse the same finite values past the table. The frame
@@ -20,6 +22,8 @@ from icflow import flow
 from icflow import geometry as geo
 from icflow import sphere as sp
 from icflow.errors import ConfigError, FlowError, InadmissibleState, TableExtentError
+
+from oracles import reference_invariants
 
 
 # -- reference: the (..., 2, 2) pass, with its own stencils -------------------
@@ -127,8 +131,7 @@ def reference_extrinsic(state):
     h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
     kappa = _pencil(h_cov, g_cov)
     return dict(v=v, grad_phi=dphi, grad_phi_sq=q, hess=hess_cov, g_cov=g_cov, h_cov=h_cov,
-                kappa=kappa, sigma_j=cf.elementary_symmetric(kappa),
-                chi=lam / v, lam=lam, lam_p=lam_p)
+                kappa=kappa, chi=lam / v, lam=lam, lam_p=lam_p)
 
 
 # -- reference: the stage reductions along a short last axis ----------------
@@ -162,16 +165,22 @@ def reference_gradient(f, kappa, e):
 
 
 def reference_stage(state, f):
-    """(f_kappa, speed) of flow.evaluate, from the reference extrinsic pass."""
+    """(e, lambda v F, speed) of flow.evaluate, from the reference extrinsic
+    pass's components and the invariant formula of tests/oracles.py."""
     ref = reference_extrinsic(state)
-    assert _in_cone(f, ref["sigma_j"])
-    f_kappa = cf._value(f, ref["sigma_j"])
-    return f_kappa, ref["v"] / (ref["lam"] * f_kappa)
+    grad, hess = ref["grad_phi"], ref["hess"]
+    v2, e, _ = reference_invariants(state.grid, ref["lam_p"], grad[..., 0], grad[..., 1],
+                                    ref["grad_phi_sq"], hess[..., 0, 0], hess[..., 0, 1],
+                                    hess[..., 1, 1])
+    assert _in_cone(f, e)
+    lvf = cf._value(f, e)
+    return e, lvf, v2 / lvf
 
 
-def reference_stable_dt(state, f, ext):
-    fp = reference_gradient(f, ext.kappa, ext.sigma_j)
-    scale = ext.v / (state.lam * ext.f_kappa) ** 2 * fp.max(axis=-1)
+def reference_stable_dt(state, stage, fp):
+    """The stability bound of stage, with fp the full dF array of its
+    lambda v kappa."""
+    scale = stage.speed * stage.speed / np.sqrt(stage.v2) * fp.max(axis=-1)
     h = state.grid.d_theta
     return flow.CFL * h * h / float(scale.max())
 
@@ -327,7 +336,7 @@ def test_matches_tensor_pass_bit_for_bit(make_state):
     state = make_state()
     ext = geo.compute_extrinsic(state)
     ref = reference_extrinsic(state)
-    for name in ("kappa", "sigma_j", "v", "chi", "lam_p", "grad_phi_sq"):
+    for name in ("kappa", "v", "chi", "lam_p", "grad_phi_sq"):
         assert np.array_equal(getattr(ext, name), ref[name]), name
     assert np.array_equal(state.lam, ref["lam"])
     for k in range(2):
@@ -382,13 +391,15 @@ def test_hessian_mixed_matches_mean_fluctuation_split(make_state):
 def test_stage_matches_reference_reductions_bit_for_bit(make_state, name):
     state = make_state()
     f = cf.from_name(name, 2)
-    ext = flow.evaluate(state, f)
-    f_kappa, speed = reference_stage(state, f)
-    assert np.array_equal(ext.f_kappa, f_kappa)
-    assert np.array_equal(ext.speed, speed)
-    assert np.array_equal(cf._gradient(f, ext.kappa, ext.sigma_j),
-                          reference_gradient(f, ext.kappa, ext.sigma_j))
-    assert flow.stable_dt(state, f, ext) == reference_stable_dt(state, f, ext)
+    stage = flow.evaluate(state, f)
+    e, lvf, speed = reference_stage(state, f)
+    assert np.array_equal(stage.e, e)
+    assert np.array_equal(stage.lvf, lvf)
+    assert np.array_equal(stage.speed, speed)
+    kappa = geo.scaled_curvatures(state.grid, stage.lam_p, stage.b, stage.hess)
+    fp = reference_gradient(f, kappa, e)
+    assert np.array_equal(cf._gradient(f, kappa, e), fp)
+    assert flow.stable_dt(state, f, stage) == reference_stable_dt(state, stage, fp)
 
 
 def in_cone_pairs(rng, rows, cols):
@@ -410,20 +421,30 @@ def in_cone_pairs(rng, rows, cols):
 def test_stable_dt_reads_the_smaller_kappa_column(name, monkeypatch):
     # at n = 2 the smaller kappa's dF column is the column maximum bit for
     # bit, ties and sigma_2 near 0 included, so the bound equals the
-    # reference's full maximum; DT_MIN is lifted so that a bound of a
-    # state far from 1 in size is compared and not refused
+    # reference's full maximum. The stage's S_1 and S_2 are not formed
+    # from kappa, so the column must be the maximum for sigma_j off
+    # kappa's too: S_1 - kappa_i is monotone in kappa_i whatever S_1 is.
+    # DT_MIN is lifted so that a bound of a state far from 1 in size is
+    # compared and not refused
     monkeypatch.setattr(flow, "DT_MIN", 0.0)
     f = cf.from_name(name, 2)
     state = a3_state()
-    ext = flow.evaluate(state, f)
-    kappa = in_cone_pairs(np.random.default_rng(20261019), 200, state.grid.n_theta)
+    stage = flow.evaluate(state, f)
+    rng = np.random.default_rng(20261019)
+    kappa = in_cone_pairs(rng, 200, state.grid.n_theta)
     e = cf.elementary_symmetric(kappa)
+    off = e.copy()
+    off[..., 1:] *= 2.0 ** rng.uniform(-1.0, 1.0, e.shape[:-1] + (2,))
     with np.errstate(divide="ignore", over="ignore"):
-        assert np.array_equal(cf._gradient(f, kappa[..., :1], e)[..., 0],
-                              reference_gradient(f, kappa, e).max(axis=-1))
-        for k, ek in zip(kappa, e):
-            row = dataclasses.replace(ext, kappa=k, sigma_j=ek, f_kappa=cf._value(f, ek))
-            assert flow.stable_dt(state, f, row) == reference_stable_dt(state, f, row)
+        for ej in (e, off):
+            assert np.array_equal(cf._gradient(f, kappa[..., :1], ej)[..., 0],
+                                  reference_gradient(f, kappa, ej).max(axis=-1))
+        for k, ek in zip(kappa, off):
+            monkeypatch.setattr(flow, "scaled_curvatures", lambda *args, k=k: k)
+            lvf = cf._value(f, ek)
+            row = dataclasses.replace(stage, e=ek, lvf=lvf, speed=stage.v2 / lvf)
+            assert flow.stable_dt(state, f, row) == \
+                reference_stable_dt(state, row, reference_gradient(f, k, ek))
 
 
 @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])

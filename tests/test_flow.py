@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,14 @@ from icflow.errors import (
     TableExtentError,
 )
 
-from oracles import radius_at_lambda, reference_speed, reference_stable_dt
+from oracles import (
+    radius_at_lambda,
+    reference_invariants,
+    reference_speed,
+    reference_stable_dt,
+)
 
-EXTRINSIC_FIELDS = [f.name for f in dataclasses.fields(geo.ExtrinsicData)]
+STAGE_FIELDS = [f.name for f in dataclasses.fields(flow.StageData)]
 
 
 def make_config(**kw):
@@ -135,10 +141,10 @@ class TestRhs:
         real = cf._value
         monkeypatch.setattr(cf, "_value", lambda F, e: 1e308 * real(F, e))
         with np.errstate(over="ignore"):
-            ext = flow.evaluate(state, f)
-        assert np.isinf(ext.f_kappa).all() and not ext.speed.any()
+            stage = flow.evaluate(state, f)
+        assert np.isinf(stage.lvf).all() and not stage.speed.any()
         with pytest.raises(FlowError, match="no stability bound"):
-            flow.stable_dt(state, f, ext)
+            flow.stable_dt(state, f, stage)
 
 
 class TestStableDt:
@@ -299,19 +305,129 @@ def stage_states():
 
 
 class TestStageGolden:
-    """The one-pass stage against the step path through the public
-    curvature API (tests/oracles.py): equal bit for bit."""
+    """The one-pass stage against the step path of the scaled invariants
+    written out term by term (tests/oracles.py): equal bit for bit."""
 
     @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
-    def test_matches_public_api_path(self, name):
+    def test_matches_the_invariant_reference(self, name):
         f = cf.from_name(name, 2)
         for label, state in stage_states():
-            ext = flow.evaluate(state, f)
+            stage = flow.evaluate(state, f)
             ref = geo.compute_extrinsic(state)
-            assert np.array_equal(ext.speed, reference_speed(state, f, ref)), label
-            assert np.array_equal(ext.f_kappa, cf.f_eval(f, ref.kappa)), label
-            assert flow.stable_dt(state, f, ext) == \
+            assert np.array_equal(stage.speed, reference_speed(state, f, ref)), label
+            assert flow.stable_dt(state, f, stage) == \
                 reference_stable_dt(state, f, ref, cfl=flow.CFL), label
+
+
+def random_states(seed, count):
+    """Seeded random states, for m in {0, 1, 2} on both grid modes:
+    r0 + sum over k <= 3 of a_k cos k theta, plus on lat-long grids a psi
+    term of modes 1 and 2. Most are admissible for every F; about a fifth
+    leave the sigma_2 cone, and most of those Gamma_1 too."""
+    rng = np.random.default_rng(seed)
+    for m in (0.0, 1.0, 2.0):
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
+        for mode, res in (("axisymmetric1d", 32), ("latlong2d", (16, 32))):
+            grid = sp.build_grid(mode, res)
+            th = grid.theta if mode == "axisymmetric1d" else grid.theta[:, None]
+            for _ in range(count):
+                r0 = rng.uniform(prof.r_horizon + 0.5, 4.0)
+                amp = rng.uniform(-1.0, 1.0, 3) * 0.5 * (r0 - prof.r_horizon) / np.arange(1, 4)
+                r = r0 + sum(a * np.cos(k * th) for k, a in enumerate(amp, 1))
+                if mode == "latlong2d":
+                    c = rng.uniform(-1.0, 1.0, 2) * 0.03 * (r0 - prof.r_horizon)
+                    ps = grid.psi[None, :] + rng.uniform(0.0, 2.0 * np.pi)
+                    r = r + c[0] * np.sin(th) * np.cos(ps) + c[1] * np.sin(th) ** 2 * np.sin(2 * ps)
+                yield f"m{m}-{mode}", geo.state_from_radius(grid, prof, r)
+
+
+def kappa_route_stable_dt(state, F, ext):
+    """The stability bound through F and dF of kappa: v / (lambda F)^2
+    times the largest dF/dkappa_i, with ext = compute_extrinsic(state)."""
+    scale = ext.v / (state.lam * cf.f_eval(F, ext.kappa)) ** 2 \
+        * np.max(cf.f_grad(F, ext.kappa), axis=-1)
+    return flow.CFL * state.grid.d_theta ** 2 / float(np.max(scale))
+
+
+class TestInvariantStage:
+    """The stage's F of the scaled invariants against F of the principal
+    curvatures, which the full extrinsic pass solves: the same cone
+    verdict, and F and the stability bound equal to rounding."""
+
+    def test_matches_the_kappa_route_on_random_states(self):
+        worst_f = worst_dt = 0.0
+        verdicts = {True: 0, False: 0}
+        for label, state in random_states(33, 40):
+            ext = geo.compute_extrinsic(state)
+            for name in ("mean", "sigma2root", "quotient2"):
+                f = cf.from_name(name, 2)
+                inside = bool(cf.cone_contains(f, ext.kappa).all())
+                verdicts[inside] += 1
+                if not inside:
+                    with pytest.raises(InadmissibleState):
+                        flow.evaluate(state, f)
+                    continue
+                stage = flow.evaluate(state, f)
+                want = cf.f_eval(f, ext.kappa)
+                worst_f = max(worst_f, float(np.max(np.abs(stage.f - want) / want)))
+                dt = flow.stable_dt(state, f, stage)
+                worst_dt = max(worst_dt, abs(dt / kappa_route_stable_dt(state, f, ext) - 1.0))
+        assert verdicts[True] >= 500 and verdicts[False] >= 50, verdicts
+        assert worst_f <= 1e-10 and worst_dt <= 1e-10, (worst_f, worst_dt)
+
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    def test_umbilic_spheres_agree_to_ulps(self, name):
+        # constant radius: tr A = det A = 0, S_1 = 2 lambda', S_2 = lambda'^2
+        f = cf.from_name(name, 2)
+        for m in (0.0, 1.0, 2.0):
+            prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
+            for mode, res in (("axisymmetric1d", 16), ("latlong2d", (16, 32))):
+                grid = sp.build_grid(mode, res)
+                for r0 in (prof.r_horizon + 0.05, 0.7, 2.0, 7.5):
+                    if r0 <= prof.r_horizon:
+                        continue
+                    state = geo.state_from_radius(grid, prof, np.full(grid.field_shape, r0))
+                    want = cf.f_eval(f, geo.compute_extrinsic(state).kappa)
+                    got = flow.evaluate(state, f).f
+                    assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), (m, mode, r0)
+
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    def test_value_is_positive_on_the_cone(self, name):
+        # the cone test on the scaled invariants implies lambda v F >= 0 for
+        # every F, and > 0 unless the quotient 4 S_2 / S_1 underflows, which
+        # takes S_2 below about 1e-323 S_1: a stage there has an infinite
+        # speed, which it refuses (FlowError). Seeded components of either
+        # sign, magnitudes 1e-165 to 1e150, lambda' >= 0 with some 0 (the
+        # horizon), through the invariant formula the stage pins to
+        f = cf.from_name(name, 2)
+        rng = np.random.default_rng(3)
+        size = 200_000
+        mag = lambda: 10.0 ** rng.uniform(-165.0, 150.0, size) \
+            * rng.choice([-1.0, 1.0], size)  # noqa: E731
+        # the nodes' sin theta of a 16-row grid, one per sample
+        sin = sp.build_grid("latlong2d", (16, 32)).sin_theta[rng.integers(0, 16, size), 0]
+        lam_p = np.abs(mag())
+        lam_p[:1000] = 0.0
+        d_th, d_ps, p00, p01, p11 = (mag() for _ in range(5))
+        # one set at the horizon where det A is rounding left over from
+        # cancellation: S_1 = 1e300, S_2 about 1e-35, and the quotient
+        # underflows to 0
+        d_th[0] = d_ps[0] = 0.0
+        p00[0], p01[0], p11[0] = -1e300, 9.999944335758489e-11, -1e-320
+        with np.errstate(all="ignore"):
+            _, e, _ = reference_invariants(
+                SimpleNamespace(sin2=sin * sin), lam_p, d_th, d_ps,
+                d_th * d_th + (d_ps / sin) ** 2, p00, p01, p11)
+            e = e[cf._margin(f, e) > 0.0]
+            value = cf._value(f, e)
+        assert len(e) > 100_000
+        finite = np.isfinite(value)
+        assert (value[finite] >= 0.0).all()
+        zero = value == 0.0
+        if name == "quotient2":
+            assert zero.any() and (e[zero, 2] < 1e-323 * e[zero, 1]).all()
+        else:
+            assert not zero.any()
 
 
 def reference_advance(state, F, dt, ext):
@@ -387,7 +503,7 @@ class TestMidpoint:
                 assert state.t == ref.t, label
                 assert same_arrays(state.phi.values, ref.phi.values), label
                 assert same_arrays(state.lam, ref.lam), label
-                for name_ in EXTRINSIC_FIELDS:
+                for name_ in STAGE_FIELDS:
                     assert same_arrays(getattr(ext, name_), getattr(ref_ext, name_)), (label, name_)
 
     def test_non_finite_midpoint_gauge_is_a_flow_error(self, prof_m1):
@@ -446,6 +562,76 @@ class TestMidpoint:
             [(e.kind, e.t, e.payload) for e in ref_events]
         assert new.t == ref.t and same_arrays(new.phi.values, ref.phi.values)
         assert same_arrays(new_ext.speed, ref_ext.speed)
+
+
+def exit_state(state, f, stage, dt):
+    """The state that leaves the cone in a step of dt from admissible_exit_state:
+    the midpoint, as a state, when it leaves (dt = 0.03), else the end state
+    (dt = 3.625e-3)."""
+    grid, prof = state.grid, state.profile
+    phi, t = midpoint_gauge(state, stage, dt), state.t + 0.5 * dt
+    mid = geo.state_from_gauge(grid, prof, phi, t)
+    if not cf.cone_contains(f, geo.compute_extrinsic(mid).kappa).all():
+        return mid
+    speed = flow.midpoint_speed(grid, prof, phi, t, f)
+    return geo.state_from_gauge(grid, prof, sp.polar_filter(grid, state.phi.values + dt * speed),
+                                t=state.t + dt)
+
+
+class TestConeExit:
+    """A cone exit names the node of least margin of the scaled invariants
+    and that node's kappa, which the full extrinsic pass solves there: it
+    equals compute_extrinsic's kappa of the state that left, for an exit at
+    the midpoint, at the end state and at the start. The step's
+    admissibility_violation event and the run's failed event carry both."""
+
+    @pytest.mark.parametrize("dt, node", [(0.03, (34,)), (3.625e-3, (31,))])
+    def test_exit_names_the_node_and_its_kappa(self, dt, node):
+        state = admissible_exit_state()
+        f = cf.from_name("mean", 2)
+        stage = flow.evaluate(state, f)
+        left = exit_state(state, f, stage, dt)
+        kappa = geo.compute_extrinsic(left).kappa
+        with pytest.raises(InadmissibleState) as info:
+            flow._advance(state, f, dt, stage)
+        assert info.value.t == left.t and info.value.node == node
+        assert np.array_equal(info.value.kappa, kappa[node])
+        # the node of least margin of sigma_1 of kappa too
+        assert np.argmin(kappa.sum(axis=-1)) == node[0]
+        events = []
+        flow.step(state, f, dt, stage, events=events)
+        assert events[0].kind == "admissibility_violation"
+        assert events[0].payload == {"dt": dt, "node": node, "kappa": list(kappa[node])}
+
+    @pytest.mark.parametrize("dt, node", [(0.03, (34,)), (3.625e-3, (31,))])
+    def test_failed_event_names_the_node_and_its_kappa(self, monkeypatch, dt, node):
+        # steps of dt with no retry: the run gives up on its first exit
+        state = admissible_exit_state()
+        f = cf.from_name("mean", 2)
+        left = exit_state(state, f, flow.evaluate(state, f), dt)
+        monkeypatch.setattr(flow, "stable_dt", lambda *args, **kwargs: dt)
+        monkeypatch.setattr(flow, "step", lambda s, F, dt_, stage, events=None:
+                            flow._advance(s, F, dt_, stage))
+        cfg = make_config(background=state.profile.params, grid_resolution=64)
+        with pytest.raises(InadmissibleState) as info:
+            flow.run(cfg, initial_state=state)
+        event = info.value.events[-1]
+        assert event.kind == "failed" and event.t == 0.0
+        assert event.payload["node"] == node
+        assert event.payload["kappa"] == list(geo.compute_extrinsic(left).kappa[node])
+
+    def test_start_state_outside_the_cone(self, prof_m0):
+        # the dimple of test_inadmissible_state_raises, as a run's start
+        grid = sp.build_grid("axisymmetric1d", 96)
+        r = 1.0 - 0.65 * np.exp(-((grid.theta - np.pi / 2) ** 2) / 0.02)
+        state = geo.state_from_radius(grid, prof_m0, r)
+        kappa = geo.compute_extrinsic(state).kappa
+        with pytest.raises(InadmissibleState) as info:
+            flow.run(make_config(grid_resolution=96), initial_state=state)
+        node = info.value.node
+        assert node == (int(np.argmin(kappa.sum(axis=-1))),)
+        assert np.array_equal(info.value.kappa, kappa[node])
+        assert info.value.events[-1].payload["kappa"] == list(kappa[node])
 
 
 class TestRun:
@@ -576,13 +762,15 @@ class TestRun:
     @pytest.mark.parametrize("name", ["mean", "sigma2root"])
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
         # one array pass per stage: per rk2 step the midpoint and the new
-        # state, plus the initial state once per run. Only accepted states
-        # (the new state and the initial one) become a GraphState and an
-        # ExtrinsicData record; the midpoint is a gauge array and its speed.
-        # One stencil pass per array pass: snapshots read the Hessian of
-        # phi it kept. sigma_j: one per array pass, which the one cone test
-        # and the one F read.
-        # The stage tests the cone and evaluates F through the private
+        # state, plus the initial state once per run, each reading the
+        # scaled invariants alone. Only accepted states (the new state and
+        # the initial one) become a GraphState and a StageData record; the
+        # midpoint is a gauge array and its speed. The full extrinsic pass
+        # and kappa are made once per snapshot, where kappa is read; the
+        # pencil's eigensolve there, and once per step in the stability
+        # bound of an F other than the mean. One stencil pass per array
+        # pass. No sigma_j of kappa is formed: the stage tests the cone and
+        # evaluates F on the scaled invariants through the private
         # formulas, never through cone_contains or f_eval
         cfg = make_config(
             background=bg.BackgroundParams(m=1.0, n=2),
@@ -592,22 +780,25 @@ class TestRun:
             f=cf.from_name(name, 2),
             t_end=0.05, output_every=0.01,
         )
+        n_inv = count_calls(monkeypatch, geo, "scaled_invariants")
         n_pass = count_calls(monkeypatch, geo, "extrinsic_pass")
         n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
+        n_eig = count_calls(monkeypatch, geo, "_pencil_eigenvalues")
         n_gauge = count_calls(monkeypatch, geo, "state_from_gauge")
         n_der = count_calls(monkeypatch, sp, "derivatives")
         n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
         n_cone = count_calls(monkeypatch, cf, "cone_contains")
         n_f = count_calls(monkeypatch, cf, "f_eval")
-        _, _, events = flow.run(cfg)
+        _, series, events = flow.run(cfg)
         steps = events[-1].payload["steps"]
-        assert steps >= 20
-        assert n_pass["n"] == 2 * steps + 1
-        assert n_ext["n"] == steps + 1
+        snapshots = len(series.records)
+        assert steps >= 20 and snapshots == 6
+        assert n_inv["n"] == 2 * steps + 1
+        assert n_pass["n"] == n_ext["n"] == snapshots
+        assert n_eig["n"] == snapshots + (0 if name == "mean" else steps)
         assert n_gauge["n"] == steps
-        assert n_der["n"] == n_pass["n"]
-        assert n_sym["n"] == n_pass["n"]
-        assert n_cone["n"] == n_f["n"] == 0
+        assert n_der["n"] == n_inv["n"] + n_pass["n"]
+        assert n_sym["n"] == n_cone["n"] == n_f["n"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

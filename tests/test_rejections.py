@@ -80,6 +80,11 @@ REJECTIONS = {
     "t_end_text": (lambda: flow_config(t_end="1"), "t_end must be positive and finite, got '1'"),
     "dt_max_text": (lambda: flow_config(dt_max="1e-3"), "dt_max must be finite"),
     "output_every_nan": (lambda: flow_config(output_every=float("nan")), "output_every"),
+    # snapshot times within the landing tolerance of each other would be
+    # written again and again at one t
+    "output_every_at_landing_tolerance": (
+        lambda: flow_config(output_every=flow.LAND_TOL),
+        r"output_every must exceed LAND_TOL = 1e-12, got 1e-12"),
     "start_at_t_end": (run_from_t_end, "nothing to run"),
     "initial_kind": (lambda: flow.InitialData(kind="sphere", r0=1.0),
                      "unknown initial data kind"),
