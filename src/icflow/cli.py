@@ -23,6 +23,8 @@ it lost. Node-level arithmetic is vectorized and single-threaded per run.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import os
@@ -187,27 +189,30 @@ def cmd_sweep(args) -> int:
                     broken = exc
                     results.append((combo, None, f"{type(exc).__name__}: {exc}"))
 
-    rows = ["combo,slope_kappa,slope_grad,slope_hess,overall_pass,error"]
+    rows = [["combo", "slope_kappa", "slope_grad", "slope_hess", "overall_pass", "error"]]
     any_error = any_failed = False
     for combo, report, err in results:
         key = _combo_key(combo)
         if err is not None:
             any_error = True
-            rows.append(f"{key},,,,0,{err}")
+            rows.append([key, "", "", "", "0", err])
             print(f"FAIL {key}: {err}")
             continue
         slopes = {r["name"]: r["slope"] for r in report.get("rates", [])}
         ok = report["overall_pass"]
         any_failed |= not ok
-        rows.append(",".join([
+        rows.append([
             key,
             *("" if slopes.get(q) is None else "%.17g" % slopes[q]
               for q in ("sup_kappa_dev", "sup_grad_phi_sq", "sup_hess_phi")),
             "1" if ok else "0",
             "",
-        ]))
+        ])
         print(f"{'PASS' if ok else 'FAIL'} {key}")
-    _write_text(out / "aggregate.csv", "\n".join(rows) + "\n")
+    # an error message may hold commas, which the writer quotes
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_text(out / "aggregate.csv", text.getvalue())
     if broken is not None:
         raise FlowError(f"a sweep worker died abruptly: {broken}")
     # a combination that raised is a runtime error (2), like a failed run

@@ -17,9 +17,9 @@ of the form y <= C e^(-mu t) is accepted when the fitted slope is at most
 to the floating-point floor pass trivially; windows with fewer than eight
 usable snapshots report insufficient data instead of failure. A rate fit
 returns its report.json entry as it stands, and the limit profile its
-section of report.json. The final metric residual in it is judged only
-when a round sphere at the final radii would meet its tolerance; before
-that the run is too short to tell.
+section of report.json: the limit of r - t/n is judged by the gap
+between the last two snapshots, the drift envelope and, for constant
+data, its constancy; pinching bounds r - t/n throughout.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import curvature as cf
-from .background import WarpProfile
 from .errors import ConfigError, is_finite_number
 from .geometry import GraphState
 from .sphere import SphereGrid, hessian_mixed, tensor_sup_norm
@@ -41,13 +40,11 @@ _FLOOR_PASS = 1e-10
 
 # the certificate's tolerances, fixed so that a pass means the same on
 # every run: a fitted decay rate may fall short of its target by at most
-# TOL_RATE_*; the limit gap and the final metric residual must stay at
-# or below the other two
+# TOL_RATE_*; the limit gap must stay at or below LIMIT_GAP_TOL
 TOL_RATE_KAPPA = 0.15
 TOL_RATE_GRAD = 0.15
 TOL_RATE_HESS = 0.10
 LIMIT_GAP_TOL = 0.02
-METRIC_RESIDUAL_TOL = 5e-3
 
 @dataclass
 class DiagnosticsRecord:
@@ -101,11 +98,11 @@ def snapshot(state: GraphState, ext, f_vals, pinch_ref: tuple) -> DiagnosticsRec
 
 @dataclass
 class DiagnosticsSeries:
-    """Snapshot records plus, per snapshot, the radius array and induced
-    metric the limit profile reads; and, from the start state, what the
-    report measures them against."""
+    """Snapshot records plus, per snapshot, the radius array the limit
+    profile reads; and, from the start state, what the report measures
+    them against."""
 
-    profile: WarpProfile           # lambda(r) of the run's background
+    n: int                         # the sphere dimension of the background
     grid: SphereGrid
     pinch_ref: tuple               # (lambda(inf r), lambda(sup r)) e^(-t0/n)
     f_umb0: float                  # sup F of the umbilic spheres from lambda_min on
@@ -113,11 +110,6 @@ class DiagnosticsSeries:
     initial_constant: bool         # the start radius is constant
     records: list = field(default_factory=list)
     radii: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.profile.params.n
 
     @staticmethod
     def start(state: GraphState, F: cf.CurvatureFunction) -> "DiagnosticsSeries":
@@ -132,7 +124,7 @@ class DiagnosticsSeries:
         lam_min = float(np.min(lam))
         lam_umb = max(lam_min, (0.5 * prof.params.m * (n + 1)) ** (1.0 / (n - 1)))
         return DiagnosticsSeries(
-            profile=prof, grid=state.grid,
+            n=n, grid=state.grid,
             pinch_ref=(lam_min * scale0, float(np.max(lam)) * scale0),
             f_umb0=n * float(prof.lambda_p_of_lambda(lam_umb)) / lam_umb,
             f_umb_min=n * min(float(prof.lambda_p_of_lambda(lam_min)) / lam_min, 1.0),
@@ -140,11 +132,9 @@ class DiagnosticsSeries:
         )
 
     def append(self, state: GraphState, ext, f_vals) -> None:
-        """Record snapshot(state, ext, f_vals) and keep, of the state and
-        its ext, only r and the induced metric components ext.g."""
+        """Record snapshot(state, ext, f_vals) and keep, of the state, only r."""
         self.records.append(snapshot(state, ext, f_vals, self.pinch_ref))
         self.radii.append(state.r.values)
-        self.metrics.append(ext.g)
 
     @property
     def times(self):
@@ -201,37 +191,19 @@ def final_r_tilde(series: DiagnosticsSeries):
     return series.radii[-1] - series.records[-1].t / series.n
 
 
-def _metric_residual(g, t: float, f_hat_2d, n: int, grid: SphereGrid) -> float:
-    """sup over nodes of || e^(-2t/n) g - (1/4) e^(2 f_hat) sigma ||.
-
-    The quarter is the square of lambda e^(-r) -> 1/2; with it the rescaled
-    metrics converge to the conformal limit determined by r - t/n. g is
-    the (g00, g01, g11) triple of the induced metric, moved to the
-    orthonormal frame of sigma before `tensor_sup_norm` measures it.
-    """
-    target = 0.25 * np.exp(2.0 * f_hat_2d)
-    scale = math.exp(-2.0 * t / n)
-    s2 = grid.sin2
-    g00, g01, g11 = g
-    return tensor_sup_norm(scale * g00 - target, scale * g01 / grid.sin_theta,
-                           (scale * g11 - target * s2) / s2)
-
-
 _TOO_SHORT = "limit profile requires at least two retained states"
-_AT_FLOOR = ("a round sphere at the final radii exceeds the tolerance on its own, "
-             "so the run is too short to judge the residual")
-_MID_FRACTION = 0.6
 
 
 def limit_profile(series: DiagnosticsSeries) -> tuple:
     """The limit section of report.json for a completed run, as
     (entries, notes).
 
-    entries holds limit_gap = sup |f_hat - r_tilde(penultimate)|, the
-    final, mid-run and round-sphere metric residuals and drift_constant,
-    then the verdicts in report order. notes holds the insufficient-data
-    notes. A series of fewer than two snapshots gives only limit_gap =
-    None and a note saying so.
+    entries holds limit_gap = sup |f_hat - r_tilde(penultimate)| and
+    drift_constant, then the verdicts in report order: limit_gap_pass,
+    drift_envelope_pass and, for constant initial data,
+    umbilic_profile_constant_pass. A series of fewer than two snapshots
+    gives only limit_gap = None, and notes holds a note saying so; else
+    notes is empty.
 
     The drift envelope is calibrated on the first half of the run: with
     C = sup of the observed negative drift rate scaled by e^(t/n), every
@@ -241,28 +213,13 @@ def limit_profile(series: DiagnosticsSeries) -> tuple:
     if len(series.radii) < 2:
         return {"limit_gap": None}, [f"limit_profile: {_TOO_SHORT}"]
     n = series.n
-    grid = series.grid
     recs = series.records
     f_hat = final_r_tilde(series)
     r_tilde = [r - rec.t / n for r, rec in zip(series.radii[:-1], recs)] + [f_hat]
     gap = float(np.max(np.abs(f_hat - r_tilde[-2])))
 
-    t_final = recs[-1].t
-    mid_idx = int(np.argmin(np.abs(series.times - _MID_FRACTION * t_final)))
-    if mid_idx == len(recs) - 1 and mid_idx > 0:
-        mid_idx -= 1
-    t_mid = recs[mid_idx].t
-
-    res_final = _metric_residual(series.metrics[-1], t_final, f_hat, n, grid)
-    res_mid = _metric_residual(series.metrics[mid_idx], t_mid, f_hat, n, grid)
-    # the round sphere g = lambda(r)^2 sigma at the final radii leaves
-    # sqrt(2) e^(-2t/n) sup |lambda^2 - e^(2r)/4| however the flow went
-    lam2 = series.profile.lambda_of_r(series.radii[-1]) ** 2
-    res_floor = _metric_residual((lam2, 0.0, lam2 * grid.sin2),
-                                 t_final, f_hat, n, grid)
-
     t0 = recs[0].t
-    t_half = t0 + 0.5 * (t_final - t0)
+    t_half = t0 + 0.5 * (recs[-1].t - t0)
     first = [r for r in recs if r.t <= t_half]
     c_drift = 1.1 * max((r.neg_drift_scaled for r in first), default=0.0) + 1e-12
     drift_ok = True
@@ -278,25 +235,14 @@ def limit_profile(series: DiagnosticsSeries) -> tuple:
                 drift_ok = False
         prev = k
 
-    entries = {"limit_gap": gap, "metric_residual_final": res_final,
-               "metric_residual_mid": res_mid, "metric_residual_floor": res_floor,
-               "drift_constant": c_drift,
-               "limit_gap_pass": bool(gap <= LIMIT_GAP_TOL)}
-    notes = []
-    if res_floor > METRIC_RESIDUAL_TOL:
-        notes.append(f"metric_residual: {_AT_FLOOR}")
-    else:
-        # tiny slack so exactly self-similar runs, where both residuals
-        # sit at the same floor, do not fail the decrease comparison
-        entries["metric_residual_pass"] = bool(
-            res_final <= METRIC_RESIDUAL_TOL
-            and res_final <= res_mid + 0.01 * METRIC_RESIDUAL_TOL)
-    entries["drift_envelope_pass"] = drift_ok
+    entries = {"limit_gap": gap, "drift_constant": c_drift,
+               "limit_gap_pass": bool(gap <= LIMIT_GAP_TOL),
+               "drift_envelope_pass": drift_ok}
     # the profile is asserted constant only for umbilic initial data
     if series.initial_constant:
         entries["umbilic_profile_constant_pass"] = bool(
             np.max(f_hat) - np.min(f_hat) <= 1e-8)
-    return entries, notes
+    return entries, []
 
 
 @dataclass
@@ -317,11 +263,11 @@ def theorem_report(series: DiagnosticsSeries, report_cfg: ReportConfig,
 
     Every run is judged on every check. One with too little data to judge
     is noted as insufficient, saying why, and does not fail the run: a
-    short rate window, a series of fewer than two snapshots for the limit
-    profile, or, for the final metric residual, a round sphere at the
-    final radii whose own residual exceeds METRIC_RESIDUAL_TOL.
-    Pinching carries the radius barrier, and with the gradient check the
-    bound on chi.
+    short rate window, or a series of fewer than two snapshots for the
+    limit profile. Pinching carries the radius barrier, and with the
+    gradient check the bound on chi; the limit profile of r - t/n is
+    judged by the limit gap, the drift envelope and, for constant data,
+    its constancy.
     """
     n = series.n
     t_end = series.records[-1].t

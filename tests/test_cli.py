@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import os
 import re
@@ -503,13 +504,29 @@ class TestRunCommand:
             ("sup_grad_phi_sq", 1.0, 0.15),
             ("sup_hess_phi", 0.5, 0.10),
         ]
-        assert (dg.LIMIT_GAP_TOL, dg.METRIC_RESIDUAL_TOL) == (0.02, 5e-3)
+        assert dg.LIMIT_GAP_TOL == 0.02
+        report = json.loads((out / "report.json").read_text())
+        assert [k for k in report if k.startswith("metric_residual")] == []
+
+    def test_readme_names_the_checks_the_report_makes(self, tmp_path):
+        # the README's check list names each *_pass key of report.json,
+        # and no other; constant data adds umbilic_profile_constant_pass
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        checks = readme.split("Each check is either a theorem estimate", 1)[1]
+        checks = checks.split("Time stepping is", 1)[0]
+        named = set(re.findall(r"`(\w+_pass)`", checks))
+        cfg = write_config(tmp_path / "c.ini", n_theta=16, t_end=0.5, dt_max="1e-2")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        made = {k for k in report if k.endswith("_pass") and k != "overall_pass"}
+        assert "umbilic_profile_constant_pass" in made
+        assert named == made
 
     def test_short_run_report_text(self, tmp_path):
-        # too short for any rate fit or the metric residual, whose
-        # round-sphere floor alone exceeds its tolerance: each is noted
-        # insufficient, not failed; the text holds no rounded number, so it
-        # is the same on every platform
+        # too short for any rate fit: each is noted insufficient, not
+        # failed; the text holds no rounded number, so it is the same on
+        # every platform
         cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32, kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.3", t_end=0.5)
         out = tmp_path / "out"
@@ -526,8 +543,6 @@ CHECK drift_envelope_pass: PASS
 NOTE  rate:sup_kappa_dev: only 3 snapshots in window (0.2, 0.45) for sup_kappa_dev
 NOTE  rate:sup_grad_phi_sq: only 3 snapshots in window (0.2, 0.45) for sup_grad_phi_sq
 NOTE  rate:sup_hess_phi: only 3 snapshots in window (0.2, 0.45) for sup_hess_phi
-NOTE  metric_residual: a round sphere at the final radii exceeds the tolerance on its own, \
-so the run is too short to judge the residual
 OVERALL: PASS
 """
         rates = json.loads((out / "report.json").read_text())["rates"]
@@ -606,6 +621,21 @@ class TestSweepCommand:
         assert rows[0][5] == ""
         assert rows[1][5].startswith("ConfigError")
         assert "PASS amplitude0.2" in capsys.readouterr().out
+
+    def test_error_with_commas_stays_one_cell(self, tmp_path, capsys):
+        # the mass error's message holds a comma; quoted, it stays one
+        # cell, so every row reads back as the header's six
+        cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.1, dt_max="1e-2")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nm = -1 1\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        with open(out / "aggregate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert [(r[0], r[4]) for r in rows[1:]] == [("m-1.0", "0"), ("m1.0", "1")]
+        assert rows[1][5] == "ConfigError: mass parameter must be >= 0, got -1.0"
+        assert rows[2][5] == ""
 
     def test_unwritable_aggregate_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.ini", n_theta=32, t_end=0.1)

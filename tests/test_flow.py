@@ -662,14 +662,14 @@ class TestRun:
             want = math.sinh(1.0) * math.exp(t / 2.0)
             assert abs(math.sinh(r) / want - 1.0) <= 1e-5
 
-    def test_series_keeps_radii_and_metrics(self):
+    def test_series_keeps_radii_and_no_metrics(self):
         cfg = make_config(t_end=0.3)
         final, series, _ = flow.run(cfg)
-        assert len(series.radii) == len(series.metrics) == len(series.records) == 4
+        assert len(series.radii) == len(series.records) == 4
         assert series.grid is final.grid
+        assert series.n == 2
         assert np.array_equal(series.radii[-1], final.r.values)
-        g = geo.compute_extrinsic(final).g
-        assert all(np.array_equal(a, b) for a, b in zip(series.metrics[-1], g, strict=True))
+        assert not hasattr(series, "metrics") and not hasattr(series, "profile")
 
     def test_zero_t_end(self):
         with pytest.raises(ConfigError, match="t_end must be positive"):
