@@ -94,10 +94,11 @@ M_MIN = float(np.finfo(float).eps)
 _S0_GRADED = 2.0 ** -4
 _GRADE = 64
 
-# The largest radius a profile accepts: the products of the full extrinsic
-# pass, which every snapshot makes, grow like lambda^4, and one
-# evaluation, snapshot and rk2 step stay finite under -W error up to
-# r = 177.96 (both grid modes, every F, m <= 10).
+# The largest radius a profile accepts, a cap well inside the first
+# overflow: no array of a run grows faster than lambda^2, and one
+# evaluation, snapshot and rk2 step stay finite under -W error up to a
+# largest radius of 354.9, where the quotient's 4 S_2 overflows, and
+# lambda^2 at 355.6 (both grid modes, every F, m in {0, 1, 10}).
 R_MAX = 177.0
 
 
@@ -146,11 +147,10 @@ class BackgroundParams:
         object.__setattr__(self, "n", int(self.n))
 
 
-def _g(s, m, n, s2=None):
-    """1 + s^2 - m s^(1-n): lambda'^2 as a function of lambda = s, with s2
-    = s * s if the caller has formed it."""
-    s2 = s * s if s2 is None else s2
-    return 1.0 + s2 - m * s ** (1 - n) if m != 0.0 else 1.0 + s2
+def _g(s, m, n):
+    """1 + s^2 - m s^(1-n): lambda'^2 as a function of lambda = s."""
+    g = 1.0 + s * s
+    return g - m * s ** (1 - n) if m != 0.0 else g
 
 
 def _lambda_pp(lam, m, n):
@@ -274,10 +274,9 @@ class WarpProfile:
         """lambda at the gauge phi: the one lookup of every stage."""
         return self._lam_by_phi(*self._judge(phi, False))
 
-    def lambda_p_of_lambda(self, lam, lam2=None):
-        """lambda' at lambda, with lam2 = lam * lam if the caller has it."""
+    def lambda_p_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
-        return np.sqrt(np.maximum(_g(lam, self.params.m, self.params.n, lam2), 0.0))
+        return np.sqrt(np.maximum(_g(lam, self.params.m, self.params.n), 0.0))
 
     def lambda_pp_of_lambda(self, lam):
         return _lambda_pp(np.asarray(lam, dtype=float), self.params.m, self.params.n)

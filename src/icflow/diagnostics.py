@@ -32,7 +32,7 @@ import numpy as np
 
 from . import curvature as cf
 from .errors import ConfigError, is_finite_number
-from .geometry import GraphState
+from .geometry import GraphState, curvatures
 from .sphere import SphereGrid, hessian_mixed, tensor_sup_norm
 
 FLOOR = 1e-13
@@ -68,22 +68,26 @@ SERIES_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord)
                        if f.name != "neg_drift_scaled")
 
 
-def snapshot(state: GraphState, ext, f_vals, pinch_ref: tuple) -> DiagnosticsRecord:
-    """Condense one state, with ext = geometry.compute_extrinsic(state),
-    which holds kappa and the Hessian of phi, f_vals its F, the flow
-    stage's (flow.evaluate(state, F).f), and pinch_ref =
+def snapshot(state: GraphState, stage, pinch_ref: tuple) -> DiagnosticsRecord:
+    """Condense one state, with stage = flow.evaluate(state, F), whose pass
+    holds the gradient and the Hessian of phi, kappa's pencil
+    (geometry.curvatures) and F, and pinch_ref =
     (lambda(inf r_0), lambda(sup r_0))."""
     n = state.profile.params.n
     t = state.t
-    scaled = state.lam * math.exp(-t / n)
-    chi_scaled = ext.chi * math.exp(-t / n)
+    lam = state.lam
+    v = np.sqrt(stage.v2)
+    kappa = curvatures(state.grid, lam, v, stage.lam_p, stage.b, stage.hess)
+    f_vals = stage.f
+    scaled = lam * math.exp(-t / n)
+    chi_scaled = lam / v * math.exp(-t / n)
     eps = 1e-6 * pinch_ref[1]
-    drift = (1.0 / n - ext.v / f_vals) * math.exp(t / n)
+    drift = (1.0 / n - v / f_vals) * math.exp(t / n)
     return DiagnosticsRecord(
         t=t,
-        sup_kappa_dev=float(np.max(np.abs(ext.kappa - 1.0))),
-        sup_grad_phi_sq=float(np.max(ext.grad_phi_sq)),
-        sup_hess_phi=tensor_sup_norm(*hessian_mixed(state.grid, ext.grad_phi[0], ext.hess_phi)),
+        sup_kappa_dev=float(np.max(np.abs(kappa - 1.0))),
+        sup_grad_phi_sq=float(np.max(stage.grad_sq)),
+        sup_hess_phi=tensor_sup_norm(*hessian_mixed(state.grid, stage.grad[0], stage.hess)),
         F_min=float(np.min(f_vals)),
         F_max=float(np.max(f_vals)),
         r_tilde_min=float(np.min(state.r.values)) - t / n,
@@ -131,9 +135,9 @@ class DiagnosticsSeries:
             initial_constant=bool(np.max(r) - np.min(r) < 1e-12),
         )
 
-    def append(self, state: GraphState, ext, f_vals) -> None:
-        """Record snapshot(state, ext, f_vals) and keep, of the state, only r."""
-        self.records.append(snapshot(state, ext, f_vals, self.pinch_ref))
+    def append(self, state: GraphState, stage) -> None:
+        """Record snapshot(state, stage) and keep, of the state, only r."""
+        self.records.append(snapshot(state, stage, self.pinch_ref))
         self.radii.append(state.r.values)
 
     @property

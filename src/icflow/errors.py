@@ -30,8 +30,8 @@ class IcflowError(Exception):
 class TableExtentError(IcflowError):
     """A radius or gauge value fell outside a warp profile's range (one past
     the top is named by its radius) or was not finite (NaN or an infinity),
-    or a cap was asked past background.R_MAX (r = 177), where a snapshot
-    overflows. Values are never silently extrapolated.
+    or a cap was asked past background.R_MAX (r = 177), the largest
+    radius a profile accepts. Values are never silently extrapolated.
     """
 
 

@@ -14,8 +14,9 @@ midpoint (`midpoint_speed`) builds no state and no record; `evaluate`
 keeps the pass of an accepted state as its StageData, once per state,
 the end state's inside the step's retry loop, so an end state outside
 the cone is retried like a midpoint. The principal curvatures are solved
-only where they are read: at the snapshots (geometry.compute_extrinsic),
-at the node a cone exit names, and, for an F other than the mean, in the
+only where they are read, from the pencil (phi_ij, b_ij) of the same
+pass: at the snapshots and at the node a cone exit names
+(geometry.curvatures), and, for an F other than the mean, in the
 stability bound, as lambda v kappa, once per step.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r. A stage reads only lambda of its gauge
@@ -67,8 +68,8 @@ from .errors import (
 )
 from .geometry import (
     GraphState,
-    compute_extrinsic,
-    extrinsic_pass,
+    compute_extrinsic,  # noqa: F401 - not called here; perfbench's tracer test reads it
+    curvatures,
     lambda_of_gauge,
     scaled_curvatures,
     scaled_invariants,
@@ -184,14 +185,17 @@ class FlowEvent:
 @dataclass(slots=True)
 class StageData:
     """The stage data of an accepted state, as `evaluate` makes it: its
-    scaled invariants (geometry.scaled_invariants) and what the stage
-    made of them. e holds (1, S_1, S_2), on which the cone was tested;
-    lvf is lambda v F, F of the scaled shape operator; speed is
-    d phi / dt = v^2 / (lambda v F). The stability bound reads speed, v^2
-    and, for an F other than the mean, e and the triples b and hess; the
-    snapshot reads F (`f`). lam is the state's lambda."""
+    pass (geometry.scaled_invariants) and what the stage made of it. e
+    holds (1, S_1, S_2), on which the cone was tested; lvf is lambda v F,
+    F of the scaled shape operator; speed is d phi / dt = v^2 / (lambda v F).
+    The stability bound reads speed, v^2 and, for an F other than the
+    mean, e and the triples b and hess; the snapshot reads the gradient,
+    the Hessian, kappa of b and hess, and F (`f`). lam is the state's
+    lambda."""
 
     lam: np.ndarray
+    grad: tuple                    # covariant D_i phi, (theta, psi)
+    grad_sq: np.ndarray            # |D phi|^2
     v2: np.ndarray                 # v^2 = 1 + |D phi|^2
     e: np.ndarray                  # sigma_j of lambda v kappa, j = 0..2
     lam_p: np.ndarray
@@ -210,19 +214,21 @@ def _stage(F, t, grid, profile, phi, lam):
     """The stage of the gauge array phi, with lambda lam, at time t: its
     scaled_invariants, lambda v F and the speed v^2 / (lambda v F). Raises
     InadmissibleState when the invariants leave the cone, carrying the
-    node of least margin and its kappa, which the full extrinsic pass
-    solves there; FlowError when the speed is not finite. At n = 2 the
-    cone test implies lambda v F >= 0 for every F: the mean is S_1, the
-    sigma_2 root is 2 sqrt(S_2) and the quotient 4 S_2 / S_1, each of
-    positive numbers, 0 only where the quotient underflows. So the speed
-    is a number only if it is at least 0, and finite only if its maximum
-    is."""
-    def kappa_at(node):
-        return extrinsic_pass(grid, profile, phi, lam)[1][node]
-
+    node of least margin and its kappa, read off the same pass
+    (geometry.curvatures); FlowError when the speed is not finite. At
+    n = 2 the cone test implies lambda v F >= 0 for every F: the mean is
+    S_1, the sigma_2 root is 2 sqrt(S_2) and the quotient 4 S_2 / S_1,
+    each of positive numbers, 0 only where the quotient underflows. So
+    the speed is a number only if it is at least 0, and finite only if
+    its maximum is."""
     inv = scaled_invariants(grid, profile, phi, lam)
-    lvf = cf._value(F, cf.require_cone(F, inv[1], kappa_at, t))
-    speed = inv[0] / lvf
+    _, _, v2, e, lam_p, b, hess = inv
+
+    def kappa_at(node):
+        return curvatures(grid, lam, np.sqrt(v2), lam_p, b, hess)[node]
+
+    lvf = cf._value(F, cf.require_cone(F, e, kappa_at, t))
+    speed = v2 / lvf
     if not math.isfinite(speed.max()):
         raise FlowError(f"non-finite speed at t={t}")
     return inv, lvf, speed
@@ -326,10 +332,10 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     reductions. Snapshots are taken at t = 0 (or the resume time), at each
     k * output_every, and at t_end. The step that ends an interval is cut,
     or stretched by under LAND_TOL, to land on its snapshot time exactly.
-    A snapshot reads the full extrinsic data of its state, kappa with it,
-    and the stage's F. A start state at or past t_end, with nothing to
-    run, is a ConfigError. An exception raised on the way carries the
-    events so far, ending with a `failed` event, as exc.events; an
+    A snapshot reads its state's stage data, kappa from its pencil, and
+    F. A start state at or past t_end, with nothing to run, is a
+    ConfigError. An exception raised on the way carries the events so
+    far, ending with a `failed` event, as exc.events; an
     InadmissibleState's `failed` event also names the worst node and its
     kappa.
     """
@@ -348,7 +354,7 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         series = dg.DiagnosticsSeries.start(state, F)
 
         def take_snapshot(s, stage):
-            series.append(s, compute_extrinsic(s), stage.f)
+            series.append(s, stage)
             events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
 
         # one stage evaluation per state: the step returns its new state's,

@@ -13,24 +13,24 @@ forms
 
 with gtilde^ij = sigma^ij - phi^i phi^j / v^2, the inverse of b_ij.
 
-Two passes read these forms. The flow's stage reads only the invariants
-of the scaled shape operator lambda v h^i_j = lambda' delta^i_j - A,
-A = b^-1 phi_ij (`scaled_invariants`): at n = 2
+One pass reads these forms (`scaled_invariants`): one set of stencils,
+and the invariants of the scaled shape operator
+lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij: at n = 2
 
     S_1 = lambda v sigma_1       = 2 lambda' - tr A
     S_2 = (lambda v)^2 sigma_2   = lambda' (lambda' - tr A) + det A,
 
 with tr A and det A in closed form over det b = v^2 sin^2(theta). An F
 of the principal curvatures is a function of the sigma_j, so by its
-1-homogeneity these give lambda v F with no eigensolve and no product
-that grows like lambda^4. Where kappa itself is read (snapshots, checks,
-the node a cone exit names), `extrinsic_pass` forms the pair (h_ij, g_ij)
-and solves it by a closed-form 2x2 generalized eigensolve, which keeps
-kappa real and avoids dividing by sin^2(theta) near the poles. The
-stability bound's one dF reads lambda v kappa = lambda' - mu off the
-same closed form, for the pencil phi_ij x = mu b_ij x
-(`scaled_curvatures`). Gradients are carried as component pairs (theta,
-psi) and symmetric 2-tensors as component triples (00, 01, 11), as
+1-homogeneity these give lambda v F with no eigensolve. Where kappa is
+read (the stability bound of an F other than the mean, snapshots,
+checks, the node a cone exit names), it comes from the one pencil
+phi_ij x = mu b_ij x of the same pass: lambda v kappa = lambda' - mu
+(`scaled_curvatures`), and kappa that over lambda v (`curvatures`). The
+closed-form 2x2 generalized eigensolve keeps kappa real, avoids
+dividing by sin^2(theta) near the poles and forms no product that grows
+like lambda^4. Gradients are carried as component pairs (theta, psi)
+and symmetric 2-tensors as component triples (00, 01, 11), as
 `sphere.derivatives` returns them; the discrete Hessian is symmetric by
 construction, since one array serves as both of its off-diagonal
 entries, so h_ij needs no symmetrization.
@@ -46,7 +46,6 @@ combination loses all significant digits at large radius.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -124,15 +123,15 @@ def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
 
 @dataclass(slots=True)
 class ExtrinsicData:
-    """Per-node extrinsic quantities of a graph state, in the order
-    extrinsic_pass returns them.
+    """Per-node extrinsic quantities of a graph state, as compute_extrinsic
+    forms them for the identity checks.
 
     Tensors are in (theta, psi) coordinates. The gradient is the pair
     (phi_theta, phi_psi); the symmetric 2-tensors g, h and the round
     Hessian of phi are the triples of their (00, 01, 11) components. On
-    axisymmetric grids the psi components are the grid's read-only zero
-    field. Only what the snapshots and the identity checks read is kept;
-    lambda is the state's (`GraphState.lam`).
+    axisymmetric grids the psi components of the gradient and the
+    Hessian are the grid's read-only zero field. lambda is the state's
+    (`GraphState.lam`).
     """
 
     v: np.ndarray
@@ -157,15 +156,8 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     to b; the textbook form mix^2 - 4 det a det b would leave an
     sqrt(eps)-sized spurious eigenvalue split there. With diagonal=True
     both off-diagonals vanish identically and the terms they enter are
-    skipped; each of those terms adds an exact zero, so the result is the
-    same bit for bit.
-
-    For the pair (h, g), far out d1, d2 and d3 grow like lambda^4, and
-    their squares overflow past r ~ 88. So the diagonal root is |d1|, and
-    the general one is taken of the discriminant times s^2, for one power
-    of two s per state near 1 / sqrt(max det b), and divided by s: d1 s is
-    squared, and 4 s^2 is one factor of 4 d2 d3. Both equal the unscaled
-    sqrt wherever its products neither overflow nor underflow.
+    skipped, and the root of d1^2 is |d1|; each skipped term adds an exact
+    zero, so the result is the same bit for bit.
     """
     a00, a01, a11 = a
     b00, b01, b11 = b
@@ -179,9 +171,7 @@ def _pencil_eigenvalues(a, b, diagonal=False):
         mix = mix - 2.0 * a01 * b01
         d2 = a00 * b01 - a01 * b00
         d3 = a11 * b01 - a01 * b11
-        s = math.ldexp(1.0, -(math.frexp(float(det_b.max()))[1] // 2))
-        d1 = d1 * s
-        disc = np.sqrt(np.maximum(d1 * d1 + (4.0 * s * s) * d2 * d3, 0.0)) / s
+        disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
     den = 2.0 * det_b
     # each root is divided straight into its kappa column; mix has the
     # shape of every input it reads
@@ -191,43 +181,32 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     return kappa
 
 
-def _tilt_terms(grid, phi):
-    """One set of stencils of the gauge array phi and the tilt terms both
-    passes read: D phi as a pair, the round Hessian phi_ij as a triple,
-    |D phi|^2, v^2 = 1 + |D phi|^2 and b_ij = phi_i phi_j + sigma_ij as a
-    triple. On axisymmetric grids |D phi|^2 = phi_theta^2, so
-    b = (v^2, 0, sin^2 theta), its zero the grid's."""
-    d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
-    q = covector_norm_sq(grid, d_th, d_ps)
-    if grid.mode == "axisymmetric1d":
-        v2 = q + 1.0
-        b = (v2, grid.zeros, grid.sin2)
-    else:
-        v2 = 1.0 + q
-        b = (d_th * d_th + 1.0, d_th * d_ps, d_ps * d_ps + grid.sin2)
-    return (d_th, d_ps), (p00, p01, p11), q, v2, b
-
-
 def scaled_invariants(grid, profile, phi, lam):
-    """The stage's pass of the gauge array phi, with lambda lam at its
-    nodes: one set of stencils and the invariants of the scaled shape
+    """The one geometric pass of the gauge array phi, with lambda lam at
+    its nodes: one set of stencils and the invariants of the scaled shape
     operator lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij.
 
-    Returns (v^2, e, lambda', b, phi_ij): e holds, along its last axis,
-    (1, S_1, S_2), the sigma_j of lambda v kappa, with
-    S_1 = 2 lambda' - tr A and S_2 = lambda' (lambda' - tr A) + det A;
-    tr A and det A are divided by det b = v^2 sin^2 theta, which is exact
-    in closed form. On axisymmetric grids the psi terms of tr A and det A
-    vanish identically and are skipped; each adds an exact zero, so a
-    lat-long grid gives the same e bit for bit on axisymmetric data."""
-    _, hess, _, v2, b = _tilt_terms(grid, phi)
+    Returns (D phi, |D phi|^2, v^2, e, lambda', b, phi_ij): D phi as a
+    pair, b_ij = phi_i phi_j + sigma_ij and the round Hessian phi_ij as
+    triples, and e holding, along its last axis, (1, S_1, S_2), the
+    sigma_j of lambda v kappa, with S_1 = 2 lambda' - tr A and
+    S_2 = lambda' (lambda' - tr A) + det A; tr A and det A are divided by
+    det b = v^2 sin^2 theta, which is exact in closed form. On
+    axisymmetric grids |D phi|^2 = phi_theta^2, b = (v^2, 0, sin^2 theta)
+    with the grid's zero, and the psi terms of tr A and det A vanish
+    identically and are skipped; each adds an exact zero, so a lat-long
+    grid gives the same e bit for bit on axisymmetric data."""
+    d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
+    q = covector_norm_sq(grid, d_th, d_ps)
     lam_p = profile.lambda_p_of_lambda(lam)
-    b00, b01, b11 = b
-    p00, p01, p11 = hess
     if grid.mode == "axisymmetric1d":
+        v2 = q + 1.0
+        b00, b01, b11 = v2, grid.zeros, grid.sin2
         tr = b11 * p00 + b00 * p11
         det = p00 * p11
     else:
+        v2 = 1.0 + q
+        b00, b01, b11 = d_th * d_th + 1.0, d_th * d_ps, d_ps * d_ps + grid.sin2
         tr = b11 * p00 + b00 * p11 - 2.0 * (b01 * p01)
         det = p00 * p11 - p01 * p01
     det_b = grid.sin2 * v2
@@ -237,7 +216,7 @@ def scaled_invariants(grid, profile, phi, lam):
     e[..., 0] = 1.0
     np.subtract(2.0 * lam_p, tr, out=e[..., 1])
     np.add(lam_p * (lam_p - tr), det, out=e[..., 2])
-    return v2, e, lam_p, b, hess
+    return (d_th, d_ps), q, v2, e, lam_p, (b00, b01, b11), (p00, p01, p11)
 
 
 def scaled_curvatures(grid, lam_p, b, hess):
@@ -248,34 +227,27 @@ def scaled_curvatures(grid, lam_p, b, hess):
     return lam_p[..., None] - mu[..., ::-1]
 
 
-def extrinsic_pass(grid, profile, phi, lam):
-    """The extrinsic pass of the gauge array phi, with lambda lam at its
-    nodes: one set of stencils (D phi and the round Hessian), the tilt v,
-    g, h and kappa from the 2x2 pencil, as ExtrinsicData's fields.
-    lambda^2 is formed once, for lambda' and g."""
-    grad, hess, q, v2, (b00, b01, b11) = _tilt_terms(grid, phi)
-    p00, p01, p11 = hess
-    lam2 = lam * lam
-    lam_p = profile.lambda_p_of_lambda(lam, lam2)
-    v = np.sqrt(v2)
-    chi = lam / v
-    # g_ij = lam^2 b_ij and h_ij = chi (lam' b_ij - phi_ij)
-    if grid.mode == "axisymmetric1d":
-        zero = grid.zeros
-        g = (lam2 * b00, zero, lam2 * b11)
-        h = (chi * (lam_p * b00 - p00), zero, chi * (lam_p * b11 - p11))
-        kappa = _pencil_eigenvalues(h, g, diagonal=True)
-    else:
-        g = (lam2 * b00, lam2 * b01, lam2 * b11)
-        h = (chi * (lam_p * b00 - p00), chi * (lam_p * b01 - p01),
-             chi * (lam_p * b11 - p11))
-        kappa = _pencil_eigenvalues(h, g)
-    return v, kappa, grad, q, hess, g, h, chi, lam_p
+def curvatures(grid, lam, v, lam_p, b, hess):
+    """The principal curvatures kappa, ascending along the last axis: the
+    scaled_curvatures of the triples b and hess over lambda v, with lam
+    and v = sqrt(v^2) at the same nodes."""
+    return scaled_curvatures(grid, lam_p, b, hess) / (lam * v)[..., None]
 
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:
-    """The extrinsic data of state: its extrinsic_pass, as a record."""
-    return ExtrinsicData(*extrinsic_pass(state.grid, state.profile, state.phi.values, state.lam))
+    """The extrinsic data of state from its scaled_invariants: kappa
+    (curvatures), and for the identity checks chi = lambda / v, g_ij =
+    lambda^2 b_ij and h_ij = chi (lambda' b_ij - phi_ij)."""
+    lam = state.lam
+    grad, q, v2, _, lam_p, b, hess = scaled_invariants(state.grid, state.profile,
+                                                       state.phi.values, lam)
+    v = np.sqrt(v2)
+    chi = lam / v
+    lam2 = lam * lam
+    g = tuple(lam2 * c for c in b)
+    h = tuple(chi * (lam_p * c - p) for c, p in zip(b, hess))
+    return ExtrinsicData(v, curvatures(state.grid, lam, v, lam_p, b, hess), grad, q, hess,
+                         g, h, chi, lam_p)
 
 
 def _raise(g, w):
@@ -344,7 +316,7 @@ def contraction_consistency_residual(state: GraphState) -> float:
 
 def _tilt_gradient_form(grid: SphereGrid, ext: ExtrinsicData):
     """The gradient form v^-1 phi^k phi_ki of D_i v, as a pair, from the
-    round-metric Hessian of phi that the extrinsic pass kept."""
+    round-metric Hessian of phi that the pass kept."""
     d_th, d_ps = ext.grad_phi
     return tuple(c / ext.v for c in _contract((d_th, d_ps / grid.sin2), ext.hess_phi))
 

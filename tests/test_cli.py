@@ -336,8 +336,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_past_gauge_limit_fails_fast(self, tmp_path, capsys, m):
-        # r0 = 177.5 lies just past R_MAX = 177, the largest radius the
-        # stage keeps finite: the run stops before its first stage, names
+        # r0 = 177.5 lies just past R_MAX = 177, the largest radius a
+        # warp profile accepts: the run stops before its first stage, names
         # the radius, and says why in events.jsonl
         p = write_config(tmp_path / "c.ini", m=m, initial_extra="r0 = 177.5")
         out = tmp_path / "o"
@@ -430,23 +430,26 @@ class TestRunCommand:
     def test_one_limit_profile_per_run(self, tmp_path, monkeypatch):
         # the report computes the limit profile once, from the metrics stored
         # at the snapshots instead of recomputing them; limit_profile.csv is
-        # written from the series. The full extrinsic pass runs once per
-        # snapshot, and the stage pass once per rk2 stage
+        # written from the series. The stage pass runs once per rk2 stage,
+        # with one stencil pass each, and the snapshots read it: no
+        # compute_extrinsic call, and one eigensolve per snapshot
         cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=32,
                            kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
         n_profile = count_calls(monkeypatch, dg.limit_profile)
         n_inv = count_calls(monkeypatch, geo.scaled_invariants)
-        n_pass = count_calls(monkeypatch, geo.extrinsic_pass)
+        n_der = count_calls(monkeypatch, sp.derivatives)
         n_ext = count_calls(monkeypatch, geo.compute_extrinsic)
+        n_eig = count_calls(monkeypatch, geo._pencil_eigenvalues)
         n_steps = count_calls(monkeypatch, flow.step)
         out = tmp_path / "out"
         cli.main(["run", "--config", str(cfg), "--out", str(out)])
         snapshots = len((out / "series.csv").read_text().splitlines()) - 1
         assert n_profile["n"] == 1
         assert n_steps["n"] > 0 and snapshots == 11
-        assert n_inv["n"] == 2 * n_steps["n"] + 1
-        assert n_pass["n"] == n_ext["n"] == snapshots
+        assert n_inv["n"] == n_der["n"] == 2 * n_steps["n"] + 1
+        assert n_ext["n"] == 0
+        assert n_eig["n"] == snapshots
         report = json.loads((out / "report.json").read_text())
         rows = (out / "limit_profile.csv").read_text().splitlines()
         assert report["limit_gap"] is not None and len(rows) == 33

@@ -48,7 +48,7 @@ def umbilic_run():
 def snapshot(state, pinch_ref):
     """The snapshot of state as a mean curvature run takes it."""
     stage = flow.evaluate(state, cf.from_name("mean", 2))
-    return dg.snapshot(state, geo.compute_extrinsic(state), stage.f, pinch_ref=pinch_ref)
+    return dg.snapshot(state, stage, pinch_ref=pinch_ref)
 
 
 class TestSnapshot:
@@ -204,10 +204,10 @@ class TestTheoremReport:
         series = dg.DiagnosticsSeries.start(state, f)
         series.pinch_ref = tuple(shift * p for p in series.pinch_ref)
         stage = flow.evaluate(state, f)
-        series.append(state, geo.compute_extrinsic(state), stage.f)
+        series.append(state, stage)
         for _ in range(10):
             state, stage = flow.step(state, f, flow.stable_dt(state, f, stage, dt_max=1e-2), stage)
-            series.append(state, geo.compute_extrinsic(state), stage.f)
+            series.append(state, stage)
         rep = dg.theorem_report(series, dg.ReportConfig())
         assert rep["pinching_pass"] is (shift == 1.0)
         assert rep["overall_pass"] is (shift == 1.0), dg.report_lines(rep)

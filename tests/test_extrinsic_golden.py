@@ -1,5 +1,5 @@
-"""The component-form extrinsic pass against a reference copy of the
-(..., 2, 2) pass it replaced, the frame Hessian against a reference copy
+"""The component-form extrinsic data against a reference (..., 2, 2)
+pass, kappa from the pencil (phi_ij, b_ij) in it, the frame Hessian against a reference copy
 of the mean / fluctuation split it replaced, the stage data from that
 pass's components by the invariant formula of tests/oracles.py, the
 stability bound and dF against reference copies of the reductions they
@@ -129,7 +129,10 @@ def reference_extrinsic(state):
     h_raw = (lam / v)[..., None, None] * (
         lam_p[..., None, None] * (pp + sigma) - hess_cov)
     h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
-    kappa = _pencil(h_cov, g_cov)
+    # lambda v kappa = lambda' - mu, for mu the eigenvalues of the pencil
+    # phi_ij x = mu b_ij x, b_ij = phi_i phi_j + sigma_ij
+    mu = _pencil(hess_cov, pp + sigma)
+    kappa = (lam_p[..., None] - mu[..., ::-1]) / (lam * v)[..., None]
     return dict(v=v, grad_phi=dphi, grad_phi_sq=q, hess=hess_cov, g_cov=g_cov, h_cov=h_cov,
                 kappa=kappa, chi=lam / v, lam=lam, lam_p=lam_p)
 

@@ -763,13 +763,14 @@ class TestRun:
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
         # one array pass per stage: per rk2 step the midpoint and the new
         # state, plus the initial state once per run, each reading the
-        # scaled invariants alone. Only accepted states (the new state and
-        # the initial one) become a GraphState and a StageData record; the
-        # midpoint is a gauge array and its speed. The full extrinsic pass
-        # and kappa are made once per snapshot, where kappa is read; the
-        # pencil's eigensolve there, and once per step in the stability
-        # bound of an F other than the mean. One stencil pass per array
-        # pass. No sigma_j of kappa is formed: the stage tests the cone and
+        # scaled invariants alone, with one stencil pass each. Only
+        # accepted states (the new state and the initial one) become a
+        # GraphState and a StageData record; the midpoint is a gauge array
+        # and its speed. A snapshot reads its state's stage data and makes
+        # no pass of its own: compute_extrinsic is never called, and the
+        # pencil's eigensolve runs once per snapshot, where kappa is read,
+        # and once per step in the stability bound of an F other than the
+        # mean. No sigma_j of kappa is formed: the stage tests the cone and
         # evaluates F on the scaled invariants through the private
         # formulas, never through cone_contains or f_eval
         cfg = make_config(
@@ -781,7 +782,6 @@ class TestRun:
             t_end=0.05, output_every=0.01,
         )
         n_inv = count_calls(monkeypatch, geo, "scaled_invariants")
-        n_pass = count_calls(monkeypatch, geo, "extrinsic_pass")
         n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
         n_eig = count_calls(monkeypatch, geo, "_pencil_eigenvalues")
         n_gauge = count_calls(monkeypatch, geo, "state_from_gauge")
@@ -793,11 +793,10 @@ class TestRun:
         steps = events[-1].payload["steps"]
         snapshots = len(series.records)
         assert steps >= 20 and snapshots == 6
-        assert n_inv["n"] == 2 * steps + 1
-        assert n_pass["n"] == n_ext["n"] == snapshots
+        assert n_inv["n"] == n_der["n"] == 2 * steps + 1
+        assert n_ext["n"] == 0
         assert n_eig["n"] == snapshots + (0 if name == "mean" else steps)
         assert n_gauge["n"] == steps
-        assert n_der["n"] == n_inv["n"] + n_pass["n"]
         assert n_sym["n"] == n_cone["n"] == n_f["n"] == 0
 
     def test_config_validation(self):

@@ -242,11 +242,58 @@ class TestTwoDim:
         assert np.max(np.abs(e2.v[:, 0] - e1.v)) < 1e-13
 
 
+def longdouble_kappa(state, ext):
+    """kappa = (lambda' - mu) / (lambda v), mu the eigenvalues of the
+    pencil phi_ij x = mu b_ij x, solved in np.longdouble from the float64
+    lambda, lambda', D phi and phi_ij of ext = compute_extrinsic(state),
+    with the same cancellation-free discriminant; ascending."""
+    L = np.longdouble
+    d_th, d_ps = (np.asarray(c, dtype=L) for c in ext.grad_phi)
+    a00, a01, a11 = (np.asarray(c, dtype=L) for c in ext.hess_phi)
+    b00, b01, b11 = d_th * d_th + 1, d_th * d_ps, d_ps * d_ps + np.asarray(state.grid.sin2, L)
+    d1 = a00 * b11 - a11 * b00
+    d2 = a00 * b01 - a01 * b00
+    d3 = a11 * b01 - a01 * b11
+    mix = a00 * b11 + a11 * b00 - 2 * a01 * b01
+    den = 2 * (b00 * b11 - b01 * b01)
+    root = np.sqrt(np.maximum(d1 * d1 + 4 * d2 * d3, 0))
+    mu = np.stack([(mix + root) / den, (mix - root) / den], axis=-1)
+    lam, lam_p = np.asarray(state.lam, L), np.asarray(ext.lam_p, L)
+    v = np.sqrt(1 + np.asarray(ext.grad_phi_sq, L))
+    return (lam_p[..., None] - mu) / (lam * v)[..., None]
+
+
+class TestPencilPrecision:
+    # kappa from the float64 pencil (phi_ij, b_ij) against the same solve
+    # in extended precision, node by node. It is worst next to the
+    # horizon, where lambda' - mu cancels (about 1e-13); far out the
+    # pencil's products stay of the size of b and phi_ij
+    @pytest.mark.parametrize("mode, res", [("axisymmetric1d", 64), ("latlong2d", (16, 32))])
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
+    def test_kappa_matches_a_longdouble_solve(self, m, mode, res):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2))
+        grid = sp.build_grid(mode, res)
+        th = grid.theta if mode == "axisymmetric1d" else grid.theta[:, None]
+        worst = 0.0
+        for amp in (0.01, 0.1, 0.3):
+            near = max(0.3, prof.r_horizon + amp + 0.01)
+            for r0 in (near, 1.0, 3.0, 10.0, 50.0, 170.0):
+                r = r0 + amp * np.cos(th) + grid.zeros
+                if mode == "latlong2d":
+                    r = r + 0.5 * amp * np.sin(th) ** 2 * np.cos(grid.psi)
+                state = geo.state_from_radius(grid, prof, r)
+                ext = geo.compute_extrinsic(state)
+                ref = longdouble_kappa(state, ext)
+                worst = max(worst, float(np.max(np.abs(ext.kappa - ref) / np.abs(ref))))
+        assert worst <= 1e-12
+
+
 class TestFarRadius:
-    # the (h, g) pencil discriminant's d1 grows like lambda^4: its square
-    # overflowed past r ~ 88, and kappa read [-inf, inf]; the products
-    # themselves stay finite up to R_MAX. The stage's invariants form no
-    # such product
+    # a pencil in (h_ij, g_ij) would square products that grow like
+    # lambda^4, which overflow past r ~ 88; the pencil (phi_ij, b_ij) and
+    # the stage's invariants stay of the size of lambda'^2 at most
     @pytest.fixture(scope="class")
     def prof_far(self):
         return bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
