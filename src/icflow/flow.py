@@ -17,7 +17,9 @@ the cone is retried like a midpoint. The principal curvatures are solved
 only where they are read, from the pencil (phi_ij, b_ij) of the same
 pass: at the snapshots and at the node a cone exit names
 (geometry.curvatures), and, for an F other than the mean, in the
-stability bound, as lambda v kappa, once per step.
+stability bound, as lambda v kappa, on a step where it may come under
+dt_max. For the mean, whose cone test and F read S_1 alone, the pass
+forms no S_2.
 The gauge phi = -integral_r^infinity ds/lambda is anchored at infinity,
 so it resolves radius at any r. A stage reads only lambda of its gauge
 (WarpProfile.lambda_from_gauge); a state's radius field is looked up
@@ -29,7 +31,10 @@ Stepping is explicit (the midpoint rule, rk2) under a parabolic
 stability bound: the linearized diffusion coefficient is
 F'_max gtilde_max v / (lambda F)^2, so dt ~ CFL d_theta^2 (lambda F)^2 and
 grows geometrically as the surface expands; total work to reach a fixed
-time is small and no nonlinear solves are needed. On lat-long grids the
+time is small and no nonlinear solves are needed. dt_max soon sets every
+step, which stable_dt shows from a bound on F' by S_1 and S_2 alone,
+before it solves the pencil; `run`'s `completed` event counts the steps
+whose dt the stability bound set (`stability_steps`). On lat-long grids the
 pole rows' azimuthal spacing sin(theta_j) d_psi is far below d_theta;
 the polar filter (sphere.polar_filter) removes from the midpoint and the
 new gauge the azimuthal modes that d_theta does not resolve, so the same
@@ -82,6 +87,11 @@ CHECKPOINT_FORMAT_VERSION = 2
 DT_MIN = 1e-12   # a stability bound below this is a StepUnderflow
 CFL = 0.2        # the stability bound's fraction of the parabolic limit
 LAND_TOL = 1e-12 # a step within this of a snapshot time lands on it
+# stable_dt's bound on dF from S_1 and S_2 covers the pencil's dF to within
+# this factor. Rounding puts the pencil's lambda v kappa_0 below 0 only next
+# to the sigma_2 cone's edge, by a few 1e-16 (lambda' / S_1)^2 S_1 (6.6e-12 S_1
+# seen there, past a margin of 1e-12); this one covers it down to -1e-6 S_1
+_DF_MARGIN = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,10 +196,11 @@ class FlowEvent:
 class StageData:
     """The stage data of an accepted state, as `evaluate` makes it: its
     pass (geometry.scaled_invariants) and what the stage made of it. e
-    holds (1, S_1, S_2), on which the cone was tested; lvf is lambda v F,
-    F of the scaled shape operator; speed is d phi / dt = v^2 / (lambda v F).
-    The stability bound reads speed, v^2 and, for an F other than the
-    mean, e and the triples b and hess; the snapshot reads the gradient,
+    holds (1, S_1, S_2), or (1, S_1) for the mean, on which the cone was
+    tested; lvf is lambda v F, F of the scaled shape operator; speed is
+    d phi / dt = v^2 / (lambda v F). The stability bound reads speed,
+    v^2 and, for an F other than the mean, e, lvf and, where it may come
+    under dt_max, the triples b and hess; the snapshot reads the gradient,
     the Hessian, kappa of b and hess, and F (`f`). lam is the state's
     lambda."""
 
@@ -197,7 +208,7 @@ class StageData:
     grad: tuple                    # covariant D_i phi, (theta, psi)
     grad_sq: np.ndarray            # |D phi|^2
     v2: np.ndarray                 # v^2 = 1 + |D phi|^2
-    e: np.ndarray                  # sigma_j of lambda v kappa, j = 0..2
+    e: np.ndarray                  # sigma_j of lambda v kappa, j = 0..cone order
     lam_p: np.ndarray
     b: tuple                       # phi_i phi_j + sigma_ij, (b00, b01, b11)
     hess: tuple                    # round Hessian phi_ij, (p00, p01, p11)
@@ -221,7 +232,7 @@ def _stage(F, t, grid, profile, phi, lam):
     each of positive numbers, 0 only where the quotient underflows. So
     the speed is a number only if it is at least 0, and finite only if
     its maximum is."""
-    inv = scaled_invariants(grid, profile, phi, lam)
+    inv = scaled_invariants(grid, profile, phi, lam, F.cone_order)
     _, _, v2, e, lam_p, b, hess = inv
 
     def kappa_at(node):
@@ -251,16 +262,36 @@ def midpoint_speed(grid, profile, phi, t, F: cf.CurvatureFunction) -> np.ndarray
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
               dt_max: float = math.inf) -> float:
     """Parabolic stability bound CFL d_theta^2 / max(diffusion scale), with
-    stage = evaluate(state, F). The scale is v / (lambda F)^2 =
-    speed^2 / v times the largest dF/dkappa_i: 1 for the mean, else dF of
-    the smaller kappa, read at lambda v kappa (scaled_curvatures), since
-    dF is 0-homogeneous. On lat-long grids the polar filter keeps only the
-    azimuthal modes that d_theta resolves. A largest scale of 0 (an F that
-    overflowed) or NaN raises FlowError, and a bound below DT_MIN
+    stage = evaluate(state, F), or dt_max where that is less. The scale is
+    v / (lambda F)^2 = speed^2 / v times the largest dF/dkappa_i: 1 for
+    the mean, else dF of the smaller kappa, read at lambda v kappa
+    (scaled_curvatures), since dF is 0-homogeneous. That pencil is solved
+    only where the bound may come under dt_max: first the scale is bounded
+    from S_1 and S_2 alone (_DF_MARGIN), and where that bound's step
+    reaches dt_max, dt_max is returned, the same double the pencil's
+    bound gives. On lat-long grids the polar filter keeps only the
+    azimuthal modes that d_theta resolves. A largest scale of 0 (an F
+    that overflowed) or NaN raises FlowError, and a bound below DT_MIN
     StepUnderflow."""
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = stage.speed * stage.speed / np.sqrt(stage.v2)
+    h = state.grid.d_theta
+    limit = CFL * h * h
     if F.kind != "mean":
+        # dF of the smaller kappa_0 is lambda v kappa_1 / sqrt(S_2) for the
+        # sigma_2 root and 4 (lambda v kappa_1 / S_1)^2 for the quotient,
+        # and on Gamma_2 lambda v kappa_1 = S_1 - lambda v kappa_0 <= S_1:
+        # so at most S_1 / sqrt(S_2), formed by _gradient's operations
+        # with S_1 in place of S_1 - lambda v kappa_0, and 4. A zero or
+        # NaN bound goes on to the pencil, whose scale is refused too
+        if F.kind == "sigma_k_root":
+            e = stage.e
+            top = float((scale * (stage.lvf / (2.0 * e[..., 2]) * e[..., 1])).max())
+        else:
+            top = 4.0 * float(scale.max())
+        top *= _DF_MARGIN
+        if top > 0.0 and limit / top >= dt_max:
+            return dt_max
         # at n = 2 every dF/dkappa_i is S_1 - lambda v kappa_i times a
         # positive factor, and rounding keeps that monotone, so the column
         # of the smaller (first, ascending) kappa is the largest, bit for bit
@@ -269,8 +300,7 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
     top = float(scale.max())
     if not top > 0.0:
         raise FlowError(f"no stability bound at t={state.t}: largest diffusion scale {top}")
-    h = state.grid.d_theta
-    dt = CFL * h * h / top
+    dt = limit / top
     if dt < DT_MIN:
         raise StepUnderflow(f"stability requires dt={dt:.3e} below DT_MIN={DT_MIN:.3e}")
     return min(dt, dt_max)
@@ -361,12 +391,14 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         # which the snapshot, the stability bound and the next step share
         stage = evaluate(state, F)
         take_snapshot(state, stage)
-        steps = 0
+        steps = stability_steps = 0
         for target in _snapshot_times(state.t, config.t_end, config.output_every):
             while state.t < target - LAND_TOL:
                 dt = stable_dt(state, F, stage, dt_max=config.dt_max)
                 if state.t + dt >= target - LAND_TOL:
                     dt = target - state.t      # ends the interval on target
+                elif dt < config.dt_max:
+                    stability_steps += 1       # the stability bound set dt
                 state, stage = step(state, F, dt, stage, events=events)
                 steps += 1
             take_snapshot(state, stage)
@@ -378,7 +410,8 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
         events.append(FlowEvent("failed", t, payload))
         exc.events = events
         raise
-    events.append(FlowEvent("completed", state.t, {"steps": steps}))
+    events.append(FlowEvent("completed", state.t,
+                            {"steps": steps, "stability_steps": stability_steps}))
     return state, series, events
 
 

@@ -22,11 +22,13 @@ lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij: at n = 2
 
 with tr A and det A in closed form over det b = v^2 sin^2(theta). An F
 of the principal curvatures is a function of the sigma_j, so by its
-1-homogeneity these give lambda v F with no eigensolve. Where kappa is
-read (the stability bound of an F other than the mean, snapshots,
-checks, the node a cone exit names), it comes from the one pencil
-phi_ij x = mu b_ij x of the same pass: lambda v kappa = lambda' - mu
-(`scaled_curvatures`), and kappa that over lambda v (`curvatures`). The
+1-homogeneity these give lambda v F with no eigensolve; the pass forms
+them up to F's cone order, S_1 alone for the mean. Where kappa is read
+(the stability bound of an F other than the mean, where it may come
+under dt_max, snapshots, checks, the node a cone exit names), it comes
+from the one pencil phi_ij x = mu b_ij x of the same pass:
+lambda v kappa = lambda' - mu (`scaled_curvatures`), and kappa that over
+lambda v (`curvatures`). The
 closed-form 2x2 generalized eigensolve keeps kappa real, avoids
 dividing by sin^2(theta) near the poles and forms no product that grows
 like lambda^4. Gradients are carried as component pairs (theta, psi)
@@ -181,41 +183,46 @@ def _pencil_eigenvalues(a, b, diagonal=False):
     return kappa
 
 
-def scaled_invariants(grid, profile, phi, lam):
+def scaled_invariants(grid, profile, phi, lam, order):
     """The one geometric pass of the gauge array phi, with lambda lam at
     its nodes: one set of stencils and the invariants of the scaled shape
     operator lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij.
 
     Returns (D phi, |D phi|^2, v^2, e, lambda', b, phi_ij): D phi as a
     pair, b_ij = phi_i phi_j + sigma_ij and the round Hessian phi_ij as
-    triples, and e holding, along its last axis, (1, S_1, S_2), the
-    sigma_j of lambda v kappa, with S_1 = 2 lambda' - tr A and
-    S_2 = lambda' (lambda' - tr A) + det A; tr A and det A are divided by
-    det b = v^2 sin^2 theta, which is exact in closed form. On
-    axisymmetric grids |D phi|^2 = phi_theta^2, b = (v^2, 0, sin^2 theta)
-    with the grid's zero, and the psi terms of tr A and det A vanish
-    identically and are skipped; each adds an exact zero, so a lat-long
-    grid gives the same e bit for bit on axisymmetric data."""
+    triples, and e holding, along its last axis, the sigma_j of
+    lambda v kappa up to j = order, an F's cone order: (1, S_1) for the
+    mean, which reads no S_2, else (1, S_1, S_2), with
+    S_1 = 2 lambda' - tr A and S_2 = lambda' (lambda' - tr A) + det A;
+    tr A and det A are divided by det b = v^2 sin^2 theta, which is exact
+    in closed form. On axisymmetric grids |D phi|^2 = phi_theta^2,
+    b = (v^2, 0, sin^2 theta) with the grid's zero, and the psi terms of
+    tr A and det A vanish identically and are skipped; each adds an exact
+    zero, so a lat-long grid gives the same e bit for bit on axisymmetric
+    data."""
     d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
     q = covector_norm_sq(grid, d_th, d_ps)
     lam_p = profile.lambda_p_of_lambda(lam)
-    if grid.mode == "axisymmetric1d":
+    axisymmetric = grid.mode == "axisymmetric1d"
+    if axisymmetric:
         v2 = q + 1.0
         b00, b01, b11 = v2, grid.zeros, grid.sin2
         tr = b11 * p00 + b00 * p11
-        det = p00 * p11
     else:
         v2 = 1.0 + q
         b00, b01, b11 = d_th * d_th + 1.0, d_th * d_ps, d_ps * d_ps + grid.sin2
         tr = b11 * p00 + b00 * p11 - 2.0 * (b01 * p01)
-        det = p00 * p11 - p01 * p01
     det_b = grid.sin2 * v2
     tr /= det_b
-    det /= det_b
-    e = np.empty(tr.shape + (3,))
+    e = np.empty(tr.shape + (order + 1,))
     e[..., 0] = 1.0
     np.subtract(2.0 * lam_p, tr, out=e[..., 1])
-    np.add(lam_p * (lam_p - tr), det, out=e[..., 2])
+    if order == 2:
+        det = p00 * p11
+        if not axisymmetric:
+            det -= p01 * p01
+        det /= det_b
+        np.add(lam_p * (lam_p - tr), det, out=e[..., 2])
     return (d_th, d_ps), q, v2, e, lam_p, (b00, b01, b11), (p00, p01, p11)
 
 
@@ -240,7 +247,7 @@ def compute_extrinsic(state: GraphState) -> ExtrinsicData:
     lambda^2 b_ij and h_ij = chi (lambda' b_ij - phi_ij)."""
     lam = state.lam
     grad, q, v2, _, lam_p, b, hess = scaled_invariants(state.grid, state.profile,
-                                                       state.phi.values, lam)
+                                                       state.phi.values, lam, order=1)
     v = np.sqrt(v2)
     chi = lam / v
     lam2 = lam * lam

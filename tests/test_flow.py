@@ -146,6 +146,23 @@ class TestRhs:
         with pytest.raises(FlowError, match="no stability bound"):
             flow.stable_dt(state, f, stage)
 
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
+    def test_no_stability_bound_under_a_finite_dt_max(self, prof_m1, name):
+        # a diffusion scale of 0 (the speed of an F that overflowed) or NaN
+        # is refused whatever dt_max is: the bound from S_1 and S_2 reads
+        # it too and goes on to the pencil, which refuses it
+        f = cf.from_name(name, 2)
+        grid = sp.build_grid("axisymmetric1d", 32)
+        state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
+        stage = flow.evaluate(state, f)
+        speed = stage.speed.copy()
+        speed[5] = np.nan
+        for stage in (dataclasses.replace(stage, speed=np.zeros_like(speed)),
+                      dataclasses.replace(stage, speed=speed)):
+            for dt_max in (1e-3, 1.0, math.inf):
+                with pytest.raises(FlowError, match="no stability bound"):
+                    flow.stable_dt(state, f, stage, dt_max=dt_max)
+
 
 class TestStableDt:
     def test_umbilic_scale(self, prof_m0):
@@ -182,15 +199,56 @@ class TestStableDt:
 
     @pytest.mark.parametrize("name, grads", [("mean", 0), ("sigma2root", 1), ("quotient2", 1)])
     def test_gradient_only_where_dF_varies(self, prof_m1, monkeypatch, name, grads):
-        # dF = 1 for the mean, so its bound builds no dF array; the others
-        # build one, of the smaller kappa's column
+        # dF = 1 for the mean, so its bound builds no dF array and solves
+        # no pencil; the others build one dF array, of the smaller kappa's
+        # column, and one pencil, unless the bound from S_1 and S_2 shows
+        # that dt_max binds: at N = 32 the bound is near 0.05, far above
+        # dt_max = 1e-3
         f = cf.from_name(name, 2)
         grid = sp.build_grid("axisymmetric1d", 32)
         state = geo.state_from_radius(grid, prof_m1, 2.0 + 0.3 * np.cos(grid.theta))
         ext = flow.evaluate(state, f)
         n_grad = count_calls(monkeypatch, cf, "_gradient")
-        flow.stable_dt(state, f, ext)
-        assert n_grad["n"] == grads
+        n_eig = count_calls(monkeypatch, geo, "_pencil_eigenvalues")
+        assert flow.stable_dt(state, f, ext, dt_max=1e-3) == 1e-3
+        assert n_grad["n"] == n_eig["n"] == 0
+        assert flow.stable_dt(state, f, ext) > 1e-2
+        assert n_grad["n"] == n_eig["n"] == grads
+
+    def test_dt_max_short_cut_is_the_same_double(self, monkeypatch):
+        # where the bound on dF from S_1 and S_2 shows dt_max binding,
+        # stable_dt returns dt_max with no pencil, and elsewhere it solves
+        # the pencil: either way the result is min(bound, dt_max) bit for
+        # bit. dt_max at the bound, one ulp to either side of it, and 0.01,
+        # 0.5, 2 and 100 times it, for every F, on seeded states for m in
+        # {0, 1, 2} on both grid modes and on states within rounding of
+        # the sigma_2 cone's edge, where the S_1 bound is tight and the
+        # pencil's smaller lambda v kappa rounds to either side of 0. DT_MIN
+        # is lifted, since next to the edge the bound is far below it
+        monkeypatch.setattr(flow, "DT_MIN", 0.0)
+        n_eig = count_calls(monkeypatch, geo, "_pencil_eigenvalues")
+        states = list(random_states(36, 3)) + list(sigma2_edge_states(37, 12))
+        short = edge = below_zero = 0
+        for label, state in states:
+            for name in ("mean", "sigma2root", "quotient2"):
+                f = cf.from_name(name, 2)
+                try:
+                    stage = flow.evaluate(state, f)
+                except InadmissibleState:
+                    continue
+                if name == "sigma2root":
+                    e = stage.e
+                    kappa = geo.scaled_curvatures(state.grid, stage.lam_p, stage.b, stage.hess)
+                    edge += bool((e[..., 2] < 1e-9 * e[..., 1] ** 2).any())
+                    below_zero += bool((kappa[..., 0] < 0.0).any())
+                bound = flow.stable_dt(state, f, stage)
+                for d in (bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf),
+                          0.01 * bound, 0.5 * bound, 2.0 * bound, 100.0 * bound):
+                    before = n_eig["n"]
+                    assert flow.stable_dt(state, f, stage, dt_max=d) == min(bound, d), \
+                        (label, name, d / bound)
+                    short += name != "mean" and n_eig["n"] == before
+        assert short >= 100 and edge >= 15 and below_zero >= 1, (short, edge, below_zero)
 
     def test_underflow(self, prof_m0, monkeypatch):
         monkeypatch.setattr(flow, "DT_MIN", 1.0)
@@ -339,6 +397,36 @@ def random_states(seed, count):
                     ps = grid.psi[None, :] + rng.uniform(0.0, 2.0 * np.pi)
                     r = r + c[0] * np.sin(th) * np.cos(ps) + c[1] * np.sin(th) ** 2 * np.sin(2 * ps)
                 yield f"m{m}-{mode}", geo.state_from_radius(grid, prof, r)
+
+
+def sigma2_edge_states(seed, count):
+    """States within rounding of the sigma_2 cone's edge, for m in
+    {0, 1, 2} on both grid modes: the radius bisected, over 60 halvings,
+    between a state of random_states(seed, count) inside Gamma_2 and one
+    outside, to the last one whose stage accepts."""
+    f = cf.from_name("sigma2root", 2)
+
+    def inside(state):
+        try:
+            flow.evaluate(state, f)
+        except InadmissibleState:
+            return False
+        return True
+
+    groups = {}
+    for label, state in random_states(seed, count):
+        groups.setdefault(label, []).append(state)
+    for label, states in groups.items():
+        outside = [s for s in states if not inside(s)]
+        for a, b in zip([s for s in states if inside(s)], outside):
+            def blend(s, a=a, b=b):
+                return geo.state_from_radius(a.grid, a.profile,
+                                             (1.0 - s) * a.r.values + s * b.r.values)
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if inside(blend(mid)) else (lo, mid)
+            yield label, blend(lo)
 
 
 def kappa_route_stable_dt(state, F, ext):
@@ -759,7 +847,7 @@ class TestRun:
         g0 = series.records[0].sup_grad_phi_sq
         assert all(r.sup_grad_phi_sq <= g0 * (1 + 1e-6) for r in series.records)
 
-    @pytest.mark.parametrize("name", ["mean", "sigma2root"])
+    @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
     def test_one_extrinsic_pass_per_state(self, monkeypatch, name):
         # one array pass per stage: per rk2 step the midpoint and the new
         # state, plus the initial state once per run, each reading the
@@ -769,35 +857,41 @@ class TestRun:
         # and its speed. A snapshot reads its state's stage data and makes
         # no pass of its own: compute_extrinsic is never called, and the
         # pencil's eigensolve runs once per snapshot, where kappa is read,
-        # and once per step in the stability bound of an F other than the
-        # mean. No sigma_j of kappa is formed: the stage tests the cone and
-        # evaluates F on the scaled invariants through the private
-        # formulas, never through cone_contains or f_eval
-        cfg = make_config(
-            background=bg.BackgroundParams(m=1.0, n=2),
-            grid_resolution=32,
-            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
-                                     amplitude=0.2, wavenumber=1),
-            f=cf.from_name(name, 2),
-            t_end=0.05, output_every=0.01,
-        )
-        n_inv = count_calls(monkeypatch, geo, "scaled_invariants")
-        n_ext = count_calls(monkeypatch, geo, "compute_extrinsic")
-        n_eig = count_calls(monkeypatch, geo, "_pencil_eigenvalues")
-        n_gauge = count_calls(monkeypatch, geo, "state_from_gauge")
-        n_der = count_calls(monkeypatch, sp, "derivatives")
-        n_sym = count_calls(monkeypatch, cf, "elementary_symmetric")
-        n_cone = count_calls(monkeypatch, cf, "cone_contains")
-        n_f = count_calls(monkeypatch, cf, "f_eval")
-        _, series, events = flow.run(cfg)
-        steps = events[-1].payload["steps"]
-        snapshots = len(series.records)
-        assert steps >= 20 and snapshots == 6
-        assert n_inv["n"] == n_der["n"] == 2 * steps + 1
-        assert n_ext["n"] == 0
-        assert n_eig["n"] == snapshots + (0 if name == "mean" else steps)
-        assert n_gauge["n"] == steps
-        assert n_sym["n"] == n_cone["n"] == n_f["n"] == 0
+        # and, for an F other than the mean, once per step whose stability
+        # bound may come under dt_max. At N = 32 and dt_max = 1e-3 the
+        # bound from S_1 and S_2 shows dt_max binding on every step; at
+        # N = 256 and dt_max = 1 the stability bound sets every step but
+        # the five that land on a snapshot. No sigma_j of kappa is formed:
+        # the stage tests the cone and evaluates F on the scaled
+        # invariants through the private formulas, never through
+        # cone_contains or f_eval
+        counts = {c: count_calls(monkeypatch, mod, c) for mod, c in [
+            (geo, "scaled_invariants"), (geo, "compute_extrinsic"),
+            (geo, "_pencil_eigenvalues"), (geo, "state_from_gauge"), (sp, "derivatives"),
+            (cf, "elementary_symmetric"), (cf, "cone_contains"), (cf, "f_eval")]}
+        for capped, n_theta, dt_max in ((True, 32, 1e-3), (False, 256, 1.0)):
+            for counter in counts.values():
+                counter["n"] = 0
+            cfg = make_config(
+                background=bg.BackgroundParams(m=1.0, n=2),
+                grid_resolution=n_theta,
+                initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
+                                         amplitude=0.2, wavenumber=1),
+                f=cf.from_name(name, 2),
+                t_end=0.05, output_every=0.01, dt_max=dt_max,
+            )
+            _, series, events = flow.run(cfg)
+            n = {c: counter["n"] for c, counter in counts.items()}
+            steps = events[-1].payload["steps"]
+            snapshots = len(series.records)
+            assert steps >= 20 and snapshots == 6
+            assert events[-1].payload["stability_steps"] == (0 if capped else steps - 5)
+            assert n["scaled_invariants"] == n["derivatives"] == 2 * steps + 1
+            assert n["compute_extrinsic"] == 0
+            assert n["_pencil_eigenvalues"] == \
+                snapshots + (0 if capped or name == "mean" else steps)
+            assert n["state_from_gauge"] == steps
+            assert n["elementary_symmetric"] == n["cone_contains"] == n["f_eval"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
