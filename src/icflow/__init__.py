@@ -22,7 +22,6 @@ from .flow import FlowConfig, FlowEvent, InitialData, evaluate, run, stable_dt, 
 from .geometry import (
     ExtrinsicData,
     GraphState,
-    ambient_contractions,
     compute_extrinsic,
     state_from_radius,
 )

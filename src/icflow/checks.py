@@ -17,12 +17,7 @@ from . import curvature as cf
 from . import flow
 from . import geometry as geo
 from . import sphere as sp
-
-
-def _perturbed_state(profile, n_theta=128, r0=2.0, amp=0.3):
-    grid = sp.build_grid("axisymmetric1d", n_theta)
-    r = r0 + amp * np.cos(grid.theta)
-    return geo.state_from_radius(grid, profile, r)
+from .errors import InadmissibleState
 
 
 def check_background_residual():
@@ -41,15 +36,21 @@ def check_background_hyperbolic():
 
 
 def check_sectional_curvature():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
+    # at n = 2, K_tan = m lambda^-3 - 1 and K_rad = -lambda''/lambda =
+    # -1 - (m/2) lambda^-3, so a broken lambda'' shows in K_rad
     r = np.linspace(0.5, 9.5, 400)
-    lam = prof.lambda_of_r(r)
-    k_tan, _ = bg.ambient_sectional(prof, r)
-    dev = float(np.max(np.abs(k_tan + 1.0 - lam ** -3)))
     win = (r >= 4.0) & (r <= 9.0)
-    slope = float(np.polyfit(r[win], np.log(np.abs(k_tan[win] + 1.0)), 1)[0])
-    ok = dev <= 1e-10 and abs(slope + 3.0) <= 0.06
-    return ok, f"closed-form deviation {dev:.2e}, decay slope {slope:+.4f} (target -3)"
+    dev, slopes = 0.0, []
+    for m in (1.0, 2.0):
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2))
+        lam = prof.lambda_of_r(r)
+        k_tan, k_rad = bg.ambient_sectional(prof, r)
+        dev = max(dev, float(np.max(np.abs(k_tan + 1.0 - m * lam ** -3))),
+                  float(np.max(np.abs(k_rad + 1.0 + 0.5 * m * lam ** -3))))
+        slopes.append(float(np.polyfit(r[win], np.log(np.abs(k_tan[win] + 1.0)), 1)[0]))
+    ok = dev <= 1e-10 and max(abs(s + 3.0) for s in slopes) <= 0.06
+    return ok, (f"closed-form deviation {dev:.2e}, decay slopes "
+                f"{['%+.4f' % s for s in slopes]} (target -3)")
 
 
 def check_curvature_axioms():
@@ -100,24 +101,64 @@ def check_umbilic_exactness():
     return worst <= 1e-12, f"geodesic-sphere curvature defect {worst:.2e}"
 
 
-def check_contraction_identity():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
-    res = geo.contraction_consistency_residual(_perturbed_state(prof))
-    return res <= 1e-12, f"contraction-identity residual {res:.2e} (bound 1e-12)"
-
-
 def check_tilt_identity():
     prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
-    errs = [geo.tilt_gradient_residual(_perturbed_state(prof, n))
-            for n in (64, 128, 256)]
+    errs = []
+    for n in (64, 128, 256):
+        grid = sp.build_grid("axisymmetric1d", n)
+        errs.append(geo.tilt_gradient_residual(
+            geo.state_from_radius(grid, prof, 2.0 + 0.3 * np.cos(grid.theta))))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     return min(ratios) >= 3.5, f"refinement ratios {['%.2f' % r for r in ratios]}"
 
 
-def check_tilt_shape_identity():
-    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
-    res = geo.tilt_gradient_shape_residual(_perturbed_state(prof))
-    return res <= 1e-12, f"shape-form defect {res:.2e} (bound 1e-12)"
+def stage_states():
+    """Seeded states on which the stage is checked against the pencil: for
+    m in {0, 1, 2} and both grid modes, four radii r = 2 + a cos(k theta),
+    with a psi tilt on lat-long grids. Some leave the cone of each F."""
+    rng = np.random.default_rng(20261020)
+    for m in (0.0, 1.0, 2.0):
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2))
+        for mode, resolution in (("axisymmetric1d", 32), ("latlong2d", (16, 32))):
+            grid = sp.build_grid(mode, resolution)
+            th = grid.theta if mode == "axisymmetric1d" else grid.theta[:, None]
+            for _ in range(4):
+                r = 2.0 + rng.uniform(0.1, 0.6) * np.cos(int(rng.integers(1, 6)) * th)
+                if mode == "latlong2d":
+                    r = r + rng.uniform(0.0, 0.2) * np.sin(th) * np.cos(grid.psi)
+                yield geo.state_from_radius(grid, prof, r)
+
+
+def stage_defect(state, F):
+    """The stage of state against F of its pencil's kappa: whether kappa
+    lies in the cone of F at every node, and the sup relative defect of
+    flow.evaluate's F against cf.f_eval there, 0 outside the cone and inf
+    where the two cone verdicts differ."""
+    kappa = geo.compute_extrinsic(state).kappa
+    inside = bool(cf.cone_contains(F, kappa).all())
+    try:
+        f = flow.evaluate(state, F).f
+    except InadmissibleState:
+        return inside, math.inf if inside else 0.0
+    if not inside:
+        return inside, math.inf
+    want = cf.f_eval(F, kappa)
+    return inside, float(np.max(np.abs(f - want) / np.abs(want)))
+
+
+def check_stage_invariants():
+    # the stage reads F from S_1 and S_2 of the scaled shape operator; the
+    # pencil's kappa gives it independently
+    verdicts = []
+    worst = 0.0
+    for state in stage_states():
+        for name in ("mean", "sigma2root", "quotient2"):
+            inside, defect = stage_defect(state, cf.from_name(name, 2))
+            verdicts.append(inside)
+            worst = max(worst, defect)
+    return worst <= 1e-10, (f"F from (S_1, S_2) against F(kappa): defect {worst:.2e} "
+                            f"(bound 1e-10), {sum(verdicts)} of {len(verdicts)} "
+                            f"inside the cone")
 
 
 def check_umbilic_flow_law():
@@ -190,9 +231,8 @@ ALL_CHECKS = (
     ("curvature_function_axioms", check_curvature_axioms),
     ("grid_refinement_orders", check_grid_refinement),
     ("umbilic_exactness", check_umbilic_exactness),
-    ("curvature_contraction_identity", check_contraction_identity),
     ("tilt_gradient_identity", check_tilt_identity),
-    ("tilt_gradient_shape_identity", check_tilt_shape_identity),
+    ("stage_invariants", check_stage_invariants),
     ("umbilic_flow_law", check_umbilic_flow_law),
     ("off_centre_geodesic_sphere", check_off_centre_sphere),
 )

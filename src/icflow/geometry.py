@@ -35,15 +35,7 @@ like lambda^4. Gradients are carried as component pairs (theta, psi)
 and symmetric 2-tensors as component triples (00, 01, 11), as
 `sphere.derivatives` returns them; the discrete Hessian is symmetric by
 construction, since one array serves as both of its off-diagonal
-entries, so h_ij needs no symmetrization.
-
-The ambient curvature enters through two contractions along the surface,
-assembled from the warped-product coefficients; the scalar prefactor
-
-    (lambda lambda'' + 1 - lambda'^2) / lambda = (m (n + 1) / 2) lambda^(-n)
-
-is evaluated through the right-hand closed form since the left-hand
-combination loses all significant digits at large radius.
+entries, so the pencil needs no symmetrization.
 """
 
 from __future__ import annotations
@@ -126,14 +118,12 @@ def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
 @dataclass(slots=True)
 class ExtrinsicData:
     """Per-node extrinsic quantities of a graph state, as compute_extrinsic
-    forms them for the identity checks.
+    forms them for the checks.
 
     Tensors are in (theta, psi) coordinates. The gradient is the pair
-    (phi_theta, phi_psi); the symmetric 2-tensors g, h and the round
-    Hessian of phi are the triples of their (00, 01, 11) components. On
-    axisymmetric grids the psi components of the gradient and the
-    Hessian are the grid's read-only zero field. lambda is the state's
-    (`GraphState.lam`).
+    (phi_theta, phi_psi) and the round Hessian of phi the triple of its
+    (00, 01, 11) components. On axisymmetric grids the psi components of
+    the gradient and the Hessian are the grid's read-only zero field.
     """
 
     v: np.ndarray
@@ -141,9 +131,6 @@ class ExtrinsicData:
     grad_phi: tuple                # covariant D_i phi, (theta, psi)
     grad_phi_sq: np.ndarray        # |D phi|^2
     hess_phi: tuple                # round Hessian phi_ij, (p00, p01, p11)
-    g: tuple                       # induced metric, (g00, g01, g11)
-    h: tuple                       # second fundamental form, (h00, h01, h11)
-    chi: np.ndarray                # lambda / v
     lam_p: np.ndarray
 
 
@@ -242,26 +229,13 @@ def curvatures(grid, lam, v, lam_p, b, hess):
 
 
 def compute_extrinsic(state: GraphState) -> ExtrinsicData:
-    """The extrinsic data of state from its scaled_invariants: kappa
-    (curvatures), and for the identity checks chi = lambda / v, g_ij =
-    lambda^2 b_ij and h_ij = chi (lambda' b_ij - phi_ij)."""
-    lam = state.lam
+    """The extrinsic data of state from its scaled_invariants, with kappa
+    from its pencil (curvatures)."""
     grad, q, v2, _, lam_p, b, hess = scaled_invariants(state.grid, state.profile,
-                                                       state.phi.values, lam, order=1)
+                                                       state.phi.values, state.lam, order=1)
     v = np.sqrt(v2)
-    chi = lam / v
-    lam2 = lam * lam
-    g = tuple(lam2 * c for c in b)
-    h = tuple(chi * (lam_p * c - p) for c, p in zip(b, hess))
-    return ExtrinsicData(v, curvatures(state.grid, lam, v, lam_p, b, hess), grad, q, hess,
-                         g, h, chi, lam_p)
-
-
-def _raise(g, w):
-    """The vector g^ij w_j of the covector pair w, for the metric triple g."""
-    g00, g01, g11 = g
-    det = g00 * g11 - g01 * g01
-    return (g11 * w[0] - g01 * w[1]) / det, (g00 * w[1] - g01 * w[0]) / det
+    return ExtrinsicData(v, curvatures(state.grid, state.lam, v, lam_p, b, hess), grad, q,
+                         hess, lam_p)
 
 
 def _contract(w, t):
@@ -270,88 +244,12 @@ def _contract(w, t):
     return w[0] * t00 + w[1] * t01, w[0] * t01 + w[1] * t11
 
 
-def ambient_contractions(state: GraphState, ext: ExtrinsicData):
-    """The two ambient curvature contractions along the surface, as
-    covariant triples: the normal-normal contraction R(X_i, nu, X_j, nu),
-    and R(nu, X_i, (lambda d_r)^T, X_j).
-    """
-    prof = state.profile
-    m, n = prof.params.m, prof.params.n
-    lam, lam_p = state.lam, ext.lam_p
-    lam_pp = prof.lambda_pp_of_lambda(lam)
-    q, v = ext.grad_phi_sq, ext.v
-    s2 = state.grid.sin2
-    r0, r1 = (lam * d for d in ext.grad_phi)
-    rr = (r0 * r0, r0 * r1, r1 * r1)
-
-    lp2m1 = lam_p * lam_p - 1.0
-    c_a = lam * lam_pp + lp2m1 * q
-    c_b = 2.0 * lam_pp / lam - lp2m1 / lam ** 2 + (lam_pp / lam) * q
-    w_n = -(1.0 / (v * v))
-    t_normal = (w_n * (c_a + c_b * rr[0]), w_n * (c_b * rr[1]),
-                w_n * (c_a * s2 + c_b * rr[2]))
-
-    prefactor = 0.5 * m * (n + 1) * lam ** (-n)      # (lam lam'' + 1 - lam'^2)/lam
-    w_r = prefactor / v ** 3
-    lam2q = lam * lam * q
-    t_radial = (w_r * (rr[0] - lam2q), w_r * rr[1], w_r * (rr[2] - lam2q * s2))
-    return t_normal, t_radial
-
-
-def contraction_consistency_residual(state: GraphState) -> float:
-    """Sup residual of the contracted curvature identity, checked component
-    by component as the tensor identity
-
-        B_ij = chi^-1 R(nu, X_i, lambda d_r, X_j) + R(X_i, nu, X_j, nu)
-               + (lambda''/lambda) g_ij = 0,
-
-    relative to 1 + |(lambda''/lambda) g_ij|. The two ambient contractions
-    carry the closed-form radial prefactor, the last term the warp
-    accessors; B vanishes to rounding only if the closed forms are
-    mutually consistent, so a corrupted lambda'' or prefactor breaks it.
-    """
-    ext = compute_extrinsic(state)
-    t_normal, t_radial = ambient_contractions(state, ext)
-    ratio = state.profile.lambda_pp_of_lambda(state.lam) / state.lam
-    res = 0.0
-    for tr, tn, g in zip(t_radial, t_normal, ext.g):
-        warp = ratio * g
-        b = tr / ext.chi + tn + warp
-        res = max(res, float(np.max(np.abs(b) / (1.0 + np.abs(warp)))))
-    return res
-
-
-def _tilt_gradient_form(grid: SphereGrid, ext: ExtrinsicData):
-    """The gradient form v^-1 phi^k phi_ki of D_i v, as a pair, from the
-    round-metric Hessian of phi that the pass kept."""
-    d_th, d_ps = ext.grad_phi
-    return tuple(c / ext.v for c in _contract((d_th, d_ps / grid.sin2), ext.hess_phi))
-
-
 def tilt_gradient_residual(state: GraphState) -> float:
     """Sup defect of D_i v = v^-1 phi^k phi_ki: the stencil derivative of v
-    against the gradient form, second order in the grid spacing."""
+    against the gradient form, from the round-metric Hessian of phi that
+    the pass kept; second order in the grid spacing."""
     ext = compute_extrinsic(state)
+    d_th, d_ps = ext.grad_phi
     lhs = grad_components(ScalarField(state.grid, ext.v))
-    rhs = _tilt_gradient_form(state.grid, ext)
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(lhs, rhs))
-
-
-def tilt_gradient_shape_residual(state: GraphState) -> float:
-    """Sup defect of the shape form of D_k v against its gradient form,
-
-        (lambda'/lambda) v r_k - v^2 h^i_k r_i = v^-1 phi^i phi_ik,
-
-    relative to sup |(lambda'/lambda) v r_k|, with h^i_k r_i = r^j h_jk
-    for r^j = g^ij r_i. Both sides read the same discrete phi_ij, on
-    which the two are equal in exact arithmetic, so the defect is
-    rounding; a corrupted h, g or lambda' breaks it. A state with no
-    gradient reads 0.
-    """
-    ext = compute_extrinsic(state)
-    r_i = tuple(state.lam * d for d in ext.grad_phi)
-    radial = tuple((ext.lam_p / state.lam) * ext.v * r for r in r_i)
-    h_r = _contract(_raise(ext.g, r_i), ext.h)
-    defect = max(float(np.max(np.abs(a - ext.v ** 2 * b - c)))
-                 for a, b, c in zip(radial, h_r, _tilt_gradient_form(state.grid, ext)))
-    return defect / max(max(float(np.max(np.abs(a))) for a in radial), np.finfo(float).tiny)
+    rhs = _contract((d_th, d_ps / state.grid.sin2), ext.hess_phi)
+    return max(float(np.max(np.abs(a - b / ext.v))) for a, b in zip(lhs, rhs))

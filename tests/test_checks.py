@@ -3,6 +3,7 @@ import time
 from icflow import background as bg
 from icflow import checks
 from icflow import curvature as cf
+from icflow import flow
 
 
 def test_suite_passes_and_is_fast(capsys):
@@ -15,13 +16,37 @@ def test_suite_passes_and_is_fast(capsys):
     assert "FAIL" not in out
 
 
-def test_contraction_check_detects_broken_warp(monkeypatch):
-    # a sign error in the second warp derivative
+def test_sectional_curvature_check_detects_broken_warp(monkeypatch):
+    # a sign error in the second warp derivative: K_rad reads about +1
     lam_pp = bg.WarpProfile.lambda_pp_of_lambda
     monkeypatch.setattr(bg.WarpProfile, "lambda_pp_of_lambda",
                         lambda self, lam: -lam_pp(self, lam))
-    ok, _ = checks.check_contraction_identity()
+    ok, _ = checks.check_sectional_curvature()
     assert not ok
+
+
+def test_stage_check_detects_perturbed_s2(monkeypatch):
+    # S_2 1e-8 too large in the stage alone: F's defect reads 1.0e-8
+    invariants = flow.scaled_invariants
+
+    def perturbed(*args):
+        inv = invariants(*args)
+        e = inv[3]
+        if e.shape[-1] > 2:
+            e[..., 2] *= 1.0 + 1e-8
+        return inv
+
+    monkeypatch.setattr(flow, "scaled_invariants", perturbed)
+    ok, detail = checks.check_stage_invariants()
+    assert not ok, detail
+
+
+def test_stage_states_straddle_each_cone():
+    # the cone verdicts are compared on both sides of every F's cone
+    for name in ("mean", "sigma2root", "quotient2"):
+        F = cf.from_name(name, 2)
+        verdicts = {checks.stage_defect(state, F)[0] for state in checks.stage_states()}
+        assert verdicts == {True, False}, name
 
 
 def test_umbilic_exactness_check_detects_broken_warp_derivative(monkeypatch):

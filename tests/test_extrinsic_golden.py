@@ -125,16 +125,12 @@ def reference_extrinsic(state):
     v = np.sqrt(1.0 + q)
     hess_cov = _hess(grid, state.phi.values)
     pp = dphi[..., :, None] * dphi[..., None, :]
-    g_cov = (lam * lam)[..., None, None] * (pp + sigma)
-    h_raw = (lam / v)[..., None, None] * (
-        lam_p[..., None, None] * (pp + sigma) - hess_cov)
-    h_cov = 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2))
     # lambda v kappa = lambda' - mu, for mu the eigenvalues of the pencil
     # phi_ij x = mu b_ij x, b_ij = phi_i phi_j + sigma_ij
     mu = _pencil(hess_cov, pp + sigma)
     kappa = (lam_p[..., None] - mu[..., ::-1]) / (lam * v)[..., None]
-    return dict(v=v, grad_phi=dphi, grad_phi_sq=q, hess=hess_cov, g_cov=g_cov, h_cov=h_cov,
-                kappa=kappa, chi=lam / v, lam=lam, lam_p=lam_p)
+    return dict(v=v, grad_phi=dphi, grad_phi_sq=q, hess=hess_cov, kappa=kappa, lam=lam,
+                lam_p=lam_p)
 
 
 # -- reference: the stage reductions along a short last axis ----------------
@@ -339,15 +335,13 @@ def test_matches_tensor_pass_bit_for_bit(make_state):
     state = make_state()
     ext = geo.compute_extrinsic(state)
     ref = reference_extrinsic(state)
-    for name in ("kappa", "v", "chi", "lam_p", "grad_phi_sq"):
+    for name in ("kappa", "v", "lam_p", "grad_phi_sq"):
         assert np.array_equal(getattr(ext, name), ref[name]), name
     assert np.array_equal(state.lam, ref["lam"])
     for k in range(2):
         assert np.array_equal(ext.grad_phi[k], ref["grad_phi"][..., k])
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
         assert np.array_equal(ext.hess_phi[k], ref["hess"][..., i, j]), ("hess", i, j)
-        assert np.array_equal(ext.g[k], ref["g_cov"][..., i, j]), ("g", i, j)
-        assert np.array_equal(ext.h[k], ref["h_cov"][..., i, j]), ("h", i, j)
 
 
 def axisymmetric_latlong_state():
