@@ -13,11 +13,16 @@ one the run is too short to judge is noted as insufficient in the report
 and fails nothing. The run exits 0 only if no check failed (1 on a check
 failure, 2 on a runtime or configuration error, an artifact that cannot
 be written among them).
-Identical configs produce byte-identical series files. A sweep
-runs up to --jobs combinations at once, capped by the CPUs the process
-may run on. A worker that dies abruptly is a runtime error (2): the
-combinations that finished are kept, and aggregate.csv names each one
-it lost. Node-level arithmetic is vectorized and single-threaded per run.
+Identical configs produce byte-identical series files. A sweep steps
+the combinations of one m and f_kind as one stack (flow.run_group), each
+writing the files its own run would, and runs up to --jobs stacks at
+once, capped by the CPUs the process may run on and by the number of
+stacks; sweep_stats.json holds each stack's members, their step counts
+and its wall seconds, the sweep's one non-deterministic file. A worker
+that dies abruptly is a runtime error (2): the combinations that
+finished are kept, and aggregate.csv names each one it lost, every
+member of its unfinished stacks. Node-level arithmetic is vectorized
+and single-threaded per stack.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import itertools
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,10 +96,20 @@ def execute_run(cfg: RunConfig, out_dir, resume=None) -> dict:
     out = _make_dir(out_dir)
     initial_state = None if resume is None else flow.load_checkpoint(resume, cfg.flow)
     try:
-        final, series, events = flow.run(cfg.flow, initial_state=initial_state)
+        outcome = flow.run(cfg.flow, initial_state=initial_state)
     except Exception as exc:
-        _write_events(out / "events.jsonl", exc.events)
-        raise
+        outcome = exc
+    return _write_run(cfg, out, outcome)
+
+
+def _write_run(cfg: RunConfig, out: Path, outcome) -> dict:
+    """Write a run's artifacts into out and return its report. outcome is
+    what flow.run returned, or the exception it raised: its events.jsonl
+    is written, and the exception raised again."""
+    if isinstance(outcome, Exception):
+        _write_events(out / "events.jsonl", outcome.events)
+        raise outcome
+    final, series, events = outcome
     _write_events(out / "events.jsonl", events)
     report = dg.theorem_report(series, cfg.report, config_echo=cfg.echo)
 
@@ -137,13 +153,37 @@ def _apply_combo(cfg: RunConfig, combo) -> RunConfig:
     return RunConfig(flow=flow_cfg, report=cfg.report, echo=echo, sweep=None)
 
 
-def _run_combo(payload):
-    cfg, combo, out_dir = payload
+def _run_stack(payload):
+    """Run one stack of sweep combinations, those that share m and f_kind,
+    as one flow.run_group, and write each one's artifacts as execute_run
+    does. Returns each combination's (combo, report, error) and the
+    stack's entry of sweep_stats.json."""
+    cfg, combos, out = payload
+    started = time.perf_counter()
+    results = [(combo, None, None) for combo in combos]
+    runs = []
+    for i, combo in enumerate(combos):
+        try:
+            runs.append((i, _apply_combo(cfg, combo), _make_dir(out / _combo_key(combo))))
+        except Exception as exc:   # noqa: BLE001 - worker boundary
+            results[i] = (combo, None, f"{type(exc).__name__}: {exc}")
     try:
-        report = execute_run(_apply_combo(cfg, combo), out_dir)
-        return combo, report, None
+        outcomes = flow.run_group([run_cfg.flow for _, run_cfg, _ in runs])
     except Exception as exc:   # noqa: BLE001 - worker boundary
-        return combo, None, f"{type(exc).__name__}: {exc}"
+        for i, _, _ in runs:
+            results[i] = (combos[i], None, f"{type(exc).__name__}: {exc}")
+        runs = outcomes = []
+    steps = [None] * len(combos)
+    for (i, run_cfg, run_out), outcome in zip(runs, outcomes):
+        if not isinstance(outcome, Exception):
+            steps[i] = outcome[2][-1].payload["steps"]
+        try:
+            results[i] = (combos[i], _write_run(run_cfg, run_out, outcome), None)
+        except Exception as exc:   # noqa: BLE001 - worker boundary
+            results[i] = (combos[i], None, f"{type(exc).__name__}: {exc}")
+    stats = {"members": [_combo_key(c) for c in combos], "steps": steps,
+             "wall_s": time.perf_counter() - started}
+    return results, stats
 
 
 def sweep_combos(cfg: RunConfig) -> list:
@@ -151,6 +191,16 @@ def sweep_combos(cfg: RunConfig) -> list:
     keys = sorted(cfg.sweep)
     return [tuple(zip(keys, vals))
             for vals in itertools.product(*(cfg.sweep[k] for k in keys))]
+
+
+def _stacks(combos) -> list:
+    """The combinations grouped by their m and f_kind, which share a warp
+    profile and F and so step as one stack, in order of first appearance."""
+    stacks = {}
+    for combo in combos:
+        values = dict(combo)
+        stacks.setdefault((values.get("m"), values.get("f_kind")), []).append(combo)
+    return list(stacks.values())
 
 
 def _usable_cpus() -> int:
@@ -167,31 +217,39 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs a [sweep] section")
     combos = sweep_combos(cfg)
     out = _make_dir(args.out)
-    jobs = max(1, min(args.jobs, _usable_cpus()))
+    stacks = _stacks(combos)
+    jobs = max(1, min(args.jobs, _usable_cpus(), len(stacks)))
 
-    payloads = [(cfg, combo, out / _combo_key(combo)) for combo in combos]
-    results, broken = [], None
+    payloads = [(cfg, stack, out) for stack in stacks]
+    broken = None
     if jobs == 1:
-        results = [_run_combo(p) for p in payloads]
+        finished = [_run_stack(p) for p in payloads]
     else:
         # imported here, so that run and check never load the process pool
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
+        finished = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_combo, p) for p in payloads]
+            futures = [pool.submit(_run_stack, p) for p in payloads]
             # a worker that dies abruptly (killed, a crash, os._exit) takes
-            # every unfinished combination with it; the finished are kept
-            for combo, future in zip(combos, futures):
+            # every member of its unfinished stacks with it; the finished
+            # are kept
+            for stack, future in zip(stacks, futures):
                 try:
-                    results.append(future.result())
+                    finished.append(future.result())
                 except BrokenProcessPool as exc:
                     broken = exc
-                    results.append((combo, None, f"{type(exc).__name__}: {exc}"))
+                    lost = f"{type(exc).__name__}: {exc}"
+                    finished.append(([(combo, None, lost) for combo in stack],
+                                     {"members": [_combo_key(c) for c in stack],
+                                      "steps": [None] * len(stack), "wall_s": None}))
+    done = {combo: (report, err) for results, _ in finished for combo, report, err in results}
 
     rows = [["combo", "slope_kappa", "slope_grad", "slope_hess", "overall_pass", "error"]]
     any_error = any_failed = False
-    for combo, report, err in results:
+    for combo in combos:
+        report, err = done[combo]
         key = _combo_key(combo)
         if err is not None:
             any_error = True
@@ -213,6 +271,10 @@ def cmd_sweep(args) -> int:
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
     _write_text(out / "aggregate.csv", text.getvalue())
+    # the one file with timings, so that every other file stays deterministic
+    _write_text(out / "sweep_stats.json",
+                json.dumps({"jobs": jobs, "stacks": [stats for _, stats in finished]},
+                           indent=1) + "\n")
     if broken is not None:
         raise FlowError(f"a sweep worker died abruptly: {broken}")
     # a combination that raised is a runtime error (2), like a failed run

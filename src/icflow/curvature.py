@@ -56,7 +56,7 @@ _NAMED = {"mean": ("mean", 1), "sigma2root": ("sigma_k_root", 2), "quotient2": (
 
 def from_name(name: str, n: int) -> CurvatureFunction:
     """Config-facing constructor: mean, sigma2root or quotient2."""
-    if name not in _NAMED:
+    if not (isinstance(name, str) and name in _NAMED):
         raise ConfigError(f"unknown curvature function name {name!r}; expected one of {sorted(_NAMED)}")
     kind, k = _NAMED[name]
     return CurvatureFunction(kind=kind, n=n, k=k)

@@ -43,19 +43,25 @@ re-tries a failed step with halved dt up to eight times before giving up,
 so transient excursions toward the cone boundary are handled without
 interpreting them.
 
+Flows that share a grid, a background and F step as one stack
+(`run_group`): their gauges along a leading member axis, every node
+through the operations of a run of its own, so each member equals its
+own run bit for bit; `run` is the one-member case.
+
 Rejected input is a ConfigError: InitialData refuses an unknown kind, a
 non-finite r0 or amplitude and a malformed table, FlowConfig refuses a
 t_end that is not positive and finite, an output_every at or below the
 landing tolerance LAND_TOL and an f normalised for another n than the
-background's, and run refuses a start state at or past t_end,
-which it records as its `failed` event.
+background's, run refuses a start state at or past t_end,
+which it records as its `failed` event, and run_group configs that do
+not share one grid, background and F.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -81,7 +87,7 @@ from .geometry import (
     state_from_gauge,
     state_from_radius,
 )
-from .sphere import build_grid, polar_filter
+from .sphere import ScalarField, build_grid, polar_filter
 
 CHECKPOINT_FORMAT_VERSION = 2
 DT_MIN = 1e-12   # a stability bound below this is a StepUnderflow
@@ -114,8 +120,12 @@ class InitialData:
         if not is_integer(self.wavenumber):
             raise ConfigError(f"initial wavenumber must be an integer, got {self.wavenumber!r}")
         if self.kind == "custom_table":
-            theta = np.asarray(self.table_theta, dtype=float)
-            r = np.asarray(self.table_r, dtype=float)
+            try:
+                theta = np.asarray(self.table_theta, dtype=float)
+                r = np.asarray(self.table_r, dtype=float)
+            except (TypeError, ValueError) as exc:     # text, or ragged rows
+                raise ConfigError(f"custom_table: table_theta and table_r must be "
+                                  f"numbers: {exc}") from None
             if not (theta.ndim == r.ndim == 1 and theta.size == r.size >= 2
                     and np.isfinite(theta).all() and np.isfinite(r).all()):
                 raise ConfigError("custom_table needs table_theta and table_r: two "
@@ -273,10 +283,26 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
     azimuthal modes that d_theta resolves. A largest scale of 0 (an F
     that overflowed) or NaN raises FlowError, and a bound below DT_MIN
     StepUnderflow."""
+    return _stable_dts(state.grid, F, stage, (dt_max,), state.t)[0]
+
+
+def _member_max(a, k):
+    """The maxima of a over the nodes of each of its k members: a carries
+    a leading member axis, or none for one member."""
+    return (a.max(),) if k == 1 else a.reshape(k, -1).max(axis=1)
+
+
+def _stable_dts(grid, F, stage, dt_max, t):
+    """stable_dt of each member of stage, whose arrays carry a leading axis
+    of len(dt_max) members (or none for one member), under that member's
+    dt_max, from the same operations on every node; t names the time in
+    a refusal."""
+    k = len(dt_max)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = stage.speed * stage.speed / np.sqrt(stage.v2)
-    h = state.grid.d_theta
+    h = grid.d_theta
     limit = CFL * h * h
+    dts = [None] * k
     if F.kind != "mean":
         # dF of the smaller kappa_0 is lambda v kappa_1 / sqrt(S_2) for the
         # sigma_2 root and 4 (lambda v kappa_1 / S_1)^2 for the quotient,
@@ -286,33 +312,50 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
         # NaN bound goes on to the pencil, whose scale is refused too
         if F.kind == "sigma_k_root":
             e = stage.e
-            top = float((scale * (stage.lvf / (2.0 * e[..., 2]) * e[..., 1])).max())
+            tops = [float(top) for top in
+                    _member_max(scale * (stage.lvf / (2.0 * e[..., 2]) * e[..., 1]), k)]
         else:
-            top = 4.0 * float(scale.max())
-        top *= _DF_MARGIN
-        if top > 0.0 and limit / top >= dt_max:
-            return dt_max
+            tops = [4.0 * float(top) for top in _member_max(scale, k)]
+        for i, top in enumerate(tops):
+            top *= _DF_MARGIN
+            if top > 0.0 and limit / top >= dt_max[i]:
+                dts[i] = dt_max[i]
+        if None not in dts:
+            return dts
         # at n = 2 every dF/dkappa_i is S_1 - lambda v kappa_i times a
         # positive factor, and rounding keeps that monotone, so the column
         # of the smaller (first, ascending) kappa is the largest, bit for bit
-        kappa = scaled_curvatures(state.grid, stage.lam_p, stage.b, stage.hess)
+        kappa = scaled_curvatures(grid, stage.lam_p, stage.b, stage.hess)
         scale = scale * cf._gradient(F, kappa[..., :1], stage.e)[..., 0]
-    top = float(scale.max())
-    if not top > 0.0:
-        raise FlowError(f"no stability bound at t={state.t}: largest diffusion scale {top}")
-    dt = limit / top
-    if dt < DT_MIN:
-        raise StepUnderflow(f"stability requires dt={dt:.3e} below DT_MIN={DT_MIN:.3e}")
-    return min(dt, dt_max)
+    for i, top in enumerate(_member_max(scale, k)):
+        if dts[i] is not None:
+            continue
+        top = float(top)
+        if not top > 0.0:
+            raise FlowError(f"no stability bound at t={t}: largest diffusion scale {top}")
+        dt = limit / top
+        if dt < DT_MIN:
+            raise StepUnderflow(f"stability requires dt={dt:.3e} below DT_MIN={DT_MIN:.3e}")
+        dts[i] = min(dt, dt_max[i])
+    return dts
+
+
+def _rk2_gauge(grid, profile, F, phi, speed, dt, t_mid):
+    """The gauge an rk2 step of size dt takes phi to, with speed its
+    stage's speed; t_mid names the midpoint's time in a refusal. phi may
+    carry a leading member axis, and dt then holds each member's step
+    along it."""
+    phi_mid = polar_filter(grid, phi + 0.5 * dt * speed)
+    speed_mid = midpoint_speed(grid, profile, phi_mid, t_mid, F)
+    return polar_filter(grid, phi + dt * speed_mid)
 
 
 def _advance(state, F, dt, stage):
     """One rk2 step of size dt from state, with stage = evaluate(state, F):
     the new state and its stage data."""
-    grid, profile, phi = state.grid, state.profile, state.phi.values
-    phi_mid = polar_filter(grid, phi + 0.5 * dt * stage.speed)
-    speed_mid = midpoint_speed(grid, profile, phi_mid, state.t + 0.5 * dt, F)
-    phi_new = polar_filter(grid, phi + dt * speed_mid)
+    grid, profile = state.grid, state.profile
+    phi_new = _rk2_gauge(grid, profile, F, state.phi.values, stage.speed, dt,
+                         state.t + 0.5 * dt)
     new = state_from_gauge(grid, profile, phi_new, t=state.t + dt)
     return new, evaluate(new, F)
 
@@ -355,7 +398,7 @@ def _snapshot_times(t0, t_end, every):
     yield t_end
 
 
-def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
+def run(config: FlowConfig, initial_state: Optional[GraphState] = None, *, _group=None):
     """Integrate to t_end, returning (final state, diagnostics series, events).
 
     Deterministic for a given config: fixed node order, no randomized
@@ -368,51 +411,234 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None):
     far, ending with a `failed` event, as exc.events; an
     InadmissibleState's `failed` event also names the worst node and its
     kappa.
+
+    This is run_group's one-member case. run_group integrates through
+    this call, with its members (config's first) as _group, so that a
+    tool that wraps run, such as perfbench's untraced mode, sees each
+    stack inside one run call.
     """
-    F = config.f
-    events: list[FlowEvent] = []
-    state = initial_state
+    members = [_Member(config, initial_state)] if _group is None else _group
+    for member in members:
+        member.start()
+    live = [m for m in members if m.outcome is None]
+    stack = None
+    while live:
+        if len(live) == 1:
+            live[0].finish_alone()
+            break
+        stack = _step_stack(live, stack)
+        if stack is None:
+            for member in live:
+                member.step_alone()
+        ended = False
+        for member in live:
+            ended |= member.land()
+        if ended:
+            live = [m for m in live if m.outcome is None]
+            stack = None
+    outcome = members[0].outcome
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_group(configs) -> list:
+    """Run each config as `run` does, stepping the flows that are still
+    running as one stack: their gauges along a leading member axis, each
+    member with its own t, dt, stability bound, snapshot times, counts,
+    events and series. The configs must share the grid, the background
+    and F (a ConfigError otherwise).
+
+    A stacked step runs every node through the same operations as a run
+    of its own, so each member's outputs equal its own run's bit for bit.
+    A member that has landed on t_end, or failed, leaves the stack; no
+    member takes a step of dt = 0. When the stacked step or stability
+    bound raises, that step is taken member by member with stable_dt and
+    step, with their retries and events, and a member that raises there
+    fails alone. A lone member always steps that way.
+
+    Returns, per config in order, (final state, series, events), or the
+    exception its run raised, carrying its events as run's does."""
+    def shared(c):
+        return c.grid_mode, c.grid_resolution, c.background, c.f
+
+    if any(shared(c) != shared(configs[0]) for c in configs[1:]):
+        raise ConfigError("the flows of one group must share the grid, the background and F")
+    members = [_Member(c, None) for c in configs]
+    if members:
+        try:
+            run(configs[0], _group=members)
+        except Exception as exc:
+            if exc is not members[0].outcome:
+                raise
+    return [m.outcome for m in members]
+
+
+_STAGE_FIELDS = tuple(f.name for f in fields(StageData))
+
+
+def _stage_row(stage: StageData, i: int, nd: int) -> StageData:
+    """Member i's StageData of a stacked one: row i of every array with a
+    member axis; a grid constant (at most nd axes, the grid's) is shared."""
+    def pick(a):
+        return a[i] if a.ndim > nd else a
+
+    return StageData(*(tuple(pick(a) for a in value) if isinstance(value, tuple)
+                       else pick(value)
+                       for value in (getattr(stage, name) for name in _STAGE_FIELDS)))
+
+
+def _stack_of(members):
+    """The members' gauges and stage data, stacked along a leading axis."""
+    pairs = [m.accepted() for m in members]
+
+    def stack(values):
+        if isinstance(values[0], tuple):
+            return tuple(np.stack(c) for c in zip(*values))
+        return np.stack(values)
+
+    return (np.stack([state.phi.values for state, _ in pairs]),
+            StageData(*(stack([getattr(stage, name) for _, stage in pairs])
+                        for name in _STAGE_FIELDS)))
+
+
+def _step_stack(members, stack):
+    """One rk2 step of every member as one stack, from stack = (gauges,
+    stage data) or, for None, the members' stacked accepted states.
+    Returns the new stack, after committing each member's step, or None,
+    with no member touched, when the stability bound or the step raised
+    (on a cone exit no member retries here)."""
+    first = members[0]
+    grid, profile, F = first.grid, first.profile, first.config.f
     try:
-        if state is None:
-            grid = build_grid(config.grid_mode, config.grid_resolution)
-            r0 = config.initial.radius_on(grid)
-            state = state_from_radius(grid, build_warp_profile(config.background), r0, t=0.0)
-        if state.t >= config.t_end:
-            raise ConfigError(f"start time t={state.t} is not before "
-                              f"t_end = {config.t_end}; nothing to run")
+        phi, stage = _stack_of(members) if stack is None else stack
+        bounds = _stable_dts(grid, F, stage, [m.config.dt_max for m in members], None)
+        cuts = [m.cut(dt) for m, dt in zip(members, bounds)]
+        dt = np.array([c[0] for c in cuts]).reshape((-1,) + (1,) * (phi.ndim - 1))
+        phi = _rk2_gauge(grid, profile, F, phi, stage.speed, dt, None)
+        lam = lambda_of_gauge(grid, profile, phi)
+        inv, lvf, speed = _stage(F, None, grid, profile, phi, lam)
+    except Exception:   # noqa: BLE001 - each member steps alone instead
+        return None
+    stage = StageData(lam, *inv, lvf, speed)
+    for i, (member, (step_dt, bound_set)) in enumerate(zip(members, cuts)):
+        member.t, member.row = member.t + step_dt, (phi, stage, i)
+        member.steps += 1
+        member.stability_steps += bound_set
+    return phi, stage
 
-        series = dg.DiagnosticsSeries.start(state, F)
 
-        def take_snapshot(s, stage):
-            series.append(s, stage)
-            events.append(FlowEvent("snapshot", s.t, {"index": len(series.records) - 1}))
+class _Member:
+    """One flow of run_group: its config, events, series and counts, and
+    its accepted state and stage data, its own or, after a stacked step,
+    a row of the stack (`row`), made into a state only where it is read."""
 
-        # one stage evaluation per state: the step returns its new state's,
-        # which the snapshot, the stability bound and the next step share
-        stage = evaluate(state, F)
-        take_snapshot(state, stage)
-        steps = stability_steps = 0
-        for target in _snapshot_times(state.t, config.t_end, config.output_every):
-            while state.t < target - LAND_TOL:
-                dt = stable_dt(state, F, stage, dt_max=config.dt_max)
-                if state.t + dt >= target - LAND_TOL:
-                    dt = target - state.t      # ends the interval on target
-                elif dt < config.dt_max:
-                    stability_steps += 1       # the stability bound set dt
-                state, stage = step(state, F, dt, stage, events=events)
-                steps += 1
-            take_snapshot(state, stage)
-    except Exception as exc:
-        t = 0.0 if state is None else state.t
+    def __init__(self, config: FlowConfig, initial: Optional[GraphState]):
+        self.config, self.initial = config, initial
+        self.events: list[FlowEvent] = []
+        self.series = None
+        self.t = None                  # the accepted state's time
+        self.state = self.stage = self.row = None
+        self.grid = self.profile = None
+        self.steps = self.stability_steps = 0
+        self.targets = self.target = None
+        self.outcome = None            # (final, series, events), or the exception
+
+    def start(self):
+        """The start state (`initial`, or else the config's initial data),
+        its series, its stage data and its snapshot."""
+        cfg, state = self.config, self.initial
+        try:
+            if state is None:
+                grid = build_grid(cfg.grid_mode, cfg.grid_resolution)
+                r0 = cfg.initial.radius_on(grid)
+                state = state_from_radius(grid, build_warp_profile(cfg.background), r0, t=0.0)
+            self.state, self.t = state, state.t
+            self.grid, self.profile = state.grid, state.profile
+            if state.t >= cfg.t_end:
+                raise ConfigError(f"start time t={state.t} is not before "
+                                  f"t_end = {cfg.t_end}; nothing to run")
+            self.series = dg.DiagnosticsSeries.start(state, cfg.f)
+            # one stage evaluation per state: each step returns its new
+            # state's, which the snapshot, the stability bound and the next
+            # step share
+            self.stage = evaluate(state, cfg.f)
+            self._snapshot()
+            self.targets = _snapshot_times(state.t, cfg.t_end, cfg.output_every)
+            self.target = next(self.targets)
+            self.land()
+        except Exception as exc:
+            self._fail(exc)
+
+    def accepted(self):
+        """The accepted state and its stage data."""
+        if self.row is not None:
+            phi, stage, i = self.row
+            self.row = None
+            grid = self.grid
+            self.state = GraphState(t=self.t, grid=grid, phi=ScalarField.unchecked(grid, phi[i]),
+                                    lam=stage.lam[i], profile=self.profile)
+            self.stage = _stage_row(stage, i, len(grid.field_shape))
+        return self.state, self.stage
+
+    def cut(self, dt):
+        """dt, cut (or stretched by under LAND_TOL) to end on the next
+        snapshot time where it reaches it, and whether the stability bound
+        set it."""
+        if self.t + dt >= self.target - LAND_TOL:
+            return self.target - self.t, False
+        return dt, dt < self.config.dt_max
+
+    def step_alone(self):
+        """One step with stable_dt and step, their retries and events."""
+        try:
+            state, stage = self.accepted()
+            F = self.config.f
+            dt, bound_set = self.cut(stable_dt(state, F, stage, dt_max=self.config.dt_max))
+            self.stability_steps += bound_set
+            self.state, self.stage = step(state, F, dt, stage, events=self.events)
+            self.t = self.state.t
+            self.steps += 1
+        except Exception as exc:
+            self._fail(exc)
+
+    def finish_alone(self):
+        """Step alone until the member ends."""
+        while True:
+            self.step_alone()
+            if self.land():
+                return
+
+    def land(self) -> bool:
+        """The snapshots of every snapshot time the member has reached, and
+        its `completed` event after the last. True once the member has
+        ended, completed or failed."""
+        try:
+            while self.outcome is None and self.t >= self.target - LAND_TOL:
+                self._snapshot()
+                self.target = next(self.targets, None)
+                if self.target is None:
+                    self.events.append(FlowEvent("completed", self.t, {
+                        "steps": self.steps, "stability_steps": self.stability_steps}))
+                    self.outcome = (self.accepted()[0], self.series, self.events)
+        except Exception as exc:
+            self._fail(exc)
+        return self.outcome is not None
+
+    def _snapshot(self):
+        state, stage = self.accepted()
+        self.series.append(state, stage)
+        self.events.append(FlowEvent("snapshot", state.t,
+                                     {"index": len(self.series.records) - 1}))
+
+    def _fail(self, exc):
+        """End with a `failed` event at the last accepted state's time."""
         payload = {"error": f"{type(exc).__name__}: {exc}"}
         if isinstance(exc, InadmissibleState):
             payload.update(_offender(exc))
-        events.append(FlowEvent("failed", t, payload))
-        exc.events = events
-        raise
-    events.append(FlowEvent("completed", state.t,
-                            {"steps": steps, "stability_steps": stability_steps}))
-    return state, series, events
+        self.events.append(FlowEvent("failed", 0.0 if self.t is None else self.t, payload))
+        exc.events = self.events
+        self.outcome = exc
 
 
 # -- checkpointing -----------------------------------------------------------

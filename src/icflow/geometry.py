@@ -182,11 +182,12 @@ def scaled_invariants(grid, profile, phi, lam, order):
     mean, which reads no S_2, else (1, S_1, S_2), with
     S_1 = 2 lambda' - tr A and S_2 = lambda' (lambda' - tr A) + det A;
     tr A and det A are divided by det b = v^2 sin^2 theta, which is exact
-    in closed form. On axisymmetric grids |D phi|^2 = phi_theta^2,
-    b = (v^2, 0, sin^2 theta) with the grid's zero, and the psi terms of
-    tr A and det A vanish identically and are skipped; each adds an exact
-    zero, so a lat-long grid gives the same e bit for bit on axisymmetric
-    data."""
+    in closed form. phi and lam may carry a leading member axis, a stack
+    of fields, on which every operation is elementwise. On axisymmetric
+    grids |D phi|^2 = phi_theta^2, b = (v^2, 0, sin^2 theta) with the
+    grid's zero, and the psi terms of tr A and det A vanish identically
+    and are skipped; each adds an exact zero, so a lat-long grid gives
+    the same e bit for bit on axisymmetric data."""
     d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
     q = covector_norm_sq(grid, d_th, d_ps)
     lam_p = profile.lambda_p_of_lambda(lam)

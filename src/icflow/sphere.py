@@ -9,8 +9,10 @@ satisfies f(-theta) = f(theta), a general one f(-theta, psi) =
 f(theta, psi + pi), so ghost rows are mirrored (and, in 2D, taken half a
 period round, by swapping the two halves of the edge row). The periodic
 psi stencils read a copy with one wrapped ghost column on each side.
-Ghost rows and columns are copied by slicing, which moves the same data
-as a roll at a fraction of its cost. A covector is the pair of its
+The field and its two ghost rows are gathered by one `take` over an
+index map fixed per grid (`SphereGrid.pad`), and ghost columns are copied
+by slicing, which moves the same data as a roll at a fraction of its
+cost. A covector is the pair of its
 (theta, psi) components, a symmetric 2-tensor the triple of its (00, 01,
 11) components. In the orthonormal frame (d_theta, d_psi / sin theta),
 where covariant and mixed components agree, `hessian_mixed` returns the
@@ -51,9 +53,10 @@ class SphereGrid:
     sin theta, cos theta, sin^2 theta (the round metric's psi-psi
     component), sin theta cos theta and cot theta, broadcastable to
     field_shape; a zero field that stands for the psi components of
-    axisymmetric tensors; and, on lat-long grids, the polar filter's
-    keep-mask over (row, azimuthal mode k). All are computed once per
-    grid and read-only."""
+    axisymmetric tensors; the flat node index that each entry of the
+    theta-padded layout reads (`pad`, see _pad_theta); and, on lat-long
+    grids, the polar filter's keep-mask over (row, azimuthal mode k). All
+    are computed once per grid and read-only."""
 
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
@@ -68,6 +71,7 @@ class SphereGrid:
     sin_cos: np.ndarray = field(init=False, repr=False, compare=False)
     cot: np.ndarray = field(init=False, repr=False, compare=False)
     zeros: np.ndarray = field(init=False, repr=False, compare=False)
+    pad: np.ndarray = field(init=False, repr=False, compare=False)
     keep: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,6 +81,16 @@ class SphereGrid:
         self.sin_theta, self.cos_theta, self.sin2 = _frozen(s), _frozen(c), _frozen(s ** 2)
         self.sin_cos, self.cot = _frozen(s * c), _frozen(c / s)
         self.zeros = _frozen(np.zeros(self.field_shape))
+        # the node each entry of the theta-padded layout reads: a ghost row
+        # past each pole by even reflection, in 2D half a period round
+        rows = np.concatenate(([0], np.arange(self.n_theta), [self.n_theta - 1]))
+        if self.mode == "axisymmetric1d":
+            self.pad = _frozen(rows)
+        else:
+            cols = np.arange(self.n_psi)
+            pad = rows[:, None] * self.n_psi + cols
+            pad[[0, -1]] += (cols + self.n_psi // 2) % self.n_psi - cols
+            self.pad = _frozen(pad.ravel())
         if self.mode != "axisymmetric1d":
             # a mode on the threshold (k = 2j + 1 when d_psi = d_theta) is
             # kept whatever the rounding, and the rows j and n_theta - 1 - j
@@ -153,27 +167,34 @@ def build_grid(mode: str, resolution) -> SphereGrid:
 
 def polar_filter(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     """values with the azimuthal modes that grid.keep drops zeroed on
-    every row; values itself on an axisymmetric grid, which has no
-    azimuth to filter."""
+    every row (psi is the last axis, so a stack of fields is filtered row
+    by row); values itself on an axisymmetric grid, which has no azimuth
+    to filter."""
     if grid.keep is None:
         return values
-    modes = np.fft.rfft(values, axis=1)
-    return np.fft.irfft(modes * grid.keep, n=grid.n_psi, axis=1)
+    modes = np.fft.rfft(values, axis=-1)
+    return np.fft.irfft(modes * grid.keep, n=grid.n_psi, axis=-1)
 
 
 # -- stencils --------------------------------------------------------------
 
-def _dtheta(p, h):
-    """Centered theta difference, at spacing h, from a copy p padded with
-    one ghost row past each pole."""
-    return (p[2:] - p[:-2]) / (2.0 * h)
+def _pad_theta(grid, v):
+    """A copy of v with a ghost row past each pole (grid.pad). theta is the
+    last axis of v on axisymmetric grids, the one before psi on lat-long
+    grids."""
+    if grid.mode == "axisymmetric1d":
+        return v.take(grid.pad, axis=-1)
+    lead = v.shape[:-2]
+    return (v.reshape(lead + (-1,)).take(grid.pad, axis=-1)
+            .reshape(lead + (grid.n_theta + 2, grid.n_psi)))
 
 
 def _psi_diffs(grid, v):
-    """Centered first and second psi differences of v (periodic), read
-    from one copy of v with a wrapped ghost column on each side."""
-    w = np.concatenate([v[:, -1:], v, v[:, :1]], axis=1)
-    fwd, bwd = w[:, 2:], w[:, :-2]
+    """Centered first and second psi differences of v (periodic, along its
+    last axis), read from one copy of v with a wrapped ghost column on
+    each side."""
+    w = np.concatenate([v[..., -1:], v, v[..., :1]], axis=-1)
+    fwd, bwd = w[..., 2:], w[..., :-2]
     return (fwd - bwd) / (2.0 * grid.d_psi), (fwd - 2.0 * v + bwd) / grid.d_psi ** 2
 
 
@@ -182,35 +203,31 @@ def _psi_diffs(grid, v):
 def derivatives(v: np.ndarray, grid: SphereGrid):
     """Covariant gradient and Hessian of v, a float array of
     grid.field_shape, as components of field shape:
-    (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi).
+    (f_theta, f_psi, f_thetatheta, f_thetapsi, f_psipsi). v may carry
+    leading axes, a stack of fields, which every component keeps: theta
+    and psi are indexed from the right.
 
-    Every stencil reads one copy p of v with a ghost row past each pole,
-    by even reflection; in 2D the ghost row is the edge row half a period
-    round, its two halves swapped. The psi differences of p are padded
-    too, since a ghost row's psi difference is the edge row's half a
-    period round, so their theta difference gives f_thetapsi. On S^2 the
-    only nonzero Christoffel symbols are Gamma^theta_psipsi = -sin cos and
+    Every stencil reads one copy p of v with a ghost row past each pole
+    (_pad_theta). The psi differences of p are padded too, since a ghost
+    row's psi difference is the edge row's half a period round, so their
+    centered theta difference gives f_thetapsi. On S^2 the only nonzero
+    Christoffel symbols are Gamma^theta_psipsi = -sin cos and
     Gamma^psi_thetapsi = cot. In axisymmetric mode f_psi and f_thetapsi
     vanish identically and are the grid's read-only `zeros`.
     """
     h = grid.d_theta
-    p = np.empty((grid.n_theta + 2,) + v.shape[1:])
-    p[1:-1] = v
-    axisymmetric = grid.mode == "axisymmetric1d"
-    if axisymmetric:
-        p[0], p[-1] = v[0], v[-1]
-    else:
-        half = grid.n_psi // 2
-        p[0, :half], p[0, half:] = v[0, half:], v[0, :half]
-        p[-1, :half], p[-1, half:] = v[-1, half:], v[-1, :half]
-    d_th = _dtheta(p, h)
-    h_thth = (p[2:] - 2.0 * v + p[:-2]) / h ** 2
-    h_psps = grid.sin_cos * d_th
-    if axisymmetric:
-        return d_th, grid.zeros, h_thth, grid.zeros, h_psps
+    p = _pad_theta(grid, v)
+    if grid.mode == "axisymmetric1d":
+        up, down = p[..., 2:], p[..., :-2]       # the rows past and before each node
+        d_th = (up - down) / (2.0 * h)
+        return d_th, grid.zeros, (up - 2.0 * v + down) / h ** 2, grid.zeros, grid.sin_cos * d_th
+    up, down = p[..., 2:, :], p[..., :-2, :]
+    d_th = (up - down) / (2.0 * h)
+    h_thth = (up - 2.0 * v + down) / h ** 2
     dp_ps, d2p_ps = _psi_diffs(grid, p)
-    d_ps = dp_ps[1:-1]
-    return d_th, d_ps, h_thth, _dtheta(dp_ps, h) - grid.cot * d_ps, h_psps + d2p_ps[1:-1]
+    d_ps = dp_ps[..., 1:-1, :]
+    h_thps = (dp_ps[..., 2:, :] - dp_ps[..., :-2, :]) / (2.0 * h) - grid.cot * d_ps
+    return d_th, d_ps, h_thth, h_thps, grid.sin_cos * d_th + d2p_ps[..., 1:-1, :]
 
 
 def grad_components(f: ScalarField):

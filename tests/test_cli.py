@@ -609,6 +609,46 @@ class TestSweepCommand:
             assert float(cells[1]) <= -0.85     # umbilicity decay slope
         assert (out / "mean_m0.0").is_dir() and (out / "mean_m1.0").is_dir()
 
+    def test_stacked_combinations_equal_their_own_runs(self, tmp_path, capsys):
+        # m x f_kind x amplitude: four stacks of two, one per (m, f_kind).
+        # Each combination directory holds what `icflow run` writes for its
+        # config alone, byte for byte; report.json differs only in the
+        # config echo, which names the sweep. The timings are in
+        # sweep_stats.json alone
+        cfg = write_config(tmp_path / "s.ini", m=1.0, n_theta=16, kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1",
+                           t_end=0.3, dt_max="1e-2")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nm = 0 1\nf_kind = mean sigma2root\namplitude = 0.1 0.3\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        stats = json.loads((out / "sweep_stats.json").read_text())
+        assert stats["jobs"] == 1
+        assert [s["members"] for s in stats["stacks"]] == [
+            [f"amplitude{a}_{f}_m{m}" for a in (0.1, 0.3)]
+            for f in ("mean", "sigma2root") for m in (0.0, 1.0)]
+        assert all(s["steps"] == [30, 30] and s["wall_s"] > 0.0 for s in stats["stacks"])
+        text = cfg.read_text().split("[sweep]")[0]
+        for m, f_kind, amplitude in [(0.0, "sigma2root", 0.3), (1.0, "mean", 0.1)]:
+            one = tmp_path / f"{f_kind}{m}{amplitude}.ini"
+            one.write_text(text.replace("m = 1.0", f"m = {m}")
+                           .replace("f_kind = mean", f"f_kind = {f_kind}")
+                           .replace("amplitude = 0.2", f"amplitude = {amplitude}"))
+            alone = tmp_path / one.stem
+            assert cli.main(["run", "--config", str(one), "--out", str(alone)]) == 0
+            member = out / f"amplitude{amplitude}_{f_kind}_m{m}"
+            assert sorted(p.name for p in member.iterdir()) == sorted(
+                p.name for p in alone.iterdir())
+            for path in alone.iterdir():
+                if path.name == "report.json":
+                    reports = [json.loads(d.joinpath(path.name).read_text())
+                               for d in (member, alone)]
+                    for report in reports:
+                        del report["config_echo"]
+                    assert reports[0] == reports[1]
+                else:
+                    assert (member / path.name).read_bytes() == path.read_bytes()
+
     def test_erroring_combination_exit_2(self, tmp_path, capsys):
         # amplitude 3 makes the initial radius negative: that combination
         # raises, the other passes, and aggregate.csv still lists both
@@ -692,6 +732,67 @@ class TestSweepCommand:
         lost = ",,,,0,BrokenProcessPool: a child process terminated abruptly"
         assert rows[2:] == ["sigma2root" + lost, "quotient2" + lost]
         assert (out / "mean" / "report.json").exists()
+
+    def test_dead_worker_loses_its_whole_stack(self, tmp_path, capsys, monkeypatch):
+        # stacks of two (m = 0 and m = 1, each at two amplitudes): the
+        # worker of the second stack dies, and both its members are lost
+        class HalfDeadPool:
+            def __init__(self, max_workers):
+                self.submitted = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, payload):
+                future = concurrent.futures.Future()
+                if self.submitted == 0:
+                    future.set_result(fn(payload))
+                else:
+                    future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+                self.submitted += 1
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", HalfDeadPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.1, dt_max="1e-2",
+                           kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nm = 0 1\namplitude = 0.1 0.2\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 2
+        rows = [row.split(",") for row in (out / "aggregate.csv").read_text().splitlines()[1:]]
+        lost = "BrokenProcessPool: a child process terminated abruptly"
+        assert [(r[0], r[4], r[5]) for r in rows] == [
+            ("amplitude0.1_m0.0", "1", ""), ("amplitude0.1_m1.0", "0", lost),
+            ("amplitude0.2_m0.0", "1", ""), ("amplitude0.2_m1.0", "0", lost)]
+        stats = json.loads((out / "sweep_stats.json").read_text())["stacks"]
+        assert stats[0]["steps"] == [10, 10] and stats[0]["wall_s"] > 0.0
+        assert stats[1] == {"members": ["amplitude0.1_m1.0", "amplitude0.2_m1.0"],
+                            "steps": [None, None], "wall_s": None}
+
+    def test_jobs_capped_by_the_stack_count(self, tmp_path, capsys, monkeypatch):
+        # one stack (the amplitudes of one m and F): --jobs 2 takes the
+        # serial path and builds no process pool
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError(f"a pool of {max_workers} workers was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.05, kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\namplitude = 0.1 0.2 0.3\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
+        stats = json.loads((out / "sweep_stats.json").read_text())
+        assert stats["jobs"] == 1 and len(stats["stacks"]) == 1
 
     def test_jobs_capped_by_the_affinity_mask(self, tmp_path, capsys, monkeypatch):
         # a machine of 4 CPUs, of which the process may run on one: --jobs 2

@@ -71,6 +71,7 @@ REJECTIONS = {
                          r"n and k must be integers, got n=3, k=2\.5"),
     "f_none": (lambda: flow_config(f=None), "f must be a CurvatureFunction, got None"),
     "f_name": (lambda: cf.from_name("sigma3root", 2), "unknown curvature function name"),
+    "f_name_list": (lambda: cf.from_name([], 2), r"unknown curvature function name \[\]"),
     "f_dimension_mean": (lambda: flow_config(f=cf.from_name("mean", 3)), "normalised for n = 3"),
     "f_dimension_sigma2root": (lambda: flow_config(f=cf.from_name("sigma2root", 3)),
                                "normalised for n = 3"),
@@ -98,6 +99,12 @@ REJECTIONS = {
     "table_missing": (lambda: flow.InitialData(kind="custom_table"), "custom_table needs"),
     "table_lengths": (lambda: table((0.0, 1.6, 3.2), (1.5, 1.5)), "custom_table needs"),
     "table_one_row": (lambda: table((0.0,), (1.5,)), "custom_table needs"),
+    "table_text": (lambda: table(("a", "b"), (1, 2)),
+                   "custom_table: table_theta and table_r must be numbers"),
+    "table_ragged": (lambda: table(((0.0, 1.0), (2.0,)), (1, 2)),
+                     "custom_table: table_theta and table_r must be numbers"),
+    "group_of_two_grids": (lambda: flow.run_group([flow_config(), flow_config(grid_resolution=32)]),
+                           "must share the grid, the background and F"),
     "table_nan": (lambda: table((0.0, 3.2), (1.5, float("nan"))), "custom_table needs"),
     "table_theta_decreasing": (lambda: table((3.2, 1.6, 0.0), (1.5, 1.6, 1.5)),
                                "strictly increasing"),
