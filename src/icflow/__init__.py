@@ -18,16 +18,7 @@ from .diagnostics import (
     snapshot,
     theorem_report,
 )
-from .flow import (
-    FlowConfig,
-    FlowEvent,
-    InitialData,
-    evaluate,
-    run,
-    run_group,
-    stable_dt,
-    step,
-)
+from .flow import FlowConfig, FlowEvent, InitialData, evaluate, run, stable_dt, step
 from .geometry import (
     ExtrinsicData,
     GraphState,

@@ -17,11 +17,12 @@ Identical configs produce byte-identical series files. A sweep steps
 the combinations of one m and f_kind as one stack (flow.run_group), each
 writing the files its own run would, and runs up to --jobs stacks at
 once, capped by the CPUs the process may run on and by the number of
-stacks; sweep_stats.json holds each stack's members, their step counts
-and its wall seconds, the sweep's one non-deterministic file. A worker
-that dies abruptly is a runtime error (2): the combinations that
-finished are kept, and aggregate.csv names each one it lost, every
-member of its unfinished stacks. Node-level arithmetic is vectorized
+combinations; fewer groups than that are split into more stacks, so
+that every worker has one. sweep_stats.json holds each stack's members,
+their step counts and its wall seconds, the sweep's one
+non-deterministic file. A worker that dies abruptly is a runtime error
+(2): the combinations that finished are kept, and aggregate.csv names
+each one it lost, every member of its unfinished stacks. Node-level arithmetic is vectorized
 and single-threaded per stack.
 """
 
@@ -193,14 +194,25 @@ def sweep_combos(cfg: RunConfig) -> list:
             for vals in itertools.product(*(cfg.sweep[k] for k in keys))]
 
 
-def _stacks(combos) -> list:
+def _stacks(combos, jobs) -> list:
     """The combinations grouped by their m and f_kind, which share a warp
-    profile and F and so step as one stack, in order of first appearance."""
-    stacks = {}
+    profile and F and so step as one stack, in order of first appearance.
+    Where that makes fewer stacks than jobs, which would leave workers
+    idle, the groups with the most members per stack are dealt out
+    round-robin into more stacks, up to jobs stacks or one combination
+    each."""
+    groups = {}
     for combo in combos:
         values = dict(combo)
-        stacks.setdefault((values.get("m"), values.get("f_kind")), []).append(combo)
-    return list(stacks.values())
+        groups.setdefault((values.get("m"), values.get("f_kind")), []).append(combo)
+    groups = list(groups.values())
+    parts = [1] * len(groups)
+    while sum(parts) < jobs:
+        i = max(range(len(groups)), key=lambda g: len(groups[g]) / parts[g])
+        if parts[i] == len(groups[i]):
+            break
+        parts[i] += 1
+    return [group[j::n] for group, n in zip(groups, parts) for j in range(n)]
 
 
 def _usable_cpus() -> int:
@@ -217,8 +229,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs a [sweep] section")
     combos = sweep_combos(cfg)
     out = _make_dir(args.out)
-    stacks = _stacks(combos)
-    jobs = max(1, min(args.jobs, _usable_cpus(), len(stacks)))
+    jobs = max(1, min(args.jobs, _usable_cpus(), len(combos)))
+    stacks = _stacks(combos, jobs)
 
     payloads = [(cfg, stack, out) for stack in stacks]
     broken = None

@@ -412,34 +412,43 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None, *, _grou
     InadmissibleState's `failed` event also names the worst node and its
     kappa.
 
-    This is run_group's one-member case. run_group integrates through
-    this call, with its members (config's first) as _group, so that a
-    tool that wraps run, such as perfbench's untraced mode, sees each
-    stack inside one run call.
+    _group serves only the benchmark (perfbench), whose untraced mode
+    wraps run alone: run_group passes its members here, the first of them
+    config's, so that the wrapper sees each stack inside one run call and
+    returns the first member's outcome.
     """
     members = [_Member(config, initial_state)] if _group is None else _group
+    _integrate(members)
+    outcome = members[0].outcome
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _integrate(members):
+    """Step every member to its end, the stacked members (two or more that
+    have not stepped alone) as one stack; the outcome of each is left in
+    its `outcome`."""
     for member in members:
         member.start()
     live = [m for m in members if m.outcome is None]
     stack = None
     while live:
-        if len(live) == 1:
-            live[0].finish_alone()
-            break
-        stack = _step_stack(live, stack)
-        if stack is None:
+        stacked = [m for m in live if not m.alone]
+        if len(stacked) < 2:
             for member in live:
-                member.step_alone()
+                member.finish_alone()
+            return
+        alone = [m for m in live if m.alone]
+        stack = _step_stack(stacked, stack)
+        for member in live if stack is None else alone:
+            member.step_alone()
         ended = False
         for member in live:
             ended |= member.land()
         if ended:
             live = [m for m in live if m.outcome is None]
             stack = None
-    outcome = members[0].outcome
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def run_group(configs) -> list:
@@ -455,7 +464,9 @@ def run_group(configs) -> list:
     member takes a step of dt = 0. When the stacked step or stability
     bound raises, that step is taken member by member with stable_dt and
     step, with their retries and events, and a member that raises there
-    fails alone. A lone member always steps that way.
+    fails alone. A member whose step retried there steps alone from then
+    on, since its next steps would likely retry as well, and each would
+    cost the stack a step that raises. A lone member always steps alone.
 
     Returns, per config in order, (final state, series, events), or the
     exception its run raised, carrying its events as run's does."""
@@ -541,6 +552,7 @@ class _Member:
         self.state = self.stage = self.row = None
         self.grid = self.profile = None
         self.steps = self.stability_steps = 0
+        self.alone = False             # steps alone, out of the stack
         self.targets = self.target = None
         self.outcome = None            # (final, series, events), or the exception
 
@@ -590,13 +602,16 @@ class _Member:
         return dt, dt < self.config.dt_max
 
     def step_alone(self):
-        """One step with stable_dt and step, their retries and events."""
+        """One step with stable_dt and step, their retries and events. A
+        step that retried leaves the member `alone`."""
         try:
             state, stage = self.accepted()
             F = self.config.f
             dt, bound_set = self.cut(stable_dt(state, F, stage, dt_max=self.config.dt_max))
             self.stability_steps += bound_set
+            logged = len(self.events)
             self.state, self.stage = step(state, F, dt, stage, events=self.events)
+            self.alone |= len(self.events) > logged
             self.t = self.state.t
             self.steps += 1
         except Exception as exc:

@@ -775,15 +775,10 @@ class TestSweepCommand:
         assert stats[1] == {"members": ["amplitude0.1_m1.0", "amplitude0.2_m1.0"],
                             "steps": [None, None], "wall_s": None}
 
-    def test_jobs_capped_by_the_stack_count(self, tmp_path, capsys, monkeypatch):
-        # one stack (the amplitudes of one m and F): --jobs 2 takes the
-        # serial path and builds no process pool
-        class NoPool:
-            def __init__(self, max_workers):
-                raise AssertionError(f"a pool of {max_workers} workers was built")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_fewer_groups_than_jobs_split_into_stacks(self, tmp_path, capsys, monkeypatch):
+        # one group (the amplitudes of one m and F) on --jobs 2 is dealt
+        # out round-robin into two stacks, one per worker, and each
+        # combination still writes its own run's files
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.05, kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
@@ -792,7 +787,32 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
         stats = json.loads((out / "sweep_stats.json").read_text())
-        assert stats["jobs"] == 1 and len(stats["stacks"]) == 1
+        assert stats["jobs"] == 2
+        assert [s["members"] for s in stats["stacks"]] == [
+            ["amplitude0.1", "amplitude0.3"], ["amplitude0.2"]]
+        serial = tmp_path / "serial"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(serial), "--jobs", "1"]) == 0
+        assert [s["members"] for s in json.loads(
+            (serial / "sweep_stats.json").read_text())["stacks"]] == [
+                ["amplitude0.1", "amplitude0.2", "amplitude0.3"]]
+        for key in ("amplitude0.1", "amplitude0.2", "amplitude0.3"):
+            for path in (out / key).iterdir():
+                assert path.read_bytes() == (serial / key / path.name).read_bytes()
+
+    def test_groups_split_up_to_the_jobs(self):
+        def combo(m, f_kind, amplitude):
+            return (("amplitude", amplitude), ("f_kind", f_kind), ("m", m))
+
+        big = [combo(0.0, "mean", a) for a in (0.1, 0.2, 0.3, 0.4, 0.5)]
+        small = [combo(1.0, "mean", 0.1)]
+        # as many groups as jobs, or more: one stack per group
+        assert cli._stacks(big + small, 2) == [big, small]
+        assert cli._stacks(big + small, 1) == [big, small]
+        # fewer: the group with the most members per stack is dealt out
+        # round-robin, until there are jobs stacks
+        assert cli._stacks(big + small, 4) == [big[0::3], big[1::3], big[2::3], small]
+        # never past one combination each
+        assert cli._stacks(big + small, 8) == [[c] for c in big] + [small]
 
     def test_jobs_capped_by_the_affinity_mask(self, tmp_path, capsys, monkeypatch):
         # a machine of 4 CPUs, of which the process may run on one: --jobs 2

@@ -113,19 +113,34 @@ def test_elementwise_kernels_do_not_depend_on_length_or_position(m):
 def test_member_that_retries_beside_one_that_does_not(monkeypatch):
     # at four times the stability bound's CFL, the steps of the rough
     # member (amplitude 0.9 in cos 2 theta) leave the cone and retry with
-    # halved dt; its smooth partner (0.6) never does. Both step alone
-    # where a stacked step raised, so each matches its own run
+    # halved dt; its smooth partners (0.6, 0.5, at dt_max = 1e-3 so that
+    # they outlast its first retry) never do. All step alone where a
+    # stacked step raised, so each matches its own run
     monkeypatch.setattr(flow, "CFL", 4.0)
-    configs = [make_config(1.0, amplitude=amplitude, resolution=64, dt_max=1.0,
+    configs = [make_config(1.0, amplitude=amplitude, resolution=64, dt_max=dt_max,
                            initial=flow.InitialData(kind="cosine_perturbation", r0=2.0,
                                                     amplitude=amplitude, wavenumber=2))
-               for amplitude in (0.9, 0.6)]
+               for amplitude, dt_max in ((0.9, 1.0), (0.6, 1e-3), (0.5, 1e-3))]
     alone = [solo(c) for c in configs]
     retries = [sum(kind == "admissibility_violation" for kind, _, _ in events_of(a))
                for a in alone]
-    assert retries[0] > 0 and retries[1] == 0
+    assert retries[0] > 1 and retries[1:] == [0, 0]
+    stacked = []
+    real = flow._step_stack
+
+    def recorded(members, stack):
+        stack = real(members, stack)
+        stacked.append((len(members), stack is not None))
+        return stack
+
+    monkeypatch.setattr(flow, "_step_stack", recorded)
     for member, own in zip(flow.run_group(configs), alone):
         assert_same_outcome(member, own)
+    # after its first retry the rough member steps alone, so only one
+    # stacked step raised, and its partners stepped on as a stack of two
+    failed = stacked.index((3, False))
+    assert all(ok for _, ok in stacked[:failed] + stacked[failed + 1:])
+    assert {k for k, _ in stacked[failed + 1:]} == {2}
 
 
 def test_member_that_fails_beside_one_that_completes(monkeypatch):
