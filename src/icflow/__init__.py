@@ -20,7 +20,6 @@ from .diagnostics import (
 )
 from .flow import FlowConfig, FlowEvent, InitialData, evaluate, run, stable_dt, step
 from .geometry import (
-    ExtrinsicData,
     GraphState,
     compute_extrinsic,
     state_from_radius,

@@ -90,13 +90,13 @@ def check_umbilic_exactness():
     prof2 = bg.build_warp_profile(bg.BackgroundParams(m=2.0, n=2))
     grid = sp.build_grid("axisymmetric1d", 64)
     state = geo.state_from_radius(grid, prof2, np.full(64, 1.0))
-    ext = geo.compute_extrinsic(state)
+    kappa = geo.compute_extrinsic(state)
     lam = state.lam[:, None]
-    err = float(np.max(np.abs(ext.kappa - np.sqrt(1.0 + lam * lam - 2.0 / lam) / lam)))
+    err = float(np.max(np.abs(kappa - np.sqrt(1.0 + lam * lam - 2.0 / lam) / lam)))
     prof0 = bg.build_warp_profile(bg.BackgroundParams(m=0.0, n=2))
     state0 = geo.state_from_radius(grid, prof0, np.full(64, 1.0))
-    ext0 = geo.compute_extrinsic(state0)
-    err0 = float(np.max(np.abs(ext0.kappa - 1.0 / math.tanh(1.0))))
+    kappa0 = geo.compute_extrinsic(state0)
+    err0 = float(np.max(np.abs(kappa0 - 1.0 / math.tanh(1.0))))
     worst = max(err, err0)
     return worst <= 1e-12, f"geodesic-sphere curvature defect {worst:.2e}"
 
@@ -134,7 +134,7 @@ def stage_defect(state, F):
     lies in the cone of F at every node, and the sup relative defect of
     flow.evaluate's F against cf.f_eval there, 0 outside the cone and inf
     where the two cone verdicts differ."""
-    kappa = geo.compute_extrinsic(state).kappa
+    kappa = geo.compute_extrinsic(state)
     inside = bool(cf.cone_contains(F, kappa).all())
     try:
         f = flow.evaluate(state, F).f
@@ -212,7 +212,7 @@ def off_centre_sphere_errors(mode, resolution, t_end, dt_max, rho0=1.5, d=0.6):
     final, _, _ = flow.run(cfg, initial_state=start)
     rho = math.asinh(math.sinh(rho0) * math.exp(final.t / 2.0))
     r_err = np.max(np.abs(final.r.values - off_centre_sphere_radius(cos_gamma, rho, d)))
-    k_err = np.max(np.abs(geo.compute_extrinsic(final).kappa - 1.0 / math.tanh(rho)))
+    k_err = np.max(np.abs(geo.compute_extrinsic(final) - 1.0 / math.tanh(rho)))
     return float(r_err), float(k_err)
 
 

@@ -68,17 +68,10 @@ def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     n = kappa.shape[-1]
     e = np.empty(kappa.shape[:-1] + (n + 1,))
     e[..., 0] = 1.0
-    k0 = kappa[..., 0]
-    if n == 1:
-        e[..., 1] = k0
-        return e
-    # the first step, written in place: sigma_1 = kappa_0 + kappa_1 and
-    # sigma_2 = kappa_1 kappa_0
-    np.add(k0, kappa[..., 1], out=e[..., 1])
-    np.multiply(kappa[..., 1], k0, out=e[..., 2])
+    e[..., 1] = kappa[..., 0]
     # adding kappa_i updates sigma_j += kappa_i sigma_j-1 in place, from
     # the top down; sigma_0 = 1 enters sigma_1 as kappa_i itself
-    for i in range(2, n):
+    for i in range(1, n):
         ki = kappa[..., i]
         e[..., i + 1] = ki * e[..., i]
         for j in range(i, 1, -1):

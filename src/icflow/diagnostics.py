@@ -77,7 +77,7 @@ def snapshot(state: GraphState, stage, pinch_ref: tuple) -> DiagnosticsRecord:
     t = state.t
     lam = state.lam
     v = np.sqrt(stage.v2)
-    kappa = curvatures(state.grid, lam, v, stage.lam_p, stage.b, stage.hess)
+    kappa = curvatures(lam, v, stage.lam_p, stage.b, stage.hess)
     f_vals = stage.f
     scaled = lam * math.exp(-t / n)
     chi_scaled = lam / v * math.exp(-t / n)

@@ -246,7 +246,7 @@ def _stage(F, t, grid, profile, phi, lam):
     _, _, v2, e, lam_p, b, hess = inv
 
     def kappa_at(node):
-        return curvatures(grid, lam, np.sqrt(v2), lam_p, b, hess)[node]
+        return curvatures(lam, np.sqrt(v2), lam_p, b, hess)[node]
 
     lvf = cf._value(F, cf.require_cone(F, e, kappa_at, t))
     speed = v2 / lvf
@@ -325,7 +325,7 @@ def _stable_dts(grid, F, stage, dt_max, t):
         # at n = 2 every dF/dkappa_i is S_1 - lambda v kappa_i times a
         # positive factor, and rounding keeps that monotone, so the column
         # of the smaller (first, ascending) kappa is the largest, bit for bit
-        kappa = scaled_curvatures(grid, stage.lam_p, stage.b, stage.hess)
+        kappa = scaled_curvatures(stage.lam_p, stage.b, stage.hess)
         scale = scale * cf._gradient(F, kappa[..., :1], stage.e)[..., 0]
     for i, top in enumerate(_member_max(scale, k)):
         if dts[i] is not None:
@@ -406,7 +406,8 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None, *, _grou
     k * output_every, and at t_end. The step that ends an interval is cut,
     or stretched by under LAND_TOL, to land on its snapshot time exactly.
     A snapshot reads its state's stage data, kappa from its pencil, and
-    F. A start state at or past t_end, with nothing to run, is a
+    F. A start state at or past t_end, with nothing to run, or one that
+    is not a GraphState on the config's grid and background, is a
     ConfigError. An exception raised on the way carries the events so
     far, ending with a `failed` event, as exc.events; an
     InadmissibleState's `failed` event also names the worst node and its
@@ -539,6 +540,11 @@ def _step_stack(members, stack):
     return phi, stage
 
 
+def _grid_key(grid):
+    """What a grid is built from: its mode and node counts."""
+    return grid.mode, grid.n_theta, grid.n_psi
+
+
 class _Member:
     """One flow of run_group: its config, events, series and counts, and
     its accepted state and stage data, its own or, after a stacked step,
@@ -558,13 +564,26 @@ class _Member:
 
     def start(self):
         """The start state (`initial`, or else the config's initial data),
-        its series, its stage data and its snapshot."""
+        its series, its stage data and its snapshot. A config that is not a
+        FlowConfig, or an `initial` that is not a GraphState on the
+        config's grid and background, is a ConfigError."""
         cfg, state = self.config, self.initial
         try:
+            if not isinstance(cfg, FlowConfig):
+                raise ConfigError(f"config must be a FlowConfig, got {type(cfg).__name__}")
+            grid = build_grid(cfg.grid_mode, cfg.grid_resolution)
             if state is None:
-                grid = build_grid(cfg.grid_mode, cfg.grid_resolution)
                 r0 = cfg.initial.radius_on(grid)
                 state = state_from_radius(grid, build_warp_profile(cfg.background), r0, t=0.0)
+            elif not isinstance(state, GraphState):
+                raise ConfigError(f"start state must be a GraphState, "
+                                  f"got {type(state).__name__}")
+            elif _grid_key(state.grid) != _grid_key(grid):
+                raise ConfigError(f"start state grid {_grid_key(state.grid)} does not match "
+                                  f"the configuration's {_grid_key(grid)}")
+            elif state.profile.params != cfg.background:
+                raise ConfigError(f"start state background {state.profile.params} does not "
+                                  f"match the configuration's {cfg.background}")
             self.state, self.t = state, state.t
             self.grid, self.profile = state.grid, state.profile
             if state.t >= cfg.t_end:

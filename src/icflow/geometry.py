@@ -28,7 +28,7 @@ them up to F's cone order, S_1 alone for the mean. Where kappa is read
 under dt_max, snapshots, checks, the node a cone exit names), it comes
 from the one pencil phi_ij x = mu b_ij x of the same pass:
 lambda v kappa = lambda' - mu (`scaled_curvatures`), and kappa that over
-lambda v (`curvatures`). The
+lambda v (`curvatures`; a state's, `compute_extrinsic`). The
 closed-form 2x2 generalized eigensolve keeps kappa real, avoids
 dividing by sin^2(theta) near the poles and forms no product that grows
 like lambda^4. Gradients are carried as component pairs (theta, psi)
@@ -115,26 +115,7 @@ def state_from_gauge(grid, profile, phi_values, t=0.0) -> GraphState:
                       lam=lambda_of_gauge(grid, profile, phi), profile=profile)
 
 
-@dataclass(slots=True)
-class ExtrinsicData:
-    """Per-node extrinsic quantities of a graph state, as compute_extrinsic
-    forms them for the checks.
-
-    Tensors are in (theta, psi) coordinates. The gradient is the pair
-    (phi_theta, phi_psi) and the round Hessian of phi the triple of its
-    (00, 01, 11) components. On axisymmetric grids the psi components of
-    the gradient and the Hessian are the grid's read-only zero field.
-    """
-
-    v: np.ndarray
-    kappa: np.ndarray              # principal curvatures, ascending, (..., 2)
-    grad_phi: tuple                # covariant D_i phi, (theta, psi)
-    grad_phi_sq: np.ndarray        # |D phi|^2
-    hess_phi: tuple                # round Hessian phi_ij, (p00, p01, p11)
-    lam_p: np.ndarray
-
-
-def _pencil_eigenvalues(a, b, diagonal=False):
+def _pencil_eigenvalues(a, b):
     """Ascending eigenvalues of the symmetric pencil a x = kappa b x with b
     positive definite (closed 2x2 form), from the component triples
     a = (a00, a01, a11) and b = (b00, b01, b11).
@@ -143,31 +124,18 @@ def _pencil_eigenvalues(a, b, diagonal=False):
         (a00 b11 - a11 b00)^2 + 4 (a00 b01 - a01 b00)(a11 b01 - a01 b11),
     which vanishes to rounding at umbilic points where a is proportional
     to b; the textbook form mix^2 - 4 det a det b would leave an
-    sqrt(eps)-sized spurious eigenvalue split there. With diagonal=True
-    both off-diagonals vanish identically and the terms they enter are
-    skipped, and the root of d1^2 is |d1|; each skipped term adds an exact
-    zero, so the result is the same bit for bit.
+    sqrt(eps)-sized spurious eigenvalue split there.
     """
     a00, a01, a11 = a
     b00, b01, b11 = b
     p, q = a00 * b11, a11 * b00
-    mix, d1 = p + q, p - q
-    if diagonal:
-        det_b = b00 * b11
-        disc = np.abs(d1)
-    else:
-        det_b = b00 * b11 - b01 ** 2
-        mix = mix - 2.0 * a01 * b01
-        d2 = a00 * b01 - a01 * b00
-        d3 = a11 * b01 - a01 * b11
-        disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
-    den = 2.0 * det_b
-    # each root is divided straight into its kappa column; mix has the
-    # shape of every input it reads
-    kappa = np.empty(mix.shape + (2,))
-    np.divide(mix - disc, den, out=kappa[..., 0])
-    np.divide(mix + disc, den, out=kappa[..., 1])
-    return kappa
+    mix = p + q - 2.0 * a01 * b01
+    d1 = p - q
+    d2 = a00 * b01 - a01 * b00
+    d3 = a11 * b01 - a01 * b11
+    disc = np.sqrt(np.maximum(d1 * d1 + 4.0 * d2 * d3, 0.0))
+    den = 2.0 * (b00 * b11 - b01 ** 2)
+    return np.stack([(mix - disc) / den, (mix + disc) / den], axis=-1)
 
 
 def scaled_invariants(grid, profile, phi, lam, order):
@@ -214,29 +182,26 @@ def scaled_invariants(grid, profile, phi, lam, order):
     return (d_th, d_ps), q, v2, e, lam_p, (b00, b01, b11), (p00, p01, p11)
 
 
-def scaled_curvatures(grid, lam_p, b, hess):
+def scaled_curvatures(lam_p, b, hess):
     """lambda v kappa, ascending along the last axis: lambda' less the
     eigenvalues mu of the pencil phi_ij x = mu b_ij x, from the triples b
     and hess that scaled_invariants returns, with lam_p its lambda'."""
-    mu = _pencil_eigenvalues(hess, b, diagonal=grid.mode == "axisymmetric1d")
-    return lam_p[..., None] - mu[..., ::-1]
+    return lam_p[..., None] - _pencil_eigenvalues(hess, b)[..., ::-1]
 
 
-def curvatures(grid, lam, v, lam_p, b, hess):
+def curvatures(lam, v, lam_p, b, hess):
     """The principal curvatures kappa, ascending along the last axis: the
     scaled_curvatures of the triples b and hess over lambda v, with lam
     and v = sqrt(v^2) at the same nodes."""
-    return scaled_curvatures(grid, lam_p, b, hess) / (lam * v)[..., None]
+    return scaled_curvatures(lam_p, b, hess) / (lam * v)[..., None]
 
 
-def compute_extrinsic(state: GraphState) -> ExtrinsicData:
-    """The extrinsic data of state from its scaled_invariants, with kappa
-    from its pencil (curvatures)."""
-    grad, q, v2, _, lam_p, b, hess = scaled_invariants(state.grid, state.profile,
-                                                       state.phi.values, state.lam, order=1)
-    v = np.sqrt(v2)
-    return ExtrinsicData(v, curvatures(state.grid, state.lam, v, lam_p, b, hess), grad, q,
-                         hess, lam_p)
+def compute_extrinsic(state: GraphState) -> np.ndarray:
+    """The principal curvatures kappa of state, ascending, shape (..., 2):
+    its scaled_invariants and their pencil (curvatures)."""
+    _, _, v2, _, lam_p, b, hess = scaled_invariants(state.grid, state.profile,
+                                                    state.phi.values, state.lam, order=1)
+    return curvatures(state.lam, np.sqrt(v2), lam_p, b, hess)
 
 
 def _contract(w, t):
@@ -249,8 +214,9 @@ def tilt_gradient_residual(state: GraphState) -> float:
     """Sup defect of D_i v = v^-1 phi^k phi_ki: the stencil derivative of v
     against the gradient form, from the round-metric Hessian of phi that
     the pass kept; second order in the grid spacing."""
-    ext = compute_extrinsic(state)
-    d_th, d_ps = ext.grad_phi
-    lhs = grad_components(ScalarField(state.grid, ext.v))
-    rhs = _contract((d_th, d_ps / state.grid.sin2), ext.hess_phi)
-    return max(float(np.max(np.abs(a - b / ext.v))) for a, b in zip(lhs, rhs))
+    (d_th, d_ps), _, v2, _, _, _, hess = scaled_invariants(
+        state.grid, state.profile, state.phi.values, state.lam, order=1)
+    v = np.sqrt(v2)
+    lhs = grad_components(ScalarField(state.grid, v))
+    rhs = _contract((d_th, d_ps / state.grid.sin2), hess)
+    return max(float(np.max(np.abs(a - b / v))) for a, b in zip(lhs, rhs))

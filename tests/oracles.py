@@ -90,39 +90,46 @@ def reference_invariants(grid, lam_p, d_th, d_ps, q, p00, p01, p11):
     return v2, e, b
 
 
-def _stage_invariants(state, ext):
-    """reference_invariants of state, with ext = compute_extrinsic(state)."""
-    return reference_invariants(state.grid, ext.lam_p, *ext.grad_phi, ext.grad_phi_sq,
-                                *ext.hess_phi)
+def extrinsic_pass(state):
+    """geometry.scaled_invariants of state at order 1: (D phi, |D phi|^2,
+    v^2, e, lambda', b, phi_ij)."""
+    return geo.scaled_invariants(state.grid, state.profile, state.phi.values, state.lam,
+                                 order=1)
 
 
-def reference_speed(state, F, ext):
-    """d phi / dt = v^2 / (lambda v F) from the scaled invariants, with
-    ext = compute_extrinsic(state): every sigma_j up to the cone order
-    tested at once, and a state outside the cone refused at its node of
-    least margin, with ext's kappa there."""
-    v2, e, _ = _stage_invariants(state, ext)
+def _stage_invariants(state):
+    """reference_invariants of state, from the components of its
+    extrinsic_pass, and that pass's lambda' and phi_ij."""
+    grad, q, _, _, lam_p, _, hess = extrinsic_pass(state)
+    return reference_invariants(state.grid, lam_p, *grad, q, *hess), lam_p, hess
+
+
+def reference_speed(state, F):
+    """d phi / dt = v^2 / (lambda v F) from the scaled invariants: every
+    sigma_j up to the cone order tested at once, and a state outside the
+    cone refused at its node of least margin, with compute_extrinsic's
+    kappa there."""
+    (v2, e, _), _, _ = _stage_invariants(state)
     margins = e[..., 1:F.cone_order + 1].min(axis=-1)
     if not (margins > 0.0).all():
         idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
         raise InadmissibleState("state left the admissibility cone",
-                                t=state.t, node=idx, kappa=ext.kappa[idx])
+                                t=state.t, node=idx, kappa=geo.compute_extrinsic(state)[idx])
     lvf = cf._value(F, e)
     if np.min(lvf) <= 0.0:
         raise FlowError("curvature function not positive on the cone")
     return v2 / lvf
 
 
-def reference_stable_dt(state, F, ext, cfl):
-    """The parabolic stability bound from the scaled invariants, with
-    ext = compute_extrinsic(state): v / (lambda F)^2 = speed^2 / v times
-    the largest dF/dkappa_i over both columns, read at lambda v kappa,
-    lambda' less the eigenvalues of the pencil (phi_ij, b_ij)."""
-    v2, e, b = _stage_invariants(state, ext)
-    speed = reference_speed(state, F, ext)
-    mu = geo._pencil_eigenvalues(ext.hess_phi, b,
-                                 diagonal=state.grid.mode == "axisymmetric1d")
-    kappa = ext.lam_p[..., None] - mu[..., ::-1]
+def reference_stable_dt(state, F, cfl):
+    """The parabolic stability bound from the scaled invariants:
+    v / (lambda F)^2 = speed^2 / v times the largest dF/dkappa_i over both
+    columns, read at lambda v kappa, lambda' less the eigenvalues of the
+    pencil (phi_ij, b_ij)."""
+    (v2, e, b), lam_p, hess = _stage_invariants(state)
+    speed = reference_speed(state, F)
+    mu = geo._pencil_eigenvalues(hess, b)
+    kappa = lam_p[..., None] - mu[..., ::-1]
     fp = cf._gradient(F, kappa, e)
     scale = speed * speed / np.sqrt(v2) * np.max(fp, axis=-1)
     h = state.grid.d_theta

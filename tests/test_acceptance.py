@@ -175,15 +175,15 @@ def test_A5_geometry_fidelity():
         grid = sp.build_grid("axisymmetric1d", n)
         r = 1.0 + 0.1 * np.cos(grid.theta)
         state = geo.state_from_radius(grid, prof, r)
-        ext = geo.compute_extrinsic(state)
+        kappa = geo.compute_extrinsic(state)
         km, kp = revolution_principal_curvatures(prof, grid.theta, r)
         want = np.sort(np.stack([km, kp], axis=-1), axis=-1)
-        errs.append(float(np.max(np.abs(ext.kappa - want))))
+        errs.append(float(np.max(np.abs(kappa - want))))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     grid = sp.build_grid("axisymmetric1d", 64)
     state = geo.state_from_radius(grid, prof, np.full(64, 1.0))
-    ext = geo.compute_extrinsic(state)
-    sphere_err = float(np.max(np.abs(ext.kappa - 1.0 / math.tanh(1.0))))
+    kappa = geo.compute_extrinsic(state)
+    sphere_err = float(np.max(np.abs(kappa - 1.0 / math.tanh(1.0))))
     ok = min(orders) >= 1.9 and sphere_err <= 1e-12
     verdict("A5 geometry fidelity", ok,
             f"oracle convergence orders {['%.2f' % o for o in orders]} (>=1.9), "

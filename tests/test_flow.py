@@ -22,6 +22,7 @@ from icflow.errors import (
 )
 
 from oracles import (
+    extrinsic_pass,
     radius_at_lambda,
     reference_invariants,
     reference_speed,
@@ -115,8 +116,8 @@ class TestRhs:
         grid = sp.build_grid("axisymmetric1d", 96)
         r = 1.0 - 0.65 * np.exp(-((grid.theta - np.pi / 2) ** 2) / 0.02)
         state = geo.state_from_radius(grid, prof_m0, r)
-        ext = geo.compute_extrinsic(state)
-        assert np.min(np.sum(ext.kappa, axis=-1)) < 0  # fixture sanity
+        kappa = geo.compute_extrinsic(state)
+        assert np.min(np.sum(kappa, axis=-1)) < 0  # fixture sanity
         with pytest.raises(InadmissibleState) as exc:
             rhs(state, cf.from_name("mean", 2))
         assert exc.value.node is not None
@@ -238,7 +239,7 @@ class TestStableDt:
                     continue
                 if name == "sigma2root":
                     e = stage.e
-                    kappa = geo.scaled_curvatures(state.grid, stage.lam_p, stage.b, stage.hess)
+                    kappa = geo.scaled_curvatures(stage.lam_p, stage.b, stage.hess)
                     edge += bool((e[..., 2] < 1e-9 * e[..., 1] ** 2).any())
                     below_zero += bool((kappa[..., 0] < 0.0).any())
                 bound = flow.stable_dt(state, f, stage)
@@ -325,7 +326,7 @@ class TestStep:
         assert [(e.kind, e.payload["dt"], e.payload["node"]) for e in events] == \
             [("admissibility_violation", 3.625e-3, (31,))]
         assert new.t == 3.625e-3 / 2
-        assert cf.cone_contains(f, geo.compute_extrinsic(new).kappa).all()
+        assert cf.cone_contains(f, geo.compute_extrinsic(new)).all()
         assert np.array_equal(ext.speed, flow.evaluate(new, f).speed)
         assert flow.stable_dt(new, f, ext) > 0.0
 
@@ -371,10 +372,9 @@ class TestStageGolden:
         f = cf.from_name(name, 2)
         for label, state in stage_states():
             stage = flow.evaluate(state, f)
-            ref = geo.compute_extrinsic(state)
-            assert np.array_equal(stage.speed, reference_speed(state, f, ref)), label
+            assert np.array_equal(stage.speed, reference_speed(state, f)), label
             assert flow.stable_dt(state, f, stage) == \
-                reference_stable_dt(state, f, ref, cfl=flow.CFL), label
+                reference_stable_dt(state, f, cfl=flow.CFL), label
 
 
 def random_states(seed, count):
@@ -429,11 +429,13 @@ def sigma2_edge_states(seed, count):
             yield label, blend(lo)
 
 
-def kappa_route_stable_dt(state, F, ext):
+def kappa_route_stable_dt(state, F, kappa):
     """The stability bound through F and dF of kappa: v / (lambda F)^2
-    times the largest dF/dkappa_i, with ext = compute_extrinsic(state)."""
-    scale = ext.v / (state.lam * cf.f_eval(F, ext.kappa)) ** 2 \
-        * np.max(cf.f_grad(F, ext.kappa), axis=-1)
+    times the largest dF/dkappa_i, with kappa = compute_extrinsic(state)
+    and v from its extrinsic_pass."""
+    v = np.sqrt(extrinsic_pass(state)[2])
+    scale = v / (state.lam * cf.f_eval(F, kappa)) ** 2 \
+        * np.max(cf.f_grad(F, kappa), axis=-1)
     return flow.CFL * state.grid.d_theta ** 2 / float(np.max(scale))
 
 
@@ -446,20 +448,20 @@ class TestInvariantStage:
         worst_f = worst_dt = 0.0
         verdicts = {True: 0, False: 0}
         for label, state in random_states(33, 40):
-            ext = geo.compute_extrinsic(state)
+            kappa = geo.compute_extrinsic(state)
             for name in ("mean", "sigma2root", "quotient2"):
                 f = cf.from_name(name, 2)
-                inside = bool(cf.cone_contains(f, ext.kappa).all())
+                inside = bool(cf.cone_contains(f, kappa).all())
                 verdicts[inside] += 1
                 if not inside:
                     with pytest.raises(InadmissibleState):
                         flow.evaluate(state, f)
                     continue
                 stage = flow.evaluate(state, f)
-                want = cf.f_eval(f, ext.kappa)
+                want = cf.f_eval(f, kappa)
                 worst_f = max(worst_f, float(np.max(np.abs(stage.f - want) / want)))
                 dt = flow.stable_dt(state, f, stage)
-                worst_dt = max(worst_dt, abs(dt / kappa_route_stable_dt(state, f, ext) - 1.0))
+                worst_dt = max(worst_dt, abs(dt / kappa_route_stable_dt(state, f, kappa) - 1.0))
         assert verdicts[True] >= 500 and verdicts[False] >= 50, verdicts
         assert worst_f <= 1e-10 and worst_dt <= 1e-10, (worst_f, worst_dt)
 
@@ -475,7 +477,7 @@ class TestInvariantStage:
                     if r0 <= prof.r_horizon:
                         continue
                     state = geo.state_from_radius(grid, prof, np.full(grid.field_shape, r0))
-                    want = cf.f_eval(f, geo.compute_extrinsic(state).kappa)
+                    want = cf.f_eval(f, geo.compute_extrinsic(state))
                     got = flow.evaluate(state, f).f
                     assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), (m, mode, r0)
 
@@ -659,7 +661,7 @@ def exit_state(state, f, stage, dt):
     grid, prof = state.grid, state.profile
     phi, t = midpoint_gauge(state, stage, dt), state.t + 0.5 * dt
     mid = geo.state_from_gauge(grid, prof, phi, t)
-    if not cf.cone_contains(f, geo.compute_extrinsic(mid).kappa).all():
+    if not cf.cone_contains(f, geo.compute_extrinsic(mid)).all():
         return mid
     speed = flow.midpoint_speed(grid, prof, phi, t, f)
     return geo.state_from_gauge(grid, prof, sp.polar_filter(grid, state.phi.values + dt * speed),
@@ -679,7 +681,7 @@ class TestConeExit:
         f = cf.from_name("mean", 2)
         stage = flow.evaluate(state, f)
         left = exit_state(state, f, stage, dt)
-        kappa = geo.compute_extrinsic(left).kappa
+        kappa = geo.compute_extrinsic(left)
         with pytest.raises(InadmissibleState) as info:
             flow._advance(state, f, dt, stage)
         assert info.value.t == left.t and info.value.node == node
@@ -706,14 +708,14 @@ class TestConeExit:
         event = info.value.events[-1]
         assert event.kind == "failed" and event.t == 0.0
         assert event.payload["node"] == node
-        assert event.payload["kappa"] == list(geo.compute_extrinsic(left).kappa[node])
+        assert event.payload["kappa"] == list(geo.compute_extrinsic(left)[node])
 
     def test_start_state_outside_the_cone(self, prof_m0):
         # the dimple of test_inadmissible_state_raises, as a run's start
         grid = sp.build_grid("axisymmetric1d", 96)
         r = 1.0 - 0.65 * np.exp(-((grid.theta - np.pi / 2) ** 2) / 0.02)
         state = geo.state_from_radius(grid, prof_m0, r)
-        kappa = geo.compute_extrinsic(state).kappa
+        kappa = geo.compute_extrinsic(state)
         with pytest.raises(InadmissibleState) as info:
             flow.run(make_config(grid_resolution=96), initial_state=state)
         node = info.value.node

@@ -11,7 +11,7 @@ from icflow import geometry as geo
 from icflow import sphere as sp
 from icflow.errors import FlowError, InadmissibleState, TableExtentError
 
-from oracles import radius_at_lambda, revolution_principal_curvatures
+from oracles import extrinsic_pass, radius_at_lambda, revolution_principal_curvatures
 
 
 @pytest.fixture(scope="module")
@@ -76,20 +76,21 @@ class TestUmbilic:
     def test_geodesic_sphere_m0(self, prof_m0):
         grid = sp.build_grid("axisymmetric1d", 48)
         state = geo.state_from_radius(grid, prof_m0, np.full(48, 1.0))
-        ext = geo.compute_extrinsic(state)
-        assert np.max(np.abs(ext.v - 1.0)) < 1e-14
+        kappa = geo.compute_extrinsic(state)
+        assert np.max(np.abs(np.sqrt(extrinsic_pass(state)[2]) - 1.0)) < 1e-14
         want = 1.0 / math.tanh(1.0)
-        assert np.max(np.abs(ext.kappa - want)) < 1e-12
+        assert np.max(np.abs(kappa - want)) < 1e-12
         assert abs(want - 1.3130352854993312) < 1e-15
 
     def test_geodesic_sphere_m2(self, prof_m2):
         grid = sp.build_grid("axisymmetric1d", 48)
         r0 = radius_at_lambda(prof_m2, 2.0)
         state = geo.state_from_radius(grid, prof_m2, np.full(48, r0))
-        ext = geo.compute_extrinsic(state)
+        kappa = geo.compute_extrinsic(state)
+        v = np.sqrt(extrinsic_pass(state)[2])
         lam_p = prof_m2.lambda_p_of_lambda(2.0)
-        assert np.max(np.abs(ext.kappa - lam_p / 2.0)) < 1e-12
-        assert np.max(np.abs(state.lam / ext.v - 2.0)) < 1e-10
+        assert np.max(np.abs(kappa - lam_p / 2.0)) < 1e-12
+        assert np.max(np.abs(state.lam / v - 2.0)) < 1e-10
 
     def test_discrete_hessian_exactly_symmetric(self, prof_m1):
         # h_ij is built from the covariant Hessian without symmetrizing it,
@@ -103,8 +104,7 @@ class TestUmbilic:
         hess = sp.covariant_hess(state.phi)
         assert len(hess) == 3
         assert np.max(np.abs(hess[1])) > 1e-3
-        ext = geo.compute_extrinsic(state)
-        assert all(np.array_equal(a, b) for a, b in zip(ext.hess_phi, hess))
+        assert all(np.array_equal(a, b) for a, b in zip(extrinsic_pass(state)[6], hess))
 
 
 class TestEmbeddingOracle:
@@ -114,10 +114,10 @@ class TestEmbeddingOracle:
             grid = sp.build_grid("axisymmetric1d", n)
             r = 1.0 + 0.1 * np.cos(grid.theta)
             state = geo.state_from_radius(grid, prof_m0, r)
-            ext = geo.compute_extrinsic(state)
+            kappa = geo.compute_extrinsic(state)
             km, kp = revolution_principal_curvatures(prof_m0, grid.theta, r)
             want = np.sort(np.stack([km, kp], axis=-1), axis=-1)
-            errs.append(np.max(np.abs(ext.kappa - want)))
+            errs.append(np.max(np.abs(kappa - want)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 1.9
 
@@ -127,10 +127,10 @@ class TestEmbeddingOracle:
             grid = sp.build_grid("axisymmetric1d", n)
             r = 2.0 + 0.3 * np.cos(grid.theta)
             state = geo.state_from_radius(grid, prof_m1, r)
-            ext = geo.compute_extrinsic(state)
+            kappa = geo.compute_extrinsic(state)
             km, kp = revolution_principal_curvatures(prof_m1, grid.theta, r)
             want = np.sort(np.stack([km, kp], axis=-1), axis=-1)
-            errs.append(np.max(np.abs(ext.kappa - want)))
+            errs.append(np.max(np.abs(kappa - want)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 1.9
 
@@ -157,20 +157,36 @@ class TestTwoDim:
         g2 = sp.build_grid("latlong2d", (32, 64))
         s1 = perturbed_state(prof_m1, g1, r0=2.0, amp=0.3)
         s2 = perturbed_state(prof_m1, g2, r0=2.0, amp=0.3)
-        e1 = geo.compute_extrinsic(s1)
-        e2 = geo.compute_extrinsic(s2)
-        assert np.max(np.abs(e2.kappa[:, 0, :] - e1.kappa)) < 1e-12
-        assert np.max(np.abs(e2.v[:, 0] - e1.v)) < 1e-13
+        k1, k2 = geo.compute_extrinsic(s1), geo.compute_extrinsic(s2)
+        v1, v2 = (np.sqrt(extrinsic_pass(s)[2]) for s in (s1, s2))
+        assert np.max(np.abs(k2[:, 0, :] - k1)) < 1e-12
+        assert np.max(np.abs(v2[:, 0] - v1)) < 1e-13
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
+    def test_axisymmetric_kappa_is_the_1d_kappa_bit_for_bit(self, m):
+        # the same radii on both grids: the two passes feed the one pencil
+        # the same b and phi_ij, so every psi column of the lat-long kappa
+        # is the 1D kappa, bit for bit
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), r_max=8.0)
+        g1 = sp.build_grid("axisymmetric1d", 32)
+        g2 = sp.build_grid("latlong2d", (32, 64))
+        r = 2.0 + 0.3 * np.cos(g1.theta) + 0.1 * np.cos(3 * g1.theta)
+        k1 = geo.compute_extrinsic(geo.state_from_radius(g1, prof, r))
+        k2 = geo.compute_extrinsic(geo.state_from_radius(g2, prof, r[:, None] + g2.zeros))
+        assert k2.shape == (32, 64, 2)
+        for j in range(g2.n_psi):
+            assert np.array_equal(k2[:, j, :].view(np.uint64), k1.view(np.uint64)), j
 
 
-def longdouble_kappa(state, ext):
+def longdouble_kappa(state):
     """kappa = (lambda' - mu) / (lambda v), mu the eigenvalues of the
     pencil phi_ij x = mu b_ij x, solved in np.longdouble from the float64
-    lambda, lambda', D phi and phi_ij of ext = compute_extrinsic(state),
-    with the same cancellation-free discriminant; ascending."""
+    lambda, lambda', D phi and phi_ij of extrinsic_pass(state), with the
+    same cancellation-free discriminant; ascending."""
     L = np.longdouble
-    d_th, d_ps = (np.asarray(c, dtype=L) for c in ext.grad_phi)
-    a00, a01, a11 = (np.asarray(c, dtype=L) for c in ext.hess_phi)
+    grad, q, _, _, lam_p, _, hess = extrinsic_pass(state)
+    d_th, d_ps = (np.asarray(c, dtype=L) for c in grad)
+    a00, a01, a11 = (np.asarray(c, dtype=L) for c in hess)
     b00, b01, b11 = d_th * d_th + 1, d_th * d_ps, d_ps * d_ps + np.asarray(state.grid.sin2, L)
     d1 = a00 * b11 - a11 * b00
     d2 = a00 * b01 - a01 * b00
@@ -179,8 +195,8 @@ def longdouble_kappa(state, ext):
     den = 2 * (b00 * b11 - b01 * b01)
     root = np.sqrt(np.maximum(d1 * d1 + 4 * d2 * d3, 0))
     mu = np.stack([(mix + root) / den, (mix - root) / den], axis=-1)
-    lam, lam_p = np.asarray(state.lam, L), np.asarray(ext.lam_p, L)
-    v = np.sqrt(1 + np.asarray(ext.grad_phi_sq, L))
+    lam, lam_p = np.asarray(state.lam, L), np.asarray(lam_p, L)
+    v = np.sqrt(1 + np.asarray(q, L))
     return (lam_p[..., None] - mu) / (lam * v)[..., None]
 
 
@@ -205,9 +221,9 @@ class TestPencilPrecision:
                 if mode == "latlong2d":
                     r = r + 0.5 * amp * np.sin(th) ** 2 * np.cos(grid.psi)
                 state = geo.state_from_radius(grid, prof, r)
-                ext = geo.compute_extrinsic(state)
-                ref = longdouble_kappa(state, ext)
-                worst = max(worst, float(np.max(np.abs(ext.kappa - ref) / np.abs(ref))))
+                kappa = geo.compute_extrinsic(state)
+                ref = longdouble_kappa(state)
+                worst = max(worst, float(np.max(np.abs(kappa - ref) / np.abs(ref))))
         assert worst <= 1e-12
 
 
@@ -227,9 +243,9 @@ class TestFarRadius:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stage = flow.evaluate(state, cf.from_name(name, 2))
-            ext = geo.compute_extrinsic(state)
+            kappa = geo.compute_extrinsic(state)
         # far out the surface is umbilic to rounding: kappa = 1 + O(e^-2r)
-        assert np.abs(ext.kappa - 1.0).max() < 1e-12
+        assert np.abs(kappa - 1.0).max() < 1e-12
         assert np.abs(stage.f - 2.0).max() < 1e-12
         assert np.isfinite(stage.speed).all()
 

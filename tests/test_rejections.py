@@ -34,6 +34,14 @@ def run_from_t_end():
     flow.run(flow_config(), initial_state=geo.state_from_radius(grid, prof, np.ones(16), t=0.5))
 
 
+def run_from_sphere(grid, m=0.0):
+    """flow_config() (N_theta = 16, m = 0) run from the sphere r = 1 on
+    grid in the background of mass m."""
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=m, n=2), 5.0)
+    state = geo.state_from_radius(grid, prof, np.ones(grid.field_shape))
+    flow.run(flow_config(), initial_state=state)
+
+
 REJECTIONS = {
     "grid_mode": (lambda: sp.build_grid("cubed", 16), "unknown grid mode"),
     "grid_latlong_one_count": (lambda: sp.build_grid("latlong2d", 24),
@@ -87,6 +95,20 @@ REJECTIONS = {
         lambda: flow_config(output_every=flow.LAND_TOL),
         r"output_every must exceed LAND_TOL = 1e-12, got 1e-12"),
     "start_at_t_end": (run_from_t_end, "nothing to run"),
+    "run_config_type": (lambda: flow.run(object()), "config must be a FlowConfig, got object"),
+    "start_state_type": (lambda: flow.run(flow_config(), initial_state=object()),
+                         "start state must be a GraphState, got object"),
+    "start_state_resolution": (
+        lambda: run_from_sphere(sp.build_grid("axisymmetric1d", 32)),
+        r"start state grid \('axisymmetric1d', 32, 1\) does not match the "
+        r"configuration's \('axisymmetric1d', 16, 1\)"),
+    "start_state_grid_mode": (
+        lambda: run_from_sphere(sp.build_grid("latlong2d", (16, 32))),
+        r"start state grid \('latlong2d', 16, 32\) does not match"),
+    "start_state_mass": (
+        lambda: run_from_sphere(sp.build_grid("axisymmetric1d", 16), m=1.0),
+        r"start state background BackgroundParams\(m=1\.0, n=2\) does not match the "
+        r"configuration's BackgroundParams\(m=0\.0, n=2\)"),
     "initial_kind": (lambda: flow.InitialData(kind="sphere", r0=1.0),
                      "unknown initial data kind"),
     "initial_r0_nan": (lambda: flow.InitialData(kind="constant", r0=float("nan")),
