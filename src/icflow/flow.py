@@ -9,11 +9,12 @@ operator lambda v h^i_j, whose invariants S_1 and S_2 the stage reads
 (geometry.scaled_invariants): F is a function of the sigma_j, so each
 rk2 stage is one array pass from its gauge to its speed, with no
 eigensolve: lambda by gauge, the scaled invariants, the cone test on
-them, lambda v F and the speed (1 + |D phi|^2) / (lambda v F). The
-midpoint (`midpoint_speed`) builds no state and no record; `evaluate`
-keeps the pass of an accepted state as its StageData, once per state,
-the end state's inside the step's retry loop, so an end state outside
-the cone is retried like a midpoint. The principal curvatures are solved
+them, lambda v F and the speed (1 + |D phi|^2) / (lambda v F). That pass,
+`_stage`, builds every StageData: the midpoint's, of which the step
+reads the speed and builds no state, and an accepted state's
+(`evaluate`), kept once per state, the end state's inside the step's
+retry loop, so an end state outside the cone is retried like a
+midpoint. The principal curvatures are solved
 only where they are read, from the pencil (phi_ij, b_ij) of the same
 pass: at the snapshots and at the node a cone exit names
 (geometry.curvatures), and, for an F other than the mean, in the
@@ -46,15 +47,17 @@ interpreting them.
 Flows that share a grid, a background and F step as one stack
 (`run_group`): their gauges along a leading member axis, every node
 through the operations of a run of its own, so each member equals its
-own run bit for bit; `run` is the one-member case.
+own run bit for bit; `run` is the one-member case. A stack's stage data
+is one `_stage` of its stacked gauges, whether a stacked step lands on
+them or the stack forms from its members' accepted states.
 
 Rejected input is a ConfigError: InitialData refuses an unknown kind, a
 non-finite r0 or amplitude and a malformed table, FlowConfig refuses a
 t_end that is not positive and finite, an output_every at or below the
 landing tolerance LAND_TOL and an f normalised for another n than the
-background's, run refuses a start state at or past t_end,
-which it records as its `failed` event, and run_group configs that do
-not share one grid, background and F.
+background's, run refuses a start state at or past t_end or within
+LAND_TOL of it, which it records as its `failed` event, and run_group
+configs that do not share one grid, background and F.
 """
 
 from __future__ import annotations
@@ -202,17 +205,19 @@ class FlowEvent:
     payload: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class StageData:
-    """The stage data of an accepted state, as `evaluate` makes it: its
-    pass (geometry.scaled_invariants) and what the stage made of it. e
-    holds (1, S_1, S_2), or (1, S_1) for the mean, on which the cone was
-    tested; lvf is lambda v F, F of the scaled shape operator; speed is
-    d phi / dt = v^2 / (lambda v F). The stability bound reads speed,
-    v^2 and, for an F other than the mean, e, lvf and, where it may come
-    under dt_max, the triples b and hess; the snapshot reads the gradient,
-    the Hessian, kappa of b and hess, and F (`f`). lam is the state's
-    lambda."""
+    """The stage data of a gauge array, as `_stage` makes it, the one
+    place a record is built (a stacked one's rows aside, `_stage_row`):
+    its pass (geometry.scaled_invariants) and what the stage made of it.
+    e holds (1, S_1, S_2), or (1, S_1) for the mean, on which the cone
+    was tested; lvf is lambda v F, F of the scaled shape operator; speed
+    is d phi / dt = v^2 / (lambda v F). The rk2 midpoint reads speed
+    alone; the stability bound reads speed, v^2 and, for an F other than
+    the mean, e, lvf and, where it may come under dt_max, the triples b
+    and hess; the snapshot reads the gradient, the Hessian, kappa of b
+    and hess, and F (`f`). lam is the gauge's lambda. The arrays of a
+    stack carry a leading member axis."""
 
     lam: np.ndarray
     grad: tuple                    # covariant D_i phi, (theta, psi)
@@ -231,17 +236,18 @@ class StageData:
         return self.lvf / (self.lam * np.sqrt(self.v2))
 
 
-def _stage(F, t, grid, profile, phi, lam):
-    """The stage of the gauge array phi, with lambda lam, at time t: its
-    scaled_invariants, lambda v F and the speed v^2 / (lambda v F). Raises
-    InadmissibleState when the invariants leave the cone, carrying the
-    node of least margin and its kappa, read off the same pass
-    (geometry.curvatures); FlowError when the speed is not finite. At
-    n = 2 the cone test implies lambda v F >= 0 for every F: the mean is
-    S_1, the sigma_2 root is 2 sqrt(S_2) and the quotient 4 S_2 / S_1,
-    each of positive numbers, 0 only where the quotient underflows. So
-    the speed is a number only if it is at least 0, and finite only if
-    its maximum is."""
+def _stage(F, t, grid, profile, phi, lam) -> StageData:
+    """The StageData of the gauge array phi, with lambda lam, at time t:
+    its scaled_invariants, lambda v F and the speed v^2 / (lambda v F).
+    phi may carry a leading member axis (a stack), and the record then
+    does too. Raises InadmissibleState when the invariants leave the
+    cone, carrying the node of least margin and its kappa, read off the
+    same pass (geometry.curvatures); FlowError when the speed is not
+    finite. At n = 2 the cone test implies lambda v F >= 0 for every F:
+    the mean is S_1, the sigma_2 root is 2 sqrt(S_2) and the quotient
+    4 S_2 / S_1, each of positive numbers, 0 only where the quotient
+    underflows. So the speed is a number only if it is at least 0, and
+    finite only if its maximum is."""
     inv = scaled_invariants(grid, profile, phi, lam, F.cone_order)
     _, _, v2, e, lam_p, b, hess = inv
 
@@ -252,21 +258,12 @@ def _stage(F, t, grid, profile, phi, lam):
     speed = v2 / lvf
     if not math.isfinite(speed.max()):
         raise FlowError(f"non-finite speed at t={t}")
-    return inv, lvf, speed
+    return StageData(lam, *inv, lvf, speed)
 
 
 def evaluate(state: GraphState, F: cf.CurvatureFunction) -> StageData:
     """The stage data of state, with its cone test, lambda v F and speed."""
-    inv, lvf, speed = _stage(F, state.t, state.grid, state.profile, state.phi.values,
-                             state.lam)
-    return StageData(state.lam, *inv, lvf, speed)
-
-
-def midpoint_speed(grid, profile, phi, t, F: cf.CurvatureFunction) -> np.ndarray:
-    """evaluate(state_from_gauge(grid, profile, phi, t), F).speed, bit for
-    bit and with its refusals, from one array pass that builds no state
-    and no record."""
-    return _stage(F, t, grid, profile, phi, lambda_of_gauge(grid, profile, phi))[2]
+    return _stage(F, state.t, state.grid, state.profile, state.phi.values, state.lam)
 
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
@@ -346,8 +343,8 @@ def _rk2_gauge(grid, profile, F, phi, speed, dt, t_mid):
     carry a leading member axis, and dt then holds each member's step
     along it."""
     phi_mid = polar_filter(grid, phi + 0.5 * dt * speed)
-    speed_mid = midpoint_speed(grid, profile, phi_mid, t_mid, F)
-    return polar_filter(grid, phi + dt * speed_mid)
+    mid = _stage(F, t_mid, grid, profile, phi_mid, lambda_of_gauge(grid, profile, phi_mid))
+    return polar_filter(grid, phi + dt * mid.speed)
 
 
 def _advance(state, F, dt, stage):
@@ -406,12 +403,12 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None, *, _grou
     k * output_every, and at t_end. The step that ends an interval is cut,
     or stretched by under LAND_TOL, to land on its snapshot time exactly.
     A snapshot reads its state's stage data, kappa from its pencil, and
-    F. A start state at or past t_end, with nothing to run, or one that
-    is not a GraphState on the config's grid and background, is a
-    ConfigError. An exception raised on the way carries the events so
-    far, ending with a `failed` event, as exc.events; an
-    InadmissibleState's `failed` event also names the worst node and its
-    kappa.
+    F. A start state at or past t_end or within LAND_TOL of it, with
+    nothing to run, or one that is not a GraphState on the config's grid
+    and background, is a ConfigError. An exception raised on the way
+    carries the events so far, ending with a `failed` event, as
+    exc.events; an InadmissibleState's `failed` event also names the
+    worst node and its kappa.
 
     _group serves only the benchmark (perfbench), whose untraced mode
     wraps run alone: run_group passes its members here, the first of them
@@ -457,7 +454,8 @@ def run_group(configs) -> list:
     running as one stack: their gauges along a leading member axis, each
     member with its own t, dt, stability bound, snapshot times, counts,
     events and series. The configs must share the grid, the background
-    and F (a ConfigError otherwise).
+    and F (a ConfigError otherwise); a config that is not a FlowConfig
+    fails as its member, with the ConfigError that `run` raises.
 
     A stacked step runs every node through the same operations as a run
     of its own, so each member's outputs equal its own run's bit for bit.
@@ -474,7 +472,9 @@ def run_group(configs) -> list:
     def shared(c):
         return c.grid_mode, c.grid_resolution, c.background, c.f
 
-    if any(shared(c) != shared(configs[0]) for c in configs[1:]):
+    # a config that is not a FlowConfig fails alone, when its member starts
+    flows = [c for c in configs if isinstance(c, FlowConfig)]
+    if any(shared(c) != shared(flows[0]) for c in flows[1:]):
         raise ConfigError("the flows of one group must share the grid, the background and F")
     members = [_Member(c, None) for c in configs]
     if members:
@@ -500,18 +500,13 @@ def _stage_row(stage: StageData, i: int, nd: int) -> StageData:
                        for value in (getattr(stage, name) for name in _STAGE_FIELDS)))
 
 
-def _stack_of(members):
-    """The members' gauges and stage data, stacked along a leading axis."""
-    pairs = [m.accepted() for m in members]
-
-    def stack(values):
-        if isinstance(values[0], tuple):
-            return tuple(np.stack(c) for c in zip(*values))
-        return np.stack(values)
-
-    return (np.stack([state.phi.values for state, _ in pairs]),
-            StageData(*(stack([getattr(stage, name) for _, stage in pairs])
-                        for name in _STAGE_FIELDS)))
+def _stack_of(members, grid, profile, F):
+    """The members' accepted gauges, stacked along a leading axis, and
+    their stage data, from one evaluation of the stack: the same
+    operations, node by node, as each member's own."""
+    states = [m.accepted()[0] for m in members]
+    phi = np.stack([state.phi.values for state in states])
+    return phi, _stage(F, None, grid, profile, phi, np.stack([state.lam for state in states]))
 
 
 def _step_stack(members, stack):
@@ -523,16 +518,14 @@ def _step_stack(members, stack):
     first = members[0]
     grid, profile, F = first.grid, first.profile, first.config.f
     try:
-        phi, stage = _stack_of(members) if stack is None else stack
+        phi, stage = _stack_of(members, grid, profile, F) if stack is None else stack
         bounds = _stable_dts(grid, F, stage, [m.config.dt_max for m in members], None)
         cuts = [m.cut(dt) for m, dt in zip(members, bounds)]
         dt = np.array([c[0] for c in cuts]).reshape((-1,) + (1,) * (phi.ndim - 1))
         phi = _rk2_gauge(grid, profile, F, phi, stage.speed, dt, None)
-        lam = lambda_of_gauge(grid, profile, phi)
-        inv, lvf, speed = _stage(F, None, grid, profile, phi, lam)
+        stage = _stage(F, None, grid, profile, phi, lambda_of_gauge(grid, profile, phi))
     except Exception:   # noqa: BLE001 - each member steps alone instead
         return None
-    stage = StageData(lam, *inv, lvf, speed)
     for i, (member, (step_dt, bound_set)) in enumerate(zip(members, cuts)):
         member.t, member.row = member.t + step_dt, (phi, stage, i)
         member.steps += 1
@@ -586,9 +579,10 @@ class _Member:
                                   f"match the configuration's {cfg.background}")
             self.state, self.t = state, state.t
             self.grid, self.profile = state.grid, state.profile
-            if state.t >= cfg.t_end:
-                raise ConfigError(f"start time t={state.t} is not before "
-                                  f"t_end = {cfg.t_end}; nothing to run")
+            # a start within LAND_TOL of t_end would land on it with no step
+            if state.t >= cfg.t_end - LAND_TOL:
+                raise ConfigError(f"start time t={state.t} is not before t_end = {cfg.t_end} "
+                                  f"by more than LAND_TOL = {LAND_TOL:g}; nothing to run")
             self.series = dg.DiagnosticsSeries.start(state, cfg.f)
             # one stage evaluation per state: each step returns its new
             # state's, which the snapshot, the stability bound and the next

@@ -56,7 +56,7 @@ from .sphere import (
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class GraphState:
     """The evolving surface at one instant: gauge field, warp factor
     lambda(r) at each node, and time. The radius field r is the one
@@ -69,7 +69,7 @@ class GraphState:
     phi: ScalarField
     lam: np.ndarray
     profile: WarpProfile
-    _r: Optional[ScalarField] = field(default=None, repr=False, compare=False)
+    _r: Optional[ScalarField] = field(default=None, repr=False)
 
     @property
     def r(self) -> ScalarField:

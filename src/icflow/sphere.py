@@ -56,13 +56,14 @@ class SphereGrid:
     axisymmetric tensors; the flat node index that each entry of the
     theta-padded layout reads (`pad`, see _pad_theta); and, on lat-long
     grids, the polar filter's keep-mask over (row, azimuthal mode k). All
-    are computed once per grid and read-only."""
+    are computed once per grid and read-only. Grids compare equal by their
+    layout: mode, node counts and spacings."""
 
     mode: str                      # "axisymmetric1d" | "latlong2d"
     n_theta: int
     n_psi: int                     # 1 in axisymmetric mode
-    theta: np.ndarray              # (n_theta,)
-    psi: np.ndarray                # (n_psi,) or empty
+    theta: np.ndarray = field(compare=False)   # (n_theta,)
+    psi: np.ndarray = field(compare=False)     # (n_psi,) or empty
     d_theta: float
     d_psi: float
     sin_theta: np.ndarray = field(init=False, repr=False, compare=False)
@@ -107,7 +108,7 @@ class SphereGrid:
         return (self.n_theta, self.n_psi)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalarField:
     grid: SphereGrid
     values: np.ndarray

@@ -427,6 +427,20 @@ class TestRunCommand:
         assert events[0]["t"] == t_first
         assert events[0]["error"].startswith(f"ConfigError: start time t={t_first} is not before")
 
+    def test_t_end_within_landing_tolerance_exit_2(self, tmp_path, capsys):
+        # a start within LAND_TOL of t_end would land on it with no step,
+        # writing two snapshots at t = 0 and a `completed` event of 0 steps
+        cfg = write_config(tmp_path / "c.ini", m=1.0, n_theta=16, kind="cosine_perturbation",
+                           initial_extra="r0 = 2.0\namplitude = 0.3\nwavenumber = 1",
+                           t_end=5e-13)
+        out = tmp_path / "r"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "nothing to run" in capsys.readouterr().err
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [e["kind"] for e in events] == ["failed"]
+        assert events[0]["t"] == 0.0
+        assert not (out / "checkpoint.json").exists()
+
     def test_one_limit_profile_per_run(self, tmp_path, monkeypatch):
         # the report computes the limit profile once, from the metrics stored
         # at the snapshots instead of recomputing them; limit_profile.csv is

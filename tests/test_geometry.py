@@ -336,3 +336,18 @@ class TestFailurePaths:
         with pytest.raises(InadmissibleState) as info:
             cf.require_cone(cf.from_name(name, 2), e, kappa)
         assert info.value.node == (3,)
+
+
+def test_equality_is_a_boolean():
+    # a grid compares by its layout; a field, a state and a stage record,
+    # which hold arrays, only by identity
+    grid = sp.build_grid("axisymmetric1d", 16)
+    assert grid == sp.build_grid("axisymmetric1d", 16)
+    assert grid != sp.build_grid("axisymmetric1d", 32)
+    assert sp.build_grid("latlong2d", (16, 32)) == sp.build_grid("latlong2d", (16, 32))
+    assert sp.build_grid("latlong2d", (16, 32)) != sp.build_grid("latlong2d", (16, 64))
+    prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2))
+    state, other = (geo.state_from_radius(grid, prof, np.full(16, 2.0)) for _ in range(2))
+    stage, again = (flow.evaluate(state, cf.from_name("mean", 2)) for _ in range(2))
+    for a, b in ((state.phi, other.phi), (state, other), (stage, again)):
+        assert (a == a) is True and (a == b) is False and (a != b) is True

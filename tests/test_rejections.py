@@ -42,6 +42,13 @@ def run_from_sphere(grid, m=0.0):
     flow.run(flow_config(), initial_state=state)
 
 
+def group_refusal(configs):
+    """run_group of configs, raising its first member's refusal."""
+    for outcome in flow.run_group(configs):
+        if isinstance(outcome, Exception):
+            raise outcome
+
+
 REJECTIONS = {
     "grid_mode": (lambda: sp.build_grid("cubed", 16), "unknown grid mode"),
     "grid_latlong_one_count": (lambda: sp.build_grid("latlong2d", 24),
@@ -95,6 +102,11 @@ REJECTIONS = {
         lambda: flow_config(output_every=flow.LAND_TOL),
         r"output_every must exceed LAND_TOL = 1e-12, got 1e-12"),
     "start_at_t_end": (run_from_t_end, "nothing to run"),
+    # a start within the landing tolerance of t_end lands on it with no step
+    "start_within_landing_tolerance_of_t_end": (
+        lambda: flow.run(flow_config(t_end=0.5 * flow.LAND_TOL)),
+        r"start time t=0\.0 is not before t_end = 5e-13 by more than LAND_TOL = 1e-12; "
+        r"nothing to run"),
     "run_config_type": (lambda: flow.run(object()), "config must be a FlowConfig, got object"),
     "start_state_type": (lambda: flow.run(flow_config(), initial_state=object()),
                          "start state must be a GraphState, got object"),
@@ -127,6 +139,8 @@ REJECTIONS = {
                      "custom_table: table_theta and table_r must be numbers"),
     "group_of_two_grids": (lambda: flow.run_group([flow_config(), flow_config(grid_resolution=32)]),
                            "must share the grid, the background and F"),
+    "group_config_type": (lambda: group_refusal([object(), object()]),
+                          "config must be a FlowConfig, got object"),
     "table_nan": (lambda: table((0.0, 3.2), (1.5, float("nan"))), "custom_table needs"),
     "table_theta_decreasing": (lambda: table((3.2, 1.6, 0.0), (1.5, 1.6, 1.5)),
                                "strictly increasing"),

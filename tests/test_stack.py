@@ -66,6 +66,21 @@ def record_steps(monkeypatch):
     return starts
 
 
+def record_stacks(monkeypatch):
+    """The stacked steps (flow._step_stack) that run_group takes, as
+    (members, whether the step was taken), in order."""
+    stacked = []
+    real = flow._step_stack
+
+    def recorded(members, stack):
+        stack = real(members, stack)
+        stacked.append((len(members), stack is not None))
+        return stack
+
+    monkeypatch.setattr(flow, "_step_stack", recorded)
+    return stacked
+
+
 @pytest.mark.parametrize("mode, resolution", [("axisymmetric1d", 16), ("latlong2d", (16, 32))])
 @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
 @pytest.mark.parametrize("name", ["mean", "sigma2root", "quotient2"])
@@ -125,15 +140,7 @@ def test_member_that_retries_beside_one_that_does_not(monkeypatch):
     retries = [sum(kind == "admissibility_violation" for kind, _, _ in events_of(a))
                for a in alone]
     assert retries[0] > 1 and retries[1:] == [0, 0]
-    stacked = []
-    real = flow._step_stack
-
-    def recorded(members, stack):
-        stack = real(members, stack)
-        stacked.append((len(members), stack is not None))
-        return stack
-
-    monkeypatch.setattr(flow, "_step_stack", recorded)
+    stacked = record_stacks(monkeypatch)
     for member, own in zip(flow.run_group(configs), alone):
         assert_same_outcome(member, own)
     # after its first retry the rough member steps alone, so only one
@@ -160,6 +167,38 @@ def test_member_that_fails_beside_one_that_completes(monkeypatch):
     t_failed = group[0].events[-1].t
     assert 1.7 < t_failed < 1.9
     assert alone_steps[:2] == [t_failed, t_failed] and min(alone_steps) == t_failed
+
+
+def test_stack_re_forms_after_a_member_fails(monkeypatch):
+    # the member from r0 = 176 passes R_MAX near t = 1.8 and fails there;
+    # its partners from r0 = 2 and 2.5 form a new stack of two from their
+    # accepted states, evaluated as one, and step on as that stack to t_end
+    configs = [make_config(r0=r0, t_end=3.0, output_every=0.5) for r0 in (176.0, 2.0, 2.5)]
+    alone = [solo(c) for c in configs]
+    assert isinstance(alone[0], TableExtentError)
+    assert [events_of(a)[-1][0] for a in alone[1:]] == ["completed", "completed"]
+    stacked = record_stacks(monkeypatch)
+    for member, own in zip(flow.run_group(configs), alone):
+        assert_same_outcome(member, own)
+    failed = stacked.index((3, False))
+    assert all(ok for _, ok in stacked[:failed] + stacked[failed + 1:])
+    assert {k for k, _ in stacked[:failed]} == {3}
+    assert len(stacked) > failed + 1 and {k for k, _ in stacked[failed + 1:]} == {2}
+
+
+def test_stack_re_forms_after_a_member_completes(monkeypatch):
+    # the member with the earliest t_end leaves on a stacked step; the
+    # others form a new stack from their rows of the old one
+    configs = [make_config(amplitude=a, t_end=t_end)
+               for a, t_end in ((0.1, 0.1), (0.3, 0.2), (0.2, 0.2))]
+    alone = [solo(c) for c in configs]
+    stacked = record_stacks(monkeypatch)
+    for member, own in zip(flow.run_group(configs), alone):
+        assert events_of(member)[-1][0] == "completed"
+        assert_same_outcome(member, own)
+    assert all(ok for _, ok in stacked)
+    sizes = [k for k, _ in stacked]
+    assert sizes == sorted(sizes, reverse=True) and set(sizes) == {3, 2}
 
 
 def test_members_land_on_a_snapshot_after_different_step_counts():
