@@ -89,6 +89,14 @@ _GL_WEIGHTS = np.array([
 # about 1e-19. Positive masses below machine epsilon are refused.
 M_MIN = float(np.finfo(float).eps)
 
+# A large mass puts its horizon at s0 ~ m^(1/(n+1)), so far out that the
+# uniform u nodes next to it give table intervals of zero width in r and
+# phi, and a lookup divides by zero: from about m = 2.8e81 at n = 2
+# (4.5e102 at n = 3, 4.5e85 at n = 4), though not at every mass above.
+# Masses above M_MAX are refused; at M_MAX, n = 2, 3 and 4 build their
+# profiles without a warning.
+M_MAX = 1e60
+
 # horizons below _S0_GRADED get graded u nodes, _GRADE per horizon scale;
 # at s0 = 2^-4 the graded spacing sqrt(s0) / 64 equals the uniform 1/256
 _S0_GRADED = 2.0 ** -4
@@ -128,7 +136,8 @@ _R_MIN_MASSLESS = _bisect(lambda r: np.exp(-r) == 1.0, 2.0 ** -60, 2.0 ** -50)[1
 
 @dataclass(frozen=True)
 class BackgroundParams:
-    """Mass and dimension of the background."""
+    """Mass and dimension of the background: m = 0, or m in [M_MIN, M_MAX],
+    and an integer n >= 2."""
 
     m: float
     n: int = 2
@@ -142,6 +151,8 @@ class BackgroundParams:
             raise ConfigError(f"mass parameter must be >= 0, got {self.m}")
         if 0 < self.m < M_MIN:
             raise ConfigError(f"a positive mass must be at least {M_MIN:.3g}, got {self.m}")
+        if self.m > M_MAX:
+            raise ConfigError(f"mass parameter must be at most M_MAX = {M_MAX:g}, got {self.m}")
         # one value each, as equal params share a profile (and checkpoint)
         object.__setattr__(self, "m", float(self.m) + 0.0)
         object.__setattr__(self, "n", int(self.n))

@@ -1,15 +1,16 @@
 """Admissible curvature functions of the principal curvatures.
 
-Three families are provided, each symmetric, positively 1-homogeneous,
-monotone and concave on its cone, and normalized so that F(1, ..., 1) = n:
+Three functions are provided, named as a config names them. Each is
+symmetric, positively 1-homogeneous, monotone and concave on its cone, and
+normalized so that F(1, ..., 1) = n, for any dimension n >= 2:
 
-    mean          F = sum kappa_i                        on  Gamma_1
-    sigma_k_root  F = n (sigma_k / C(n,k))^(1/k)         on  Gamma_k
-    quotient      F = (n k / (n-k+1)) sigma_k/sigma_k-1  on  Gamma_k
+    mean        F = sigma_1                             on  Gamma_1
+    sigma2root  F = n (sigma_2 / C(n,2))^(1/2)          on  Gamma_2
+    quotient2   F = (2 n / (n-1)) sigma_2 / sigma_1     on  Gamma_2
 
-where sigma_k is the k-th elementary symmetric polynomial and Gamma_k is
-the Garding cone {sigma_1 > 0, ..., sigma_k > 0}, the connected component
-of {sigma_k > 0} containing the positive cone. The normalization constants
+where sigma_j is the j-th elementary symmetric polynomial and Gamma_j is
+the Garding cone {sigma_1 > 0, ..., sigma_j > 0}, the connected component
+of {sigma_j > 0} containing the positive cone. The normalization constants
 are the unique ones compatible with 1-homogeneity.
 
 Evaluation and gradients are vectorized over leading axes: kappa may have
@@ -28,38 +29,31 @@ import numpy as np
 from .errors import ConfigError, InadmissibleState, is_integer
 
 _EPS_DEN = 1e-300   # quotient denominator guard
+_KINDS = ("mean", "sigma2root", "quotient2")
 
 
 @dataclass(frozen=True)
 class CurvatureFunction:
-    kind: str          # "mean" | "sigma_k_root" | "quotient"
+    kind: str          # "mean" | "sigma2root" | "quotient2"
     n: int
-    k: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("mean", "sigma_k_root", "quotient"):
-            raise ConfigError(f"unknown curvature function kind {self.kind!r}")
-        if not (is_integer(self.n) and is_integer(self.k)):
-            raise ConfigError(f"curvature function n and k must be integers, "
-                              f"got n={self.n!r}, k={self.k!r}")
-        if self.kind != "mean" and not (2 <= self.k <= self.n):
-            raise ConfigError(f"order k={self.k} requires 2 <= k <= n={self.n}")
+        if not (isinstance(self.kind, str) and self.kind in _KINDS):
+            raise ConfigError(f"unknown curvature function name {self.kind!r}; "
+                              f"expected one of {sorted(_KINDS)}")
+        if not (is_integer(self.n) and self.n >= 2):
+            raise ConfigError(f"curvature function dimension must be an integer >= 2, "
+                              f"got n={self.n!r}")
 
     @property
     def cone_order(self) -> int:
         """Highest sigma_j required positive for cone membership."""
-        return 1 if self.kind == "mean" else self.k
-
-
-_NAMED = {"mean": ("mean", 1), "sigma2root": ("sigma_k_root", 2), "quotient2": ("quotient", 2)}
+        return 1 if self.kind == "mean" else 2
 
 
 def from_name(name: str, n: int) -> CurvatureFunction:
-    """Config-facing constructor: mean, sigma2root or quotient2."""
-    if not (isinstance(name, str) and name in _NAMED):
-        raise ConfigError(f"unknown curvature function name {name!r}; expected one of {sorted(_NAMED)}")
-    kind, k = _NAMED[name]
-    return CurvatureFunction(kind=kind, n=n, k=k)
+    """Config-facing constructor: mean, sigma2root or quotient2 at dimension n."""
+    return CurvatureFunction(name, n)
 
 
 def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
@@ -89,15 +83,13 @@ def _margin(f, e):
 def require_cone(f: CurvatureFunction, e, kappa, t=None):
     """The one cone test: e, the sigma_j of kappa, when every point lies in
     the cone of f (one minimum per sigma_j, which a NaN fails; sigma_1
-    first, and the higher ones only for a cone order above 1). Otherwise
+    first, and sigma_2 only for a cone order of 2). Otherwise
     raises InadmissibleState naming the point of least margin, its kappa
     and t. kappa is the array of principal curvatures, or a function of a
     point's index that returns them there, called only for a point outside
     the cone. The cone of the sigma_j of c kappa, c > 0, is the same, so e
     may be the sigma_j of a positive multiple of kappa."""
-    order = f.cone_order
-    if e[..., 1].min() > 0.0 and (
-            order == 1 or all(e[..., j].min() > 0.0 for j in range(2, order + 1))):
+    if e[..., 1].min() > 0.0 and (f.kind == "mean" or e[..., 2].min() > 0.0):
         return e
     margin = _margin(f, e)
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin)), margin.shape))
@@ -120,34 +112,25 @@ def _value(f, e):
     n = f.n
     if f.kind == "mean":
         return e[..., 1]
-    if f.kind == "sigma_k_root":
-        k = f.k
-        return n * (e[..., k] / comb(n, k)) ** (1.0 / k)
-    k = f.k
-    den = np.maximum(e[..., k - 1], _EPS_DEN)
-    return (n * k / (n - k + 1.0)) * e[..., k] / den
+    if f.kind == "sigma2root":
+        return n * (e[..., 2] / comb(n, 2)) ** 0.5
+    den = np.maximum(e[..., 1], _EPS_DEN)
+    return (2 * n / (n - 1.0)) * e[..., 2] / den
 
 
 def _gradient(f, kappa, e):
     """dF/dkappa_i at points kappa on the cone, with e their sigma_j; no
     cone test."""
-    n = f.n
     if f.kind == "mean":
         return np.ones_like(kappa)
-    k = f.k
-    # d[j] = sigma_j of kappa with entry i removed, shape (..., n), from
-    # sigma_j(kappa\i) = sigma_j - kappa_i sigma_j-1(kappa\i); only the
-    # rows j < k that dF reads are built
-    d = [1.0]
-    for j in range(1, k):
-        d.append(e[..., j, None] - kappa * d[-1])
-    if f.kind == "sigma_k_root":
-        val = n * (e[..., k] / comb(n, k)) ** (1.0 / k)
-        return (val / (k * e[..., k]))[..., None] * d[k - 1]
-    c = n * k / (n - k + 1.0)
-    skm1 = np.maximum(e[..., k - 1], _EPS_DEN)
-    num = d[k - 1] * skm1[..., None] - e[..., k, None] * d[k - 2]
-    return c * num / (skm1 * skm1)[..., None]
+    # sigma_1 of kappa with entry i removed, shape (..., n)
+    d1 = e[..., 1, None] - kappa
+    if f.kind == "sigma2root":
+        return (_value(f, e) / (2 * e[..., 2]))[..., None] * d1
+    n = f.n
+    s1 = np.maximum(e[..., 1], _EPS_DEN)
+    num = d1 * s1[..., None] - e[..., 2, None]
+    return (2 * n / (n - 1.0)) * num / (s1 * s1)[..., None]
 
 
 def f_eval(f: CurvatureFunction, kappa) -> np.ndarray:

@@ -307,7 +307,7 @@ def _stable_dts(grid, F, stage, dt_max, t):
         # so at most S_1 / sqrt(S_2), formed by _gradient's operations
         # with S_1 in place of S_1 - lambda v kappa_0, and 4. A zero or
         # NaN bound goes on to the pencil, whose scale is refused too
-        if F.kind == "sigma_k_root":
+        if F.kind == "sigma2root":
             e = stage.e
             tops = [float(top) for top in
                     _member_max(scale * (stage.lvf / (2.0 * e[..., 2]) * e[..., 1]), k)]
@@ -533,11 +533,6 @@ def _step_stack(members, stack):
     return phi, stage
 
 
-def _grid_key(grid):
-    """What a grid is built from: its mode and node counts."""
-    return grid.mode, grid.n_theta, grid.n_psi
-
-
 class _Member:
     """One flow of run_group: its config, events, series and counts, and
     its accepted state and stage data, its own or, after a stacked step,
@@ -571,9 +566,10 @@ class _Member:
             elif not isinstance(state, GraphState):
                 raise ConfigError(f"start state must be a GraphState, "
                                   f"got {type(state).__name__}")
-            elif _grid_key(state.grid) != _grid_key(grid):
-                raise ConfigError(f"start state grid {_grid_key(state.grid)} does not match "
-                                  f"the configuration's {_grid_key(grid)}")
+            elif state.grid != grid:
+                raise ConfigError(f"start state grid {state.grid.mode} {state.grid.field_shape} "
+                                  f"does not match the configuration's {grid.mode} "
+                                  f"{grid.field_shape}")
             elif state.profile.params != cfg.background:
                 raise ConfigError(f"start state background {state.profile.params} does not "
                                   f"match the configuration's {cfg.background}")

@@ -231,6 +231,22 @@ class TestWarpProfile:
         prof = bg.build_warp_profile(bg.BackgroundParams(m=bg.M_MIN, n=2), 9.3)
         assert prof.ode_residual_max() <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_largest_mass(self, n):
+        # M_MAX's table keeps every interval wide, so its lookups divide by
+        # no zero width: built and read 20 past the horizon (about r = 46
+        # at n = 2) with warnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = bg.build_warp_profile(bg.BackgroundParams(m=bg.M_MAX, n=n))
+            r = np.linspace(prof.r_horizon, prof.r_horizon + 20.0, 1001)
+            phi = prof.gauge_from_radius(r)
+            back, lam = prof.radius_from_gauge(phi), prof.lambda_from_gauge(phi)
+        assert (np.diff(prof.table_r) > 0.0).all()
+        assert np.abs(back - r).max() <= 1e-13
+        assert np.abs(lam / prof.lambda_of_r(r) - 1.0).max() <= 1e-13
+        assert prof.ode_residual_max() <= 1e-10
+
     @pytest.mark.parametrize("m", [1.0, 2.0, 1e-6])
     def test_table_independent_of_extent(self, m):
         # the origin shift is anchored at a fixed node, so tables of

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -325,6 +326,18 @@ class TestRunCommand:
         p = write_config(tmp_path / "c.ini", m="5e-324")
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "positive mass must be at least" in capsys.readouterr().err
+
+    def test_mass_above_maximum_exit_2(self, tmp_path, capsys):
+        # at m = 3e81 the warp table next to the horizon has intervals of
+        # zero width, where a lookup divides by zero; with warnings as
+        # errors the run is refused as a config error, not a failed check
+        p = write_config(tmp_path / "c.ini", m="3e81", n_theta=16,
+                         initial_extra="r0 = 64.0", t_end=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "mass parameter must be at most M_MAX = 1e+60, got 3e+81" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_beyond_table_range_exit_2(self, tmp_path, capsys, m):

@@ -61,7 +61,7 @@ class TestEval:
         assert np.array_equal(got.view(np.uint64),
                               reference_elementary_symmetric(kappa).view(np.uint64))
 
-    @pytest.mark.parametrize("name", sorted(cf._NAMED))
+    @pytest.mark.parametrize("name", ALL_KINDS)
     def test_value_positive_on_the_cone(self, name):
         # at n = 2 the cone test implies F > 0, so the flow does not test
         # F again: seeded pairs of either sign with magnitudes from 1e-325

@@ -153,8 +153,8 @@ def reference_gradient(f, kappa, e):
     if f.kind == "mean":
         return np.ones_like(kappa)
     d = _deleted(kappa, e)
-    k = f.k
-    if f.kind == "sigma_k_root":
+    k = f.cone_order
+    if f.kind == "sigma2root":
         val = n * (e[..., k] / math.comb(n, k)) ** (1.0 / k)
         return (val / (k * e[..., k]))[..., None] * d[..., k - 1, :]
     c = n * k / (n - k + 1.0)

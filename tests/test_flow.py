@@ -563,12 +563,13 @@ def outcome(fn, *args):
     return None
 
 
-def admissible_exit_state():
-    """m = 1, N_theta = 64, r = 2 + 0.9 cos 2 theta: admissible, and at
-    dt = 0.03 its midpoint leaves Gamma_1 at node 34."""
+def admissible_exit_state(amplitude=0.9):
+    """m = 1, N_theta = 64, r = 2 + amplitude cos 2 theta: admissible, and
+    at the amplitude 0.9 a step of dt = 0.03 has its midpoint leave Gamma_1
+    at node 34."""
     prof = bg.build_warp_profile(bg.BackgroundParams(m=1.0, n=2), r_max=8.0)
     grid = sp.build_grid("axisymmetric1d", 64)
-    return geo.state_from_radius(grid, prof, 2.0 + 0.9 * np.cos(2 * grid.theta))
+    return geo.state_from_radius(grid, prof, 2.0 + amplitude * np.cos(2 * grid.theta))
 
 
 class TestMidpoint:
@@ -716,6 +717,23 @@ class TestConeExit:
         assert event.kind == "failed" and event.t == 0.0
         assert event.payload["node"] == node
         assert event.payload["kappa"] == list(geo.compute_extrinsic(left)[node])
+
+    def test_failed_event_names_the_configured_f(self, monkeypatch):
+        # r = 2 + 0.7 cos 2 theta lies in Gamma_2, and a step of 0.03 with
+        # no retry leaves it: the error names sigma2root, as a config does
+        state = admissible_exit_state(0.7)
+        f = cf.from_name("sigma2root", 2)
+        monkeypatch.setattr(flow, "stable_dt", lambda *args, **kwargs: 0.03)
+        monkeypatch.setattr(flow, "step", lambda s, F, dt_, stage, events=None:
+                            flow._advance(s, F, dt_, stage))
+        cfg = make_config(background=state.profile.params, grid_resolution=64, f=f)
+        with pytest.raises(InadmissibleState) as info:
+            flow.run(cfg, initial_state=state)
+        event = info.value.events[-1]
+        assert event.kind == "failed"
+        assert event.payload["error"].startswith(
+            "InadmissibleState: principal curvatures left the admissibility cone of "
+            "sigma2root at t=0.03;")
 
     def test_start_state_outside_the_cone(self, prof_m0):
         # the dimple of test_inadmissible_state_raises, as a run's start

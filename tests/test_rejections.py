@@ -68,6 +68,12 @@ REJECTIONS = {
                          "mass parameter must be finite"),
     "background_m_inf": (lambda: bg.BackgroundParams(m=float("inf")),
                          "mass parameter must be finite"),
+    # past M_MAX the table next to a large horizon has intervals of zero
+    # width; at m = 3e81 (n = 2) a lookup divides by zero
+    "background_m_3e81": (lambda: bg.BackgroundParams(m=3e81),
+                          r"mass parameter must be at most M_MAX = 1e\+60, got 3e\+81"),
+    "background_m_above_cap": (lambda: bg.BackgroundParams(m=np.nextafter(bg.M_MAX, np.inf)),
+                               r"mass parameter must be at most M_MAX = 1e\+60"),
     "background_n_nan": (lambda: bg.BackgroundParams(m=1.0, n=float("nan")),
                          "sphere dimension must be an integer >= 2"),
     "background_m_text": (lambda: bg.BackgroundParams(m="1"),
@@ -80,10 +86,17 @@ REJECTIONS = {
         r"wavenumber must be an integer, got 1\.5"),
     "field_shape": (lambda: sp.ScalarField(sp.build_grid("axisymmetric1d", 16), np.ones(5)),
                     "field shape"),
-    "f_kind": (lambda: cf.CurvatureFunction("harmonic", 2), "unknown curvature function kind"),
-    "f_order": (lambda: cf.CurvatureFunction("sigma_k_root", 2, k=3), "order k=3"),
-    "f_order_fraction": (lambda: cf.CurvatureFunction("sigma_k_root", n=3, k=2.5),
-                         r"n and k must be integers, got n=3, k=2\.5"),
+    "f_kind": (lambda: cf.CurvatureFunction("harmonic", 2),
+               "unknown curvature function name 'harmonic'"),
+    # the kind is the name a config gives; the library has no second set
+    "f_kind_sigma_k_root": (lambda: cf.CurvatureFunction("sigma_k_root", 2),
+                            "unknown curvature function name 'sigma_k_root'"),
+    "f_kind_quotient": (lambda: cf.CurvatureFunction("quotient", 2),
+                        "unknown curvature function name 'quotient'"),
+    "f_dimension_fraction": (lambda: cf.CurvatureFunction("mean", 2.5),
+                             r"dimension must be an integer >= 2, got n=2\.5"),
+    "f_dimension_one": (lambda: cf.CurvatureFunction("sigma2root", 1),
+                        "dimension must be an integer >= 2, got n=1"),
     "f_none": (lambda: flow_config(f=None), "f must be a CurvatureFunction, got None"),
     "f_name": (lambda: cf.from_name("sigma3root", 2), "unknown curvature function name"),
     "f_name_list": (lambda: cf.from_name([], 2), r"unknown curvature function name \[\]"),
@@ -112,11 +125,11 @@ REJECTIONS = {
                          "start state must be a GraphState, got object"),
     "start_state_resolution": (
         lambda: run_from_sphere(sp.build_grid("axisymmetric1d", 32)),
-        r"start state grid \('axisymmetric1d', 32, 1\) does not match the "
-        r"configuration's \('axisymmetric1d', 16, 1\)"),
+        r"start state grid axisymmetric1d \(32,\) does not match the "
+        r"configuration's axisymmetric1d \(16,\)"),
     "start_state_grid_mode": (
         lambda: run_from_sphere(sp.build_grid("latlong2d", (16, 32))),
-        r"start state grid \('latlong2d', 16, 32\) does not match"),
+        r"start state grid latlong2d \(16, 32\) does not match"),
     "start_state_mass": (
         lambda: run_from_sphere(sp.build_grid("axisymmetric1d", 16), m=1.0),
         r"start state background BackgroundParams\(m=1\.0, n=2\) does not match the "
