@@ -13,17 +13,17 @@ one the run is too short to judge is noted as insufficient in the report
 and fails nothing. The run exits 0 only if no check failed (1 on a check
 failure, 2 on a runtime or configuration error, an artifact that cannot
 be written among them).
-Identical configs produce byte-identical series files. A sweep steps
-the combinations of one m and f_kind as one stack (flow.run_group), each
-writing the files its own run would, and runs up to --jobs stacks at
-once, capped by the CPUs the process may run on and by the number of
-combinations; fewer groups than that are split into more stacks, so
-that every worker has one. sweep_stats.json holds each stack's members,
-their step counts and its wall seconds, the sweep's one
-non-deterministic file. A worker that dies abruptly is a runtime error
-(2): the combinations that finished are kept, and aggregate.csv names
-each one it lost, every member of its unfinished stacks. Node-level arithmetic is vectorized
-and single-threaded per stack.
+Identical configs produce byte-identical series files. A sweep deals
+its combinations round-robin into --jobs stacks, capped by the CPUs the
+process may run on and by the number of combinations, and runs them at
+once, one per worker. A stack's combinations may differ in m, f_kind and
+amplitude, and step as one (flow.run_group), each writing the files its
+own run would. --jobs below 1 is a usage error (2). sweep_stats.json
+holds each stack's members, their step counts and its wall seconds, the
+sweep's one non-deterministic file. A worker that dies abruptly is a
+runtime error (2): the combinations that finished are kept, and
+aggregate.csv names each one it lost, every member of its unfinished
+stacks. Node-level arithmetic is vectorized and single-threaded per stack.
 """
 
 from __future__ import annotations
@@ -155,10 +155,10 @@ def _apply_combo(cfg: RunConfig, combo) -> RunConfig:
 
 
 def _run_stack(payload):
-    """Run one stack of sweep combinations, those that share m and f_kind,
-    as one flow.run_group, and write each one's artifacts as execute_run
-    does. Returns each combination's (combo, report, error) and the
-    stack's entry of sweep_stats.json."""
+    """Run one stack of sweep combinations as one flow.run_group, and
+    write each one's artifacts as execute_run does. Returns each
+    combination's (combo, report, error) and the stack's entry of
+    sweep_stats.json."""
     cfg, combos, out = payload
     started = time.perf_counter()
     results = [(combo, None, None) for combo in combos]
@@ -195,24 +195,9 @@ def sweep_combos(cfg: RunConfig) -> list:
 
 
 def _stacks(combos, jobs) -> list:
-    """The combinations grouped by their m and f_kind, which share a warp
-    profile and F and so step as one stack, in order of first appearance.
-    Where that makes fewer stacks than jobs, which would leave workers
-    idle, the groups with the most members per stack are dealt out
-    round-robin into more stacks, up to jobs stacks or one combination
-    each."""
-    groups = {}
-    for combo in combos:
-        values = dict(combo)
-        groups.setdefault((values.get("m"), values.get("f_kind")), []).append(combo)
-    groups = list(groups.values())
-    parts = [1] * len(groups)
-    while sum(parts) < jobs:
-        i = max(range(len(groups)), key=lambda g: len(groups[g]) / parts[g])
-        if parts[i] == len(groups[i]):
-            break
-        parts[i] += 1
-    return [group[j::n] for group, n in zip(groups, parts) for j in range(n)]
+    """The combinations dealt round-robin into jobs stacks, one per
+    worker; jobs is at most the number of combinations."""
+    return [combos[j::jobs] for j in range(jobs)]
 
 
 def _usable_cpus() -> int:
@@ -229,7 +214,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs a [sweep] section")
     combos = sweep_combos(cfg)
     out = _make_dir(args.out)
-    jobs = max(1, min(args.jobs, _usable_cpus(), len(combos)))
+    jobs = min(args.jobs, _usable_cpus(), len(combos))
     stacks = _stacks(combos, jobs)
 
     payloads = [(cfg, stack, out) for stack in stacks]
@@ -324,6 +309,8 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.jobs < 1:
+        p_sweep.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except (IcflowError, MemoryError) as exc:   # a grid too large to allocate

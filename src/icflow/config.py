@@ -122,6 +122,15 @@ def _require(options, section, *keys):
             raise ConfigError(f"missing required key [{section}] {key}")
 
 
+def _checked(where, make, *args):
+    """make(*args), with where before the message of a ConfigError it
+    raises."""
+    try:
+        return make(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _load_table(path):
     try:
         data = np.loadtxt(path, delimiter=",")
@@ -140,8 +149,10 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
         raise ConfigError("[sweep] section is only valid for the sweep command")
     opts = {section: _options(parser, section) for section in _SCHEMA}
 
-    _require(opts["background"], "background", "m")
-    background = BackgroundParams(**opts["background"])
+    bkg = opts["background"]
+    _require(bkg, "background", "m")
+    n = _checked("[background] n", BackgroundParams, 0.0, bkg.get("n", 2)).n
+    background = _checked("[background] m", BackgroundParams, bkg["m"], n)
 
     grid = opts["grid"]
     _require(grid, "grid", "n_theta")
@@ -174,10 +185,7 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
 
     flow = opts["flow"]
     _require(flow, "flow", "f_kind", "t_end")
-    try:
-        func = cf.from_name(flow.pop("f_kind"), background.n)
-    except ConfigError as exc:
-        raise ConfigError(f"[flow] f_kind: {exc}") from None
+    func = _checked("[flow] f_kind", cf.from_name, flow.pop("f_kind"), background.n)
     flow_cfg = FlowConfig(background=background, grid_mode=mode, grid_resolution=resolution,
                           initial=initial, f=func, **flow)
 
@@ -196,10 +204,7 @@ def parse_run_config(path, allow_sweep=False) -> RunConfig:
     if "sweep" in parser:
         sweep = opts["sweep"]
         for kname in sweep.get("f_kind", ()):
-            try:
-                cf.from_name(kname, background.n)
-            except ConfigError as exc:
-                raise ConfigError(f"[sweep] f_kind: {exc}") from None
+            _checked("[sweep] f_kind", cf.from_name, kname, background.n)
         if not sweep or any(len(v) == 0 for v in sweep.values()):
             raise ConfigError("[sweep] needs at least one non-empty value grid")
         for key, values in sweep.items():

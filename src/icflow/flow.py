@@ -44,12 +44,14 @@ re-tries a failed step with halved dt up to eight times before giving up,
 so transient excursions toward the cone boundary are handled without
 interpreting them.
 
-Flows that share a grid, a background and F step as one stack
-(`run_group`): their gauges along a leading member axis, every node
-through the operations of a run of its own, so each member equals its
-own run bit for bit; `run` is the one-member case. A stack's stage data
-is one `_stage` of its stacked gauges, whether a stacked step lands on
-them or the stack forms from its members' accepted states.
+Flows that share a grid step as one stack (`run_group`), whatever their
+masses and F: their gauges along a leading member axis, ordered by mass,
+every node through the operations of a run of its own, so each member
+equals its own run bit for bit; `run` is the one-member case. A stack's
+stage data is one `_stage` of its stacked gauges, whether a stacked step
+lands on them or the stack forms from its members' accepted states: one
+lookup of lambda and lambda' per mass block of rows, one pass, and one
+cone test and lambda v F per F, on that F's rows.
 
 Rejected input is a ConfigError: InitialData refuses an unknown kind, a
 non-finite r0 or amplitude and a malformed table, FlowConfig refuses a
@@ -57,7 +59,7 @@ t_end that is not positive and finite, an output_every at or below the
 landing tolerance LAND_TOL and an f normalised for another n than the
 background's, run refuses a start state at or past t_end or within
 LAND_TOL of it, which it records as its `failed` event, and run_group
-configs that do not share one grid, background and F.
+configs that do not share one grid.
 """
 
 from __future__ import annotations
@@ -210,9 +212,10 @@ class StageData:
     """The stage data of a gauge array, as `_stage` makes it, the one
     place a record is built (a stacked one's rows aside, `_stage_row`):
     its pass (geometry.scaled_invariants) and what the stage made of it.
-    e holds (1, S_1, S_2), or (1, S_1) for the mean, on which the cone
-    was tested; lvf is lambda v F, F of the scaled shape operator; speed
-    is d phi / dt = v^2 / (lambda v F). The rk2 midpoint reads speed
+    e holds (1, S_1, S_2), or (1, S_1) for the mean alone (a stack with
+    another F forms S_2 on every row), on which the cone was tested;
+    lvf is lambda v F, F of the scaled shape operator; speed is
+    d phi / dt = v^2 / (lambda v F). The rk2 midpoint reads speed
     alone; the stability bound reads speed, v^2 and, for an F other than
     the mean, e, lvf and, where it may come under dt_max, the triples b
     and hess; the snapshot reads the gradient, the Hessian, kappa of b
@@ -236,34 +239,85 @@ class StageData:
         return self.lvf / (self.lam * np.sqrt(self.v2))
 
 
-def _stage(F, t, grid, profile, phi, lam) -> StageData:
-    """The StageData of the gauge array phi, with lambda lam, at time t:
-    its scaled_invariants, lambda v F and the speed v^2 / (lambda v F).
-    phi may carry a leading member axis (a stack), and the record then
-    does too. Raises InadmissibleState when the invariants leave the
-    cone, carrying the node of least margin and its kappa, read off the
-    same pass (geometry.curvatures); FlowError when the speed is not
-    finite. At n = 2 the cone test implies lambda v F >= 0 for every F:
-    the mean is S_1, the sigma_2 root is 2 sqrt(S_2) and the quotient
-    4 S_2 / S_1, each of positive numbers, 0 only where the quotient
-    underflows. So the speed is a number only if it is at least 0, and
-    finite only if its maximum is."""
-    inv = scaled_invariants(grid, profile, phi, lam, F.cone_order)
-    _, _, v2, e, lam_p, b, hess = inv
+# A stage's rows, as `_stage` reads them: (masses, fs, order). masses holds
+# (profile, slice) pairs, each mass a contiguous block of rows, since a
+# stack is ordered by mass (_rows_of); fs holds (F, rows) pairs, rows an
+# index array; order is the highest cone order among the F. Rows of None
+# are every row: one flow has one pair of each, and neither slices nor
+# gathers. A plain tuple, since one is built for every step of a flow.
+
+
+def _one(profile, F) -> tuple:
+    """The rows of one flow."""
+    return ((profile, None),), ((F, None),), F.cone_order
+
+
+def _take(a, rows, nd):
+    """The rows `rows` of a along its member axis, or a itself for a grid
+    constant (at most nd axes, the grid's), which every row shares."""
+    return a if a.ndim <= nd else a[rows]
+
+
+def _warp(masses, grid, phi, lam):
+    """lambda at the stacked gauges phi, looked up for lam None, and
+    lambda', each once per mass block of masses, on its rows."""
+    lookup, lam_p = lam is None, np.empty(phi.shape)
+    if lookup:
+        lam = np.empty(phi.shape)
+    for profile, rows in masses:
+        if lookup:
+            lam[rows] = lambda_of_gauge(grid, profile, phi[rows])
+        lam_p[rows] = profile.lambda_p_of_lambda(lam[rows])
+    return lam, lam_p
+
+
+def _stage(rows, t, grid, phi, lam=None) -> StageData:
+    """The StageData of the gauge array phi at time t, its rows split as
+    rows says: lambda, looked up for lam None, and lambda', each once per
+    mass block; its scaled_invariants, to the highest cone order among
+    the F; each F's cone test and lambda v F on its rows; and the speed
+    v^2 / (lambda v F). phi may carry a leading member axis (a stack),
+    and the record then does too. Raises InadmissibleState when the
+    invariants leave the cone, carrying the node of least margin among
+    that F's rows and its kappa, read off the same pass
+    (geometry.curvatures); FlowError when the speed is not finite. At
+    n = 2 the cone test implies lambda v F >= 0 for every F: the mean is
+    S_1, the sigma_2 root is 2 sqrt(S_2) and the quotient 4 S_2 / S_1,
+    each of positive numbers, 0 only where the quotient underflows. So
+    the speed is a number only if it is at least 0, and finite only if
+    its maximum is."""
+    masses, fs, order = rows
+    if len(masses) == 1:
+        profile = masses[0][0]
+        if lam is None:
+            lam = lambda_of_gauge(grid, profile, phi)
+        lam_p = profile.lambda_p_of_lambda(lam)
+    else:
+        lam, lam_p = _warp(masses, grid, phi, lam)
+    grad, q, v2, e, b, hess = scaled_invariants(grid, phi, lam_p, order)
 
     def kappa_at(node):
         return curvatures(lam, np.sqrt(v2), lam_p, b, hess)[node]
 
-    lvf = cf._value(F, cf.require_cone(F, e, kappa_at, t))
+    if len(fs) == 1:
+        F = fs[0][0]
+        lvf = cf._value(F, cf.require_cone(F, e, kappa_at, t))
+    else:
+        lvf = np.empty(v2.shape)
+        for F, idx in fs:
+            def kappa_of(node, idx=idx):    # node among F's rows
+                return kappa_at((idx[node[0]],) + node[1:])
+
+            lvf[idx] = cf._value(F, cf.require_cone(F, e[idx], kappa_of, t))
     speed = v2 / lvf
     if not math.isfinite(speed.max()):
         raise FlowError(f"non-finite speed at t={t}")
-    return StageData(lam, *inv, lvf, speed)
+    return StageData(lam, grad, q, v2, e, lam_p, b, hess, lvf, speed)
 
 
 def evaluate(state: GraphState, F: cf.CurvatureFunction) -> StageData:
     """The stage data of state, with its cone test, lambda v F and speed."""
-    return _stage(F, state.t, state.grid, state.profile, state.phi.values, state.lam)
+    return _stage(_one(state.profile, F), state.t, state.grid, state.phi.values, state.lam)
 
 
 def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
@@ -280,7 +334,7 @@ def stable_dt(state: GraphState, F: cf.CurvatureFunction, stage: StageData,
     azimuthal modes that d_theta resolves. A largest scale of 0 (an F
     that overflowed) or NaN raises FlowError, and a bound below DT_MIN
     StepUnderflow."""
-    return _stable_dts(state.grid, F, stage, (dt_max,), state.t)[0]
+    return _stable_dts(state.grid, ((F, None),), stage, (dt_max,), state.t)[0]
 
 
 def _member_max(a, k):
@@ -289,18 +343,24 @@ def _member_max(a, k):
     return (a.max(),) if k == 1 else a.reshape(k, -1).max(axis=1)
 
 
-def _stable_dts(grid, F, stage, dt_max, t):
+def _stable_dts(grid, fs, stage, dt_max, t):
     """stable_dt of each member of stage, whose arrays carry a leading axis
     of len(dt_max) members (or none for one member), under that member's
-    dt_max, from the same operations on every node; t names the time in
-    a refusal."""
+    dt_max, with fs the (F, rows) pairs of its rows (_one), from the same
+    operations on every node; t names the time in a refusal."""
     k = len(dt_max)
     # largest eigenvalue of gtilde relative to sigma is exactly 1
     scale = stage.speed * stage.speed / np.sqrt(stage.v2)
     h = grid.d_theta
     limit = CFL * h * h
-    dts = [None] * k
-    if F.kind != "mean":
+    maxima = None                  # each member's largest scale, found once
+    pencil, dts = {}, [None] * k   # pencil: the largest scale times dF, where read
+    for F, rows in fs:
+        if F.kind != "sigma2root" and maxima is None:
+            maxima = _member_max(scale, k)
+        if F.kind == "mean":
+            continue               # dF = 1: the bound reads the largest scale
+        members = range(k) if rows is None else rows
         # dF of the smaller kappa_0 is lambda v kappa_1 / sqrt(S_2) for the
         # sigma_2 root and 4 (lambda v kappa_1 / S_1)^2 for the quotient,
         # and on Gamma_2 lambda v kappa_1 = S_1 - lambda v kappa_0 <= S_1:
@@ -308,26 +368,37 @@ def _stable_dts(grid, F, stage, dt_max, t):
         # with S_1 in place of S_1 - lambda v kappa_0, and 4. A zero or
         # NaN bound goes on to the pencil, whose scale is refused too
         if F.kind == "sigma2root":
-            e = stage.e
-            tops = [float(top) for top in
-                    _member_max(scale * (stage.lvf / (2.0 * e[..., 2]) * e[..., 1]), k)]
+            e, lvf, sc = stage.e, stage.lvf, scale
+            if rows is not None:
+                e, lvf, sc = e[rows], lvf[rows], sc[rows]
+            bounds = [float(top) for top in
+                      _member_max(sc * (lvf / (2.0 * e[..., 2]) * e[..., 1]), len(members))]
         else:
-            tops = [4.0 * float(top) for top in _member_max(scale, k)]
-        for i, top in enumerate(tops):
+            bounds = [4.0 * float(maxima[i]) for i in members]
+        pending = []
+        for i, top in zip(members, bounds):
             top *= _DF_MARGIN
             if top > 0.0 and limit / top >= dt_max[i]:
                 dts[i] = dt_max[i]
-        if None not in dts:
-            return dts
-        # at n = 2 every dF/dkappa_i is S_1 - lambda v kappa_i times a
-        # positive factor, and rounding keeps that monotone, so the column
-        # of the smaller (first, ascending) kappa is the largest, bit for bit
-        kappa = scaled_curvatures(stage.lam_p, stage.b, stage.hess)
-        scale = scale * cf._gradient(F, kappa[..., :1], stage.e)[..., 0]
-    for i, top in enumerate(_member_max(scale, k)):
-        if dts[i] is not None:
+            else:
+                pending.append(i)
+        if not pending:
             continue
-        top = float(top)
+        # the pencil, on the rows of the members the bound left open: at
+        # n = 2 every dF/dkappa_i is S_1 - lambda v kappa_i times a positive
+        # factor, and rounding keeps that monotone, so the column of the
+        # smaller (first, ascending) kappa is the largest, bit for bit
+        lam_p, b, hess, e, sc = stage.lam_p, stage.b, stage.hess, stage.e, scale
+        if len(pending) < len(members) or rows is not None:
+            sub, nd = np.array(pending), grid.zeros.ndim
+            lam_p, e, sc = lam_p[sub], e[sub], sc[sub]
+            b, hess = (tuple(_take(a, sub, nd) for a in pair) for pair in (b, hess))
+        grad = cf._gradient(F, scaled_curvatures(lam_p, b, hess)[..., :1], e)[..., 0]
+        pencil.update(zip(pending, _member_max(sc * grad, len(pending))))
+    for i, dt in enumerate(dts):
+        if dt is not None:
+            continue
+        top = float(pencil[i] if i in pencil else maxima[i])
         if not top > 0.0:
             raise FlowError(f"no stability bound at t={t}: largest diffusion scale {top}")
         dt = limit / top
@@ -337,24 +408,23 @@ def _stable_dts(grid, F, stage, dt_max, t):
     return dts
 
 
-def _rk2_gauge(grid, profile, F, phi, speed, dt, t_mid):
+def _rk2_gauge(grid, rows, phi, speed, dt, t_mid):
     """The gauge an rk2 step of size dt takes phi to, with speed its
-    stage's speed; t_mid names the midpoint's time in a refusal. phi may
-    carry a leading member axis, and dt then holds each member's step
-    along it."""
+    stage's speed and rows its rows (_one); t_mid names the midpoint's
+    time in a refusal. phi may carry a leading member axis, and dt then
+    holds each member's step along it."""
     phi_mid = polar_filter(grid, phi + 0.5 * dt * speed)
-    mid = _stage(F, t_mid, grid, profile, phi_mid, lambda_of_gauge(grid, profile, phi_mid))
+    mid = _stage(rows, t_mid, grid, phi_mid)
     return polar_filter(grid, phi + dt * mid.speed)
 
 
 def _advance(state, F, dt, stage):
     """One rk2 step of size dt from state, with stage = evaluate(state, F):
     the new state and its stage data."""
-    grid, profile = state.grid, state.profile
-    phi_new = _rk2_gauge(grid, profile, F, state.phi.values, stage.speed, dt,
-                         state.t + 0.5 * dt)
+    grid, profile, rows = state.grid, state.profile, _one(state.profile, F)
+    phi_new = _rk2_gauge(grid, rows, state.phi.values, stage.speed, dt, state.t + 0.5 * dt)
     new = state_from_gauge(grid, profile, phi_new, t=state.t + dt)
-    return new, evaluate(new, F)
+    return new, _stage(rows, new.t, grid, phi_new, new.lam)
 
 
 def _offender(exc: InadmissibleState) -> dict:
@@ -425,14 +495,14 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None, *, _grou
 
 def _integrate(members):
     """Step every member to its end, the stacked members (two or more that
-    have not stepped alone) as one stack; the outcome of each is left in
-    its `outcome`."""
+    have not stepped alone) as one stack, ordered by mass; the outcome of
+    each is left in its `outcome`."""
     for member in members:
         member.start()
     live = [m for m in members if m.outcome is None]
     stack = None
     while live:
-        stacked = [m for m in live if not m.alone]
+        stacked = sorted((m for m in live if not m.alone), key=lambda m: m.profile.params.m)
         if len(stacked) < 2:
             for member in live:
                 member.finish_alone()
@@ -453,11 +523,15 @@ def run_group(configs) -> list:
     """Run each config as `run` does, stepping the flows that are still
     running as one stack: their gauges along a leading member axis, each
     member with its own t, dt, stability bound, snapshot times, counts,
-    events and series. The configs must share the grid, the background
-    and F (a ConfigError otherwise); a config that is not a FlowConfig
-    fails as its member, with the ConfigError that `run` raises.
+    events and series, and its own warp profile and F. The configs must
+    share the grid (a ConfigError otherwise); a config that is not a
+    FlowConfig fails as its member, with the ConfigError that `run`
+    raises.
 
-    A stacked step runs every node through the same operations as a run
+    The stack is ordered by mass, so that each mass is a block of rows:
+    a stacked stage looks lambda and lambda' up once per mass, and tests
+    the cone and evaluates lambda v F once per F, on that F's rows. A
+    stacked step runs every node through the same operations as a run
     of its own, so each member's outputs equal its own run's bit for bit.
     A member that has landed on t_end, or failed, leaves the stack; no
     member takes a step of dt = 0. When the stacked step or stability
@@ -469,13 +543,13 @@ def run_group(configs) -> list:
 
     Returns, per config in order, (final state, series, events), or the
     exception its run raised, carrying its events as run's does."""
-    def shared(c):
-        return c.grid_mode, c.grid_resolution, c.background, c.f
+    def grid(c):
+        return c.grid_mode, c.grid_resolution
 
     # a config that is not a FlowConfig fails alone, when its member starts
     flows = [c for c in configs if isinstance(c, FlowConfig)]
-    if any(shared(c) != shared(flows[0]) for c in flows[1:]):
-        raise ConfigError("the flows of one group must share the grid, the background and F")
+    if any(grid(c) != grid(flows[0]) for c in flows[1:]):
+        raise ConfigError("the flows of one group must share the grid")
     members = [_Member(c, None) for c in configs]
     if members:
         try:
@@ -491,46 +565,58 @@ _STAGE_FIELDS = tuple(f.name for f in fields(StageData))
 
 def _stage_row(stage: StageData, i: int, nd: int) -> StageData:
     """Member i's StageData of a stacked one: row i of every array with a
-    member axis; a grid constant (at most nd axes, the grid's) is shared."""
-    def pick(a):
-        return a[i] if a.ndim > nd else a
-
-    return StageData(*(tuple(pick(a) for a in value) if isinstance(value, tuple)
-                       else pick(value)
+    member axis (_take)."""
+    return StageData(*(tuple(_take(a, i, nd) for a in value) if isinstance(value, tuple)
+                       else _take(value, i, nd)
                        for value in (getattr(stage, name) for name in _STAGE_FIELDS)))
 
 
-def _stack_of(members, grid, profile, F):
-    """The members' accepted gauges, stacked along a leading axis, and
-    their stage data, from one evaluation of the stack: the same
-    operations, node by node, as each member's own."""
+def _rows_of(members) -> tuple:
+    """The rows of a stack of members ordered by mass: a block for each
+    run of equal profile params (build_warp_profile's cache may rebuild an
+    equal profile, so not by identity), and the rows of each F."""
+    starts = [i for i, m in enumerate(members)
+              if i == 0 or m.profile.params != members[i - 1].profile.params]
+    masses = tuple((members[a].profile, slice(a, b))
+                   for a, b in zip(starts, starts[1:] + [len(members)]))
+    by_f = {}
+    for i, member in enumerate(members):
+        by_f.setdefault(member.config.f, []).append(i)
+    return (masses, tuple((F, None if len(rows) == len(members) else np.array(rows))
+                          for F, rows in by_f.items()),
+            max(F.cone_order for F in by_f))
+
+
+def _stack_of(members, grid):
+    """The members' accepted gauges, stacked along a leading axis, their
+    stage data, from one evaluation of the stack: the same operations,
+    node by node, as each member's own, and its rows."""
     states = [m.accepted()[0] for m in members]
-    phi = np.stack([state.phi.values for state in states])
-    return phi, _stage(F, None, grid, profile, phi, np.stack([state.lam for state in states]))
+    phi, rows = np.stack([state.phi.values for state in states]), _rows_of(members)
+    return phi, _stage(rows, None, grid, phi, np.stack([state.lam for state in states])), rows
 
 
 def _step_stack(members, stack):
     """One rk2 step of every member as one stack, from stack = (gauges,
-    stage data) or, for None, the members' stacked accepted states.
+    stage data, rows) or, for None, the members' stacked accepted states.
     Returns the new stack, after committing each member's step, or None,
     with no member touched, when the stability bound or the step raised
     (on a cone exit no member retries here)."""
-    first = members[0]
-    grid, profile, F = first.grid, first.profile, first.config.f
+    grid = members[0].grid
     try:
-        phi, stage = _stack_of(members, grid, profile, F) if stack is None else stack
-        bounds = _stable_dts(grid, F, stage, [m.config.dt_max for m in members], None)
+        phi, stage, rows = _stack_of(members, grid) if stack is None else stack
+        bounds = _stable_dts(grid, rows[1], stage, [m.config.dt_max for m in members], None)
         cuts = [m.cut(dt) for m, dt in zip(members, bounds)]
         dt = np.array([c[0] for c in cuts]).reshape((-1,) + (1,) * (phi.ndim - 1))
-        phi = _rk2_gauge(grid, profile, F, phi, stage.speed, dt, None)
-        stage = _stage(F, None, grid, profile, phi, lambda_of_gauge(grid, profile, phi))
+        phi = _rk2_gauge(grid, rows, phi, stage.speed, dt, None)
+        stage = _stage(rows, None, grid, phi)
     except Exception:   # noqa: BLE001 - each member steps alone instead
         return None
     for i, (member, (step_dt, bound_set)) in enumerate(zip(members, cuts)):
         member.t, member.row = member.t + step_dt, (phi, stage, i)
         member.steps += 1
         member.stability_steps += bound_set
-    return phi, stage
+    return phi, stage, rows
 
 
 class _Member:

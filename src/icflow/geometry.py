@@ -138,19 +138,19 @@ def _pencil_eigenvalues(a, b):
     return np.stack([(mix - disc) / den, (mix + disc) / den], axis=-1)
 
 
-def scaled_invariants(grid, profile, phi, lam, order):
-    """The one geometric pass of the gauge array phi, with lambda lam at
-    its nodes: one set of stencils and the invariants of the scaled shape
-    operator lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij.
+def scaled_invariants(grid, phi, lam_p, order):
+    """The one geometric pass of the gauge array phi, with lambda' lam_p
+    at its nodes: one set of stencils and the invariants of the scaled
+    shape operator lambda v h^i_j = lambda' delta^i_j - A, A = b^-1 phi_ij.
 
-    Returns (D phi, |D phi|^2, v^2, e, lambda', b, phi_ij): D phi as a
+    Returns (D phi, |D phi|^2, v^2, e, b, phi_ij): D phi as a
     pair, b_ij = phi_i phi_j + sigma_ij and the round Hessian phi_ij as
     triples, and e holding, along its last axis, the sigma_j of
     lambda v kappa up to j = order, an F's cone order: (1, S_1) for the
     mean, which reads no S_2, else (1, S_1, S_2), with
     S_1 = 2 lambda' - tr A and S_2 = lambda' (lambda' - tr A) + det A;
     tr A and det A are divided by det b = v^2 sin^2 theta, which is exact
-    in closed form. phi and lam may carry a leading member axis, a stack
+    in closed form. phi and lam_p may carry a leading member axis, a stack
     of fields, on which every operation is elementwise. On axisymmetric
     grids |D phi|^2 = phi_theta^2, b = (v^2, 0, sin^2 theta) with the
     grid's zero, and the psi terms of tr A and det A vanish identically
@@ -158,7 +158,6 @@ def scaled_invariants(grid, profile, phi, lam, order):
     the same e bit for bit on axisymmetric data."""
     d_th, d_ps, p00, p01, p11 = derivatives(phi, grid)   # D phi and phi_ij
     q = covector_norm_sq(grid, d_th, d_ps)
-    lam_p = profile.lambda_p_of_lambda(lam)
     axisymmetric = grid.mode == "axisymmetric1d"
     if axisymmetric:
         v2 = q + 1.0
@@ -179,13 +178,13 @@ def scaled_invariants(grid, profile, phi, lam, order):
             det -= p01 * p01
         det /= det_b
         np.add(lam_p * (lam_p - tr), det, out=e[..., 2])
-    return (d_th, d_ps), q, v2, e, lam_p, (b00, b01, b11), (p00, p01, p11)
+    return (d_th, d_ps), q, v2, e, (b00, b01, b11), (p00, p01, p11)
 
 
 def scaled_curvatures(lam_p, b, hess):
     """lambda v kappa, ascending along the last axis: lambda' less the
     eigenvalues mu of the pencil phi_ij x = mu b_ij x, from the triples b
-    and hess that scaled_invariants returns, with lam_p its lambda'."""
+    and hess that scaled_invariants returns, with lam_p the lambda' it read."""
     return lam_p[..., None] - _pencil_eigenvalues(hess, b)[..., ::-1]
 
 
@@ -199,8 +198,8 @@ def curvatures(lam, v, lam_p, b, hess):
 def compute_extrinsic(state: GraphState) -> np.ndarray:
     """The principal curvatures kappa of state, ascending, shape (..., 2):
     its scaled_invariants and their pencil (curvatures)."""
-    _, _, v2, _, lam_p, b, hess = scaled_invariants(state.grid, state.profile,
-                                                    state.phi.values, state.lam, order=1)
+    lam_p = state.profile.lambda_p_of_lambda(state.lam)
+    _, _, v2, _, b, hess = scaled_invariants(state.grid, state.phi.values, lam_p, order=1)
     return curvatures(state.lam, np.sqrt(v2), lam_p, b, hess)
 
 
@@ -214,8 +213,8 @@ def tilt_gradient_residual(state: GraphState) -> float:
     """Sup defect of D_i v = v^-1 phi^k phi_ki: the stencil derivative of v
     against the gradient form, from the round-metric Hessian of phi that
     the pass kept; second order in the grid spacing."""
-    (d_th, d_ps), _, v2, _, _, _, hess = scaled_invariants(
-        state.grid, state.profile, state.phi.values, state.lam, order=1)
+    (d_th, d_ps), _, v2, _, _, hess = scaled_invariants(
+        state.grid, state.phi.values, state.profile.lambda_p_of_lambda(state.lam), order=1)
     v = np.sqrt(v2)
     lhs = grad_components(ScalarField(state.grid, v))
     rhs = _contract((d_th, d_ps / state.grid.sin2), hess)

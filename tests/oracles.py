@@ -91,10 +91,12 @@ def reference_invariants(grid, lam_p, d_th, d_ps, q, p00, p01, p11):
 
 
 def extrinsic_pass(state):
-    """geometry.scaled_invariants of state at order 1: (D phi, |D phi|^2,
-    v^2, e, lambda', b, phi_ij)."""
-    return geo.scaled_invariants(state.grid, state.profile, state.phi.values, state.lam,
-                                 order=1)
+    """geometry.scaled_invariants of state at order 1, with the lambda' it
+    reads: (D phi, |D phi|^2, v^2, e, lambda', b, phi_ij)."""
+    lam_p = state.profile.lambda_p_of_lambda(state.lam)
+    grad, q, v2, e, b, hess = geo.scaled_invariants(state.grid, state.phi.values, lam_p,
+                                                    order=1)
+    return grad, q, v2, e, lam_p, b, hess
 
 
 def _stage_invariants(state):

@@ -147,7 +147,8 @@ def test_A4_limit_profile(a3_run):
         # orthonormal frame of sigma; the quarter is the square of
         # lambda e^(-r) -> 1/2; g = lambda^2 b_ij, b_ij = phi_i phi_j + sigma_ij
         state = geo.state_from_radius(grid, final.profile, r)
-        b = geo.scaled_invariants(grid, final.profile, state.phi.values, state.lam, 1)[5]
+        b = geo.scaled_invariants(grid, state.phi.values,
+                                  final.profile.lambda_p_of_lambda(state.lam), 1)[4]
         g00, g01, g11 = (state.lam * state.lam * c for c in b)
         target = 0.25 * np.exp(2.0 * f_hat)
         scale = math.exp(-2.0 * t / n)

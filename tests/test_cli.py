@@ -339,6 +339,18 @@ class TestRunCommand:
         assert "mass parameter must be at most M_MAX = 1e+60, got 3e+81" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("m = 3e81", "[background] m: mass parameter must be at most M_MAX = 1e+60, got 3e+81"),
+        ("m = -1", "[background] m: mass parameter must be >= 0, got -1.0"),
+        ("n = 1", "[background] n: sphere dimension must be an integer >= 2, got 1"),
+    ])
+    def test_background_error_names_its_key(self, tmp_path, capsys, line, message):
+        p = write_config(tmp_path / "c.ini")
+        text = p.read_text()
+        p.write_text(text.replace("m = 0.0" if line.startswith("m") else "n = 2", line))
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_radius_beyond_table_range_exit_2(self, tmp_path, capsys, m):
         # r0 = 500 is the fuzz test's far draw
@@ -637,8 +649,9 @@ class TestSweepCommand:
         assert (out / "mean_m0.0").is_dir() and (out / "mean_m1.0").is_dir()
 
     def test_stacked_combinations_equal_their_own_runs(self, tmp_path, capsys):
-        # m x f_kind x amplitude: four stacks of two, one per (m, f_kind).
-        # Each combination directory holds what `icflow run` writes for its
+        # m x f_kind x amplitude: one stack of all eight, on --jobs 1,
+        # mixing masses and F. Each combination directory holds what
+        # `icflow run` writes for its
         # config alone, byte for byte; report.json differs only in the
         # config echo, which names the sweep. The timings are in
         # sweep_stats.json alone
@@ -652,9 +665,9 @@ class TestSweepCommand:
         stats = json.loads((out / "sweep_stats.json").read_text())
         assert stats["jobs"] == 1
         assert [s["members"] for s in stats["stacks"]] == [
-            [f"amplitude{a}_{f}_m{m}" for a in (0.1, 0.3)]
-            for f in ("mean", "sigma2root") for m in (0.0, 1.0)]
-        assert all(s["steps"] == [30, 30] and s["wall_s"] > 0.0 for s in stats["stacks"])
+            [f"amplitude{a}_{f}_m{m}" for a in (0.1, 0.3)
+             for f in ("mean", "sigma2root") for m in (0.0, 1.0)]]
+        assert all(s["steps"] == [30] * 8 and s["wall_s"] > 0.0 for s in stats["stacks"])
         text = cfg.read_text().split("[sweep]")[0]
         for m, f_kind, amplitude in [(0.0, "sigma2root", 0.3), (1.0, "mean", 0.1)]:
             one = tmp_path / f"{f_kind}{m}{amplitude}.ini"
@@ -722,7 +735,9 @@ class TestSweepCommand:
         # a worker that dies abruptly (killed for memory, a crash, os._exit)
         # breaks the pool: a runtime error with an error line, not a
         # traceback read as a failed check. The combination that finished
-        # before it is kept, and aggregate.csv names each one that was lost
+        # before it is kept, and aggregate.csv names each one that was lost:
+        # dealt round-robin into two stacks, mean and quotient2 finish, and
+        # sigma2root is lost
         class HalfDeadPool:
             # runs the first combination, then every later future raises
             def __init__(self, max_workers):
@@ -753,16 +768,19 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: a sweep worker died abruptly")
-        assert "PASS mean" in captured.out
+        assert "PASS mean" in captured.out and "PASS quotient2" in captured.out
         rows = (out / "aggregate.csv").read_text().splitlines()
-        assert len(rows) == 4 and rows[1].startswith("mean,") and rows[1].endswith(",1,")
-        lost = ",,,,0,BrokenProcessPool: a child process terminated abruptly"
-        assert rows[2:] == ["sigma2root" + lost, "quotient2" + lost]
+        assert len(rows) == 4
+        assert [(rows[i].split(",")[0], rows[i].endswith(",1,")) for i in (1, 3)] == [
+            ("mean", True), ("quotient2", True)]
+        assert rows[2] == "sigma2root,,,,0,BrokenProcessPool: a child process terminated abruptly"
         assert (out / "mean" / "report.json").exists()
+        assert not (out / "sigma2root" / "report.json").exists()
 
     def test_dead_worker_loses_its_whole_stack(self, tmp_path, capsys, monkeypatch):
-        # stacks of two (m = 0 and m = 1, each at two amplitudes): the
-        # worker of the second stack dies, and both its members are lost
+        # four combinations dealt round-robin into two stacks of two, here
+        # one per m: the worker of the second stack dies, and both its
+        # members are lost
         class HalfDeadPool:
             def __init__(self, max_workers):
                 self.submitted = 0
@@ -803,9 +821,9 @@ class TestSweepCommand:
                             "steps": [None, None], "wall_s": None}
 
     def test_fewer_groups_than_jobs_split_into_stacks(self, tmp_path, capsys, monkeypatch):
-        # one group (the amplitudes of one m and F) on --jobs 2 is dealt
-        # out round-robin into two stacks, one per worker, and each
-        # combination still writes its own run's files
+        # three combinations on --jobs 2 are dealt round-robin into two
+        # stacks, one per worker, and each combination still writes its own
+        # run's files
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.05, kind="cosine_perturbation",
                            initial_extra="r0 = 2.0\namplitude = 0.2\nwavenumber = 1")
@@ -827,19 +845,29 @@ class TestSweepCommand:
                 assert path.read_bytes() == (serial / key / path.name).read_bytes()
 
     def test_groups_split_up_to_the_jobs(self):
-        def combo(m, f_kind, amplitude):
-            return (("amplitude", amplitude), ("f_kind", f_kind), ("m", m))
+        # the combinations, whatever their m and f_kind, are dealt
+        # round-robin into one stack per job; cmd_sweep caps the jobs at
+        # the number of combinations
+        combos = [(("amplitude", a), ("f_kind", f_kind), ("m", m))
+                  for a in (0.1, 0.3) for f_kind in ("mean", "quotient2") for m in (0.0, 1.0)]
+        assert cli._stacks(combos, 1) == [combos]
+        assert cli._stacks(combos, 2) == [combos[0::2], combos[1::2]]
+        assert cli._stacks(combos, 3) == [combos[0::3], combos[1::3], combos[2::3]]
+        assert cli._stacks(combos, 8) == [[c] for c in combos]
 
-        big = [combo(0.0, "mean", a) for a in (0.1, 0.2, 0.3, 0.4, 0.5)]
-        small = [combo(1.0, "mean", 0.1)]
-        # as many groups as jobs, or more: one stack per group
-        assert cli._stacks(big + small, 2) == [big, small]
-        assert cli._stacks(big + small, 1) == [big, small]
-        # fewer: the group with the most members per stack is dealt out
-        # round-robin, until there are jobs stacks
-        assert cli._stacks(big + small, 4) == [big[0::3], big[1::3], big[2::3], small]
-        # never past one combination each
-        assert cli._stacks(big + small, 8) == [[c] for c in big] + [small]
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        # --jobs 0 or below would run serially without a word: refused
+        # before the config is read, with exit 2 and no output directory
+        cfg = write_config(tmp_path / "s.ini", n_theta=16, t_end=0.05)
+        with open(cfg, "a") as fh:
+            fh.write("\n[sweep]\nf_kind = mean sigma2root\n")
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs: must be at least 1, got {int(jobs)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_capped_by_the_affinity_mask(self, tmp_path, capsys, monkeypatch):
         # a machine of 4 CPUs, of which the process may run on one: --jobs 2

@@ -549,7 +549,7 @@ def midpoint_gauge(state, ext, dt):
 def midpoint_speed(grid, profile, phi, t, f):
     """The speed _rk2_gauge reads at the midpoint phi: its _stage, with
     lambda looked up by gauge, and no state built."""
-    return flow._stage(f, t, grid, profile, phi, geo.lambda_of_gauge(grid, profile, phi)).speed
+    return flow._stage(flow._one(profile, f), t, grid, phi).speed
 
 
 def outcome(fn, *args):

@@ -151,7 +151,7 @@ REJECTIONS = {
     "table_ragged": (lambda: table(((0.0, 1.0), (2.0,)), (1, 2)),
                      "custom_table: table_theta and table_r must be numbers"),
     "group_of_two_grids": (lambda: flow.run_group([flow_config(), flow_config(grid_resolution=32)]),
-                           "must share the grid, the background and F"),
+                           "the flows of one group must share the grid"),
     "group_config_type": (lambda: group_refusal([object(), object()]),
                           "config must be a FlowConfig, got object"),
     "table_nan": (lambda: table((0.0, 3.2), (1.5, float("nan"))), "custom_table needs"),

@@ -1,9 +1,12 @@
-"""flow.run_group steps several flows as one stack. Each member's outputs
-must equal its own flow.run's bit for bit: its final gauge, its events,
-its series records and the radii they keep, and a failure's events and
-message. Members leave the stack as they end, and a step that raises is
-taken member by member, so a member that retries or fails does so as it
-would alone."""
+"""flow.run_group steps several flows as one stack, whatever their masses
+and F. Each member's outputs must equal its own flow.run's bit for bit:
+its final gauge, its events, its series records and the radii they keep,
+and a failure's events and message. Members leave the stack as they end,
+and a step that raises is taken member by member, so a member that
+retries or fails does so as it would alone."""
+
+import itertools
+
 
 import numpy as np
 import pytest
@@ -95,6 +98,65 @@ def test_stacked_members_equal_their_own_runs(monkeypatch, name, m, mode, resolu
     for member, own in zip(group, alone):
         assert events_of(member)[-1][0] == "completed"
         assert_same_outcome(member, own)
+
+
+@pytest.mark.parametrize("mode, resolution", [("axisymmetric1d", 16), ("latlong2d", (16, 32))])
+def test_every_mass_and_f_as_one_stack(monkeypatch, mode, resolution):
+    # m in {0, 1, 2} x the three F x two amplitudes, m varying fastest, as
+    # one stack of 18: ordered by mass, each mass a block of rows with its
+    # own lookups, and each F tested and evaluated on its own rows. Every
+    # step is a stacked one of all 18, and every member equals its own run
+    configs = [make_config(m, name, amplitude, mode=mode, resolution=resolution)
+               for amplitude, name, m in itertools.product(
+                   (0.1, 0.3), ("mean", "sigma2root", "quotient2"), (0.0, 1.0, 2.0))]
+    alone = [solo(c) for c in configs]
+    alone_steps = record_steps(monkeypatch)
+    stacked = record_stacks(monkeypatch)
+    group = flow.run_group(configs)
+    assert alone_steps == []
+    assert stacked and set(stacked) == {(18, True)}
+    for member, own in zip(group, alone):
+        assert events_of(member)[-1][0] == "completed"
+        assert_same_outcome(member, own)
+
+
+def test_stability_bound_of_every_mass_and_f(monkeypatch):
+    # as above, with dt_max = 1 for the 0.1 amplitudes, whose dt the
+    # stability bound sets, and 1e-2 for the 0.3 ones, which the bound
+    # from S_1 and S_2 mostly leaves at dt_max: within an F, the pencil is
+    # solved for some members' rows and not for others'. Members then land
+    # on the snapshots after different step counts; each equals its own run
+    configs = [make_config(m, name, amplitude, resolution=64, dt_max=dt_max)
+               for (amplitude, dt_max), name, m in itertools.product(
+                   ((0.1, 1.0), (0.3, 1e-2)), ("mean", "sigma2root", "quotient2"),
+                   (0.0, 1.0, 2.0))]
+    alone = [solo(c) for c in configs]
+    counts = [events_of(a)[-1][2] for a in alone]
+    assert [c["stability_steps"] > 0 for c in counts] == [True] * 9 + [False] * 9
+    stacked = record_stacks(monkeypatch)
+    for member, own in zip(flow.run_group(configs), alone):
+        assert_same_outcome(member, own)
+    assert stacked[0] == (18, True) and all(ok for _, ok in stacked)
+
+
+def test_stack_of_masses_and_f_re_forms_after_a_member_fails(monkeypatch):
+    # the m = 1 mean member from r0 = 176 passes R_MAX = 177 and fails;
+    # its partners, of m = 0, 2 and 1 and of each F, form a new stack of
+    # three from their accepted states, in mass blocks again, and step on
+    # as that stack to t_end, each equal to its own run
+    configs = [make_config(m, name, r0=r0, t_end=3.0, output_every=0.5)
+               for m, name, r0 in ((1.0, "mean", 176.0), (0.0, "sigma2root", 2.0),
+                                   (2.0, "quotient2", 2.5), (1.0, "sigma2root", 2.0))]
+    alone = [solo(c) for c in configs]
+    assert isinstance(alone[0], TableExtentError)
+    assert [events_of(a)[-1][0] for a in alone[1:]] == ["completed"] * 3
+    stacked = record_stacks(monkeypatch)
+    for member, own in zip(flow.run_group(configs), alone):
+        assert_same_outcome(member, own)
+    failed = stacked.index((4, False))
+    assert all(ok for _, ok in stacked[:failed] + stacked[failed + 1:])
+    assert {k for k, _ in stacked[:failed]} == {4}
+    assert len(stacked) > failed + 1 and {k for k, _ in stacked[failed + 1:]} == {3}
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])
