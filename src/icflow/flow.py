@@ -494,29 +494,26 @@ def run(config: FlowConfig, initial_state: Optional[GraphState] = None, *, _grou
 
 
 def _integrate(members):
-    """Step every member to its end, the stacked members (two or more that
-    have not stepped alone) as one stack, ordered by mass; the outcome of
-    each is left in its `outcome`."""
+    """Step every member to its end; the outcome of each is left in its
+    `outcome`. The stack is the live members, ordered by mass, and each
+    pass takes one stacked step. Where that step raised, each member takes
+    the step alone, and a member whose step retried finishes alone there.
+    A stack of one finishes alone."""
     for member in members:
         member.start()
-    live = [m for m in members if m.outcome is None]
+    live = sorted((m for m in members if m.outcome is None), key=lambda m: m.profile.params.m)
     stack = None
-    while live:
-        stacked = sorted((m for m in live if not m.alone), key=lambda m: m.profile.params.m)
-        if len(stacked) < 2:
+    while len(live) > 1:
+        stack = _step_stack(live, stack)
+        if stack is None:
             for member in live:
-                member.finish_alone()
-            return
-        alone = [m for m in live if m.alone]
-        stack = _step_stack(stacked, stack)
-        for member in live if stack is None else alone:
-            member.step_alone()
-        ended = False
-        for member in live:
-            ended |= member.land()
-        if ended:
+                if member.step_alone():
+                    member.finish_alone()
+        if [m for m in live if m.land()]:   # every member lands
             live = [m for m in live if m.outcome is None]
             stack = None
+    for member in live:
+        member.finish_alone()
 
 
 def run_group(configs) -> list:
@@ -537,9 +534,9 @@ def run_group(configs) -> list:
     member takes a step of dt = 0. When the stacked step or stability
     bound raises, that step is taken member by member with stable_dt and
     step, with their retries and events, and a member that raises there
-    fails alone. A member whose step retried there steps alone from then
-    on, since its next steps would likely retry as well, and each would
-    cost the stack a step that raises. A lone member always steps alone.
+    fails alone. A member whose step retried there finishes alone, since
+    its next steps would likely retry as well, and each would cost the
+    stack a step that raises. A lone member always steps alone.
 
     Returns, per config in order, (final state, series, events), or the
     exception its run raised, carrying its events as run's does."""
@@ -632,7 +629,6 @@ class _Member:
         self.state = self.stage = self.row = None
         self.grid = self.profile = None
         self.steps = self.stability_steps = 0
-        self.alone = False             # steps alone, out of the stack
         self.targets = self.target = None
         self.outcome = None            # (final, series, events), or the exception
 
@@ -696,28 +692,26 @@ class _Member:
             return self.target - self.t, False
         return dt, dt < self.config.dt_max
 
-    def step_alone(self):
-        """One step with stable_dt and step, their retries and events. A
-        step that retried leaves the member `alone`."""
+    def step_alone(self) -> bool:
+        """One step with stable_dt and step, their retries and events;
+        whether it logged one: a retry, or the member's failure."""
+        logged = len(self.events)
         try:
             state, stage = self.accepted()
             F = self.config.f
             dt, bound_set = self.cut(stable_dt(state, F, stage, dt_max=self.config.dt_max))
             self.stability_steps += bound_set
-            logged = len(self.events)
             self.state, self.stage = step(state, F, dt, stage, events=self.events)
-            self.alone |= len(self.events) > logged
             self.t = self.state.t
             self.steps += 1
         except Exception as exc:
             self._fail(exc)
+        return len(self.events) > logged
 
     def finish_alone(self):
         """Step alone until the member ends."""
-        while True:
+        while not self.land():
             self.step_alone()
-            if self.land():
-                return
 
     def land(self) -> bool:
         """The snapshots of every snapshot time the member has reached, and

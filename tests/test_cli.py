@@ -210,6 +210,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message):
             cfgmod.parse_run_config(p, allow_sweep=True)
 
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "config file not found: "),
+        ("unparsable", "config parse error: "),
+        ("table_of_three_columns", "[initial] table_path: expected two comma-separated columns"),
+        ("table_of_one_column", "[initial] table_path: expected two comma-separated columns"),
+        ("n_psi_in_1d", "[grid] n_psi is only valid in latlong2d mode"),
+        ("window_past_t_end", "[report] rate window must end at or before t_end"),
+        ("sweep_amplitude_of_constant", "[sweep] amplitude requires cosine_perturbation "
+                                        "initial data"),
+        ("sweep_without_section", "sweep config needs a [sweep] section"),
+    ])
+    def test_refused_config_exit_2(self, tmp_path, capsys, case, message):
+        # each refusal reaches the command line as exit 2 and its message
+        p, table, command = tmp_path / "c.ini", tmp_path / "r0.csv", "run"
+        if case == "unparsable":
+            p.write_text("[background\nm = 0\n")
+        elif case.startswith("table_of"):
+            table.write_text("0.0,1.5,1.0\n3.2,1.5,1.0\n" if case == "table_of_three_columns"
+                             else "0.0\n3.2\n")
+            write_config(p, kind="custom_table", initial_extra=f"table_path = {table}")
+        elif case == "n_psi_in_1d":
+            write_config(p)
+            p.write_text(p.read_text().replace("n_theta = 48", "n_theta = 48\nn_psi = 96"))
+        elif case == "window_past_t_end":
+            write_config(p, report_extra="window_start = 0.2\nwindow_end = 2.0")
+        elif case.startswith("sweep"):
+            command = "sweep"
+            write_config(p)
+            if case == "sweep_amplitude_of_constant":
+                p.write_text(p.read_text() + "\n[sweep]\namplitude = 0.1 0.2\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_umbilic_mass2_run_fails_only_its_kappa_rate(self, tmp_path, capsys):
@@ -308,6 +343,36 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(p), "--out", str(out),
                          "--resume", str(ck)]) == 2
         assert str(out if case == "out_is_a_file" else ck) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("other_mass", "checkpoint background parameters do not match the configuration"),
+        ("other_grid_mode", "checkpoint grid mode does not match the configuration"),
+        ("checkpoint_is_a_directory", "cannot write checkpoint "),
+    ])
+    def test_checkpoint_refusal_exit_2(self, tmp_path, capsys, case, message):
+        # a checkpoint of m = 0 refused under m = 1: the mass check is the
+        # one guard against resuming one mass's gauge under another's
+        # profile, since load_checkpoint builds the configuration's
+        p = write_config(tmp_path / "c.ini", m=1.0, n_theta=32, initial_extra="r0 = 2.0",
+                         t_end=0.1)
+        grid = sp.build_grid("axisymmetric1d", 32)
+        m = 0.0 if case == "other_mass" else 1.0
+        prof = bg.build_warp_profile(bg.BackgroundParams(m=m))
+        ck, out = tmp_path / "ck.json", tmp_path / "o"
+        flow.save_checkpoint(geo.state_from_radius(grid, prof, np.full(32, 2.0), t=0.05), ck)
+        resume = ["--resume", str(ck)]
+        if case == "other_grid_mode":
+            doc = json.loads(ck.read_text())
+            doc["grid"]["mode"] = "latlong2d"
+            ck.write_text(json.dumps(doc))
+        elif case == "checkpoint_is_a_directory":
+            (out / "checkpoint.json").mkdir(parents=True)
+            resume = []
+        assert cli.main(["run", "--config", str(p), "--out", str(out), *resume]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        if case == "checkpoint_is_a_directory":
+            assert str(out / "checkpoint.json") in err
 
     def test_unwritable_artifact_exit_2(self, tmp_path, capsys):
         # a directory in the way of series.csv: the run writes no traceback

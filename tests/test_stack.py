@@ -5,8 +5,8 @@ and a failure's events and message. Members leave the stack as they end,
 and a step that raises is taken member by member, so a member that
 retries or fails does so as it would alone."""
 
+import collections
 import itertools
-
 
 import numpy as np
 import pytest
@@ -205,7 +205,7 @@ def test_member_that_retries_beside_one_that_does_not(monkeypatch):
     stacked = record_stacks(monkeypatch)
     for member, own in zip(flow.run_group(configs), alone):
         assert_same_outcome(member, own)
-    # after its first retry the rough member steps alone, so only one
+    # the rough member finishes alone from its first retry, so only one
     # stacked step raised, and its partners stepped on as a stack of two
     failed = stacked.index((3, False))
     assert all(ok for _, ok in stacked[:failed] + stacked[failed + 1:])
@@ -274,6 +274,52 @@ def test_members_land_on_a_snapshot_after_different_step_counts():
     assert all(c["stability_steps"] > 0 for c in counts)
     snapshots = [[t for kind, t, _ in events_of(a) if kind == "snapshot"] for a in alone]
     assert snapshots[0] == snapshots[1]
+    for member, own in zip(flow.run_group(configs), alone):
+        assert_same_outcome(member, own)
+
+
+def draw_group(rng, mode):
+    """2 to 6 random members on one grid, each with its own mass, F, start
+    radius, cos k theta perturbation of up to 0.9 r0 and dt_max. Starts
+    from r0 = 176.9 leave the table near R_MAX = 177, and rough ones leave
+    the cone, at once or after some steps."""
+    resolution = 16 if mode == "axisymmetric1d" else (16, 32)
+    configs = []
+    for _ in range(rng.integers(2, 7)):
+        r0 = float(rng.choice([0.3, 1.0, 2.0, 5.0, 176.9]))
+        amplitude = float(rng.uniform(0.0, 0.9)) * r0
+        configs.append(make_config(
+            float(rng.choice([0.0, 1e-3, 0.5, 1.0, 3.0])),
+            str(rng.choice(["mean", "sigma2root", "quotient2"])), mode=mode,
+            resolution=resolution,
+            initial=flow.InitialData(kind="cosine_perturbation", r0=r0, amplitude=amplitude,
+                                     wavenumber=int(rng.integers(1, 4))),
+            dt_max=float(rng.choice([1e-3, 1e-2, 1.0]))))
+    return configs
+
+
+def retried(outcome):
+    return any(kind == "admissibility_violation" for kind, _, _ in events_of(outcome))
+
+
+def test_random_groups_equal_their_own_runs(monkeypatch):
+    # 40 seeded groups, alternating the grid modes: whatever mix of
+    # masses, F, radii and step caps a stack holds, and wherever its
+    # members complete or fail, each member equals its own run
+    rng = np.random.default_rng(0)
+    outcomes = collections.Counter()
+    for i in range(40):
+        configs = draw_group(rng, ("axisymmetric1d", "latlong2d")[i % 2])
+        for member, own in zip(flow.run_group(configs), [solo(c) for c in configs]):
+            assert_same_outcome(member, own)
+            outcomes[type(own).__name__ if isinstance(own, Exception) else "completed"] += 1
+    assert set(outcomes) == {"completed", "TableExtentError", "InadmissibleState"}
+    # at four times the stability bound's CFL a member of this draw
+    # retries and then completes; it finishes alone from its first retry
+    monkeypatch.setattr(flow, "CFL", 4.0)
+    configs = draw_group(np.random.default_rng(43), "axisymmetric1d")
+    alone = [solo(c) for c in configs]
+    assert any(retried(a) and not isinstance(a, Exception) for a in alone)
     for member, own in zip(flow.run_group(configs), alone):
         assert_same_outcome(member, own)
 
